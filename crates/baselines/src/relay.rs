@@ -17,7 +17,6 @@
 use freehgc_autograd::{Adam, Matrix, NodeId, ParamStore, Tape};
 use freehgc_hetgraph::{
     enumerate_metapaths, CondenseContext, CondenseSpec, CondensedGraph, FeatureMatrix, HeteroGraph,
-    MetaPathEngine,
 };
 use freehgc_hgnn::propagate_ctx;
 
@@ -97,7 +96,7 @@ pub fn syn_block_plan(cond: &HeteroGraph, max_hops: usize, max_paths: usize) -> 
     let target = schema.target();
     let n = cond.num_nodes(target);
     let paths = enumerate_metapaths(schema, target, max_hops, max_paths);
-    let mut engine = MetaPathEngine::new(cond);
+    let engine = CondenseContext::new(cond).with_max_row_nnz(None);
     let mut plan = Vec::with_capacity(paths.len() + 1);
     plan.push(SynBlock::Raw);
     for p in &paths {

@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use freehgc_datasets::{generate, DatasetKind};
-use freehgc_hetgraph::{enumerate_metapaths, MetaPathEngine};
+use freehgc_hetgraph::{enumerate_metapaths, CondenseContext};
 use freehgc_sparse::centrality::{degree_influence, hits_authority};
 use freehgc_sparse::ppr::{bipartite_influence, PprConfig};
 use freehgc_sparse::CsrMatrix;
@@ -66,7 +66,7 @@ fn bench_metapath_composition(c: &mut Criterion) {
     c.bench_function("metapath_enumerate_compose_acm", |b| {
         b.iter(|| {
             let paths = enumerate_metapaths(g.schema(), root, 2, 16);
-            let mut engine = MetaPathEngine::new(&g).with_max_row_nnz(256);
+            let engine = CondenseContext::new(&g).with_max_row_nnz(Some(256));
             let total: usize = paths.iter().map(|p| engine.adjacency(p).nnz()).sum();
             black_box(total)
         })

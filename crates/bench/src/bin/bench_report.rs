@@ -33,7 +33,7 @@
 //! The *snapshot* legs (PR 5) exercise the on-disk warm-start path: the
 //! warm context is persisted to a versioned snapshot file, a fresh
 //! registry (standing in for a restarted process) resolves it back via
-//! `resolve_or_load`, and the identical grid reruns from the loaded
+//! `resolve` with the snapshot directory, and the identical grid reruns from the loaded
 //! precompute — asserting bitwise equality against the cold reference
 //! and a nonzero snapshot-load count. A final corruption probe flips
 //! one byte in the file and asserts the loader rejects it, counts the
@@ -54,9 +54,10 @@
 //! reworked kernel is timed serially (thread override pinned to 1)
 //! against the retained pre-rework reference implementation on the same
 //! operands, its output is checked bitwise against the canonical oracle
-//! (for SpMV and `matmul_nt` the canonical-lane reference — the rework
-//! *changed* their reduction order, so the retained sequential kernels
-//! are timing baselines only), and the workspace-pool counters are
+//! (for SpMV the canonical-lane reference, which is also its baseline;
+//! for `matmul_nt` the canonical-lane reference — the rework *changed*
+//! its reduction order, so the retained sequential kernel is a timing
+//! baseline only), and the workspace-pool counters are
 //! sampled over a steady-state loop to prove the iterative callers
 //! allocate nothing per call. Two of the rows back hard throughput
 //! gates: the dense-accumulator SpGEMM must beat the naive
@@ -323,7 +324,7 @@ fn run_sweep(quick: bool) -> SweepReport {
     let (through_registry, registry_ms) =
         run_grid(&|m, r| m.condense_shared(&registry, &ga, &spec_for(r)));
     let registry_equal = matches_cold(&through_registry);
-    let (registry_hits, registry_misses) = registry.lookup_stats();
+    let (registry_hits, registry_misses) = (registry.stats().hits, registry.stats().misses);
 
     // Evicting leg: budget the unified accountant to half its unbounded
     // footprint, forcing cost-aware eviction while outputs stay fixed.
@@ -344,23 +345,26 @@ fn run_sweep(quick: bool) -> SweepReport {
         knobs.cache_budget(),
     ));
     let t = Instant::now();
-    ctx.save_snapshot_with(&snap_path, Some(&PropagatedFeaturesCodec))
+    ctx.save_snapshot(&snap_path, Some(&PropagatedFeaturesCodec), None)
         .expect("save snapshot");
     let snapshot_save_ms = t.elapsed().as_secs_f64() * 1e3;
     let snapshot_file_bytes = std::fs::metadata(&snap_path).map_or(0, |m| m.len());
 
     let loaded_registry = ContextRegistry::new();
     let t = Instant::now();
-    let loaded = loaded_registry.resolve_or_load_with(
-        &snap_dir,
-        &ga,
-        &knobs,
-        Some(&PropagatedFeaturesCodec),
-    );
+    let loaded = loaded_registry
+        .resolve(
+            &ga,
+            &knobs,
+            Some(&snap_dir),
+            Some(&PropagatedFeaturesCodec),
+            None,
+        )
+        .0;
     let snapshot_load_ms = t.elapsed().as_secs_f64() * 1e3;
     let (from_disk, snapshot_ms) = run_grid(&|m, r| m.condense_in(&loaded, &spec_for(r)));
     let snapshot_equal = matches_cold(&from_disk);
-    let (snapshot_load_hits, _) = loaded_registry.snapshot_stats();
+    let snapshot_load_hits = loaded_registry.stats().snapshot_loads;
 
     // Corruption probe: one flipped byte must reject as a clean cold
     // miss — counted, un-panicking, and still bit-correct from scratch.
@@ -369,17 +373,20 @@ fn run_sweep(quick: bool) -> SweepReport {
     corrupted[mid] ^= 0x10;
     std::fs::write(&snap_path, &corrupted).expect("write corrupted snapshot");
     let corrupt_registry = ContextRegistry::new();
-    let cold_again = corrupt_registry.resolve_or_load_with(
-        &snap_dir,
-        &ga,
-        &knobs,
-        Some(&PropagatedFeaturesCodec),
-    );
+    let cold_again = corrupt_registry
+        .resolve(
+            &ga,
+            &knobs,
+            Some(&snap_dir),
+            Some(&PropagatedFeaturesCodec),
+            None,
+        )
+        .0;
     // Grid time only — same measurement as the snapshot and cold legs,
     // so the three `ms` fields stay directly comparable.
     let (after_corruption, corrupt_ms) = run_grid(&|m, r| m.condense_in(&cold_again, &spec_for(r)));
     let corrupt_equal = matches_cold(&after_corruption);
-    let (_, corrupt_rejections) = corrupt_registry.snapshot_stats();
+    let corrupt_rejections = corrupt_registry.stats().snapshot_rejections;
     std::fs::remove_dir_all(&snap_dir).ok();
 
     let report = SweepReport {
@@ -561,7 +568,13 @@ fn run_delta_leg(quick: bool) -> DeltaReport {
         let old_ctx = reg.context_for(&g_old, &spec);
         warm_up(&old_ctx);
         let t0 = Instant::now();
-        let (ctx, report) = reg.resolve_delta(g_old.fingerprint(), &g_new, &spec, &delta);
+        let (ctx, report) = reg.resolve(
+            &g_new,
+            &spec,
+            None,
+            None,
+            Some((g_old.fingerprint(), &delta)),
+        );
         warm_up(&ctx);
         warm_ms = warm_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         reused_entries = report.reused();
@@ -579,7 +592,7 @@ fn run_delta_leg(quick: bool) -> DeltaReport {
         let reg = ContextRegistry::new();
         let old_ctx = reg.context_for(&g_old, &spec);
         warm_up(&old_ctx);
-        reg.persist_with(&snap_dir, &g_old, &spec, Some(&PropagatedFeaturesCodec))
+        reg.persist(&snap_dir, &g_old, &spec, Some(&PropagatedFeaturesCodec))
             .expect("persist old snapshot");
     }
     let mut snapshot_ms = f64::INFINITY;
@@ -589,18 +602,17 @@ fn run_delta_leg(quick: bool) -> DeltaReport {
     for _ in 0..reps {
         let reg = ContextRegistry::new();
         let t0 = Instant::now();
-        let (ctx, report) = reg.resolve_delta_or_load(
-            &snap_dir,
-            g_old.fingerprint(),
+        let (ctx, report) = reg.resolve(
             &g_new,
             &spec,
-            &delta,
+            Some(&snap_dir),
             Some(&PropagatedFeaturesCodec),
+            Some((g_old.fingerprint(), &delta)),
         );
         warm_up(&ctx);
         snapshot_ms = snapshot_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         snapshot_reused_entries = report.reused();
-        snapshot_loads = reg.snapshot_stats().0;
+        snapshot_loads = reg.stats().snapshot_loads;
         ctx_snap = Some(ctx);
     }
     let ctx_snap = ctx_snap.expect("reps >= 1");
@@ -725,16 +737,16 @@ fn run_memory_leg(quick: bool) -> MemoryReport {
     std::fs::create_dir_all(&dir).expect("create memory snapshot dir");
     let full_path = dir.join("full.fhgc");
     unbounded
-        .save_snapshot_with(&full_path, Some(&PropagatedFeaturesCodec))
+        .save_snapshot(&full_path, Some(&PropagatedFeaturesCodec), None)
         .expect("save full snapshot");
     let snapshot_full_bytes = std::fs::metadata(&full_path).map_or(0, |m| m.len());
     let snapshot_cap_bytes = (snapshot_full_bytes as usize / 2).max(64);
     let capped_path = dir.join("capped.fhgc");
     let snapshot_dropped_sections = unbounded
-        .save_snapshot_capped(
+        .save_snapshot(
             &capped_path,
             Some(&PropagatedFeaturesCodec),
-            snapshot_cap_bytes,
+            Some(snapshot_cap_bytes),
         )
         .expect("save capped snapshot");
     let snapshot_file_bytes = std::fs::metadata(&capped_path).map_or(0, |m| m.len());
@@ -744,7 +756,7 @@ fn run_memory_leg(quick: bool) -> MemoryReport {
     // as ordinary cold misses while serving the reference bits.
     let loaded = CondenseContext::new(&g);
     let load_report = loaded
-        .load_snapshot_with(&capped_path, Some(&PropagatedFeaturesCodec))
+        .load_snapshot(&capped_path, Some(&PropagatedFeaturesCodec))
         .expect("capped snapshot must load as a valid partial context");
     let capped_installed = load_report.installed();
     let (grid_l, props_l, _, _) = run_workload(&loaded);
@@ -825,7 +837,7 @@ struct ChaosReport {
 }
 
 /// Failure-hardening leg (PR 7): N concurrent clients hammer one
-/// registry key through `resolve_or_load` + `condense_shared` while
+/// registry key through a snapshot-backed `resolve` + `condense_shared` while
 /// deterministic faults fire underneath — injected snapshot-read I/O
 /// errors, a panicking leader build, panicking condensations, a torn
 /// snapshot write, composed-cache and whole-accountant pressure
@@ -852,7 +864,7 @@ fn run_chaos_leg(quick: bool) -> ChaosReport {
     {
         let reg = ContextRegistry::new();
         method.condense_shared(&reg, &g, &spec);
-        reg.persist(&dir, &g, &spec)
+        reg.persist(&dir, &g, &spec, None)
             .expect("persist reference snapshot");
     }
     std::fs::write(dir.join("ctx-dead.fhgc.tmp-99999-0"), b"torn leftovers")
@@ -898,7 +910,7 @@ fn run_chaos_leg(quick: bool) -> ChaosReport {
                     barrier.wait();
                     let mut outs = Vec::with_capacity(requests_per_client);
                     for _ in 0..requests_per_client {
-                        let _ctx = reg.resolve_or_load(&dir, &g, &spec);
+                        let _ctx = reg.resolve(&g, &spec, Some(&dir), None, None).0;
                         outs.push(method.condense_shared(&reg, &g, &spec));
                     }
                     outs
@@ -918,11 +930,11 @@ fn run_chaos_leg(quick: bool) -> ChaosReport {
     // Under the still-armed faults, persisting tears once mid-write and
     // must retry into a published canonical file (leaving the torn
     // attempt's temp file for the next startup sweep).
-    reg.persist(&dir, &g, &spec)
+    reg.persist(&dir, &g, &spec, None)
         .expect("persist must survive the torn write");
 
-    let stats = reg.fault_stats();
-    let (snapshot_loads, snapshot_rejections) = reg.snapshot_stats();
+    let stats = reg.stats();
+    let (snapshot_loads, snapshot_rejections) = (stats.snapshot_loads, stats.snapshot_rejections);
     let faults_injected = ChaosKnobs::faults_fired();
     ChaosKnobs::disarm_all();
     let _ = std::panic::take_hook();
@@ -930,7 +942,7 @@ fn run_chaos_leg(quick: bool) -> ChaosReport {
     // "Restart": a fresh registry sweeps the torn write's orphan and
     // keeps serving reference bits.
     let reg2 = ContextRegistry::new();
-    let _warm = reg2.resolve_or_load(&dir, &g, &spec);
+    let _warm = reg2.resolve(&g, &spec, Some(&dir), None, None).0;
     let after = method.condense_shared(&reg2, &g, &spec);
     let served_after_faults = condensed_equal(&want, &after);
     std::fs::remove_dir_all(&dir).ok();
@@ -944,7 +956,7 @@ fn run_chaos_leg(quick: bool) -> ChaosReport {
         panics_recovered: stats.panics_recovered,
         singleflight_coalesced: stats.singleflight_coalesced,
         io_retries: stats.io_retries,
-        tmp_files_swept: stats.tmp_files_swept + reg2.fault_stats().tmp_files_swept,
+        tmp_files_swept: stats.tmp_files_swept + reg2.stats().tmp_files_swept,
         duplicate_computes: stats.duplicate_computes,
         snapshot_loads,
         snapshot_rejections,
@@ -1335,20 +1347,18 @@ fn run_micro(quick: bool) -> MicroReport {
         &sp_oracle,
     ));
 
-    // SpMV: the retained pre-rework sequential kernel is the timing
-    // baseline, but the rework CHANGED the reduction order, so the
-    // bitwise oracle is the canonical-lane reference.
+    // SpMV: the canonical-lane naive reference is baseline AND oracle.
     let m = random_sparse(mv_n, mv_n, mv_nnz, 13);
     let x: Vec<f32> = (0..mv_n).map(|i| (i % 17) as f32 * 0.25 - 2.0).collect();
     let mv_flops = 2.0 * m.nnz() as f64;
     let spmv_oracle = m.spmv_ref(&x);
     rows.push(measure_micro(
         &format!("spmv/{mv_n}"),
-        "spmv_seq",
+        "spmv_ref",
         reps,
         mv_flops,
         None,
-        || m.spmv_seq(&x),
+        || m.spmv_ref(&x),
         || m.spmv(&x),
         &spmv_oracle,
     ));
@@ -1773,7 +1783,7 @@ fn main() {
     out.push_str(
         "      \"note\": \"The warm context is persisted to a versioned on-disk snapshot, then a \
          fresh ContextRegistry (a stand-in for a restarted process) resolves it back via \
-         resolve_or_load and reruns the identical grid; ms is the warm-from-disk grid time, \
+         resolve with the snapshot directory and reruns the identical grid; ms is the warm-from-disk grid time, \
          directly comparable to cold_ms. The corruption probe flips one byte in the file and \
          must fall back to cold compute: a counted rejection, no panic, identical bits.\",\n",
     );
@@ -1807,8 +1817,9 @@ fn main() {
          the mutated graph's context is resolved three ways and each resolution plus one \
          FreeHGC condensation and feature propagation is timed: cold_rebuild_ms builds from \
          nothing, warm_delta_ms inherits the old context's surviving entries in-process \
-         (resolve_delta), snapshot_delta_ms delta-filters the old fingerprint's on-disk \
-         snapshot in a fresh registry (resolve_delta_or_load). bitwise_equal asserts FreeHGC \
+         (resolve with a delta), snapshot_delta_ms delta-filters the old fingerprint's \
+         on-disk snapshot in a fresh registry (resolve with a delta and a snapshot \
+         directory). bitwise_equal asserts FreeHGC \
          and every baseline condense identically on all three contexts.\",\n",
     );
     out.push_str("    \"dataset\": \"acm\",\n");

@@ -12,7 +12,7 @@ use freehgc_bench::{dataset, eval_cfg, ExpOpts};
 use freehgc_core::{condense_target, herding_select_stratified, SelectionConfig};
 use freehgc_datasets::DatasetKind;
 use freehgc_eval::tsne::{dispersion, tsne, TsneConfig};
-use freehgc_hetgraph::{enumerate_metapaths, HeteroGraph, MetaPathEngine};
+use freehgc_hetgraph::{enumerate_metapaths, CondenseContext, HeteroGraph};
 use freehgc_sparse::FxHashSet;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -31,7 +31,7 @@ fn captured_nodes(
     let schema = g.schema();
     let target = schema.target();
     let paths = enumerate_metapaths(schema, target, hops, 64);
-    let mut engine = MetaPathEngine::new(g).with_max_row_nnz(256);
+    let engine = CondenseContext::new(g).with_max_row_nnz(Some(256));
     let mut captured: FxHashSet<(u16, u32)> = selected.iter().map(|&v| (target.0, v)).collect();
     let mut captured_target: FxHashSet<u32> = selected.iter().copied().collect();
     for p in &paths {

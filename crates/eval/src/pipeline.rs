@@ -1,7 +1,6 @@
 //! The condense → train → evaluate pipeline (paper §V-B).
 
 use freehgc_autograd::Matrix;
-use freehgc_hetgraph::snapshot::snapshot_file_name;
 use freehgc_hetgraph::{
     CondenseContext, CondenseSpec, CondensedGraph, Condenser, ContextRegistry, HeteroGraph,
     SnapshotError,
@@ -211,8 +210,8 @@ impl<'g> Bench<'g> {
         graph: &'g Arc<HeteroGraph>,
         cfg: EvalConfig,
     ) -> Self {
-        let ctx: Arc<CondenseContext<'g>> =
-            registry.context_with(graph, Some(freehgc_hetgraph::DEFAULT_MAX_ROW_NNZ), None);
+        let spec = CondenseSpec::new(0.5); // knob carrier: only cap/budget are read
+        let ctx: Arc<CondenseContext<'g>> = registry.context_for(graph, &spec);
         let pf = propagate_ctx(&ctx, cfg.max_hops, cfg.max_paths);
         Self {
             graph,
@@ -237,12 +236,15 @@ impl<'g> Bench<'g> {
         cfg: EvalConfig,
     ) -> Self {
         let spec = CondenseSpec::new(0.5); // knob carrier: only cap/budget are read
-        let ctx: Arc<CondenseContext<'g>> = registry.resolve_or_load_with(
-            snapshot_dir,
-            graph,
-            &spec,
-            Some(&PropagatedFeaturesCodec),
-        );
+        let ctx: Arc<CondenseContext<'g>> = registry
+            .resolve(
+                graph,
+                &spec,
+                Some(snapshot_dir),
+                Some(&PropagatedFeaturesCodec),
+                None,
+            )
+            .0;
         let pf = propagate_ctx(&ctx, cfg.max_hops, cfg.max_paths);
         Self {
             graph,
@@ -256,7 +258,7 @@ impl<'g> Bench<'g> {
     /// [`freehgc_hetgraph::HeteroGraph::apply_delta`]: the context for
     /// the mutated graph inherits every cache entry of the old
     /// fingerprint's registered context that the delta provably does
-    /// not touch ([`ContextRegistry::resolve_delta`]), and with
+    /// not touch ([`ContextRegistry::resolve`]), and with
     /// `snapshot_dir` set it additionally falls back to the old
     /// fingerprint's on-disk snapshot, filtered through the same rules.
     /// Outputs are bitwise-identical to a cold [`Bench::new`] on the
@@ -271,17 +273,13 @@ impl<'g> Bench<'g> {
         cfg: EvalConfig,
     ) -> (Self, freehgc_hetgraph::DeltaSeedReport) {
         let spec = CondenseSpec::new(0.5); // knob carrier: only cap/budget are read
-        let (ctx, report): (Arc<CondenseContext<'g>>, _) = match snapshot_dir {
-            Some(dir) => registry.resolve_delta_or_load(
-                dir,
-                old_fp,
-                graph,
-                &spec,
-                delta,
-                Some(&PropagatedFeaturesCodec),
-            ),
-            None => registry.resolve_delta(old_fp, graph, &spec, delta),
-        };
+        let (ctx, report): (Arc<CondenseContext<'g>>, _) = registry.resolve(
+            graph,
+            &spec,
+            snapshot_dir,
+            Some(&PropagatedFeaturesCodec),
+            Some((old_fp, delta)),
+        );
         let pf = propagate_ctx(&ctx, cfg.max_hops, cfg.max_paths);
         (
             Self {
@@ -301,15 +299,8 @@ impl<'g> Bench<'g> {
     /// warm. The write merges with any existing file (a less-warm bench
     /// never shrinks the artifact). Returns the file path.
     pub fn persist_snapshot(&self, dir: &Path) -> Result<PathBuf, SnapshotError> {
-        std::fs::create_dir_all(dir).map_err(SnapshotError::Io)?;
-        let path = dir.join(snapshot_file_name(
-            self.graph.fingerprint(),
-            self.ctx.max_row_nnz(),
-            self.ctx.composed_budget(),
-        ));
         self.ctx
-            .save_snapshot_merged(&path, Some(&PropagatedFeaturesCodec))?;
-        Ok(path)
+            .persist_snapshot(dir, Some(&PropagatedFeaturesCodec))
     }
 
     /// The [`CondenseSpec`] this bench hands to condensers: ratio and
@@ -458,6 +449,16 @@ mod tests {
     use freehgc_core::FreeHgc;
     use freehgc_datasets::{generate, DatasetKind};
 
+    fn lookups(reg: &ContextRegistry) -> (u64, u64) {
+        let s = reg.stats();
+        (s.hits, s.misses)
+    }
+
+    fn disk_loads(reg: &ContextRegistry) -> (u64, u64) {
+        let s = reg.stats();
+        (s.snapshot_loads, s.snapshot_rejections)
+    }
+
     fn small_acm() -> HeteroGraph {
         generate(DatasetKind::Acm, 0.15, 0)
     }
@@ -518,7 +519,7 @@ mod tests {
             Arc::ptr_eq(&b1.pf, &b2.pf),
             "the second bench must reuse the first's propagated blocks"
         );
-        assert_eq!(reg.lookup_stats(), (1, 1));
+        assert_eq!(lookups(&reg), (1, 1));
         // And condensation through the shared context matches a
         // fresh-context bench bitwise.
         let fresh = Bench::new(&g, EvalConfig::quick());
@@ -537,7 +538,7 @@ mod tests {
         // "Process one": cold bench, persist its warm context.
         let reg1 = freehgc_hetgraph::ContextRegistry::new();
         let b1 = Bench::with_snapshots(&reg1, &dir, &g, cfg.clone());
-        assert_eq!(reg1.snapshot_stats(), (0, 0), "nothing on disk yet");
+        assert_eq!(disk_loads(&reg1), (0, 0), "nothing on disk yet");
         let spec = b1.spec(0.2, 0);
         let cold = FreeHgc::default().condense_in(&b1.ctx, &spec);
         b1.persist_snapshot(&dir).expect("persist");
@@ -546,7 +547,7 @@ mod tests {
         // propagated blocks come from disk, and condensation bits match.
         let reg2 = freehgc_hetgraph::ContextRegistry::new();
         let b2 = Bench::with_snapshots(&reg2, &dir, &g, cfg);
-        assert_eq!(reg2.snapshot_stats(), (1, 0), "snapshot must load");
+        assert_eq!(disk_loads(&reg2), (1, 0), "snapshot must load");
         let st = b2.ctx.stats();
         assert_eq!(
             st.propagated,

@@ -38,13 +38,6 @@ pub struct CondenseSpec {
     /// disables capping). Applied by the [`CondenseContext`] built for
     /// this spec, so every layer of one run shares the same cap.
     pub max_row_nnz: Option<usize>,
-    /// Deprecated spelling of [`CondenseSpec::context_cache_bytes`] from
-    /// the era when only the composed family was budgeted. Still honored
-    /// when set (and `context_cache_bytes` is not) so old specs keep
-    /// their meaning, but it now bounds the *unified* accountant —
-    /// composed, influence, diversity and propagated together. Prefer
-    /// [`CondenseSpec::with_cache_budget`].
-    pub composed_cache_bytes: Option<usize>,
     /// Unified byte budget for the context's cache accountant — one
     /// ceiling over all four budget-governed families: composed
     /// adjacencies, influence vectors, diversity bonuses, and
@@ -66,7 +59,6 @@ impl CondenseSpec {
             max_hops: 2,
             max_paths: DEFAULT_MAX_PATHS,
             max_row_nnz: Some(DEFAULT_MAX_ROW_NNZ),
-            composed_cache_bytes: None,
             context_cache_bytes: None,
             seed: 0,
         }
@@ -87,14 +79,6 @@ impl CondenseSpec {
         self
     }
 
-    /// Deprecated spelling of [`CondenseSpec::with_cache_budget`] — the
-    /// budget it sets now governs all four cache families, not just the
-    /// composed one.
-    pub fn with_composed_cache_bytes(mut self, bytes: Option<usize>) -> Self {
-        self.composed_cache_bytes = bytes;
-        self
-    }
-
     /// Sets the unified context-cache byte budget (see
     /// [`CondenseSpec::context_cache_bytes`]).
     pub fn with_cache_budget(mut self, bytes: Option<usize>) -> Self {
@@ -102,12 +86,9 @@ impl CondenseSpec {
         self
     }
 
-    /// The effective unified cache budget: `context_cache_bytes`,
-    /// falling back to the deprecated `composed_cache_bytes` when only
-    /// the old knob is set — so pre-accountant specs keep their
-    /// (now family-spanning) ceiling.
+    /// The unified cache budget (`context_cache_bytes`).
     pub fn cache_budget(&self) -> Option<usize> {
-        self.context_cache_bytes.or(self.composed_cache_bytes)
+        self.context_cache_bytes
     }
 
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -471,19 +452,11 @@ mod tests {
         let spec = CondenseSpec::new(0.5);
         assert_eq!(spec.max_paths, DEFAULT_MAX_PATHS);
         assert_eq!(spec.max_row_nnz, Some(DEFAULT_MAX_ROW_NNZ));
-        assert_eq!(spec.composed_cache_bytes, None);
         assert_eq!(spec.context_cache_bytes, None);
         assert_eq!(spec.cache_budget(), None);
-        let spec = spec
-            .with_max_paths(7)
-            .with_max_row_nnz(None)
-            .with_composed_cache_bytes(Some(1 << 20));
+        let spec = spec.with_max_paths(7).with_max_row_nnz(None);
         assert_eq!(spec.max_paths, 7);
         assert_eq!(spec.max_row_nnz, None);
-        assert_eq!(spec.composed_cache_bytes, Some(1 << 20));
-        // The deprecated knob still reaches the accountant…
-        assert_eq!(spec.cache_budget(), Some(1 << 20));
-        // …and the unified knob wins when both are set.
         let spec = spec.with_cache_budget(Some(1 << 21));
         assert_eq!(spec.cache_budget(), Some(1 << 21));
     }

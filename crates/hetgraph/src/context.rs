@@ -6,10 +6,9 @@
 //! influence scoring (Eq. 10–13), the per-path Jaccard diversity bonus of
 //! Algorithm 1 (Eq. 5–7), and meta-path feature propagation. None of that
 //! work depends on the condensation ratio, the variant, or the seed —
-//! only on the full graph — yet historically each layer rebuilt its own
-//! `MetaPathEngine` per call, so a single run paid for the same
-//! compositions up to three times and every sweep recomputed everything
-//! on an unchanged graph.
+//! only on the full graph — so rebuilding it per layer and per call
+//! would pay for the same compositions up to three times in one run and
+//! recompute everything on an unchanged graph in every sweep.
 //!
 //! [`CondenseContext`] owns that precompute once per full graph, behind
 //! interior mutability so it can be shared immutably (`&CondenseContext`)
@@ -266,7 +265,7 @@ impl DeltaSeedReport {
 
 /// The per-family survival rules of selective invalidation, shared by
 /// in-memory delta seeding ([`CondenseContext::seed_from`]) and the
-/// snapshot delta loader (`decode_snapshot_delta_into`) so the two can
+/// snapshot delta loader (`decode_snapshot_into` with a delta) so the two can
 /// never disagree about which entries a delta kills. Each `*_clean`
 /// method answers: is this cache entry's exact dependency set untouched
 /// by the delta? Path families are pure functions of the schema (which
@@ -786,14 +785,6 @@ impl<'g> CondenseContext<'g> {
         self.accountant.get_mut().unwrap().set_budget(bytes);
         self
     }
-
-    /// Deprecated spelling of [`CondenseContext::with_cache_budget`],
-    /// kept so pre-accountant callers compile unchanged. The budget was
-    /// never per-family: this sets the *unified* ceiling, which the
-    /// composed family shares with influence, diversity and propagated.
-    pub fn with_composed_budget(self, bytes: Option<usize>) -> Self {
-        self.with_cache_budget(bytes)
-    }
 }
 
 impl CondenseContext<'static> {
@@ -829,12 +820,6 @@ impl CondenseContext<'_> {
     /// The unified accountant byte budget (`None` = unbounded).
     pub fn cache_budget(&self) -> Option<usize> {
         relock(&self.accountant).budget
-    }
-
-    /// Deprecated spelling of [`CondenseContext::cache_budget`] — there
-    /// is one budget, shared by all four families; this returns it.
-    pub fn composed_budget(&self) -> Option<usize> {
-        self.cache_budget()
     }
 
     /// Resident bytes across all four accountant families right now —
@@ -1484,7 +1469,7 @@ mod tests {
     use super::*;
     use crate::features::FeatureMatrix;
     use crate::graph::HeteroGraphBuilder;
-    use crate::metapath::{metapaths_to, MetaPathEngine};
+    use crate::metapath::metapaths_to;
     use crate::schema::Schema;
 
     fn fixture() -> HeteroGraph {
@@ -1558,10 +1543,10 @@ mod tests {
     fn context_matches_fresh_engine_bitwise() {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
-        let mut engine = MetaPathEngine::new(&g).with_max_row_nnz(DEFAULT_MAX_ROW_NNZ);
+        let fresh = CondenseContext::new(&g).with_max_row_nnz(Some(DEFAULT_MAX_ROW_NNZ));
         let root = g.schema().target();
         for p in ctx.metapaths(root, 2, 100).iter() {
-            assert_eq!(*ctx.adjacency(p), *engine.adjacency(p), "{:?}", p.steps);
+            assert_eq!(*ctx.adjacency(p), *fresh.adjacency(p), "{:?}", p.steps);
         }
     }
 
@@ -1766,7 +1751,7 @@ mod tests {
         // A budget of roughly half the unbounded footprint forces
         // evictions while still admitting every individual entry.
         let budget = (full_bytes / 2).max(64);
-        let evicting = CondenseContext::new(&g).with_composed_budget(Some(budget));
+        let evicting = CondenseContext::new(&g).with_cache_budget(Some(budget));
         // Two sweeps: the second re-fetches entries the first evicted.
         for _ in 0..2 {
             for p in paths.iter() {
@@ -1801,7 +1786,7 @@ mod tests {
         // invariant holds from this point on.
         let multi_hop = paths.iter().filter(|p| p.hops() >= 2).count();
         let budget = ctx.composed_bytes().saturating_sub(1);
-        let ctx = ctx.with_composed_budget(Some(budget));
+        let ctx = ctx.with_cache_budget(Some(budget));
         let st = ctx.stats();
         assert!(st.composed_evictions >= 1);
         assert!(ctx.composed_len() < multi_hop);
@@ -1985,7 +1970,7 @@ mod tests {
         // Budget a warm context: resident shrinks to fit and the mark
         // restarts at the resident size.
         let budget = (full / 2).max(1);
-        let ctx = ctx.with_composed_budget(Some(budget));
+        let ctx = ctx.with_cache_budget(Some(budget));
         let st = ctx.stats();
         assert!(st.composed_bytes <= budget as u64);
         assert_eq!(st.composed_peak_bytes, st.composed_bytes);
@@ -1993,7 +1978,7 @@ mod tests {
         // Remove the budget from the (still warm) context: nothing is
         // evicted, and the mark restarts at the resident size instead of
         // carrying the budgeted era's history.
-        let ctx = ctx.with_composed_budget(None);
+        let ctx = ctx.with_cache_budget(None);
         let st = ctx.stats();
         assert_eq!(st.composed_peak_bytes, st.composed_bytes);
 
@@ -2042,7 +2027,7 @@ mod tests {
     #[test]
     fn rejected_oversized_entries_leave_the_cache_empty() {
         let g = fixture();
-        let ctx = CondenseContext::new(&g).with_composed_budget(Some(1));
+        let ctx = CondenseContext::new(&g).with_cache_budget(Some(1));
         let root = g.schema().target();
         let paths = ctx.metapaths(root, 2, 100);
         let two_hop = paths.iter().find(|p| p.hops() == 2).unwrap();

@@ -19,11 +19,11 @@
 //! see `tests/chaos_failpoints.rs` for the pattern.
 
 /// Injected I/O error while reading a snapshot file back
-/// (`ContextRegistry::resolve_or_load` and friends). Degrades to a
+/// (`ContextRegistry::resolve` with a snapshot directory). Degrades to a
 /// bounded retry, then a clean cold miss.
 pub const SNAPSHOT_READ_IO: &str = "snapshot.read.io";
 /// Injected I/O error while persisting a snapshot. Degrades to a
-/// bounded retry inside `save_snapshot_with`.
+/// bounded retry inside `CondenseContext::save_snapshot`.
 pub const SNAPSHOT_WRITE_IO: &str = "snapshot.write.io";
 /// Simulated crash mid-persist: half the bytes land in the per-call
 /// temp file, which is left behind (as a real crash would), and the

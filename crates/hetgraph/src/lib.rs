@@ -32,11 +32,11 @@ pub use condense::{
 pub use context::{CacheCounters, CondenseContext, DeltaSeedReport, DiversityKey, InfluenceKey};
 pub use features::FeatureMatrix;
 pub use graph::{GraphDelta, HeteroGraph, HeteroGraphBuilder};
-pub use metapath::{enumerate_metapaths, metapaths_to, MetaPath, MetaPathEngine, MetaPathStep};
-pub use registry::{ContextRegistry, FaultStats, GraphFingerprint};
+pub use metapath::{enumerate_metapaths, metapaths_to, MetaPath, MetaPathStep};
+pub use registry::{ContextRegistry, GraphFingerprint, RegistryStats};
 pub use schema::{EdgeTypeId, NodeTypeId, Role, Schema};
 pub use snapshot::{
-    decode_snapshot_delta_into, snapshot_file_name, ByteReader, ByteWriter, PropagatedCodec,
-    SnapshotError, SnapshotLoadReport, SNAPSHOT_VERSION,
+    snapshot_file_name, ByteReader, ByteWriter, PropagatedCodec, SnapshotError, SnapshotLoadReport,
+    SNAPSHOT_VERSION,
 };
 pub use split::Split;

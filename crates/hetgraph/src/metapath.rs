@@ -10,18 +10,14 @@
 //! Â(ot,…,os) = Â(ot,o1) · Â(o1,o2) · … · Â(ok−1,os)
 //! ```
 //!
-//! [`MetaPathEngine`] computes these products with prefix caching so that
-//! sibling paths (e.g. `PAP` and `PAPA`) share work, and can cap per-row
-//! fill-in for large graphs. The caches themselves live in
-//! [`CondenseContext`](crate::context::CondenseContext) so they can be
-//! shared across condensers, ratios and seeds; the engine is the
-//! single-owner convenience wrapper around a private context.
+//! [`CondenseContext::adjacency`](crate::context::CondenseContext::adjacency)
+//! computes these products with prefix caching so that sibling paths
+//! (e.g. `PAP` and `PAPA`) share work, and can cap per-row fill-in for
+//! large graphs; its caches are shared across condensers, ratios and
+//! seeds. A one-shot uncapped composition is
+//! `CondenseContext::new(g).with_max_row_nnz(None)` plus `adjacency`.
 
-use crate::context::CondenseContext;
-use crate::graph::HeteroGraph;
 use crate::schema::{EdgeTypeId, NodeTypeId, Schema};
-use freehgc_sparse::CsrMatrix;
-use std::sync::Arc;
 
 /// One hop of a meta-path: an edge type and the direction it is traversed
 /// (`forward == true` means from the stored source type to the stored
@@ -177,51 +173,12 @@ pub fn metapaths_to(
     bfs_metapaths(schema, root, max_hops, Some(source), max_paths)
 }
 
-/// Computes composed, row-normalized meta-path adjacencies with prefix
-/// caching (Eq. 1).
-///
-/// This is a thin single-owner wrapper around a private
-/// [`CondenseContext`]: same composition algorithm, same caches — so an
-/// engine-computed adjacency is bitwise-identical to a context-computed
-/// one. Code that wants *sharing* (across condensers, ratios, seeds)
-/// should hold a `CondenseContext` directly; the engine exists for
-/// callers that need one-shot composition over a graph they own.
-pub struct MetaPathEngine<'g> {
-    ctx: CondenseContext<'g>,
-}
-
-impl<'g> MetaPathEngine<'g> {
-    /// An uncapped engine (no per-row fill-in limit), matching the
-    /// historical default.
-    pub fn new(graph: &'g HeteroGraph) -> Self {
-        Self {
-            ctx: CondenseContext::new(graph).with_max_row_nnz(None),
-        }
-    }
-
-    /// Caps per-row fill-in of intermediate products.
-    pub fn with_max_row_nnz(mut self, k: usize) -> Self {
-        self.ctx = self.ctx.with_max_row_nnz(Some(k));
-        self
-    }
-
-    /// The composed adjacency `Â` of `path`: shape
-    /// `|root type| × |source type|`.
-    pub fn adjacency(&mut self, path: &MetaPath) -> Arc<CsrMatrix> {
-        self.ctx.adjacency(path)
-    }
-
-    /// Number of cached composed matrices (for tests/benches).
-    pub fn cache_len(&self) -> usize {
-        self.ctx.composed_len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::CondenseContext;
     use crate::features::FeatureMatrix;
-    use crate::graph::HeteroGraphBuilder;
+    use crate::graph::{HeteroGraph, HeteroGraphBuilder};
 
     /// paper — author, paper — subject; 3 papers, 2 authors, 2 subjects.
     fn fixture() -> HeteroGraph {
@@ -315,7 +272,7 @@ mod tests {
     fn composed_adjacency_matches_manual_product() {
         let g = fixture();
         let root = g.schema().target();
-        let mut eng = MetaPathEngine::new(&g);
+        let eng = CondenseContext::new(&g).with_max_row_nnz(None);
         let pap = enumerate_metapaths(g.schema(), root, 2, 100)
             .into_iter()
             .find(|p| p.name(g.schema()) == "P-A-P")
@@ -336,21 +293,21 @@ mod tests {
     fn prefix_cache_is_shared() {
         let g = fixture();
         let root = g.schema().target();
-        let mut eng = MetaPathEngine::new(&g);
+        let eng = CondenseContext::new(&g).with_max_row_nnz(None);
         let paths = enumerate_metapaths(g.schema(), root, 2, 100);
         for p in &paths {
             eng.adjacency(p);
         }
         // 2 two-hop compositions; the 2 one-hop prefixes live in the
         // factor cache, not the composed cache.
-        assert_eq!(eng.cache_len(), 2);
+        assert_eq!(eng.composed_len(), 2);
     }
 
     #[test]
     fn max_row_nnz_caps_density() {
         let g = fixture();
         let root = g.schema().target();
-        let mut eng = MetaPathEngine::new(&g).with_max_row_nnz(1);
+        let eng = CondenseContext::new(&g).with_max_row_nnz(Some(1));
         let pap = enumerate_metapaths(g.schema(), root, 2, 100)
             .into_iter()
             .find(|p| p.name(g.schema()) == "P-A-P")

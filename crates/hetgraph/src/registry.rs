@@ -36,7 +36,7 @@
 //!   thundering herd on a cold dataset.
 //! * **Panic isolation.** The leader's build runs under `catch_unwind`;
 //!   a panicking build (or an injected
-//!   [`failpoints`](crate::failpoints) fault) never installs a partial
+//!   [`failpoints`] fault) never installs a partial
 //!   context — the half-built value is dropped, the flight is marked
 //!   failed, and the build is retried a bounded number of times (by the
 //!   leader, or by exactly one of the woken waiters — whichever re-locks
@@ -53,7 +53,7 @@
 //!   first touch of a snapshot directory sweeps leftover per-call temp
 //!   files from crashed writers. See [`crate::snapshot`].
 //!
-//! Every recovery is counted ([`ContextRegistry::fault_stats`]), and
+//! Every recovery is counted ([`ContextRegistry::stats`]), and
 //! none of them changes a single output bit: a fault degrades to a
 //! retry or a cold recompute of the same pure function.
 //!
@@ -73,7 +73,9 @@ use crate::condense::CondenseSpec;
 use crate::context::{relock, CondenseContext, DeltaSeedReport};
 use crate::failpoints;
 use crate::graph::{GraphDelta, HeteroGraph};
-use crate::snapshot::{snapshot_file_name, PropagatedCodec, SnapshotError, SnapshotLoadReport};
+use crate::snapshot::{
+    load_canonical, DiskLoad, PropagatedCodec, SnapshotError, SnapshotLoadReport,
+};
 use freehgc_sparse::fx::FxHasher;
 use freehgc_sparse::{FxHashMap, FxHashSet};
 use std::hash::Hasher;
@@ -271,9 +273,21 @@ const MAX_BUILD_ATTEMPTS: usize = 4;
 /// surfaces with its original payload.
 const MAX_COMPUTE_ATTEMPTS: usize = 3;
 
-/// Fault-recovery counters — see [`ContextRegistry::fault_stats`].
+/// Registry counters — see [`ContextRegistry::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
+pub struct RegistryStats {
+    /// Registry lookups served without a cold build (not the contexts'
+    /// inner caches — read those off each context's `stats()`). A
+    /// resolution that coalesced onto another caller's in-flight build
+    /// counts as a hit: it received warm shared state without computing.
+    pub hits: u64,
+    /// Registry lookups that led a cold build.
+    pub misses: u64,
+    /// Cold resolutions that started warm from an on-disk snapshot.
+    pub snapshot_loads: u64,
+    /// Snapshot files found but rejected (corruption, version or knob
+    /// mismatch, unreadable) — each one fell back to a clean cold miss.
+    pub snapshot_rejections: u64,
     /// Panics caught and retried: failed single-flight leader builds
     /// plus computations isolated by [`ContextRegistry::run_isolated`].
     pub panics_recovered: u64,
@@ -304,11 +318,7 @@ pub struct ContextRegistry {
     swept_dirs: Mutex<FxHashSet<PathBuf>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// On-disk snapshots successfully loaded by
-    /// [`ContextRegistry::resolve_or_load`].
     snapshot_loads: AtomicU64,
-    /// Snapshot files found but rejected (corruption, version or knob
-    /// mismatch, unreadable) — each one fell back to a clean cold miss.
     snapshot_rejections: AtomicU64,
     panics_recovered: AtomicU64,
     singleflight_coalesced: AtomicU64,
@@ -335,7 +345,7 @@ impl ContextRegistry {
     }
 
     /// Resolves the shared context for `graph` under `spec`'s
-    /// cache-shaping knobs (fill-in cap, composed budget), creating and
+    /// cache-shaping knobs (fill-in cap, cache budget), creating and
     /// registering it on first sight. The fingerprint is computed here —
     /// hold the returned `Arc` rather than re-resolving per call on a
     /// hot path.
@@ -344,17 +354,7 @@ impl ContextRegistry {
         graph: &Arc<HeteroGraph>,
         spec: &CondenseSpec,
     ) -> Arc<CondenseContext<'static>> {
-        self.context_with(graph, spec.max_row_nnz, spec.cache_budget())
-    }
-
-    /// [`ContextRegistry::context_for`] with explicit knobs.
-    pub fn context_with(
-        &self,
-        graph: &Arc<HeteroGraph>,
-        max_row_nnz: Option<usize>,
-        cache_budget: Option<usize>,
-    ) -> Arc<CondenseContext<'static>> {
-        self.resolve(graph, max_row_nnz, cache_budget, None, None)
+        self.resolve(graph, spec, None, None, None).0
     }
 
     /// Next tick of the resolution clock.
@@ -365,32 +365,22 @@ impl ContextRegistry {
     /// Warm-only lookup: returns the registered context for `(graph,
     /// spec)` if — and only if — a finished build is already resident.
     /// Never builds, never blocks on an in-flight build (a `Building`
-    /// slot reports `None`), and counts in neither
-    /// [`ContextRegistry::lookup_stats`] bucket; it does refresh the
-    /// entry's recency for [`ContextRegistry::evict_idle`]. This is the
-    /// serving fast path: answer a warm request without ever touching a
-    /// worker pool, fall through to the queued
-    /// [`ContextRegistry::context_for`] path on `None`.
+    /// slot reports `None`), and counts in neither lookup bucket of
+    /// [`ContextRegistry::stats`]; it does refresh the entry's recency
+    /// for [`ContextRegistry::evict_idle`]. This is the serving fast
+    /// path: answer a warm request without ever touching a worker pool,
+    /// fall through to the queued [`ContextRegistry::context_for`] path
+    /// on `None`.
     pub fn peek(
         &self,
         graph: &Arc<HeteroGraph>,
         spec: &CondenseSpec,
     ) -> Option<Arc<CondenseContext<'static>>> {
-        self.peek_with(graph, spec.max_row_nnz, spec.cache_budget())
-    }
-
-    /// [`ContextRegistry::peek`] with explicit knobs.
-    pub fn peek_with(
-        &self,
-        graph: &Arc<HeteroGraph>,
-        max_row_nnz: Option<usize>,
-        cache_budget: Option<usize>,
-    ) -> Option<Arc<CondenseContext<'static>>> {
-        let key = (graph.fingerprint(), max_row_nnz, cache_budget);
+        let key = (graph.fingerprint(), spec.max_row_nnz, spec.cache_budget());
         let mut entries = relock(&self.entries);
         match entries.get_mut(&key) {
             Some(Slot::Ready { ctx, touch }) => {
-                *touch = self.touch_clock.fetch_add(1, Ordering::Relaxed);
+                *touch = self.tick();
                 let ctx = Arc::clone(ctx);
                 drop(entries);
                 self.check_collision(graph, &ctx, &key);
@@ -467,45 +457,49 @@ impl ContextRegistry {
         dropped
     }
 
-    /// [`ContextRegistry::context_for`], warm-starting from disk: on an
-    /// in-memory miss the loader looks for the canonical snapshot file
-    /// ([`snapshot_file_name`]) for this graph's fingerprint and the
-    /// spec's cache knobs under `dir`, and pre-warms the fresh context
-    /// from it. *Any* problem with the file — absent, truncated,
-    /// corrupted, wrong version, wrong fingerprint, wrong knobs — falls
-    /// back to plain cold compute; a snapshot can save work, never
-    /// change bits and never turn into an error. Transient read errors
-    /// are retried with backoff first. Loads and rejections are counted
-    /// in [`ContextRegistry::snapshot_stats`].
+    /// [`ContextRegistry::context_for`] with every warm-start source a
+    /// cold build may draw on, returning the context plus a report of
+    /// the entries the build inherited (empty on a hit — the context is
+    /// already warm).
     ///
-    /// Propagated-feature blocks need a codec to round-trip — use
-    /// [`ContextRegistry::resolve_or_load_with`] to supply one; this
-    /// entry point skips them.
-    pub fn resolve_or_load(
+    /// * `delta = Some((old_fp, delta))` resolves a *mutated* graph:
+    ///   `old_fp` is the fingerprint of the graph before
+    ///   [`HeteroGraph::apply_delta`] ran (capture it with
+    ///   [`HeteroGraph::fingerprint`] first), `graph` the mutated graph
+    ///   and `delta` the exact delta applied. If the old fingerprint is
+    ///   registered under the same cache knobs, the fresh context is
+    ///   seeded via [`CondenseContext::seed_from`]: every entry the
+    ///   delta provably does not touch is inherited, the rest recompute
+    ///   lazily — bitwise-identical to a cold rebuild.
+    /// * `dir` names a snapshot directory. With no live old context to
+    ///   seed from, a cold build first tries the canonical snapshot file
+    ///   ([`snapshot_file_name`](crate::snapshot::snapshot_file_name)) of
+    ///   `graph` itself, then — with a delta — the *old* fingerprint's
+    ///   file filtered through the same invalidation rules, so a delta
+    ///   update beats a cold rebuild even across restarts. *Any* problem
+    ///   with a file — absent, truncated, corrupted, wrong version,
+    ///   wrong fingerprint, wrong knobs — falls back to plain cold
+    ///   compute; a snapshot can save work, never change bits and never
+    ///   turn into an error. Transient read errors are retried with
+    ///   backoff first. Loads and rejections are counted in
+    ///   [`ContextRegistry::stats`].
+    /// * `codec` round-trips the propagated-feature section; without
+    ///   one a load skips it.
+    pub fn resolve(
         &self,
-        dir: &Path,
         graph: &Arc<HeteroGraph>,
         spec: &CondenseSpec,
-    ) -> Arc<CondenseContext<'static>> {
-        self.resolve_or_load_with(dir, graph, spec, None)
-    }
-
-    /// [`ContextRegistry::resolve_or_load`] with a codec for the
-    /// propagated-feature section.
-    pub fn resolve_or_load_with(
-        &self,
-        dir: &Path,
-        graph: &Arc<HeteroGraph>,
-        spec: &CondenseSpec,
+        dir: Option<&Path>,
         codec: Option<&dyn PropagatedCodec>,
-    ) -> Arc<CondenseContext<'static>> {
-        self.resolve(
-            graph,
-            spec.max_row_nnz,
-            spec.cache_budget(),
-            Some(dir),
-            codec,
-        )
+        delta: Option<(GraphFingerprint, &GraphDelta)>,
+    ) -> (Arc<CondenseContext<'static>>, DeltaSeedReport) {
+        if let Some(dir) = dir {
+            self.sweep_once(dir);
+        }
+        let key = (graph.fingerprint(), spec.max_row_nnz, spec.cache_budget());
+        self.resolve_single_flight(key, graph, |ctx| {
+            self.warm_start(ctx, key, dir, codec, delta)
+        })
     }
 
     /// Panic-checks a fingerprint hit: serving another graph's warm
@@ -531,22 +525,21 @@ impl ContextRegistry {
     /// Exactly one caller per key runs `build` (on a fresh context,
     /// outside any lock); concurrent resolvers of the same key block on
     /// the flight and share the leader's result. `build` returns the
-    /// snapshot-load outcome (`Some(true)` loaded / `Some(false)`
-    /// rejected / `None` no file) plus a per-resolution report; waiters
-    /// and plain hits get `R::default()` — the report describes work
-    /// only its owner performed.
+    /// snapshot-load outcome plus a per-resolution report; waiters and
+    /// plain hits get an empty report — the report describes work only
+    /// its owner performed.
     ///
     /// A panicking build never publishes: the partial context is
     /// dropped, the slot is cleared, the flight is marked failed, and
     /// the build is retried — by this caller or by exactly one woken
     /// waiter, whichever re-locks the map first — up to
     /// [`MAX_BUILD_ATTEMPTS`] observed failures per caller.
-    fn resolve_single_flight<R: Default>(
+    fn resolve_single_flight(
         &self,
         key: RegistryKey,
         graph: &Arc<HeteroGraph>,
-        build: impl Fn(&CondenseContext<'static>) -> (Option<bool>, R),
-    ) -> (Arc<CondenseContext<'static>>, R) {
+        build: impl Fn(&CondenseContext<'static>) -> (DiskLoad, DeltaSeedReport),
+    ) -> (Arc<CondenseContext<'static>>, DeltaSeedReport) {
         enum Role {
             Hit(Arc<CondenseContext<'static>>),
             Wait(Arc<Flight>),
@@ -576,13 +569,13 @@ impl ContextRegistry {
             match role {
                 Role::Hit(ctx) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (ctx, R::default());
+                    return (ctx, DeltaSeedReport::default());
                 }
                 Role::Wait(flight) => {
                     self.singleflight_coalesced.fetch_add(1, Ordering::Relaxed);
                     if let Some(ctx) = flight.wait() {
                         self.hits.fetch_add(1, Ordering::Relaxed);
-                        return (ctx, R::default());
+                        return (ctx, DeltaSeedReport::default());
                     }
                     failures += 1;
                     assert!(
@@ -614,13 +607,13 @@ impl ContextRegistry {
                             {
                                 let mut entries = relock(&self.entries);
                                 match load_outcome {
-                                    Some(true) => {
+                                    DiskLoad::Loaded(_) => {
                                         self.snapshot_loads.fetch_add(1, Ordering::Relaxed);
                                     }
-                                    Some(false) => {
+                                    DiskLoad::Rejected => {
                                         self.snapshot_rejections.fetch_add(1, Ordering::Relaxed);
                                     }
-                                    None => {}
+                                    DiskLoad::Absent => {}
                                 }
                                 let installed = Slot::Ready {
                                     ctx: Arc::clone(&ctx),
@@ -651,162 +644,54 @@ impl ContextRegistry {
         }
     }
 
-    fn resolve(
+    /// Pre-warms the fresh context a cold build of `key` publishes: from
+    /// the old fingerprint's live context when a delta names one, else
+    /// from disk (see [`ContextRegistry::resolve`]).
+    fn warm_start(
         &self,
-        graph: &Arc<HeteroGraph>,
-        max_row_nnz: Option<usize>,
-        cache_budget: Option<usize>,
-        snapshot_dir: Option<&Path>,
+        ctx: &CondenseContext<'static>,
+        key: RegistryKey,
+        dir: Option<&Path>,
         codec: Option<&dyn PropagatedCodec>,
-    ) -> Arc<CondenseContext<'static>> {
-        if let Some(dir) = snapshot_dir {
-            self.sweep_once(dir);
-        }
-        let key = (graph.fingerprint(), max_row_nnz, cache_budget);
-        let (ctx, ()) = self.resolve_single_flight(key, graph, |ctx| {
-            // Some(true) = snapshot loaded into `ctx`, Some(false) = a
-            // file was found but rejected, None = no file. Counted by
-            // the single-flight core once the built context is the one
-            // the registry actually serves.
-            let mut load_outcome = None;
-            if let Some(dir) = snapshot_dir {
-                let path = dir.join(snapshot_file_name(key.0, max_row_nnz, cache_budget));
-                load_outcome = match crate::snapshot::read_snapshot_bytes(&path) {
-                    Ok(bytes) => match crate::snapshot::decode_snapshot_into(ctx, &bytes, codec) {
-                        Ok(_) => Some(true),
-                        // decode_snapshot_into installed nothing, so the
-                        // context is exactly as cold as before the try.
-                        Err(_) => Some(false),
-                    },
-                    // No file at all is the ordinary cold path, not a
-                    // rejection; any other (already-retried) read
-                    // failure is one.
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-                    Err(_) => Some(false),
-                };
-            }
-            (load_outcome, ())
-        });
-        ctx
-    }
-
-    /// Resolves the context for a *mutated* graph by inheriting the old
-    /// graph's surviving cache entries instead of starting cold.
-    ///
-    /// `old_fp` is the fingerprint of the graph *before*
-    /// [`HeteroGraph::apply_delta`] ran (capture it with
-    /// [`HeteroGraph::fingerprint`] first), `graph` is the mutated
-    /// graph, and `delta` is the exact delta that was applied. If the
-    /// old fingerprint is registered under the same cache knobs, the
-    /// fresh context is seeded via [`CondenseContext::seed_from`]:
-    /// every entry the delta provably does not touch is inherited, the
-    /// rest recompute lazily — and the result is bitwise-identical to a
-    /// cold rebuild. If the old entry is gone (evicted, never resolved)
-    /// this degrades to a plain cold miss with an empty report.
-    ///
-    /// Resolving the new fingerprint again is an ordinary in-memory hit
-    /// (empty report — the context is already warm).
-    pub fn resolve_delta(
-        &self,
-        old_fp: GraphFingerprint,
-        graph: &Arc<HeteroGraph>,
-        spec: &CondenseSpec,
-        delta: &GraphDelta,
-    ) -> (Arc<CondenseContext<'static>>, DeltaSeedReport) {
-        self.resolve_delta_inner(old_fp, graph, spec, delta, None, None)
-    }
-
-    /// [`ContextRegistry::resolve_delta`], additionally falling back to
-    /// disk when no live old context exists: the loader first tries the
-    /// mutated graph's own canonical snapshot (an exact load), then the
-    /// *old* fingerprint's snapshot filtered through the same
-    /// delta-invalidation rules
-    /// ([`decode_snapshot_delta_into`](crate::snapshot::decode_snapshot_delta_into)),
-    /// so a delta update beats a cold rebuild even across restarts. Any
-    /// problem with either file falls back to cold compute; loads and
-    /// rejections are counted in [`ContextRegistry::snapshot_stats`].
-    pub fn resolve_delta_or_load(
-        &self,
-        dir: &Path,
-        old_fp: GraphFingerprint,
-        graph: &Arc<HeteroGraph>,
-        spec: &CondenseSpec,
-        delta: &GraphDelta,
-        codec: Option<&dyn PropagatedCodec>,
-    ) -> (Arc<CondenseContext<'static>>, DeltaSeedReport) {
-        self.resolve_delta_inner(old_fp, graph, spec, delta, Some(dir), codec)
-    }
-
-    fn resolve_delta_inner(
-        &self,
-        old_fp: GraphFingerprint,
-        graph: &Arc<HeteroGraph>,
-        spec: &CondenseSpec,
-        delta: &GraphDelta,
-        snapshot_dir: Option<&Path>,
-        codec: Option<&dyn PropagatedCodec>,
-    ) -> (Arc<CondenseContext<'static>>, DeltaSeedReport) {
-        if let Some(dir) = snapshot_dir {
-            self.sweep_once(dir);
-        }
-        let (mrn, ccb) = (spec.max_row_nnz, spec.cache_budget());
-        let key = (graph.fingerprint(), mrn, ccb);
-        let old_key = (old_fp, mrn, ccb);
-        self.resolve_single_flight(key, graph, |ctx| {
-            let mut report = DeltaSeedReport::default();
-            let mut load_outcome = None;
+        delta: Option<(GraphFingerprint, &GraphDelta)>,
+    ) -> (DiskLoad, DeltaSeedReport) {
+        if let Some((old_fp, delta)) = delta {
             // A live old context is the cheapest seed source: inherit
             // its surviving entries in-memory. Clone the Arc out of the
             // lock so seeding (which walks every cache) runs unlocked.
             // An old entry still *building* counts as absent — waiting
             // on it from inside our own build could deadlock two deltas
             // chasing each other.
-            let old_ctx = match relock(&self.entries).get(&old_key) {
+            let old_ctx = match relock(&self.entries).get(&(old_fp, key.1, key.2)) {
                 Some(Slot::Ready { ctx, .. }) => Some(Arc::clone(ctx)),
                 _ => None,
             };
             if let Some(old_ctx) = old_ctx {
-                report = ctx.seed_from(&old_ctx, delta);
-            } else if let Some(dir) = snapshot_dir {
-                // No live old context: try disk. An exact snapshot of
-                // the mutated graph (if a previous process already paid
-                // for it) beats a delta-filtered load of the old one.
-                let exact = dir.join(snapshot_file_name(key.0, mrn, ccb));
-                load_outcome = match crate::snapshot::read_snapshot_bytes(&exact) {
-                    Ok(bytes) => match crate::snapshot::decode_snapshot_into(ctx, &bytes, codec) {
-                        Ok(r) => {
-                            report = seed_report_from_snapshot(&r);
-                            Some(true)
-                        }
-                        Err(_) => Some(false),
-                    },
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-                    Err(_) => Some(false),
-                };
-                if load_outcome != Some(true) {
-                    let old_path = dir.join(snapshot_file_name(old_fp, mrn, ccb));
-                    load_outcome = match crate::snapshot::read_snapshot_bytes(&old_path) {
-                        Ok(bytes) => match crate::snapshot::decode_snapshot_delta_into(
-                            ctx, &bytes, old_fp, delta, codec,
-                        ) {
-                            Ok(r) => {
-                                report = seed_report_from_snapshot(&r);
-                                Some(true)
-                            }
-                            Err(_) => Some(false),
-                        },
-                        Err(e) if e.kind() == std::io::ErrorKind::NotFound => load_outcome,
-                        Err(_) => Some(false),
-                    };
-                }
+                return (DiskLoad::Absent, ctx.seed_from(&old_ctx, delta));
             }
-            (load_outcome, report)
-        })
+        }
+        let Some(dir) = dir else {
+            return (DiskLoad::Absent, DeltaSeedReport::default());
+        };
+        // An exact snapshot of this graph (if a previous process already
+        // paid for it) beats a delta-filtered load of the old one.
+        let mut load = load_canonical(ctx, dir, codec, None);
+        if let (Some(delta), false) = (delta, matches!(load, DiskLoad::Loaded(_))) {
+            match load_canonical(ctx, dir, codec, Some(delta)) {
+                DiskLoad::Absent => {}
+                filtered => load = filtered,
+            }
+        }
+        let report = match &load {
+            DiskLoad::Loaded(r) => seed_report_from_snapshot(r),
+            _ => DeltaSeedReport::default(),
+        };
+        (load, report)
     }
 
     /// Runs `f` with panic isolation: a panicking run is counted in
-    /// [`ContextRegistry::fault_stats`] and retried, up to
-    /// [`MAX_COMPUTE_ATTEMPTS`] total attempts; the final attempt runs
+    /// [`ContextRegistry::stats`] and retried, up to
+    /// `MAX_COMPUTE_ATTEMPTS` total attempts; the final attempt runs
     /// unprotected so a persistent fault propagates with its original
     /// payload. `Condenser::condense_shared` routes its condensation
     /// through here, so one request hitting a bug (or an injected
@@ -844,70 +729,25 @@ impl ContextRegistry {
 
     /// Writes the registered context for `(graph, spec)` to its
     /// canonical snapshot file under `dir` (creating the directory),
-    /// registering the context first if needed. Returns the path a
-    /// later [`ContextRegistry::resolve_or_load`] will find it at.
+    /// registering the context first if needed; `codec` includes the
+    /// propagated-feature section. Returns the path a later
+    /// [`ContextRegistry::resolve`] with this `dir` will find it at.
     ///
-    /// The write *merges*: valid entries already in the file that this
-    /// context lacks are kept, so persisting from a process that did
-    /// less work than a previous one never shrinks the artifact.
+    /// The write *merges* (see [`CondenseContext::persist_snapshot`]):
+    /// valid entries already in the file that this context lacks are
+    /// kept, so persisting from a process that did less work than a
+    /// previous one never shrinks the artifact.
     pub fn persist(
         &self,
         dir: &Path,
         graph: &Arc<HeteroGraph>,
         spec: &CondenseSpec,
-    ) -> Result<PathBuf, SnapshotError> {
-        self.persist_with(dir, graph, spec, None)
-    }
-
-    /// [`ContextRegistry::persist`] with a codec for the
-    /// propagated-feature section.
-    pub fn persist_with(
-        &self,
-        dir: &Path,
-        graph: &Arc<HeteroGraph>,
-        spec: &CondenseSpec,
         codec: Option<&dyn PropagatedCodec>,
     ) -> Result<PathBuf, SnapshotError> {
         let ctx = self.context_for(graph, spec);
         std::fs::create_dir_all(dir)?;
         self.sweep_once(dir);
-        let path = dir.join(snapshot_file_name(
-            graph.fingerprint(),
-            spec.max_row_nnz,
-            spec.cache_budget(),
-        ));
-        ctx.save_snapshot_merged(&path, codec)?;
-        Ok(path)
-    }
-
-    /// [`ContextRegistry::persist_with`] under a disk byte ceiling: the
-    /// snapshot keeps whole sections in priority-tier order (most
-    /// recompute-cost per byte first) while the file fits `cap_bytes`
-    /// and drops the rest — the dense propagated blocks first. The
-    /// written file is always ≤ the cap and always a valid snapshot; a
-    /// later [`ContextRegistry::resolve_or_load`] of it yields a
-    /// partial context whose missing sections degrade to counted cold
-    /// misses, never wrong bytes. Unlike [`ContextRegistry::persist`]
-    /// this does not merge an existing file first — merging could only
-    /// grow the payload back over the ceiling the caller asked for.
-    pub fn persist_capped(
-        &self,
-        dir: &Path,
-        graph: &Arc<HeteroGraph>,
-        spec: &CondenseSpec,
-        codec: Option<&dyn PropagatedCodec>,
-        cap_bytes: usize,
-    ) -> Result<PathBuf, SnapshotError> {
-        let ctx = self.context_for(graph, spec);
-        std::fs::create_dir_all(dir)?;
-        self.sweep_once(dir);
-        let path = dir.join(snapshot_file_name(
-            graph.fingerprint(),
-            spec.max_row_nnz,
-            spec.cache_budget(),
-        ));
-        ctx.save_snapshot_capped(&path, codec, cap_bytes)?;
-        Ok(path)
+        ctx.persist_snapshot(dir, codec)
     }
 
     /// Number of registered contexts (including in-flight builds).
@@ -919,42 +759,20 @@ impl ContextRegistry {
         self.len() == 0
     }
 
-    /// `(hits, misses)` of registry lookups (not of the contexts' inner
-    /// caches — read those off each context's `stats()`). A resolution
-    /// that coalesced onto another caller's in-flight build counts as a
-    /// hit — it received warm shared state without computing; the
-    /// coalesced count itself is in [`ContextRegistry::fault_stats`].
-    pub fn lookup_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(loads, rejections)` of on-disk snapshot attempts made by
-    /// [`ContextRegistry::resolve_or_load`]: how many cold resolutions
-    /// started warm from a file, and how many found a file but rejected
-    /// it (and fell back to cold compute).
-    pub fn snapshot_stats(&self) -> (u64, u64) {
-        (
-            self.snapshot_loads.load(Ordering::Relaxed),
-            self.snapshot_rejections.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Fault-recovery counters: caught panics, single-flight
-    /// coalescings, snapshot I/O retries (process-wide — see
-    /// [`FaultStats::io_retries`]), temp files swept, and duplicate
-    /// cold computes (held at zero by single-flight). Complements
-    /// [`ContextRegistry::lookup_stats`] /
-    /// [`ContextRegistry::snapshot_stats`].
-    pub fn fault_stats(&self) -> FaultStats {
-        FaultStats {
-            panics_recovered: self.panics_recovered.load(Ordering::Relaxed),
-            singleflight_coalesced: self.singleflight_coalesced.load(Ordering::Relaxed),
+    /// Point-in-time registry counters: lookups, snapshot loads and
+    /// rejections, and the fault recoveries (see [`RegistryStats`]).
+    pub fn stats(&self) -> RegistryStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        RegistryStats {
+            hits: load(&self.hits),
+            misses: load(&self.misses),
+            snapshot_loads: load(&self.snapshot_loads),
+            snapshot_rejections: load(&self.snapshot_rejections),
+            panics_recovered: load(&self.panics_recovered),
+            singleflight_coalesced: load(&self.singleflight_coalesced),
             io_retries: crate::snapshot::io_retries(),
-            tmp_files_swept: self.tmp_files_swept.load(Ordering::Relaxed),
-            duplicate_computes: self.duplicate_computes.load(Ordering::Relaxed),
+            tmp_files_swept: load(&self.tmp_files_swept),
+            duplicate_computes: load(&self.duplicate_computes),
         }
     }
 
@@ -995,11 +813,11 @@ fn seed_report_from_snapshot(r: &SnapshotLoadReport) -> DeltaSeedReport {
 
 impl std::fmt::Debug for ContextRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (hits, misses) = self.lookup_stats();
+        let stats = self.stats();
         f.debug_struct("ContextRegistry")
             .field("len", &self.len())
-            .field("hits", &hits)
-            .field("misses", &misses)
+            .field("hits", &stats.hits)
+            .field("misses", &stats.misses)
             .finish()
     }
 }
@@ -1010,6 +828,16 @@ mod tests {
     use crate::features::FeatureMatrix;
     use crate::graph::HeteroGraphBuilder;
     use crate::schema::Schema;
+
+    fn lookups(reg: &ContextRegistry) -> (u64, u64) {
+        let s = reg.stats();
+        (s.hits, s.misses)
+    }
+
+    fn disk_loads(reg: &ContextRegistry) -> (u64, u64) {
+        let s = reg.stats();
+        (s.snapshot_loads, s.snapshot_rejections)
+    }
 
     fn graph(seed_weight: f32) -> HeteroGraph {
         let mut s = Schema::new();
@@ -1057,7 +885,7 @@ mod tests {
         let b = reg.context_for(&g2, &spec);
         assert!(Arc::ptr_eq(&a, &b), "equal graphs must share a context");
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.lookup_stats(), (1, 1));
+        assert_eq!(lookups(&reg), (1, 1));
     }
 
     #[test]
@@ -1071,9 +899,9 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &b), "different graphs, different contexts");
         let c = reg.context_for(&g1, &spec.clone().with_max_row_nnz(None));
         assert!(!Arc::ptr_eq(&a, &c), "different fill-in cap");
-        let d = reg.context_for(&g1, &spec.with_composed_cache_bytes(Some(1 << 16)));
+        let d = reg.context_for(&g1, &spec.with_cache_budget(Some(1 << 16)));
         assert!(!Arc::ptr_eq(&a, &d), "different budget");
-        assert_eq!(d.composed_budget(), Some(1 << 16));
+        assert_eq!(d.cache_budget(), Some(1 << 16));
         assert_eq!(reg.len(), 4);
     }
 
@@ -1101,7 +929,7 @@ mod tests {
     }
 
     #[test]
-    fn resolve_or_load_round_trips_through_disk() {
+    fn resolve_with_a_snapshot_dir_round_trips_through_disk() {
         let dir = temp_dir("roundtrip");
         let g = Arc::new(graph(1.0));
         let spec = CondenseSpec::new(0.5);
@@ -1113,13 +941,13 @@ mod tests {
         for p in ctx.metapaths(root, 2, 100).iter() {
             ctx.adjacency(p);
         }
-        let path = reg.persist(&dir, &g, &spec).unwrap();
+        let path = reg.persist(&dir, &g, &spec, None).unwrap();
         assert!(path.exists());
 
         // "Process two": a fresh registry resolves warm from the file.
         let reg2 = ContextRegistry::new();
-        let ctx2 = reg2.resolve_or_load(&dir, &g, &spec);
-        assert_eq!(reg2.snapshot_stats(), (1, 0));
+        let ctx2 = reg2.resolve(&g, &spec, Some(&dir), None, None).0;
+        assert_eq!(disk_loads(&reg2), (1, 0));
         let before = ctx2.stats();
         for p in ctx2.metapaths(root, 2, 100).iter() {
             assert_eq!(*ctx2.adjacency(p), *ctx.adjacency(p), "loaded bits");
@@ -1131,10 +959,10 @@ mod tests {
         );
 
         // Re-resolving is an in-memory hit: no second disk load.
-        let ctx3 = reg2.resolve_or_load(&dir, &g, &spec);
+        let ctx3 = reg2.resolve(&g, &spec, Some(&dir), None, None).0;
         assert!(Arc::ptr_eq(&ctx2, &ctx3));
-        assert_eq!(reg2.snapshot_stats(), (1, 0));
-        assert_eq!(reg2.lookup_stats(), (1, 1));
+        assert_eq!(disk_loads(&reg2), (1, 0));
+        assert_eq!(lookups(&reg2), (1, 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1143,9 +971,11 @@ mod tests {
         let dir = temp_dir("missing");
         let g = Arc::new(graph(1.0));
         let reg = ContextRegistry::new();
-        let ctx = reg.resolve_or_load(&dir, &g, &CondenseSpec::new(0.5));
+        let ctx = reg
+            .resolve(&g, &CondenseSpec::new(0.5), Some(&dir), None, None)
+            .0;
         assert_eq!(
-            reg.snapshot_stats(),
+            disk_loads(&reg),
             (0, 0),
             "no file is neither a load nor a rejection"
         );
@@ -1164,7 +994,7 @@ mod tests {
         for p in ctx.metapaths(root, 2, 100).iter() {
             ctx.adjacency(p);
         }
-        let path = reg.persist(&dir, &g, &spec).unwrap();
+        let path = reg.persist(&dir, &g, &spec, None).unwrap();
 
         // Corrupt the file in place: the loader must reject it, count
         // the rejection, and serve correct bits from cold compute.
@@ -1173,8 +1003,8 @@ mod tests {
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let reg2 = ContextRegistry::new();
-        let cold = reg2.resolve_or_load(&dir, &g, &spec);
-        assert_eq!(reg2.snapshot_stats(), (0, 1));
+        let cold = reg2.resolve(&g, &spec, Some(&dir), None, None).0;
+        assert_eq!(disk_loads(&reg2), (0, 1));
         assert_eq!(cold.composed_len(), 0, "nothing installed from corruption");
         for p in cold.metapaths(root, 2, 100).iter() {
             assert_eq!(*cold.adjacency(p), *ctx.adjacency(p), "cold recompute");
@@ -1188,11 +1018,11 @@ mod tests {
         for p in ctx_b.metapaths(root, 2, 100).iter() {
             ctx_b.adjacency(p);
         }
-        let other_path = reg3.persist(&dir, &g2, &spec).unwrap();
+        let other_path = reg3.persist(&dir, &g2, &spec, None).unwrap();
         std::fs::copy(&other_path, &path).unwrap();
         let reg4 = ContextRegistry::new();
-        let ctx4 = reg4.resolve_or_load(&dir, &g, &spec);
-        assert_eq!(reg4.snapshot_stats(), (0, 1), "wrong fingerprint rejected");
+        let ctx4 = reg4.resolve(&g, &spec, Some(&dir), None, None).0;
+        assert_eq!(disk_loads(&reg4), (0, 1), "wrong fingerprint rejected");
         assert_eq!(ctx4.composed_len(), 0);
 
         // Wrong knobs under the right name: same rejection path.
@@ -1202,11 +1032,11 @@ mod tests {
         for p in ctx5.metapaths(root, 2, 100).iter() {
             ctx5.adjacency(p);
         }
-        let capless_path = reg5.persist(&dir, &g, &capless).unwrap();
+        let capless_path = reg5.persist(&dir, &g, &capless, None).unwrap();
         std::fs::copy(&capless_path, &path).unwrap();
         let reg6 = ContextRegistry::new();
-        reg6.resolve_or_load(&dir, &g, &spec);
-        assert_eq!(reg6.snapshot_stats(), (0, 1), "wrong knobs rejected");
+        reg6.resolve(&g, &spec, Some(&dir), None, None);
+        assert_eq!(disk_loads(&reg6), (0, 1), "wrong knobs rejected");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1233,7 +1063,7 @@ mod tests {
         // Every public entry point must keep serving regardless.
         assert_eq!(reg.len(), 1);
         let warm = reg.context_for(&g, &spec);
-        assert_eq!(reg.lookup_stats(), (1, 1), "post-poison hit");
+        assert_eq!(lookups(&reg), (1, 1), "post-poison hit");
         let g2 = Arc::new(graph(2.0));
         let cold = reg.context_for(&g2, &spec);
         assert!(!Arc::ptr_eq(&warm, &cold));
@@ -1254,7 +1084,7 @@ mod tests {
             calls
         });
         assert_eq!(out, 2, "second attempt's value is returned");
-        assert_eq!(reg.fault_stats().panics_recovered, 1);
+        assert_eq!(reg.stats().panics_recovered, 1);
     }
 
     #[test]
@@ -1270,7 +1100,7 @@ mod tests {
             "the original payload must survive the retries"
         );
         assert_eq!(
-            reg.fault_stats().panics_recovered as usize,
+            reg.stats().panics_recovered as usize,
             MAX_COMPUTE_ATTEMPTS - 1,
             "every protected attempt is counted"
         );
@@ -1283,11 +1113,11 @@ mod tests {
         let spec = CondenseSpec::new(0.5);
         assert!(reg.peek(&g, &spec).is_none(), "cold peek must not build");
         assert!(reg.is_empty(), "peek must not register anything");
-        assert_eq!(reg.lookup_stats(), (0, 0), "peek is not a lookup");
+        assert_eq!(lookups(&reg), (0, 0), "peek is not a lookup");
         let ctx = reg.context_for(&g, &spec);
         let peeked = reg.peek(&g, &spec).expect("warm peek");
         assert!(Arc::ptr_eq(&ctx, &peeked));
-        assert_eq!(reg.lookup_stats(), (0, 1), "peek hits stay uncounted");
+        assert_eq!(lookups(&reg), (0, 1), "peek hits stay uncounted");
     }
 
     #[test]
@@ -1364,8 +1194,8 @@ mod tests {
         assert!(ctxs.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
         // Exactly one cold build; every other resolution was a hit
         // (served from the map or coalesced onto the in-flight build).
-        assert_eq!(reg.lookup_stats(), (n as u64 - 1, 1));
-        assert_eq!(reg.fault_stats().duplicate_computes, 0);
+        assert_eq!(lookups(&reg), (n as u64 - 1, 1));
+        assert_eq!(reg.stats().duplicate_computes, 0);
         assert_eq!(reg.len(), 1);
     }
 }

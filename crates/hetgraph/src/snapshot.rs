@@ -34,16 +34,15 @@
 //!
 //! Sections are written in descending recompute-cost-per-byte order —
 //! influence, diversity, composed, factors, propagated — i.e. most
-//! valuable per stored byte first, so a byte ceiling
-//! ([`encode_snapshot_capped`] /
-//! [`CondenseContext::save_snapshot_capped`]) can drop whole trailing
-//! tiers (the dense propagated blocks first — cheapest to rebuild, and
-//! they dominate the file) while keeping the file a perfectly valid
-//! snapshot. A capped snapshot loads as a *partial* context: absent
-//! sections simply become counted cold misses on first use, never wrong
-//! bytes. Decoding dispatches on each section's id, so the tier order
-//! needed no format-version bump — old readers and old files both keep
-//! working.
+//! valuable per stored byte first, so a byte ceiling (the `cap` of
+//! [`encode_snapshot`] / [`CondenseContext::save_snapshot`]) can drop
+//! whole trailing tiers (the dense propagated blocks first — cheapest to
+//! rebuild, and they dominate the file) while keeping the file a
+//! perfectly valid snapshot. A capped snapshot loads as a *partial*
+//! context: absent sections simply become counted cold misses on first
+//! use, never wrong bytes. Decoding dispatches on each section's id, so
+//! the tier order needed no format-version bump — old readers and old
+//! files both keep working.
 //!
 //! # Trust model
 //!
@@ -53,12 +52,12 @@
 //! decodes the entire file into staging before touching a context — any
 //! failure leaves the context exactly as cold as it was and surfaces as a
 //! [`SnapshotError`] the caller (see
-//! [`ContextRegistry::resolve_or_load`](crate::registry::ContextRegistry::resolve_or_load))
+//! [`ContextRegistry::resolve`](crate::registry::ContextRegistry::resolve))
 //! converts into a clean cold miss. Corruption can cost a recompute,
 //! never a panic and never wrong bits.
 
 use crate::context::{AnyArc, CondenseContext, DiversityKey, InfluenceKey, InvalidationRules};
-use crate::graph::HeteroGraph;
+use crate::graph::{GraphDelta, HeteroGraph};
 use crate::metapath::MetaPathStep;
 use crate::registry::GraphFingerprint;
 use crate::schema::{EdgeTypeId, NodeTypeId};
@@ -66,7 +65,7 @@ use freehgc_sparse::fx::FxHasher;
 use freehgc_sparse::CsrMatrix;
 use std::any::Any;
 use std::hash::Hasher;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// First eight bytes of every snapshot file.
@@ -156,7 +155,8 @@ pub struct SnapshotLoadReport {
     /// loader supplied no [`PropagatedCodec`].
     pub propagated_skipped: usize,
     /// Entries present in the file but invalidated by the delta filter
-    /// ([`decode_snapshot_delta_into`]); always 0 for exact loads.
+    /// (the `delta` of [`decode_snapshot_into`]); always 0 for exact
+    /// loads.
     pub dropped: usize,
 }
 
@@ -242,7 +242,7 @@ static IO_RETRIES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::
 
 /// Process-wide count of transient snapshot I/O errors absorbed by a
 /// retry (reads and writes combined). Surfaced through
-/// `ContextRegistry::fault_stats`.
+/// `ContextRegistry::stats`.
 pub fn io_retries() -> u64 {
     IO_RETRIES.load(std::sync::atomic::Ordering::Relaxed)
 }
@@ -269,8 +269,8 @@ fn retry_io<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T>
 }
 
 /// `std::fs::read` with transient-error retry (and the
-/// `snapshot.read.io` failpoint) — the registry's load path.
-pub(crate) fn read_snapshot_bytes(path: &Path) -> std::io::Result<Vec<u8>> {
+/// `snapshot.read.io` failpoint) — every load path.
+fn read_snapshot_bytes(path: &Path) -> std::io::Result<Vec<u8>> {
     retry_io(|| {
         crate::failpoints::fire_io(crate::failpoints::SNAPSHOT_READ_IO)?;
         std::fs::read(path)
@@ -771,39 +771,36 @@ fn assemble_snapshot(ctx: &CondenseContext<'_>, sections: &[(u8, Vec<u8>)]) -> V
     w.into_bytes()
 }
 
-/// Serializes `ctx`'s caches to snapshot bytes. Pure in-memory encoding;
-/// see [`CondenseContext::save_snapshot`] for the file wrapper.
-pub fn encode_snapshot(ctx: &CondenseContext<'_>, codec: Option<&dyn PropagatedCodec>) -> Vec<u8> {
-    assemble_snapshot(ctx, &encode_sections(ctx, codec))
-}
-
-/// [`encode_snapshot`] under a byte ceiling: includes whole sections in
-/// tier order (most recompute-cost per byte first) while the assembled
-/// file stays ≤ `cap_bytes`, and drops the rest. Returns the file bytes
-/// plus how many sections were dropped. The result is always a valid
-/// snapshot — a cap smaller than even the header yields a
-/// zero-section file, which loads as an entirely cold (but well-formed)
-/// context. Dropped tiers degrade to counted cold misses on first use;
-/// they can never produce wrong bytes.
-pub fn encode_snapshot_capped(
+/// Serializes `ctx`'s caches to snapshot bytes, optionally under a byte
+/// ceiling: whole sections are included in tier order (most recompute
+/// cost per byte first) while the assembled file stays ≤ `cap`, and the
+/// rest are dropped. Returns the file bytes plus how many sections were
+/// dropped (always 0 without a cap). The result is always a valid
+/// snapshot — a cap smaller than even the header yields a zero-section
+/// file, which loads as an entirely cold (but well-formed) context.
+/// Dropped tiers degrade to counted cold misses on first use; they can
+/// never produce wrong bytes. Pure in-memory encoding; see
+/// [`CondenseContext::save_snapshot`] for the file wrapper.
+pub fn encode_snapshot(
     ctx: &CondenseContext<'_>,
     codec: Option<&dyn PropagatedCodec>,
-    cap_bytes: usize,
+    cap: Option<usize>,
 ) -> (Vec<u8>, usize) {
-    let all = encode_sections(ctx, codec);
-    let header_bytes = assemble_snapshot(ctx, &[]).len();
-    let mut total = header_bytes;
-    let mut kept: Vec<(u8, Vec<u8>)> = Vec::new();
+    let mut total = cap.map_or(0, |_| assemble_snapshot(ctx, &[]).len());
     let mut dropped = 0usize;
-    for (id, payload) in all {
-        let with = total + SECTION_OVERHEAD + payload.len();
-        if with <= cap_bytes {
-            total = with;
-            kept.push((id, payload));
-        } else {
-            dropped += 1;
-        }
-    }
+    let kept: Vec<(u8, Vec<u8>)> = encode_sections(ctx, codec)
+        .into_iter()
+        .filter(|(_, payload)| {
+            let with = total + SECTION_OVERHEAD + payload.len();
+            let fits = cap.is_none_or(|cap| with <= cap);
+            if fits {
+                total = with;
+            } else {
+                dropped += 1;
+            }
+            fits
+        })
+        .collect();
     (assemble_snapshot(ctx, &kept), dropped)
 }
 
@@ -1075,48 +1072,32 @@ fn validate_against_graph(staging: &Staging, g: &HeteroGraph) -> Result<(), Snap
 /// Decodes `bytes` and installs every entry into `ctx`'s caches.
 ///
 /// The snapshot must be for exactly this context: same graph fingerprint
-/// and identical cache-shaping knobs (fill-in cap, composed budget) —
+/// and identical cache-shaping knobs (fill-in cap, cache budget) —
 /// anything else is rejected before a single entry lands. The entire
 /// file is decoded into staging first, so on *any* error the context is
 /// left untouched (still cold, still correct). Installed entries never
 /// overwrite ones the context already holds, and installing composed
 /// entries goes through the normal budget admission, so a loaded context
 /// keeps every invariant a warm one has.
+///
+/// With `delta = Some((old_fp, delta))` this loads an *old* graph's
+/// snapshot into a context over the *mutated* graph: the file's
+/// fingerprint is checked against `old_fp` (the pre-delta graph's), and
+/// every entry the delta invalidates — per the same
+/// `InvalidationRules` in-memory seeding uses — is dropped before
+/// validation and install. Node counts are invariant under deltas, so
+/// surviving entries shape-check against the mutated graph exactly as
+/// they would against the old one; what installs is therefore bitwise
+/// what a cold rebuild of the mutated graph would compute. This is how a
+/// delta-load beats a cold rebuild across restarts, before any snapshot
+/// of the new fingerprint exists.
 pub fn decode_snapshot_into(
     ctx: &CondenseContext<'_>,
     bytes: &[u8],
     codec: Option<&dyn PropagatedCodec>,
+    delta: Option<(GraphFingerprint, &GraphDelta)>,
 ) -> Result<SnapshotLoadReport, SnapshotError> {
-    decode_snapshot_core(ctx, bytes, ctx.graph().fingerprint(), None, codec)
-}
-
-/// Loads an *old* graph's snapshot into a context over the *mutated*
-/// graph: the file's fingerprint is checked against `old_fp` (the
-/// pre-delta graph's), and every staged entry the delta invalidates —
-/// per the same [`InvalidationRules`] in-memory seeding uses — is
-/// dropped before validation and install. Node counts are invariant
-/// under deltas, so surviving entries shape-check against the mutated
-/// graph exactly as they would against the old one; what installs is
-/// therefore bitwise what a cold rebuild of the mutated graph would
-/// compute. This is how a delta-load beats a cold rebuild across
-/// restarts, before any snapshot of the new fingerprint exists.
-pub fn decode_snapshot_delta_into(
-    ctx: &CondenseContext<'_>,
-    bytes: &[u8],
-    old_fp: GraphFingerprint,
-    delta: &crate::graph::GraphDelta,
-    codec: Option<&dyn PropagatedCodec>,
-) -> Result<SnapshotLoadReport, SnapshotError> {
-    decode_snapshot_core(ctx, bytes, old_fp, Some(delta), codec)
-}
-
-fn decode_snapshot_core(
-    ctx: &CondenseContext<'_>,
-    bytes: &[u8],
-    expected: GraphFingerprint,
-    delta: Option<&crate::graph::GraphDelta>,
-    codec: Option<&dyn PropagatedCodec>,
-) -> Result<SnapshotLoadReport, SnapshotError> {
+    let expected = delta.map_or_else(|| ctx.graph().fingerprint(), |(old_fp, _)| old_fp);
     let mut r = ByteReader::new(bytes);
     if r.take(8)? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
@@ -1142,7 +1123,7 @@ fn decode_snapshot_core(
     // decoders consult the identical survival rules in-memory seeding
     // applies (`CondenseContext::seed_from`) and step over doomed bytes
     // instead of decoding values that would only be thrown away.
-    let mut rules = delta.map(|d| InvalidationRules::new(ctx.graph().schema(), d));
+    let mut rules = delta.map(|(_, d)| InvalidationRules::new(ctx.graph().schema(), d));
 
     let nsect = r.u32()?;
     let mut staging = Staging::default();
@@ -1217,22 +1198,19 @@ fn decode_snapshot_core(
 
 impl CondenseContext<'_> {
     /// Writes this context's caches to `path` as a versioned snapshot,
-    /// skipping the propagated blocks (supply a codec via
-    /// [`CondenseContext::save_snapshot_with`] to include them). The
-    /// write goes through a sibling temp file and an atomic rename, so a
-    /// crashed writer can never leave a half-written file under the
-    /// canonical name.
-    pub fn save_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
-        self.save_snapshot_with(path, None)
-    }
-
-    /// [`CondenseContext::save_snapshot`] including the propagated
-    /// blocks, round-tripped through `codec`.
-    pub fn save_snapshot_with(
+    /// including the propagated blocks when a `codec` is supplied and
+    /// keeping the file under `cap` bytes when one is given (see
+    /// [`encode_snapshot`]). Returns how many sections the cap dropped.
+    /// The write goes through a per-call sibling temp file, an fsync and
+    /// an atomic rename, retrying transient failures, so a crashed
+    /// writer can never leave a half-written file under the canonical
+    /// name.
+    pub fn save_snapshot(
         &self,
         path: &Path,
         codec: Option<&dyn PropagatedCodec>,
-    ) -> Result<(), SnapshotError> {
+        cap: Option<usize>,
+    ) -> Result<usize, SnapshotError> {
         // The temp name must be unique per *call*, not just per process:
         // two threads saving the same path concurrently (two benches on
         // one graph) would otherwise interleave writes into one temp
@@ -1240,70 +1218,86 @@ impl CondenseContext<'_> {
         // Each retry attempt also gets a fresh name, so a torn attempt's
         // leftover can never be renamed by a later one.
         static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let bytes = encode_snapshot(self, codec);
+        let (bytes, dropped) = encode_snapshot(self, codec, cap);
         retry_io(|| {
             let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let mut tmp = path.as_os_str().to_owned();
             tmp.push(format!(".tmp-{}-{seq}", std::process::id()));
-            write_atomic(&std::path::PathBuf::from(tmp), path, &bytes)
-        })?;
-        Ok(())
-    }
-
-    /// [`CondenseContext::save_snapshot_with`] under a disk byte
-    /// ceiling: whole sections are kept in tier order (see
-    /// [`encode_snapshot_capped`]) while the file fits `cap_bytes`, and
-    /// the cheap-to-recompute rest is dropped. Returns how many
-    /// sections were dropped. The written file is always a valid
-    /// snapshot ≤ the cap; loading it yields a partial context whose
-    /// missing entries degrade to counted cold misses.
-    pub fn save_snapshot_capped(
-        &self,
-        path: &Path,
-        codec: Option<&dyn PropagatedCodec>,
-        cap_bytes: usize,
-    ) -> Result<usize, SnapshotError> {
-        static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let (bytes, dropped) = encode_snapshot_capped(self, codec, cap_bytes);
-        retry_io(|| {
-            let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let mut tmp = path.as_os_str().to_owned();
-            tmp.push(format!(".tmp-{}-{seq}", std::process::id()));
-            write_atomic(&std::path::PathBuf::from(tmp), path, &bytes)
+            write_atomic(&PathBuf::from(tmp), path, &bytes)
         })?;
         Ok(dropped)
-    }
-
-    /// [`CondenseContext::save_snapshot_with`], made *monotone*: any
-    /// entries a valid existing snapshot at `path` holds that this
-    /// context lacks are absorbed first (installs never overwrite live
-    /// entries), then the union is written. Persisting from a colder
-    /// process can therefore only ever add to the on-disk artifact —
-    /// it can never replace a warmer process's snapshot with a
-    /// less-warm one. An absent, corrupt or mismatched existing file is
-    /// simply replaced. This is what
-    /// [`ContextRegistry::persist`](crate::registry::ContextRegistry::persist)
-    /// and `Bench::persist_snapshot` use.
-    pub fn save_snapshot_merged(
-        &self,
-        path: &Path,
-        codec: Option<&dyn PropagatedCodec>,
-    ) -> Result<(), SnapshotError> {
-        let _ = self.load_snapshot_with(path, codec);
-        self.save_snapshot_with(path, codec)
     }
 
     /// Loads the snapshot at `path` into this context (see
     /// [`decode_snapshot_into`] for the verification and the
     /// nothing-installed-on-error guarantee). Transient read errors are
     /// retried like the registry's load path.
-    pub fn load_snapshot_with(
+    pub fn load_snapshot(
         &self,
         path: &Path,
         codec: Option<&dyn PropagatedCodec>,
     ) -> Result<SnapshotLoadReport, SnapshotError> {
-        let bytes = read_snapshot_bytes(path)?;
-        decode_snapshot_into(self, &bytes, codec)
+        decode_snapshot_into(self, &read_snapshot_bytes(path)?, codec, None)
+    }
+
+    /// Writes this context to its canonical snapshot file
+    /// ([`snapshot_file_name`]) under `dir`, creating the directory, and
+    /// returns the path. The write is *monotone*: any entries a valid
+    /// existing file holds that this context lacks are absorbed first
+    /// (installs never overwrite live entries), then the union is
+    /// written — so persisting from a colder process never replaces a
+    /// warmer process's snapshot with a less-warm one. An absent,
+    /// corrupt or mismatched existing file is simply replaced.
+    pub fn persist_snapshot(
+        &self,
+        dir: &Path,
+        codec: Option<&dyn PropagatedCodec>,
+    ) -> Result<PathBuf, SnapshotError> {
+        std::fs::create_dir_all(dir)?;
+        let path = canonical_path(self, dir, self.graph().fingerprint());
+        let _ = self.load_snapshot(&path, codec);
+        self.save_snapshot(&path, codec, None)?;
+        Ok(path)
+    }
+}
+
+/// The canonical file of graph `fp` under `dir`, spelled with `ctx`'s
+/// cache knobs.
+fn canonical_path(ctx: &CondenseContext<'_>, dir: &Path, fp: GraphFingerprint) -> PathBuf {
+    dir.join(snapshot_file_name(
+        fp,
+        ctx.max_row_nnz(),
+        ctx.cache_budget(),
+    ))
+}
+
+/// What one attempt to warm a context from its canonical snapshot file
+/// found.
+pub(crate) enum DiskLoad {
+    /// No file: the ordinary cold path, not a rejection.
+    Absent,
+    /// A file was found but unreadable or invalid; nothing installed.
+    Rejected,
+    Loaded(SnapshotLoadReport),
+}
+
+/// Read → decode → classify for the canonical snapshot under `dir` of
+/// `ctx`'s own graph, or — with `delta` — of the pre-delta graph
+/// `old_fp`, filtered through the delta (see [`decode_snapshot_into`]).
+pub(crate) fn load_canonical(
+    ctx: &CondenseContext<'_>,
+    dir: &Path,
+    codec: Option<&dyn PropagatedCodec>,
+    delta: Option<(GraphFingerprint, &GraphDelta)>,
+) -> DiskLoad {
+    let fp = delta.map_or_else(|| ctx.graph().fingerprint(), |(old_fp, _)| old_fp);
+    let loaded = read_snapshot_bytes(&canonical_path(ctx, dir, fp))
+        .map_err(SnapshotError::Io)
+        .and_then(|bytes| decode_snapshot_into(ctx, &bytes, codec, delta));
+    match loaded {
+        Ok(report) => DiskLoad::Loaded(report),
+        Err(SnapshotError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => DiskLoad::Absent,
+        Err(_) => DiskLoad::Rejected,
     }
 }
 
@@ -1395,10 +1389,10 @@ mod tests {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
         warm(&ctx);
-        let bytes = encode_snapshot(&ctx, None);
+        let bytes = encode_snapshot(&ctx, None, None).0;
 
         let fresh = CondenseContext::new(&g);
-        let report = decode_snapshot_into(&fresh, &bytes, None).expect("load");
+        let report = decode_snapshot_into(&fresh, &bytes, None, None).expect("load");
         assert!(report.factors > 0 && report.composed > 0);
         assert_eq!(report.influence, 1);
         assert_eq!(report.diversity, 1);
@@ -1444,8 +1438,8 @@ mod tests {
         warm(&a);
         warm(&b);
         assert_eq!(
-            encode_snapshot(&a, None),
-            encode_snapshot(&b, None),
+            encode_snapshot(&a, None, None).0,
+            encode_snapshot(&b, None, None).0,
             "identical cache contents must produce identical bytes"
         );
     }
@@ -1455,11 +1449,11 @@ mod tests {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
         warm(&ctx);
-        let bytes = encode_snapshot(&ctx, None);
+        let bytes = encode_snapshot(&ctx, None, None).0;
 
         let assert_cold_after = |mutated: Vec<u8>, what: &str| {
             let fresh = CondenseContext::new(&g);
-            let err = decode_snapshot_into(&fresh, &mutated, None);
+            let err = decode_snapshot_into(&fresh, &mutated, None, None);
             assert!(err.is_err(), "{what} must be rejected");
             assert_eq!(
                 fresh.stats(),
@@ -1499,24 +1493,24 @@ mod tests {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
         warm(&ctx);
-        let bytes = encode_snapshot(&ctx, None);
+        let bytes = encode_snapshot(&ctx, None, None).0;
 
         let mut other = fixture();
         other.set_labels(vec![1, 0, 1, 0], 2);
         let foreign = CondenseContext::new(&other);
         assert!(matches!(
-            decode_snapshot_into(&foreign, &bytes, None),
+            decode_snapshot_into(&foreign, &bytes, None, None),
             Err(SnapshotError::WrongFingerprint { .. })
         ));
 
         let uncapped = CondenseContext::new(&g).with_max_row_nnz(None);
         assert!(matches!(
-            decode_snapshot_into(&uncapped, &bytes, None),
+            decode_snapshot_into(&uncapped, &bytes, None, None),
             Err(SnapshotError::WrongKnobs)
         ));
-        let budgeted = CondenseContext::new(&g).with_composed_budget(Some(1 << 20));
+        let budgeted = CondenseContext::new(&g).with_cache_budget(Some(1 << 20));
         assert!(matches!(
-            decode_snapshot_into(&budgeted, &bytes, None),
+            decode_snapshot_into(&budgeted, &bytes, None, None),
             Err(SnapshotError::WrongKnobs)
         ));
     }
@@ -1531,12 +1525,12 @@ mod tests {
         let path = dir.join(snapshot_file_name(
             g.fingerprint(),
             ctx.max_row_nnz(),
-            ctx.composed_budget(),
+            ctx.cache_budget(),
         ));
-        ctx.save_snapshot(&path).expect("save");
+        ctx.save_snapshot(&path, None, None).expect("save");
 
         let fresh = CondenseContext::new(&g);
-        let report = fresh.load_snapshot_with(&path, None).expect("load");
+        let report = fresh.load_snapshot(&path, None).expect("load");
         assert!(report.installed() > 0);
         let root = g.schema().target();
         for p in fresh.metapaths(root, 3, 100).iter() {
@@ -1557,11 +1551,11 @@ mod tests {
         // (the budget is part of the knob key, so build the source with
         // the same budget).
         let budget = (full / 2).max(1);
-        let source = CondenseContext::new(&g).with_composed_budget(Some(budget));
+        let source = CondenseContext::new(&g).with_cache_budget(Some(budget));
         warm(&source);
-        let bytes = encode_snapshot(&source, None);
-        let loaded = CondenseContext::new(&g).with_composed_budget(Some(budget));
-        decode_snapshot_into(&loaded, &bytes, None).expect("load");
+        let bytes = encode_snapshot(&source, None, None).0;
+        let loaded = CondenseContext::new(&g).with_cache_budget(Some(budget));
+        decode_snapshot_into(&loaded, &bytes, None, None).expect("load");
         let st = loaded.stats();
         assert!(
             st.composed_bytes <= budget as u64,
@@ -1671,14 +1665,14 @@ mod tests {
         w.put_u64(fp.0);
         w.put_u64(fp.1);
         w.put_opt_usize(ctx.max_row_nnz());
-        w.put_opt_usize(ctx.composed_budget());
+        w.put_opt_usize(ctx.cache_budget());
         w.put_u32(1);
         w.put_u8(SECTION_FACTORS);
         w.put_usize(payload.len());
         w.put_u64(section_checksum(SECTION_FACTORS, &payload));
         w.put_bytes(&payload);
 
-        let err = decode_snapshot_into(&ctx, &w.into_bytes(), None);
+        let err = decode_snapshot_into(&ctx, &w.into_bytes(), None, None);
         assert!(
             matches!(err, Err(SnapshotError::Malformed("factor shape mismatch"))),
             "got {err:?}"
@@ -1691,23 +1685,71 @@ mod tests {
         let g = fixture();
         let dir = std::env::temp_dir().join(format!("fhgc-snap-merge-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("merge.fhgc");
 
         // A warm context persists first.
         let warm_ctx = CondenseContext::new(&g);
         warm(&warm_ctx);
-        warm_ctx.save_snapshot_merged(&path, None).unwrap();
+        let path = warm_ctx.persist_snapshot(&dir, None).unwrap();
         let warm_len = std::fs::metadata(&path).unwrap().len();
 
         // A completely cold context persisting the same path must keep
         // (and absorb) the warm entries rather than truncating the file
         // to its own empty state.
         let cold = CondenseContext::new(&g);
-        cold.save_snapshot_merged(&path, None).unwrap();
+        assert_eq!(cold.persist_snapshot(&dir, None).unwrap(), path);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), warm_len);
         let check = CondenseContext::new(&g);
-        let report = check.load_snapshot_with(&path, None).unwrap();
+        let report = check.load_snapshot(&path, None).unwrap();
         assert!(report.composed > 0, "warm entries must survive a cold save");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Capped and uncapped saves draw temp names from one counter, so
+    /// concurrent writers of one path never share a temp file: every
+    /// concurrent load sees a whole snapshot, and no temp file survives.
+    #[test]
+    fn concurrent_capped_and_uncapped_saves_never_tear() {
+        let g = fixture();
+        let ctx = CondenseContext::new(&g);
+        warm(&ctx);
+        let dir = std::env::temp_dir().join(format!("fhgc-snap-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("race.fhgc");
+        ctx.save_snapshot(&path, None, None).unwrap();
+        let cap = encode_snapshot(&ctx, None, None).0.len() / 2;
+        let start = std::sync::Barrier::new(6);
+        std::thread::scope(|s| {
+            for writer in 0..4 {
+                let (ctx, path, start) = (&ctx, &path, &start);
+                s.spawn(move || {
+                    let cap = (writer % 2 == 1).then_some(cap);
+                    start.wait();
+                    for _ in 0..25 {
+                        ctx.save_snapshot(path, None, cap).expect("save");
+                    }
+                });
+            }
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..50 {
+                        let fresh = CondenseContext::new(&g);
+                        fresh
+                            .load_snapshot(&path, None)
+                            .expect("every load must see a whole snapshot");
+                    }
+                });
+            }
+        });
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.contains(".tmp-"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the heterogeneous graph engine.
 
 use freehgc_hetgraph::{
-    enumerate_metapaths, FeatureMatrix, HeteroGraphBuilder, MetaPathEngine, Schema, Split,
+    enumerate_metapaths, CondenseContext, FeatureMatrix, HeteroGraphBuilder, Schema, Split,
 };
 use proptest::prelude::*;
 
@@ -81,7 +81,7 @@ proptest! {
     fn metapath_composition_shapes(g in arb_graph()) {
         let root = g.schema().target();
         let paths = enumerate_metapaths(g.schema(), root, 3, 32);
-        let mut engine = MetaPathEngine::new(&g);
+        let engine = CondenseContext::new(&g).with_max_row_nnz(None);
         for p in &paths {
             let m = engine.adjacency(p);
             prop_assert_eq!(m.nrows(), g.num_nodes(root));

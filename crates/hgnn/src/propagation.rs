@@ -74,9 +74,10 @@ impl PropagatedFeatures {
 /// The [`PropagatedCodec`] for this crate's [`PropagatedFeatures`]: the
 /// `hetgraph` snapshot layer stores propagated blocks type-erased, so
 /// the layer that owns the concrete type supplies the byte codec. Pass
-/// `Some(&PropagatedFeaturesCodec)` to `save_snapshot_with` /
-/// `resolve_or_load_with` to round-trip the blocks; without it the
-/// snapshot still carries everything else and propagation recomputes.
+/// `Some(&PropagatedFeaturesCodec)` as the codec of
+/// `CondenseContext::save_snapshot` / `ContextRegistry::resolve` to
+/// round-trip the blocks; without it the snapshot still carries
+/// everything else and propagation recomputes.
 ///
 /// Encoding is bit-exact (`f32` bits), so a propagation served from a
 /// loaded snapshot equals a fresh one bitwise — the same contract every

@@ -295,8 +295,7 @@ impl ServeHandle {
     /// Point-in-time serving counters (the payload of a `Stats` reply).
     pub fn stats(&self) -> StatsReply {
         let c = &self.inner.counters;
-        let (hits, misses) = self.inner.registry.lookup_stats();
-        let fs = self.inner.registry.fault_stats();
+        let rs = self.inner.registry.stats();
         StatsReply {
             requests: c.requests.load(Ordering::Relaxed),
             condense_ok: c.condense_ok.load(Ordering::Relaxed),
@@ -310,9 +309,9 @@ impl ServeHandle {
             deltas_applied: c.deltas_applied.load(Ordering::Relaxed),
             pool_executed: self.inner.pool.stats().executed,
             registry_contexts: self.inner.registry.len() as u64,
-            registry_hits: hits,
-            registry_misses: misses,
-            duplicate_computes: fs.duplicate_computes,
+            registry_hits: rs.hits,
+            registry_misses: rs.misses,
+            duplicate_computes: rs.duplicate_computes,
             resident_bytes: self.inner.registry.resident_bytes(),
         }
     }
@@ -667,19 +666,13 @@ impl ServeHandle {
         // Seed the mutated graph's context from the old one: survivors
         // carry over, only what the delta invalidated recomputes.
         let spec = CondenseSpec::new(0.5);
-        let report = catch_unwind(AssertUnwindSafe(|| match &inner.snapshot_dir {
-            Some(dir) => {
-                inner
-                    .registry
-                    .resolve_delta_or_load(dir, old_fp, &new_graph, &spec, delta, None)
-                    .1
-            }
-            None => {
-                inner
-                    .registry
-                    .resolve_delta(old_fp, &new_graph, &spec, delta)
-                    .1
-            }
+        let report = catch_unwind(AssertUnwindSafe(|| {
+            let dir = inner.snapshot_dir.as_deref();
+            let delta = Some((old_fp, delta));
+            inner
+                .registry
+                .resolve(&new_graph, &spec, dir, None, delta)
+                .1
         }));
         let report = match report {
             Ok(r) => r,

@@ -339,6 +339,55 @@ fn apply_delta_swaps_the_catalog_and_seeds_the_context() {
 }
 
 #[test]
+fn apply_delta_seeds_from_the_snapshot_dir_of_an_earlier_server() {
+    let dir = std::env::temp_dir().join(format!("fhgc-serve-snap-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let graph = Arc::new(tiny(29));
+    let warm = condense_req(GraphRef::Id("acm".into()), "FreeHGC", 0.5, 1);
+
+    // An earlier server warms the old graph's context and persists it
+    // under the default knobs `ApplyDelta` resolves with.
+    let first = ServeHandle::new(ServeConfig::default());
+    first.register_graph("acm", Arc::clone(&graph));
+    assert!(first.call(&warm).error_code().is_none());
+    first
+        .registry()
+        .persist(&dir, &graph, &CondenseSpec::new(0.5), None)
+        .expect("persist");
+    first.shutdown();
+
+    // A fresh server on the same directory has no live old context, so
+    // the delta must seed from the old fingerprint's snapshot file.
+    let handle = ServeHandle::new(ServeConfig {
+        snapshot_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    handle.register_graph("acm", Arc::clone(&graph));
+    let mut delta = freehgc_hetgraph::GraphDelta::new();
+    delta.add_weighted_edge(freehgc_hetgraph::EdgeTypeId(0), 0, 1, 2.0);
+    let reply = handle.call(&Request::ApplyDelta {
+        graph_id: "acm".into(),
+        delta: delta.clone(),
+    });
+    let Reply::DeltaApplied { reused_entries, .. } = reply else {
+        panic!("expected DeltaApplied, got {reply:?}");
+    };
+    assert!(
+        reused_entries > 0,
+        "snapshot seeding must inherit survivors"
+    );
+    assert_eq!(handle.registry().stats().snapshot_loads, 1);
+
+    let mut mutated = (*graph).clone();
+    mutated.apply_delta(&delta);
+    let served = handle.call(&warm);
+    let reference = reference_reply(&Arc::new(mutated), "FreeHGC", 0.5, 1);
+    assert_bitwise_equal(&served, &reference, "post-delta from snapshot");
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn shutdown_drains_then_rejects_with_typed_replies() {
     let handle = ServeHandle::new(ServeConfig::default());
     let graph = Arc::new(tiny(23));

@@ -709,8 +709,7 @@ impl CsrMatrix {
     ///
     /// Per-row reduction uses the canonical 8-lane order (see the
     /// module docs); [`CsrMatrix::spmv_ref`] is the naive oracle with
-    /// the same semantics, [`CsrMatrix::spmv_seq`] the retained
-    /// pre-rework sequential-sum kernel for throughput comparison.
+    /// the same semantics.
     pub fn spmv(&self, x: &[f32]) -> Vec<f32> {
         let mut y = ws::take_f32(self.nrows);
         self.spmv_into(x, &mut y);
@@ -757,25 +756,6 @@ impl CsrMatrix {
                     lanes[j % 8] += v * x[c as usize];
                 }
                 combine_lanes(lanes)
-            })
-            .collect()
-    }
-
-    /// The retained pre-rework SpMV: one sequential running sum per row.
-    /// Different (legacy) reduction order than the canonical lanes, so
-    /// it is **not** bitwise-comparable to [`CsrMatrix::spmv`] — it
-    /// exists purely as the throughput baseline the `micro` bench leg
-    /// measures the rework against.
-    pub fn spmv_seq(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.ncols, "vector length mismatch");
-        (0..self.nrows)
-            .map(|r| {
-                let (cols, vals) = self.row(r);
-                let mut acc = 0f32;
-                for (&c, &v) in cols.iter().zip(vals) {
-                    acc += v * x[c as usize];
-                }
-                acc
             })
             .collect()
     }

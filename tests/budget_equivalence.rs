@@ -206,7 +206,7 @@ fn propagated_blocks_are_evicted_first_under_pressure() {
 }
 
 #[test]
-fn capped_snapshot_round_trips_as_a_partial_context_with_counted_cold_misses() {
+fn capped_snapshot_loads_as_a_partial_context_and_counts_cold_misses() {
     let (g, want_grids, want_props, _) = reference();
     let warm = CondenseContext::new(&g);
     with_threads(1, || run_workload(&warm, &mut |_| {}));
@@ -215,14 +215,14 @@ fn capped_snapshot_round_trips_as_a_partial_context_with_counted_cold_misses() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let full_path = dir.join("full.fhgc");
-    warm.save_snapshot_with(&full_path, Some(&PropagatedFeaturesCodec))
+    warm.save_snapshot(&full_path, Some(&PropagatedFeaturesCodec), None)
         .expect("save full snapshot");
     let full_bytes = std::fs::metadata(&full_path).unwrap().len() as usize;
 
     let cap = (full_bytes / 2).max(64);
     let capped_path = dir.join("capped.fhgc");
     let dropped = warm
-        .save_snapshot_capped(&capped_path, Some(&PropagatedFeaturesCodec), cap)
+        .save_snapshot(&capped_path, Some(&PropagatedFeaturesCodec), Some(cap))
         .expect("save capped snapshot");
     let capped_bytes = std::fs::metadata(&capped_path).unwrap().len() as usize;
     assert!(
@@ -241,7 +241,7 @@ fn capped_snapshot_round_trips_as_a_partial_context_with_counted_cold_misses() {
     let full_misses = {
         let loaded = CondenseContext::new(&g);
         loaded
-            .load_snapshot_with(&full_path, Some(&PropagatedFeaturesCodec))
+            .load_snapshot(&full_path, Some(&PropagatedFeaturesCodec))
             .expect("full snapshot loads");
         with_threads(1, || run_workload(&loaded, &mut |_| {}));
         loaded.stats().total_misses()
@@ -250,7 +250,7 @@ fn capped_snapshot_round_trips_as_a_partial_context_with_counted_cold_misses() {
     for threads in [1usize, 4] {
         let loaded = CondenseContext::new(&g);
         let report = loaded
-            .load_snapshot_with(&capped_path, Some(&PropagatedFeaturesCodec))
+            .load_snapshot(&capped_path, Some(&PropagatedFeaturesCodec))
             .expect("a capped snapshot is still a valid snapshot");
         assert!(
             report.installed() > 0,

@@ -17,6 +17,18 @@ use std::sync::{Arc, Mutex};
 
 static FP_LOCK: Mutex<()> = Mutex::new(());
 
+/// `(hits, misses)` of the registry's lookups.
+fn lookups(reg: &ContextRegistry) -> (u64, u64) {
+    let s = reg.stats();
+    (s.hits, s.misses)
+}
+
+/// `(loads, rejections)` of the registry's snapshot-file attempts.
+fn disk_loads(reg: &ContextRegistry) -> (u64, u64) {
+    let s = reg.stats();
+    (s.snapshot_loads, s.snapshot_rejections)
+}
+
 /// Serializes a drill and guarantees a clean failpoint table on both
 /// sides, even when the drill itself panics.
 fn drill<T>(f: impl FnOnce() -> T) -> T {
@@ -48,7 +60,7 @@ fn condenser_panic_recovers_and_registry_keeps_serving() {
         let got = c.condense_shared(&reg, &g, &spec);
         assert_eq!(fp::fired(fp::CONDENSE_PANIC), 1, "the fault must fire");
         assert_eq!(
-            reg.fault_stats().panics_recovered,
+            reg.stats().panics_recovered,
             1,
             "the panic must be caught and counted"
         );
@@ -58,8 +70,8 @@ fn condenser_panic_recovers_and_registry_keeps_serving() {
         // the same bits and no further recoveries.
         let again = c.condense_shared(&reg, &g, &spec);
         assert_eq!(again.orig_ids, want.orig_ids);
-        assert_eq!(reg.fault_stats().panics_recovered, 1);
-        let (hits, misses) = reg.lookup_stats();
+        assert_eq!(reg.stats().panics_recovered, 1);
+        let (hits, misses) = lookups(&reg);
         assert_eq!(misses, 1, "one cold build despite the injected panic");
         assert!(hits >= 1);
     });
@@ -83,7 +95,7 @@ fn persistent_condenser_panic_propagates_after_bounded_retries() {
             msg.contains(fp::CONDENSE_PANIC),
             "payload must name the failpoint, got: {msg}"
         );
-        assert!(reg.fault_stats().panics_recovered >= 1);
+        assert!(reg.stats().panics_recovered >= 1);
         fp::reset();
         // Recovery after the fault clears: same registry, clean serve.
         let ok = FreeHgc::default().condense_shared(&reg, &g, &spec);
@@ -102,11 +114,11 @@ fn failed_leader_build_is_retaken_and_output_is_unchanged() {
         fp::arm(fp::REGISTRY_BUILD_PANIC, 2);
         let got = FreeHgc::default().condense_shared(&reg, &g, &spec);
         assert_eq!(got.orig_ids, want.orig_ids, "bits survive two dead leaders");
-        let stats = reg.fault_stats();
+        let stats = reg.stats();
         assert_eq!(stats.panics_recovered, 2);
         // Each failed leader attempt is a (counted) miss; no partial
         // context was ever installed.
-        assert_eq!(reg.lookup_stats().1, 3);
+        assert_eq!(lookups(&reg).1, 3);
         assert_eq!(reg.len(), 1);
     });
 }
@@ -134,14 +146,14 @@ fn delayed_leader_coalesces_every_concurrent_waiter() {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert!(ctxs.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
-        let stats = reg.fault_stats();
+        let stats = reg.stats();
         assert_eq!(
             stats.singleflight_coalesced,
             n as u64 - 1,
             "with the leader held open, every other resolver coalesces"
         );
         assert_eq!(stats.duplicate_computes, 0);
-        assert_eq!(reg.lookup_stats(), (n as u64 - 1, 1));
+        assert_eq!(lookups(&reg), (n as u64 - 1, 1));
     });
 }
 
@@ -157,20 +169,20 @@ fn transient_read_error_is_retried_into_a_successful_load() {
         for p in ctx.metapaths(root, 2, 50).iter() {
             ctx.adjacency(p);
         }
-        reg.persist(&dir, &g, &spec).expect("persist");
+        reg.persist(&dir, &g, &spec, None).expect("persist");
 
-        let retries_before = reg.fault_stats().io_retries;
+        let retries_before = reg.stats().io_retries;
         // Fail exactly the first read attempt; the retry must land.
         fp::arm(fp::SNAPSHOT_READ_IO, 1);
         let reg2 = ContextRegistry::new();
-        let warm = reg2.resolve_or_load(&dir, &g, &spec);
+        let warm = reg2.resolve(&g, &spec, Some(&dir), None, None).0;
         assert_eq!(
-            reg2.snapshot_stats(),
+            disk_loads(&reg2),
             (1, 0),
             "the load must succeed through the retry, not fall back cold"
         );
         assert!(warm.composed_len() > 0, "warm state actually arrived");
-        assert!(reg2.fault_stats().io_retries > retries_before);
+        assert!(reg2.stats().io_retries > retries_before);
         std::fs::remove_dir_all(&dir).ok();
     });
 }
@@ -190,7 +202,7 @@ fn torn_write_retries_and_the_orphan_is_swept_on_restart() {
         // First write attempt tears mid-persist (leaving its temp file
         // behind, as a crash would); the retry must succeed.
         fp::arm(fp::SNAPSHOT_TORN_WRITE, 1);
-        let path = reg.persist(&dir, &g, &spec).expect("retry lands");
+        let path = reg.persist(&dir, &g, &spec, None).expect("retry lands");
         assert!(path.exists(), "canonical file published despite the tear");
         let orphans = || {
             std::fs::read_dir(&dir)
@@ -209,10 +221,10 @@ fn torn_write_retries_and_the_orphan_is_swept_on_restart() {
         // "Restart": a fresh registry's first touch of the directory
         // sweeps the orphan and still loads the snapshot cleanly.
         let reg2 = ContextRegistry::new();
-        let warm = reg2.resolve_or_load(&dir, &g, &spec);
+        let warm = reg2.resolve(&g, &spec, Some(&dir), None, None).0;
         assert_eq!(orphans(), 0, "startup sweep collects the orphan");
-        assert_eq!(reg2.fault_stats().tmp_files_swept, 1);
-        assert_eq!(reg2.snapshot_stats(), (1, 0));
+        assert_eq!(reg2.stats().tmp_files_swept, 1);
+        assert_eq!(disk_loads(&reg2), (1, 0));
         for p in warm.metapaths(root, 2, 50).iter() {
             assert_eq!(*warm.adjacency(p), *ctx.adjacency(p), "loaded bits");
         }

@@ -33,6 +33,12 @@ use std::sync::{Arc, Mutex};
 
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
+/// `(loads, rejections)` of the registry's snapshot-file attempts.
+fn disk_loads(reg: &ContextRegistry) -> (u64, u64) {
+    let s = reg.stats();
+    (s.snapshot_loads, s.snapshot_rejections)
+}
+
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     par::set_thread_override(Some(n));
@@ -173,7 +179,13 @@ fn delta_updated_context_matches_cold_rebuild_for_every_condenser() {
             let reg = ContextRegistry::new();
             let ctx_old = reg.context_for(&g_old, &spec);
             with_threads(threads, || warm(&ctx_old, &spec));
-            let (ctx_new, report) = reg.resolve_delta(g_old.fingerprint(), &g_new, &spec, &delta);
+            let (ctx_new, report) = reg.resolve(
+                &g_new,
+                &spec,
+                None,
+                None,
+                Some((g_old.fingerprint(), &delta)),
+            );
             assert!(
                 report.reused() > report.paths,
                 "{what}: entries beyond the schema-only path sets must survive \
@@ -223,7 +235,13 @@ fn a_delta_touching_every_edge_type_degenerates_to_a_full_rebuild() {
     let reg = ContextRegistry::new();
     let ctx_old = reg.context_for(&g_old, &spec);
     with_threads(1, || warm(&ctx_old, &spec));
-    let (ctx_new, report) = reg.resolve_delta(g_old.fingerprint(), &g_new, &spec, &delta);
+    let (ctx_new, report) = reg.resolve(
+        &g_new,
+        &spec,
+        None,
+        None,
+        Some((g_old.fingerprint(), &delta)),
+    );
     // Every derived family depends on at least one relation, so nothing
     // derived survives — only the schema-only path sets (and any cached
     // "no relation between these types" negatives) carry over.
@@ -297,7 +315,7 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
     let reg1 = ContextRegistry::new();
     let ctx1 = reg1.context_for(&g_old, &spec);
     with_threads(1, || warm(&ctx1, &spec));
-    reg1.persist_with(&dir, &g_old, &spec, Some(&PropagatedFeaturesCodec))
+    reg1.persist(&dir, &g_old, &spec, Some(&PropagatedFeaturesCodec))
         .expect("persist");
 
     // Cold reference over the mutated graph.
@@ -308,16 +326,15 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
         // "Process two": no live old context — the old fingerprint's
         // snapshot, filtered through the delta rules, seeds the resolve.
         let reg2 = ContextRegistry::new();
-        let (ctx2, report) = reg2.resolve_delta_or_load(
-            &dir,
-            g_old.fingerprint(),
+        let (ctx2, report) = reg2.resolve(
             &g_new,
             &spec,
-            &delta,
+            Some(&dir),
             Some(&PropagatedFeaturesCodec),
+            Some((g_old.fingerprint(), &delta)),
         );
         assert_eq!(
-            reg2.snapshot_stats(),
+            disk_loads(&reg2),
             (1, 0),
             "{threads}t: the old snapshot must load (delta-filtered)"
         );

@@ -30,6 +30,12 @@ use std::sync::{Arc, Mutex};
 
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
+/// `(hits, misses)` of the registry's lookups.
+fn lookups(reg: &ContextRegistry) -> (u64, u64) {
+    let s = reg.stats();
+    (s.hits, s.misses)
+}
+
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     par::set_thread_override(Some(n));
@@ -105,7 +111,7 @@ fn registry_shared_matches_fresh_for_every_condenser() {
     // All specs share the default knobs, so the whole matrix must have
     // resolved to exactly one registered context — and hit it.
     assert_eq!(registry.len(), 1, "one graph, one context");
-    let (hits, misses) = registry.lookup_stats();
+    let (hits, misses) = lookups(&registry);
     assert_eq!(misses, 1, "only the first resolution may miss");
     assert!(hits > 0, "the sweep must reuse the registered context");
 }
@@ -142,12 +148,12 @@ fn concurrent_cold_key_resolves_exactly_once() {
             "{threads}t: all requests must share one context"
         );
         assert_eq!(
-            registry.lookup_stats(),
+            lookups(&registry),
             (n as u64 - 1, 1),
             "{threads}t: exactly one miss (the leader), N-1 hits"
         );
         assert_eq!(
-            registry.fault_stats().duplicate_computes,
+            registry.stats().duplicate_computes,
             0,
             "{threads}t: single-flight must prevent duplicate cold builds"
         );
@@ -168,7 +174,7 @@ fn evicting_cache_matches_unbounded_and_respects_budget() {
     let budget = (unbounded.composed_bytes() / 2).max(64);
 
     for threads in [1usize, 4] {
-        let evicting = CondenseContext::for_spec(&g, &spec).with_composed_budget(Some(budget));
+        let evicting = CondenseContext::for_spec(&g, &spec).with_cache_budget(Some(budget));
         for (c, want) in condensers().iter().zip(&reference) {
             let got = with_threads(threads, || c.condense_in(&evicting, &spec));
             assert_condensed_equal(want, &got, &format!("{} evicting/{threads}t", c.name()));

@@ -31,6 +31,12 @@ use std::sync::{Arc, Mutex};
 
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
+/// `(loads, rejections)` of the registry's snapshot-file attempts.
+fn disk_loads(reg: &ContextRegistry) -> (u64, u64) {
+    let s = reg.stats();
+    (s.snapshot_loads, s.snapshot_rejections)
+}
+
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     par::set_thread_override(Some(n));
@@ -105,19 +111,21 @@ fn snapshot_round_trip_matches_fresh_for_every_condenser() {
     let ctx1 = reg1.context_for(&g, &spec);
     let pf1 = propagate_ctx(&ctx1, 2, 16);
     let path = reg1
-        .persist_with(&dir, &g, &spec, Some(&PropagatedFeaturesCodec))
+        .persist(&dir, &g, &spec, Some(&PropagatedFeaturesCodec))
         .expect("persist");
     assert!(path.ends_with(snapshot_file_name(
         g.fingerprint(),
         spec.max_row_nnz,
-        spec.composed_cache_bytes
+        spec.cache_budget()
     )));
 
     for threads in [1usize, 4] {
         // "Process two": a fresh registry resolves warm from disk.
         let reg2 = ContextRegistry::new();
-        let ctx2 = reg2.resolve_or_load_with(&dir, &g, &spec, Some(&PropagatedFeaturesCodec));
-        assert_eq!(reg2.snapshot_stats(), (1, 0), "{threads}t: must load");
+        let ctx2 = reg2
+            .resolve(&g, &spec, Some(&dir), Some(&PropagatedFeaturesCodec), None)
+            .0;
+        assert_eq!(disk_loads(&reg2), (1, 0), "{threads}t: must load");
         let before = ctx2.stats();
         for (c, want) in condensers().iter().zip(&reference) {
             let got = with_threads(threads, || c.condense_in(&ctx2, &spec));
@@ -159,7 +167,7 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
     // Persist a genuinely warm snapshot, then a cold reference run.
     let reg1 = ContextRegistry::new();
     let reference = with_threads(1, || FreeHgc::default().condense_shared(&reg1, &g, &spec));
-    let path = reg1.persist(&dir, &g, &spec).expect("persist");
+    let path = reg1.persist(&dir, &g, &spec, None).expect("persist");
     let good = std::fs::read(&path).unwrap();
     assert!(good.len() > 64, "snapshot must have real content");
 
@@ -180,9 +188,11 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
         std::fs::write(&path, &bytes).unwrap();
         for threads in [1usize, 4] {
             let reg = ContextRegistry::new();
-            let ctx = reg.resolve_or_load_with(&dir, &g, &spec, Some(&PropagatedFeaturesCodec));
+            let ctx = reg
+                .resolve(&g, &spec, Some(&dir), Some(&PropagatedFeaturesCodec), None)
+                .0;
             assert_eq!(
-                reg.snapshot_stats(),
+                disk_loads(&reg),
                 (0, 1),
                 "{what}/{threads}t: a counted rejection, never a load"
             );
@@ -198,13 +208,13 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
     assert_ne!(g.fingerprint(), g2.fingerprint(), "distinct fixtures");
     let regx = ContextRegistry::new();
     with_threads(1, || FreeHgc::default().condense_shared(&regx, &g2, &spec));
-    let other = regx.persist(&dir, &g2, &spec).expect("persist other");
+    let other = regx.persist(&dir, &g2, &spec, None).expect("persist other");
     std::fs::copy(&other, &path).unwrap();
     for threads in [1usize, 4] {
         let reg = ContextRegistry::new();
-        let ctx = reg.resolve_or_load(&dir, &g, &spec);
+        let ctx = reg.resolve(&g, &spec, Some(&dir), None, None).0;
         assert_eq!(
-            reg.snapshot_stats(),
+            disk_loads(&reg),
             (0, 1),
             "wrong fingerprint/{threads}t: rejected"
         );
