@@ -800,22 +800,21 @@ impl CsrMatrix {
     /// identical at any thread count. The parallel path streams every
     /// entry twice, so it only engages when the output is large enough
     /// that the serial scatter thrashes cache ([`SPMVT_MIN_COLS`]),
-    /// there is enough work per chunk ([`SPMVT_NNZ_GRAIN`]), and the
-    /// machine has more than one real core — a `FREEHGC_THREADS` budget
-    /// above the core count only timeshares the redistribution, which
-    /// can then never be bought back.
+    /// there is enough work per chunk ([`SPMVT_NNZ_GRAIN`]), and at
+    /// least [`SPMVT_MIN_CHUNKS`] real cores back the chunks. The chunk
+    /// count is capped at the core count: a `FREEHGC_THREADS` budget
+    /// above it only timeshares the redistribution, which can then never
+    /// be bought back.
     pub fn spmv_t_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.nrows, "vector length mismatch");
         assert_eq!(y.len(), self.ncols, "output length mismatch");
-        let mut chunks = if self.ncols >= SPMVT_MIN_COLS && par::machine_parallelism() >= 2 {
-            par::chunks_for(self.nnz(), SPMVT_NNZ_GRAIN, self.nrows.min(self.ncols))
+        let chunks = if self.ncols >= SPMVT_MIN_COLS {
+            let max_chunks = self.nrows.min(self.ncols).min(par::machine_parallelism());
+            par::chunks_for(self.nnz(), SPMVT_NNZ_GRAIN, max_chunks)
         } else {
             1
         };
         if chunks < SPMVT_MIN_CHUNKS {
-            chunks = 1;
-        }
-        if chunks <= 1 {
             self.spmv_t_serial(x, y);
         } else {
             self.spmv_t_binned(x, y, chunks);

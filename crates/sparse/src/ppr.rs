@@ -8,6 +8,15 @@
 //! `N ≈ α Σ_{k=0}^{T} (1−α)^k M^k` is applied to a seed vector instead,
 //! giving `O(T · nnz)` total work. The dense resolvent is kept (for small
 //! `n`) as a test oracle.
+//!
+//! FreeHGC's influence path is [`bipartite_influence_seeded`]. On the
+//! bipartite block operator a series term alternates between a
+//! target → source scatter and a source → target gather, and the kernel
+//! fuses each gather with the following scatter row by row, so `T` terms
+//! cost `⌈T/2⌉` passes over the nonzeros instead of `T` — with the same
+//! per-element addition order, hence the same bits, as one pass per
+//! term. [`ppr_push`] / [`ppr_push_into`] are the square-operator
+//! variant, used by the bench and tests.
 
 use crate::csr::CsrMatrix;
 use freehgc_parallel::workspace as ws;
@@ -62,8 +71,9 @@ pub fn ppr_push(m: &CsrMatrix, seed: &[f32], cfg: &PprConfig) -> Vec<f32> {
 /// [`ppr_push`] writing into a caller-provided accumulator (length
 /// `m.nrows()`, prior contents ignored). The ping-pong state buffers
 /// come from the workspace pool, so a sweep that calls this repeatedly
-/// — the per-relation influence loops of `condense_target` — performs
-/// zero allocations per call once the pool is warm.
+/// performs zero allocations per call once the pool is warm. Only the
+/// bench and tests call it; FreeHGC's father influence goes through
+/// [`bipartite_influence_seeded`].
 pub fn ppr_push_into(m: &CsrMatrix, seed: &[f32], cfg: &PprConfig, acc: &mut [f32]) {
     assert_eq!(m.nrows(), m.ncols(), "ppr_push needs a square operator");
     assert_eq!(seed.len(), m.nrows(), "seed length mismatch");
@@ -106,103 +116,134 @@ pub fn bipartite_influence(a: &CsrMatrix, cfg: &PprConfig) -> Vec<f32> {
 /// already-selected target nodes, so father scores measure influence on
 /// the condensed root set ("the goal is to select the most important
 /// neighbor nodes to be connected to the target nodes", §IV-C).
+///
+/// The state `x_k = seedᵀ Mᵏ` alternates between the target block (even
+/// `k`) and the source block (odd `k`), and only source states feed
+/// Eq. (13). Every pass over `A` after the first therefore advances the
+/// series by two terms: row `r` gathers its target state
+/// `t_r = (Σ_c (a[r,c]·dc[c])·src_k[c]) · dr[r]` from `src_k` and at once
+/// scatters `(a[r,c]·dc[c]) · (t_r·dr[r])` into `src_{k+2}`. Rows are
+/// visited in ascending order, so the additions into each
+/// `src_{k+2}[c]` arrive in the same ascending-`r` order, and with the
+/// same product associations, as a separate gather pass followed by a
+/// separate scatter pass — the result is bitwise-identical to that
+/// two-pass form. A series of `T` terms costs `⌈T/2⌉` passes over the
+/// nonzeros instead of `T`.
 pub fn bipartite_influence_seeded(
     a: &CsrMatrix,
     seed_rows: Option<&[u32]>,
     cfg: &PprConfig,
 ) -> Vec<f32> {
     let (n, m) = (a.nrows(), a.ncols());
-    if n == 0 || m == 0 {
+    if n == 0 || m == 0 || seed_rows.is_some_and(<[u32]>::is_empty) {
         return vec![0.0; m];
     }
+    // All per-call scratch lives in one pooled buffer: `dr` and the seed
+    // state `tgt` (target block), then `dc` and the two source states.
+    // One take keeps a warm call at zero growth whatever the shape.
+    let mut scratch = ws::take_f32(2 * n + 3 * m);
+    let (dr, rest) = scratch.split_at_mut(n);
+    let (tgt, rest) = rest.split_at_mut(n);
+    let (dc, rest) = rest.split_at_mut(m);
+    let (mut src, mut nxt) = rest.split_at_mut(m);
     // Symmetric normalization of the bipartite block matrix: degrees of a
-    // target node are its row sums; of a source node, its column sums.
-    let row_sum = a.row_sums();
-    let mut col_sum = ws::take_f32_zeroed(m);
-    for r in 0..n {
+    // target node are its row sums; of a source node, its absolute column
+    // sums (accumulated in `dc`, then mapped in place).
+    let inv_sqrt = |s: f32| if s > 0.0 { s.sqrt().recip() } else { 0.0 };
+    dc.fill(0.0);
+    for (r, d) in dr.iter_mut().enumerate() {
         let (cols, vals) = a.row(r);
+        *d = inv_sqrt(vals.iter().sum());
         for (&c, &v) in cols.iter().zip(vals) {
-            col_sum[c as usize] += v.abs();
+            dc[c as usize] += v.abs();
         }
     }
-    let dr: Vec<f32> = row_sum
-        .iter()
-        .map(|&s| if s > 0.0 { s.sqrt().recip() } else { 0.0 })
-        .collect();
-    let dc: Vec<f32> = col_sum
-        .iter()
-        .map(|&s| if s > 0.0 { s.sqrt().recip() } else { 0.0 })
-        .collect();
+    dc.iter_mut().for_each(|d| *d = inv_sqrt(*d));
 
-    let terms = cfg.num_terms();
-    // Seed: uniform mass over the seeded targets. The block structure of M
-    // alternates the state x_k = seedᵀ Mᵏ between the target block (even
-    // k) and the source block (odd k); only source-block states contribute
-    // to Eq. (13).
-    let mut tgt = ws::take_f32(n);
+    // Seed: uniform mass over the seeded targets.
     match seed_rows {
         None => tgt.fill(1.0 / n as f32),
         Some(rows) => {
-            if rows.is_empty() {
-                return vec![0.0; m];
-            }
             tgt.fill(0.0);
             let w = 1.0 / rows.len() as f32;
             for &r in rows {
                 tgt[r as usize] = w;
             }
         }
-    };
-    // `src` is fully overwritten by the first (target-block) advance
-    // before any read, so its pooled contents never leak into results.
-    let mut src = ws::take_f32(m);
-    let mut acc_src = ws::take_f32_zeroed(m);
-    // coeff = α (1−α)^k, the series weight of the state x_k.
-    let mut coeff = cfg.alpha;
-    let mut state_on_target = true;
+    }
+    // First pass: x_0 (target) → x_1 (source), scatter only.
+    src.fill(0.0);
+    for r in 0..n {
+        let t = tgt[r] * dr[r];
+        if t != 0.0 {
+            let (cols, vals) = a.row(r);
+            // SAFETY: c < ncols == dc.len() == src.len(), validated at
+            // construction.
+            unsafe { scatter_row(cols, vals, dc, t, src) };
+        }
+    }
+
+    let terms = cfg.num_terms();
     // Only source-block states (odd k) contribute to the accumulator, so
     // the last useful state is the largest odd k ≤ terms: stopping there
-    // skips one (terms odd) or two (terms even) full block-SpMV advances
-    // whose results would be discarded.
+    // skips the advances whose results would be discarded.
     let last_src_k = terms - usize::from(terms.is_multiple_of(2));
-    for k in 0..=last_src_k {
-        if !state_on_target {
-            for (aa, &s) in acc_src.iter_mut().zip(src.iter()) {
+    let decay = 1.0 - cfg.alpha;
+    // coeff = α (1−α)^k, the series weight of the state x_k, built one
+    // factor at a time exactly as a term-by-term loop would.
+    let mut coeff = cfg.alpha * decay;
+    let mut acc = ws::take_f32_zeroed(m);
+    let mut k = 1;
+    loop {
+        if k == last_src_k {
+            for (aa, &s) in acc.iter_mut().zip(src.iter()) {
                 *aa += coeff * s;
             }
-            if k == last_src_k {
-                break;
+            break;
+        }
+        for ((aa, &s), z) in acc.iter_mut().zip(src.iter()).zip(nxt.iter_mut()) {
+            *aa += coeff * s;
+            *z = 0.0;
+        }
+        // One pass, two terms: x_k (source) → x_{k+1} (target, row-local)
+        // → x_{k+2} (source).
+        for (r, &d) in dr.iter().enumerate() {
+            let (cols, vals) = a.row(r);
+            let mut accr = 0f32;
+            for (&c, &v) in cols.iter().zip(vals) {
+                // SAFETY: c < ncols == dc.len() == src.len(), validated
+                // at construction.
+                unsafe {
+                    accr += v * *dc.get_unchecked(c as usize) * *src.get_unchecked(c as usize);
+                }
+            }
+            let t = accr * d * d;
+            if t != 0.0 {
+                // SAFETY: as above, nxt.len() == ncols.
+                unsafe { scatter_row(cols, vals, dc, t, nxt) };
             }
         }
-        // Advance x_k → x_{k+1} = x_k M across the bipartite blocks.
-        if state_on_target {
-            // srcᵀ = tgtᵀ Â_sym  ⇒ src[c] = Σ_r tgt[r]·dr[r]·a[r,c]·dc[c]
-            src.iter_mut().for_each(|v| *v = 0.0);
-            for r in 0..n {
-                let (cols, vals) = a.row(r);
-                let t = tgt[r] * dr[r];
-                if t == 0.0 {
-                    continue;
-                }
-                for (&c, &v) in cols.iter().zip(vals) {
-                    src[c as usize] += v * dc[c as usize] * t;
-                }
-            }
-        } else {
-            // tgt = Â_sym src
-            for r in 0..n {
-                let (cols, vals) = a.row(r);
-                let mut accr = 0f32;
-                for (&c, &v) in cols.iter().zip(vals) {
-                    accr += v * dc[c as usize] * src[c as usize];
-                }
-                tgt[r] = accr * dr[r];
-            }
-        }
-        state_on_target = !state_on_target;
-        coeff *= 1.0 - cfg.alpha;
+        std::mem::swap(&mut src, &mut nxt);
+        coeff = coeff * decay * decay;
+        k += 2;
     }
-    acc_src.detach()
+    acc.detach()
+}
+
+/// `out[c] += (v · dc[c]) · t` over one row of the path adjacency — the
+/// target → source half of a bipartite advance.
+///
+/// # Safety
+///
+/// Every index in `cols` must be below both `dc.len()` and `out.len()`.
+#[inline(always)]
+unsafe fn scatter_row(cols: &[u32], vals: &[f32], dc: &[f32], t: f32, out: &mut [f32]) {
+    for (&c, &v) in cols.iter().zip(vals) {
+        // SAFETY: the caller guarantees c < dc.len() and c < out.len().
+        unsafe {
+            *out.get_unchecked_mut(c as usize) += v * *dc.get_unchecked(c as usize) * t;
+        }
+    }
 }
 
 /// Dense PPR resolvent `α (I − (1−α) M)⁻¹` by Gauss–Jordan elimination.

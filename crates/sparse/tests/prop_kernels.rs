@@ -16,9 +16,14 @@
 //! Values are quarter-integer multiples in ±2 so exact duplicates (and
 //! exact cancellations to ±0.0) occur, exercising the zero-filter and
 //! the sign-of-zero argument in the SpGEMM bitwise proof.
+//!
+//! The fused bipartite PPR influence kernel is pinned the same way,
+//! against a test-only copy of the one-pass-per-term loop it replaced
+//! (`bipartite_influence_two_pass`), compared by `f32::to_bits`.
 
 use freehgc_parallel as par;
-use freehgc_sparse::{CooMatrix, CsrMatrix};
+use freehgc_sparse::ppr::bipartite_influence_seeded;
+use freehgc_sparse::{CooMatrix, CsrMatrix, PprConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -121,6 +126,23 @@ fn spmv_t_matches_reference_on_gallery() {
             );
         }
     }
+}
+
+#[test]
+fn spmv_t_into_at_an_oversubscribed_budget_matches_reference() {
+    // Wide and heavy enough that an uncapped budget would pick the
+    // binned parallel path; the public entry caps chunks at the core
+    // count, and either path must keep the reference's bits.
+    let a = random_sparse(40_000, 40_000, 2, 91);
+    let x = dense_vec(a.nrows(), 5);
+    let reference = a.spmv_t_ref(&x);
+    let mut y = vec![f32::NAN; a.ncols()];
+    with_threads(par::machine_parallelism() + 2, || a.spmv_t_into(&x, &mut y));
+    assert_eq!(
+        bits(&y),
+        bits(&reference),
+        "oversubscribed spmv_t_into diverged from spmv_t_ref"
+    );
 }
 
 #[test]
@@ -315,6 +337,159 @@ fn warm_pool_ppr_push_into_performs_zero_allocations() {
     .unwrap();
 }
 
+#[test]
+fn warm_pool_bipartite_influence_allocates_only_its_result() {
+    std::thread::spawn(|| {
+        let a = bipartite_matrix(90, 60, 6, 83);
+        let seeds: Vec<u32> = (0..90).step_by(3).collect();
+        let cfg = PprConfig::default();
+        let warm = bipartite_influence_seeded(&a, Some(&seeds), &cfg);
+        par::workspace::reset_stats();
+        let steady = bipartite_influence_seeded(&a, Some(&seeds), &cfg);
+        let stats = par::workspace::stats();
+        assert_eq!(steady, warm);
+        assert!(
+            stats.fresh_allocs <= 1,
+            "only the returned vector may be fresh: {stats:?}"
+        );
+        assert!(
+            stats.alloc_bytes <= (a.ncols() * std::mem::size_of::<f32>()) as u64,
+            "no pooled buffer may grow: {stats:?}"
+        );
+    })
+    .join()
+    .unwrap();
+}
+
+/// Test-only oracle for `bipartite_influence_seeded`: the two-pass loop
+/// the fused kernel replaced, kept verbatim apart from plain `Vec`
+/// scratch instead of the workspace pool. Each series term is its own
+/// pass over the nonzeros — a target → source scatter or a source →
+/// target gather.
+fn bipartite_influence_two_pass(
+    a: &CsrMatrix,
+    seed_rows: Option<&[u32]>,
+    cfg: &PprConfig,
+) -> Vec<f32> {
+    let (n, m) = (a.nrows(), a.ncols());
+    if n == 0 || m == 0 {
+        return vec![0.0; m];
+    }
+    let row_sum = a.row_sums();
+    let mut col_sum = vec![0f32; m];
+    for r in 0..n {
+        let (cols, vals) = a.row(r);
+        for (&c, &v) in cols.iter().zip(vals) {
+            col_sum[c as usize] += v.abs();
+        }
+    }
+    let dr: Vec<f32> = row_sum
+        .iter()
+        .map(|&s| if s > 0.0 { s.sqrt().recip() } else { 0.0 })
+        .collect();
+    let dc: Vec<f32> = col_sum
+        .iter()
+        .map(|&s| if s > 0.0 { s.sqrt().recip() } else { 0.0 })
+        .collect();
+
+    let terms = cfg.num_terms();
+    let mut tgt = vec![0f32; n];
+    match seed_rows {
+        None => tgt.fill(1.0 / n as f32),
+        Some(rows) => {
+            if rows.is_empty() {
+                return vec![0.0; m];
+            }
+            tgt.fill(0.0);
+            let w = 1.0 / rows.len() as f32;
+            for &r in rows {
+                tgt[r as usize] = w;
+            }
+        }
+    };
+    let mut src = vec![0f32; m];
+    let mut acc_src = vec![0f32; m];
+    let mut coeff = cfg.alpha;
+    let mut state_on_target = true;
+    let last_src_k = terms - usize::from(terms.is_multiple_of(2));
+    for k in 0..=last_src_k {
+        if !state_on_target {
+            for (aa, &s) in acc_src.iter_mut().zip(src.iter()) {
+                *aa += coeff * s;
+            }
+            if k == last_src_k {
+                break;
+            }
+        }
+        if state_on_target {
+            src.iter_mut().for_each(|v| *v = 0.0);
+            for r in 0..n {
+                let (cols, vals) = a.row(r);
+                let t = tgt[r] * dr[r];
+                if t == 0.0 {
+                    continue;
+                }
+                for (&c, &v) in cols.iter().zip(vals) {
+                    src[c as usize] += v * dc[c as usize] * t;
+                }
+            }
+        } else {
+            for r in 0..n {
+                let (cols, vals) = a.row(r);
+                let mut accr = 0f32;
+                for (&c, &v) in cols.iter().zip(vals) {
+                    accr += v * dc[c as usize] * src[c as usize];
+                }
+                tgt[r] = accr * dr[r];
+            }
+        }
+        state_on_target = !state_on_target;
+        coeff *= 1.0 - cfg.alpha;
+    }
+    acc_src
+}
+
+/// A rectangular path adjacency with guaranteed structural holes: rows
+/// `r % 5 == 2` and columns `c % 4 == 1` stay empty, other rows get
+/// `0..=max_per_row` draws, and values are quarter-integers in ±2 so
+/// negative weights, negative row sums and exact cancellations occur.
+fn bipartite_matrix(rows: usize, cols: usize, max_per_row: usize, seed: u64) -> CsrMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut coo = CooMatrix::new(rows, cols);
+    for r in (0..rows).filter(|r| r % 5 != 2) {
+        for _ in 0..rng.gen_range(0..=max_per_row) {
+            let c = rng.gen_range(0..cols as u32);
+            if c % 4 != 1 {
+                let v = (rng.gen_range(-8i32..=8) as f32) * 0.25;
+                coo.push(r as u32, c, v);
+            }
+        }
+    }
+    coo.to_csr()
+}
+
+/// Series configurations with `num_terms()` of 1, 2, 3, 4 and the
+/// default (57), so the fused loop's first-pass-only, odd and even
+/// stopping points are all exercised.
+fn influence_configs() -> Vec<(PprConfig, usize)> {
+    let cfg = |alpha, epsilon| PprConfig {
+        alpha,
+        epsilon,
+        ..Default::default()
+    };
+    vec![
+        (cfg(1.0, 1e-4), 1),
+        (cfg(0.5, 0.25), 2),
+        (cfg(0.5, 0.125), 3),
+        (cfg(0.5, 0.0625), 4),
+        (PprConfig::default(), 57),
+    ]
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -366,5 +541,31 @@ proptest! {
     ) {
         let a = random_sparse(rows, cols, per_row, seed);
         prop_assert_eq!(a.top_k_per_row(k), a.top_k_per_row_ref(k));
+    }
+
+    #[test]
+    fn fused_bipartite_influence_matches_two_pass_oracle_bitwise(
+        rows in 1usize..70,
+        cols in 1usize..50,
+        max_per_row in 0usize..9,
+        seed_mode in 0u8..4,
+        seed in 0u64..1000,
+    ) {
+        let a = bipartite_matrix(rows, cols, max_per_row, seed);
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(17));
+        let subset: Vec<u32> = (0..rows as u32).filter(|_| rng.gen_range(0..3u32) == 0).collect();
+        let seed_rows: Option<Vec<u32>> = match seed_mode {
+            0 => None,
+            1 => Some(subset),
+            2 => Some(Vec::new()),
+            // Duplicates, out of order: the seed mass is set, not summed.
+            _ => Some(subset.iter().rev().chain(&subset).copied().collect()),
+        };
+        for (cfg, terms) in influence_configs() {
+            prop_assert_eq!(cfg.num_terms(), terms);
+            let fused = bipartite_influence_seeded(&a, seed_rows.as_deref(), &cfg);
+            let oracle = bipartite_influence_two_pass(&a, seed_rows.as_deref(), &cfg);
+            prop_assert_eq!(bits(&fused), bits(&oracle), "terms = {}", terms);
+        }
     }
 }
