@@ -74,23 +74,11 @@ use crate::condense::{CondenseSpec, DEFAULT_MAX_ROW_NNZ};
 use crate::graph::{GraphDelta, HeteroGraph};
 use crate::metapath::{enumerate_metapaths, metapaths_to, MetaPath, MetaPathStep};
 use crate::schema::{NodeTypeId, Schema};
+use freehgc_parallel::relock;
 use freehgc_sparse::{CsrMatrix, FxHashMap};
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Locks `m`, recovering from poisoning instead of propagating it.
-///
-/// Every mutation made under these mutexes is a single map operation
-/// publishing an already-complete value (computes run *outside* the
-/// locks), so a panic unwinding through a lock scope can never leave
-/// half-written state behind it — the data under a poisoned mutex is
-/// exactly as consistent as under a clean one. Recovering therefore
-/// keeps one panicking request from killing every later request on the
-/// process, without weakening any invariant.
-pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex};
 
 /// One hit/miss pair, updated with relaxed atomics (counters are
 /// diagnostics, never control flow).

@@ -64,6 +64,7 @@ pub const SERVE_QUEUE_FULL: &str = "serve.queue.full";
 
 #[cfg(feature = "failpoints")]
 mod imp {
+    use freehgc_parallel::relock;
     use freehgc_sparse::FxHashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Mutex, OnceLock};
@@ -99,14 +100,8 @@ mod imp {
         z ^ (z >> 31)
     }
 
-    fn lock() -> std::sync::MutexGuard<'static, FxHashMap<&'static str, Site>> {
-        sites()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     pub fn arm(site: &'static str, times: u64) {
-        lock().insert(
+        relock(sites()).insert(
             site,
             Site {
                 plan: Plan::Times { remaining: times },
@@ -117,7 +112,7 @@ mod imp {
     }
 
     pub fn arm_seeded(site: &'static str, seed: u64, one_in: u64) {
-        lock().insert(
+        relock(sites()).insert(
             site,
             Site {
                 plan: Plan::Seeded {
@@ -131,16 +126,16 @@ mod imp {
     }
 
     pub fn disarm(site: &'static str) {
-        lock().remove(site);
+        relock(sites()).remove(site);
     }
 
     pub fn reset() {
-        lock().clear();
+        relock(sites()).clear();
         TOTAL_FIRED.store(0, Ordering::Relaxed);
     }
 
     pub fn should_fire(site: &'static str) -> bool {
-        let mut sites = lock();
+        let mut sites = relock(sites());
         let Some(s) = sites.get_mut(site) else {
             return false;
         };
@@ -165,7 +160,7 @@ mod imp {
     }
 
     pub fn fired(site: &'static str) -> u64 {
-        lock().get(site).map_or(0, |s| s.fired)
+        relock(sites()).get(site).map_or(0, |s| s.fired)
     }
 
     pub fn total_fired() -> u64 {

@@ -31,22 +31,26 @@
 //! it must survive the faults a long-lived process meets:
 //!
 //! * **Single-flight resolution.** Concurrent misses on one key
-//!   coalesce onto a single leader build; waiters block on the flight
-//!   and are counted as coalesced hits. No duplicate cold computes, no
-//!   thundering herd on a cold dataset.
+//!   coalesce onto a single leader build through the shared
+//!   [`freehgc_parallel::SingleFlight`] primitive; waiters block on the
+//!   leader's call and are counted as coalesced hits. No duplicate cold
+//!   computes, no thundering herd on a cold dataset. Finished contexts
+//!   live in the registry's own map: a leader installs its context there
+//!   *before* it retires the call, and a newly elected leader re-checks
+//!   the map before it builds, so a key is never built twice.
 //! * **Panic isolation.** The leader's build runs under `catch_unwind`;
 //!   a panicking build (or an injected
 //!   [`failpoints`] fault) never installs a partial
-//!   context — the half-built value is dropped, the flight is marked
+//!   context — the half-built value is dropped, the call is finished as
 //!   failed, and the build is retried a bounded number of times (by the
-//!   leader, or by exactly one of the woken waiters — whichever re-locks
-//!   the map first). [`ContextRegistry::run_isolated`] extends the same
+//!   leader, or by exactly one of the woken waiters — whichever re-joins
+//!   first). [`ContextRegistry::run_isolated`] extends the same
 //!   contract to condensation work (`Condenser::condense_shared`).
 //! * **Poison recovery.** Every mutex access recovers from poisoning
-//!   (see `context::relock`): all mutations under the registry's locks
-//!   are single map operations on complete values, so a poisoned lock
-//!   guards perfectly consistent data and refusing to serve it would
-//!   turn one panic into a process-wide death spiral.
+//!   (see [`freehgc_parallel::relock`]): all mutations under the
+//!   registry's locks are single map operations on complete values, so
+//!   a poisoned lock guards perfectly consistent data and refusing to
+//!   serve it would turn one panic into a process-wide death spiral.
 //! * **Crash-safe snapshot I/O.** Loads retry transient read errors
 //!   with backoff before falling back to a counted cold miss; saves
 //!   fsync before their atomic rename and retry transient failures; the
@@ -70,19 +74,21 @@
 //! per-context budgets alone still sum past its memory.
 
 use crate::condense::CondenseSpec;
-use crate::context::{relock, CondenseContext, DeltaSeedReport};
+use crate::context::{CondenseContext, DeltaSeedReport};
 use crate::failpoints;
 use crate::graph::{GraphDelta, HeteroGraph};
 use crate::snapshot::{
     load_canonical, DiskLoad, PropagatedCodec, SnapshotError, SnapshotLoadReport,
 };
+use freehgc_parallel::singleflight::Role;
+use freehgc_parallel::{relock, SingleFlight};
 use freehgc_sparse::fx::FxHasher;
 use freehgc_sparse::{FxHashMap, FxHashSet};
 use std::hash::Hasher;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A 128-bit content hash of a [`HeteroGraph`] — the registry key.
 ///
@@ -202,64 +208,13 @@ fn same_shape(a: &HeteroGraph, b: &HeteroGraph) -> bool {
 /// caller's memory ceiling from silently governing another's.
 type RegistryKey = (GraphFingerprint, Option<usize>, Option<usize>);
 
-/// One registry map slot: either a served context or an in-flight build
-/// other resolvers of the same key coalesce onto. Ready slots carry the
-/// logical timestamp of their most recent resolution (a tick of the
-/// registry's `touch_clock`), which orders
+/// A registered context with the logical timestamp of its most recent
+/// resolution (a tick of the registry's `touch_clock`), which orders
 /// [`ContextRegistry::evict_idle`]'s least-recently-resolved-first
 /// eviction.
-enum Slot {
-    Ready {
-        ctx: Arc<CondenseContext<'static>>,
-        touch: u64,
-    },
-    Building(Arc<Flight>),
-}
-
-/// The single-flight rendezvous for one key's cold build: waiters block
-/// on the condvar until the leader publishes the context or reports
-/// failure.
-#[derive(Default)]
-struct Flight {
-    state: Mutex<FlightState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-enum FlightState {
-    #[default]
-    Pending,
-    Ready(Arc<CondenseContext<'static>>),
-    Failed,
-}
-
-impl Flight {
-    /// Blocks until the leader resolves this flight. `None` means the
-    /// build failed; the caller loops back to resolution, where the map
-    /// elects exactly one new leader among the woken waiters.
-    fn wait(&self) -> Option<Arc<CondenseContext<'static>>> {
-        let mut state = relock(&self.state);
-        loop {
-            match &*state {
-                FlightState::Pending => {
-                    state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-                }
-                FlightState::Ready(ctx) => return Some(Arc::clone(ctx)),
-                FlightState::Failed => return None,
-            }
-        }
-    }
-
-    /// Publishes the build outcome and wakes every waiter. The leader
-    /// calls this on **every** exit path — success or caught panic — so
-    /// a waiter can never hang on an abandoned flight.
-    fn finish(&self, result: Option<Arc<CondenseContext<'static>>>) {
-        *relock(&self.state) = match result {
-            Some(ctx) => FlightState::Ready(ctx),
-            None => FlightState::Failed,
-        };
-        self.cv.notify_all();
-    }
+struct Resident {
+    ctx: Arc<CondenseContext<'static>>,
+    touch: u64,
 }
 
 /// How many times one caller will (re)try a failing cold build — its
@@ -311,7 +266,11 @@ pub struct RegistryStats {
 /// `Arc<CondenseContext>`. See the module docs.
 #[derive(Default)]
 pub struct ContextRegistry {
-    entries: Mutex<FxHashMap<RegistryKey, Slot>>,
+    /// Finished contexts only; builds in the air live in `flights`.
+    entries: Mutex<FxHashMap<RegistryKey, Resident>>,
+    /// Cold builds in the air. A failed build finishes its call with
+    /// `Err(())`; the leader keeps the panic payload.
+    flights: SingleFlight<RegistryKey, Arc<CondenseContext<'static>>, ()>,
     /// Snapshot directories already swept for leftover temp files; the
     /// sweep runs once per directory per registry (the "startup" of
     /// this registry's use of that directory).
@@ -362,10 +321,19 @@ impl ContextRegistry {
         self.touch_clock.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// The finished context registered under `key`, with its recency
+    /// refreshed. Callers collision-check the hit.
+    fn ready(&self, key: &RegistryKey) -> Option<Arc<CondenseContext<'static>>> {
+        let mut entries = relock(&self.entries);
+        let resident = entries.get_mut(key)?;
+        resident.touch = self.tick();
+        Some(Arc::clone(&resident.ctx))
+    }
+
     /// Warm-only lookup: returns the registered context for `(graph,
     /// spec)` if — and only if — a finished build is already resident.
-    /// Never builds, never blocks on an in-flight build (a `Building`
-    /// slot reports `None`), and counts in neither lookup bucket of
+    /// Never builds, never blocks on an in-flight build (one reports
+    /// `None`), and counts in neither lookup bucket of
     /// [`ContextRegistry::stats`]; it does refresh the entry's recency
     /// for [`ContextRegistry::evict_idle`]. This is the serving fast
     /// path: answer a warm request without ever touching a worker pool,
@@ -377,17 +345,9 @@ impl ContextRegistry {
         spec: &CondenseSpec,
     ) -> Option<Arc<CondenseContext<'static>>> {
         let key = (graph.fingerprint(), spec.max_row_nnz, spec.cache_budget());
-        let mut entries = relock(&self.entries);
-        match entries.get_mut(&key) {
-            Some(Slot::Ready { ctx, touch }) => {
-                *touch = self.tick();
-                let ctx = Arc::clone(ctx);
-                drop(entries);
-                self.check_collision(graph, &ctx, &key);
-                Some(ctx)
-            }
-            _ => None,
-        }
+        let ctx = self.ready(&key)?;
+        self.check_collision(graph, &ctx, &key);
+        Some(ctx)
     }
 
     /// Resident cache bytes across *every* registered context: the sum
@@ -403,10 +363,7 @@ impl ContextRegistry {
     pub fn resident_bytes(&self) -> u64 {
         relock(&self.entries)
             .values()
-            .map(|slot| match slot {
-                Slot::Ready { ctx, .. } => ctx.cache_bytes() as u64,
-                Slot::Building(_) => 0,
-            })
+            .map(|r| r.ctx.cache_bytes() as u64)
             .fold(0u64, u64::saturating_add)
     }
 
@@ -421,29 +378,23 @@ impl ContextRegistry {
     /// the registry's logical resolution clock (every
     /// `context_for`/`peek` hit refreshes it), so the order is
     /// deterministic for a deterministic request history. In-flight
-    /// builds are never dropped (their leaders re-insert on completion
+    /// builds are never dropped (their leaders insert on completion
     /// anyway), and outstanding `Arc`s keep their contexts alive —
     /// eviction here only forgets them, exactly like
     /// [`ContextRegistry::evict`].
     pub fn evict_idle(&self, keep_bytes: u64) -> usize {
         let mut entries = relock(&self.entries);
-        let mut resident: u64 = entries
-            .values()
-            .map(|slot| match slot {
-                Slot::Ready { ctx, .. } => ctx.cache_bytes() as u64,
-                Slot::Building(_) => 0,
-            })
+        let mut ready: Vec<(RegistryKey, u64, u64)> = entries
+            .iter()
+            .map(|(key, r)| (*key, r.touch, r.ctx.cache_bytes() as u64))
+            .collect();
+        let mut resident = ready
+            .iter()
+            .map(|&(_, _, bytes)| bytes)
             .fold(0u64, u64::saturating_add);
         if resident <= keep_bytes {
             return 0;
         }
-        let mut ready: Vec<(RegistryKey, u64, u64)> = entries
-            .iter()
-            .filter_map(|(key, slot)| match slot {
-                Slot::Ready { ctx, touch } => Some((*key, *touch, ctx.cache_bytes() as u64)),
-                Slot::Building(_) => None,
-            })
-            .collect();
         ready.sort_by_key(|&(_, touch, _)| touch);
         let mut dropped = 0usize;
         for (key, _, bytes) in ready {
@@ -523,57 +474,40 @@ impl ContextRegistry {
     /// The single-flight core every resolution funnels through.
     ///
     /// Exactly one caller per key runs `build` (on a fresh context,
-    /// outside any lock); concurrent resolvers of the same key block on
-    /// the flight and share the leader's result. `build` returns the
+    /// outside any lock); concurrent resolvers of the same key follow the
+    /// leader's call and share its result. `build` returns the
     /// snapshot-load outcome plus a per-resolution report; waiters and
     /// plain hits get an empty report — the report describes work only
     /// its owner performed.
     ///
+    /// The leader installs its context in `entries` before it finishes
+    /// the call, and a newly elected leader re-checks `entries` before it
+    /// builds — so a resolver that missed `entries` just as the previous
+    /// call retired finds the context instead of building it again.
+    ///
     /// A panicking build never publishes: the partial context is
-    /// dropped, the slot is cleared, the flight is marked failed, and
-    /// the build is retried — by this caller or by exactly one woken
-    /// waiter, whichever re-locks the map first — up to
-    /// [`MAX_BUILD_ATTEMPTS`] observed failures per caller.
+    /// dropped, the call is finished as failed, and the build is retried
+    /// — by this caller or by exactly one woken waiter, whichever
+    /// re-joins first — up to [`MAX_BUILD_ATTEMPTS`] observed failures
+    /// per caller.
     fn resolve_single_flight(
         &self,
         key: RegistryKey,
         graph: &Arc<HeteroGraph>,
         build: impl Fn(&CondenseContext<'static>) -> (DiskLoad, DeltaSeedReport),
     ) -> (Arc<CondenseContext<'static>>, DeltaSeedReport) {
-        enum Role {
-            Hit(Arc<CondenseContext<'static>>),
-            Wait(Arc<Flight>),
-            Lead(Arc<Flight>),
-        }
         let mut failures = 0usize;
         loop {
-            let role = {
-                let mut entries = relock(&self.entries);
-                match entries.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut o) => match o.get_mut() {
-                        Slot::Ready { ctx, touch } => {
-                            *touch = self.tick();
-                            let ctx = Arc::clone(ctx);
-                            self.check_collision(graph, &ctx, &key);
-                            Role::Hit(ctx)
-                        }
-                        Slot::Building(f) => Role::Wait(Arc::clone(f)),
-                    },
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        let f = Arc::new(Flight::default());
-                        v.insert(Slot::Building(Arc::clone(&f)));
-                        Role::Lead(f)
-                    }
-                }
-            };
-            match role {
-                Role::Hit(ctx) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (ctx, DeltaSeedReport::default());
-                }
-                Role::Wait(flight) => {
+            if let Some(ctx) = self.ready(&key) {
+                self.check_collision(graph, &ctx, &key);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return (ctx, DeltaSeedReport::default());
+            }
+            let call = match self.flights.join(&key) {
+                Role::Leader(call) => call,
+                Role::Follower(call) => {
                     self.singleflight_coalesced.fetch_add(1, Ordering::Relaxed);
-                    if let Some(ctx) = flight.wait() {
+                    if let Ok(ctx) = call.wait() {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return (ctx, DeltaSeedReport::default());
                     }
@@ -583,61 +517,62 @@ impl ContextRegistry {
                         "registry build for {} failed {failures} times; giving up",
                         key.0
                     );
+                    continue;
                 }
-                Role::Lead(flight) => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    // Construction is cheap (empty caches) and the
-                    // optional disk load is pure pre-warming, so the
-                    // whole build runs outside the map lock. Unwind
-                    // safety holds because a failed build's context is
-                    // dropped whole — nothing partial can escape.
-                    let built = catch_unwind(AssertUnwindSafe(|| {
-                        failpoints::fire_panic(failpoints::REGISTRY_BUILD_PANIC);
-                        failpoints::fire_delay(failpoints::REGISTRY_BUILD_DELAY);
-                        let ctx = Arc::new(
-                            CondenseContext::shared(Arc::clone(graph))
-                                .with_max_row_nnz(key.1)
-                                .with_cache_budget(key.2),
-                        );
-                        let (load_outcome, report) = build(&ctx);
-                        (ctx, load_outcome, report)
-                    }));
-                    match built {
-                        Ok((ctx, load_outcome, report)) => {
-                            {
-                                let mut entries = relock(&self.entries);
-                                match load_outcome {
-                                    DiskLoad::Loaded(_) => {
-                                        self.snapshot_loads.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    DiskLoad::Rejected => {
-                                        self.snapshot_rejections.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    DiskLoad::Absent => {}
-                                }
-                                let installed = Slot::Ready {
-                                    ctx: Arc::clone(&ctx),
-                                    touch: self.tick(),
-                                };
-                                if let Some(Slot::Ready { .. }) = entries.insert(key, installed) {
-                                    // Unreachable while single-flight
-                                    // holds: our Building slot kept
-                                    // every other resolver waiting.
-                                    self.duplicate_computes.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            flight.finish(Some(Arc::clone(&ctx)));
-                            return (ctx, report);
+            };
+            if let Some(ctx) = self.ready(&key) {
+                // The previous leader published between our miss and
+                // our election: hand its context to our followers.
+                self.flights.finish(&key, &call, Ok(Arc::clone(&ctx)));
+                self.check_collision(graph, &ctx, &key);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return (ctx, DeltaSeedReport::default());
+            }
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            // Construction is cheap (empty caches) and the optional disk
+            // load is pure pre-warming, so the whole build runs outside
+            // any lock. Unwind safety holds because a failed build's
+            // context is dropped whole — nothing partial can escape.
+            let built = catch_unwind(AssertUnwindSafe(|| {
+                failpoints::fire_panic(failpoints::REGISTRY_BUILD_PANIC);
+                failpoints::fire_delay(failpoints::REGISTRY_BUILD_DELAY);
+                let ctx = Arc::new(
+                    CondenseContext::shared(Arc::clone(graph))
+                        .with_max_row_nnz(key.1)
+                        .with_cache_budget(key.2),
+                );
+                let (load_outcome, report) = build(&ctx);
+                (ctx, load_outcome, report)
+            }));
+            match built {
+                Ok((ctx, load_outcome, report)) => {
+                    match load_outcome {
+                        DiskLoad::Loaded(_) => {
+                            self.snapshot_loads.fetch_add(1, Ordering::Relaxed);
                         }
-                        Err(payload) => {
-                            relock(&self.entries).remove(&key);
-                            flight.finish(None);
-                            self.panics_recovered.fetch_add(1, Ordering::Relaxed);
-                            failures += 1;
-                            if failures >= MAX_BUILD_ATTEMPTS {
-                                resume_unwind(payload);
-                            }
+                        DiskLoad::Rejected => {
+                            self.snapshot_rejections.fetch_add(1, Ordering::Relaxed);
                         }
+                        DiskLoad::Absent => {}
+                    }
+                    let installed = Resident {
+                        ctx: Arc::clone(&ctx),
+                        touch: self.tick(),
+                    };
+                    if relock(&self.entries).insert(key, installed).is_some() {
+                        // Unreachable while single-flight holds: our
+                        // call kept every other resolver following.
+                        self.duplicate_computes.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.flights.finish(&key, &call, Ok(Arc::clone(&ctx)));
+                    return (ctx, report);
+                }
+                Err(payload) => {
+                    self.flights.finish(&key, &call, Err(()));
+                    self.panics_recovered.fetch_add(1, Ordering::Relaxed);
+                    failures += 1;
+                    if failures >= MAX_BUILD_ATTEMPTS {
+                        resume_unwind(payload);
                     }
                 }
             }
@@ -662,10 +597,9 @@ impl ContextRegistry {
             // An old entry still *building* counts as absent — waiting
             // on it from inside our own build could deadlock two deltas
             // chasing each other.
-            let old_ctx = match relock(&self.entries).get(&(old_fp, key.1, key.2)) {
-                Some(Slot::Ready { ctx, .. }) => Some(Arc::clone(ctx)),
-                _ => None,
-            };
+            let old_ctx = relock(&self.entries)
+                .get(&(old_fp, key.1, key.2))
+                .map(|r| Arc::clone(&r.ctx));
             if let Some(old_ctx) = old_ctx {
                 return (DiskLoad::Absent, ctx.seed_from(&old_ctx, delta));
             }
@@ -752,7 +686,10 @@ impl ContextRegistry {
 
     /// Number of registered contexts (including in-flight builds).
     pub fn len(&self) -> usize {
-        relock(&self.entries).len()
+        let building = self.flights.keys();
+        let entries = relock(&self.entries);
+        let unpublished = building.iter().filter(|k| !entries.contains_key(k));
+        entries.len() + unpublished.count()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -779,19 +716,19 @@ impl ContextRegistry {
     /// Drops every context registered for `fingerprint` (any knob
     /// combination). Outstanding `Arc`s keep their contexts alive;
     /// subsequent resolutions start cold. In-flight builds are left to
-    /// finish (their leaders re-insert on completion). Returns how many
+    /// finish (their leaders insert on completion). Returns how many
     /// ready entries were dropped.
     pub fn evict(&self, fingerprint: GraphFingerprint) -> usize {
         let mut entries = relock(&self.entries);
         let before = entries.len();
-        entries.retain(|(fp, _, _), slot| *fp != fingerprint || matches!(slot, Slot::Building(_)));
+        entries.retain(|(fp, _, _), _| *fp != fingerprint);
         before - entries.len()
     }
 
-    /// Drops every registered (ready) context. In-flight builds keep
-    /// their slots so waiters still rendezvous with their leader.
+    /// Drops every registered (ready) context. In-flight builds are
+    /// untouched, so waiters still receive their leader's context.
     pub fn clear(&self) {
-        relock(&self.entries).retain(|_, slot| matches!(slot, Slot::Building(_)));
+        relock(&self.entries).clear();
     }
 }
 

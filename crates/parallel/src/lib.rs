@@ -25,13 +25,29 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 pub mod pool;
+pub mod singleflight;
 pub mod workspace;
 
 pub use pool::{PoolStats, SubmitError, WorkerPool};
+pub use singleflight::SingleFlight;
+
+/// Locks `m`, recovering from poisoning instead of propagating it.
+///
+/// Every mutex in the workspace guards state that its critical sections
+/// change by single complete operations — a map insert or removal, a
+/// queue push or pop — on values computed *outside* the lock. A panic
+/// unwinding through a lock scope therefore cannot leave half-written
+/// state behind, and the data under a poisoned mutex is exactly as
+/// consistent as under a clean one. Recovering keeps one panicking
+/// request from wedging every later caller of the registry, the pool or
+/// the server, without weakening any invariant.
+pub fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Runtime override of the thread count (0 = no override). Takes
 /// precedence over `FREEHGC_THREADS`; used by benches and the

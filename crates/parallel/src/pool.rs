@@ -31,6 +31,7 @@
 //!
 //! [`scoped_map`]: crate::scoped_map
 
+use crate::relock;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,13 +103,6 @@ struct Shared {
     peak_depth: AtomicU64,
 }
 
-/// Poison-recovering lock: all queue mutations are single complete
-/// operations, so a panicking lock holder leaves consistent state and
-/// refusing to serve it would wedge every client of the pool.
-fn relock(m: &Mutex<QueueState>) -> std::sync::MutexGuard<'_, QueueState> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Fixed-size worker pool over a bounded FIFO queue. See the module
 /// docs for the contract.
 pub struct WorkerPool {
@@ -173,7 +167,7 @@ impl WorkerPool {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        relock_handles(&self.workers).len()
+        relock(&self.workers).len()
     }
 
     /// Jobs queued and not yet dispatched to a worker.
@@ -207,19 +201,13 @@ impl WorkerPool {
             q.shutting_down = true;
         }
         self.shared.jobs_cv.notify_all();
-        let handles = std::mem::take(&mut *relock_handles(&self.workers));
+        let handles = std::mem::take(&mut *relock(&self.workers));
         for h in handles {
             // A worker that somehow panicked outside the job backstop
             // is already dead; joining it is still the right cleanup.
             let _ = h.join();
         }
     }
-}
-
-fn relock_handles(
-    m: &Mutex<Vec<JoinHandle<()>>>,
-) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Drop for WorkerPool {

@@ -10,8 +10,9 @@
 use crate::wire::GraphRef;
 use freehgc_datasets::DatasetKind;
 use freehgc_hetgraph::HeteroGraph;
+use freehgc_parallel::relock;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// Parses a wire dataset-kind name (the strings `DatasetKind::name`
 /// produces, case-insensitively) back into a [`DatasetKind`].
@@ -60,12 +61,6 @@ impl std::fmt::Display for CatalogError {
 #[derive(Default)]
 pub struct GraphCatalog {
     state: Mutex<CatalogState>,
-}
-
-fn relock(m: &Mutex<CatalogState>) -> MutexGuard<'_, CatalogState> {
-    // The catalog holds plain maps of Arcs; a panic mid-insert cannot
-    // leave them logically torn, so poison is safe to shrug off.
-    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 impl GraphCatalog {

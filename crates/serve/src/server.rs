@@ -18,9 +18,13 @@
 //!    ones.
 //! 3. **Request single-flight** — identical in-flight requests (same
 //!    graph, method, ratio, seed, hops, paths) coalesce onto one
-//!    computation; followers wait for the leader's reply. A leader that
-//!    fails hands followers a fresh election, so exactly one client
-//!    observes each injected worker panic.
+//!    computation through the shared [`freehgc_parallel::SingleFlight`]
+//!    primitive; followers wait for the leader's reply. A leader that
+//!    fails returns its typed error and hands followers a fresh
+//!    election, so exactly one client observes each injected worker
+//!    panic. A successful leader memoizes its reply *before* it retires
+//!    the flight, and a newly elected leader re-checks the memo, so an
+//!    identical request is never condensed twice.
 //! 4. **Bounded pool** — cold leaders enqueue on the fixed-size
 //!    [`WorkerPool`]; a full queue is a typed [`ErrorCode::Overloaded`]
 //!    reply, never unbounded buffering.
@@ -43,12 +47,13 @@ use freehgc_baselines::{
 use freehgc_core::FreeHgc;
 use freehgc_hetgraph::failpoints as fp;
 use freehgc_hetgraph::{CondenseSpec, Condenser, ContextRegistry, GraphFingerprint, HeteroGraph};
-use freehgc_parallel::{SubmitError, WorkerPool};
+use freehgc_parallel::singleflight::{Call, Role};
+use freehgc_parallel::{relock, SingleFlight, SubmitError, WorkerPool};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Hop/path caps a request may ask for. Generous against anything the
@@ -158,26 +163,11 @@ pub fn default_methods() -> Vec<Box<dyn Condenser + Send + Sync>> {
 /// everything that determines the (deterministic) output.
 type FlightKey = (GraphFingerprint, String, u64, u64, u32, u32);
 
-enum FState {
-    Pending,
-    /// Successful reply; followers return it as-is.
-    Done(Reply),
-    /// The leader failed with this typed error. The leader returns it;
-    /// followers run a fresh election (bounded retries).
-    Failed(Reply),
-}
-
-struct ReqFlight {
-    state: Mutex<FState>,
-    cv: Condvar,
-}
-
-enum WaitOutcome {
-    Done(Reply),
-    Failed(Reply),
-    /// The waiter's own deadline/cancellation fired; the flight runs on.
-    Bail(Reply),
-}
+/// One coalesced condensation. `Ok` is a successful reply, which
+/// followers return as-is; `Err` is the leader's typed error, which the
+/// leader returns and on which followers run a fresh election (bounded
+/// retries).
+type ReplyCall = Arc<Call<Reply, Box<Reply>>>;
 
 #[derive(Default)]
 struct Counters {
@@ -208,18 +198,12 @@ struct ServerInner {
     registry: ContextRegistry,
     pool: WorkerPool,
     methods: Mutex<BTreeMap<String, Arc<dyn Condenser + Send + Sync>>>,
-    inflight: Mutex<BTreeMap<FlightKey, Arc<ReqFlight>>>,
+    flights: SingleFlight<FlightKey, Reply, Box<Reply>>,
     replies: Mutex<ReplyCache>,
     counters: Counters,
     shutting_down: AtomicBool,
     snapshot_dir: Option<PathBuf>,
     resident_budget: Option<u64>,
-}
-
-fn relock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    // Same policy as the registry and pool: every critical section is a
-    // single complete map operation, so poison cannot expose torn state.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn err(code: ErrorCode, message: impl Into<String>) -> Reply {
@@ -257,7 +241,7 @@ impl ServeHandle {
                 registry: ContextRegistry::new(),
                 pool,
                 methods: Mutex::new(methods),
-                inflight: Mutex::new(BTreeMap::new()),
+                flights: SingleFlight::default(),
                 replies: Mutex::new(ReplyCache::default()),
                 counters: Counters::default(),
                 shutting_down: AtomicBool::new(false),
@@ -461,48 +445,34 @@ impl ServeHandle {
         // reply is the bytes a recompute would produce (the key pins
         // every input), so answer from memory without touching the
         // registry or the pool.
-        if let Some(reply) = relock(&inner.replies).map.get(&key).cloned() {
-            inner
-                .counters
-                .fast_path_hits
-                .fetch_add(1, Ordering::Relaxed);
+        if let Some(reply) = memoized(inner, &key) {
             return reply;
         }
 
         let mut last_failure = None;
         for _attempt in 0..MAX_CALL_ATTEMPTS {
-            if let Some(reply) = self.gate(deadline, &cancel) {
+            if let Some(reply) = gate(&inner.counters, deadline, &cancel) {
                 return reply;
             }
-            // Join an existing flight, or become the leader.
-            let (flight, leader) = {
-                let mut inflight = relock(&inner.inflight);
-                match inflight.get(&key) {
-                    Some(f) => (Arc::clone(f), false),
-                    None => {
-                        let f = Arc::new(ReqFlight {
-                            state: Mutex::new(FState::Pending),
-                            cv: Condvar::new(),
-                        });
-                        inflight.insert(key.clone(), Arc::clone(&f));
-                        (f, true)
+            match inner.flights.join(&key) {
+                Role::Follower(call) => {
+                    inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                    match await_call(&inner.counters, &call, deadline, &cancel, opts) {
+                        Ok(reply) => return reply,
+                        // The leader took the error; run a fresh election.
+                        Err(failure) => last_failure = Some(*failure),
                     }
                 }
-            };
-            if !leader {
-                inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                match self.wait_on_flight(&flight, deadline, &cancel, opts) {
-                    WaitOutcome::Done(reply) | WaitOutcome::Bail(reply) => return reply,
-                    WaitOutcome::Failed(reply) => {
-                        // The leader took the error; run a fresh election.
-                        last_failure = Some(reply);
-                        continue;
+                Role::Leader(call) => {
+                    // The previous leader may have memoized and retired
+                    // between our memo miss and our election.
+                    if let Some(reply) = memoized(inner, &key) {
+                        inner.flights.finish(&key, &call, Ok(reply.clone()));
+                        return reply;
                     }
+                    return self.lead(&key, call, &graph, condenser, spec, deadline, cancel, opts);
                 }
             }
-            return self.lead(
-                &key, flight, &graph, condenser, spec, deadline, cancel, opts,
-            );
         }
         last_failure.unwrap_or_else(|| err(ErrorCode::Internal, "retries exhausted"))
     }
@@ -512,7 +482,7 @@ impl ServeHandle {
     fn lead(
         &self,
         key: &FlightKey,
-        flight: Arc<ReqFlight>,
+        call: ReplyCall,
         graph: &Arc<HeteroGraph>,
         condenser: Arc<dyn Condenser + Send + Sync>,
         spec: CondenseSpec,
@@ -529,7 +499,7 @@ impl ServeHandle {
                 .fast_path_hits
                 .fetch_add(1, Ordering::Relaxed);
             let reply = run_condense(inner, graph, &*condenser, &spec, deadline, &cancel, false);
-            finish_flight(inner, key, &flight, reply.clone());
+            publish(inner, key, &call, reply.clone());
             return reply;
         }
         // Cold: bounded enqueue. The failpoint simulates an overload
@@ -537,31 +507,28 @@ impl ServeHandle {
         if fp::should_fire(fp::SERVE_QUEUE_FULL) {
             let reply = err(ErrorCode::Overloaded, "queue full (injected)");
             inner.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-            finish_flight(inner, key, &flight, reply.clone());
+            publish(inner, key, &call, reply.clone());
             return reply;
         }
         let job = {
             let inner = Arc::clone(&self.inner);
             let key = key.clone();
-            let flight = Arc::clone(&flight);
+            let call = Arc::clone(&call);
             let graph = Arc::clone(graph);
             let cancel = cancel.clone();
             Box::new(move || {
                 let reply =
                     run_condense(&inner, &graph, &*condenser, &spec, deadline, &cancel, true);
-                finish_flight(&inner, &key, &flight, reply);
+                publish(&inner, &key, &call, reply);
                 if let Some(budget) = inner.resident_budget {
                     inner.registry.evict_idle(budget);
                 }
             })
         };
         match inner.pool.submit(job) {
-            Ok(()) => match self.wait_on_flight(&flight, deadline, &cancel, opts) {
-                // The leader owns its flight's outcome, error or not.
-                WaitOutcome::Done(reply)
-                | WaitOutcome::Failed(reply)
-                | WaitOutcome::Bail(reply) => reply,
-            },
+            // The leader owns its flight's outcome, error or not.
+            Ok(()) => await_call(&inner.counters, &call, deadline, &cancel, opts)
+                .unwrap_or_else(|failure| *failure),
             Err(e) => {
                 let reply = match e {
                     SubmitError::QueueFull(_) => {
@@ -576,62 +543,9 @@ impl ServeHandle {
                         err(ErrorCode::ShuttingDown, "server is draining")
                     }
                 };
-                finish_flight(inner, key, &flight, reply.clone());
+                publish(inner, key, &call, reply.clone());
                 reply
             }
-        }
-    }
-
-    /// Typed early exit if the request's deadline passed or its client
-    /// is gone.
-    fn gate(&self, deadline: Option<Instant>, cancel: &CancelToken) -> Option<Reply> {
-        if cancel.is_cancelled() {
-            self.inner
-                .counters
-                .cancelled
-                .fetch_add(1, Ordering::Relaxed);
-            return Some(err(ErrorCode::Cancelled, "request cancelled"));
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            self.inner
-                .counters
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-            return Some(err(ErrorCode::DeadlineExceeded, "deadline exceeded"));
-        }
-        None
-    }
-
-    fn wait_on_flight(
-        &self,
-        flight: &ReqFlight,
-        deadline: Option<Instant>,
-        cancel: &CancelToken,
-        opts: &CallOpts<'_>,
-    ) -> WaitOutcome {
-        let mut state = relock(&flight.state);
-        loop {
-            match &*state {
-                FState::Done(reply) => return WaitOutcome::Done(reply.clone()),
-                FState::Failed(reply) => return WaitOutcome::Failed(reply.clone()),
-                FState::Pending => {}
-            }
-            if opts.disconnect_probe.is_some_and(|probe| probe()) {
-                // Client gone: flip the shared token so the pooled job
-                // (which carries it) sheds the work at its next phase
-                // boundary, handing any followers a fresh election.
-                cancel.cancel();
-            }
-            drop(state);
-            if let Some(reply) = self.gate(deadline, cancel) {
-                return WaitOutcome::Bail(reply);
-            }
-            state = relock(&flight.state);
-            let (st, _timeout) = flight
-                .cv
-                .wait_timeout(state, WAIT_SLICE)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = st;
         }
     }
 
@@ -715,27 +629,16 @@ fn run_condense(
     cancel: &CancelToken,
     via_worker: bool,
 ) -> Reply {
-    let gate = |counters: &Counters| -> Option<Reply> {
-        if cancel.is_cancelled() {
-            counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            return Some(err(ErrorCode::Cancelled, "request cancelled"));
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            return Some(err(ErrorCode::DeadlineExceeded, "deadline exceeded"));
-        }
-        None
-    };
     let outcome = catch_unwind(AssertUnwindSafe(
         || -> Result<CondensedSummary, Box<Reply>> {
             if via_worker {
                 fp::fire_panic(fp::SERVE_WORKER_PANIC);
             }
-            if let Some(reply) = gate(&inner.counters) {
+            if let Some(reply) = gate(&inner.counters, deadline, cancel) {
                 return Err(Box::new(reply));
             }
             let ctx = inner.registry.context_for(graph, spec);
-            if let Some(reply) = gate(&inner.counters) {
+            if let Some(reply) = gate(&inner.counters, deadline, cancel) {
                 return Err(Box::new(reply));
             }
             let condensed = inner.registry.run_isolated(|| {
@@ -758,21 +661,67 @@ fn run_condense(
     }
 }
 
-/// Publishes a flight's outcome and retires it from the in-flight map,
-/// waking every waiter. Error replies park as `Failed`, which hands
-/// followers a fresh election while the leader keeps the error.
-fn finish_flight(inner: &ServerInner, key: &FlightKey, flight: &Arc<ReqFlight>, reply: Reply) {
-    {
-        let mut inflight = relock(&inner.inflight);
-        if inflight
-            .get(key)
-            .is_some_and(|cur| Arc::ptr_eq(cur, flight))
-        {
-            inflight.remove(key);
+/// Typed early exit, counted, if the request's deadline passed or its
+/// client is gone.
+fn gate(counters: &Counters, deadline: Option<Instant>, cancel: &CancelToken) -> Option<Reply> {
+    if cancel.is_cancelled() {
+        counters.cancelled.fetch_add(1, Ordering::Relaxed);
+        return Some(err(ErrorCode::Cancelled, "request cancelled"));
+    }
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+        return Some(err(ErrorCode::DeadlineExceeded, "deadline exceeded"));
+    }
+    None
+}
+
+/// The memoized reply for `key`, counted as a fast-path hit.
+fn memoized(inner: &ServerInner, key: &FlightKey) -> Option<Reply> {
+    let reply = relock(&inner.replies).map.get(key).cloned()?;
+    inner
+        .counters
+        .fast_path_hits
+        .fetch_add(1, Ordering::Relaxed);
+    Some(reply)
+}
+
+/// Waits on `call` one [`WAIT_SLICE`] at a time, polling the caller's
+/// disconnect probe, cancel token and deadline between slices. `Ok` is
+/// the caller's answer: the flight's reply, or the caller's own typed
+/// bail-out while the flight runs on. `Err` is the leader's failure.
+fn await_call(
+    counters: &Counters,
+    call: &ReplyCall,
+    deadline: Option<Instant>,
+    cancel: &CancelToken,
+    opts: &CallOpts<'_>,
+) -> Result<Reply, Box<Reply>> {
+    loop {
+        if let Some(outcome) = call.wait_timeout(WAIT_SLICE) {
+            return outcome;
+        }
+        if opts.disconnect_probe.is_some_and(|probe| probe()) {
+            // Client gone: flip the shared token so the pooled job
+            // (which carries it) sheds the work at its next phase
+            // boundary, handing any followers a fresh election.
+            cancel.cancel();
+        }
+        if let Some(reply) = gate(counters, deadline, cancel) {
+            return Ok(reply);
         }
     }
-    let failed = reply.error_code().is_some();
-    if !failed {
+}
+
+/// Finishes a flight with `reply`. A success is memoized *before* the
+/// flight retires, so an identical request that misses the flight finds
+/// the memo; an error reply finishes the flight as failed, which hands
+/// followers a fresh election while the leader keeps the error.
+fn publish(inner: &ServerInner, key: &FlightKey, call: &ReplyCall, reply: Reply) {
+    if reply.error_code().is_some() {
+        inner.flights.finish(key, call, Err(Box::new(reply)));
+        return;
+    }
+    {
         let mut cache = relock(&inner.replies);
         if !cache.map.contains_key(key) {
             if cache.order.len() >= REPLY_CACHE_CAP {
@@ -784,12 +733,5 @@ fn finish_flight(inner: &ServerInner, key: &FlightKey, flight: &Arc<ReqFlight>, 
         }
         cache.map.insert(key.clone(), reply.clone());
     }
-    let mut state = relock(&flight.state);
-    *state = if failed {
-        FState::Failed(reply)
-    } else {
-        FState::Done(reply)
-    };
-    drop(state);
-    flight.cv.notify_all();
+    inner.flights.finish(key, call, Ok(reply));
 }

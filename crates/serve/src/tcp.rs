@@ -22,10 +22,11 @@
 
 use crate::server::{CallOpts, CancelToken, ServeHandle};
 use crate::wire::{self, ErrorCode, Reply, Request, WireError, FRAME_HEADER_LEN};
+use freehgc_parallel::relock;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -45,10 +46,6 @@ pub struct TcpServer {
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-fn lock_conns(m: &Mutex<Vec<JoinHandle<()>>>) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl TcpServer {
@@ -94,7 +91,7 @@ impl TcpServer {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        for t in lock_conns(&self.conn_threads).drain(..) {
+        for t in relock(&self.conn_threads).drain(..) {
             let _ = t.join();
         }
         self.handle.shutdown();
@@ -127,7 +124,7 @@ fn accept_loop(
                         let _ = serve_connection(stream, &handle, &stop);
                     });
                 if let Ok(t) = spawned {
-                    let mut held = lock_conns(conns);
+                    let mut held = relock(conns);
                     // Keep the list from growing unboundedly under
                     // connection churn.
                     held.retain(|h| !h.is_finished());

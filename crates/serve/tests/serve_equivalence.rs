@@ -178,6 +178,62 @@ fn identical_inflight_requests_coalesce_without_duplicate_computes() {
 }
 
 #[test]
+fn coalesced_follower_that_bails_leaves_the_flight_to_the_rest() {
+    // Same blocked single worker as above, so every client coalesces.
+    let pool = WorkerPool::new(1, 8);
+    let gate = Arc::new(Barrier::new(2));
+    let blocker = Arc::clone(&gate);
+    pool.submit(Box::new(move || {
+        blocker.wait();
+    }))
+    .unwrap();
+    wait_until(|| pool.queued() == 0);
+
+    let handle = ServeHandle::with_pool(ServeConfig::default(), pool);
+    let graph = Arc::new(tiny(11));
+    handle.register_graph("acm", Arc::clone(&graph));
+    let req = condense_req(GraphRef::Id("acm".into()), "Random-HG", 0.25, 5);
+
+    const CLIENTS: usize = 4;
+    let mut clients = Vec::new();
+    for _ in 0..CLIENTS {
+        let handle = handle.clone();
+        let req = req.clone();
+        clients.push(std::thread::spawn(move || handle.call(&req)));
+    }
+    wait_until(|| handle.stats().coalesced == (CLIENTS as u64 - 1));
+
+    // One more follower of the same flight, whose own deadline expires
+    // while the worker is still blocked.
+    let mut short = req.clone();
+    if let Request::Condense { deadline_ms, .. } = &mut short {
+        *deadline_ms = 250;
+    }
+    let bailer = {
+        let handle = handle.clone();
+        std::thread::spawn(move || handle.call(&short))
+    };
+    wait_until(|| handle.stats().coalesced == CLIENTS as u64);
+    let bailed = bailer.join().unwrap();
+    assert_eq!(
+        bailed.error_code(),
+        Some(ErrorCode::DeadlineExceeded),
+        "got {bailed:?}"
+    );
+    gate.wait();
+
+    let reference = reference_reply(&graph, "Random-HG", 0.25, 5);
+    for (i, t) in clients.into_iter().enumerate() {
+        assert_bitwise_equal(&t.join().unwrap(), &reference, &format!("client {i}"));
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.deadline_exceeded, 1);
+    assert_eq!(stats.condense_ok, 1, "the bail did not restart the flight");
+    assert_eq!(stats.duplicate_computes, 0);
+    handle.shutdown();
+}
+
+#[test]
 fn full_queue_yields_typed_overload_and_recovers() {
     // One worker and a queue of one: block the worker, fill the slot,
     // and the next cold request must bounce with typed backpressure.
