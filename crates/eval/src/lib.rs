@@ -9,12 +9,10 @@
 
 pub mod generalization;
 pub mod pipeline;
-pub mod serve_driver;
 pub mod table;
 pub mod tsne;
 
 pub use generalization::across_models;
 pub use pipeline::{Bench, ChaosKnobs, EvalConfig, MethodRun, RunStats};
-pub use serve_driver::{drive_clients, percentile_ms, InProcess, Timed, Transport};
 pub use table::TextTable;
 pub use tsne::tsne;

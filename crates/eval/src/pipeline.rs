@@ -73,8 +73,8 @@ pub struct MethodRun {
 /// ([`freehgc_hetgraph::failpoints`]). Without the `failpoints` cargo
 /// feature every arming call is a compiled-out no-op — check
 /// [`ChaosKnobs::active`] when a drill *requires* faults to actually
-/// fire (the bench chaos leg refuses to report a fault-free run as a
-/// chaos result). The seeded plans are deterministic: the same knobs
+/// fire (`tests/chaos_failpoints.rs` asserts it before arming). The
+/// seeded plans are deterministic: the same knobs
 /// produce the same firing pattern on every run.
 ///
 /// Faults are process-global state; callers must serialize drills and

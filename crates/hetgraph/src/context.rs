@@ -37,7 +37,7 @@
 //! through a warm context is bitwise-identical to a fresh run — the same
 //! contract the parallel kernels keep across thread counts. Hit/miss
 //! counters ([`CondenseContext::stats`]) make reuse observable; the
-//! `bench_report` sweep section records them per PR.
+//! registry and context equivalence suites assert on them.
 //!
 //! # The cache accountant (one byte ceiling across four families)
 //!
@@ -132,8 +132,8 @@ pub struct CacheCounters {
     pub composed_bytes: u64,
     /// High-water mark of resident composed bytes since the budget was
     /// last applied (≤ budget when one is set — the invariant
-    /// `bench_report` and CI assert; budgeting a warm context restarts
-    /// the mark at its post-eviction resident size).
+    /// `tests/registry_equivalence.rs` asserts; budgeting a warm context
+    /// restarts the mark at its post-eviction resident size).
     pub composed_peak_bytes: u64,
     /// Resident payload bytes of the influence family (the `f64` score
     /// vectors).
@@ -215,9 +215,9 @@ impl CacheCounters {
 
 /// Per-family counts of cache entries a delta-seeded context inherited
 /// from its predecessor ([`CondenseContext::seed_from`]), plus how many
-/// the delta invalidated. The bench delta leg and the delta-equivalence
-/// suite assert on these — nonzero reuse is what makes a delta update
-/// cheaper than a cold rebuild.
+/// the delta invalidated. The delta-equivalence suite asserts on these
+/// — nonzero reuse is what makes a delta update cheaper than a cold
+/// rebuild, the floor `bench_report` times.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaSeedReport {
     /// Enumerated meta-path sets (schema-only; survive every delta).
@@ -610,9 +610,9 @@ impl CacheAccountant {
     /// The victim choice must be a pure function of the cache
     /// *contents*, never of hash-map iteration order: eviction decides
     /// which entries get recomputed, and while recomputes are
-    /// bitwise-transparent, the bench legs and equivalence suites pin
-    /// eviction *counters* too — a map-order-dependent victim would
-    /// make those nondeterministic. Density is compared exactly by
+    /// bitwise-transparent, the equivalence suites pin eviction
+    /// *counters* too — a map-order-dependent victim would make those
+    /// nondeterministic. Density is compared exactly by
     /// `u128` cross-multiplication (no float rounding); zero-byte
     /// entries are clamped to one byte so they still order by cost. The
     /// `(density, touch)` pair is unique under normal operation (the

@@ -2,9 +2,9 @@
 //!
 //! A *failpoint* is a named hook compiled into a failure-prone code path
 //! (snapshot I/O, the registry's cold build, a condenser's compute, the
-//! composed cache's admission). Tests and the bench harness *arm* a
-//! site — "fail the next N times" ([`arm`]) or "fail a deterministic
-//! pseudo-random one-in-K of hits" ([`arm_seeded`]) — and the hook then
+//! composed cache's admission). Tests *arm* a site — "fail the next N
+//! times" ([`arm`]) or "fail a deterministic pseudo-random one-in-K of
+//! hits" ([`arm_seeded`]) — and the hook then
 //! reports [`should_fire`]` == true` at exactly those hits. Everything
 //! is seed-deterministic: the same arming produces the same firing
 //! pattern on every run, so a chaos test that passes once passes always.

@@ -270,8 +270,8 @@ fn send_bad_frame(stream: &mut TcpStream, req_id: u64, e: &WireError) {
     let _ = stream.write_all(&wire::encode_reply(req_id, &reply));
 }
 
-/// Blocking client for the wire protocol — used by the eval driver, the
-/// bench's TCP smoke leg, and the adversarial tests.
+/// Blocking client for the wire protocol — used by the serve
+/// equivalence and adversarial tests.
 pub struct ServeClient {
     stream: TcpStream,
     next_id: u64,

@@ -65,17 +65,53 @@ fn wait_until(mut cond: impl FnMut() -> bool) {
 
 #[test]
 fn served_condense_is_bitwise_equal_to_direct() {
+    // Eight concurrent clients each run the whole method × ratio grid,
+    // twice: the cold pass races identical requests onto shared
+    // flights, the warm pass answers every request from the fast path.
+    // Every reply must carry the direct run's bits, and racing cold
+    // requests must never build the shared context twice.
+    const CLIENTS: usize = 8;
     let handle = ServeHandle::new(ServeConfig::default());
     let graph = Arc::new(tiny(3));
     handle.register_graph("acm", Arc::clone(&graph));
+    let mut grid = Vec::new();
     for method in ["FreeHGC", "Random-HG", "Herding-HG"] {
         for ratio in [0.25, 0.5] {
             let req = condense_req(GraphRef::Id("acm".into()), method, ratio, 7);
-            let served = handle.call(&req);
-            let reference = reference_reply(&graph, method, ratio, 7);
-            assert_bitwise_equal(&served, &reference, &format!("{method} r={ratio}"));
+            grid.push((
+                req,
+                reference_reply(&graph, method, ratio, 7),
+                method,
+                ratio,
+            ));
         }
     }
+    for pass in ["cold", "warm"] {
+        let hits_before = handle.stats().fast_path_hits;
+        std::thread::scope(|s| {
+            for client in 0..CLIENTS {
+                let (handle, grid) = (&handle, &grid);
+                s.spawn(move || {
+                    for (req, reference, method, ratio) in grid {
+                        let what = format!("{pass} client {client}: {method} r={ratio}");
+                        assert_bitwise_equal(&handle.call(req), reference, &what);
+                    }
+                });
+            }
+        });
+        if pass == "warm" {
+            assert_eq!(
+                handle.stats().fast_path_hits - hits_before,
+                (CLIENTS * grid.len()) as u64,
+                "every warm request must answer from the fast path"
+            );
+        }
+    }
+    assert_eq!(
+        handle.stats().duplicate_computes,
+        0,
+        "racing clients must not duplicate a cold build"
+    );
     handle.shutdown();
 }
 

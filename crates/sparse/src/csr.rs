@@ -12,7 +12,7 @@
 //! **retained naive reference** (`spgemm_serial`, `spmv_ref`,
 //! `spmv_t_ref`, `spmm_dense_ref`) whose output the optimized path must
 //! match *bitwise*. The references double as the pre-rework throughput
-//! baselines the `bench_report` `micro` leg measures against.
+//! baselines of the `bench_report` kernel table's reference column.
 //!
 //! The optimized paths get their speed from three mechanisms, each of
 //! which provably preserves bits:
@@ -1128,7 +1128,7 @@ impl CsrMatrix {
     /// The retained naive SpGEMM: Gustavson with a zero-probed `f32`
     /// accumulator and growing output buffers — exactly the pre-rework
     /// kernel. Kept public as the reference the equivalence suites and
-    /// the `bench_report` `micro` leg compare the optimized
+    /// the `bench_report` kernel table compare the optimized
     /// [`CsrMatrix::spgemm`] against (bitwise and for throughput).
     pub fn spgemm_serial(&self, other: &CsrMatrix) -> CsrMatrix {
         assert_eq!(self.ncols, other.nrows, "inner dimension mismatch");

@@ -307,6 +307,7 @@ fn warm_pool_spgemm_performs_zero_fresh_allocations() {
             stats.fresh_allocs, 0,
             "steady-state spgemm scratch must come from the pool: {stats:?}"
         );
+        assert_eq!(stats.alloc_bytes, 0, "nor grow pooled buffers: {stats:?}");
         assert!(
             stats.pool_hits >= 3,
             "acc, marker and touched should all hit"
@@ -327,6 +328,7 @@ fn warm_pool_ppr_push_into_performs_zero_allocations() {
         par::workspace::reset_stats();
         freehgc_sparse::ppr_push_into(&m, &seed, &cfg, &mut out);
         let stats = par::workspace::stats();
+        assert!(stats.takes > 0, "PPR scratch must come from the pools");
         assert_eq!(
             stats.fresh_allocs, 0,
             "steady-state PPR must not allocate: {stats:?}"

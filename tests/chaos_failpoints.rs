@@ -12,7 +12,7 @@ use freehgc::core::FreeHgc;
 use freehgc::datasets::tiny;
 use freehgc::eval::ChaosKnobs;
 use freehgc::hetgraph::failpoints as fp;
-use freehgc::hetgraph::{CondenseSpec, Condenser, ContextRegistry};
+use freehgc::hetgraph::{CondenseSpec, CondensedGraph, Condenser, ContextRegistry};
 use std::sync::{Arc, Mutex};
 
 static FP_LOCK: Mutex<()> = Mutex::new(());
@@ -310,6 +310,99 @@ fn composed_pressure_spike_never_changes_output_bits() {
             ctx.stats().composed_rejected > 0,
             "rejections are counted on the cache"
         );
+    });
+}
+
+/// Full structural equality of two condensations, bit for bit.
+fn same_bits(a: &CondensedGraph, b: &CondensedGraph) -> bool {
+    let (x, y) = (&a.graph, &b.graph);
+    let schema = x.schema();
+    a.orig_ids == b.orig_ids
+        && schema
+            .node_type_ids()
+            .all(|t| x.num_nodes(t) == y.num_nodes(t) && x.features(t) == y.features(t))
+        && schema
+            .edge_type_ids()
+            .all(|e| x.adjacency(e) == y.adjacency(e))
+        && x.labels() == y.labels()
+        && x.split() == y.split()
+}
+
+#[test]
+fn every_fault_at_once_under_concurrent_clients_keeps_reference_bits() {
+    drill(|| {
+        let g = Arc::new(tiny(49));
+        let spec = CondenseSpec::new(0.15).with_max_hops(2).with_seed(11);
+        let c = FreeHgc::default();
+        let want = c.condense_shared(&ContextRegistry::new(), &g, &spec);
+
+        // An earlier "process" persisted the warm snapshot and a crashed
+        // writer left an orphaned temp file beside it.
+        let dir = temp_dir("combined");
+        let reg0 = ContextRegistry::new();
+        c.condense_shared(&reg0, &g, &spec);
+        reg0.persist(&dir, &g, &spec, None).expect("persist");
+        std::fs::write(dir.join("ctx-dead.fhgc.tmp-99999-0"), b"torn").unwrap();
+
+        ChaosKnobs {
+            seed: 1234,
+            read_io_one_in: Some(3),
+            torn_writes: 1,
+            condense_panics: 2,
+            build_panics: 1,
+            build_delay: true,
+            composed_pressure_one_in: Some(4),
+            accountant_pressure_one_in: Some(5),
+            ..Default::default()
+        }
+        .arm();
+
+        // Eight clients hammer one key through the snapshot-backed
+        // resolve and `condense_shared` while every fault fires.
+        const CLIENTS: usize = 8;
+        let reg = ContextRegistry::new();
+        let barrier = std::sync::Barrier::new(CLIENTS);
+        let outs: Vec<CondensedGraph> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..CLIENTS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        (0..2)
+                            .map(|_| {
+                                reg.resolve(&g, &spec, Some(&dir), None, None);
+                                c.condense_shared(&reg, &g, &spec)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("an injected fault escaped isolation"))
+                .collect()
+        });
+        assert_eq!(outs.len(), 2 * CLIENTS);
+        assert!(
+            outs.iter().all(|o| same_bits(o, &want)),
+            "every faulted response carries the fault-free bits"
+        );
+        // Still armed: persisting tears once and retries into a file.
+        reg.persist(&dir, &g, &spec, None)
+            .expect("persist survives the torn write");
+        let stats = reg.stats();
+        assert!(ChaosKnobs::faults_fired() > 0, "the drill injected faults");
+        assert!(stats.panics_recovered > 0, "injected panics were recovered");
+        assert_eq!(stats.duplicate_computes, 0, "single-flight held");
+        assert!(stats.tmp_files_swept > 0, "the startup sweep ran");
+        ChaosKnobs::disarm_all();
+
+        // "Restart": a fresh registry sweeps the torn write's orphan and
+        // serves the reference bits from the published file.
+        let reg2 = ContextRegistry::new();
+        reg2.resolve(&g, &spec, Some(&dir), None, None);
+        assert!(reg2.stats().tmp_files_swept > 0, "the torn orphan is swept");
+        assert!(same_bits(&c.condense_shared(&reg2, &g, &spec), &want));
+        std::fs::remove_dir_all(&dir).ok();
     });
 }
 

@@ -15,7 +15,8 @@
 //!   no-op: same fingerprint, zero invalidations, everything inherited.
 //! * **Cross-restart seeding** — with no live old context, the delta
 //!   resolution seeds from the *old* fingerprint's on-disk snapshot,
-//!   filtered through the same invalidation rules.
+//!   filtered through the same invalidation rules, and FreeHGC and
+//!   every baseline condense from it exactly as from a cold rebuild.
 
 use freehgc::baselines::{
     CoarseningHg, GCondBaseline, GradMatchConfig, HGCondBaseline, HerdingHg, KCenterHg, RandomHg,
@@ -311,16 +312,25 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
     mutated.apply_delta(&delta);
     let g_new = Arc::new(mutated);
 
-    // "Process one": warm the old graph's context and persist it.
+    // "Process one": warm the old graph's context through every
+    // condenser, so the snapshot also holds what the baselines read
+    // (their propagated blocks), and persist it.
     let reg1 = ContextRegistry::new();
     let ctx1 = reg1.context_for(&g_old, &spec);
     with_threads(1, || warm(&ctx1, &spec));
+    for c in condensers() {
+        with_threads(1, || c.condense_in(&ctx1, &spec));
+    }
     reg1.persist(&dir, &g_old, &spec, Some(&PropagatedFeaturesCodec))
         .expect("persist");
 
-    // Cold reference over the mutated graph.
+    // Cold reference over the mutated graph, for every condenser.
     let reg_cold = ContextRegistry::new();
     let ctx_cold = reg_cold.context_for(&g_new, &spec);
+    let reference: Vec<CondensedGraph> = condensers()
+        .iter()
+        .map(|c| with_threads(1, || c.condense_in(&ctx_cold, &spec)))
+        .collect();
 
     for threads in [1usize, 4] {
         // "Process two": no live old context — the old fingerprint's
@@ -340,9 +350,14 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
         );
         assert!(report.reused() > 0, "{threads}t: {report:?}");
         assert!(report.dropped > 0, "{threads}t: {report:?}");
-        let want = with_threads(threads, || FreeHgc::default().condense_in(&ctx_cold, &spec));
-        let got = with_threads(threads, || FreeHgc::default().condense_in(&ctx2, &spec));
-        assert_condensed_equal(&want, &got, &format!("snapshot delta/{threads}t"));
+        for (c, want) in condensers().iter().zip(&reference) {
+            let got = with_threads(threads, || c.condense_in(&ctx2, &spec));
+            assert_condensed_equal(
+                want,
+                &got,
+                &format!("{} snapshot delta/{threads}t", c.name()),
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
