@@ -97,9 +97,6 @@ pub struct ChaosKnobs {
     /// resolvers demonstrably coalesce instead of racing past a
     /// finished flight.
     pub build_delay: bool,
-    /// Reject roughly one in this many composed-cache inserts, as a
-    /// stand-in for a memory-pressure spike.
-    pub composed_pressure_one_in: Option<u64>,
     /// Reject roughly one in this many admissions across *all four*
     /// accountant families (composed, influence, diversity,
     /// propagated), as a stand-in for a whole-accountant
@@ -141,9 +138,6 @@ impl ChaosKnobs {
         }
         if self.build_delay {
             fp::arm_seeded(fp::REGISTRY_BUILD_DELAY, self.seed, 1);
-        }
-        if let Some(one_in) = self.composed_pressure_one_in {
-            fp::arm_seeded(fp::COMPOSED_PRESSURE, self.seed.wrapping_add(1), one_in);
         }
         if let Some(one_in) = self.accountant_pressure_one_in {
             fp::arm_seeded(fp::ACCOUNTANT_PRESSURE, self.seed.wrapping_add(2), one_in);
@@ -271,7 +265,7 @@ impl<'g> Bench<'g> {
         graph: &'g Arc<HeteroGraph>,
         delta: &freehgc_hetgraph::GraphDelta,
         cfg: EvalConfig,
-    ) -> (Self, freehgc_hetgraph::DeltaSeedReport) {
+    ) -> (Self, freehgc_hetgraph::SeedReport) {
         let spec = CondenseSpec::new(0.5); // knob carrier: only cap/budget are read
         let (ctx, report): (Arc<CondenseContext<'g>>, _) = registry.resolve(
             graph,
@@ -548,9 +542,9 @@ mod tests {
         let reg2 = freehgc_hetgraph::ContextRegistry::new();
         let b2 = Bench::with_snapshots(&reg2, &dir, &g, cfg);
         assert_eq!(disk_loads(&reg2), (1, 0), "snapshot must load");
-        let st = b2.ctx.stats();
+        let st = b2.ctx.stats()[freehgc_hetgraph::CacheFamily::Propagated];
         assert_eq!(
-            st.propagated,
+            (st.hits, st.misses),
             (1, 0),
             "propagate_ctx must hit the loaded block set, not recompute"
         );

@@ -77,8 +77,38 @@ use crate::schema::{NodeTypeId, Schema};
 use freehgc_parallel::relock;
 use freehgc_sparse::{CsrMatrix, FxHashMap};
 use std::any::Any;
+use std::hash::Hash;
+use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// The seven cache families of a context, in install order. The
+/// discriminant indexes every per-family array — [`CacheCounters`],
+/// [`SeedReport`] and the accountant's ledgers — and the variants of
+/// the crate's one cache key follow the same order, so entries sorted
+/// by key are sorted by family first. Adding a family means one variant
+/// here plus its match arms (keep `Propagated` last, or move the
+/// family count to the new last variant).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum CacheFamily {
+    /// Meta-path enumerations.
+    Paths,
+    /// Single-step row-normalized factors.
+    Factors,
+    /// Composed meta-path adjacencies (the SpGEMM products).
+    Composed,
+    /// Oriented per-relation adjacencies.
+    Oriented,
+    /// Aggregated influence-score vectors.
+    Influence,
+    /// Per-path diversity bonuses (Eq. 5–7).
+    Diversity,
+    /// Propagated-feature blocks.
+    Propagated,
+}
+
+/// Number of cache families (the last variant is propagated).
+const NUM_FAMILIES: usize = CacheFamily::Propagated as usize + 1;
 
 /// One hit/miss pair, updated with relaxed atomics (counters are
 /// diagnostics, never control flow).
@@ -96,69 +126,40 @@ impl Counter {
     fn miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
-
-    fn snapshot(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
 }
 
-/// A point-in-time snapshot of every cache's hit/miss counts, plus the
-/// accountant's byte and eviction ledger.
+/// One cache family's counters. Only the four budget-governed families
+/// (composed, influence, diversity, propagated) ever hold bytes,
+/// evictions or rejections; paths, factors and oriented adjacencies
+/// count hits and misses alone.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FamilyCounters {
+    pub hits: u64,
+    pub misses: u64,
+    /// Resident bytes right now. Propagated blocks are sized by the
+    /// layer that owns their concrete type (the `bytes_of` of
+    /// [`CondenseContext::propagated`] or a snapshot codec's
+    /// `resident_bytes`).
+    pub bytes: u64,
+    /// High-water mark of resident bytes since the budget was last
+    /// applied (≤ budget when one is set; budgeting a warm context
+    /// restarts the mark at its post-eviction resident size).
+    pub peak_bytes: u64,
+    /// Entries evicted to stay within the byte budget (under pressure
+    /// propagated blocks go first — lowest recompute cost per byte).
+    pub evictions: u64,
+    /// Entries never admitted (larger than the whole budget, or
+    /// rejected by an injected pressure spike).
+    pub rejected: u64,
+}
+
+/// A point-in-time snapshot of every cache family's counters, plus the
+/// accountant's unified byte ledger. Index it by family:
+/// `stats[CacheFamily::Composed].evictions`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Meta-path enumerations.
-    pub paths: (u64, u64),
-    /// Single-step row-normalized factors.
-    pub factors: (u64, u64),
-    /// Composed meta-path adjacencies (the SpGEMM products).
-    pub composed: (u64, u64),
-    /// Oriented per-relation adjacencies.
-    pub oriented: (u64, u64),
-    /// Aggregated influence-score vectors.
-    pub influence: (u64, u64),
-    /// Per-path diversity bonuses (Eq. 5–7).
-    pub diversity: (u64, u64),
-    /// Propagated-feature blocks.
-    pub propagated: (u64, u64),
-    /// Composed entries evicted to stay within the byte budget.
-    pub composed_evictions: u64,
-    /// Composed entries never admitted (larger than the whole budget,
-    /// or rejected by an injected pressure spike).
-    pub composed_rejected: u64,
-    /// Resident bytes of the composed family right now.
-    pub composed_bytes: u64,
-    /// High-water mark of resident composed bytes since the budget was
-    /// last applied (≤ budget when one is set — the invariant
-    /// `tests/registry_equivalence.rs` asserts; budgeting a warm context
-    /// restarts the mark at its post-eviction resident size).
-    pub composed_peak_bytes: u64,
-    /// Resident payload bytes of the influence family (the `f64` score
-    /// vectors).
-    pub influence_bytes: u64,
-    /// Resident payload bytes of the diversity family (the `f64` bonus
-    /// vectors).
-    pub diversity_bytes: u64,
-    /// Resident bytes of the propagated family, as reported by the
-    /// layer that owns the concrete block type (via
-    /// [`CondenseContext::propagated_sized`] or a snapshot codec's
-    /// `resident_bytes`); 0 for entries whose owner reports none.
-    pub propagated_bytes: u64,
-    /// Influence entries evicted to stay within the byte budget.
-    pub influence_evictions: u64,
-    /// Diversity entries evicted to stay within the byte budget.
-    pub diversity_evictions: u64,
-    /// Propagated block sets evicted to stay within the byte budget
-    /// (under pressure these go first — lowest recompute cost per byte).
-    pub propagated_evictions: u64,
-    /// Influence entries never admitted.
-    pub influence_rejected: u64,
-    /// Diversity entries never admitted.
-    pub diversity_rejected: u64,
-    /// Propagated block sets never admitted.
-    pub propagated_rejected: u64,
+    /// Per-family counters, in [`CacheFamily`] order.
+    pub families: [FamilyCounters; NUM_FAMILIES],
     /// Resident bytes across all four accountant families right now —
     /// the unified ledger the byte budget bounds. Always equals
     /// [`CacheCounters::resident_bytes_total`] (a debug assertion in
@@ -170,95 +171,84 @@ pub struct CacheCounters {
     pub cache_peak_bytes: u64,
 }
 
+impl Index<CacheFamily> for CacheCounters {
+    type Output = FamilyCounters;
+
+    fn index(&self, family: CacheFamily) -> &FamilyCounters {
+        &self.families[family as usize]
+    }
+}
+
 impl CacheCounters {
-    fn caches(&self) -> [(u64, u64); 7] {
-        [
-            self.paths,
-            self.factors,
-            self.composed,
-            self.oriented,
-            self.influence,
-            self.diversity,
-            self.propagated,
-        ]
+    /// Saturating sum of one statistic over every family: a counter
+    /// total is a diagnostic, and a long-lived serving context must
+    /// never panic (or wrap to a small number in release) just because
+    /// its counters grew past `u64::MAX` combined.
+    fn total(&self, stat: impl Fn(&FamilyCounters) -> u64) -> u64 {
+        self.families
+            .iter()
+            .fold(0u64, |acc, f| acc.saturating_add(stat(f)))
     }
 
-    /// Total hits across every cache. Saturating: a counter total is a
-    /// diagnostic, and a long-lived serving context must never panic (or
-    /// wrap to a small number in release) just because its hit counters
-    /// grew past `u64::MAX` combined.
+    /// Total hits across every cache (saturating).
     pub fn total_hits(&self) -> u64 {
-        self.caches()
-            .iter()
-            .fold(0u64, |acc, &(h, _)| acc.saturating_add(h))
+        self.total(|f| f.hits)
     }
 
-    /// Total misses across every cache (saturating, like
-    /// [`CacheCounters::total_hits`]).
+    /// Total misses across every cache (saturating).
     pub fn total_misses(&self) -> u64 {
-        self.caches()
-            .iter()
-            .fold(0u64, |acc, &(_, m)| acc.saturating_add(m))
+        self.total(|f| f.misses)
     }
 
-    /// Sum of the four per-family resident-byte fields — by
-    /// construction the same quantity as [`CacheCounters::cache_bytes`],
-    /// recomputed from the per-family breakdown so the two ledgers can
-    /// be cross-checked (saturating, like the totals).
+    /// Sum of the per-family resident bytes — by construction the same
+    /// quantity as [`CacheCounters::cache_bytes`], recomputed from the
+    /// per-family breakdown so the two ledgers can be cross-checked
+    /// (saturating).
     pub fn resident_bytes_total(&self) -> u64 {
-        self.composed_bytes
-            .saturating_add(self.influence_bytes)
-            .saturating_add(self.diversity_bytes)
-            .saturating_add(self.propagated_bytes)
+        self.total(|f| f.bytes)
     }
 }
 
-/// Per-family counts of cache entries a delta-seeded context inherited
-/// from its predecessor ([`CondenseContext::seed_from`]), plus how many
-/// the delta invalidated. The delta-equivalence suite asserts on these
-/// — nonzero reuse is what makes a delta update cheaper than a cold
-/// rebuild, the floor `bench_report` times.
+/// What warm-starting a context installed, per cache family — from a
+/// live predecessor ([`CondenseContext::seed_from`]) or from a snapshot
+/// file (`decode_snapshot_into`, which never carries paths or oriented
+/// adjacencies) — plus what it left behind. Index it by family:
+/// `report[CacheFamily::Composed]`. The delta-equivalence suite asserts
+/// on these — nonzero reuse is what makes a delta update cheaper than a
+/// cold rebuild.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DeltaSeedReport {
-    /// Enumerated meta-path sets (schema-only; survive every delta).
-    pub paths: usize,
-    /// Single-step factors kept.
-    pub factors: usize,
-    /// Composed adjacencies kept.
-    pub composed: usize,
-    /// Oriented per-relation adjacencies kept.
-    pub oriented: usize,
-    /// Influence vectors kept.
-    pub influence: usize,
-    /// Diversity-bonus vectors kept.
-    pub diversity: usize,
-    /// Propagated block sets kept.
-    pub propagated: usize,
-    /// Entries the delta invalidated (across all families).
+pub struct SeedReport {
+    /// Entries installed, in [`CacheFamily`] order.
+    pub installed: [usize; NUM_FAMILIES],
+    /// Entries a delta invalidated (across all families); always 0
+    /// without a delta.
     pub dropped: usize,
+    /// Propagated entries present in a snapshot but skipped because the
+    /// loader supplied no [`PropagatedCodec`](crate::PropagatedCodec).
+    pub skipped: usize,
 }
 
-impl DeltaSeedReport {
+impl Index<CacheFamily> for SeedReport {
+    type Output = usize;
+
+    fn index(&self, family: CacheFamily) -> &usize {
+        &self.installed[family as usize]
+    }
+}
+
+impl SeedReport {
     /// Total entries inherited across every cache family.
     pub fn reused(&self) -> usize {
-        self.paths
-            + self.factors
-            + self.composed
-            + self.oriented
-            + self.influence
-            + self.diversity
-            + self.propagated
+        self.installed.iter().sum()
     }
 }
 
-/// The per-family survival rules of selective invalidation, shared by
-/// in-memory delta seeding ([`CondenseContext::seed_from`]) and the
-/// snapshot delta loader (`decode_snapshot_into` with a delta) so the two can
-/// never disagree about which entries a delta kills. Each `*_clean`
-/// method answers: is this cache entry's exact dependency set untouched
-/// by the delta? Path families are pure functions of the schema (which
-/// a delta never changes), so family cleanliness is memoized per
-/// `(root, max_hops, max_paths)`.
+/// The survival rule of selective invalidation, shared by in-memory
+/// delta seeding ([`CondenseContext::seed_from`]) and the snapshot
+/// delta loader (`decode_snapshot_into` with a delta) so the two can
+/// never disagree about which entries a delta kills. Path families are
+/// pure functions of the schema (which a delta never changes), so
+/// family lookups are memoized per `(root, max_hops, max_paths)`.
 pub(crate) struct InvalidationRules<'s> {
     schema: &'s Schema,
     target: NodeTypeId,
@@ -296,68 +286,67 @@ impl<'s> InvalidationRules<'s> {
         )
     }
 
-    /// The factor of `step` reads relation `step.edge` alone.
-    pub(crate) fn factor_clean(&self, step: MetaPathStep) -> bool {
-        !self.edge_dirty[step.edge.0 as usize]
+    fn steps_clean(&self, steps: &[MetaPathStep]) -> bool {
+        steps.iter().all(|s| !self.edge_dirty[s.edge.0 as usize])
     }
 
-    /// A composed product reads its steps' factors.
-    pub(crate) fn steps_clean(&self, steps: &[MetaPathStep]) -> bool {
-        steps.iter().all(|s| self.factor_clean(*s))
-    }
-
-    /// `(from, to)` resolves one schema relation; the cached negative
-    /// (no relation) depends only on the schema and always survives.
-    pub(crate) fn oriented_clean(&self, from: NodeTypeId, to: NodeTypeId) -> bool {
-        match self.schema.edge_between(from, to) {
-            None => true,
-            Some((e, _)) => !self.edge_dirty[e.0 as usize],
+    /// Whether the delta leaves the cached computation behind `key`
+    /// untouched — i.e. whether its exact dependency set avoids every
+    /// touched relation and feature table:
+    ///
+    /// * **paths** — enumeration reads only the schema; always survives.
+    /// * **factors** — the factor of step `s` reads relation `s.edge`
+    ///   alone.
+    /// * **composed** — a product reads its steps' factors.
+    /// * **oriented** — `(from, to)` resolves one schema relation; the
+    ///   cached negative (no relation) is schema-only and always
+    ///   survives.
+    /// * **influence** — scores aggregate the composed adjacencies of
+    ///   the family `Φ_L(target → father)` and never read features.
+    /// * **diversity** — the bonus of path `i` reads the composed
+    ///   adjacencies of `i` and its same-source-type siblings.
+    /// * **propagated** — block 0 is the raw target features and block
+    ///   `i` is `Â_i · X_source(i)`, so every family path's steps and
+    ///   source features, plus the target's features, must be clean.
+    pub(crate) fn survives(&mut self, key: &CacheKey) -> bool {
+        match key {
+            CacheKey::Paths(_) => true,
+            CacheKey::Factors(step) => self.steps_clean(std::slice::from_ref(step)),
+            CacheKey::Composed(steps) => self.steps_clean(steps),
+            CacheKey::Oriented((from, to)) => match self.schema.edge_between(*from, *to) {
+                None => true,
+                Some((e, _)) => !self.edge_dirty[e.0 as usize],
+            },
+            CacheKey::Influence(k) => {
+                let (schema, target) = (self.schema, self.target);
+                let edge_dirty = &self.edge_dirty;
+                *self
+                    .influence_memo
+                    .entry((k.father, k.max_hops, k.max_paths))
+                    .or_insert_with(|| {
+                        metapaths_to(schema, target, k.father, k.max_hops, k.max_paths)
+                            .iter()
+                            .all(|p| p.steps.iter().all(|s| !edge_dirty[s.edge.0 as usize]))
+                    })
+            }
+            &CacheKey::Diversity((root, mh, mp, pi)) => {
+                let fam = self.family(root, mh, mp);
+                pi < fam.len() && {
+                    let src = fam[pi].source();
+                    fam.iter()
+                        .filter(|p| p.source() == src)
+                        .all(|p| self.steps_clean(&p.steps))
+                }
+            }
+            &CacheKey::Propagated((mh, mp)) => {
+                let target = self.target;
+                let fam = self.family(target, mh, mp);
+                !self.feat_dirty[target.0 as usize]
+                    && fam.iter().all(|p| {
+                        self.steps_clean(&p.steps) && !self.feat_dirty[p.source().0 as usize]
+                    })
+            }
         }
-    }
-
-    /// Influence scores aggregate the composed adjacencies of the family
-    /// `Φ_L(target → father)` and never read features.
-    pub(crate) fn influence_clean(&mut self, father: NodeTypeId, mh: usize, mp: usize) -> bool {
-        let (schema, target) = (self.schema, self.target);
-        let edge_dirty = &self.edge_dirty;
-        *self
-            .influence_memo
-            .entry((father, mh, mp))
-            .or_insert_with(|| {
-                metapaths_to(schema, target, father, mh, mp)
-                    .iter()
-                    .all(|p| p.steps.iter().all(|s| !edge_dirty[s.edge.0 as usize]))
-            })
-    }
-
-    /// The diversity bonus of path `pi` reads the composed adjacencies
-    /// of `pi` and its same-source-type siblings within the family.
-    pub(crate) fn diversity_clean(
-        &mut self,
-        root: NodeTypeId,
-        mh: usize,
-        mp: usize,
-        pi: usize,
-    ) -> bool {
-        let fam = self.family(root, mh, mp);
-        pi < fam.len() && {
-            let src = fam[pi].source();
-            fam.iter()
-                .filter(|p| p.source() == src)
-                .all(|p| self.steps_clean(&p.steps))
-        }
-    }
-
-    /// Propagated blocks read the raw target features plus, per family
-    /// path, the path's composed adjacency and its source type's
-    /// features.
-    pub(crate) fn propagated_clean(&mut self, mh: usize, mp: usize) -> bool {
-        let target = self.target;
-        let fam = self.family(target, mh, mp);
-        !self.feat_dirty[target.0 as usize]
-            && fam
-                .iter()
-                .all(|p| self.steps_clean(&p.steps) && !self.feat_dirty[p.source().0 as usize])
     }
 }
 
@@ -400,9 +389,6 @@ pub(crate) type AnyArc = Arc<dyn Any + Send + Sync>;
 /// Oriented-adjacency cache: `None` is the cached *negative* answer for
 /// a type pair the schema has no relation between.
 type OrientedMap = FxHashMap<(NodeTypeId, NodeTypeId), Option<Arc<CsrMatrix>>>;
-/// One dumped oriented-cache entry (key, cached positive-or-negative
-/// answer), as handed between contexts by the delta seeding path.
-pub(crate) type OrientedEntry = ((NodeTypeId, NodeTypeId), Option<Arc<CsrMatrix>>);
 
 /// The graph a context precomputes for: borrowed for single-owner use,
 /// `Arc`-shared for registry-resident `'static` contexts.
@@ -420,98 +406,112 @@ impl GraphHandle<'_> {
     }
 }
 
-/// The four budget-governed cache families, in reporting order. The
-/// discriminant doubles as the index into the accountant's per-family
-/// ledgers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum Family {
-    Composed = 0,
-    Influence = 1,
-    Diversity = 2,
-    Propagated = 3,
-}
-
-const NUM_FAMILIES: usize = 4;
-
-/// One key across every accountant family. Derives `Ord` so the
+/// One key across every cache family; the variant order matches
+/// [`CacheFamily`]. Derives `Ord` so dumps sort family-first and the
 /// eviction tiebreak has a total order that never depends on hash-map
-/// iteration order; the variant order matches [`Family`].
+/// iteration order (among the accountant's families: composed <
+/// influence < diversity < propagated).
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum FamilyKey {
+pub(crate) enum CacheKey {
+    Paths(PathKey),
+    Factors(MetaPathStep),
     Composed(Vec<MetaPathStep>),
+    Oriented((NodeTypeId, NodeTypeId)),
     Influence(InfluenceKey),
     Diversity(DiversityKey),
     Propagated((usize, usize)),
 }
 
-impl FamilyKey {
-    fn family(&self) -> Family {
+impl CacheKey {
+    pub(crate) fn family(&self) -> CacheFamily {
         match self {
-            FamilyKey::Composed(_) => Family::Composed,
-            FamilyKey::Influence(_) => Family::Influence,
-            FamilyKey::Diversity(_) => Family::Diversity,
-            FamilyKey::Propagated(_) => Family::Propagated,
+            CacheKey::Paths(_) => CacheFamily::Paths,
+            CacheKey::Factors(_) => CacheFamily::Factors,
+            CacheKey::Composed(_) => CacheFamily::Composed,
+            CacheKey::Oriented(_) => CacheFamily::Oriented,
+            CacheKey::Influence(_) => CacheFamily::Influence,
+            CacheKey::Diversity(_) => CacheFamily::Diversity,
+            CacheKey::Propagated(_) => CacheFamily::Propagated,
         }
     }
 }
 
-/// The value behind a [`FamilyKey`]; the variant always matches the
-/// key's (the accountant's API is only reachable through typed context
-/// methods).
+/// The value behind a [`CacheKey`]. Factors and composed products share
+/// `Matrix`, influence and diversity share `Vector`; the variant always
+/// matches the key's family (values are only built next to their keys).
 #[derive(Clone)]
-enum FamilyValue {
-    Composed(Arc<CsrMatrix>),
-    Influence(Arc<Vec<f64>>),
-    Diversity(Arc<Vec<f64>>),
+pub(crate) enum CacheValue {
+    Paths(Arc<Vec<MetaPath>>),
+    Matrix(Arc<CsrMatrix>),
+    Oriented(Option<Arc<CsrMatrix>>),
+    Vector(Arc<Vec<f64>>),
     Propagated(AnyArc),
 }
 
-impl FamilyValue {
-    fn into_composed(self) -> Arc<CsrMatrix> {
+impl CacheValue {
+    fn into_matrix(self) -> Arc<CsrMatrix> {
         match self {
-            FamilyValue::Composed(m) => m,
-            _ => unreachable!("composed key holds a composed value"),
+            CacheValue::Matrix(m) => m,
+            _ => unreachable!("matrix key holds a matrix value"),
         }
     }
 
     fn into_vector(self) -> Arc<Vec<f64>> {
         match self {
-            FamilyValue::Influence(v) | FamilyValue::Diversity(v) => v,
+            CacheValue::Vector(v) => v,
             _ => unreachable!("vector key holds a vector value"),
         }
     }
 
     fn into_propagated(self) -> AnyArc {
         match self {
-            FamilyValue::Propagated(v) => v,
+            CacheValue::Propagated(v) => v,
             _ => unreachable!("propagated key holds a propagated value"),
         }
     }
 }
 
-/// Deterministic recompute-cost estimate for an influence vector, in
-/// the accountant's shared flop currency: aggregating Eq. 10–13 scores
-/// runs a truncated PPR series over every family path, a few dozen
-/// passes over the output length.
-fn influence_cost(len: usize) -> u64 {
-    (len as u64).saturating_mul(64).max(1)
+/// One cache entry as [`CondenseContext::entries`] hands it out and
+/// [`CondenseContext::install`] takes it — the single currency of delta
+/// seeding and snapshots.
+pub(crate) struct CacheEntry {
+    pub(crate) key: CacheKey,
+    pub(crate) value: CacheValue,
+    /// Resident bytes charged to the budget (0 for the three unbudgeted
+    /// families).
+    pub(crate) bytes: usize,
+    /// Recompute-cost estimate in the accountant's flop currency (0 for
+    /// the three unbudgeted families).
+    pub(crate) cost: u64,
 }
 
-/// Deterministic recompute-cost estimate for a diversity-bonus vector:
-/// the Eq. 5–7 Jaccard pass over the sibling paths' composed rows —
-/// cheaper per element than influence, dearer than a propagated SpMM.
-fn diversity_cost(len: usize) -> u64 {
-    (len as u64).saturating_mul(16).max(1)
+/// Resident bytes and deterministic recompute-cost estimate of a
+/// `len`-element vector of `family` (influence or diversity), in the
+/// accountant's shared flop currency. Aggregating Eq. 10–13 influence
+/// scores runs a truncated PPR series over every family path, a few
+/// dozen passes over the output length; the Eq. 5–7 diversity Jaccard
+/// pass over the sibling paths' composed rows is cheaper per element
+/// than influence, dearer than a propagated SpMM.
+pub(crate) fn vector_charge(family: CacheFamily, len: usize) -> (usize, u64) {
+    let per_element = if family == CacheFamily::Influence {
+        64
+    } else {
+        16
+    };
+    (
+        len * std::mem::size_of::<f64>(),
+        (len as u64).saturating_mul(per_element).max(1),
+    )
 }
 
 /// One resident cache entry plus the bookkeeping eviction needs.
 struct AccountedEntry {
-    value: FamilyValue,
+    value: CacheValue,
     bytes: usize,
     /// Deterministic recompute-cost estimate in scalar flops (SpGEMM
-    /// multiply-adds for composed products; see the per-family cost
-    /// functions). Entries with the cheapest cost *per byte* evict
-    /// first.
+    /// multiply-adds for composed products; see [`vector_charge`] for
+    /// the vector families). Entries with the cheapest cost *per byte*
+    /// evict first.
     cost: u64,
     /// Logical insert/touch time; breaks density ties toward the least
     /// recently used entry.
@@ -522,11 +522,11 @@ struct AccountedEntry {
 /// cache families (composed, influence, diversity, propagated), one
 /// byte ceiling, one eviction policy. Lives behind the context's mutex.
 /// The per-family ledgers (`family_bytes`, `family_peak`, `evictions`,
-/// `rejected`) are indexed by [`Family`] and always sum to the unified
-/// ones — [`CondenseContext::stats`] debug-asserts it.
+/// `rejected`) are indexed by [`CacheFamily`] and always sum to the
+/// unified ones — [`CondenseContext::stats`] debug-asserts it.
 #[derive(Default)]
 struct CacheAccountant {
-    map: FxHashMap<FamilyKey, AccountedEntry>,
+    map: FxHashMap<CacheKey, AccountedEntry>,
     budget: Option<usize>,
     bytes: usize,
     peak_bytes: usize,
@@ -538,7 +538,7 @@ struct CacheAccountant {
 }
 
 impl CacheAccountant {
-    fn get(&mut self, key: &FamilyKey) -> Option<FamilyValue> {
+    fn get(&mut self, key: &CacheKey) -> Option<CacheValue> {
         self.clock += 1;
         let now = self.clock;
         self.map.get_mut(key).map(|e| {
@@ -552,27 +552,16 @@ impl CacheAccountant {
     /// already-cached one if a concurrent compute of the same key
     /// landed first — identical bits either way, so whichever wins is
     /// correct).
-    fn insert(
-        &mut self,
-        key: FamilyKey,
-        value: FamilyValue,
-        bytes: usize,
-        cost: u64,
-    ) -> FamilyValue {
+    fn insert(&mut self, key: CacheKey, value: CacheValue, bytes: usize, cost: u64) -> CacheValue {
         if let Some(e) = self.map.get(&key) {
             return e.value.clone();
         }
         let fam = key.family() as usize;
-        // Injected budget-pressure spikes: behave exactly like an entry
-        // that exceeds the whole budget — a counted rejection, the
-        // caller keeps its freshly computed (bit-identical) value, and
-        // resident bytes never move. `accountant.pressure` covers every
-        // family; `composed.pressure` is retained for the composed
-        // family alone (the pre-accountant drill).
-        if crate::failpoints::should_fire(crate::failpoints::ACCOUNTANT_PRESSURE)
-            || (key.family() == Family::Composed
-                && crate::failpoints::should_fire(crate::failpoints::COMPOSED_PRESSURE))
-        {
+        // Injected budget-pressure spikes (`accountant.pressure`, every
+        // family): behave exactly like an entry that exceeds the whole
+        // budget — a counted rejection, the caller keeps its freshly
+        // computed (bit-identical) value, and resident bytes never move.
+        if crate::failpoints::should_fire(crate::failpoints::ACCOUNTANT_PRESSURE) {
             self.rejected[fam] += 1;
             return value;
         }
@@ -657,7 +646,7 @@ impl CacheAccountant {
         self.family_peak = self.family_bytes;
     }
 
-    fn family_len(&self, fam: Family) -> usize {
+    fn family_len(&self, fam: CacheFamily) -> usize {
         self.map.keys().filter(|k| k.family() == fam).count()
     }
 }
@@ -696,13 +685,8 @@ pub struct CondenseContext<'g> {
     /// maps (schema-sized, and the factor buffers are pinned by the
     /// engine regardless).
     accountant: Mutex<CacheAccountant>,
-    paths_stats: Counter,
-    factors_stats: Counter,
-    composed_stats: Counter,
-    oriented_stats: Counter,
-    influence_stats: Counter,
-    diversity_stats: Counter,
-    propagated_stats: Counter,
+    /// Hit/miss counters, indexed by [`CacheFamily`].
+    counters: [Counter; NUM_FAMILIES],
 }
 
 impl<'g> CondenseContext<'g> {
@@ -714,13 +698,7 @@ impl<'g> CondenseContext<'g> {
             factors: Mutex::default(),
             oriented: Mutex::default(),
             accountant: Mutex::default(),
-            paths_stats: Counter::default(),
-            factors_stats: Counter::default(),
-            composed_stats: Counter::default(),
-            oriented_stats: Counter::default(),
-            influence_stats: Counter::default(),
-            diversity_stats: Counter::default(),
-            propagated_stats: Counter::default(),
+            counters: Default::default(),
         }
     }
 
@@ -746,12 +724,12 @@ impl<'g> CondenseContext<'g> {
     /// composed matrices, so flipping it on a warm context would mix
     /// incompatible entries.
     pub fn with_max_row_nnz(mut self, k: Option<usize>) -> Self {
+        let acct = self
+            .accountant
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         assert!(
-            self.accountant
-                .get_mut()
-                .unwrap()
-                .family_len(Family::Composed)
-                == 0,
+            acct.family_len(CacheFamily::Composed) == 0,
             "cannot change max_row_nnz on a context with cached compositions"
         );
         self.max_row_nnz = k;
@@ -770,7 +748,10 @@ impl<'g> CondenseContext<'g> {
     /// new budget, and a stale mark after *removing* a budget would
     /// misreport the unbudgeted era.
     pub fn with_cache_budget(mut self, bytes: Option<usize>) -> Self {
-        self.accountant.get_mut().unwrap().set_budget(bytes);
+        self.accountant
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .set_budget(bytes);
         self
     }
 }
@@ -818,7 +799,7 @@ impl CondenseContext<'_> {
 
     /// Resident bytes of the composed family alone right now.
     pub fn composed_bytes(&self) -> usize {
-        relock(&self.accountant).family_bytes[Family::Composed as usize]
+        relock(&self.accountant).family_bytes[CacheFamily::Composed as usize]
     }
 
     /// Asserts that condensing `spec` through this context cannot
@@ -853,46 +834,72 @@ impl CondenseContext<'_> {
             acct.bytes,
             "accountant entry bytes must sum to the running total"
         );
-        debug_assert_eq!(
-            acct.family_bytes.iter().sum::<usize>(),
-            acct.bytes,
-            "per-family bytes must sum to the unified ledger"
-        );
         let counters = CacheCounters {
-            paths: self.paths_stats.snapshot(),
-            factors: self.factors_stats.snapshot(),
-            composed: self.composed_stats.snapshot(),
-            oriented: self.oriented_stats.snapshot(),
-            influence: self.influence_stats.snapshot(),
-            diversity: self.diversity_stats.snapshot(),
-            propagated: self.propagated_stats.snapshot(),
-            composed_evictions: acct.evictions[Family::Composed as usize],
-            composed_rejected: acct.rejected[Family::Composed as usize],
-            composed_bytes: acct.family_bytes[Family::Composed as usize] as u64,
-            composed_peak_bytes: acct.family_peak[Family::Composed as usize] as u64,
-            influence_bytes: acct.family_bytes[Family::Influence as usize] as u64,
-            diversity_bytes: acct.family_bytes[Family::Diversity as usize] as u64,
-            propagated_bytes: acct.family_bytes[Family::Propagated as usize] as u64,
-            influence_evictions: acct.evictions[Family::Influence as usize],
-            diversity_evictions: acct.evictions[Family::Diversity as usize],
-            propagated_evictions: acct.evictions[Family::Propagated as usize],
-            influence_rejected: acct.rejected[Family::Influence as usize],
-            diversity_rejected: acct.rejected[Family::Diversity as usize],
-            propagated_rejected: acct.rejected[Family::Propagated as usize],
+            families: std::array::from_fn(|f| FamilyCounters {
+                hits: self.counters[f].hits.load(Ordering::Relaxed),
+                misses: self.counters[f].misses.load(Ordering::Relaxed),
+                bytes: acct.family_bytes[f] as u64,
+                peak_bytes: acct.family_peak[f] as u64,
+                evictions: acct.evictions[f],
+                rejected: acct.rejected[f],
+            }),
             cache_bytes: acct.bytes as u64,
             cache_peak_bytes: acct.peak_bytes as u64,
         };
         debug_assert_eq!(
             counters.resident_bytes_total(),
             counters.cache_bytes,
-            "per-family counter sum must equal the accountant's ledger"
+            "per-family bytes must sum to the unified ledger"
         );
         counters
     }
 
     /// Number of cached composed adjacencies (for tests/benches).
     pub fn composed_len(&self) -> usize {
-        relock(&self.accountant).family_len(Family::Composed)
+        relock(&self.accountant).family_len(CacheFamily::Composed)
+    }
+
+    /// Lookup-or-compute over one of the three unbudgeted maps, counted
+    /// against `family`. `compute` runs outside the lock; concurrent
+    /// computes of one key produce identical bits, so whichever insert
+    /// lands first is kept.
+    fn memo<K: Eq + Hash, V: Clone>(
+        &self,
+        family: CacheFamily,
+        map: &Mutex<FxHashMap<K, V>>,
+        key: K,
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        let counter = &self.counters[family as usize];
+        if let Some(v) = relock(map).get(&key) {
+            counter.hit();
+            return v.clone();
+        }
+        counter.miss();
+        let v = compute();
+        relock(map).entry(key).or_insert(v).clone()
+    }
+
+    /// Lookup-or-compute through the accountant, for the four
+    /// budget-governed families. `compute` returns the value with its
+    /// resident bytes and recompute cost, and runs outside the lock
+    /// (compositions recurse into their prefixes and run SpGEMMs that
+    /// must not serialize other cache users); concurrent computes of
+    /// one key produce identical bits, so the insert is safe whichever
+    /// thread lands first.
+    fn accounted(
+        &self,
+        key: CacheKey,
+        compute: impl FnOnce() -> (CacheValue, usize, u64),
+    ) -> CacheValue {
+        let counter = &self.counters[key.family() as usize];
+        if let Some(v) = relock(&self.accountant).get(&key) {
+            counter.hit();
+            return v;
+        }
+        counter.miss();
+        let (value, bytes, cost) = compute();
+        relock(&self.accountant).insert(key, value, bytes, cost)
     }
 
     /// Cached [`enumerate_metapaths`]: every proper meta-path rooted at
@@ -903,19 +910,19 @@ impl CondenseContext<'_> {
         max_hops: usize,
         max_paths: usize,
     ) -> Arc<Vec<MetaPath>> {
-        let key = (root, max_hops, max_paths);
-        if let Some(p) = relock(&self.paths).get(&key) {
-            self.paths_stats.hit();
-            return Arc::clone(p);
-        }
-        self.paths_stats.miss();
-        let paths = Arc::new(enumerate_metapaths(
-            self.graph().schema(),
-            root,
-            max_hops,
-            max_paths,
-        ));
-        Arc::clone(relock(&self.paths).entry(key).or_insert(paths))
+        self.memo(
+            CacheFamily::Paths,
+            &self.paths,
+            (root, max_hops, max_paths),
+            || {
+                Arc::new(enumerate_metapaths(
+                    self.graph().schema(),
+                    root,
+                    max_hops,
+                    max_paths,
+                ))
+            },
+        )
     }
 
     /// The paths from `root` that end at `source` (the path family
@@ -944,24 +951,14 @@ impl CondenseContext<'_> {
     }
 
     fn factor(&self, step: MetaPathStep) -> Arc<CsrMatrix> {
-        if let Some(f) = relock(&self.factors).get(&step) {
-            self.factors_stats.hit();
-            return Arc::clone(f);
-        }
-        self.factors_stats.miss();
-        let a = self.graph().adjacency(step.edge);
-        let m = if step.forward {
-            a.row_normalized()
-        } else {
-            a.transpose().row_normalized()
-        };
-        Arc::clone(
-            self.factors
-                .lock()
-                .unwrap()
-                .entry(step)
-                .or_insert(Arc::new(m)),
-        )
+        self.memo(CacheFamily::Factors, &self.factors, step, || {
+            let a = self.graph().adjacency(step.edge);
+            Arc::new(if step.forward {
+                a.row_normalized()
+            } else {
+                a.transpose().row_normalized()
+            })
+        })
     }
 
     fn compose(&self, steps: &[MetaPathStep]) -> Arc<CsrMatrix> {
@@ -974,34 +971,24 @@ impl CondenseContext<'_> {
         if steps.len() == 1 {
             return self.factor(steps[0]);
         }
-        let key = FamilyKey::Composed(steps.to_vec());
-        if let Some(m) = relock(&self.accountant).get(&key) {
-            self.composed_stats.hit();
-            return m.into_composed();
-        }
-        self.composed_stats.miss();
-        // Compute outside the lock: compositions recurse into their
-        // prefixes and run SpGEMMs that must not serialize other cache
-        // users. Concurrent computes of the same key produce identical
-        // bits (pure function of graph + steps), so the insert below is
-        // safe whichever thread lands first.
-        let prefix = self.compose(&steps[..steps.len() - 1]);
-        let last = self.factor(steps[steps.len() - 1]);
-        let cost = spgemm_cost(&prefix, &last);
-        let mut prod = prefix.spgemm(&last);
-        if let Some(k) = self.max_row_nnz {
-            // The cap is a *per-row* contract: apply it whenever any
-            // row exceeds k, not only when the aggregate density
-            // does (a skewed product can hide an over-full row
-            // behind many empty ones).
-            if any_row_exceeds(&prod, k) {
-                prod = prod.top_k_per_row(k);
+        self.accounted(CacheKey::Composed(steps.to_vec()), || {
+            let prefix = self.compose(&steps[..steps.len() - 1]);
+            let last = self.factor(steps[steps.len() - 1]);
+            let cost = spgemm_cost(&prefix, &last);
+            let mut prod = prefix.spgemm(&last);
+            if let Some(k) = self.max_row_nnz {
+                // The cap is a *per-row* contract: apply it whenever any
+                // row exceeds k, not only when the aggregate density
+                // does (a skewed product can hide an over-full row
+                // behind many empty ones).
+                if any_row_exceeds(&prod, k) {
+                    prod = prod.top_k_per_row(k);
+                }
             }
-        }
-        let bytes = prod.storage_bytes();
-        relock(&self.accountant)
-            .insert(key, FamilyValue::Composed(Arc::new(prod)), bytes, cost)
-            .into_composed()
+            let bytes = prod.storage_bytes();
+            (CacheValue::Matrix(Arc::new(prod)), bytes, cost)
+        })
+        .into_matrix()
     }
 
     /// Cached [`HeteroGraph::adjacency_between`]: the `from → to`
@@ -1011,20 +998,9 @@ impl CondenseContext<'_> {
     /// repeated misses on an absent relation neither recompute nor
     /// under-report.
     pub fn adjacency_between(&self, from: NodeTypeId, to: NodeTypeId) -> Option<Arc<CsrMatrix>> {
-        let key = (from, to);
-        if let Some(a) = relock(&self.oriented).get(&key) {
-            self.oriented_stats.hit();
-            return a.as_ref().map(Arc::clone);
-        }
-        self.oriented_stats.miss();
-        let a = self.graph().adjacency_between(from, to).map(Arc::new);
-        self.oriented
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert(a)
-            .as_ref()
-            .map(Arc::clone)
+        self.memo(CacheFamily::Oriented, &self.oriented, (from, to), || {
+            self.graph().adjacency_between(from, to).map(Arc::new)
+        })
     }
 
     /// Returns the cached influence vector for `key`, computing it with
@@ -1034,18 +1010,7 @@ impl CondenseContext<'_> {
         key: InfluenceKey,
         compute: impl FnOnce() -> Vec<f64>,
     ) -> Arc<Vec<f64>> {
-        let fkey = FamilyKey::Influence(key);
-        if let Some(v) = relock(&self.accountant).get(&fkey) {
-            self.influence_stats.hit();
-            return v.into_vector();
-        }
-        self.influence_stats.miss();
-        let v = Arc::new(compute());
-        let bytes = v.len() * std::mem::size_of::<f64>();
-        let cost = influence_cost(v.len());
-        relock(&self.accountant)
-            .insert(fkey, FamilyValue::Influence(v), bytes, cost)
-            .into_vector()
+        self.vector(CacheKey::Influence(key), compute)
     }
 
     /// Returns the cached diversity-bonus vector for `key` (one entry per
@@ -1058,49 +1023,120 @@ impl CondenseContext<'_> {
         key: DiversityKey,
         compute: impl FnOnce() -> Vec<f64>,
     ) -> Arc<Vec<f64>> {
-        let fkey = FamilyKey::Diversity(key);
-        if let Some(v) = relock(&self.accountant).get(&fkey) {
-            self.diversity_stats.hit();
-            return v.into_vector();
-        }
-        self.diversity_stats.miss();
-        let v = Arc::new(compute());
-        let bytes = v.len() * std::mem::size_of::<f64>();
-        let cost = diversity_cost(v.len());
-        relock(&self.accountant)
-            .insert(fkey, FamilyValue::Diversity(v), bytes, cost)
-            .into_vector()
+        self.vector(CacheKey::Diversity(key), compute)
     }
 
-    // ---- delta seeding ----------------------------------------------
+    fn vector(&self, key: CacheKey, compute: impl FnOnce() -> Vec<f64>) -> Arc<Vec<f64>> {
+        let family = key.family();
+        self.accounted(key, || {
+            let v = compute();
+            let (bytes, cost) = vector_charge(family, v.len());
+            (CacheValue::Vector(Arc::new(v)), bytes, cost)
+        })
+        .into_vector()
+    }
+
+    /// Returns the cached propagated-feature value for `key`, computing
+    /// it with `compute` on a miss. The value is stored type-erased so
+    /// higher layers can cache their own block types here; `T` must be
+    /// the same type for every use of a given context (guaranteed in
+    /// practice — one layer owns this cache). The caller also reports
+    /// the value's resident heap bytes (surfaced through the propagated
+    /// family's [`FamilyCounters::bytes`] and charged against the
+    /// budget) and its recompute-cost estimate in the accountant's
+    /// shared flop currency, so cross-family eviction can weigh a
+    /// propagated block against a composed product. All three closures
+    /// run once, only on the miss that actually computes the value.
+    pub fn propagated<T: Any + Send + Sync>(
+        &self,
+        key: (usize, usize),
+        compute: impl FnOnce() -> T,
+        bytes_of: impl FnOnce(&T) -> usize,
+        cost_of: impl FnOnce(&T) -> u64,
+    ) -> Arc<T> {
+        self.accounted(CacheKey::Propagated(key), || {
+            let v = compute();
+            let (bytes, cost) = (bytes_of(&v), cost_of(&v));
+            (CacheValue::Propagated(Arc::new(v)), bytes, cost)
+        })
+        .into_propagated()
+        .downcast::<T>()
+        .expect("propagated cache holds one concrete type per context")
+    }
+
+    // ---- delta seeding and snapshots ----------------------------------
+
+    /// Every cached entry, sorted by family and then key, so snapshot
+    /// bytes are deterministic for identical cache contents and
+    /// [`CondenseContext::install`] replays budget admissions in one
+    /// fixed order.
+    pub(crate) fn entries(&self) -> Vec<CacheEntry> {
+        fn plain(key: CacheKey, value: CacheValue) -> CacheEntry {
+            CacheEntry {
+                key,
+                value,
+                bytes: 0,
+                cost: 0,
+            }
+        }
+        let mut out: Vec<CacheEntry> = relock(&self.paths)
+            .iter()
+            .map(|(k, v)| plain(CacheKey::Paths(*k), CacheValue::Paths(Arc::clone(v))))
+            .collect();
+        out.extend(
+            relock(&self.factors)
+                .iter()
+                .map(|(k, m)| plain(CacheKey::Factors(*k), CacheValue::Matrix(Arc::clone(m)))),
+        );
+        out.extend(
+            relock(&self.oriented)
+                .iter()
+                .map(|(k, a)| plain(CacheKey::Oriented(*k), CacheValue::Oriented(a.clone()))),
+        );
+        out.extend(
+            relock(&self.accountant)
+                .map
+                .iter()
+                .map(|(k, e)| CacheEntry {
+                    key: k.clone(),
+                    value: e.value.clone(),
+                    bytes: e.bytes,
+                    cost: e.cost,
+                }),
+        );
+        out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+        out
+    }
+
+    /// Pre-warms one cache with `entry` without touching the hit/miss
+    /// counters — an inherited or loaded entry was neither requested
+    /// nor computed here — and never overwrites an entry a live caller
+    /// already produced. Budgeted families go through the accountant's
+    /// normal admission, so a budget set before a seed or snapshot load
+    /// bounds it exactly as it bounds computed entries.
+    pub(crate) fn install(&self, entry: CacheEntry) {
+        match (entry.key, entry.value) {
+            (CacheKey::Paths(k), CacheValue::Paths(v)) => {
+                relock(&self.paths).entry(k).or_insert(v);
+            }
+            (CacheKey::Factors(k), CacheValue::Matrix(m)) => {
+                relock(&self.factors).entry(k).or_insert(m);
+            }
+            (CacheKey::Oriented(k), CacheValue::Oriented(a)) => {
+                relock(&self.oriented).entry(k).or_insert(a);
+            }
+            (key, value) => {
+                relock(&self.accountant).insert(key, value, entry.bytes, entry.cost);
+            }
+        }
+    }
 
     /// Seeds this (typically cold) context from `old`'s caches, keeping
-    /// exactly the entries a [`GraphDelta`] provably leaves unchanged.
+    /// exactly the entries a [`GraphDelta`] provably leaves unchanged
+    /// (see `InvalidationRules::survives` for the per-family rules).
     /// The caller guarantees `self.graph()` equals `old.graph()` with
     /// `delta` applied — same schema, same per-type node counts, the
     /// named relations/feature tables rewired and nothing else.
-    ///
-    /// Survival rules, one per family (each is the exact dependency set
-    /// of the cached computation):
-    ///
-    /// * **paths** — enumeration reads only the schema; always survives.
-    /// * **factors** — the factor of step `s` reads relation `s.edge`
-    ///   alone; killed iff the delta touches it.
-    /// * **composed** — a product reads its steps' factors; killed iff
-    ///   any step's edge is touched.
-    /// * **oriented** — `(from, to)` resolves one schema relation; the
-    ///   cached negative (`None`) is schema-only and always survives, a
-    ///   positive is killed iff its relation is touched.
-    /// * **influence** — scores aggregate the composed adjacencies of
-    ///   the family `Φ_L(target → father)` and never read features;
-    ///   killed iff any family path traverses a touched edge.
-    /// * **diversity** — the bonus of path `i` reads the composed
-    ///   adjacencies of `i` and its same-source-type siblings; killed
-    ///   iff any path in that group traverses a touched edge.
-    /// * **propagated** — block 0 is the raw target features and block
-    ///   `i` is `Â_i · X_source(i)`; killed iff any family path
-    ///   traverses a touched edge, or the delta rewrites the target's
-    ///   or any family source type's features.
     ///
     /// Surviving entries are installed verbatim (`Arc` clones — no
     /// recompute, no hit/miss counter noise), so a seeded context is
@@ -1111,7 +1147,7 @@ impl CondenseContext<'_> {
     /// # Panics
     /// Panics when the fill-in caps disagree (cap changes composed
     /// bits) or the graphs' shapes differ (a delta never resizes).
-    pub fn seed_from(&self, old: &CondenseContext<'_>, delta: &GraphDelta) -> DeltaSeedReport {
+    pub fn seed_from(&self, old: &CondenseContext<'_>, delta: &GraphDelta) -> SeedReport {
         assert_eq!(
             self.max_row_nnz, old.max_row_nnz,
             "delta seeding requires equal fill-in caps: the cap changes \
@@ -1132,312 +1168,16 @@ impl CondenseContext<'_> {
         );
 
         let mut rules = InvalidationRules::new(schema, delta);
-        let mut report = DeltaSeedReport::default();
-
-        for (key, v) in old.dump_paths() {
-            self.install_paths(key, v);
-            report.paths += 1;
-        }
-
-        for (step, m) in old.dump_factors() {
-            if rules.factor_clean(step) {
-                self.install_factor(step, m);
-                report.factors += 1;
+        let mut report = SeedReport::default();
+        for entry in old.entries() {
+            if rules.survives(&entry.key) {
+                report.installed[entry.key.family() as usize] += 1;
+                self.install(entry);
             } else {
                 report.dropped += 1;
             }
         }
-
-        for (steps, m, cost) in old.dump_composed() {
-            if rules.steps_clean(&steps) {
-                self.install_composed(steps, m, cost);
-                report.composed += 1;
-            } else {
-                report.dropped += 1;
-            }
-        }
-
-        for (key, a) in old.dump_oriented() {
-            if rules.oriented_clean(key.0, key.1) {
-                self.install_oriented(key, a);
-                report.oriented += 1;
-            } else {
-                report.dropped += 1;
-            }
-        }
-
-        for (key, v) in old.dump_influence() {
-            if rules.influence_clean(key.father, key.max_hops, key.max_paths) {
-                self.install_influence(key, v);
-                report.influence += 1;
-            } else {
-                report.dropped += 1;
-            }
-        }
-
-        for (key, v) in old.dump_diversity() {
-            let (root, mh, mp, pi) = key;
-            if rules.diversity_clean(root, mh, mp, pi) {
-                self.install_diversity(key, v);
-                report.diversity += 1;
-            } else {
-                report.dropped += 1;
-            }
-        }
-
-        for (key, v, bytes, cost) in old.dump_propagated() {
-            if rules.propagated_clean(key.0, key.1) {
-                self.install_propagated(key, v, bytes, cost);
-                report.propagated += 1;
-            } else {
-                report.dropped += 1;
-            }
-        }
-
         report
-    }
-
-    // ---- snapshot support -------------------------------------------
-    //
-    // The dump methods hand the snapshot encoder a *sorted* copy of each
-    // cache (deterministic file bytes for identical cache contents); the
-    // install methods pre-warm a cache from a decoded snapshot without
-    // touching the hit/miss counters — a loaded entry was neither
-    // requested nor computed, and installs never overwrite entries a
-    // live caller already produced.
-
-    pub(crate) fn dump_factors(&self) -> Vec<(MetaPathStep, Arc<CsrMatrix>)> {
-        let mut v: Vec<_> = self
-            .factors
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, m)| (*k, Arc::clone(m)))
-            .collect();
-        v.sort_unstable_by_key(|(k, _)| *k);
-        v
-    }
-
-    pub(crate) fn dump_composed(&self) -> Vec<(Vec<MetaPathStep>, Arc<CsrMatrix>, u64)> {
-        let acct = relock(&self.accountant);
-        let mut v: Vec<_> = acct
-            .map
-            .iter()
-            .filter_map(|(k, e)| match (k, &e.value) {
-                (FamilyKey::Composed(steps), FamilyValue::Composed(m)) => {
-                    Some((steps.clone(), Arc::clone(m), e.cost))
-                }
-                _ => None,
-            })
-            .collect();
-        drop(acct);
-        v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    pub(crate) fn dump_influence(&self) -> Vec<(InfluenceKey, Arc<Vec<f64>>)> {
-        let acct = relock(&self.accountant);
-        let mut v: Vec<_> = acct
-            .map
-            .iter()
-            .filter_map(|(k, e)| match (k, &e.value) {
-                (FamilyKey::Influence(key), FamilyValue::Influence(x)) => {
-                    Some((key.clone(), Arc::clone(x)))
-                }
-                _ => None,
-            })
-            .collect();
-        drop(acct);
-        v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    pub(crate) fn dump_diversity(&self) -> Vec<(DiversityKey, Arc<Vec<f64>>)> {
-        let acct = relock(&self.accountant);
-        let mut v: Vec<_> = acct
-            .map
-            .iter()
-            .filter_map(|(k, e)| match (k, &e.value) {
-                (FamilyKey::Diversity(key), FamilyValue::Diversity(x)) => {
-                    Some((*key, Arc::clone(x)))
-                }
-                _ => None,
-            })
-            .collect();
-        drop(acct);
-        v.sort_unstable_by_key(|(k, _)| *k);
-        v
-    }
-
-    pub(crate) fn dump_propagated(&self) -> Vec<((usize, usize), AnyArc, usize, u64)> {
-        let acct = relock(&self.accountant);
-        let mut v: Vec<_> = acct
-            .map
-            .iter()
-            .filter_map(|(k, e)| match (k, &e.value) {
-                (FamilyKey::Propagated(key), FamilyValue::Propagated(x)) => {
-                    Some((*key, Arc::clone(x), e.bytes, e.cost))
-                }
-                _ => None,
-            })
-            .collect();
-        drop(acct);
-        v.sort_unstable_by_key(|(k, _, _, _)| *k);
-        v
-    }
-
-    pub(crate) fn dump_paths(&self) -> Vec<(PathKey, Arc<Vec<MetaPath>>)> {
-        let mut v: Vec<_> = self
-            .paths
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, p)| (*k, Arc::clone(p)))
-            .collect();
-        v.sort_unstable_by_key(|(k, _)| *k);
-        v
-    }
-
-    pub(crate) fn dump_oriented(&self) -> Vec<OrientedEntry> {
-        let mut v: Vec<_> = self
-            .oriented
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, a)| (*k, a.as_ref().map(Arc::clone)))
-            .collect();
-        v.sort_unstable_by_key(|(k, _)| *k);
-        v
-    }
-
-    pub(crate) fn install_factor(&self, step: MetaPathStep, m: Arc<CsrMatrix>) {
-        relock(&self.factors).entry(step).or_insert(m);
-    }
-
-    /// Installs a composed adjacency through the accountant's normal
-    /// admission path, so the byte budget (and its eviction policy)
-    /// applies to loaded entries exactly as to computed ones. The same
-    /// holds for every install below: a budget set before a snapshot
-    /// load bounds the load too.
-    pub(crate) fn install_composed(&self, steps: Vec<MetaPathStep>, m: Arc<CsrMatrix>, cost: u64) {
-        let bytes = m.storage_bytes();
-        relock(&self.accountant).insert(
-            FamilyKey::Composed(steps),
-            FamilyValue::Composed(m),
-            bytes,
-            cost,
-        );
-    }
-
-    pub(crate) fn install_influence(&self, key: InfluenceKey, v: Arc<Vec<f64>>) {
-        let bytes = v.len() * std::mem::size_of::<f64>();
-        let cost = influence_cost(v.len());
-        relock(&self.accountant).insert(
-            FamilyKey::Influence(key),
-            FamilyValue::Influence(v),
-            bytes,
-            cost,
-        );
-    }
-
-    pub(crate) fn install_diversity(&self, key: DiversityKey, v: Arc<Vec<f64>>) {
-        let bytes = v.len() * std::mem::size_of::<f64>();
-        let cost = diversity_cost(v.len());
-        relock(&self.accountant).insert(
-            FamilyKey::Diversity(key),
-            FamilyValue::Diversity(v),
-            bytes,
-            cost,
-        );
-    }
-
-    pub(crate) fn install_propagated(
-        &self,
-        key: (usize, usize),
-        v: AnyArc,
-        bytes: usize,
-        cost: u64,
-    ) {
-        relock(&self.accountant).insert(
-            FamilyKey::Propagated(key),
-            FamilyValue::Propagated(v),
-            bytes,
-            cost,
-        );
-    }
-
-    pub(crate) fn install_paths(&self, key: PathKey, v: Arc<Vec<MetaPath>>) {
-        relock(&self.paths).entry(key).or_insert(v);
-    }
-
-    pub(crate) fn install_oriented(
-        &self,
-        key: (NodeTypeId, NodeTypeId),
-        v: Option<Arc<CsrMatrix>>,
-    ) {
-        relock(&self.oriented).entry(key).or_insert(v);
-    }
-
-    /// Returns the cached propagated-feature value for `key`, computing
-    /// it with `compute` on a miss. The value is stored type-erased so
-    /// higher layers can cache their own block types here; `T` must be
-    /// the same type for every use of a given context (guaranteed in
-    /// practice — one layer owns this cache).
-    pub fn propagated<T: Any + Send + Sync>(
-        &self,
-        key: (usize, usize),
-        compute: impl FnOnce() -> T,
-    ) -> Arc<T> {
-        self.propagated_sized(key, compute, |_| 0)
-    }
-
-    /// [`CondenseContext::propagated`] whose caller also reports the
-    /// value's resident heap bytes, surfaced through
-    /// [`CacheCounters::propagated_bytes`] and charged against the
-    /// budget. `bytes_of` runs once, only on the miss that actually
-    /// computes the value.
-    pub fn propagated_sized<T: Any + Send + Sync>(
-        &self,
-        key: (usize, usize),
-        compute: impl FnOnce() -> T,
-        bytes_of: impl FnOnce(&T) -> usize,
-    ) -> Arc<T> {
-        self.propagated_costed(key, compute, bytes_of, |_| 0)
-    }
-
-    /// [`CondenseContext::propagated_sized`] whose caller also reports
-    /// the value's recompute-cost estimate in the accountant's shared
-    /// flop currency, so cross-family eviction can weigh a propagated
-    /// block against a composed product. An unreported cost (the
-    /// `propagated`/`propagated_sized` default of 0) makes the block
-    /// the accountant's first victim — safe, since eviction only forces
-    /// a pure recompute. Both closures run once, only on the miss that
-    /// actually computes the value.
-    pub fn propagated_costed<T: Any + Send + Sync>(
-        &self,
-        key: (usize, usize),
-        compute: impl FnOnce() -> T,
-        bytes_of: impl FnOnce(&T) -> usize,
-        cost_of: impl FnOnce(&T) -> u64,
-    ) -> Arc<T> {
-        let fkey = FamilyKey::Propagated(key);
-        if let Some(v) = relock(&self.accountant).get(&fkey) {
-            self.propagated_stats.hit();
-            return v
-                .into_propagated()
-                .downcast::<T>()
-                .expect("propagated cache holds one concrete type per context");
-        }
-        self.propagated_stats.miss();
-        let v = Arc::new(compute());
-        let bytes = bytes_of(&v);
-        let cost = cost_of(&v);
-        let any: AnyArc = v;
-        relock(&self.accountant)
-            .insert(fkey, FamilyValue::Propagated(any), bytes, cost)
-            .into_propagated()
-            .downcast::<T>()
-            .expect("propagated cache holds one concrete type per context")
     }
 }
 
@@ -1503,6 +1243,11 @@ mod tests {
         b.build()
     }
 
+    fn hits_misses(ctx: &CondenseContext<'_>, family: CacheFamily) -> (u64, u64) {
+        let c = ctx.stats()[family];
+        (c.hits, c.misses)
+    }
+
     #[test]
     fn repeated_queries_share_one_computation() {
         let g = fixture();
@@ -1514,8 +1259,8 @@ mod tests {
         let b = ctx.adjacency(two_hop);
         assert!(Arc::ptr_eq(&a, &b), "second query must return the cache");
         let st = ctx.stats();
-        assert_eq!(st.composed.0, 1, "one composed hit");
-        assert_eq!(st.composed.1, 1, "one composed miss");
+        assert_eq!(st[CacheFamily::Composed].hits, 1, "one composed hit");
+        assert_eq!(st[CacheFamily::Composed].misses, 1, "one composed miss");
         assert!(Arc::ptr_eq(&paths, &ctx.metapaths(root, 2, 100)));
         // A single-step path is a factor, not a composed product: it
         // must never touch the composed cache or its budget.
@@ -1523,8 +1268,15 @@ mod tests {
         let f1 = ctx.adjacency(one_hop);
         let f2 = ctx.adjacency(one_hop);
         assert!(Arc::ptr_eq(&f1, &f2));
-        assert_eq!(ctx.stats().composed, st.composed, "composed untouched");
-        assert!(ctx.stats().factors.0 >= 1, "served by the factor cache");
+        assert_eq!(
+            ctx.stats()[CacheFamily::Composed],
+            st[CacheFamily::Composed],
+            "composed untouched"
+        );
+        assert!(
+            ctx.stats()[CacheFamily::Factors].hits >= 1,
+            "served by the factor cache"
+        );
     }
 
     #[test]
@@ -1619,7 +1371,7 @@ mod tests {
         let rev = ctx.adjacency_between(a, p).unwrap();
         assert_eq!(*rev, g.adjacency_between(a, p).unwrap());
         assert!(Arc::ptr_eq(&fwd, &ctx.adjacency_between(p, a).unwrap()));
-        assert_eq!(ctx.stats().oriented, (1, 2));
+        assert_eq!(hits_misses(&ctx, CacheFamily::Oriented), (1, 2));
     }
 
     #[test]
@@ -1630,11 +1382,15 @@ mod tests {
         let f = g.schema().node_type_by_name("field").unwrap();
         assert!(g.schema().edge_between(a, f).is_none());
         assert!(ctx.adjacency_between(a, f).is_none());
-        assert_eq!(ctx.stats().oriented, (0, 1), "first ask is a miss");
+        assert_eq!(
+            hits_misses(&ctx, CacheFamily::Oriented),
+            (0, 1),
+            "first ask is a miss"
+        );
         assert!(ctx.adjacency_between(a, f).is_none());
         assert!(ctx.adjacency_between(a, f).is_none());
         assert_eq!(
-            ctx.stats().oriented,
+            hits_misses(&ctx, CacheFamily::Oriented),
             (2, 1),
             "repeat asks hit the cached negative answer"
         );
@@ -1670,17 +1426,23 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let c = ctx.diversity((root, 2, 24, 1), || vec![0.25]);
         assert_eq!(*c, vec![0.25], "different path index must not collide");
-        assert_eq!(ctx.stats().diversity, (1, 2));
+        assert_eq!(hits_misses(&ctx, CacheFamily::Diversity), (1, 2));
     }
 
     #[test]
     fn propagated_cache_round_trips_any_type() {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
-        let a = ctx.propagated((2, 12), || vec![1u32, 2, 3]);
-        let b = ctx.propagated((2, 12), || unreachable!("must hit"));
+        let a = ctx.propagated((2, 12), || vec![1u32, 2, 3], |v| v.len() * 4, |_| 3);
+        let b = ctx.propagated(
+            (2, 12),
+            || unreachable!("must hit"),
+            |_: &Vec<u32>| unreachable!("sized once, on the computing miss"),
+            |_| unreachable!("costed once, on the computing miss"),
+        );
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(ctx.stats().propagated, (1, 1));
+        assert_eq!(ctx.stats()[CacheFamily::Propagated].bytes, 12);
+        assert_eq!(hits_misses(&ctx, CacheFamily::Propagated), (1, 1));
     }
 
     #[test]
@@ -1751,13 +1513,16 @@ mod tests {
             }
         }
         let st = evicting.stats();
-        assert!(st.composed_evictions > 0, "budget must force evictions");
         assert!(
-            st.composed_peak_bytes <= budget as u64,
-            "peak {} exceeded budget {budget}",
-            st.composed_peak_bytes
+            st[CacheFamily::Composed].evictions > 0,
+            "budget must force evictions"
         );
-        assert!(st.composed_bytes <= budget as u64);
+        assert!(
+            st[CacheFamily::Composed].peak_bytes <= budget as u64,
+            "peak {} exceeded budget {budget}",
+            st[CacheFamily::Composed].peak_bytes
+        );
+        assert!(st[CacheFamily::Composed].bytes <= budget as u64);
     }
 
     #[test]
@@ -1776,12 +1541,12 @@ mod tests {
         let budget = ctx.composed_bytes().saturating_sub(1);
         let ctx = ctx.with_cache_budget(Some(budget));
         let st = ctx.stats();
-        assert!(st.composed_evictions >= 1);
+        assert!(st[CacheFamily::Composed].evictions >= 1);
         assert!(ctx.composed_len() < multi_hop);
         assert!(
-            st.composed_peak_bytes <= budget as u64,
+            st[CacheFamily::Composed].peak_bytes <= budget as u64,
             "peak {} must restart under the new budget {budget}",
-            st.composed_peak_bytes
+            st[CacheFamily::Composed].peak_bytes
         );
         // Evicted entries recompute to identical bits.
         let fresh = CondenseContext::new(&g);
@@ -1799,9 +1564,9 @@ mod tests {
             edge: crate::schema::EdgeTypeId(e),
             forward: true,
         };
-        let key = |e: u16| FamilyKey::Composed(vec![step(0), step(e)]);
+        let key = |e: u16| CacheKey::Composed(vec![step(0), step(e)]);
         let m = |seed: u32| {
-            FamilyValue::Composed(Arc::new(CsrMatrix::from_edges(
+            CacheValue::Matrix(Arc::new(CsrMatrix::from_edges(
                 2,
                 2,
                 &[(0, seed % 2), (1, 1)],
@@ -1815,12 +1580,12 @@ mod tests {
         cache.insert(key(1), m(0), bytes_each, 10); // cheap
         cache.insert(key(2), m(1), bytes_each, 10); // cheap, same cost
         cache.insert(key(3), m(0), bytes_each, 50); // expensive
-        assert_eq!(cache.evictions[Family::Composed as usize], 0);
+        assert_eq!(cache.evictions[CacheFamily::Composed as usize], 0);
         // Touch the first cheap entry so the second becomes the
         // least-recently-used one of the cheapest tier.
         assert!(cache.get(&key(1)).is_some());
         cache.insert(key(4), m(1), bytes_each, 30);
-        assert_eq!(cache.evictions[Family::Composed as usize], 1);
+        assert_eq!(cache.evictions[CacheFamily::Composed as usize], 1);
         assert!(
             cache.map.contains_key(&key(1)),
             "recently touched equal-cost entry must survive"
@@ -1833,7 +1598,7 @@ mod tests {
         // Across cost tiers, cheapest-first beats recency: the freshly
         // touched cost-10 entry still goes before cost-30/50 ones.
         cache.insert(key(5), m(0), bytes_each, 40);
-        assert_eq!(cache.evictions[Family::Composed as usize], 2);
+        assert_eq!(cache.evictions[CacheFamily::Composed as usize], 2);
         assert!(!cache.map.contains_key(&key(1)));
         assert!(cache.map.contains_key(&key(3)));
         assert!(cache.bytes <= bytes_each * 3);
@@ -1862,42 +1627,42 @@ mod tests {
             budget: Some(bytes * 4),
             ..Default::default()
         };
-        let vec_val = |fam: Family| {
+        let vec_val = |fam: CacheFamily| {
             let v = Arc::new(vec![0.0f64; 8]);
             match fam {
-                Family::Influence => FamilyValue::Influence(v),
-                Family::Diversity => FamilyValue::Diversity(v),
+                CacheFamily::Influence => CacheValue::Vector(v),
+                CacheFamily::Diversity => CacheValue::Vector(v),
                 _ => unreachable!(),
             }
         };
         let prop: AnyArc = Arc::new(vec![0u8; bytes]);
         cache.insert(
-            FamilyKey::Composed(vec![step(0), step(1)]),
-            FamilyValue::Composed(Arc::new(CsrMatrix::from_edges(2, 2, &[(0, 0)]))),
+            CacheKey::Composed(vec![step(0), step(1)]),
+            CacheValue::Matrix(Arc::new(CsrMatrix::from_edges(2, 2, &[(0, 0)]))),
             bytes,
             4096,
         );
         cache.insert(
-            FamilyKey::Influence(ikey),
-            vec_val(Family::Influence),
+            CacheKey::Influence(ikey),
+            vec_val(CacheFamily::Influence),
             bytes,
-            influence_cost(8), // 512 → density 8
+            vector_charge(CacheFamily::Influence, 8).1, // 512 → density 8
         );
         cache.insert(
-            FamilyKey::Diversity((crate::schema::NodeTypeId(0), 2, 8, 0)),
-            vec_val(Family::Diversity),
+            CacheKey::Diversity((crate::schema::NodeTypeId(0), 2, 8, 0)),
+            vec_val(CacheFamily::Diversity),
             bytes,
-            diversity_cost(8), // 128 → density 2
+            vector_charge(CacheFamily::Diversity, 8).1, // 128 → density 2
         );
         cache.insert(
-            FamilyKey::Propagated((2, 8)),
-            FamilyValue::Propagated(prop),
+            CacheKey::Propagated((2, 8)),
+            CacheValue::Propagated(prop),
             bytes,
             32, // density 0.5 — the cheapest to rebuild per byte
         );
         assert_eq!(cache.bytes, bytes * 4);
-        let order: Vec<Family> = std::iter::from_fn(|| {
-            let before: Vec<FamilyKey> = cache.map.keys().cloned().collect();
+        let order: Vec<CacheFamily> = std::iter::from_fn(|| {
+            let before: Vec<CacheKey> = cache.map.keys().cloned().collect();
             if !cache.evict_one() {
                 return None;
             }
@@ -1910,35 +1675,36 @@ mod tests {
         assert_eq!(
             order,
             vec![
-                Family::Propagated,
-                Family::Diversity,
-                Family::Influence,
-                Family::Composed
+                CacheFamily::Propagated,
+                CacheFamily::Diversity,
+                CacheFamily::Influence,
+                CacheFamily::Composed
             ],
             "eviction must walk the cost-per-byte ladder from the bottom"
         );
         assert_eq!(cache.bytes, 0);
         assert_eq!(cache.family_bytes, [0; NUM_FAMILIES]);
-        assert_eq!(cache.evictions, [1, 1, 1, 1]);
+        assert_eq!(cache.evictions, [0, 0, 1, 0, 1, 1, 1]);
     }
 
     #[test]
     fn cache_counter_totals_saturate_instead_of_overflowing() {
-        let c = CacheCounters {
-            paths: (u64::MAX, u64::MAX),
-            factors: (5, 7),
-            diversity: (u64::MAX, 0),
+        let counts = |hits, misses| FamilyCounters {
+            hits,
+            misses,
             ..Default::default()
         };
+        let mut c = CacheCounters::default();
+        c.families[CacheFamily::Paths as usize] = counts(u64::MAX, u64::MAX);
+        c.families[CacheFamily::Factors as usize] = counts(5, 7);
+        c.families[CacheFamily::Diversity as usize] = counts(u64::MAX, 0);
         // A wrapping sum would panic in debug builds (and wrap to a
         // small number in release); totals must clamp instead.
         assert_eq!(c.total_hits(), u64::MAX);
         assert_eq!(c.total_misses(), u64::MAX);
-        let small = CacheCounters {
-            paths: (2, 3),
-            factors: (5, 7),
-            ..Default::default()
-        };
+        let mut small = CacheCounters::default();
+        small.families[CacheFamily::Paths as usize] = counts(2, 3);
+        small.families[CacheFamily::Factors as usize] = counts(5, 7);
         assert_eq!(small.total_hits(), 7, "un-saturated totals still exact");
         assert_eq!(small.total_misses(), 10);
     }
@@ -1960,23 +1726,33 @@ mod tests {
         let budget = (full / 2).max(1);
         let ctx = ctx.with_cache_budget(Some(budget));
         let st = ctx.stats();
-        assert!(st.composed_bytes <= budget as u64);
-        assert_eq!(st.composed_peak_bytes, st.composed_bytes);
+        assert!(st[CacheFamily::Composed].bytes <= budget as u64);
+        assert_eq!(
+            st[CacheFamily::Composed].peak_bytes,
+            st[CacheFamily::Composed].bytes
+        );
 
         // Remove the budget from the (still warm) context: nothing is
         // evicted, and the mark restarts at the resident size instead of
         // carrying the budgeted era's history.
         let ctx = ctx.with_cache_budget(None);
         let st = ctx.stats();
-        assert_eq!(st.composed_peak_bytes, st.composed_bytes);
+        assert_eq!(
+            st[CacheFamily::Composed].peak_bytes,
+            st[CacheFamily::Composed].bytes
+        );
 
         // New inserts grow both again, keeping bytes ≤ peak.
         for p in paths.iter() {
             ctx.adjacency(p);
         }
         let st = ctx.stats();
-        assert_eq!(st.composed_bytes, full as u64, "unbudgeted refill");
-        assert!(st.composed_peak_bytes >= st.composed_bytes);
+        assert_eq!(
+            st[CacheFamily::Composed].bytes,
+            full as u64,
+            "unbudgeted refill"
+        );
+        assert!(st[CacheFamily::Composed].peak_bytes >= st[CacheFamily::Composed].bytes);
     }
 
     #[test]
@@ -1990,12 +1766,12 @@ mod tests {
             edge: crate::schema::EdgeTypeId(e),
             forward: true,
         };
-        let m = || FamilyValue::Composed(Arc::new(CsrMatrix::from_edges(2, 2, &[(0, 0), (1, 1)])));
+        let m = || CacheValue::Matrix(Arc::new(CsrMatrix::from_edges(2, 2, &[(0, 0), (1, 1)])));
         let bytes = CsrMatrix::from_edges(2, 2, &[(0, 0), (1, 1)]).storage_bytes();
         for order in [[3u16, 1, 2], [1, 2, 3], [2, 3, 1]] {
             let mut cache = CacheAccountant::default();
             for e in order {
-                cache.insert(FamilyKey::Composed(vec![step(0), step(e)]), m(), bytes, 10);
+                cache.insert(CacheKey::Composed(vec![step(0), step(e)]), m(), bytes, 10);
             }
             for entry in cache.map.values_mut() {
                 entry.touch = 7; // erase the per-insert clock
@@ -2004,7 +1780,7 @@ mod tests {
             assert!(
                 !cache
                     .map
-                    .contains_key(&FamilyKey::Composed(vec![step(0), step(1)])),
+                    .contains_key(&CacheKey::Composed(vec![step(0), step(1)])),
                 "the smallest key must be the victim regardless of \
                  insertion order {order:?}"
             );
@@ -2023,9 +1799,13 @@ mod tests {
         let b = ctx.adjacency(two_hop);
         assert_eq!(*a, *b, "uncached recompute is still correct");
         let st = ctx.stats();
-        assert_eq!(st.composed_bytes, 0, "nothing fits a 1-byte budget");
-        assert!(st.composed_rejected >= 2);
-        assert_eq!(st.composed_peak_bytes, 0);
+        assert_eq!(
+            st[CacheFamily::Composed].bytes,
+            0,
+            "nothing fits a 1-byte budget"
+        );
+        assert!(st[CacheFamily::Composed].rejected >= 2);
+        assert_eq!(st[CacheFamily::Composed].peak_bytes, 0);
     }
 
     #[test]
@@ -2051,12 +1831,12 @@ mod tests {
             || vec![1.0; 32],
         );
         ctx.diversity((root, 2, 24, 0), || vec![0.5; 32]);
-        ctx.propagated_costed((2, 12), || vec![0u64; 64], |v| v.len() * 8, |_| 8);
+        ctx.propagated((2, 12), || vec![0u64; 64], |v| v.len() * 8, |_| 8);
         let st = ctx.stats();
-        assert!(st.composed_bytes > 0);
-        assert_eq!(st.influence_bytes, 32 * 8);
-        assert_eq!(st.diversity_bytes, 32 * 8);
-        assert_eq!(st.propagated_bytes, 64 * 8);
+        assert!(st[CacheFamily::Composed].bytes > 0);
+        assert_eq!(st[CacheFamily::Influence].bytes, 32 * 8);
+        assert_eq!(st[CacheFamily::Diversity].bytes, 32 * 8);
+        assert_eq!(st[CacheFamily::Propagated].bytes, 64 * 8);
         assert_eq!(st.cache_bytes, st.resident_bytes_total());
         assert_eq!(st.cache_bytes as usize, ctx.cache_bytes());
         assert!(st.cache_peak_bytes >= st.cache_bytes);
@@ -2067,7 +1847,10 @@ mod tests {
         let budget = ctx.cache_bytes() - 1;
         let ctx = ctx.with_cache_budget(Some(budget));
         let st = ctx.stats();
-        assert!(st.propagated_evictions >= 1, "propagated evicts first");
+        assert!(
+            st[CacheFamily::Propagated].evictions >= 1,
+            "propagated evicts first"
+        );
         assert!(st.cache_bytes <= budget as u64);
         assert_eq!(st.cache_peak_bytes, st.cache_bytes, "peak restarts");
         assert_eq!(st.cache_bytes, st.resident_bytes_total());

@@ -2,7 +2,7 @@
 //!
 //! A *failpoint* is a named hook compiled into a failure-prone code path
 //! (snapshot I/O, the registry's cold build, a condenser's compute, the
-//! composed cache's admission). Tests *arm* a site — "fail the next N
+//! cache accountant's admission). Tests *arm* a site — "fail the next N
 //! times" ([`arm`]) or "fail a deterministic pseudo-random one-in-K of
 //! hits" ([`arm_seeded`]) — and the hook then
 //! reports [`should_fire`]` == true` at exactly those hits. Everything
@@ -41,10 +41,6 @@ pub const REGISTRY_BUILD_PANIC: &str = "registry.build.panic";
 /// so concurrency tests can guarantee waiters actually coalesce instead
 /// of racing past an already-finished flight.
 pub const REGISTRY_BUILD_DELAY: &str = "registry.build.delay";
-/// Simulated composed-budget pressure spike: the admission path treats
-/// the cache as full and rejects the insert (a counted rejection — the
-/// caller keeps its freshly computed matrix, bits unchanged).
-pub const COMPOSED_PRESSURE: &str = "composed.pressure";
 /// Simulated memory-pressure spike across the *whole* accountant: every
 /// cache family's admission path (composed, influence, diversity,
 /// propagated) treats the budget as exhausted and rejects the insert —

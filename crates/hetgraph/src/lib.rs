@@ -29,14 +29,16 @@ pub use condense::{
     all_ids, induce_selection, proportional_allocation, CondenseSpec, CondensedGraph, Condenser,
     DEFAULT_MAX_PATHS, DEFAULT_MAX_ROW_NNZ,
 };
-pub use context::{CacheCounters, CondenseContext, DeltaSeedReport, DiversityKey, InfluenceKey};
+pub use context::{
+    CacheCounters, CacheFamily, CondenseContext, DiversityKey, FamilyCounters, InfluenceKey,
+    SeedReport,
+};
 pub use features::FeatureMatrix;
 pub use graph::{GraphDelta, HeteroGraph, HeteroGraphBuilder};
 pub use metapath::{enumerate_metapaths, metapaths_to, MetaPath, MetaPathStep};
 pub use registry::{ContextRegistry, GraphFingerprint, RegistryStats};
 pub use schema::{EdgeTypeId, NodeTypeId, Role, Schema};
 pub use snapshot::{
-    snapshot_file_name, ByteReader, ByteWriter, PropagatedCodec, SnapshotError, SnapshotLoadReport,
-    SNAPSHOT_VERSION,
+    snapshot_file_name, ByteReader, ByteWriter, PropagatedCodec, SnapshotError, SNAPSHOT_VERSION,
 };
 pub use split::Split;

@@ -74,12 +74,10 @@
 //! per-context budgets alone still sum past its memory.
 
 use crate::condense::CondenseSpec;
-use crate::context::{CondenseContext, DeltaSeedReport};
+use crate::context::{CondenseContext, SeedReport};
 use crate::failpoints;
 use crate::graph::{GraphDelta, HeteroGraph};
-use crate::snapshot::{
-    load_canonical, DiskLoad, PropagatedCodec, SnapshotError, SnapshotLoadReport,
-};
+use crate::snapshot::{load_canonical, DiskLoad, PropagatedCodec, SnapshotError};
 use freehgc_parallel::singleflight::Role;
 use freehgc_parallel::{relock, SingleFlight};
 use freehgc_sparse::fx::FxHasher;
@@ -443,7 +441,7 @@ impl ContextRegistry {
         dir: Option<&Path>,
         codec: Option<&dyn PropagatedCodec>,
         delta: Option<(GraphFingerprint, &GraphDelta)>,
-    ) -> (Arc<CondenseContext<'static>>, DeltaSeedReport) {
+    ) -> (Arc<CondenseContext<'static>>, SeedReport) {
         if let Some(dir) = dir {
             self.sweep_once(dir);
         }
@@ -494,14 +492,14 @@ impl ContextRegistry {
         &self,
         key: RegistryKey,
         graph: &Arc<HeteroGraph>,
-        build: impl Fn(&CondenseContext<'static>) -> (DiskLoad, DeltaSeedReport),
-    ) -> (Arc<CondenseContext<'static>>, DeltaSeedReport) {
+        build: impl Fn(&CondenseContext<'static>) -> (DiskLoad, SeedReport),
+    ) -> (Arc<CondenseContext<'static>>, SeedReport) {
         let mut failures = 0usize;
         loop {
             if let Some(ctx) = self.ready(&key) {
                 self.check_collision(graph, &ctx, &key);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return (ctx, DeltaSeedReport::default());
+                return (ctx, SeedReport::default());
             }
             let call = match self.flights.join(&key) {
                 Role::Leader(call) => call,
@@ -509,7 +507,7 @@ impl ContextRegistry {
                     self.singleflight_coalesced.fetch_add(1, Ordering::Relaxed);
                     if let Ok(ctx) = call.wait() {
                         self.hits.fetch_add(1, Ordering::Relaxed);
-                        return (ctx, DeltaSeedReport::default());
+                        return (ctx, SeedReport::default());
                     }
                     failures += 1;
                     assert!(
@@ -526,7 +524,7 @@ impl ContextRegistry {
                 self.flights.finish(&key, &call, Ok(Arc::clone(&ctx)));
                 self.check_collision(graph, &ctx, &key);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return (ctx, DeltaSeedReport::default());
+                return (ctx, SeedReport::default());
             }
             self.misses.fetch_add(1, Ordering::Relaxed);
             // Construction is cheap (empty caches) and the optional disk
@@ -589,7 +587,7 @@ impl ContextRegistry {
         dir: Option<&Path>,
         codec: Option<&dyn PropagatedCodec>,
         delta: Option<(GraphFingerprint, &GraphDelta)>,
-    ) -> (DiskLoad, DeltaSeedReport) {
+    ) -> (DiskLoad, SeedReport) {
         if let Some((old_fp, delta)) = delta {
             // A live old context is the cheapest seed source: inherit
             // its surviving entries in-memory. Clone the Arc out of the
@@ -605,7 +603,7 @@ impl ContextRegistry {
             }
         }
         let Some(dir) = dir else {
-            return (DiskLoad::Absent, DeltaSeedReport::default());
+            return (DiskLoad::Absent, SeedReport::default());
         };
         // An exact snapshot of this graph (if a previous process already
         // paid for it) beats a delta-filtered load of the old one.
@@ -617,8 +615,8 @@ impl ContextRegistry {
             }
         }
         let report = match &load {
-            DiskLoad::Loaded(r) => seed_report_from_snapshot(r),
-            _ => DeltaSeedReport::default(),
+            DiskLoad::Loaded(r) => *r,
+            _ => SeedReport::default(),
         };
         (load, report)
     }
@@ -732,22 +730,6 @@ impl ContextRegistry {
     }
 }
 
-/// Maps a snapshot load's per-family counts into the delta-seed report
-/// shape. Snapshots do not carry the paths / oriented sections (both
-/// are cheap to recompute), so those families report 0.
-fn seed_report_from_snapshot(r: &SnapshotLoadReport) -> DeltaSeedReport {
-    DeltaSeedReport {
-        paths: 0,
-        factors: r.factors,
-        composed: r.composed,
-        oriented: 0,
-        influence: r.influence,
-        diversity: r.diversity,
-        propagated: r.propagated,
-        dropped: r.dropped,
-    }
-}
-
 impl std::fmt::Debug for ContextRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let stats = self.stats();
@@ -762,6 +744,7 @@ impl std::fmt::Debug for ContextRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::CacheFamily;
     use crate::features::FeatureMatrix;
     use crate::graph::HeteroGraphBuilder;
     use crate::schema::Schema;
@@ -890,8 +873,8 @@ mod tests {
             assert_eq!(*ctx2.adjacency(p), *ctx.adjacency(p), "loaded bits");
         }
         assert_eq!(
-            ctx2.stats().composed.1,
-            before.composed.1,
+            ctx2.stats()[CacheFamily::Composed].misses,
+            before[CacheFamily::Composed].misses,
             "warm-from-disk context must not re-miss on compositions"
         );
 

@@ -56,7 +56,10 @@
 //! converts into a clean cold miss. Corruption can cost a recompute,
 //! never a panic and never wrong bits.
 
-use crate::context::{AnyArc, CondenseContext, DiversityKey, InfluenceKey, InvalidationRules};
+use crate::context::{
+    vector_charge, CacheEntry, CacheFamily, CacheKey, CacheValue, CondenseContext, InfluenceKey,
+    InvalidationRules, SeedReport,
+};
 use crate::graph::{GraphDelta, HeteroGraph};
 use crate::metapath::MetaPathStep;
 use crate::registry::GraphFingerprint;
@@ -143,30 +146,6 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// What a successful load installed (and skipped), per cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SnapshotLoadReport {
-    pub factors: usize,
-    pub composed: usize,
-    pub influence: usize,
-    pub diversity: usize,
-    pub propagated: usize,
-    /// Propagated entries present in the file but skipped because the
-    /// loader supplied no [`PropagatedCodec`].
-    pub propagated_skipped: usize,
-    /// Entries present in the file but invalidated by the delta filter
-    /// (the `delta` of [`decode_snapshot_into`]); always 0 for exact
-    /// loads.
-    pub dropped: usize,
-}
-
-impl SnapshotLoadReport {
-    /// Total entries installed into the context.
-    pub fn installed(&self) -> usize {
-        self.factors + self.composed + self.influence + self.diversity + self.propagated
-    }
-}
-
 /// Round-trips the type-erased propagated-feature blocks a context
 /// caches. The `hetgraph` crate cannot name the concrete block type (it
 /// lives in a higher layer), so the layer that owns the cache supplies
@@ -187,27 +166,19 @@ pub trait PropagatedCodec {
     /// serve — the one validation the type-erased layer cannot do
     /// itself (e.g. propagated block rows must match the target node
     /// count, or a later gather panics). Returning `false` rejects the
-    /// whole load. The default accepts everything.
-    fn validate(&self, _value: &dyn Any, _graph: &HeteroGraph) -> bool {
-        true
-    }
+    /// whole load. Required: snapshot bytes are untrusted, so there is
+    /// no accept-everything default.
+    fn validate(&self, value: &dyn Any, graph: &HeteroGraph) -> bool;
 
-    /// Resident heap bytes of a decoded value, recorded alongside the
-    /// installed entry and surfaced through
-    /// [`CacheCounters::propagated_bytes`](crate::CacheCounters). The
-    /// default reports 0 (unknown).
-    fn resident_bytes(&self, _value: &dyn Any) -> usize {
-        0
-    }
+    /// Resident heap bytes of a decoded value, charged to the budget and
+    /// surfaced through the propagated family's
+    /// [`FamilyCounters::bytes`](crate::FamilyCounters).
+    fn resident_bytes(&self, value: &dyn Any) -> usize;
 
     /// Recompute-cost estimate of a decoded value in the accountant's
     /// shared flop currency, so a loaded entry competes for budget
-    /// exactly like a computed one. The default reports 0 (unknown —
-    /// the entry becomes the accountant's first eviction victim, which
-    /// is safe: eviction only forces a pure recompute).
-    fn recompute_cost(&self, _value: &dyn Any) -> u64 {
-        0
-    }
+    /// exactly like a computed one.
+    fn recompute_cost(&self, value: &dyn Any) -> u64;
 }
 
 /// Canonical file name for a snapshot: the registry key — fingerprint
@@ -638,90 +609,17 @@ fn read_csr(r: &mut ByteReader<'_>) -> Result<CsrMatrix, SnapshotError> {
     Ok(CsrMatrix::from_parts(nrows, ncols, indptr, indices, values))
 }
 
-fn encode_factors(ctx: &CondenseContext<'_>) -> Vec<u8> {
-    let entries = ctx.dump_factors();
-    let mut w = ByteWriter::new();
-    w.put_usize(entries.len());
-    for (step, m) in entries {
-        put_step(&mut w, step);
-        put_csr(&mut w, &m);
+/// The section a family's entries are stored in; paths and oriented
+/// adjacencies are cheap to recompute and never persisted.
+fn section_of(family: CacheFamily) -> Option<u8> {
+    match family {
+        CacheFamily::Factors => Some(SECTION_FACTORS),
+        CacheFamily::Composed => Some(SECTION_COMPOSED),
+        CacheFamily::Influence => Some(SECTION_INFLUENCE),
+        CacheFamily::Diversity => Some(SECTION_DIVERSITY),
+        CacheFamily::Propagated => Some(SECTION_PROPAGATED),
+        CacheFamily::Paths | CacheFamily::Oriented => None,
     }
-    w.into_bytes()
-}
-
-fn encode_composed(ctx: &CondenseContext<'_>) -> Vec<u8> {
-    let entries = ctx.dump_composed();
-    let mut w = ByteWriter::new();
-    w.put_usize(entries.len());
-    for (steps, m, cost) in entries {
-        w.put_usize(steps.len());
-        for s in steps {
-            put_step(&mut w, s);
-        }
-        w.put_u64(cost);
-        put_csr(&mut w, &m);
-    }
-    w.into_bytes()
-}
-
-fn encode_influence(ctx: &CondenseContext<'_>) -> Vec<u8> {
-    let entries = ctx.dump_influence();
-    let mut w = ByteWriter::new();
-    w.put_usize(entries.len());
-    for (k, v) in entries {
-        w.put_u16(k.father.0);
-        w.put_usize(k.max_hops);
-        w.put_usize(k.max_paths);
-        w.put_u8(k.method.0);
-        for p in k.method.1 {
-            w.put_u32(p);
-        }
-        match &k.seed_targets {
-            None => w.put_u8(0),
-            Some(t) => {
-                w.put_u8(1);
-                w.put_usize(t.len());
-                w.put_u32_slice(t);
-            }
-        }
-        w.put_u64(k.seed);
-        w.put_usize(v.len());
-        w.put_f64_slice(&v);
-    }
-    w.into_bytes()
-}
-
-fn encode_diversity(ctx: &CondenseContext<'_>) -> Vec<u8> {
-    let entries = ctx.dump_diversity();
-    let mut w = ByteWriter::new();
-    w.put_usize(entries.len());
-    for ((root, max_hops, max_paths, path_idx), v) in entries {
-        w.put_u16(root.0);
-        w.put_usize(max_hops);
-        w.put_usize(max_paths);
-        w.put_usize(path_idx);
-        w.put_usize(v.len());
-        w.put_f64_slice(&v);
-    }
-    w.into_bytes()
-}
-
-fn encode_propagated(ctx: &CondenseContext<'_>, codec: &dyn PropagatedCodec) -> Vec<u8> {
-    let mut encoded: Vec<((usize, usize), Vec<u8>)> = Vec::new();
-    for (key, value, _, _) in ctx.dump_propagated() {
-        if let Some(bytes) = codec.encode(value.as_ref()) {
-            encoded.push((key, bytes));
-        }
-    }
-    let mut w = ByteWriter::new();
-    w.put_usize(encoded.len());
-    for ((a, b), bytes) in encoded {
-        w.put_usize(a);
-        w.put_usize(b);
-        w.put_usize(bytes.len());
-        w.put_bytes(&bytes);
-    }
-    w.into_bytes()
 }
 
 /// Encodes every section payload in *tier order*: descending
@@ -730,21 +628,100 @@ fn encode_propagated(ctx: &CondenseContext<'_>, codec: &dyn PropagatedCodec) -> 
 /// per element to rebuild); composed products cost a full SpGEMM chain;
 /// factors are one normalization each but the engine would pin their
 /// buffers anyway; the dense propagated blocks are one SpMM per block
-/// and dominate the file, so they go last and drop first.
+/// and dominate the file, so they go last and drop first. Each payload
+/// is an entry count followed by the entries in key order; propagated
+/// entries the codec cannot encode are left out.
 fn encode_sections(
     ctx: &CondenseContext<'_>,
     codec: Option<&dyn PropagatedCodec>,
 ) -> Vec<(u8, Vec<u8>)> {
-    let mut sections: Vec<(u8, Vec<u8>)> = vec![
-        (SECTION_INFLUENCE, encode_influence(ctx)),
-        (SECTION_DIVERSITY, encode_diversity(ctx)),
-        (SECTION_COMPOSED, encode_composed(ctx)),
-        (SECTION_FACTORS, encode_factors(ctx)),
-    ];
-    if let Some(codec) = codec {
-        sections.push((SECTION_PROPAGATED, encode_propagated(ctx, codec)));
+    // Per section id: entry count, and the payload with a placeholder
+    // count that is patched once the entries are written.
+    let mut sections: [(usize, ByteWriter); 6] = std::array::from_fn(|_| {
+        let mut w = ByteWriter::new();
+        w.put_usize(0);
+        (0, w)
+    });
+    for CacheEntry {
+        key, value, cost, ..
+    } in ctx.entries()
+    {
+        let Some(id) = section_of(key.family()) else {
+            continue;
+        };
+        let w = &mut sections[id as usize].1;
+        match (key, value) {
+            (CacheKey::Factors(step), CacheValue::Matrix(m)) => {
+                put_step(w, step);
+                put_csr(w, &m);
+            }
+            (CacheKey::Composed(steps), CacheValue::Matrix(m)) => {
+                w.put_usize(steps.len());
+                for s in steps {
+                    put_step(w, s);
+                }
+                w.put_u64(cost);
+                put_csr(w, &m);
+            }
+            (CacheKey::Influence(k), CacheValue::Vector(v)) => {
+                w.put_u16(k.father.0);
+                w.put_usize(k.max_hops);
+                w.put_usize(k.max_paths);
+                w.put_u8(k.method.0);
+                for p in k.method.1 {
+                    w.put_u32(p);
+                }
+                match &k.seed_targets {
+                    None => w.put_u8(0),
+                    Some(t) => {
+                        w.put_u8(1);
+                        w.put_usize(t.len());
+                        w.put_u32_slice(t);
+                    }
+                }
+                w.put_u64(k.seed);
+                w.put_usize(v.len());
+                w.put_f64_slice(&v);
+            }
+            (CacheKey::Diversity((root, max_hops, max_paths, path_idx)), CacheValue::Vector(v)) => {
+                w.put_u16(root.0);
+                w.put_usize(max_hops);
+                w.put_usize(max_paths);
+                w.put_usize(path_idx);
+                w.put_usize(v.len());
+                w.put_f64_slice(&v);
+            }
+            (CacheKey::Propagated((a, b)), CacheValue::Propagated(v)) => {
+                let Some(bytes) = codec.and_then(|c| c.encode(v.as_ref())) else {
+                    continue;
+                };
+                w.put_usize(a);
+                w.put_usize(b);
+                w.put_usize(bytes.len());
+                w.put_bytes(&bytes);
+            }
+            _ => unreachable!("an entry's value matches its key's family"),
+        }
+        sections[id as usize].0 += 1;
     }
-    sections
+    let mut tiers = vec![
+        SECTION_INFLUENCE,
+        SECTION_DIVERSITY,
+        SECTION_COMPOSED,
+        SECTION_FACTORS,
+    ];
+    if codec.is_some() {
+        tiers.push(SECTION_PROPAGATED);
+    }
+    tiers
+        .into_iter()
+        .map(|id| {
+            let (count, w) = std::mem::take(&mut sections[id as usize]);
+            let mut payload = w.into_bytes();
+            payload[..8].copy_from_slice(&(count as u64).to_le_bytes());
+            (id, payload)
+        })
+        .collect()
 }
 
 /// Bytes one section contributes beyond its payload: id (u8) +
@@ -804,208 +781,146 @@ pub fn encode_snapshot(
     (assemble_snapshot(ctx, &kept), dropped)
 }
 
-/// Fully decoded snapshot contents, staged before installation so a
-/// failure anywhere leaves the target context untouched. On delta
-/// loads, entries the delta invalidates never enter staging — the
-/// decoders skip their bytes (bounds-checked) instead of decoding and
-/// re-validating values that would only be thrown away, and count them
-/// in `dropped`.
+/// Decoded snapshot contents, staged before installation so a failure
+/// anywhere leaves the target context untouched. On delta loads,
+/// entries the delta invalidates never enter staging — the decoder
+/// skips their bytes (bounds-checked) instead of decoding and
+/// re-validating values that would only be thrown away, and counts
+/// them in `report.dropped`.
 #[derive(Default)]
 struct Staging {
-    factors: Vec<(MetaPathStep, CsrMatrix)>,
-    composed: Vec<(Vec<MetaPathStep>, CsrMatrix, u64)>,
-    influence: Vec<(InfluenceKey, Vec<f64>)>,
-    diversity: Vec<(DiversityKey, Vec<f64>)>,
-    propagated: Vec<((usize, usize), AnyArc)>,
-    propagated_skipped: usize,
-    dropped: usize,
+    entries: Vec<CacheEntry>,
+    report: SeedReport,
 }
 
-fn decode_factors(
-    payload: &[u8],
-    rules: &mut Option<InvalidationRules<'_>>,
-    out: &mut Staging,
-) -> Result<(), SnapshotError> {
-    let mut r = ByteReader::new(payload);
-    let count = r.seq_len(3)?;
-    for _ in 0..count {
-        let step = read_step(&mut r)?;
-        if rules.as_mut().is_some_and(|ru| !ru.factor_clean(step)) {
-            skip_csr(&mut r)?;
-            out.dropped += 1;
-        } else {
-            let m = read_csr(&mut r)?;
-            out.factors.push((step, m));
-        }
-    }
-    if !r.is_empty() {
-        return Err(SnapshotError::Malformed("trailing bytes in factors"));
-    }
-    Ok(())
-}
-
-fn decode_composed(
-    payload: &[u8],
-    rules: &mut Option<InvalidationRules<'_>>,
-    out: &mut Staging,
-) -> Result<(), SnapshotError> {
-    let mut r = ByteReader::new(payload);
-    let count = r.seq_len(8)?;
-    for _ in 0..count {
-        let nsteps = r.seq_len(3)?;
-        if nsteps < 2 {
-            // Single-step paths live in the factor cache by design; a
-            // snapshot that claims otherwise is not one we wrote.
-            return Err(SnapshotError::Malformed("composed entry under 2 steps"));
-        }
-        let mut steps = Vec::with_capacity(nsteps);
-        for _ in 0..nsteps {
-            steps.push(read_step(&mut r)?);
-        }
-        let cost = r.u64()?;
-        if rules
-            .as_mut()
-            .is_some_and(|ru| steps.iter().any(|s| !ru.factor_clean(*s)))
-        {
-            skip_csr(&mut r)?;
-            out.dropped += 1;
-        } else {
-            let m = read_csr(&mut r)?;
-            out.composed.push((steps, m, cost));
-        }
-    }
-    if !r.is_empty() {
-        return Err(SnapshotError::Malformed("trailing bytes in composed"));
-    }
-    Ok(())
-}
-
-fn decode_influence(
-    payload: &[u8],
-    rules: &mut Option<InvalidationRules<'_>>,
-    out: &mut Staging,
-) -> Result<(), SnapshotError> {
-    let mut r = ByteReader::new(payload);
-    let count = r.seq_len(8)?;
-    for _ in 0..count {
-        let father = NodeTypeId(r.u16()?);
-        let max_hops = r.usize()?;
-        let max_paths = r.usize()?;
-        let disc = r.u8()?;
-        let mut params = [0u32; 4];
-        for p in &mut params {
-            *p = r.u32()?;
-        }
-        let seed_targets = match r.u8()? {
-            0 => None,
-            1 => {
-                // seq_len, not a raw usize: a corrupted length field
-                // must fail fast instead of sizing an allocation.
-                let n = r.seq_len(4)?;
-                Some(r.u32_vec(n)?)
+/// Reads one entry's key from a section of kind `id`.
+fn read_key(id: u8, r: &mut ByteReader<'_>) -> Result<CacheKey, SnapshotError> {
+    Ok(match id {
+        SECTION_FACTORS => CacheKey::Factors(read_step(r)?),
+        SECTION_COMPOSED => {
+            let nsteps = r.seq_len(3)?;
+            if nsteps < 2 {
+                // Single-step paths live in the factor cache by design; a
+                // snapshot that claims otherwise is not one we wrote.
+                return Err(SnapshotError::Malformed("composed entry under 2 steps"));
             }
-            _ => return Err(SnapshotError::Malformed("seed-target tag")),
-        };
-        let seed = r.u64()?;
-        let n = r.seq_len(8)?;
-        if rules
-            .as_mut()
-            .is_some_and(|ru| !ru.influence_clean(father, max_hops, max_paths))
-        {
-            let bytes = n
-                .checked_mul(8)
-                .ok_or(SnapshotError::Malformed("length overflow"))?;
-            r.take(bytes)?;
-            out.dropped += 1;
-            continue;
+            CacheKey::Composed(
+                (0..nsteps)
+                    .map(|_| read_step(r))
+                    .collect::<Result<_, _>>()?,
+            )
         }
-        let v = r.f64_vec(n)?;
-        out.influence.push((
-            InfluenceKey {
+        SECTION_INFLUENCE => {
+            let father = NodeTypeId(r.u16()?);
+            let max_hops = r.usize()?;
+            let max_paths = r.usize()?;
+            let disc = r.u8()?;
+            let mut params = [0u32; 4];
+            for p in &mut params {
+                *p = r.u32()?;
+            }
+            let seed_targets = match r.u8()? {
+                0 => None,
+                1 => {
+                    // seq_len, not a raw usize: a corrupted length field
+                    // must fail fast instead of sizing an allocation.
+                    let n = r.seq_len(4)?;
+                    Some(r.u32_vec(n)?)
+                }
+                _ => return Err(SnapshotError::Malformed("seed-target tag")),
+            };
+            CacheKey::Influence(InfluenceKey {
                 father,
                 max_hops,
                 max_paths,
                 method: (disc, params),
                 seed_targets,
-                seed,
-            },
-            v,
-        ));
-    }
-    if !r.is_empty() {
-        return Err(SnapshotError::Malformed("trailing bytes in influence"));
-    }
-    Ok(())
-}
-
-fn decode_diversity(
-    payload: &[u8],
-    rules: &mut Option<InvalidationRules<'_>>,
-    out: &mut Staging,
-) -> Result<(), SnapshotError> {
-    let mut r = ByteReader::new(payload);
-    let count = r.seq_len(8)?;
-    for _ in 0..count {
-        let root = NodeTypeId(r.u16()?);
-        let max_hops = r.usize()?;
-        let max_paths = r.usize()?;
-        let path_idx = r.usize()?;
-        let n = r.seq_len(8)?;
-        if rules
-            .as_mut()
-            .is_some_and(|ru| !ru.diversity_clean(root, max_hops, max_paths, path_idx))
-        {
-            let bytes = n
-                .checked_mul(8)
-                .ok_or(SnapshotError::Malformed("length overflow"))?;
-            r.take(bytes)?;
-            out.dropped += 1;
-            continue;
+                seed: r.u64()?,
+            })
         }
-        let v = r.f64_vec(n)?;
-        out.diversity
-            .push(((root, max_hops, max_paths, path_idx), v));
-    }
-    if !r.is_empty() {
-        return Err(SnapshotError::Malformed("trailing bytes in diversity"));
-    }
-    Ok(())
+        SECTION_DIVERSITY => {
+            CacheKey::Diversity((NodeTypeId(r.u16()?), r.usize()?, r.usize()?, r.usize()?))
+        }
+        _ => CacheKey::Propagated((r.usize()?, r.usize()?)),
+    })
 }
 
-fn decode_propagated(
+/// Decodes section `id` into `out`: per entry, the key first, then —
+/// when the key survives the delta (always, without one) — the value,
+/// else a bounds-checked skip over the value's bytes: `skip_csr` for
+/// matrices, one `take` for vectors, and no codec call at all for
+/// propagated blocks, which are dense and dominate the file.
+fn decode_section(
+    id: u8,
     payload: &[u8],
     rules: &mut Option<InvalidationRules<'_>>,
     codec: Option<&dyn PropagatedCodec>,
     out: &mut Staging,
 ) -> Result<(), SnapshotError> {
     let mut r = ByteReader::new(payload);
-    let count = r.seq_len(24)?;
-    for _ in 0..count {
-        let key = (r.usize()?, r.usize()?);
-        let len = r.seq_len(1)?;
-        let bytes = r.take(len)?;
-        match codec {
-            None => out.propagated_skipped += 1,
-            Some(codec) => {
-                // Skipping the codec decode for invalidated blocks is
-                // the biggest delta-load saving: propagated blocks are
-                // dense and dominate the file.
-                if rules
-                    .as_mut()
-                    .is_some_and(|ru| !ru.propagated_clean(key.0, key.1))
-                {
-                    out.dropped += 1;
-                    continue;
+    // The smallest encoded entry bounds the count.
+    let min_entry = match id {
+        SECTION_FACTORS => 3,
+        SECTION_PROPAGATED => 24,
+        _ => 8,
+    };
+    for _ in 0..r.seq_len(min_entry)? {
+        let key = read_key(id, &mut r)?;
+        let mut survives = || rules.as_mut().is_none_or(|ru| ru.survives(&key));
+        let staged = match key.family() {
+            CacheFamily::Factors | CacheFamily::Composed => {
+                let cost = if id == SECTION_COMPOSED { r.u64()? } else { 0 };
+                if survives() {
+                    let m = read_csr(&mut r)?;
+                    Some((m.storage_bytes(), cost, CacheValue::Matrix(Arc::new(m))))
+                } else {
+                    skip_csr(&mut r)?;
+                    None
                 }
-                let value = codec
-                    .decode(bytes)
-                    .ok_or(SnapshotError::Malformed("propagated payload"))?;
-                out.propagated.push((key, value));
             }
+            CacheFamily::Influence | CacheFamily::Diversity => {
+                let n = r.seq_len(8)?;
+                if survives() {
+                    let (bytes, cost) = vector_charge(key.family(), n);
+                    Some((bytes, cost, CacheValue::Vector(Arc::new(r.f64_vec(n)?))))
+                } else {
+                    r.take(n * 8)?;
+                    None
+                }
+            }
+            _ => {
+                let len = r.seq_len(1)?;
+                let bytes = r.take(len)?;
+                let Some(codec) = codec else {
+                    out.report.skipped += 1;
+                    continue;
+                };
+                if survives() {
+                    let value = codec
+                        .decode(bytes)
+                        .ok_or(SnapshotError::Malformed("propagated payload"))?;
+                    let (bytes, cost) = (
+                        codec.resident_bytes(value.as_ref()),
+                        codec.recompute_cost(value.as_ref()),
+                    );
+                    Some((bytes, cost, CacheValue::Propagated(value)))
+                } else {
+                    None
+                }
+            }
+        };
+        match staged {
+            Some((bytes, cost, value)) => out.entries.push(CacheEntry {
+                key,
+                value,
+                bytes,
+                cost,
+            }),
+            None => out.report.dropped += 1,
         }
     }
     if !r.is_empty() {
-        return Err(SnapshotError::Malformed("trailing bytes in propagated"));
+        return Err(SnapshotError::Malformed("trailing bytes in section"));
     }
     Ok(())
 }
@@ -1017,10 +932,14 @@ fn decode_propagated(
 /// of range, whose matrix dimensions disagree with the edge type's node
 /// counts, or whose vector length disagrees with the scored type's node
 /// count would otherwise pass decode and then panic deep inside a later
-/// SpGEMM, propagation multiply or selection index.
-fn validate_against_graph(staging: &Staging, g: &HeteroGraph) -> Result<(), SnapshotError> {
+/// SpGEMM, propagation multiply or selection index. Propagated blocks
+/// are checked by the codec that owns their type.
+fn validate_against_graph(
+    entries: &[CacheEntry],
+    g: &HeteroGraph,
+    codec: Option<&dyn PropagatedCodec>,
+) -> Result<(), SnapshotError> {
     let schema = g.schema();
-    let n_types = schema.num_node_types();
     // Oriented factor dimensions implied by a step: the stored edge is
     // |src| × |dst|; a reverse traversal transposes it.
     let step_dims = |s: &MetaPathStep| -> Result<(usize, usize), SnapshotError> {
@@ -1031,39 +950,43 @@ fn validate_against_graph(staging: &Staging, g: &HeteroGraph) -> Result<(), Snap
         let (a, b) = (g.num_nodes(src), g.num_nodes(dst));
         Ok(if s.forward { (a, b) } else { (b, a) })
     };
-    for (step, m) in &staging.factors {
-        let (rows, cols) = step_dims(step)?;
-        if m.nrows() != rows || m.ncols() != cols {
-            return Err(SnapshotError::Malformed("factor shape mismatch"));
-        }
-    }
-    for (steps, m, _) in &staging.composed {
-        let (rows, mut cols) = step_dims(&steps[0])?;
-        for s in &steps[1..] {
-            let (r, c) = step_dims(s)?;
-            if r != cols {
-                return Err(SnapshotError::Malformed("composed steps do not chain"));
+    for e in entries {
+        match (&e.key, &e.value) {
+            (CacheKey::Factors(step), CacheValue::Matrix(m)) => {
+                if (m.nrows(), m.ncols()) != step_dims(step)? {
+                    return Err(SnapshotError::Malformed("factor shape mismatch"));
+                }
             }
-            cols = c;
-        }
-        if m.nrows() != rows || m.ncols() != cols {
-            return Err(SnapshotError::Malformed("composed shape mismatch"));
-        }
-    }
-    for (k, v) in &staging.influence {
-        if (k.father.0 as usize) >= n_types {
-            return Err(SnapshotError::Malformed("influence node type out of range"));
-        }
-        if v.len() != g.num_nodes(k.father) {
-            return Err(SnapshotError::Malformed("influence length mismatch"));
-        }
-    }
-    for ((root, _, _, _), v) in &staging.diversity {
-        if (root.0 as usize) >= n_types {
-            return Err(SnapshotError::Malformed("diversity node type out of range"));
-        }
-        if v.len() != g.num_nodes(*root) {
-            return Err(SnapshotError::Malformed("diversity length mismatch"));
+            (CacheKey::Composed(steps), CacheValue::Matrix(m)) => {
+                let (rows, mut cols) = step_dims(&steps[0])?;
+                for s in &steps[1..] {
+                    let (r, c) = step_dims(s)?;
+                    if r != cols {
+                        return Err(SnapshotError::Malformed("composed steps do not chain"));
+                    }
+                    cols = c;
+                }
+                if m.nrows() != rows || m.ncols() != cols {
+                    return Err(SnapshotError::Malformed("composed shape mismatch"));
+                }
+            }
+            (
+                CacheKey::Influence(InfluenceKey { father: t, .. }) | CacheKey::Diversity((t, ..)),
+                CacheValue::Vector(v),
+            ) => {
+                if (t.0 as usize) >= schema.num_node_types() {
+                    return Err(SnapshotError::Malformed("vector node type out of range"));
+                }
+                if v.len() != g.num_nodes(*t) {
+                    return Err(SnapshotError::Malformed("vector length mismatch"));
+                }
+            }
+            (CacheKey::Propagated(_), CacheValue::Propagated(v)) => {
+                if !codec.is_some_and(|c| c.validate(v.as_ref(), g)) {
+                    return Err(SnapshotError::Malformed("propagated shape mismatch"));
+                }
+            }
+            _ => unreachable!("snapshots stage only the five persisted families"),
         }
     }
     Ok(())
@@ -1096,7 +1019,7 @@ pub fn decode_snapshot_into(
     bytes: &[u8],
     codec: Option<&dyn PropagatedCodec>,
     delta: Option<(GraphFingerprint, &GraphDelta)>,
-) -> Result<SnapshotLoadReport, SnapshotError> {
+) -> Result<SeedReport, SnapshotError> {
     let expected = delta.map_or_else(|| ctx.graph().fingerprint(), |(old_fp, _)| old_fp);
     let mut r = ByteReader::new(bytes);
     if r.take(8)? != SNAPSHOT_MAGIC {
@@ -1142,56 +1065,26 @@ pub fn decode_snapshot_into(
         if std::mem::replace(&mut seen[id as usize], true) {
             return Err(SnapshotError::Malformed("duplicate section"));
         }
-        match id {
-            SECTION_FACTORS => decode_factors(payload, &mut rules, &mut staging)?,
-            SECTION_COMPOSED => decode_composed(payload, &mut rules, &mut staging)?,
-            SECTION_INFLUENCE => decode_influence(payload, &mut rules, &mut staging)?,
-            SECTION_DIVERSITY => decode_diversity(payload, &mut rules, &mut staging)?,
-            SECTION_PROPAGATED => decode_propagated(payload, &mut rules, codec, &mut staging)?,
-            _ => unreachable!("id range checked above"),
-        }
+        decode_section(id, payload, &mut rules, codec, &mut staging)?;
     }
     if !r.is_empty() {
         return Err(SnapshotError::Malformed("trailing bytes after sections"));
     }
-    let dropped = staging.dropped;
 
-    validate_against_graph(&staging, ctx.graph())?;
-    if let Some(codec) = codec {
-        for (_, v) in &staging.propagated {
-            if !codec.validate(v.as_ref(), ctx.graph()) {
-                return Err(SnapshotError::Malformed("propagated shape mismatch"));
-            }
-        }
-    }
-
-    // Everything validated — install. Order matches the save order, so
-    // a budgeted composed cache replays admissions deterministically.
-    let report = SnapshotLoadReport {
-        factors: staging.factors.len(),
-        composed: staging.composed.len(),
-        influence: staging.influence.len(),
-        diversity: staging.diversity.len(),
-        propagated: staging.propagated.len(),
-        propagated_skipped: staging.propagated_skipped,
-        dropped,
-    };
-    for (step, m) in staging.factors {
-        ctx.install_factor(step, Arc::new(m));
-    }
-    for (steps, m, cost) in staging.composed {
-        ctx.install_composed(steps, Arc::new(m), cost);
-    }
-    for (k, v) in staging.influence {
-        ctx.install_influence(k, Arc::new(v));
-    }
-    for (k, v) in staging.diversity {
-        ctx.install_diversity(k, Arc::new(v));
-    }
-    for (k, v) in staging.propagated {
-        let bytes = codec.map_or(0, |c| c.resident_bytes(v.as_ref()));
-        let cost = codec.map_or(0, |c| c.recompute_cost(v.as_ref()));
-        ctx.install_propagated(k, v, bytes, cost);
+    // Everything decoded; validate, then install in family order, each
+    // family in key order — the order `CondenseContext::seed_from`
+    // installs in, so a budgeted context replays admissions
+    // deterministically. (Sections arrive in tier order; the sort is
+    // stable, so a crafted file's duplicate keys keep their file order.)
+    let Staging {
+        mut entries,
+        mut report,
+    } = staging;
+    entries.sort_by(|a, b| a.key.cmp(&b.key));
+    validate_against_graph(&entries, ctx.graph(), codec)?;
+    for entry in entries {
+        report.installed[entry.key.family() as usize] += 1;
+        ctx.install(entry);
     }
     Ok(report)
 }
@@ -1236,7 +1129,7 @@ impl CondenseContext<'_> {
         &self,
         path: &Path,
         codec: Option<&dyn PropagatedCodec>,
-    ) -> Result<SnapshotLoadReport, SnapshotError> {
+    ) -> Result<SeedReport, SnapshotError> {
         decode_snapshot_into(self, &read_snapshot_bytes(path)?, codec, None)
     }
 
@@ -1278,7 +1171,7 @@ pub(crate) enum DiskLoad {
     Absent,
     /// A file was found but unreadable or invalid; nothing installed.
     Rejected,
-    Loaded(SnapshotLoadReport),
+    Loaded(SeedReport),
 }
 
 /// Read → decode → classify for the canonical snapshot under `dir` of
@@ -1393,9 +1286,9 @@ mod tests {
 
         let fresh = CondenseContext::new(&g);
         let report = decode_snapshot_into(&fresh, &bytes, None, None).expect("load");
-        assert!(report.factors > 0 && report.composed > 0);
-        assert_eq!(report.influence, 1);
-        assert_eq!(report.diversity, 1);
+        assert!(report[CacheFamily::Factors] > 0 && report[CacheFamily::Composed] > 0);
+        assert_eq!(report[CacheFamily::Influence], 1);
+        assert_eq!(report[CacheFamily::Diversity], 1);
 
         // Every composed adjacency must now be a hit with identical bits.
         let before = fresh.stats();
@@ -1405,11 +1298,13 @@ mod tests {
         }
         let after = fresh.stats();
         assert_eq!(
-            after.composed.1, before.composed.1,
+            after[CacheFamily::Composed].misses,
+            before[CacheFamily::Composed].misses,
             "a loaded context must not re-miss on composed entries"
         );
         assert_eq!(
-            after.factors.1, before.factors.1,
+            after[CacheFamily::Factors].misses,
+            before[CacheFamily::Factors].misses,
             "a loaded context must not re-miss on factors"
         );
         let v = fresh.influence(
@@ -1531,7 +1426,7 @@ mod tests {
 
         let fresh = CondenseContext::new(&g);
         let report = fresh.load_snapshot(&path, None).expect("load");
-        assert!(report.installed() > 0);
+        assert!(report.reused() > 0);
         let root = g.schema().target();
         for p in fresh.metapaths(root, 3, 100).iter() {
             assert_eq!(*fresh.adjacency(p), *ctx.adjacency(p));
@@ -1558,10 +1453,10 @@ mod tests {
         decode_snapshot_into(&loaded, &bytes, None, None).expect("load");
         let st = loaded.stats();
         assert!(
-            st.composed_bytes <= budget as u64,
+            st[CacheFamily::Composed].bytes <= budget as u64,
             "loaded entries must pass through budget admission"
         );
-        assert!(st.composed_peak_bytes <= budget as u64);
+        assert!(st[CacheFamily::Composed].peak_bytes <= budget as u64);
         // And the loaded context still serves identical bits.
         let root = g.schema().target();
         for p in loaded.metapaths(root, 3, 100).iter() {
@@ -1576,66 +1471,73 @@ mod tests {
             edge: crate::schema::EdgeTypeId(0),
             forward,
         };
+        let check = |key: CacheKey, value: CacheValue| {
+            let entry = CacheEntry {
+                key,
+                value,
+                bytes: 0,
+                cost: 1,
+            };
+            validate_against_graph(&[entry], &g, None)
+        };
+        let m = |rows, cols| CacheValue::Matrix(Arc::new(CsrMatrix::zeros(rows, cols)));
+        let v = |len| CacheValue::Vector(Arc::new(vec![0.0; len]));
 
-        let mut s = Staging::default();
-        s.factors.push((pa(true), CsrMatrix::zeros(4, 3)));
-        assert!(validate_against_graph(&s, &g).is_ok(), "true shape passes");
-
-        let mut s = Staging::default();
-        s.factors.push((pa(true), CsrMatrix::zeros(1, 1)));
-        assert!(validate_against_graph(&s, &g).is_err(), "factor shape");
-
-        let mut s = Staging::default();
-        s.factors.push((
-            MetaPathStep {
-                edge: crate::schema::EdgeTypeId(99),
-                forward: true,
-            },
-            CsrMatrix::zeros(1, 1),
-        ));
-        assert!(validate_against_graph(&s, &g).is_err(), "edge id range");
+        let factor = |step| CacheKey::Factors(step);
+        assert!(
+            check(factor(pa(true)), m(4, 3)).is_ok(),
+            "true shape passes"
+        );
+        assert!(check(factor(pa(true)), m(1, 1)).is_err(), "factor shape");
+        let stray = MetaPathStep {
+            edge: crate::schema::EdgeTypeId(99),
+            forward: true,
+        };
+        assert!(check(factor(stray), m(1, 1)).is_err(), "edge id range");
 
         // pa forward (4×3) followed by pa forward again cannot chain
         // (cols 3 ≠ rows 4); pa forward then pa reverse chains to 4×4.
-        let mut s = Staging::default();
-        s.composed
-            .push((vec![pa(true), pa(true)], CsrMatrix::zeros(4, 3), 1));
-        assert!(validate_against_graph(&s, &g).is_err(), "broken chain");
-        let mut s = Staging::default();
-        s.composed
-            .push((vec![pa(true), pa(false)], CsrMatrix::zeros(4, 4), 1));
-        assert!(validate_against_graph(&s, &g).is_ok(), "P-A-P chains");
-        let mut s = Staging::default();
-        s.composed
-            .push((vec![pa(true), pa(false)], CsrMatrix::zeros(4, 2), 1));
-        assert!(validate_against_graph(&s, &g).is_err(), "composed shape");
+        let composed = |a, b| CacheKey::Composed(vec![pa(a), pa(b)]);
+        assert!(
+            check(composed(true, true), m(4, 3)).is_err(),
+            "broken chain"
+        );
+        assert!(
+            check(composed(true, false), m(4, 4)).is_ok(),
+            "P-A-P chains"
+        );
+        assert!(
+            check(composed(true, false), m(4, 2)).is_err(),
+            "composed shape"
+        );
 
         let author = g.schema().node_type_by_name("author").unwrap();
-        let key = |father| InfluenceKey {
-            father,
-            max_hops: 2,
-            max_paths: 8,
-            method: (0, [0; 4]),
-            seed_targets: None,
-            seed: 0,
+        let key = |father| {
+            CacheKey::Influence(InfluenceKey {
+                father,
+                max_hops: 2,
+                max_paths: 8,
+                method: (0, [0; 4]),
+                seed_targets: None,
+                seed: 0,
+            })
         };
-        let mut s = Staging::default();
-        s.influence.push((key(author), vec![0.0; 3]));
-        assert!(validate_against_graph(&s, &g).is_ok(), "3 authors");
-        let mut s = Staging::default();
-        s.influence.push((key(author), vec![0.0; 2]));
-        assert!(validate_against_graph(&s, &g).is_err(), "influence length");
-        let mut s = Staging::default();
-        s.influence.push((key(NodeTypeId(42)), vec![0.0; 3]));
-        assert!(validate_against_graph(&s, &g).is_err(), "node id range");
+        assert!(check(key(author), v(3)).is_ok(), "3 authors");
+        assert!(check(key(author), v(2)).is_err(), "influence length");
+        assert!(check(key(NodeTypeId(42)), v(3)).is_err(), "node id range");
 
         let root = g.schema().target();
-        let mut s = Staging::default();
-        s.diversity.push(((root, 2, 8, 0), vec![0.0; 4]));
-        assert!(validate_against_graph(&s, &g).is_ok(), "4 papers");
-        let mut s = Staging::default();
-        s.diversity.push(((root, 2, 8, 0), vec![0.0; 5]));
-        assert!(validate_against_graph(&s, &g).is_err(), "diversity length");
+        let div = CacheKey::Diversity((root, 2, 8, 0));
+        assert!(check(div.clone(), v(4)).is_ok(), "4 papers");
+        assert!(check(div, v(5)).is_err(), "diversity length");
+
+        // Without a codec nothing can vouch for a propagated block.
+        let block: crate::context::AnyArc = Arc::new(0u8);
+        let prop = CacheKey::Propagated((2, 8));
+        assert!(
+            check(prop, CacheValue::Propagated(block)).is_err(),
+            "codec-less block"
+        );
     }
 
     /// The checksum is an unkeyed Fx hash anyone can recompute, so a
@@ -1700,7 +1602,10 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), warm_len);
         let check = CondenseContext::new(&g);
         let report = check.load_snapshot(&path, None).unwrap();
-        assert!(report.composed > 0, "warm entries must survive a cold save");
+        assert!(
+            report[CacheFamily::Composed] > 0,
+            "warm entries must survive a cold save"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

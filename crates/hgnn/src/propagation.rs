@@ -44,8 +44,8 @@ impl PropagatedFeatures {
     }
 
     /// Resident heap bytes of the block data — what this value costs to
-    /// keep cached. Reported through
-    /// [`CacheCounters::propagated_bytes`](freehgc_hetgraph::CacheCounters).
+    /// keep cached. Reported through the propagated family's
+    /// [`FamilyCounters::bytes`](freehgc_hetgraph::FamilyCounters).
     pub fn resident_bytes(&self) -> usize {
         self.blocks
             .iter()
@@ -135,8 +135,9 @@ impl PropagatedCodec for PropagatedFeaturesCodec {
     }
 
     /// Sizes a snapshot-loaded block set so
-    /// [`CacheCounters::propagated_bytes`](freehgc_hetgraph::CacheCounters)
-    /// stays accurate for warm-from-disk contexts too.
+    /// the propagated family's
+    /// [`FamilyCounters::bytes`](freehgc_hetgraph::FamilyCounters) stays
+    /// accurate for warm-from-disk contexts too.
     fn resident_bytes(&self, value: &dyn Any) -> usize {
         value
             .downcast_ref::<PropagatedFeatures>()
@@ -176,7 +177,7 @@ pub fn propagate_ctx(
     max_hops: usize,
     max_paths: usize,
 ) -> Arc<PropagatedFeatures> {
-    ctx.propagated_costed(
+    ctx.propagated(
         (max_hops, max_paths),
         || propagate_uncached(ctx, max_hops, max_paths),
         PropagatedFeatures::resident_bytes,

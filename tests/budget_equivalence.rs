@@ -22,7 +22,9 @@ use freehgc::baselines::{
 };
 use freehgc::core::FreeHgc;
 use freehgc::datasets::tiny;
-use freehgc::hetgraph::{CondenseContext, CondenseSpec, CondensedGraph, Condenser, HeteroGraph};
+use freehgc::hetgraph::{
+    CacheFamily, CondenseContext, CondenseSpec, CondensedGraph, Condenser, HeteroGraph,
+};
 use freehgc::hgnn::propagation::{propagate_ctx, PropagatedFeatures, PropagatedFeaturesCodec};
 use freehgc::parallel as par;
 use std::sync::{Arc, Mutex};
@@ -167,14 +169,14 @@ fn budgeted_context_is_bitwise_equal_and_never_exceeds_its_budget() {
                 assert_propagated_equal(a, b, &format!("{what}: propagation {i}"));
             }
             let st = ctx.stats();
-            let evictions = st.composed_evictions
-                + st.influence_evictions
-                + st.diversity_evictions
-                + st.propagated_evictions;
-            let rejected = st.composed_rejected
-                + st.influence_rejected
-                + st.diversity_rejected
-                + st.propagated_rejected;
+            let evictions = st[CacheFamily::Composed].evictions
+                + st[CacheFamily::Influence].evictions
+                + st[CacheFamily::Diversity].evictions
+                + st[CacheFamily::Propagated].evictions;
+            let rejected = st[CacheFamily::Composed].rejected
+                + st[CacheFamily::Influence].rejected
+                + st[CacheFamily::Diversity].rejected
+                + st[CacheFamily::Propagated].rejected;
             assert!(
                 evictions + rejected > 0,
                 "{what}: a fractional budget must actually constrain the caches"
@@ -191,13 +193,13 @@ fn propagated_blocks_are_evicted_first_under_pressure() {
     let (_, props) = with_threads(1, || run_workload(&ctx, &mut |_| {}));
     let st = ctx.stats();
     assert!(
-        st.propagated_evictions > 0,
+        st[CacheFamily::Propagated].evictions > 0,
         "at half the footprint the propagated family (cheapest flops per byte) must \
          absorb evictions, got composed {} influence {} diversity {} propagated {}",
-        st.composed_evictions,
-        st.influence_evictions,
-        st.diversity_evictions,
-        st.propagated_evictions
+        st[CacheFamily::Composed].evictions,
+        st[CacheFamily::Influence].evictions,
+        st[CacheFamily::Diversity].evictions,
+        st[CacheFamily::Propagated].evictions
     );
     // Evicted-and-recomputed blocks carry the reference bits.
     for ((a, b), i) in want_props.iter().zip(&props).zip(0..) {
@@ -253,7 +255,7 @@ fn capped_snapshot_loads_as_a_partial_context_and_counts_cold_misses() {
             .load_snapshot(&capped_path, Some(&PropagatedFeaturesCodec))
             .expect("a capped snapshot is still a valid snapshot");
         assert!(
-            report.installed() > 0,
+            report.reused() > 0,
             "{threads}t: the kept tiers must install as a working partial context"
         );
         let (grids, props) = with_threads(threads, || run_workload(&loaded, &mut |_| {}));

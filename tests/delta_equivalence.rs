@@ -24,8 +24,8 @@ use freehgc::baselines::{
 use freehgc::core::FreeHgc;
 use freehgc::datasets::tiny;
 use freehgc::hetgraph::{
-    CondenseContext, CondenseSpec, CondensedGraph, Condenser, ContextRegistry, GraphDelta,
-    HeteroGraph,
+    CacheFamily, CondenseContext, CondenseSpec, CondensedGraph, Condenser, ContextRegistry,
+    GraphDelta, HeteroGraph, SeedReport,
 };
 use freehgc::hgnn::propagation::{propagate_ctx, PropagatedFeaturesCodec};
 use freehgc::parallel as par;
@@ -188,7 +188,7 @@ fn delta_updated_context_matches_cold_rebuild_for_every_condenser() {
                 Some((g_old.fingerprint(), &delta)),
             );
             assert!(
-                report.reused() > report.paths,
+                report.reused() > report[CacheFamily::Paths],
                 "{what}: entries beyond the schema-only path sets must survive \
                  a one-relation delta, got {report:?}"
             );
@@ -246,11 +246,15 @@ fn a_delta_touching_every_edge_type_degenerates_to_a_full_rebuild() {
     // Every derived family depends on at least one relation, so nothing
     // derived survives — only the schema-only path sets (and any cached
     // "no relation between these types" negatives) carry over.
-    assert_eq!(report.factors, 0, "all factors traverse a touched relation");
-    assert_eq!(report.composed, 0, "{report:?}");
-    assert_eq!(report.influence, 0, "{report:?}");
-    assert_eq!(report.diversity, 0, "{report:?}");
-    assert_eq!(report.propagated, 0, "{report:?}");
+    assert_eq!(
+        report[CacheFamily::Factors],
+        0,
+        "all factors traverse a touched relation"
+    );
+    assert_eq!(report[CacheFamily::Composed], 0, "{report:?}");
+    assert_eq!(report[CacheFamily::Influence], 0, "{report:?}");
+    assert_eq!(report[CacheFamily::Diversity], 0, "{report:?}");
+    assert_eq!(report[CacheFamily::Propagated], 0, "{report:?}");
     assert!(report.dropped > 0, "{report:?}");
 
     // And the rebuild-from-scratch semantics still hold bitwise.
@@ -285,9 +289,9 @@ fn an_empty_delta_is_a_noop_with_zero_invalidations() {
     let ctx_new = CondenseContext::new(&clone);
     let report = ctx_new.seed_from(&ctx_old, &empty);
     assert_eq!(report.dropped, 0, "nothing to invalidate: {report:?}");
-    assert!(report.factors > 0, "{report:?}");
-    assert!(report.composed > 0, "{report:?}");
-    assert_eq!(report.propagated, 1, "{report:?}");
+    assert!(report[CacheFamily::Factors] > 0, "{report:?}");
+    assert!(report[CacheFamily::Composed] > 0, "{report:?}");
+    assert_eq!(report[CacheFamily::Propagated], 1, "{report:?}");
 
     // The seeded context serves everything without recomputing: a full
     // FreeHGC run adds no new misses to the inherited families.
@@ -296,10 +300,26 @@ fn an_empty_delta_is_a_noop_with_zero_invalidations() {
     let got = with_threads(1, || FreeHgc::default().condense_in(&ctx_new, &spec));
     assert_condensed_equal(&want, &got, "empty delta");
     let after = ctx_new.stats();
-    assert_eq!(after.factors.1, before.factors.1, "factors re-missed");
-    assert_eq!(after.composed.1, before.composed.1, "composed re-missed");
-    assert_eq!(after.influence.1, before.influence.1, "influence re-missed");
-    assert_eq!(after.diversity.1, before.diversity.1, "diversity re-missed");
+    assert_eq!(
+        after[CacheFamily::Factors].misses,
+        before[CacheFamily::Factors].misses,
+        "factors re-missed"
+    );
+    assert_eq!(
+        after[CacheFamily::Composed].misses,
+        before[CacheFamily::Composed].misses,
+        "composed re-missed"
+    );
+    assert_eq!(
+        after[CacheFamily::Influence].misses,
+        before[CacheFamily::Influence].misses,
+        "influence re-missed"
+    );
+    assert_eq!(
+        after[CacheFamily::Diversity].misses,
+        before[CacheFamily::Diversity].misses,
+        "diversity re-missed"
+    );
 }
 
 #[test]
@@ -323,6 +343,7 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
     }
     reg1.persist(&dir, &g_old, &spec, Some(&PropagatedFeaturesCodec))
         .expect("persist");
+    let in_memory = CondenseContext::for_spec(&g_new, &spec).seed_from(&ctx1, &delta);
 
     // Cold reference over the mutated graph, for every condenser.
     let reg_cold = ContextRegistry::new();
@@ -350,6 +371,7 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
         );
         assert!(report.reused() > 0, "{threads}t: {report:?}");
         assert!(report.dropped > 0, "{threads}t: {report:?}");
+        assert_same_persisted_reuse(&report, &in_memory, &format!("{threads}t"));
         for (c, want) in condensers().iter().zip(&reference) {
             let got = with_threads(threads, || c.condense_in(&ctx2, &spec));
             assert_condensed_equal(
@@ -359,5 +381,50 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
             );
         }
     }
+
+    // One feature-free edit per relation: influence and diversity
+    // entries the delta above wipes out survive some of these, so the
+    // per-family agreement is checked where it is not vacuous.
+    let mut vectors_kept = 0;
+    for e in g_old.schema().edge_type_ids() {
+        let (r, c) = some_edge(&g_old, e, 0);
+        let mut edit = GraphDelta::new();
+        edit.remove_edge(e, r, c);
+        let mut mutated = (*g_old).clone();
+        mutated.apply_delta(&edit);
+        let g_edit = Arc::new(mutated);
+        let (_, from_disk) = ContextRegistry::new().resolve(
+            &g_edit,
+            &spec,
+            Some(&dir),
+            Some(&PropagatedFeaturesCodec),
+            Some((g_old.fingerprint(), &edit)),
+        );
+        let from_memory = CondenseContext::for_spec(&g_edit, &spec).seed_from(&ctx1, &edit);
+        assert_same_persisted_reuse(&from_disk, &from_memory, &format!("edit of {e:?}"));
+        vectors_kept += from_disk[CacheFamily::Influence] + from_disk[CacheFamily::Diversity];
+    }
+    assert!(
+        vectors_kept > 0,
+        "some edit must leave a vector entry alive"
+    );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The snapshot-delta loader and in-memory seeding filter through one
+/// survival rule, so for one delta they keep exactly the same entries of
+/// every family a snapshot persists.
+fn assert_same_persisted_reuse(from_disk: &SeedReport, from_memory: &SeedReport, what: &str) {
+    for family in [
+        CacheFamily::Factors,
+        CacheFamily::Composed,
+        CacheFamily::Influence,
+        CacheFamily::Diversity,
+        CacheFamily::Propagated,
+    ] {
+        assert_eq!(
+            from_disk[family], from_memory[family],
+            "{what}: snapshot-delta and in-memory seeding disagree on {family:?}"
+        );
+    }
 }

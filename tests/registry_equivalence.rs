@@ -23,7 +23,8 @@ use freehgc::core::selection::{condense_target_in, SelectionConfig};
 use freehgc::core::FreeHgc;
 use freehgc::datasets::tiny;
 use freehgc::hetgraph::{
-    CondenseContext, CondenseSpec, CondensedGraph, Condenser, ContextRegistry, HeteroGraph,
+    CacheFamily, CondenseContext, CondenseSpec, CondensedGraph, Condenser, ContextRegistry,
+    HeteroGraph,
 };
 use freehgc::parallel as par;
 use std::sync::{Arc, Mutex};
@@ -181,12 +182,12 @@ fn evicting_cache_matches_unbounded_and_respects_budget() {
         }
         let st = evicting.stats();
         assert!(
-            st.composed_peak_bytes <= budget as u64,
+            st[CacheFamily::Composed].peak_bytes <= budget as u64,
             "{threads}t: peak {} exceeded budget {budget}",
-            st.composed_peak_bytes
+            st[CacheFamily::Composed].peak_bytes
         );
         assert!(
-            st.composed_evictions + st.composed_rejected > 0,
+            st[CacheFamily::Composed].evictions + st[CacheFamily::Composed].rejected > 0,
             "{threads}t: the halved budget must actually constrain the cache"
         );
     }
@@ -203,16 +204,19 @@ fn warm_diversity_bonus_matches_cold_selection() {
         });
         let ctx = CondenseContext::new(&g);
         let first = with_threads(threads, || condense_target_in(&ctx, budget, &cfg));
-        let after_first = ctx.stats().diversity;
-        assert!(after_first.1 > 0, "{threads}t: first run computes bonuses");
+        let after_first = ctx.stats()[CacheFamily::Diversity];
+        assert!(
+            after_first.misses > 0,
+            "{threads}t: first run computes bonuses"
+        );
         let second = with_threads(threads, || condense_target_in(&ctx, budget, &cfg));
-        let after_second = ctx.stats().diversity;
+        let after_second = ctx.stats()[CacheFamily::Diversity];
         assert_eq!(
-            after_second.1, after_first.1,
+            after_second.misses, after_first.misses,
             "{threads}t: the warm run must not recompute any bonus"
         );
         assert!(
-            after_second.0 > after_first.0,
+            after_second.hits > after_first.hits,
             "{threads}t: the warm run must hit the diversity cache"
         );
         assert_eq!(cold.selected, first.selected, "{threads}t: cold vs fresh");
@@ -237,14 +241,14 @@ fn ratio_sweep_through_one_context_reuses_diversity_bonuses() {
             assert_condensed_equal(&fresh, &shared, &format!("ratio {ratio} seed {seed}"));
         }
         if i == 0 {
-            misses_after_first = Some(ctx.stats().diversity.1);
+            misses_after_first = Some(ctx.stats()[CacheFamily::Diversity].misses);
         }
     }
-    let st = ctx.stats().diversity;
+    let st = ctx.stats()[CacheFamily::Diversity];
     assert_eq!(
-        Some(st.1),
+        Some(st.misses),
         misses_after_first,
         "later ratios/seeds must not add diversity misses"
     );
-    assert!(st.0 > 0, "the sweep must hit the diversity cache");
+    assert!(st.hits > 0, "the sweep must hit the diversity cache");
 }

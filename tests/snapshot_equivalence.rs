@@ -22,7 +22,8 @@ use freehgc::baselines::{
 use freehgc::core::FreeHgc;
 use freehgc::datasets::tiny;
 use freehgc::hetgraph::{
-    snapshot_file_name, CondenseSpec, CondensedGraph, Condenser, ContextRegistry, HeteroGraph,
+    snapshot_file_name, CacheFamily, CondenseSpec, CondensedGraph, Condenser, ContextRegistry,
+    HeteroGraph,
 };
 use freehgc::hgnn::propagation::{propagate_ctx, PropagatedFeaturesCodec};
 use freehgc::parallel as par;
@@ -133,23 +134,37 @@ fn snapshot_round_trip_matches_fresh_for_every_condenser() {
         }
         // Everything the snapshot carried must be served, not redone.
         let after = ctx2.stats();
-        assert_eq!(after.factors.1, before.factors.1, "{threads}t: factors");
-        assert_eq!(after.composed.1, before.composed.1, "{threads}t: composed");
         assert_eq!(
-            after.influence.1, before.influence.1,
+            after[CacheFamily::Factors].misses,
+            before[CacheFamily::Factors].misses,
+            "{threads}t: factors"
+        );
+        assert_eq!(
+            after[CacheFamily::Composed].misses,
+            before[CacheFamily::Composed].misses,
+            "{threads}t: composed"
+        );
+        assert_eq!(
+            after[CacheFamily::Influence].misses,
+            before[CacheFamily::Influence].misses,
             "{threads}t: influence"
         );
         assert_eq!(
-            after.diversity.1, before.diversity.1,
+            after[CacheFamily::Diversity].misses,
+            before[CacheFamily::Diversity].misses,
             "{threads}t: diversity"
         );
         let pf2 = propagate_ctx(&ctx2, 2, 16);
-        let propagated = ctx2.stats().propagated;
+        let propagated = ctx2.stats()[CacheFamily::Propagated];
         assert_eq!(
-            propagated.1, before.propagated.1,
+            propagated.misses,
+            before[CacheFamily::Propagated].misses,
             "{threads}t: propagated blocks come from the snapshot, never recomputed"
         );
-        assert!(propagated.0 > 0, "{threads}t: the loaded blocks must serve");
+        assert!(
+            propagated.hits > 0,
+            "{threads}t: the loaded blocks must serve"
+        );
         assert_eq!(pf2.path_names, pf1.path_names, "{threads}t: block names");
         for (a, b) in pf2.blocks.iter().zip(&pf1.blocks) {
             assert_eq!(a.data, b.data, "{threads}t: propagated block bits");
@@ -222,4 +237,34 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
         assert_condensed_equal(&reference, &got, &format!("wrong fingerprint/{threads}t"));
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The snapshot file format is pinned byte for byte: one fixed warm
+/// context (FreeHGC condensation plus feature propagation, with the
+/// propagated section encoded through `PropagatedFeaturesCodec`) must
+/// always encode to the same bytes. A change to section order, entry
+/// order, or any payload layout moves the digest — which is a format
+/// change and needs a `SNAPSHOT_VERSION` bump, not a new digest.
+#[test]
+fn snapshot_bytes_match_the_golden_digest() {
+    use freehgc::hetgraph::snapshot::encode_snapshot;
+    use freehgc::sparse::fx::FxHasher;
+    use std::hash::Hasher;
+
+    let g = tiny(43);
+    let spec = CondenseSpec::new(0.25).with_max_hops(2).with_seed(5);
+    let ctx = freehgc::hetgraph::CondenseContext::for_spec(&g, &spec);
+    with_threads(1, || {
+        FreeHgc::default().condense_in(&ctx, &spec);
+        propagate_ctx(&ctx, 2, 16);
+    });
+    let (bytes, dropped) = encode_snapshot(&ctx, Some(&PropagatedFeaturesCodec), None);
+    assert_eq!(dropped, 0);
+    let mut h = FxHasher::default();
+    h.write(&bytes);
+    assert_eq!(
+        (bytes.len(), h.finish()),
+        (268_270, 10_395_120_423_315_235_452),
+        "snapshot bytes moved: the file format changed"
+    );
 }
