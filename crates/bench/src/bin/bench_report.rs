@@ -40,11 +40,13 @@ use freehgc_core::selection::{condense_target, SelectionConfig};
 use freehgc_core::FreeHgc;
 use freehgc_datasets::{generate, DatasetKind};
 use freehgc_hetgraph::snapshot::PropagatedCodec;
-use freehgc_hetgraph::{CondenseContext, CondenseSpec, Condenser, ContextRegistry, GraphDelta};
+use freehgc_hetgraph::{
+    CondenseContext, CondenseSpec, Condenser, ContextRegistry, GraphDelta, Role,
+};
 use freehgc_hgnn::propagation::{propagate, propagate_ctx, PropagatedFeaturesCodec};
 use freehgc_parallel as par;
 use freehgc_serve::{GraphRef, Request, ServeConfig, ServeHandle};
-use freehgc_sparse::ppr::{ppr_push, PprConfig};
+use freehgc_sparse::ppr::{bipartite_influence_seeded, ppr_push, PprConfig};
 use freehgc_sparse::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -353,6 +355,25 @@ fn kernel_rows(quick: bool, reps: usize, threads: usize) -> Vec<KernelRow> {
     t.row("condense_target_acm".into(), None, None, &mut || {
         let sel = condense_target(&g, 64, &sel_cfg);
         (sel.selected, sel.scores)
+    });
+    // Father influence (Eq. 10–11) on the same graph: every target →
+    // father meta-path is composed up front, so the row times the
+    // seeded PPR kernel alone, seeded from the selected targets.
+    let ctx = CondenseContext::new(&g);
+    let target = g.schema().target();
+    let seeds = condense_target(&g, 64, &sel_cfg).selected;
+    let father_adjs: Vec<Arc<CsrMatrix>> = g
+        .schema()
+        .types_with_role(Role::Father)
+        .into_iter()
+        .flat_map(|f| ctx.metapaths_to(target, f, sel_cfg.max_hops, sel_cfg.max_paths))
+        .map(|p| ctx.adjacency(&p))
+        .collect();
+    t.row("father_influence_acm".into(), None, None, &mut || {
+        father_adjs
+            .iter()
+            .map(|a| bipartite_influence_seeded(a, Some(&seeds), &ppr_cfg))
+            .collect::<Vec<_>>()
     });
     t.rows
 }

@@ -10,17 +10,19 @@
 //!   the mean Jaccard similarity between the receptive fields it captures
 //!   along different meta-paths sharing the same source type; low
 //!   similarity means the node sees *different regions* of the graph per
-//!   path (Fig. 4).
+//!   path (Fig. 4). [`diversity_bonuses`] scores a whole same-source
+//!   group at once, computing each sibling pair's Jaccard once per node.
 //!
 //! Each (meta-path, class) greedy run emits marginal-gain scores; scores
 //! are aggregated across meta-paths (Eq. 9) and the per-class top-k nodes
 //! are kept, with class budgets proportional to the original distribution.
 
 use freehgc_hetgraph::{proportional_allocation, CondenseContext, HeteroGraph};
+use freehgc_parallel::workspace as ws;
 use freehgc_sparse::{Bitset, CsrMatrix};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Selection configuration.
 #[derive(Clone, Debug)]
@@ -117,37 +119,77 @@ pub fn celf_greedy(
     (selected, gains)
 }
 
-/// Per-node diversity bonus `1 − Ĵ_v(ϕ)` (Eq. 6–7) of one meta-path
-/// against its sibling paths with the same source type. Row supports are
-/// intersected by sorted-merge, so the cost is `O(Σ row nnz)` per pair.
-/// Chunk-parallel over target nodes (each entry is independent, so any
-/// partition yields identical bits).
-pub fn diversity_bonus(
-    path_idx: usize,
+/// Per-node diversity bonuses `1 − Ĵ_v(ϕ)` (Eq. 6–7) of every meta-path
+/// in one same-source-type `group` (indices into `adjacencies`),
+/// returned in group order: entry `a` is path `group[a]`'s bonus, the
+/// mean Jaccard similarity of its row supports against those of its
+/// siblings. A group of one duplicates nothing: full diversity.
+///
+/// The Jaccard index is symmetric, so each unordered sibling pair is
+/// computed once per target node: row `a` is stamped into a generation
+/// marker, and every later row `b` counts its columns carrying that
+/// stamp. Intersection and union are integer counts (`CsrMatrix` rows
+/// hold strictly increasing columns), and each path's sibling sum adds
+/// in group order, so every bonus is bitwise what a per-path sorted
+/// merge against each sibling yields. Chunk-parallel over target nodes
+/// (each entry is independent, so any partition yields identical bits).
+pub fn diversity_bonuses(
     group: &[usize],
     adjacencies: &[Arc<CsrMatrix>],
     num_targets: usize,
-) -> Vec<f64> {
-    let siblings: Vec<usize> = group.iter().copied().filter(|&j| j != path_idx).collect();
-    if siblings.is_empty() {
-        // A path with no siblings duplicates nothing: full diversity.
-        return vec![1.0; num_targets];
+) -> Vec<Vec<f64>> {
+    let k = group.len();
+    if k == 1 {
+        return vec![vec![1.0; num_targets]];
     }
-    let a = &adjacencies[path_idx];
-    freehgc_parallel::par_chunks(num_targets, 256, |range| {
-        let mut chunk = Vec::with_capacity(range.len());
+    let adjs: Vec<&CsrMatrix> = group.iter().map(|&i| &*adjacencies[i]).collect();
+    let width = adjs.iter().map(|m| m.ncols()).max().unwrap_or(0);
+    let mut chunks = freehgc_parallel::par_chunks(num_targets, 256, |range| {
+        let mut out = vec![Vec::with_capacity(range.len()); k];
+        // sims[a * k + b]: Jaccard of paths a and b at the current node.
+        let mut sims = vec![0.0f64; k * k];
+        let mut mark = ws::take_u32_zeroed(width);
+        let mut stamp = 0u32;
         for v in range {
-            let ra = a.row_indices(v);
-            let mut sim_sum = 0.0f64;
-            for &j in &siblings {
-                let rb = adjacencies[j].row_indices(v);
-                sim_sum += jaccard_sorted(ra, rb);
+            for a in 0..k - 1 {
+                let ra = adjs[a].row_indices(v);
+                if stamp == u32::MAX {
+                    mark.fill(0);
+                    stamp = 0;
+                }
+                stamp += 1;
+                for &c in ra {
+                    mark[c as usize] = stamp;
+                }
+                for b in a + 1..k {
+                    let rb = adjs[b].row_indices(v);
+                    // Both supports empty: J = 1 (the convention after Eq. 5).
+                    let sim = if ra.is_empty() && rb.is_empty() {
+                        1.0
+                    } else {
+                        let inter = rb.iter().filter(|&&c| mark[c as usize] == stamp).count();
+                        inter as f64 / (ra.len() + rb.len() - inter) as f64
+                    };
+                    sims[a * k + b] = sim;
+                    sims[b * k + a] = sim;
+                }
             }
-            chunk.push(1.0 - sim_sum / siblings.len() as f64);
+            for (a, bonus) in out.iter_mut().enumerate() {
+                let mut sim_sum = 0.0f64;
+                for b in (0..k).filter(|&b| b != a) {
+                    sim_sum += sims[a * k + b];
+                }
+                bonus.push(1.0 - sim_sum / (k - 1) as f64);
+            }
         }
-        chunk
-    })
-    .concat()
+        out
+    });
+    if chunks.len() == 1 {
+        return chunks.pop().expect("one chunk");
+    }
+    (0..k)
+        .map(|a| chunks.iter().flat_map(|c| c[a].iter().copied()).collect())
+        .collect()
 }
 
 /// Jaccard index of two sorted index slices; 1.0 when both are empty
@@ -225,12 +267,18 @@ pub fn condense_target_in(
             None => groups.push(vec![i]),
         }
     }
-    let group_of = |i: usize| -> &Vec<usize> {
-        groups
-            .iter()
-            .find(|grp| grp.contains(&i))
-            .expect("every path belongs to a group")
-    };
+    // Path i is member `member[i].1` of group `member[i].0`.
+    let mut member = vec![(0, 0); paths.len()];
+    for (gi, grp) in groups.iter().enumerate() {
+        for (pos, &i) in grp.iter().enumerate() {
+            member[i] = (gi, pos);
+        }
+    }
+    // One diversity computation per group and call, filled by the first
+    // member that misses the context's diversity cache; each member then
+    // takes its own vector out.
+    let group_bonuses: Vec<OnceLock<Vec<Mutex<Vec<f64>>>>> =
+        groups.iter().map(|_| OnceLock::new()).collect();
 
     // Class pools within the training split.
     let num_classes = g.num_classes();
@@ -255,10 +303,19 @@ pub fn condense_target_in(
             // adjacencies and the sibling grouping — both pure functions
             // of (root, max_hops, max_paths) under this context — never
             // on the ratio or seed, so it is memoized in the context:
-            // repeated runs and ratio/seed sweeps compute it once.
+            // repeated runs and ratio/seed sweeps compute it once. Each
+            // path keeps its own cache entry, so keys, hit/miss counts
+            // and budget admission are per path as before.
             let bonus: Arc<Vec<f64>> = if cfg.use_jaccard {
                 ctx.diversity((target, cfg.max_hops, cfg.max_paths, pi), || {
-                    diversity_bonus(pi, group_of(pi), &adjacencies, n)
+                    let (gi, pos) = member[pi];
+                    let all = group_bonuses[gi].get_or_init(|| {
+                        diversity_bonuses(&groups[gi], &adjacencies, n)
+                            .into_iter()
+                            .map(Mutex::new)
+                            .collect()
+                    });
+                    std::mem::take(&mut *freehgc_parallel::relock(&all[pos]))
                 })
             } else {
                 Arc::new(vec![0.0; n])
@@ -406,8 +463,9 @@ mod tests {
         let paths = hg_enumerate(g.schema(), g.schema().target(), 1, 8);
         let adjs: Vec<_> = paths.iter().map(|p| engine.adjacency(p)).collect();
         let n = g.num_nodes(g.schema().target());
-        let b = diversity_bonus(0, &[0], &adjs, n);
-        assert!(b.iter().all(|&x| x == 1.0));
+        let b = diversity_bonuses(&[0], &adjs, n);
+        assert_eq!(b.len(), 1);
+        assert!(b[0].iter().all(|&x| x == 1.0));
     }
 
     #[test]
@@ -419,9 +477,9 @@ mod tests {
         // Two copies of the same adjacency: similarity 1, diversity 0.
         let adjs = vec![Arc::clone(&adj), adj];
         let n = g.num_nodes(g.schema().target());
-        let b = diversity_bonus(0, &[0, 1], &adjs, n);
+        let b = diversity_bonuses(&[0, 1], &adjs, n);
         // Rows with empty support have J=1 by convention; all should be 0.
-        assert!(b.iter().all(|&x| x.abs() < 1e-12), "{b:?}");
+        assert!(b.iter().flatten().all(|&x| x.abs() < 1e-12), "{b:?}");
     }
 
     #[test]

@@ -35,7 +35,9 @@ pub use context::{
 };
 pub use features::FeatureMatrix;
 pub use graph::{GraphDelta, HeteroGraph, HeteroGraphBuilder};
-pub use metapath::{enumerate_metapaths, metapaths_to, MetaPath, MetaPathStep};
+pub use metapath::{
+    enumerate_metapaths, metapaths_to, MetaPath, MetaPathStep, MAX_HOPS, MAX_PATHS,
+};
 pub use registry::{ContextRegistry, GraphFingerprint, RegistryStats};
 pub use schema::{EdgeTypeId, NodeTypeId, Role, Schema};
 pub use snapshot::{

@@ -19,6 +19,15 @@
 
 use crate::schema::{EdgeTypeId, NodeTypeId, Schema};
 
+/// Largest meta-path hop bound `K` accepted from untrusted input (wire
+/// requests, snapshot keys). Generous against anything the paper grid
+/// uses; the bound stops a hostile value from provoking a combinatorial
+/// enumeration.
+pub const MAX_HOPS: usize = 8;
+/// Largest meta-path cap accepted from untrusted input, for the same
+/// reason as [`MAX_HOPS`].
+pub const MAX_PATHS: usize = 4096;
+
 /// One hop of a meta-path: an edge type and the direction it is traversed
 /// (`forward == true` means from the stored source type to the stored
 /// destination type). `Ord` gives step sequences a total order, used as

@@ -61,9 +61,9 @@ use crate::context::{
     InvalidationRules, SeedReport,
 };
 use crate::graph::{GraphDelta, HeteroGraph};
-use crate::metapath::MetaPathStep;
+use crate::metapath::{MetaPathStep, MAX_HOPS, MAX_PATHS};
 use crate::registry::GraphFingerprint;
-use crate::schema::{EdgeTypeId, NodeTypeId};
+use crate::schema::{EdgeTypeId, NodeTypeId, Schema};
 use freehgc_sparse::fx::FxHasher;
 use freehgc_sparse::CsrMatrix;
 use std::any::Any;
@@ -537,8 +537,11 @@ fn put_step(w: &mut ByteWriter, s: MetaPathStep) {
     w.put_u8(s.forward as u8);
 }
 
-fn read_step(r: &mut ByteReader<'_>) -> Result<MetaPathStep, SnapshotError> {
+fn read_step(r: &mut ByteReader<'_>, schema: &Schema) -> Result<MetaPathStep, SnapshotError> {
     let edge = EdgeTypeId(r.u16()?);
+    if edge.0 as usize >= schema.num_edge_types() {
+        return Err(SnapshotError::Malformed("edge type out of range"));
+    }
     let forward = match r.u8()? {
         0 => false,
         1 => true,
@@ -793,10 +796,32 @@ struct Staging {
     report: SeedReport,
 }
 
-/// Reads one entry's key from a section of kind `id`.
-fn read_key(id: u8, r: &mut ByteReader<'_>) -> Result<CacheKey, SnapshotError> {
+/// Reads a node type id, rejecting one outside `schema`.
+fn read_node_type(r: &mut ByteReader<'_>, schema: &Schema) -> Result<NodeTypeId, SnapshotError> {
+    let t = NodeTypeId(r.u16()?);
+    if t.0 as usize >= schema.num_node_types() {
+        return Err(SnapshotError::Malformed("node type out of range"));
+    }
+    Ok(t)
+}
+
+/// Reads a `(max_hops, max_paths)` pair, rejecting either above the
+/// untrusted-input bounds [`MAX_HOPS`] / [`MAX_PATHS`].
+fn read_bounds(r: &mut ByteReader<'_>) -> Result<(usize, usize), SnapshotError> {
+    let (hops, paths) = (r.usize()?, r.usize()?);
+    if hops > MAX_HOPS || paths > MAX_PATHS {
+        return Err(SnapshotError::Malformed("meta-path bounds out of range"));
+    }
+    Ok((hops, paths))
+}
+
+/// Reads one entry's key from a section of kind `id`. Every type id is
+/// range-checked against `schema` and every hop/path bound against the
+/// untrusted-input caps here, before `InvalidationRules::survives` (which
+/// indexes by type id and enumerates meta-paths) ever sees the key.
+fn read_key(id: u8, r: &mut ByteReader<'_>, schema: &Schema) -> Result<CacheKey, SnapshotError> {
     Ok(match id {
-        SECTION_FACTORS => CacheKey::Factors(read_step(r)?),
+        SECTION_FACTORS => CacheKey::Factors(read_step(r, schema)?),
         SECTION_COMPOSED => {
             let nsteps = r.seq_len(3)?;
             if nsteps < 2 {
@@ -806,14 +831,13 @@ fn read_key(id: u8, r: &mut ByteReader<'_>) -> Result<CacheKey, SnapshotError> {
             }
             CacheKey::Composed(
                 (0..nsteps)
-                    .map(|_| read_step(r))
+                    .map(|_| read_step(r, schema))
                     .collect::<Result<_, _>>()?,
             )
         }
         SECTION_INFLUENCE => {
-            let father = NodeTypeId(r.u16()?);
-            let max_hops = r.usize()?;
-            let max_paths = r.usize()?;
+            let father = read_node_type(r, schema)?;
+            let (max_hops, max_paths) = read_bounds(r)?;
             let disc = r.u8()?;
             let mut params = [0u32; 4];
             for p in &mut params {
@@ -839,9 +863,11 @@ fn read_key(id: u8, r: &mut ByteReader<'_>) -> Result<CacheKey, SnapshotError> {
             })
         }
         SECTION_DIVERSITY => {
-            CacheKey::Diversity((NodeTypeId(r.u16()?), r.usize()?, r.usize()?, r.usize()?))
+            let root = read_node_type(r, schema)?;
+            let (max_hops, max_paths) = read_bounds(r)?;
+            CacheKey::Diversity((root, max_hops, max_paths, r.usize()?))
         }
-        _ => CacheKey::Propagated((r.usize()?, r.usize()?)),
+        _ => CacheKey::Propagated(read_bounds(r)?),
     })
 }
 
@@ -853,6 +879,7 @@ fn read_key(id: u8, r: &mut ByteReader<'_>) -> Result<CacheKey, SnapshotError> {
 fn decode_section(
     id: u8,
     payload: &[u8],
+    schema: &Schema,
     rules: &mut Option<InvalidationRules<'_>>,
     codec: Option<&dyn PropagatedCodec>,
     out: &mut Staging,
@@ -865,7 +892,7 @@ fn decode_section(
         _ => 8,
     };
     for _ in 0..r.seq_len(min_entry)? {
-        let key = read_key(id, &mut r)?;
+        let key = read_key(id, &mut r, schema)?;
         let mut survives = || rules.as_mut().is_none_or(|ru| ru.survives(&key));
         let staged = match key.family() {
             CacheFamily::Factors | CacheFamily::Composed => {
@@ -1046,7 +1073,8 @@ pub fn decode_snapshot_into(
     // decoders consult the identical survival rules in-memory seeding
     // applies (`CondenseContext::seed_from`) and step over doomed bytes
     // instead of decoding values that would only be thrown away.
-    let mut rules = delta.map(|(_, d)| InvalidationRules::new(ctx.graph().schema(), d));
+    let schema = ctx.graph().schema();
+    let mut rules = delta.map(|(_, d)| InvalidationRules::new(schema, d));
 
     let nsect = r.u32()?;
     let mut staging = Staging::default();
@@ -1065,7 +1093,7 @@ pub fn decode_snapshot_into(
         if std::mem::replace(&mut seen[id as usize], true) {
             return Err(SnapshotError::Malformed("duplicate section"));
         }
-        decode_section(id, payload, &mut rules, codec, &mut staging)?;
+        decode_section(id, payload, schema, &mut rules, codec, &mut staging)?;
     }
     if !r.is_empty() {
         return Err(SnapshotError::Malformed("trailing bytes after sections"));
@@ -1558,8 +1586,24 @@ mod tests {
             },
         );
         put_csr(&mut payload, &CsrMatrix::zeros(1, 1)); // truth is 4×3
-        let payload = payload.into_bytes();
+        let file = single_section_file(&g, &ctx, SECTION_FACTORS, &payload.into_bytes());
 
+        let err = decode_snapshot_into(&ctx, &file, None, None);
+        assert!(
+            matches!(err, Err(SnapshotError::Malformed("factor shape mismatch"))),
+            "got {err:?}"
+        );
+        assert_eq!(ctx.stats(), CondenseContext::new(&g).stats(), "untouched");
+    }
+
+    /// A snapshot file for `g` under `ctx`'s knobs holding one section
+    /// with a valid checksum over `payload`.
+    fn single_section_file(
+        g: &HeteroGraph,
+        ctx: &CondenseContext<'_>,
+        id: u8,
+        payload: &[u8],
+    ) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_bytes(&SNAPSHOT_MAGIC);
         w.put_u32(SNAPSHOT_VERSION);
@@ -1569,17 +1613,114 @@ mod tests {
         w.put_opt_usize(ctx.max_row_nnz());
         w.put_opt_usize(ctx.cache_budget());
         w.put_u32(1);
-        w.put_u8(SECTION_FACTORS);
+        w.put_u8(id);
         w.put_usize(payload.len());
-        w.put_u64(section_checksum(SECTION_FACTORS, &payload));
-        w.put_bytes(&payload);
+        w.put_u64(section_checksum(id, payload));
+        w.put_bytes(payload);
+        w.into_bytes()
+    }
 
-        let err = decode_snapshot_into(&ctx, &w.into_bytes(), None, None);
-        assert!(
-            matches!(err, Err(SnapshotError::Malformed("factor shape mismatch"))),
-            "got {err:?}"
-        );
-        assert_eq!(ctx.stats(), CondenseContext::new(&g).stats(), "untouched");
+    /// A delta load runs `InvalidationRules::survives` on every key
+    /// before `validate_against_graph`, and `survives` indexes by type id
+    /// and enumerates meta-paths. A crafted old-graph file with valid
+    /// checksums and an out-of-range id, or a hop/path bound above the
+    /// untrusted-input caps, must come back as a typed error — never an
+    /// index panic or a runaway enumeration — and leave the context
+    /// untouched.
+    #[test]
+    fn crafted_delta_file_with_out_of_range_ids_is_rejected() {
+        let old = fixture();
+        let mut delta = GraphDelta::new();
+        delta.add_edge(EdgeTypeId(0), 0, 1);
+        let mut new = old.clone();
+        new.apply_delta(&delta);
+        let ctx = CondenseContext::new(&new);
+        let huge = usize::MAX / 2;
+        let vector = |w: &mut ByteWriter| {
+            w.put_usize(4);
+            w.put_f64_slice(&[0.5; 4]);
+        };
+        let influence = |father: u16, hops: usize, paths: usize| {
+            move |w: &mut ByteWriter| {
+                w.put_u16(father);
+                w.put_usize(hops);
+                w.put_usize(paths);
+                w.put_u8(0);
+                for _ in 0..4 {
+                    w.put_u32(0);
+                }
+                w.put_u8(0);
+                w.put_u64(0);
+                vector(w);
+            }
+        };
+        let diversity = |root: u16, hops: usize, paths: usize| {
+            move |w: &mut ByteWriter| {
+                w.put_u16(root);
+                w.put_usize(hops);
+                w.put_usize(paths);
+                w.put_usize(0);
+                vector(w);
+            }
+        };
+        let propagated = |hops: usize, paths: usize| {
+            move |w: &mut ByteWriter| {
+                w.put_usize(hops);
+                w.put_usize(paths);
+                w.put_usize(1);
+                w.put_u8(0);
+            }
+        };
+        let step = |edge: u16| MetaPathStep {
+            edge: EdgeTypeId(edge),
+            forward: true,
+        };
+        let factor = move |w: &mut ByteWriter| {
+            put_step(w, step(2));
+            put_csr(w, &CsrMatrix::zeros(4, 3));
+        };
+        let composed = move |w: &mut ByteWriter| {
+            w.put_usize(2);
+            put_step(w, step(0));
+            put_step(w, step(u16::MAX));
+            w.put_u64(0);
+            put_csr(w, &CsrMatrix::zeros(4, 4));
+        };
+        let edge = "edge type out of range";
+        let node = "node type out of range";
+        let bounds = "meta-path bounds out of range";
+        type Entry = Box<dyn Fn(&mut ByteWriter)>;
+        let cases: Vec<(u8, Entry, &str)> = vec![
+            (SECTION_FACTORS, Box::new(factor), edge),
+            (SECTION_COMPOSED, Box::new(composed), edge),
+            (SECTION_INFLUENCE, Box::new(influence(3, 2, 8)), node),
+            (SECTION_INFLUENCE, Box::new(influence(1, huge, 8)), bounds),
+            (SECTION_INFLUENCE, Box::new(influence(1, 2, huge)), bounds),
+            (SECTION_DIVERSITY, Box::new(diversity(u16::MAX, 2, 8)), node),
+            (
+                SECTION_DIVERSITY,
+                Box::new(diversity(0, MAX_HOPS + 1, 8)),
+                bounds,
+            ),
+            (
+                SECTION_DIVERSITY,
+                Box::new(diversity(0, 2, MAX_PATHS + 1)),
+                bounds,
+            ),
+            (SECTION_PROPAGATED, Box::new(propagated(huge, huge)), bounds),
+        ];
+        for (id, entry, want) in cases {
+            let mut payload = ByteWriter::new();
+            payload.put_usize(1);
+            entry(&mut payload);
+            let file = single_section_file(&old, &ctx, id, &payload.into_bytes());
+            let err = decode_snapshot_into(&ctx, &file, None, Some((old.fingerprint(), &delta)));
+            assert!(
+                matches!(err, Err(SnapshotError::Malformed(m)) if m == want),
+                "section {id}: want {want:?}, got {err:?}"
+            );
+        }
+        assert_eq!(ctx.stats(), CondenseContext::new(&new).stats(), "untouched");
     }
 
     #[test]

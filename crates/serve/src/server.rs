@@ -56,11 +56,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Hop/path caps a request may ask for. Generous against anything the
-/// paper grid uses; their job is to stop a hostile request from
-/// provoking a combinatorial meta-path enumeration.
-const MAX_REQUEST_HOPS: u32 = 8;
-const MAX_REQUEST_PATHS: u32 = 4096;
+/// Hop/path caps a request may ask for: the hetgraph bounds every
+/// untrusted meta-path query shares.
+const MAX_REQUEST_HOPS: u32 = freehgc_hetgraph::MAX_HOPS as u32;
+const MAX_REQUEST_PATHS: u32 = freehgc_hetgraph::MAX_PATHS as u32;
 /// How often a flight waiter wakes to check deadline / cancellation /
 /// the disconnect probe.
 const WAIT_SLICE: Duration = Duration::from_millis(5);

@@ -15,8 +15,12 @@
 //! fuses each gather with the following scatter row by row, so `T` terms
 //! cost `⌈T/2⌉` passes over the nonzeros instead of `T` — with the same
 //! per-element addition order, hence the same bits, as one pass per
-//! term. [`ppr_push`] / [`ppr_push_into`] are the square-operator
-//! variant, used by the bench and tests.
+//! term. The loop-invariant edge weight `a[r,c]·dc[c]` is folded once
+//! per stored entry before the first pass, so the passes read it
+//! sequentially instead of recomputing it (and fetching `dc[c]` from a
+//! random column) twice per entry per pass. [`ppr_push`] /
+//! [`ppr_push_into`] are the square-operator variant, used by the bench
+//! and tests.
 
 use crate::csr::CsrMatrix;
 use freehgc_parallel::workspace as ws;
@@ -129,6 +133,11 @@ pub fn bipartite_influence(a: &CsrMatrix, cfg: &PprConfig) -> Vec<f32> {
 /// separate scatter pass — the result is bitwise-identical to that
 /// two-pass form. A series of `T` terms costs `⌈T/2⌉` passes over the
 /// nonzeros instead of `T`.
+///
+/// The folded weight `w[i] = a[r,c]·dc[c]` of every stored entry is
+/// computed once per call: Rust evaluates `v * dc[c] * x` as
+/// `(v * dc[c]) * x`, so `w[i] * x` performs the very same `f32`
+/// operations and the bits are unchanged.
 pub fn bipartite_influence_seeded(
     a: &CsrMatrix,
     seed_rows: Option<&[u32]>,
@@ -139,13 +148,15 @@ pub fn bipartite_influence_seeded(
         return vec![0.0; m];
     }
     // All per-call scratch lives in one pooled buffer: `dr` and the seed
-    // state `tgt` (target block), then `dc` and the two source states.
-    // One take keeps a warm call at zero growth whatever the shape.
-    let mut scratch = ws::take_f32(2 * n + 3 * m);
+    // state `tgt` (target block), then `dc` and the two source states,
+    // then the folded per-entry weights `w`. One take keeps a warm call
+    // at zero growth whatever the shape.
+    let mut scratch = ws::take_f32(2 * n + 3 * m + a.nnz());
     let (dr, rest) = scratch.split_at_mut(n);
     let (tgt, rest) = rest.split_at_mut(n);
     let (dc, rest) = rest.split_at_mut(m);
-    let (mut src, mut nxt) = rest.split_at_mut(m);
+    let (mut src, rest) = rest.split_at_mut(m);
+    let (mut nxt, w) = rest.split_at_mut(m);
     // Symmetric normalization of the bipartite block matrix: degrees of a
     // target node are its row sums; of a source node, its absolute column
     // sums (accumulated in `dc`, then mapped in place).
@@ -159,6 +170,11 @@ pub fn bipartite_influence_seeded(
         }
     }
     dc.iter_mut().for_each(|d| *d = inv_sqrt(*d));
+    for ((wi, &c), &v) in w.iter_mut().zip(a.indices()).zip(a.values()) {
+        *wi = v * dc[c as usize];
+    }
+    let (indptr, w) = (a.indptr(), &*w);
+    let row = |r: usize| (a.row_indices(r), &w[indptr[r]..indptr[r + 1]]);
 
     // Seed: uniform mass over the seeded targets.
     match seed_rows {
@@ -176,10 +192,9 @@ pub fn bipartite_influence_seeded(
     for r in 0..n {
         let t = tgt[r] * dr[r];
         if t != 0.0 {
-            let (cols, vals) = a.row(r);
-            // SAFETY: c < ncols == dc.len() == src.len(), validated at
-            // construction.
-            unsafe { scatter_row(cols, vals, dc, t, src) };
+            let (cols, wr) = row(r);
+            // SAFETY: c < ncols == src.len(), validated at construction.
+            unsafe { scatter_row(cols, wr, t, src) };
         }
     }
 
@@ -208,19 +223,19 @@ pub fn bipartite_influence_seeded(
         // One pass, two terms: x_k (source) → x_{k+1} (target, row-local)
         // → x_{k+2} (source).
         for (r, &d) in dr.iter().enumerate() {
-            let (cols, vals) = a.row(r);
+            let (cols, wr) = row(r);
             let mut accr = 0f32;
-            for (&c, &v) in cols.iter().zip(vals) {
-                // SAFETY: c < ncols == dc.len() == src.len(), validated
-                // at construction.
+            for (&c, &wi) in cols.iter().zip(wr) {
+                // SAFETY: c < ncols == src.len(), validated at
+                // construction.
                 unsafe {
-                    accr += v * *dc.get_unchecked(c as usize) * *src.get_unchecked(c as usize);
+                    accr += wi * *src.get_unchecked(c as usize);
                 }
             }
             let t = accr * d * d;
             if t != 0.0 {
                 // SAFETY: as above, nxt.len() == ncols.
-                unsafe { scatter_row(cols, vals, dc, t, nxt) };
+                unsafe { scatter_row(cols, wr, t, nxt) };
             }
         }
         std::mem::swap(&mut src, &mut nxt);
@@ -230,18 +245,18 @@ pub fn bipartite_influence_seeded(
     acc.detach()
 }
 
-/// `out[c] += (v · dc[c]) · t` over one row of the path adjacency — the
-/// target → source half of a bipartite advance.
+/// `out[c] += w · t` over one row of folded weights `w = v · dc[c]` —
+/// the target → source half of a bipartite advance.
 ///
 /// # Safety
 ///
-/// Every index in `cols` must be below both `dc.len()` and `out.len()`.
+/// Every index in `cols` must be below `out.len()`.
 #[inline(always)]
-unsafe fn scatter_row(cols: &[u32], vals: &[f32], dc: &[f32], t: f32, out: &mut [f32]) {
-    for (&c, &v) in cols.iter().zip(vals) {
-        // SAFETY: the caller guarantees c < dc.len() and c < out.len().
+unsafe fn scatter_row(cols: &[u32], w: &[f32], t: f32, out: &mut [f32]) {
+    for (&c, &wi) in cols.iter().zip(w) {
+        // SAFETY: the caller guarantees c < out.len().
         unsafe {
-            *out.get_unchecked_mut(c as usize) += v * *dc.get_unchecked(c as usize) * t;
+            *out.get_unchecked_mut(c as usize) += wi * t;
         }
     }
 }
