@@ -12,8 +12,8 @@
 
 use freehgc_hetgraph::condense::{assemble, SynthesizedNodes, TypePlan};
 use freehgc_hetgraph::{
-    proportional_allocation, CondenseSpec, CondensedGraph, Condenser, FeatureMatrix, HeteroGraph,
-    NodeTypeId,
+    proportional_allocation, CondenseContext, CondenseSpec, CondensedGraph, Condenser,
+    FeatureMatrix, HeteroGraph, NodeTypeId,
 };
 
 /// Neighborhood signature used to order nodes before contraction:
@@ -66,7 +66,8 @@ impl Condenser for CoarseningHg {
         "Coarsening-HG"
     }
 
-    fn condense(&self, g: &HeteroGraph, spec: &CondenseSpec) -> CondensedGraph {
+    fn condense_in(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> CondensedGraph {
+        let g = ctx.graph();
         let schema = g.schema();
         let target = schema.target();
         let labels = g.labels();

@@ -19,16 +19,11 @@ use rand::SeedableRng;
 
 /// Concatenated meta-path propagated embeddings of the target type — the
 /// "intermediate embeddings from SeHGNN" the paper feeds the coreset
-/// methods.
-pub fn target_embeddings(g: &HeteroGraph, max_hops: usize, max_paths: usize) -> FeatureMatrix {
-    target_embeddings_in(&CondenseContext::new(g), max_hops, max_paths)
-}
-
-/// [`target_embeddings`] against a shared [`CondenseContext`]: the
-/// propagated blocks come from the context's `(max_hops, max_paths)`
-/// cache, so herding and k-center selection at several ratios (or after
-/// an eval pass over the same graph) pay for propagation once.
-pub fn target_embeddings_in(
+/// methods. The propagated blocks come from the context's
+/// `(max_hops, max_paths)` cache, so herding and k-center selection at
+/// several ratios (or after an eval pass over the same graph) pay for
+/// propagation once.
+pub fn target_embeddings(
     ctx: &CondenseContext<'_>,
     max_hops: usize,
     max_paths: usize,
@@ -98,13 +93,13 @@ impl Condenser for RandomHg {
         "Random-HG"
     }
 
-    fn condense(&self, g: &HeteroGraph, spec: &CondenseSpec) -> CondensedGraph {
+    fn condense_in(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> CondensedGraph {
         // Separate deterministic streams so the closures don't contend for
         // one generator.
         let mut rng_t = StdRng::seed_from_u64(spec.seed ^ 0x5eed);
         let mut rng_o = StdRng::seed_from_u64(spec.seed ^ 0x07e4);
         condense_with(
-            g,
+            ctx.graph(),
             spec,
             |g, budget| {
                 let (pools, alloc) = class_pools(g, budget);
@@ -135,13 +130,9 @@ impl Condenser for HerdingHg {
         "Herding-HG"
     }
 
-    fn condense(&self, g: &HeteroGraph, spec: &CondenseSpec) -> CondensedGraph {
-        self.condense_in(&CondenseContext::for_spec(g, spec), spec)
-    }
-
     fn condense_in(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> CondensedGraph {
         ctx.check_spec(spec);
-        let emb = target_embeddings_in(ctx, spec.max_hops, spec.max_paths);
+        let emb = target_embeddings(ctx, spec.max_hops, spec.max_paths);
         condense_with(
             ctx.graph(),
             spec,
@@ -222,13 +213,9 @@ impl Condenser for KCenterHg {
         "K-Center-HG"
     }
 
-    fn condense(&self, g: &HeteroGraph, spec: &CondenseSpec) -> CondensedGraph {
-        self.condense_in(&CondenseContext::for_spec(g, spec), spec)
-    }
-
     fn condense_in(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> CondensedGraph {
         ctx.check_spec(spec);
-        let emb = target_embeddings_in(ctx, spec.max_hops, spec.max_paths);
+        let emb = target_embeddings(ctx, spec.max_hops, spec.max_paths);
         condense_with(
             ctx.graph(),
             spec,
@@ -308,7 +295,7 @@ mod tests {
     #[test]
     fn embeddings_have_expected_shape() {
         let g = tiny(4);
-        let emb = target_embeddings(&g, 2, 16);
+        let emb = target_embeddings(&CondenseContext::new(&g), 2, 16);
         assert_eq!(emb.num_rows(), g.num_nodes(g.schema().target()));
         assert!(emb.dim() > g.features(g.schema().target()).dim());
     }

@@ -12,10 +12,10 @@
 //! bytes is actually allocated, and condensation fails with
 //! [`OutOfMemory`] when it exceeds the budget.
 
-use crate::relay::{gradient_matching_refine_in, GradMatchConfig, GradMatchStats, RelayKind};
+use crate::relay::{gradient_matching_refine, GradMatchConfig, GradMatchStats, RelayKind};
 use freehgc_hetgraph::{
     induce_selection, proportional_allocation, CondenseContext, CondenseSpec, CondensedGraph,
-    Condenser, HeteroGraph,
+    Condenser,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -70,18 +70,9 @@ impl Default for GCondBaseline {
 
 impl GCondBaseline {
     /// Runs GCond, reporting [`OutOfMemory`] when the dense working set
-    /// exceeds the simulated device budget.
+    /// exceeds the simulated device budget. The real-side propagated
+    /// blocks come from the context's cache.
     pub fn try_condense(
-        &self,
-        g: &HeteroGraph,
-        spec: &CondenseSpec,
-    ) -> Result<(CondensedGraph, GradMatchStats), OutOfMemory> {
-        self.try_condense_in(&CondenseContext::for_spec(g, spec), spec)
-    }
-
-    /// [`GCondBaseline::try_condense`] against a shared
-    /// [`CondenseContext`] (reuses the real-side propagated blocks).
-    pub fn try_condense_in(
         &self,
         ctx: &CondenseContext<'_>,
         spec: &CondenseSpec,
@@ -136,7 +127,7 @@ impl GCondBaseline {
         let mut cond = induce_selection(g, keep);
 
         // Bi-level gradient matching on the synthetic target features.
-        let stats = gradient_matching_refine_in(ctx, &mut cond, spec, &self.cfg);
+        let stats = gradient_matching_refine(ctx, &mut cond, spec, &self.cfg);
         Ok((cond, stats))
     }
 }
@@ -149,14 +140,8 @@ impl Condenser for GCondBaseline {
     /// # Panics
     /// Panics on simulated OOM; use [`GCondBaseline::try_condense`] where
     /// OOM is an expected outcome (Table VI).
-    fn condense(&self, g: &HeteroGraph, spec: &CondenseSpec) -> CondensedGraph {
-        self.condense_in(&CondenseContext::for_spec(g, spec), spec)
-    }
-
-    /// # Panics
-    /// Panics on simulated OOM, like [`Condenser::condense`].
     fn condense_in(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> CondensedGraph {
-        match self.try_condense_in(ctx, spec) {
+        match self.try_condense(ctx, spec) {
             Ok((cg, _)) => cg,
             Err(e) => panic!("{e}"),
         }
@@ -185,7 +170,9 @@ mod tests {
             cfg: quick_cfg(),
             ..Default::default()
         };
-        let (cg, stats) = gc.try_condense(&g, &spec).unwrap();
+        let (cg, stats) = gc
+            .try_condense(&CondenseContext::for_spec(&g, &spec), &spec)
+            .unwrap();
         cg.validate(&g);
         assert_eq!(stats.outer_steps, 3);
         assert!(stats.inner_steps >= 6);
@@ -200,7 +187,9 @@ mod tests {
             cfg: quick_cfg(),
             ..Default::default()
         };
-        let (cg, _) = gc.try_condense(&g, &spec).unwrap();
+        let (cg, _) = gc
+            .try_condense(&CondenseContext::for_spec(&g, &spec), &spec)
+            .unwrap();
         // Refined features must differ from the raw gathered originals.
         let t = g.schema().target();
         let ids = cg.target_ids();
@@ -216,7 +205,9 @@ mod tests {
             cfg: quick_cfg(),
             memory_limit_bytes: 64, // tiny budget forces OOM
         };
-        let err = gc.try_condense(&g, &spec).unwrap_err();
+        let err = gc
+            .try_condense(&CondenseContext::for_spec(&g, &spec), &spec)
+            .unwrap_err();
         assert!(err.required_bytes > err.limit_bytes);
         assert!(err.to_string().contains("OOM"));
     }
@@ -232,11 +223,11 @@ mod tests {
             cfg: quick_cfg(),
             memory_limit_bytes: limit,
         };
-        assert!(gc
-            .try_condense(&g, &CondenseSpec::new(0.05).with_max_hops(1))
-            .is_ok());
-        assert!(gc
-            .try_condense(&g, &CondenseSpec::new(0.5).with_max_hops(1))
-            .is_err());
+        let run = |ratio: f64| {
+            let spec = CondenseSpec::new(ratio).with_max_hops(1);
+            gc.try_condense(&CondenseContext::for_spec(&g, &spec), &spec)
+        };
+        assert!(run(0.05).is_ok());
+        assert!(run(0.5).is_err());
     }
 }

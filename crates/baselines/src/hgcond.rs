@@ -12,11 +12,11 @@
 //! stronger relays (HGT / HGB / SeHGNN) fail to improve condensation.
 
 use crate::cluster::{kmeans, medoid};
-use crate::relay::{gradient_matching_refine_in, GradMatchConfig, GradMatchStats, RelayKind};
+use crate::relay::{gradient_matching_refine, GradMatchConfig, GradMatchStats, RelayKind};
 use freehgc_hetgraph::condense::{assemble, SynthesizedNodes, TypePlan};
 use freehgc_hetgraph::{
     proportional_allocation, CondenseContext, CondenseSpec, CondensedGraph, Condenser,
-    FeatureMatrix, HeteroGraph,
+    FeatureMatrix,
 };
 
 /// The HGCond baseline.
@@ -52,18 +52,9 @@ impl HGCondBaseline {
     }
 
     /// Condenses and returns the bi-level statistics (for Fig. 2b / 8
-    /// time accounting).
+    /// time accounting). The real-side propagated blocks come from the
+    /// context's cache.
     pub fn condense_with_stats(
-        &self,
-        g: &HeteroGraph,
-        spec: &CondenseSpec,
-    ) -> (CondensedGraph, GradMatchStats) {
-        self.condense_with_stats_in(&CondenseContext::for_spec(g, spec), spec)
-    }
-
-    /// [`HGCondBaseline::condense_with_stats`] against a shared
-    /// [`CondenseContext`] (reuses the real-side propagated blocks).
-    pub fn condense_with_stats_in(
         &self,
         ctx: &CondenseContext<'_>,
         spec: &CondenseSpec,
@@ -129,7 +120,7 @@ impl HGCondBaseline {
         let mut cond = assemble(g, &plans);
 
         // Bi-level OPS gradient matching on the target features.
-        let stats = gradient_matching_refine_in(ctx, &mut cond, spec, &self.cfg);
+        let stats = gradient_matching_refine(ctx, &mut cond, spec, &self.cfg);
         (cond, stats)
     }
 }
@@ -139,12 +130,8 @@ impl Condenser for HGCondBaseline {
         "HGCond"
     }
 
-    fn condense(&self, g: &HeteroGraph, spec: &CondenseSpec) -> CondensedGraph {
-        self.condense_with_stats(g, spec).0
-    }
-
     fn condense_in(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> CondensedGraph {
-        self.condense_with_stats_in(ctx, spec).0
+        self.condense_with_stats(ctx, spec).0
     }
 }
 
@@ -171,7 +158,7 @@ mod tests {
     fn hgcond_builds_valid_condensed_graph() {
         let g = tiny(0);
         let spec = CondenseSpec::new(0.2).with_max_hops(2).with_seed(3);
-        let (cg, stats) = quick().condense_with_stats(&g, &spec);
+        let (cg, stats) = quick().condense_with_stats(&CondenseContext::for_spec(&g, &spec), &spec);
         cg.validate(&g);
         assert!(stats.final_loss.is_finite());
         // Non-target types become cluster hyper-nodes.
@@ -187,7 +174,7 @@ mod tests {
     fn hgcond_keeps_class_purity_of_target() {
         let g = tiny(1);
         let spec = CondenseSpec::new(0.25).with_max_hops(2).with_seed(4);
-        let (cg, _) = quick().condense_with_stats(&g, &spec);
+        let (cg, _) = quick().condense_with_stats(&CondenseContext::for_spec(&g, &spec), &spec);
         for (k, &orig) in cg.target_ids().iter().enumerate() {
             assert_eq!(cg.graph.labels()[k], g.labels()[orig as usize]);
         }
@@ -197,10 +184,12 @@ mod tests {
     fn relay_variants_produce_different_features() {
         let g = tiny(2);
         let spec = CondenseSpec::new(0.2).with_max_hops(2).with_seed(5);
-        let a = quick().condense_with_stats(&g, &spec).0;
+        let a = quick()
+            .condense_with_stats(&CondenseContext::for_spec(&g, &spec), &spec)
+            .0;
         let b = quick()
             .with_relay(RelayKind::Hgt)
-            .condense_with_stats(&g, &spec)
+            .condense_with_stats(&CondenseContext::for_spec(&g, &spec), &spec)
             .0;
         let t = g.schema().target();
         assert_ne!(a.graph.features(t).data(), b.graph.features(t).data());
@@ -210,7 +199,7 @@ mod tests {
     fn leaf_types_keep_edges_through_hypernodes() {
         let g = tiny(3);
         let spec = CondenseSpec::new(0.2).with_max_hops(2).with_seed(6);
-        let (cg, _) = quick().condense_with_stats(&g, &spec);
+        let (cg, _) = quick().condense_with_stats(&CondenseContext::for_spec(&g, &spec), &spec);
         let leaf = g.schema().types_with_role(Role::Leaf)[0];
         let parent = g.schema().parent_of(leaf).unwrap();
         let (e, _) = g.schema().edge_between(parent, leaf).unwrap();

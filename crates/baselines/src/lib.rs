@@ -21,7 +21,7 @@ pub mod hgcond;
 pub mod relay;
 
 pub use coarsening::CoarseningHg;
-pub use coreset::{target_embeddings, target_embeddings_in, HerdingHg, KCenterHg, RandomHg};
+pub use coreset::{target_embeddings, HerdingHg, KCenterHg, RandomHg};
 pub use gcond::{GCondBaseline, OutOfMemory};
 pub use hgcond::HGCondBaseline;
 pub use relay::{GradMatchConfig, RelayKind};

@@ -277,22 +277,13 @@ pub struct GradMatchStats {
 
 /// The bi-level gradient-matching refinement: updates the condensed
 /// graph's target-type features so relay gradients match the real graph's.
-pub fn gradient_matching_refine(
-    real: &HeteroGraph,
-    cond: &mut CondensedGraph,
-    spec: &CondenseSpec,
-    cfg: &GradMatchConfig,
-) -> GradMatchStats {
-    gradient_matching_refine_in(&CondenseContext::for_spec(real, spec), cond, spec, cfg)
-}
-
-/// [`gradient_matching_refine`] against a shared [`CondenseContext`] for
-/// the *real* graph: the real-side propagated blocks — the only
-/// full-graph-sized cost of the bi-level loop — come from the context's
-/// `(max_hops, max_paths)` cache, so repeated GCond/HGCond runs (ratio
-/// and seed sweeps, the Fig. 2a relay study) propagate once. The
+///
+/// `ctx` is the context of the *real* graph: the real-side propagated
+/// blocks — the only full-graph-sized cost of the bi-level loop — come
+/// from its `(max_hops, max_paths)` cache, so repeated GCond/HGCond runs
+/// (ratio and seed sweeps, the Fig. 2a relay study) propagate once. The
 /// synthetic side is per-condensed-graph and stays uncached.
-pub fn gradient_matching_refine_in(
+pub fn gradient_matching_refine(
     ctx: &CondenseContext<'_>,
     cond: &mut CondensedGraph,
     spec: &CondenseSpec,
@@ -577,7 +568,12 @@ mod refine_tests {
             .map(|t| (0..spec.budget_for(g.num_nodes(t)) as u32).collect())
             .collect();
         let mut cond = induce_selection(&g, keep);
-        let stats = gradient_matching_refine(&g, &mut cond, &spec, &quick_cfg(8));
+        let stats = gradient_matching_refine(
+            &CondenseContext::for_spec(&g, &spec),
+            &mut cond,
+            &spec,
+            &quick_cfg(8),
+        );
         assert!(stats.final_loss.is_finite());
         let t = g.schema().target();
         assert!(cond.graph.features(t).data().iter().all(|v| v.is_finite()));
@@ -600,7 +596,12 @@ mod refine_tests {
             .collect();
         let mut cond = induce_selection(&g, keep);
         let cfg = quick_cfg(5);
-        let stats = gradient_matching_refine(&g, &mut cond, &spec, &cfg);
+        let stats = gradient_matching_refine(
+            &CondenseContext::for_spec(&g, &spec),
+            &mut cond,
+            &spec,
+            &cfg,
+        );
         assert_eq!(stats.outer_steps, 5);
         assert_eq!(stats.inner_steps, 5 * cfg.relay_samples * cfg.inner);
     }

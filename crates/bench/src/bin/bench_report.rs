@@ -37,7 +37,7 @@
 //! not here.
 
 use freehgc_core::selection::{condense_target, SelectionConfig};
-use freehgc_core::FreeHgc;
+use freehgc_core::{synthesize_leaf, FreeHgc};
 use freehgc_datasets::{generate, DatasetKind};
 use freehgc_hetgraph::snapshot::PropagatedCodec;
 use freehgc_hetgraph::{
@@ -46,7 +46,7 @@ use freehgc_hetgraph::{
 use freehgc_hgnn::propagation::{propagate, propagate_ctx, PropagatedFeaturesCodec};
 use freehgc_parallel as par;
 use freehgc_serve::{GraphRef, Request, ServeConfig, ServeHandle};
-use freehgc_sparse::ppr::{bipartite_influence_seeded, ppr_push, PprConfig};
+use freehgc_sparse::ppr::{bipartite_influence, ppr_push, PprConfig};
 use freehgc_sparse::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -353,7 +353,7 @@ fn kernel_rows(quick: bool, reps: usize, threads: usize) -> Vec<KernelRow> {
         pf.blocks.into_iter().map(|m| m.data).collect::<Vec<_>>()
     });
     t.row("condense_target_acm".into(), None, None, &mut || {
-        let sel = condense_target(&g, 64, &sel_cfg);
+        let sel = condense_target(&CondenseContext::new(&g), 64, &sel_cfg);
         (sel.selected, sel.scores)
     });
     // Father influence (Eq. 10–11) on the same graph: every target →
@@ -361,7 +361,7 @@ fn kernel_rows(quick: bool, reps: usize, threads: usize) -> Vec<KernelRow> {
     // seeded PPR kernel alone, seeded from the selected targets.
     let ctx = CondenseContext::new(&g);
     let target = g.schema().target();
-    let seeds = condense_target(&g, 64, &sel_cfg).selected;
+    let seeds = condense_target(&CondenseContext::new(&g), 64, &sel_cfg).selected;
     let father_adjs: Vec<Arc<CsrMatrix>> = g
         .schema()
         .types_with_role(Role::Father)
@@ -372,8 +372,23 @@ fn kernel_rows(quick: bool, reps: usize, threads: usize) -> Vec<KernelRow> {
     t.row("father_influence_acm".into(), None, None, &mut || {
         father_adjs
             .iter()
-            .map(|a| bipartite_influence_seeded(a, Some(&seeds), &ppr_cfg))
+            .map(|a| bipartite_influence(a, Some(&seeds), &ppr_cfg))
             .collect::<Vec<_>>()
+    });
+    // Leaf synthesis (Eq. 14–16) of the largest leaf type around the
+    // same selected targets, merged down to a quarter of them so the
+    // Eq. 16 merge loop runs; the oriented adjacencies stay cached in
+    // `ctx`, so the row times the synthesis alone.
+    let leaf = g
+        .schema()
+        .types_with_role(Role::Leaf)
+        .into_iter()
+        .filter(|&t| g.schema().edge_between(target, t).is_some())
+        .max_by_key(|&t| g.num_nodes(t))
+        .expect("ACM has a leaf type hanging off the target");
+    t.row("leaf_synthesis_acm".into(), None, None, &mut || {
+        let syn = synthesize_leaf(&ctx, leaf, target, &seeds, seeds.len() / 4);
+        (syn.members, syn.features.data().to_vec())
     });
     t.rows
 }

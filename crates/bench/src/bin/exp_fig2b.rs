@@ -10,7 +10,7 @@ use freehgc_bench::{dataset, dataset_ratio, effective_ratio, eval_cfg, fmt_time,
 use freehgc_datasets::DatasetKind;
 use freehgc_eval::pipeline::Bench;
 use freehgc_eval::table::TextTable;
-use freehgc_hetgraph::CondenseSpec;
+use freehgc_hetgraph::{CondenseContext, CondenseSpec};
 use std::time::Instant;
 
 fn main() {
@@ -31,7 +31,8 @@ fn main() {
             // GCond may hit its (simulated) memory budget on AMiner.
             let gcond = GCondBaseline::default();
             let t0 = Instant::now();
-            let gcond_cell = match gcond.try_condense(&g, &spec) {
+            let gcond_cell = match gcond.try_condense(&CondenseContext::for_spec(&g, &spec), &spec)
+            {
                 Ok(_) => fmt_time(t0.elapsed().as_secs_f64()),
                 Err(_) => "OOM".to_string(),
             };

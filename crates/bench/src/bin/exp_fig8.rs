@@ -12,7 +12,7 @@ use freehgc_core::FreeHgc;
 use freehgc_datasets::DatasetKind;
 use freehgc_eval::pipeline::Bench;
 use freehgc_eval::table::TextTable;
-use freehgc_hetgraph::CondenseSpec;
+use freehgc_hetgraph::{CondenseContext, CondenseSpec};
 use std::time::Instant;
 
 fn main() {
@@ -39,7 +39,9 @@ fn main() {
             let r = effective_ratio(&g, dataset_ratio(kind, ratio));
             let spec = CondenseSpec::new(r).with_max_hops(bench.cfg.max_hops);
             let t0 = Instant::now();
-            let gcond_secs = match GCondBaseline::default().try_condense(&g, &spec) {
+            let gcond_secs = match GCondBaseline::default()
+                .try_condense(&CondenseContext::for_spec(&g, &spec), &spec)
+            {
                 Ok(_) => Some(t0.elapsed().as_secs_f64()),
                 Err(_) => None,
             };

@@ -74,7 +74,7 @@ fn main() {
             test: Vec::new(),
         });
         condense_target(
-            &g_pool,
+            &CondenseContext::new(&g_pool),
             budget,
             &SelectionConfig {
                 max_hops: cfg.max_hops,

@@ -10,7 +10,7 @@ use freehgc_core::FreeHgc;
 use freehgc_datasets::DatasetKind;
 use freehgc_eval::pipeline::Bench;
 use freehgc_eval::table::{pm, TextTable};
-use freehgc_hetgraph::{CondenseSpec, Condenser};
+use freehgc_hetgraph::{CondenseContext, CondenseSpec, Condenser};
 use freehgc_hgnn::propagation::propagate;
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
         for &ratio in &ratios {
             let r = effective_ratio(&g, dataset_ratio(kind, ratio));
             let spec = CondenseSpec::new(r).with_max_hops(bench.cfg.max_hops);
-            match gcond.try_condense(&g, &spec) {
+            match gcond.try_condense(&CondenseContext::for_spec(&g, &spec), &spec) {
                 Ok((cond, _)) => {
                     let pf = propagate(&cond.graph, bench.cfg.max_hops, bench.cfg.max_paths);
                     let _ = pf;

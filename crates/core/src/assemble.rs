@@ -14,7 +14,7 @@ mod tests {
     use super::*;
     use crate::leaf::synthesize_leaf;
     use freehgc_datasets::tiny;
-    use freehgc_hetgraph::Role;
+    use freehgc_hetgraph::{CondenseContext, Role};
 
     /// Selected-only plans reproduce `HeteroGraph::induced`.
     #[test]
@@ -52,7 +52,7 @@ mod tests {
             .map(|t| TypePlan::Selected((0..g.num_nodes(t) as u32).collect()))
             .collect();
         let parents: Vec<u32> = (0..g.num_nodes(parent) as u32).collect();
-        let syn = synthesize_leaf(&g, leaf, parent, &parents, 4);
+        let syn = synthesize_leaf(&CondenseContext::new(&g), leaf, parent, &parents, 4);
         let expected_hypers = syn.len();
         plans[leaf.0 as usize] = TypePlan::Synthesized(syn);
 
@@ -123,7 +123,13 @@ mod tests {
             .map(|t| TypePlan::Selected((0..g.num_nodes(t) as u32).collect()))
             .collect();
         let parents_all: Vec<u32> = (0..g.num_nodes(parent) as u32).collect();
-        let syn = synthesize_leaf(&g, leaf, parent, &parents_all, usize::MAX >> 1);
+        let syn = synthesize_leaf(
+            &CondenseContext::new(&g),
+            leaf,
+            parent,
+            &parents_all,
+            usize::MAX >> 1,
+        );
         // Locate a hyper-node containing the shared leaf.
         let k = syn
             .members

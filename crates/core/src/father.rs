@@ -10,9 +10,9 @@
 //! [`ImportanceMethod`] provides degree, HITS and closeness alternatives,
 //! exercised by the ablation bench.
 
-use freehgc_hetgraph::{CondenseContext, HeteroGraph, InfluenceKey, NodeTypeId};
+use freehgc_hetgraph::{CondenseContext, InfluenceKey, NodeTypeId};
 use freehgc_sparse::centrality::{closeness_influence, degree_influence, hits_authority};
-use freehgc_sparse::ppr::{bipartite_influence_seeded, PprConfig};
+use freehgc_sparse::ppr::{bipartite_influence, PprConfig};
 
 /// HITS power-iteration count used by [`ImportanceMethod::Hits`]; named
 /// so the influence-cache key encodes the same value the kernel runs.
@@ -84,49 +84,17 @@ impl ImportanceMethod {
 
 /// Computes the aggregate influence score `Σ_i N^s_{i,:}` (Eq. 12–13) of
 /// every node of `father` type, using all meta-paths from the target type
-/// within `max_hops`.
-pub fn influence_scores(
-    g: &HeteroGraph,
-    father: NodeTypeId,
-    max_hops: usize,
-    max_paths: usize,
-    method: ImportanceMethod,
-    seed: u64,
-) -> Vec<f64> {
-    influence_scores_seeded(g, father, None, max_hops, max_paths, method, seed)
-}
-
-/// [`influence_scores`] with the PPR mass seeded from `seed_targets`
-/// (FreeHGC passes the already-selected target nodes, so father scores
-/// rank influence on the condensed root set).
-pub fn influence_scores_seeded(
-    g: &HeteroGraph,
-    father: NodeTypeId,
-    seed_targets: Option<&[u32]>,
-    max_hops: usize,
-    max_paths: usize,
-    method: ImportanceMethod,
-    seed: u64,
-) -> Vec<f64> {
-    (*influence_scores_seeded_in(
-        &CondenseContext::new(g),
-        father,
-        seed_targets,
-        max_hops,
-        max_paths,
-        method,
-        seed,
-    ))
-    .clone()
-}
-
-/// [`influence_scores_seeded`] against a shared [`CondenseContext`]: the
-/// aggregated score vector is memoized under an [`InfluenceKey`] covering
-/// every input, and the per-path adjacencies come from the context's
-/// composition caches. Returns the cached `Arc` so warm hits are
-/// copy-free. Bitwise-identical to the fresh-context path.
+/// within `max_hops`. With `seed_targets` set, the PPR mass is seeded
+/// from those target nodes (FreeHGC passes the already-selected ones, so
+/// father scores rank influence on the condensed root set); `None` seeds
+/// uniformly over every target.
+///
+/// The aggregated score vector is memoized in `ctx` under an
+/// [`InfluenceKey`] covering every input, and the per-path adjacencies
+/// come from the context's composition caches. Returns the cached `Arc`
+/// so warm hits are copy-free.
 #[allow(clippy::too_many_arguments)]
-pub fn influence_scores_seeded_in(
+pub fn influence_scores(
     ctx: &CondenseContext<'_>,
     father: NodeTypeId,
     seed_targets: Option<&[u32]>,
@@ -159,7 +127,7 @@ pub fn influence_scores_seeded_in(
                         alpha,
                         ..Default::default()
                     };
-                    bipartite_influence_seeded(&adj, seed_targets, &cfg)
+                    bipartite_influence(&adj, seed_targets, &cfg)
                 }
                 ImportanceMethod::Degree => degree_influence(&adj),
                 ImportanceMethod::Hits => hits_authority(&adj, HITS_ITERS),
@@ -175,47 +143,10 @@ pub fn influence_scores_seeded_in(
     })
 }
 
-/// Eq. 13: keep the top-`budget` father nodes by aggregate influence,
-/// returned sorted ascending by node id.
+/// Eq. 13: keep the top-`budget` father nodes by aggregate
+/// [`influence_scores`], returned sorted ascending by node id.
+#[allow(clippy::too_many_arguments)]
 pub fn condense_father(
-    g: &HeteroGraph,
-    father: NodeTypeId,
-    budget: usize,
-    max_hops: usize,
-    max_paths: usize,
-    method: ImportanceMethod,
-    seed: u64,
-) -> Vec<u32> {
-    condense_father_seeded(g, father, None, budget, max_hops, max_paths, method, seed)
-}
-
-/// [`condense_father`] seeded from the selected target nodes.
-#[allow(clippy::too_many_arguments)]
-pub fn condense_father_seeded(
-    g: &HeteroGraph,
-    father: NodeTypeId,
-    seed_targets: Option<&[u32]>,
-    budget: usize,
-    max_hops: usize,
-    max_paths: usize,
-    method: ImportanceMethod,
-    seed: u64,
-) -> Vec<u32> {
-    condense_father_seeded_in(
-        &CondenseContext::new(g),
-        father,
-        seed_targets,
-        budget,
-        max_hops,
-        max_paths,
-        method,
-        seed,
-    )
-}
-
-/// [`condense_father_seeded`] against a shared [`CondenseContext`].
-#[allow(clippy::too_many_arguments)]
-pub fn condense_father_seeded_in(
     ctx: &CondenseContext<'_>,
     father: NodeTypeId,
     seed_targets: Option<&[u32]>,
@@ -225,8 +156,7 @@ pub fn condense_father_seeded_in(
     method: ImportanceMethod,
     seed: u64,
 ) -> Vec<u32> {
-    let scores =
-        influence_scores_seeded_in(ctx, father, seed_targets, max_hops, max_paths, method, seed);
+    let scores = influence_scores(ctx, father, seed_targets, max_hops, max_paths, method, seed);
     top_k_by_score(&scores, budget)
 }
 
@@ -249,7 +179,7 @@ pub fn top_k_by_score(scores: &[f64], k: usize) -> Vec<u32> {
 mod tests {
     use super::*;
     use freehgc_datasets::tiny;
-    use freehgc_hetgraph::Role;
+    use freehgc_hetgraph::{HeteroGraph, Role};
 
     fn father_type(g: &HeteroGraph) -> NodeTypeId {
         g.schema().types_with_role(Role::Father)[0]
@@ -267,7 +197,15 @@ mod tests {
     fn influence_scores_are_nonnegative_and_nontrivial() {
         let g = tiny(0);
         let f = father_type(&g);
-        let s = influence_scores(&g, f, 2, 16, ImportanceMethod::default(), 0);
+        let s = influence_scores(
+            &CondenseContext::new(&g),
+            f,
+            None,
+            2,
+            16,
+            ImportanceMethod::default(),
+            0,
+        );
         assert_eq!(s.len(), g.num_nodes(f));
         assert!(s.iter().all(|&x| x >= 0.0));
         assert!(s.iter().any(|&x| x > 0.0));
@@ -277,8 +215,9 @@ mod tests {
     fn ppr_influence_correlates_with_degree() {
         let g = tiny(1);
         let f = father_type(&g);
-        let ppr = influence_scores(&g, f, 1, 8, ImportanceMethod::default(), 0);
-        let deg = influence_scores(&g, f, 1, 8, ImportanceMethod::Degree, 0);
+        let ctx = CondenseContext::new(&g);
+        let ppr = influence_scores(&ctx, f, None, 1, 8, ImportanceMethod::default(), 0);
+        let deg = influence_scores(&ctx, f, None, 1, 8, ImportanceMethod::Degree, 0);
         // Spearman-ish sanity: the top-degree node should rank highly
         // under PPR as well.
         let top_deg = top_k_by_score(&deg, 1)[0];
@@ -299,7 +238,7 @@ mod tests {
             ImportanceMethod::Hits,
             ImportanceMethod::Closeness,
         ] {
-            let sel = condense_father(&g, f, 7, 2, 16, m, 0);
+            let sel = condense_father(&CondenseContext::new(&g), f, None, 7, 2, 16, m, 0);
             assert_eq!(sel.len(), 7, "{m:?}");
             let mut sorted = sel.clone();
             sorted.sort_unstable();
@@ -313,15 +252,15 @@ mod tests {
         let f = father_type(&g);
         let ctx = CondenseContext::new(&g);
         let ppr = ImportanceMethod::default();
-        let a = influence_scores_seeded_in(&ctx, f, None, 2, 16, ppr, 0);
-        let b = influence_scores_seeded_in(&ctx, f, None, 2, 16, ppr, 1);
+        let a = influence_scores(&ctx, f, None, 2, 16, ppr, 0);
+        let b = influence_scores(&ctx, f, None, 2, 16, ppr, 1);
         assert!(
             std::sync::Arc::ptr_eq(&a, &b),
             "PPR ignores the seed, so a seed sweep must hit one entry"
         );
         // Closeness is sampled: different seeds are distinct entries.
-        let c0 = influence_scores_seeded_in(&ctx, f, None, 2, 16, ImportanceMethod::Closeness, 0);
-        let c1 = influence_scores_seeded_in(&ctx, f, None, 2, 16, ImportanceMethod::Closeness, 1);
+        let c0 = influence_scores(&ctx, f, None, 2, 16, ImportanceMethod::Closeness, 0);
+        let c1 = influence_scores(&ctx, f, None, 2, 16, ImportanceMethod::Closeness, 1);
         assert!(!std::sync::Arc::ptr_eq(&c0, &c1));
     }
 
@@ -329,8 +268,11 @@ mod tests {
     fn condense_father_is_deterministic() {
         let g = tiny(3);
         let f = father_type(&g);
-        let a = condense_father(&g, f, 5, 2, 16, ImportanceMethod::default(), 1);
-        let b = condense_father(&g, f, 5, 2, 16, ImportanceMethod::default(), 1);
+        let run = || {
+            let ctx = CondenseContext::new(&g);
+            condense_father(&ctx, f, None, 5, 2, 16, ImportanceMethod::default(), 1)
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a, b);
     }
 }

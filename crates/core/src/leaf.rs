@@ -11,7 +11,7 @@
 //! budget are merged lowest-degree-first (Eq. 16).
 
 use freehgc_hetgraph::condense::SynthesizedNodes;
-use freehgc_hetgraph::{CondenseContext, FeatureMatrix, HeteroGraph, NodeTypeId};
+use freehgc_hetgraph::{CondenseContext, FeatureMatrix, NodeTypeId};
 use freehgc_sparse::FxHashSet;
 
 /// A synthesized (leaf) node type: hyper-nodes whose `members` record the
@@ -21,28 +21,10 @@ use freehgc_sparse::FxHashSet;
 pub type SynthesizedType = SynthesizedNodes;
 
 /// Synthesizes hyper-nodes for `leaf` around the selected nodes of its
-/// `parent` type, merging down to `budget` hyper-nodes.
-pub fn synthesize_leaf(
-    g: &HeteroGraph,
-    leaf: NodeTypeId,
-    parent: NodeTypeId,
-    parent_selected: &[u32],
-    budget: usize,
-) -> SynthesizedType {
-    synthesize_leaf_in(
-        &CondenseContext::new(g),
-        leaf,
-        parent,
-        parent_selected,
-        budget,
-    )
-}
-
-/// [`synthesize_leaf`] against a shared [`CondenseContext`]: the oriented
+/// `parent` type, merging down to `budget` hyper-nodes. The oriented
 /// parent↔leaf adjacencies (including the transpose used by the Eq. 16
-/// merge) come from the context's caches instead of being rebuilt per
-/// call.
-pub fn synthesize_leaf_in(
+/// merge) come from the context's caches.
+pub fn synthesize_leaf(
     ctx: &CondenseContext<'_>,
     leaf: NodeTypeId,
     parent: NodeTypeId,
@@ -124,7 +106,7 @@ pub fn synthesize_leaf_in(
 mod tests {
     use super::*;
     use freehgc_datasets::tiny;
-    use freehgc_hetgraph::Role;
+    use freehgc_hetgraph::{HeteroGraph, Role};
 
     fn leaf_and_parent(g: &HeteroGraph) -> (NodeTypeId, NodeTypeId) {
         let leaf = g.schema().types_with_role(Role::Leaf)[0];
@@ -142,7 +124,13 @@ mod tests {
             .iter()
             .filter(|&&p| adj.row_nnz(p as usize) > 0)
             .count();
-        let syn = synthesize_leaf(&g, leaf, parent, &parents, usize::MAX >> 1);
+        let syn = synthesize_leaf(
+            &CondenseContext::new(&g),
+            leaf,
+            parent,
+            &parents,
+            usize::MAX >> 1,
+        );
         assert_eq!(syn.len(), connected);
     }
 
@@ -151,7 +139,13 @@ mod tests {
         let g = tiny(1);
         let (leaf, parent) = leaf_and_parent(&g);
         let parents: Vec<u32> = (0..g.num_nodes(parent) as u32).collect();
-        let syn = synthesize_leaf(&g, leaf, parent, &parents, usize::MAX >> 1);
+        let syn = synthesize_leaf(
+            &CondenseContext::new(&g),
+            leaf,
+            parent,
+            &parents,
+            usize::MAX >> 1,
+        );
         let lf = g.features(leaf);
         for (k, mem) in syn.members.iter().enumerate() {
             let expect = lf.mean_of(mem);
@@ -165,7 +159,7 @@ mod tests {
         let (leaf, parent) = leaf_and_parent(&g);
         let parents: Vec<u32> = (0..g.num_nodes(parent) as u32).collect();
         let budget = 3;
-        let syn = synthesize_leaf(&g, leaf, parent, &parents, budget);
+        let syn = synthesize_leaf(&CondenseContext::new(&g), leaf, parent, &parents, budget);
         assert!(syn.len() <= budget);
         assert!(!syn.is_empty());
         // Members stay sorted & deduplicated after merging.
@@ -181,8 +175,14 @@ mod tests {
         let g = tiny(3);
         let (leaf, parent) = leaf_and_parent(&g);
         let parents: Vec<u32> = (0..g.num_nodes(parent) as u32).collect();
-        let all = synthesize_leaf(&g, leaf, parent, &parents, usize::MAX >> 1);
-        let merged = synthesize_leaf(&g, leaf, parent, &parents, 2);
+        let all = synthesize_leaf(
+            &CondenseContext::new(&g),
+            leaf,
+            parent,
+            &parents,
+            usize::MAX >> 1,
+        );
+        let merged = synthesize_leaf(&CondenseContext::new(&g), leaf, parent, &parents, 2);
         let count_distinct = |s: &SynthesizedType| {
             let mut ids: Vec<u32> = s.members.iter().flatten().copied().collect();
             ids.sort_unstable();
@@ -196,7 +196,7 @@ mod tests {
     fn empty_parent_selection_yields_no_hypernodes() {
         let g = tiny(4);
         let (leaf, parent) = leaf_and_parent(&g);
-        let syn = synthesize_leaf(&g, leaf, parent, &[], 5);
+        let syn = synthesize_leaf(&CondenseContext::new(&g), leaf, parent, &[], 5);
         assert!(syn.is_empty());
         assert_eq!(syn.features.num_rows(), 0);
     }

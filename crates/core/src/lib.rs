@@ -27,16 +27,13 @@ pub mod leaf;
 pub mod selection;
 
 pub use assemble::{assemble, TypePlan};
-pub use father::{
-    condense_father, condense_father_seeded, condense_father_seeded_in, influence_scores,
-    influence_scores_seeded, influence_scores_seeded_in, top_k_by_score, ImportanceMethod,
-};
+pub use father::{condense_father, influence_scores, top_k_by_score, ImportanceMethod};
 pub use herding::{herding_select, herding_select_stratified};
-pub use leaf::{synthesize_leaf, synthesize_leaf_in, SynthesizedType};
-pub use selection::{condense_target, condense_target_in, SelectionConfig, TargetSelection};
+pub use leaf::{synthesize_leaf, SynthesizedType};
+pub use selection::{condense_target, SelectionConfig, TargetSelection};
 
 use freehgc_hetgraph::{
-    CondenseContext, CondenseSpec, CondensedGraph, Condenser, HeteroGraph, NodeTypeId, Role,
+    CondenseContext, CondenseSpec, CondensedGraph, Condenser, NodeTypeId, Role,
 };
 
 /// How target-type nodes are condensed.
@@ -137,28 +134,6 @@ impl FreeHgc {
         Self { config }
     }
 
-    /// Aggregated target-node criterion scores (for the Fig. 9 analysis).
-    pub fn target_scores(&self, g: &HeteroGraph, spec: &CondenseSpec) -> TargetSelection {
-        let budget = spec.budget_for(g.num_nodes(g.schema().target()));
-        let (use_rf, use_jaccard) = match self.config.target {
-            TargetStrategy::Criterion {
-                use_rf,
-                use_jaccard,
-            } => (use_rf, use_jaccard),
-            TargetStrategy::Herding => (true, true),
-        };
-        condense_target_in(
-            &CondenseContext::for_spec(g, spec),
-            budget,
-            &SelectionConfig {
-                max_hops: spec.max_hops,
-                max_paths: spec.max_paths,
-                use_rf,
-                use_jaccard,
-            },
-        )
-    }
-
     fn plan_target(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> Vec<u32> {
         let g = ctx.graph();
         let tgt = g.schema().target();
@@ -168,7 +143,7 @@ impl FreeHgc {
                 use_rf,
                 use_jaccard,
             } => {
-                condense_target_in(
+                condense_target(
                     ctx,
                     budget,
                     &SelectionConfig {
@@ -204,7 +179,7 @@ impl FreeHgc {
         let g = ctx.graph();
         let budget = spec.budget_for(g.num_nodes(t));
         match strategy {
-            OtherStrategy::Nim => TypePlan::Selected(condense_father_seeded_in(
+            OtherStrategy::Nim => TypePlan::Selected(condense_father(
                 ctx,
                 t,
                 Some(seed_targets),
@@ -218,7 +193,7 @@ impl FreeHgc {
                 let all: Vec<u32> = (0..g.num_nodes(t) as u32).collect();
                 TypePlan::Selected(herding_select(g.features(t), &all, budget))
             }
-            OtherStrategy::Ilm => TypePlan::Synthesized(synthesize_leaf_in(
+            OtherStrategy::Ilm => TypePlan::Synthesized(synthesize_leaf(
                 ctx,
                 t,
                 parent_type,
@@ -232,10 +207,6 @@ impl FreeHgc {
 impl Condenser for FreeHgc {
     fn name(&self) -> &'static str {
         "FreeHGC"
-    }
-
-    fn condense(&self, g: &HeteroGraph, spec: &CondenseSpec) -> CondensedGraph {
-        self.condense_in(&CondenseContext::for_spec(g, spec), spec)
     }
 
     fn condense_in(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> CondensedGraph {

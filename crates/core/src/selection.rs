@@ -17,7 +17,7 @@
 //! are aggregated across meta-paths (Eq. 9) and the per-class top-k nodes
 //! are kept, with class budgets proportional to the original distribution.
 
-use freehgc_hetgraph::{proportional_allocation, CondenseContext, HeteroGraph};
+use freehgc_hetgraph::{proportional_allocation, CondenseContext};
 use freehgc_parallel::workspace as ws;
 use freehgc_sparse::{Bitset, CsrMatrix};
 use std::cmp::Ordering;
@@ -229,16 +229,9 @@ pub struct TargetSelection {
 ///
 /// `budget` is the number of target nodes to keep; the training pool is
 /// the graph's train split (selection only ever picks labeled nodes, as in
-/// coreset selection). Builds a fresh single-use [`CondenseContext`]; use
-/// [`condense_target_in`] to share one across calls.
-pub fn condense_target(g: &HeteroGraph, budget: usize, cfg: &SelectionConfig) -> TargetSelection {
-    condense_target_in(&CondenseContext::new(g), budget, cfg)
-}
-
-/// [`condense_target`] against a shared [`CondenseContext`]: meta-path
-/// enumeration and the composed adjacencies come from (and warm) the
-/// context's caches. Bitwise-identical to the fresh-context path.
-pub fn condense_target_in(
+/// coreset selection). Meta-path enumeration, the composed adjacencies
+/// and the diversity bonuses come from (and warm) the context's caches.
+pub fn condense_target(
     ctx: &CondenseContext<'_>,
     budget: usize,
     cfg: &SelectionConfig,
@@ -486,7 +479,11 @@ mod tests {
     fn condense_target_respects_budget_and_class_mix() {
         let g = tiny(3);
         let budget = 12;
-        let sel = condense_target(&g, budget, &SelectionConfig::default());
+        let sel = condense_target(
+            &CondenseContext::new(&g),
+            budget,
+            &SelectionConfig::default(),
+        );
         assert!(sel.selected.len() <= budget);
         assert!(!sel.selected.is_empty());
         // Only training nodes may be selected.
@@ -505,17 +502,17 @@ mod tests {
     #[test]
     fn condense_target_is_deterministic() {
         let g = tiny(4);
-        let a = condense_target(&g, 8, &SelectionConfig::default());
-        let b = condense_target(&g, 8, &SelectionConfig::default());
+        let a = condense_target(&CondenseContext::new(&g), 8, &SelectionConfig::default());
+        let b = condense_target(&CondenseContext::new(&g), 8, &SelectionConfig::default());
         assert_eq!(a.selected, b.selected);
     }
 
     #[test]
     fn variants_change_the_selection() {
         let g = tiny(5);
-        let full = condense_target(&g, 10, &SelectionConfig::default());
+        let full = condense_target(&CondenseContext::new(&g), 10, &SelectionConfig::default());
         let no_rf = condense_target(
-            &g,
+            &CondenseContext::new(&g),
             10,
             &SelectionConfig {
                 use_rf: false,
@@ -523,7 +520,7 @@ mod tests {
             },
         );
         let no_j = condense_target(
-            &g,
+            &CondenseContext::new(&g),
             10,
             &SelectionConfig {
                 use_jaccard: false,
@@ -541,7 +538,7 @@ mod tests {
     #[test]
     fn scores_are_populated_for_selected_nodes() {
         let g = tiny(6);
-        let sel = condense_target(&g, 8, &SelectionConfig::default());
+        let sel = condense_target(&CondenseContext::new(&g), 8, &SelectionConfig::default());
         for &v in &sel.selected {
             assert!(sel.scores[v as usize] > 0.0);
         }

@@ -1,17 +1,11 @@
 //! The condense → train → evaluate pipeline (paper §V-B).
 
 use freehgc_autograd::Matrix;
-use freehgc_hetgraph::{
-    CondenseContext, CondenseSpec, CondensedGraph, Condenser, ContextRegistry, HeteroGraph,
-    SnapshotError,
-};
+use freehgc_hetgraph::{CondenseContext, CondenseSpec, CondensedGraph, Condenser, HeteroGraph};
 use freehgc_hgnn::metrics::{accuracy, macro_f1, mean_std};
 use freehgc_hgnn::models::{build_model, ModelKind};
-use freehgc_hgnn::propagation::{
-    propagate, propagate_ctx, PropagatedFeatures, PropagatedFeaturesCodec,
-};
+use freehgc_hgnn::propagation::{propagate, propagate_ctx, PropagatedFeatures};
 use freehgc_hgnn::trainer::{predict, train, EvalData, TrainConfig};
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -171,21 +165,18 @@ impl ChaosKnobs {
 /// compositions, influence scores, diversity bonuses and the full-graph
 /// propagated blocks are computed once, turning an O(methods × ratios ×
 /// seeds) precompute into O(1) per graph without changing a single
-/// output bit. [`Bench::with_registry`] goes one step further and
-/// resolves the context through a shared [`ContextRegistry`], so several
-/// benches (or serving requests) on the same dataset share one warm
-/// precompute across owners.
+/// output bit.
 pub struct Bench<'g> {
     pub graph: &'g HeteroGraph,
     /// The shared precompute every condensation run of this bench uses.
-    pub ctx: Arc<CondenseContext<'g>>,
+    pub ctx: CondenseContext<'g>,
     pub pf: Arc<PropagatedFeatures>,
     pub cfg: EvalConfig,
 }
 
 impl<'g> Bench<'g> {
     pub fn new(graph: &'g HeteroGraph, cfg: EvalConfig) -> Self {
-        let ctx = Arc::new(CondenseContext::new(graph));
+        let ctx = CondenseContext::new(graph);
         let pf = propagate_ctx(&ctx, cfg.max_hops, cfg.max_paths);
         Self {
             graph,
@@ -193,108 +184,6 @@ impl<'g> Bench<'g> {
             pf,
             cfg,
         }
-    }
-
-    /// A bench whose context comes from `registry` under this bench's
-    /// default cache knobs: every bench (and any other caller) resolving
-    /// the same graph content through the registry shares one warm
-    /// precompute. Outputs are bitwise-identical to [`Bench::new`].
-    pub fn with_registry(
-        registry: &ContextRegistry,
-        graph: &'g Arc<HeteroGraph>,
-        cfg: EvalConfig,
-    ) -> Self {
-        let spec = CondenseSpec::new(0.5); // knob carrier: only cap/budget are read
-        let ctx: Arc<CondenseContext<'g>> = registry.context_for(graph, &spec);
-        let pf = propagate_ctx(&ctx, cfg.max_hops, cfg.max_paths);
-        Self {
-            graph,
-            ctx,
-            pf,
-            cfg,
-        }
-    }
-
-    /// [`Bench::with_registry`] that additionally warm-starts from an
-    /// on-disk snapshot directory: an in-memory registry miss looks for
-    /// this graph's canonical snapshot file under `snapshot_dir` before
-    /// computing anything, including the propagated-feature blocks
-    /// (round-tripped via [`PropagatedFeaturesCodec`]). Absent or
-    /// rejected files fall back to cold compute — outputs are always
-    /// bitwise-identical to [`Bench::new`]. Pair with
-    /// [`Bench::persist_snapshot`] to write the warm state back.
-    pub fn with_snapshots(
-        registry: &ContextRegistry,
-        snapshot_dir: &Path,
-        graph: &'g Arc<HeteroGraph>,
-        cfg: EvalConfig,
-    ) -> Self {
-        let spec = CondenseSpec::new(0.5); // knob carrier: only cap/budget are read
-        let ctx: Arc<CondenseContext<'g>> = registry
-            .resolve(
-                graph,
-                &spec,
-                Some(snapshot_dir),
-                Some(&PropagatedFeaturesCodec),
-                None,
-            )
-            .0;
-        let pf = propagate_ctx(&ctx, cfg.max_hops, cfg.max_paths);
-        Self {
-            graph,
-            ctx,
-            pf,
-            cfg,
-        }
-    }
-
-    /// [`Bench::with_registry`] for a graph that was just mutated by
-    /// [`freehgc_hetgraph::HeteroGraph::apply_delta`]: the context for
-    /// the mutated graph inherits every cache entry of the old
-    /// fingerprint's registered context that the delta provably does
-    /// not touch ([`ContextRegistry::resolve`]), and with
-    /// `snapshot_dir` set it additionally falls back to the old
-    /// fingerprint's on-disk snapshot, filtered through the same rules.
-    /// Outputs are bitwise-identical to a cold [`Bench::new`] on the
-    /// mutated graph. Returns the bench plus the per-family reuse
-    /// report.
-    pub fn with_delta(
-        registry: &ContextRegistry,
-        snapshot_dir: Option<&Path>,
-        old_fp: freehgc_hetgraph::GraphFingerprint,
-        graph: &'g Arc<HeteroGraph>,
-        delta: &freehgc_hetgraph::GraphDelta,
-        cfg: EvalConfig,
-    ) -> (Self, freehgc_hetgraph::SeedReport) {
-        let spec = CondenseSpec::new(0.5); // knob carrier: only cap/budget are read
-        let (ctx, report): (Arc<CondenseContext<'g>>, _) = registry.resolve(
-            graph,
-            &spec,
-            snapshot_dir,
-            Some(&PropagatedFeaturesCodec),
-            Some((old_fp, delta)),
-        );
-        let pf = propagate_ctx(&ctx, cfg.max_hops, cfg.max_paths);
-        (
-            Self {
-                graph,
-                ctx,
-                pf,
-                cfg,
-            },
-            report,
-        )
-    }
-
-    /// Writes this bench's context — composed adjacencies, influence
-    /// vectors, diversity bonuses and the propagated blocks — to its
-    /// canonical snapshot file under `dir`, so a later
-    /// [`Bench::with_snapshots`] (in this process or the next) starts
-    /// warm. The write merges with any existing file (a less-warm bench
-    /// never shrinks the artifact). Returns the file path.
-    pub fn persist_snapshot(&self, dir: &Path) -> Result<PathBuf, SnapshotError> {
-        self.ctx
-            .persist_snapshot(dir, Some(&PropagatedFeaturesCodec))
     }
 
     /// The [`CondenseSpec`] this bench hands to condensers: ratio and
@@ -443,16 +332,6 @@ mod tests {
     use freehgc_core::FreeHgc;
     use freehgc_datasets::{generate, DatasetKind};
 
-    fn lookups(reg: &ContextRegistry) -> (u64, u64) {
-        let s = reg.stats();
-        (s.hits, s.misses)
-    }
-
-    fn disk_loads(reg: &ContextRegistry) -> (u64, u64) {
-        let s = reg.stats();
-        (s.snapshot_loads, s.snapshot_rejections)
-    }
-
     fn small_acm() -> HeteroGraph {
         generate(DatasetKind::Acm, 0.15, 0)
     }
@@ -497,64 +376,6 @@ mod tests {
             free.stats.acc_mean,
             rand.stats.acc_mean
         );
-    }
-
-    #[test]
-    fn registry_benches_share_one_warm_context() {
-        let g = Arc::new(small_acm());
-        let reg = freehgc_hetgraph::ContextRegistry::new();
-        let b1 = Bench::with_registry(&reg, &g, EvalConfig::quick());
-        let b2 = Bench::with_registry(&reg, &g, EvalConfig::quick());
-        assert!(
-            Arc::ptr_eq(&b1.ctx, &b2.ctx),
-            "same dataset must resolve to one context"
-        );
-        assert!(
-            Arc::ptr_eq(&b1.pf, &b2.pf),
-            "the second bench must reuse the first's propagated blocks"
-        );
-        assert_eq!(lookups(&reg), (1, 1));
-        // And condensation through the shared context matches a
-        // fresh-context bench bitwise.
-        let fresh = Bench::new(&g, EvalConfig::quick());
-        let spec = b1.spec(0.2, 0);
-        let a = FreeHgc::default().condense_in(&b1.ctx, &spec);
-        let b = FreeHgc::default().condense_in(&fresh.ctx, &spec);
-        assert_eq!(a.orig_ids, b.orig_ids);
-    }
-
-    #[test]
-    fn snapshot_bench_starts_warm_and_matches_bitwise() {
-        let dir = std::env::temp_dir().join(format!("fhgc-bench-snap-{}", std::process::id()));
-        let g = Arc::new(small_acm());
-        let cfg = EvalConfig::quick();
-
-        // "Process one": cold bench, persist its warm context.
-        let reg1 = freehgc_hetgraph::ContextRegistry::new();
-        let b1 = Bench::with_snapshots(&reg1, &dir, &g, cfg.clone());
-        assert_eq!(disk_loads(&reg1), (0, 0), "nothing on disk yet");
-        let spec = b1.spec(0.2, 0);
-        let cold = FreeHgc::default().condense_in(&b1.ctx, &spec);
-        b1.persist_snapshot(&dir).expect("persist");
-
-        // "Process two": a fresh registry loads the snapshot, the
-        // propagated blocks come from disk, and condensation bits match.
-        let reg2 = freehgc_hetgraph::ContextRegistry::new();
-        let b2 = Bench::with_snapshots(&reg2, &dir, &g, cfg);
-        assert_eq!(disk_loads(&reg2), (1, 0), "snapshot must load");
-        let st = b2.ctx.stats()[freehgc_hetgraph::CacheFamily::Propagated];
-        assert_eq!(
-            (st.hits, st.misses),
-            (1, 0),
-            "propagate_ctx must hit the loaded block set, not recompute"
-        );
-        assert_eq!(b2.pf.path_names, b1.pf.path_names);
-        for (a, b) in b2.pf.blocks.iter().zip(&b1.pf.blocks) {
-            assert_eq!(a.data, b.data, "loaded propagated blocks bitwise");
-        }
-        let warm = FreeHgc::default().condense_in(&b2.ctx, &spec);
-        assert_eq!(warm.orig_ids, cold.orig_ids);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -220,21 +220,17 @@ pub trait Condenser {
     /// Short method name as used in the paper's tables.
     fn name(&self) -> &'static str;
 
-    /// Condenses `g` according to `spec`.
-    fn condense(&self, g: &HeteroGraph, spec: &CondenseSpec) -> CondensedGraph;
-
     /// Condenses the context's graph according to `spec`, reusing the
     /// context's precompute (meta-path compositions, influence scores,
-    /// propagated blocks). The contract is strict transparency: the
-    /// result must be bitwise-identical to `condense(ctx.graph(), spec)`
-    /// — a context only memoizes, never alters.
-    ///
-    /// The default delegates to [`Condenser::condense`], so methods with
-    /// no reusable precompute work unchanged; methods that do reuse
-    /// (FreeHGC, the propagation-based coresets, the gradient-matching
-    /// baselines) override it.
-    fn condense_in(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> CondensedGraph {
-        self.condense(ctx.graph(), spec)
+    /// propagated blocks). The contract is strict transparency: a
+    /// context only memoizes, never alters, so the result is
+    /// bitwise-identical whether the context is fresh, shared or warm.
+    fn condense_in(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> CondensedGraph;
+
+    /// Condenses `g` according to `spec` through a fresh single-use
+    /// context built with [`CondenseContext::for_spec`].
+    fn condense(&self, g: &HeteroGraph, spec: &CondenseSpec) -> CondensedGraph {
+        self.condense_in(&CondenseContext::for_spec(g, spec), spec)
     }
 
     /// Condenses `graph` through `registry`: the context is looked up by

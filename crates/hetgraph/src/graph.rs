@@ -325,8 +325,9 @@ impl HeteroGraph {
     /// non-empty delta invalidates it exactly once.
     ///
     /// # Panics
-    /// Panics when an edge endpoint or feature row is out of range, or a
-    /// feature row has the wrong dimension. Validation is all-or-nothing:
+    /// Panics when an edge endpoint or feature row is out of range, a
+    /// feature row has the wrong dimension, or an edge weight or feature
+    /// value is NaN or infinite. Validation is all-or-nothing:
     /// every add and feature update is checked *before* any mutation, so
     /// a rejected delta leaves the graph bitwise unchanged — it never
     /// panics out of a half-applied state.
@@ -340,10 +341,15 @@ impl HeteroGraph {
             let adds = delta.edge_adds.get(&e).unwrap_or(&EMPTY_ADDS);
             let old = &self.adjacency[e.0 as usize];
             let (nrows, ncols) = (old.nrows(), old.ncols());
-            for &(src, dst, _) in adds {
+            for &(src, dst, w) in adds {
                 assert!(
                     (src as usize) < nrows && (dst as usize) < ncols,
                     "delta edge ({src}, {dst}) out of range for {nrows}x{ncols} relation {}",
+                    self.schema.edge_type_name(e)
+                );
+                assert!(
+                    w.is_finite(),
+                    "delta edge ({src}, {dst}) of relation {} has non-finite weight {w}",
                     self.schema.edge_type_name(e)
                 );
             }
@@ -360,6 +366,11 @@ impl HeteroGraph {
                     values.len(),
                     f.dim(),
                     "delta feature row must match the feature dimension"
+                );
+                assert!(
+                    values.iter().all(|v| v.is_finite()),
+                    "delta feature row {row} of node type {} has a non-finite value",
+                    self.schema.node_type_name(t)
                 );
             }
         }

@@ -564,9 +564,10 @@ impl ServeHandle {
             );
         };
         let old_fp = old.fingerprint();
-        // A delta naming out-of-range rows/edge types panics inside the
-        // graph kernels; surface that as a typed bad request, keeping
-        // the catalog entry untouched.
+        // A delta naming out-of-range rows/edge types, or carrying a
+        // non-finite weight or feature value, panics inside the graph
+        // kernels; surface that as a typed bad request, keeping the
+        // catalog entry untouched.
         let applied = catch_unwind(AssertUnwindSafe(|| {
             let mut g = (*old).clone();
             g.apply_delta(delta);

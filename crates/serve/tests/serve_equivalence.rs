@@ -480,6 +480,64 @@ fn apply_delta_seeds_from_the_snapshot_dir_of_an_earlier_server() {
 }
 
 #[test]
+fn non_finite_deltas_are_rejected_and_leave_the_graph_servable() {
+    let handle = ServeHandle::new(ServeConfig::default());
+    let graph = Arc::new(tiny(23));
+    let target = graph.schema().target();
+    let dim = graph.features(target).dim();
+    handle.register_graph("acm", graph);
+    let e = freehgc_hetgraph::EdgeTypeId(0);
+    let mut nan_weight = freehgc_hetgraph::GraphDelta::new();
+    nan_weight.add_weighted_edge(e, 0, 1, f32::NAN);
+    let mut inf_weight = freehgc_hetgraph::GraphDelta::new();
+    inf_weight.add_weighted_edge(e, 0, 1, f32::INFINITY);
+    let mut nan_feature = freehgc_hetgraph::GraphDelta::new();
+    let mut row = vec![0.5; dim];
+    row[dim / 2] = f32::NAN;
+    nan_feature.update_feature_row(target, 0, row);
+    // Through the wire path, so the decoder's handling of the
+    // non-finite bits is covered too.
+    let call = |req_id: u64, req: &Request| {
+        let frame = handle.handle_frame(&wire::encode_request(req_id, req));
+        wire::decode_reply(&frame).expect("well-formed reply").1
+    };
+
+    for (seed, (what, delta)) in [
+        ("NaN weight", nan_weight),
+        ("+inf weight", inf_weight),
+        ("NaN feature", nan_feature),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let reply = call(
+            seed as u64,
+            &Request::ApplyDelta {
+                graph_id: "acm".into(),
+                delta,
+            },
+        );
+        assert_eq!(
+            reply.error_code(),
+            Some(ErrorCode::BadRequest),
+            "{what}: {reply:?}"
+        );
+        assert_eq!(handle.stats().deltas_applied, 0, "{what}: nothing applied");
+        // The catalog entry is untouched: the methods a poisoned graph
+        // panics in still condense (a fresh seed forces a compute).
+        for method in ["Herding-HG", "K-Center-HG"] {
+            let req = condense_req(GraphRef::Id("acm".into()), method, 0.5, seed as u64);
+            let reply = call(100 + seed as u64, &req);
+            assert!(
+                matches!(reply, Reply::Condensed(_)),
+                "{what}: {method} after the rejected delta gave {reply:?}"
+            );
+        }
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn shutdown_drains_then_rejects_with_typed_replies() {
     let handle = ServeHandle::new(ServeConfig::default());
     let graph = Arc::new(tiny(23));

@@ -171,7 +171,7 @@ mod tests {
         let a = star();
         let d = degree_influence(&a);
         let h = hits_authority(&a, 30);
-        let p = crate::ppr::bipartite_influence(&a, &crate::ppr::PprConfig::default());
+        let p = crate::ppr::bipartite_influence(&a, None, &crate::ppr::PprConfig::default());
         for scores in [&d, &h, &p] {
             assert!(scores[0] > scores[1], "ranking disagreement: {scores:?}");
         }

@@ -9,7 +9,7 @@
 //! giving `O(T · nnz)` total work. The dense resolvent is kept (for small
 //! `n`) as a test oracle.
 //!
-//! FreeHGC's influence path is [`bipartite_influence_seeded`]. On the
+//! FreeHGC's influence path is [`bipartite_influence`]. On the
 //! bipartite block operator a series term alternates between a
 //! target → source scatter and a source → target gather, and the kernel
 //! fuses each gather with the following scatter row by row, so `T` terms
@@ -77,7 +77,7 @@ pub fn ppr_push(m: &CsrMatrix, seed: &[f32], cfg: &PprConfig) -> Vec<f32> {
 /// come from the workspace pool, so a sweep that calls this repeatedly
 /// performs zero allocations per call once the pool is warm. Only the
 /// bench and tests call it; FreeHGC's father influence goes through
-/// [`bipartite_influence_seeded`].
+/// [`bipartite_influence`].
 pub fn ppr_push_into(m: &CsrMatrix, seed: &[f32], cfg: &PprConfig, acc: &mut [f32]) {
     assert_eq!(m.nrows(), m.ncols(), "ppr_push needs a square operator");
     assert_eq!(seed.len(), m.nrows(), "seed length mismatch");
@@ -108,18 +108,13 @@ pub fn ppr_push_into(m: &CsrMatrix, seed: &[f32], cfg: &PprConfig, acc: &mut [f3
 ///
 /// The bipartite block operator
 /// `M = [[0, Â], [Âᵀ, 0]]` (symmetrically normalized) is applied to a seed
-/// uniform over the *target* block; the returned vector is the accumulated
-/// PPR mass on each *source* node — exactly the column sums
-/// `Σ_i N^s_{i,:}` that Eq. (13) ranks.
-pub fn bipartite_influence(a: &CsrMatrix, cfg: &PprConfig) -> Vec<f32> {
-    bipartite_influence_seeded(a, None, cfg)
-}
-
-/// Like [`bipartite_influence`], but the PPR mass is seeded from the given
-/// *subset* of target rows instead of all of them. FreeHGC seeds from the
-/// already-selected target nodes, so father scores measure influence on
-/// the condensed root set ("the goal is to select the most important
-/// neighbor nodes to be connected to the target nodes", §IV-C).
+/// uniform over the target rows in `seed_rows` (every target row when
+/// `None`); the returned vector is the accumulated PPR mass on each
+/// *source* node — exactly the column sums `Σ_i N^s_{i,:}` that Eq. (13)
+/// ranks. FreeHGC seeds from the already-selected target nodes, so father
+/// scores measure influence on the condensed root set ("the goal is to
+/// select the most important neighbor nodes to be connected to the target
+/// nodes", §IV-C).
 ///
 /// The state `x_k = seedᵀ Mᵏ` alternates between the target block (even
 /// `k`) and the source block (odd `k`), and only source states feed
@@ -138,11 +133,7 @@ pub fn bipartite_influence(a: &CsrMatrix, cfg: &PprConfig) -> Vec<f32> {
 /// computed once per call: Rust evaluates `v * dc[c] * x` as
 /// `(v * dc[c]) * x`, so `w[i] * x` performs the very same `f32`
 /// operations and the bits are unchanged.
-pub fn bipartite_influence_seeded(
-    a: &CsrMatrix,
-    seed_rows: Option<&[u32]>,
-    cfg: &PprConfig,
-) -> Vec<f32> {
+pub fn bipartite_influence(a: &CsrMatrix, seed_rows: Option<&[u32]>, cfg: &PprConfig) -> Vec<f32> {
     let (n, m) = (a.nrows(), a.ncols());
     if n == 0 || m == 0 || seed_rows.is_some_and(<[u32]>::is_empty) {
         return vec![0.0; m];
@@ -375,7 +366,7 @@ mod tests {
         // 3 targets, 2 sources; source 0 connects to all targets, source 1
         // to one target.
         let a = CsrMatrix::from_edges(3, 2, &[(0, 0), (1, 0), (2, 0), (2, 1)]);
-        let inf = bipartite_influence(&a, &PprConfig::default());
+        let inf = bipartite_influence(&a, None, &PprConfig::default());
         assert!(inf[0] > inf[1], "hub source should dominate: {inf:?}");
         assert!(inf.iter().all(|&v| v >= 0.0));
     }
@@ -383,14 +374,14 @@ mod tests {
     #[test]
     fn bipartite_influence_empty_matrix_is_zero() {
         let a = CsrMatrix::zeros(3, 2);
-        let inf = bipartite_influence(&a, &PprConfig::default());
+        let inf = bipartite_influence(&a, None, &PprConfig::default());
         assert_eq!(inf, vec![0.0, 0.0]);
     }
 
     #[test]
     fn bipartite_influence_handles_isolated_sources() {
         let a = CsrMatrix::from_edges(2, 3, &[(0, 0), (1, 0)]);
-        let inf = bipartite_influence(&a, &PprConfig::default());
+        let inf = bipartite_influence(&a, None, &PprConfig::default());
         assert!(inf[0] > 0.0);
         assert_eq!(inf[1], 0.0);
         assert_eq!(inf[2], 0.0);
@@ -482,7 +473,7 @@ mod tests {
         ] {
             let a = CsrMatrix::from_edges(4, 4, &seed_edges);
             assert_eq!(
-                bipartite_influence(&a, &terms_parity_cfg),
+                bipartite_influence(&a, None, &terms_parity_cfg),
                 bipartite_reference(&a, &terms_parity_cfg)
             );
         }

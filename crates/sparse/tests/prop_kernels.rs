@@ -22,7 +22,7 @@
 //! (`bipartite_influence_two_pass`), compared by `f32::to_bits`.
 
 use freehgc_parallel as par;
-use freehgc_sparse::ppr::bipartite_influence_seeded;
+use freehgc_sparse::ppr::bipartite_influence;
 use freehgc_sparse::{CooMatrix, CsrMatrix, PprConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -345,9 +345,9 @@ fn warm_pool_bipartite_influence_allocates_only_its_result() {
         let a = bipartite_matrix(90, 60, 6, 83);
         let seeds: Vec<u32> = (0..90).step_by(3).collect();
         let cfg = PprConfig::default();
-        let warm = bipartite_influence_seeded(&a, Some(&seeds), &cfg);
+        let warm = bipartite_influence(&a, Some(&seeds), &cfg);
         par::workspace::reset_stats();
-        let steady = bipartite_influence_seeded(&a, Some(&seeds), &cfg);
+        let steady = bipartite_influence(&a, Some(&seeds), &cfg);
         let stats = par::workspace::stats();
         assert_eq!(steady, warm);
         assert!(
@@ -363,7 +363,7 @@ fn warm_pool_bipartite_influence_allocates_only_its_result() {
     .unwrap();
 }
 
-/// Test-only oracle for `bipartite_influence_seeded`: the two-pass loop
+/// Test-only oracle for `bipartite_influence`: the two-pass loop
 /// the fused kernel replaced, kept verbatim apart from plain `Vec`
 /// scratch instead of the workspace pool. Each series term is its own
 /// pass over the nonzeros — a target → source scatter or a source →
@@ -565,7 +565,7 @@ proptest! {
         };
         for (cfg, terms) in influence_configs() {
             prop_assert_eq!(cfg.num_terms(), terms);
-            let fused = bipartite_influence_seeded(&a, seed_rows.as_deref(), &cfg);
+            let fused = bipartite_influence(&a, seed_rows.as_deref(), &cfg);
             let oracle = bipartite_influence_two_pass(&a, seed_rows.as_deref(), &cfg);
             prop_assert_eq!(bits(&fused), bits(&oracle), "terms = {}", terms);
         }

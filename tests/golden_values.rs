@@ -2,8 +2,12 @@
 //! hand-sized graphs, so the selection kernels are pinned to the paper
 //! and not only to earlier versions of the code.
 
-use freehgc::core::selection::diversity_bonuses;
-use freehgc::sparse::ppr::{bipartite_influence, bipartite_influence_seeded, PprConfig};
+use freehgc::core::selection::{celf_greedy, condense_target, diversity_bonuses, SelectionConfig};
+use freehgc::core::{assemble, synthesize_leaf, TypePlan};
+use freehgc::hetgraph::{
+    CondenseContext, FeatureMatrix, HeteroGraph, HeteroGraphBuilder, Schema, Split,
+};
+use freehgc::sparse::ppr::{bipartite_influence, PprConfig};
 use freehgc::sparse::CsrMatrix;
 use std::sync::Arc;
 
@@ -73,14 +77,216 @@ fn ppr_influence_with_three_terms_matches_eq_10_11() {
     let widen = |v: Vec<f32>| v.into_iter().map(f64::from).collect::<Vec<_>>();
     let r2 = 2f64.sqrt();
 
-    let seeded = widen(bipartite_influence_seeded(&a, Some(&[1]), &cfg));
+    let seeded = widen(bipartite_influence(&a, Some(&[1]), &cfg));
     assert_close(
         &seeded,
         &[19.0 / (64.0 * r2), 1.0 / (64.0 * r2)],
         "seeded at p1",
     );
 
-    let uniform = widen(bipartite_influence(&a, &cfg));
+    let uniform = widen(bipartite_influence(&a, None, &cfg));
     let each = 5.0 * (1.0 + r2) / 96.0;
     assert_close(&uniform, &[each, each], "uniform seed");
+}
+
+/// Eq. 8 through CELF on one meta-path. Four targets with receptive
+/// fields v0 = {0,1,2}, v1 = {2,3}, v2 = {3,4}, v3 = {0}, so
+/// `|R̂| = 3` (the largest field in the pool), and a hand-chosen modular
+/// diversity term `1 − J = [0.1, 0.5, 0.2, 0]`. The gain of `v` given
+/// `S` is `|R(v) \ R(S)|/3 + (1 − J)_v`:
+///
+/// | round | v0            | v1          | v2          | v3    | pick |
+/// |-------|---------------|-------------|-------------|-------|------|
+/// | 1     | 3/3+0.1       | 2/3+0.5     | 2/3+0.2     | 1/3   | v1   |
+/// | 2     | 2/3+0.1       | —           | 1/3+0.2     | 1/3   | v0   |
+/// | 3     | —             | —           | 1/3+0.2     | 0     | v2   |
+///
+/// so the selection order is v1, v0, v2 with gains 7/6, 23/30, 8/15.
+/// The gains telescope to the criterion itself:
+/// `F({v1,v0,v2}) = |{0..4}|/3 + (0.5 + 0.1 + 0.2) = 37/15`.
+#[test]
+fn celf_selection_order_and_gains_match_eq_8() {
+    let adj = CsrMatrix::from_edges(
+        4,
+        5,
+        &[
+            (0, 0),
+            (0, 1),
+            (0, 2),
+            (1, 2),
+            (1, 3),
+            (2, 3),
+            (2, 4),
+            (3, 0),
+        ],
+    );
+    let bonus = [0.1, 0.5, 0.2, 0.0];
+    let (selected, gains) = celf_greedy(&adj, &[0, 1, 2, 3], 3, 3.0, &bonus);
+    assert_eq!(selected, vec![1, 0, 2], "CELF selection order");
+    assert_close(&gains, &[7.0 / 6.0, 23.0 / 30.0, 8.0 / 15.0], "gains");
+    assert_close(&[gains.iter().sum()], &[37.0 / 15.0], "F(S)");
+}
+
+/// A 9-node paper/author/subject graph: papers p0..p3 (the target, one
+/// class, all in the training pool), authors a0..a2, subjects s0, s1.
+///
+/// * pa: p0–{a0,a1}, p1–a1, p2–a2, p3–a2;
+/// * ps: p0–s0, p1–s0, p2–s1, p3–{s0,s1}.
+fn paper_author_subject() -> HeteroGraph {
+    let mut s = Schema::new();
+    let paper = s.add_node_type("paper");
+    let author = s.add_node_type("author");
+    let subject = s.add_node_type("subject");
+    let pa = s.add_edge_type("pa", paper, author);
+    let ps = s.add_edge_type("ps", paper, subject);
+    s.set_target(paper);
+    let mut b = HeteroGraphBuilder::new(s, vec![4, 3, 2]);
+    for (p, a) in [(0, 0), (0, 1), (1, 1), (2, 2), (3, 2)] {
+        b.add_edge(pa, p, a);
+    }
+    for (p, sub) in [(0, 0), (1, 0), (2, 1), (3, 0), (3, 1)] {
+        b.add_edge(ps, p, sub);
+    }
+    b.set_features(paper, FeatureMatrix::zeros(4, 1));
+    b.set_features(author, FeatureMatrix::zeros(3, 1));
+    b.set_features(subject, FeatureMatrix::zeros(2, 1));
+    b.set_labels(vec![0; 4], 1);
+    b.set_split(Split {
+        train: vec![0, 1, 2, 3],
+        val: Vec::new(),
+        test: Vec::new(),
+    });
+    b.build()
+}
+
+/// Algorithm 1 (Eq. 8–9) on [`paper_author_subject`] with 2-hop paths
+/// and a budget of 2. The four meta-paths and their receptive fields:
+///
+/// | path  | p0        | p1        | p2     | p3            | `|R̂|` |
+/// |-------|-----------|-----------|--------|---------------|-------|
+/// | P-A   | {a0,a1}   | {a1}      | {a2}   | {a2}          | 2     |
+/// | P-S   | {s0}      | {s0}      | {s1}   | {s0,s1}       | 2     |
+/// | P-A-P | {p0,p1}   | {p0,p1}   | {p2,p3}| {p2,p3}       | 2     |
+/// | P-S-P | {p0,p1,p3}| {p0,p1,p3}| {p2,p3}| {p0,p1,p2,p3} | 4     |
+///
+/// P-A and P-S are alone in their source group, so `1 − J = 1`. P-A-P
+/// and P-S-P share the paper source, so both get
+/// `1 − J(P-A-P, P-S-P) = [1/3, 1/3, 0, 1/2]`. CELF with budget 2
+/// (ties go to the smaller id) then picks, with gains:
+/// * P-A: p0 (2/2 + 1 = 2), then p2 (1/2 + 1 = 3/2; p1 adds no author);
+/// * P-S: p3 (2/2 + 1 = 2), then p0 (0 + 1, every subject covered);
+/// * P-A-P: p3 (2/2 + 1/2 = 3/2), then p0 (2/2 + 1/3 = 4/3);
+/// * P-S-P: p3 (4/4 + 1/2 = 3/2), then p0 (0 + 1/3; p3 covers all).
+///
+/// Eq. 9 sums the gains: p0 = 2 + 1 + 4/3 + 1/3 = 14/3, p1 = 0,
+/// p2 = 3/2, p3 = 2 + 3/2 + 3/2 = 5, so the top 2 are p0 and p3.
+#[test]
+fn target_selection_scores_match_eq_8_9() {
+    let g = paper_author_subject();
+    let sel = condense_target(
+        &CondenseContext::new(&g),
+        2,
+        &SelectionConfig {
+            max_hops: 2,
+            ..Default::default()
+        },
+    );
+    assert_eq!(sel.selected, vec![0, 3]);
+    assert_close(&sel.scores, &[14.0 / 3.0, 0.0, 1.5, 5.0], "scores");
+}
+
+/// A 10-node paper/term graph for leaf synthesis: papers p0..p4, terms
+/// t0..t4 with 2-d features t0 = (1,0), t1 = (0,1), t2 = (2,2),
+/// t3 = (4,0), t4 = (0,4), and pt edges p0–{t0,t1}, p1–{t1,t2},
+/// p2–t3, p3–{t3,t4} (p4 has no term).
+fn paper_term() -> HeteroGraph {
+    let mut s = Schema::new();
+    let paper = s.add_node_type("paper");
+    let term = s.add_node_type("term");
+    let pt = s.add_edge_type("pt", paper, term);
+    s.set_target(paper);
+    let mut b = HeteroGraphBuilder::new(s, vec![5, 5]);
+    for (p, t) in [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (3, 3), (3, 4)] {
+        b.add_edge(pt, p, t);
+    }
+    b.set_features(paper, FeatureMatrix::zeros(5, 1));
+    let terms = [1.0, 0.0, 0.0, 1.0, 2.0, 2.0, 4.0, 0.0, 0.0, 4.0];
+    b.set_features(term, FeatureMatrix::from_rows(2, terms.to_vec()));
+    b.set_labels(vec![0; 5], 1);
+    b.build()
+}
+
+/// Eq. 14–16 on [`paper_term`] around the selected papers
+/// {p0, p1, p2, p4}.
+///
+/// Eq. 14: one hyper-node per selected paper with a term neighbor —
+/// h0 = {t0,t1}, h1 = {t1,t2}, h2 = {t3} (p4 has none) — with mean
+/// features h0 = (1/2, 1/2), h1 = (1, 3/2), h2 = (4, 0).
+///
+/// Eq. 15: a selected paper links to every hyper-node holding one of
+/// its terms, once per shared term. So p0–h0 weighs 2 (t0, t1) and
+/// p0–h1 weighs 1 (t1); p1–h0 weighs 1 (t1) and p1–h1 weighs 2 (t1, t2);
+/// p2–h2 weighs 1. The reverse edges p1–h0 and p0–h1 keep the 2-hop
+/// p0–p1 link through t1. p3 is not selected, so h2 gets no edge from
+/// it.
+///
+/// Eq. 16, budget 2: a hyper-node's degree counts the selected papers
+/// adjacent to its members, h0 = |{p0,p1}| = 2, h1 = 2, h2 = |{p2}| = 1.
+/// The lowest (h2) absorbs the next lowest, the first of the tied h0, so
+/// the result is {t0,t1,t3} with mean (5/3, 1/3), followed by h1.
+#[test]
+fn leaf_synthesis_matches_eq_14_16() {
+    let g = paper_term();
+    let (paper, term) = (
+        g.schema().target(),
+        g.schema().node_type_ids().nth(1).unwrap(),
+    );
+    let ctx = CondenseContext::new(&g);
+    let parents = [0, 1, 2, 4];
+
+    let syn = synthesize_leaf(&ctx, term, paper, &parents, 8);
+    assert_eq!(syn.members, vec![vec![0, 1], vec![1, 2], vec![3]], "Eq. 14");
+    let widen = |f: &FeatureMatrix| f.data().iter().map(|&x| f64::from(x)).collect::<Vec<_>>();
+    assert_close(
+        &widen(&syn.features),
+        &[0.5, 0.5, 1.0, 1.5, 4.0, 0.0],
+        "Eq. 14 means",
+    );
+
+    let plans = vec![
+        TypePlan::Selected(parents.to_vec()),
+        TypePlan::Synthesized(syn),
+    ];
+    let cond = assemble(&g, &plans);
+    let pt = cond
+        .graph
+        .adjacency(g.schema().edge_type_ids().next().unwrap());
+    let weights: Vec<Vec<f32>> = (0..pt.nrows())
+        .map(|r| {
+            let mut row = vec![0.0; pt.ncols()];
+            let (cols, vals) = pt.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                row[c as usize] = v;
+            }
+            row
+        })
+        .collect();
+    assert_eq!(
+        weights,
+        vec![
+            vec![2.0, 1.0, 0.0],
+            vec![1.0, 2.0, 0.0],
+            vec![0.0, 0.0, 1.0],
+            vec![0.0, 0.0, 0.0],
+        ],
+        "Eq. 15 membership and reverse edges"
+    );
+
+    let merged = synthesize_leaf(&ctx, term, paper, &parents, 2);
+    assert_eq!(merged.members, vec![vec![0, 1, 3], vec![1, 2]], "Eq. 16");
+    assert_close(
+        &widen(&merged.features),
+        &[5.0 / 3.0, 1.0 / 3.0, 1.0, 1.5],
+        "Eq. 16 means",
+    );
 }

@@ -6,6 +6,7 @@
 
 use freehgc::core::selection::{condense_target, SelectionConfig};
 use freehgc::datasets::{generate, tiny, DatasetKind};
+use freehgc::hetgraph::CondenseContext;
 use freehgc::hgnn::propagation::propagate;
 use freehgc::parallel as par;
 use std::sync::Mutex;
@@ -24,9 +25,9 @@ fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
 fn condense_target_is_bitwise_identical_across_thread_counts() {
     let g = generate(DatasetKind::Acm, 0.2, 7);
     let cfg = SelectionConfig::default();
-    let reference = with_threads(1, || condense_target(&g, 24, &cfg));
+    let reference = with_threads(1, || condense_target(&CondenseContext::new(&g), 24, &cfg));
     for t in [2usize, 4] {
-        let got = with_threads(t, || condense_target(&g, 24, &cfg));
+        let got = with_threads(t, || condense_target(&CondenseContext::new(&g), 24, &cfg));
         assert_eq!(got.selected, reference.selected, "selection at {t} threads");
         assert_eq!(got.scores, reference.scores, "scores at {t} threads");
     }
@@ -37,7 +38,10 @@ fn condense_target_is_deterministic_across_repeated_parallel_runs() {
     let g = tiny(11);
     let cfg = SelectionConfig::default();
     let (a, b) = with_threads(4, || {
-        (condense_target(&g, 8, &cfg), condense_target(&g, 8, &cfg))
+        (
+            condense_target(&CondenseContext::new(&g), 8, &cfg),
+            condense_target(&CondenseContext::new(&g), 8, &cfg),
+        )
     });
     assert_eq!(a.selected, b.selected);
     assert_eq!(a.scores, b.scores);
@@ -71,8 +75,8 @@ fn ablation_variants_stay_equivalent_in_parallel() {
             ..Default::default()
         },
     ] {
-        let reference = with_threads(1, || condense_target(&g, 10, &cfg));
-        let got = with_threads(4, || condense_target(&g, 10, &cfg));
+        let reference = with_threads(1, || condense_target(&CondenseContext::new(&g), 10, &cfg));
+        let got = with_threads(4, || condense_target(&CondenseContext::new(&g), 10, &cfg));
         assert_eq!(got.selected, reference.selected);
         assert_eq!(got.scores, reference.scores);
     }

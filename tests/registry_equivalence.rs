@@ -19,13 +19,14 @@
 use freehgc::baselines::{
     CoarseningHg, GCondBaseline, GradMatchConfig, HGCondBaseline, HerdingHg, KCenterHg, RandomHg,
 };
-use freehgc::core::selection::{condense_target_in, SelectionConfig};
+use freehgc::core::selection::{condense_target, SelectionConfig};
 use freehgc::core::FreeHgc;
 use freehgc::datasets::tiny;
 use freehgc::hetgraph::{
     CacheFamily, CondenseContext, CondenseSpec, CondensedGraph, Condenser, ContextRegistry,
     HeteroGraph,
 };
+use freehgc::hgnn::propagation::propagate_ctx;
 use freehgc::parallel as par;
 use std::sync::{Arc, Mutex};
 
@@ -115,6 +116,18 @@ fn registry_shared_matches_fresh_for_every_condenser() {
     let (hits, misses) = lookups(&registry);
     assert_eq!(misses, 1, "only the first resolution may miss");
     assert!(hits > 0, "the sweep must reuse the registered context");
+    // Two owners resolving the same graph share that context and, through
+    // it, one propagated block set.
+    let spec = CondenseSpec::new(0.5);
+    let (a, b) = (
+        registry.context_for(&g, &spec),
+        registry.context_for(&g, &spec),
+    );
+    assert!(Arc::ptr_eq(&a, &b), "same graph, one shared context");
+    assert!(
+        Arc::ptr_eq(&propagate_ctx(&a, 2, 16), &propagate_ctx(&b, 2, 16)),
+        "the second owner must reuse the first's propagated blocks"
+    );
 }
 
 #[test]
@@ -200,16 +213,16 @@ fn warm_diversity_bonus_matches_cold_selection() {
     let cfg = SelectionConfig::default();
     for threads in [1usize, 4] {
         let cold = with_threads(threads, || {
-            condense_target_in(&CondenseContext::new(&g), budget, &cfg)
+            condense_target(&CondenseContext::new(&g), budget, &cfg)
         });
         let ctx = CondenseContext::new(&g);
-        let first = with_threads(threads, || condense_target_in(&ctx, budget, &cfg));
+        let first = with_threads(threads, || condense_target(&ctx, budget, &cfg));
         let after_first = ctx.stats()[CacheFamily::Diversity];
         assert!(
             after_first.misses > 0,
             "{threads}t: first run computes bonuses"
         );
-        let second = with_threads(threads, || condense_target_in(&ctx, budget, &cfg));
+        let second = with_threads(threads, || condense_target(&ctx, budget, &cfg));
         let after_second = ctx.stats()[CacheFamily::Diversity];
         assert_eq!(
             after_second.misses, after_first.misses,

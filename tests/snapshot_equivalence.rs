@@ -127,6 +127,13 @@ fn snapshot_round_trip_matches_fresh_for_every_condenser() {
             .resolve(&g, &spec, Some(&dir), Some(&PropagatedFeaturesCodec), None)
             .0;
         assert_eq!(disk_loads(&reg2), (1, 0), "{threads}t: must load");
+        let pf2 = propagate_ctx(&ctx2, 2, 16);
+        let propagated = ctx2.stats()[CacheFamily::Propagated];
+        assert_eq!(
+            (propagated.hits, propagated.misses),
+            (1, 0),
+            "{threads}t: the first propagation must hit the loaded block set"
+        );
         let before = ctx2.stats();
         for (c, want) in condensers().iter().zip(&reference) {
             let got = with_threads(threads, || c.condense_in(&ctx2, &spec));
@@ -154,7 +161,7 @@ fn snapshot_round_trip_matches_fresh_for_every_condenser() {
             before[CacheFamily::Diversity].misses,
             "{threads}t: diversity"
         );
-        let pf2 = propagate_ctx(&ctx2, 2, 16);
+        propagate_ctx(&ctx2, 2, 16);
         let propagated = ctx2.stats()[CacheFamily::Propagated];
         assert_eq!(
             propagated.misses,
