@@ -317,7 +317,7 @@ impl Tape {
     }
 
     /// Reverse-mode sweep from a scalar `loss` node. Returns per-node
-    /// gradients; use [`Tape::grad`] / [`Tape::accumulate_param_grads`]
+    /// gradients; use [`Gradients::get`] / [`Tape::accumulate_param_grads`]
     /// afterwards.
     pub fn backward(&mut self, loss: NodeId) -> Gradients {
         let lv = &self.nodes[loss.0].value;

@@ -14,7 +14,7 @@
 //! 3. **Leaf-type nodes** ([`leaf`], Eq. 14–16) are *synthesized* into
 //!    hyper-nodes that mean-aggregate each parent's leaf neighbors,
 //!    with reverse edges preserving 2-hop structure.
-//! 4. The pieces are wired into the condensed graph by [`assemble`].
+//! 4. The pieces are wired into the condensed graph by [`assemble()`].
 //!
 //! [`FreeHgc`] packages the full pipeline behind the common
 //! [`Condenser`] trait; [`FreeHgcConfig`] exposes every ablation switch of

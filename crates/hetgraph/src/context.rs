@@ -45,7 +45,7 @@
 //! adjacencies, influence vectors, diversity bonuses and — dominating
 //! everything — dense propagated-feature blocks; a serving process
 //! cannot keep them all. All four families live in one cost-aware
-//! [`CacheAccountant`] under a single byte budget
+//! `CacheAccountant` under a single byte budget
 //! ([`CondenseContext::with_cache_budget`], surfaced as
 //! `CondenseSpec::context_cache_bytes`). When inserting would exceed the
 //! budget, the accountant evicts the entries that are *cheapest to

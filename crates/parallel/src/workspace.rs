@@ -8,9 +8,10 @@
 //! a small per-thread pool instead: [`take_f32`] / [`take_u32`] hand
 //! out a buffer resized to the requested length (reusing a previously
 //! returned one when possible) and the RAII guard returns it to the
-//! pool on drop. A buffer that must outlive the kernel (an allocating
-//! wrapper's result) is [`WsF32::detach`]ed instead, which hands the
-//! caller a plain `Vec` and counts the handoff.
+//! pool on drop. Pooled buffers never leave the pool: a result that
+//! must outlive the kernel (an allocating wrapper's output) is a plain
+//! `Vec` of exactly its length, so a caller never walks off with the
+//! pool's largest buffer.
 //!
 //! Two contracts matter:
 //!
@@ -49,8 +50,6 @@ pub struct WorkspaceStats {
     pub alloc_bytes: u64,
     /// Buffers returned to the pool by guard drops.
     pub gives: u64,
-    /// Buffers detached and handed to the caller as plain `Vec`s.
-    pub handoffs: u64,
 }
 
 thread_local! {
@@ -88,16 +87,6 @@ macro_rules! pool_impl {
         /// on drop.
         pub struct $guard {
             buf: Option<Vec<$elem>>,
-        }
-
-        impl $guard {
-            /// Consumes the guard, handing the buffer to the caller as
-            /// a plain `Vec` (it leaves the pool for good — used by
-            /// allocating wrappers whose result outlives the kernel).
-            pub fn detach(mut self) -> Vec<$elem> {
-                bump(|s| s.handoffs += 1);
-                self.buf.take().expect("buffer present until drop")
-            }
         }
 
         impl std::ops::Deref for $guard {
@@ -163,7 +152,7 @@ macro_rules! pool_impl {
             $guard { buf: Some(buf) }
         }
 
-        /// [`$take`] with the buffer fully zeroed.
+        #[doc = concat!("[`", stringify!($take), "`] with the buffer fully zeroed.")]
         pub fn $take_zeroed(len: usize) -> $guard {
             let mut g = $take(len);
             g.fill(Default::default());
@@ -218,25 +207,6 @@ mod tests {
             }
             let b = take_u32_zeroed(10);
             assert!(b.iter().all(|&v| v == 0));
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn detach_hands_off_ownership() {
-        std::thread::spawn(|| {
-            reset_stats();
-            let g = take_f32(5);
-            let v: Vec<f32> = g.detach();
-            assert_eq!(v.len(), 5);
-            let s = stats();
-            assert_eq!(s.handoffs, 1);
-            assert_eq!(s.gives, 0, "a detached buffer never returns to the pool");
-            // The next take cannot be served by the detached buffer.
-            reset_stats();
-            let _again = take_f32(5);
-            assert_eq!(stats().fresh_allocs, 1);
         })
         .join()
         .unwrap();

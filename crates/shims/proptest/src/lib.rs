@@ -358,7 +358,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification for [`vec`]: a fixed size or a range.
+    /// Length specification for [`vec()`]: a fixed size or a range.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,

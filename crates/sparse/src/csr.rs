@@ -24,10 +24,8 @@
 //!   zeros (either sign) are filtered out of the emitted pattern by the
 //!   same `v != 0.0` check the naive path uses — so pattern and values
 //!   are identical. An exact per-row upper-bound prepass
-//!   (Σ `nnz(B[a_k,:])`) sizes the output buffers once, and wide
-//!   right-hand sides are split into column tiles so the accumulator
-//!   stays cache-resident; tiling only regroups *which* rows of `B` are
-//!   merged together, never the in-row contribution order.
+//!   (Σ `nnz(B[a_k,:])`) sizes the output buffers once. The accumulator
+//!   is always the full width of the right-hand side.
 //! * **Canonical 8-lane reduction order (dot-product kernels).** `spmv`
 //!   (and `Matrix::matmul_nt` in `freehgc_autograd`) accumulate element
 //!   `j` into lane `j % 8` and combine lanes as
@@ -83,13 +81,6 @@ const SPMVT_NNZ_GRAIN: usize = 16_384;
 /// order-preserving redistribution costs a few× the serial scatter per
 /// entry, so fewer workers than this cannot amortize it.
 const SPMVT_MIN_CHUNKS: usize = 4;
-/// Column width of one SpGEMM accumulator tile. The accumulator and
-/// marker arrays together cost 8 bytes per column; a 32 Ki-column tile
-/// keeps them at 256 KiB — inside L2 — so merging rows of `B` hits a
-/// warm accumulator instead of striding across a multi-megabyte one.
-/// Tiling only engages when the right-hand side is at least twice this
-/// wide (see [`CsrMatrix::spgemm`]).
-const SPGEMM_TILE_COLS: usize = 32_768;
 /// Dense-scan emission threshold: when a row's touched set covers at
 /// least `1/SPGEMM_DENSE_EMIT_DIV` of the accumulator width, emitting
 /// by scanning the marker array in column order is cheaper than sorting
@@ -150,11 +141,9 @@ fn next_gen(gen: u32, marker: &mut [u32]) -> u32 {
 }
 
 /// Merges one scaled B-row run into the marker-guarded accumulator.
-/// `bcols` are indices local to the accumulator (global column minus
-/// the tile start; the tile start is 0 when un-tiled). First touch in
-/// this generation *sets* the product, later touches add — see
-/// [`CsrMatrix::spgemm_rows_opt`] for why this matches add-from-zero
-/// bitwise.
+/// First touch in this generation *sets* the product, later touches
+/// add — see [`CsrMatrix::spgemm_rows_opt`] for why this matches
+/// add-from-zero bitwise.
 #[inline]
 fn accumulate_run(
     bcols: &[u32],
@@ -167,9 +156,8 @@ fn accumulate_run(
 ) {
     for (&bc, &bv) in bcols.iter().zip(bvals) {
         let j = bc as usize;
-        // SAFETY: j < accumulator width — column indices are validated
-        // `< ncols` at construction, and tile-local indices are
-        // `< tile.width` by construction in `ColTile::split`.
+        // SAFETY: j < ncols == accumulator width — column indices are
+        // validated `< ncols` at construction.
         unsafe {
             if *marker.get_unchecked(j) != gen {
                 *marker.get_unchecked_mut(j) = gen;
@@ -182,26 +170,23 @@ fn accumulate_run(
     }
 }
 
-/// Emits one accumulated output row (or tile thereof) in increasing
-/// column order, filtering exact zeros — by sorting the touched list
-/// when sparse, or by scanning the marker array in column order when
-/// the row is dense enough ([`SPGEMM_DENSE_EMIT_DIV`]). Both orders are
-/// the same order, so the choice never shows in the output.
-#[allow(clippy::too_many_arguments)]
+/// Emits one accumulated output row in increasing column order,
+/// filtering exact zeros — by sorting the touched list when sparse, or
+/// by scanning the marker array in column order when the row is dense
+/// enough ([`SPGEMM_DENSE_EMIT_DIV`]). Both orders are the same order,
+/// so the choice never shows in the output.
 fn emit_row(
     acc: &[f32],
     marker: &[u32],
     gen: u32,
     touched: &mut Vec<u32>,
-    base: u32,
-    width: usize,
     indices: &mut Vec<u32>,
     values: &mut Vec<f32>,
 ) {
-    if touched.len() * SPGEMM_DENSE_EMIT_DIV >= width {
-        for (j, (&m, &v)) in marker[..width].iter().zip(&acc[..width]).enumerate() {
+    if touched.len() * SPGEMM_DENSE_EMIT_DIV >= acc.len() {
+        for (j, (&m, &v)) in marker.iter().zip(acc).enumerate() {
             if m == gen && v != 0.0 {
-                indices.push(base + j as u32);
+                indices.push(j as u32);
                 values.push(v);
             }
         }
@@ -210,70 +195,12 @@ fn emit_row(
         for &c in touched.iter() {
             let v = acc[c as usize];
             if v != 0.0 {
-                indices.push(base + c);
+                indices.push(c);
                 values.push(v);
             }
         }
     }
     touched.clear();
-}
-
-/// A contiguous column slice of the SpGEMM right-hand side, stored with
-/// *tile-local* column indices (global minus `start`) so the hot merge
-/// loop indexes the accumulator without per-entry offset arithmetic.
-/// Splitting preserves in-row entry order, so a column's contributions
-/// arrive in exactly the order the un-tiled kernel produces them.
-struct ColTile {
-    start: usize,
-    width: usize,
-    indptr: Vec<usize>,
-    indices: Vec<u32>,
-    values: Vec<f32>,
-}
-
-impl ColTile {
-    /// Splits `b` into `ceil(ncols / tile_cols)` column tiles in one
-    /// counting pass plus one fill pass.
-    fn split(b: &CsrMatrix, tile_cols: usize) -> Vec<ColTile> {
-        let ntiles = b.ncols.div_ceil(tile_cols).max(1);
-        let mut counts = vec![0usize; ntiles];
-        for &c in b.indices() {
-            counts[c as usize / tile_cols] += 1;
-        }
-        let mut tiles: Vec<ColTile> = (0..ntiles)
-            .map(|t| {
-                let start = t * tile_cols;
-                let mut indptr = Vec::with_capacity(b.nrows + 1);
-                indptr.push(0usize);
-                ColTile {
-                    start,
-                    width: tile_cols.min(b.ncols - start),
-                    indptr,
-                    indices: Vec::with_capacity(counts[t]),
-                    values: Vec::with_capacity(counts[t]),
-                }
-            })
-            .collect();
-        for r in 0..b.nrows {
-            let (cols, vals) = b.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let t = &mut tiles[c as usize / tile_cols];
-                t.indices.push(c - t.start as u32);
-                t.values.push(v);
-            }
-            for t in &mut tiles {
-                t.indptr.push(t.indices.len());
-            }
-        }
-        tiles
-    }
-
-    /// The tile-local entries of row `r`.
-    #[inline]
-    fn row(&self, r: usize) -> (&[u32], &[f32]) {
-        let (s, e) = (self.indptr[r], self.indptr[r + 1]);
-        (&self.indices[s..e], &self.values[s..e])
-    }
 }
 
 /// One source row chunk's counting-sorted contributions: bin offsets
@@ -630,7 +557,7 @@ impl CsrMatrix {
     /// Rows at or under the cap are copied straight through — they are
     /// already column-sorted, so no scratch, selection, or re-sort is
     /// needed. Heavy rows use an O(n) `select_nth_unstable_by`
-    /// k-selection under [`top_k_cmp`] (magnitude descending, column
+    /// k-selection under `top_k_cmp` (magnitude descending, column
     /// ascending — a *total* order, so the selection keeps exactly the
     /// same entry set a full sort would) and only the `k` survivors are
     /// re-sorted by column. [`CsrMatrix::top_k_per_row_ref`] is the
@@ -702,18 +629,17 @@ impl CsrMatrix {
     }
 
     /// Dense `y = A·x` (sparse matrix, dense vector). Row-partitioned
-    /// parallel: each worker owns a disjoint slice of `y`. The output
-    /// buffer comes from the workspace pool ([`ws::take_f32`]) and is
-    /// detached to the caller, so iterative callers on a warm thread
-    /// allocate nothing.
+    /// parallel: each worker owns a disjoint slice of `y`. The result is
+    /// a fresh `nrows`-long `Vec`; iterative callers reuse their own
+    /// buffer through [`CsrMatrix::spmv_into`].
     ///
     /// Per-row reduction uses the canonical 8-lane order (see the
     /// module docs); [`CsrMatrix::spmv_ref`] is the naive oracle with
     /// the same semantics.
     pub fn spmv(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = ws::take_f32(self.nrows);
+        let mut y = vec![0f32; self.nrows];
         self.spmv_into(x, &mut y);
-        y.detach()
+        y
     }
 
     /// In-place `y = A·x`, overwriting `y` (length `nrows`). Lets hot
@@ -760,15 +686,15 @@ impl CsrMatrix {
             .collect()
     }
 
-    /// Dense `y = Aᵀ·x` without materializing the transpose. The output
-    /// buffer comes from the workspace pool and is detached to the
-    /// caller. [`CsrMatrix::spmv_t_ref`] is the retained naive scatter
+    /// Dense `y = Aᵀ·x` without materializing the transpose, into a
+    /// fresh `ncols`-long `Vec` (see [`CsrMatrix::spmv_t_into`] to reuse
+    /// a buffer). [`CsrMatrix::spmv_t_ref`] is the retained naive scatter
     /// with identical semantics (the scatter order is unchanged by the
     /// rework, so reference and optimized path are bitwise-equal).
     pub fn spmv_t(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = ws::take_f32(self.ncols);
+        let mut y = vec![0f32; self.ncols];
         self.spmv_t_into(x, &mut y);
-        y.detach()
+        y
     }
 
     /// Naive reference (and pre-rework baseline) for
@@ -799,9 +725,9 @@ impl CsrMatrix {
     /// increasing-row order of the serial scatter loop — bitwise
     /// identical at any thread count. The parallel path streams every
     /// entry twice, so it only engages when the output is large enough
-    /// that the serial scatter thrashes cache ([`SPMVT_MIN_COLS`]),
-    /// there is enough work per chunk ([`SPMVT_NNZ_GRAIN`]), and at
-    /// least [`SPMVT_MIN_CHUNKS`] real cores back the chunks. The chunk
+    /// that the serial scatter thrashes cache (`SPMVT_MIN_COLS`),
+    /// there is enough work per chunk (`SPMVT_NNZ_GRAIN`), and at
+    /// least `SPMVT_MIN_CHUNKS` real cores back the chunks. The chunk
     /// count is capped at the core count: a `FREEHGC_THREADS` budget
     /// above it only timeshares the redistribution, which can then never
     /// be bought back.
@@ -924,16 +850,16 @@ impl CsrMatrix {
     /// Dense `Y = A·X` where `X` is row-major `ncols × dim`.
     /// This is the feature-propagation kernel of the HGNN pre-processing.
     /// Row-partitioned parallel: each worker owns a disjoint block of
-    /// output rows. The output comes from the workspace pool and is
-    /// detached; hot callers use [`CsrMatrix::spmm_dense_into`] to
-    /// reuse their own buffer. [`CsrMatrix::spmm_dense_ref`] is the
-    /// retained naive kernel with identical per-element accumulation
-    /// order (the rework keeps an output block in registers instead of
-    /// re-loading it per sparse entry — it never reassociates).
+    /// output rows. The result is a fresh `Vec`; hot callers use
+    /// [`CsrMatrix::spmm_dense_into`] to reuse their own buffer.
+    /// [`CsrMatrix::spmm_dense_ref`] is the retained naive kernel with
+    /// identical per-element accumulation order (the rework keeps an
+    /// output block in registers instead of re-loading it per sparse
+    /// entry — it never reassociates).
     pub fn spmm_dense(&self, x: &[f32], dim: usize) -> Vec<f32> {
-        let mut y = ws::take_f32(self.nrows * dim);
+        let mut y = vec![0f32; self.nrows * dim];
         self.spmm_dense_into(x, dim, &mut y);
-        y.detach()
+        y
     }
 
     /// In-place `Y = A·X`, overwriting `y` (length `nrows * dim`; prior
@@ -1023,10 +949,9 @@ impl CsrMatrix {
     /// in the module docs: a generation counter per column replaces the
     /// `== 0.0` occupancy probe, an exact per-chunk upper-bound prepass
     /// sizes the output buffers once (no regrowth), scratch comes from
-    /// the workspace pool, and right-hand sides at least
-    /// `2 × SPGEMM_TILE_COLS` wide are split into column tiles so the
-    /// accumulator stays cache-resident. Output is pinned bitwise-equal
-    /// to the retained naive [`CsrMatrix::spgemm_serial`].
+    /// the workspace pool, and the accumulator spans all of
+    /// `other.ncols()`. Output is pinned bitwise-equal to the retained
+    /// naive [`CsrMatrix::spgemm_serial`].
     ///
     /// Row-partitioned parallel in two phases: each worker runs the
     /// kernel over its contiguous row chunk into chunk-local buffers
@@ -1037,36 +962,16 @@ impl CsrMatrix {
     /// the same per-row kernel as the serial path, so the output is
     /// bitwise-identical at any thread count.
     pub fn spgemm(&self, other: &CsrMatrix) -> CsrMatrix {
-        self.spgemm_opt(other, SPGEMM_TILE_COLS)
-    }
-
-    /// [`CsrMatrix::spgemm`] with the column-tile width forced, so tests
-    /// and benches can exercise the tiled path on narrow matrices
-    /// (tiling engages when `other.ncols() >= 2 * tile_cols`).
-    /// Bitwise-identical for any tile width.
-    #[doc(hidden)]
-    pub fn spgemm_with_tile(&self, other: &CsrMatrix, tile_cols: usize) -> CsrMatrix {
-        assert!(tile_cols >= 1, "tile width must be positive");
-        self.spgemm_opt(other, tile_cols)
-    }
-
-    fn spgemm_opt(&self, other: &CsrMatrix, tile_cols: usize) -> CsrMatrix {
         assert_eq!(self.ncols, other.nrows, "inner dimension mismatch");
         let n = self.nrows;
-        // Tiles are built once and shared by every worker; below the
-        // width gate the whole accumulator already fits in cache and
-        // the un-tiled path is strictly cheaper.
-        let tiles: Option<Vec<ColTile>> =
-            (other.ncols >= 2 * tile_cols).then(|| ColTile::split(other, tile_cols));
         let chunks = par::chunks_for(self.nnz(), SPGEMM_NNZ_GRAIN, n / SPGEMM_ROW_GRAIN);
         if chunks <= 1 {
-            let (row_lens, indices, values) = self.spgemm_rows_opt(other, tiles.as_deref(), 0..n);
+            let (row_lens, indices, values) = self.spgemm_rows_opt(other, 0..n);
             return Self::assemble(n, other.ncols, &row_lens, indices, values);
         }
         let ranges = par::chunk_ranges(n, chunks);
-        let parts: Vec<(Vec<usize>, Vec<u32>, Vec<f32>)> = par::scoped_map(ranges, |_, r| {
-            self.spgemm_rows_opt(other, tiles.as_deref(), r)
-        });
+        let parts: Vec<(Vec<usize>, Vec<u32>, Vec<f32>)> =
+            par::scoped_map(ranges, |_, r| self.spgemm_rows_opt(other, r));
 
         // Exact offsets from the per-row counts.
         let mut indptr = Vec::with_capacity(n + 1);
@@ -1179,9 +1084,8 @@ impl CsrMatrix {
     }
 
     /// The optimized per-row kernel: marker-based dense accumulator,
-    /// exact upper-bound prepass, pooled scratch, optional column
-    /// tiling. Both the serial path and every parallel worker run
-    /// exactly this code.
+    /// exact upper-bound prepass, pooled scratch. Both the serial path
+    /// and every parallel worker run exactly this code.
     ///
     /// Bitwise equality with [`CsrMatrix::spgemm_rows_naive`] rests on
     /// three facts. (1) First-touch *set* vs add-to-zero differ only in
@@ -1191,15 +1095,12 @@ impl CsrMatrix {
     /// nonzero `x` — the same argument covers the dense-row mode,
     /// which accumulates every product from an explicit `0.0` instead
     /// of setting on first touch. (2) Per output column, contributions
-    /// accumulate in a-entry order — tiling only narrows which `B`
-    /// columns a pass looks at, never reorders a column's
-    /// contributions. (3) Emission visits surviving columns in
-    /// increasing order whether by sorted touched list, by marker
-    /// scan, or by the dense-row full scan.
+    /// accumulate in a-entry order. (3) Emission visits surviving
+    /// columns in increasing order whether by sorted touched list, by
+    /// marker scan, or by the dense-row full scan.
     fn spgemm_rows_opt(
         &self,
         other: &CsrMatrix,
-        tiles: Option<&[ColTile]>,
         rows: Range<usize>,
     ) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
         // Exact upper-bound prepass: every A entry contributes at most
@@ -1215,14 +1116,11 @@ impl CsrMatrix {
             total_bound += b;
             max_row_bound = max_row_bound.max(b);
         }
-        let acc_width = match tiles {
-            None => other.ncols,
-            Some(ts) => ts.iter().map(|t| t.width).max().unwrap_or(0),
-        };
-        let mut acc = ws::take_f32(acc_width); // marker-guarded, contents unspecified
-        let mut marker = ws::take_u32_zeroed(acc_width);
+        let width = other.ncols;
+        let mut acc = ws::take_f32(width); // marker-guarded, contents unspecified
+        let mut marker = ws::take_u32_zeroed(width);
         let mut touched = ws::take_u32(0);
-        touched.reserve(max_row_bound.min(acc_width));
+        touched.reserve(max_row_bound.min(width));
         let mut row_lens = Vec::with_capacity(rows.len());
         let mut indices: Vec<u32> = Vec::with_capacity(total_bound);
         let mut values: Vec<f32> = Vec::with_capacity(total_bound);
@@ -1243,88 +1141,39 @@ impl CsrMatrix {
                     }
                 }
             } else if !acols.is_empty() {
-                match tiles {
-                    None => {
-                        // Dense-row mode: once the product bound reaches
-                        // half the output width, the per-product
-                        // marker branch and touched bookkeeping cost
-                        // more than a width-long zero + scan, so the
-                        // inner loop degenerates to a branch-free
-                        // scattered FMA. The mode is chosen per row
-                        // from the (thread-independent) bound, so every
-                        // partition makes the same choice.
-                        let bound: usize = acols.iter().map(|&ac| other.row_nnz(ac as usize)).sum();
-                        if 2 * bound >= other.ncols {
-                            acc.fill(0.0);
-                            for (&ac, &av) in acols.iter().zip(avals) {
-                                let (bcols, bvals) = other.row(ac as usize);
-                                for (&bc, &bv) in bcols.iter().zip(bvals) {
-                                    // In-bounds: `from_parts` validated
-                                    // cols < ncols == acc len.
-                                    unsafe {
-                                        *acc.get_unchecked_mut(bc as usize) += av * bv;
-                                    }
-                                }
+                // Dense-row mode: once the product bound reaches half
+                // the output width, the per-product marker branch and
+                // touched bookkeeping cost more than a width-long zero
+                // + scan, so the inner loop degenerates to a branch-free
+                // scattered FMA. The mode is chosen per row from the
+                // (thread-independent) bound, so every partition makes
+                // the same choice.
+                let bound: usize = acols.iter().map(|&ac| other.row_nnz(ac as usize)).sum();
+                if 2 * bound >= width {
+                    acc.fill(0.0);
+                    for (&ac, &av) in acols.iter().zip(avals) {
+                        let (bcols, bvals) = other.row(ac as usize);
+                        for (&bc, &bv) in bcols.iter().zip(bvals) {
+                            // SAFETY: bc < ncols == acc.len(), validated
+                            // by `from_parts`.
+                            unsafe {
+                                *acc.get_unchecked_mut(bc as usize) += av * bv;
                             }
-                            for (c, &v) in acc.iter().enumerate() {
-                                if v != 0.0 {
-                                    indices.push(c as u32);
-                                    values.push(v);
-                                }
-                            }
-                        } else {
-                            gen = next_gen(gen, &mut marker);
-                            for (&ac, &av) in acols.iter().zip(avals) {
-                                let (bcols, bvals) = other.row(ac as usize);
-                                accumulate_run(
-                                    bcols,
-                                    bvals,
-                                    av,
-                                    gen,
-                                    &mut acc,
-                                    &mut marker,
-                                    &mut touched,
-                                );
-                            }
-                            emit_row(
-                                &acc,
-                                &marker,
-                                gen,
-                                &mut touched,
-                                0,
-                                other.ncols,
-                                &mut indices,
-                                &mut values,
-                            );
                         }
                     }
-                    Some(ts) => {
-                        for t in ts {
-                            gen = next_gen(gen, &mut marker);
-                            for (&ac, &av) in acols.iter().zip(avals) {
-                                let (bcols, bvals) = t.row(ac as usize);
-                                accumulate_run(
-                                    bcols,
-                                    bvals,
-                                    av,
-                                    gen,
-                                    &mut acc,
-                                    &mut marker,
-                                    &mut touched,
-                                );
-                            }
-                            emit_row(
-                                &acc,
-                                &marker,
-                                gen,
-                                &mut touched,
-                                t.start as u32,
-                                t.width,
-                                &mut indices,
-                                &mut values,
-                            );
+                    for (c, &v) in acc.iter().enumerate() {
+                        if v != 0.0 {
+                            indices.push(c as u32);
+                            values.push(v);
                         }
                     }
+                } else {
+                    gen = next_gen(gen, &mut marker);
+                    for (&ac, &av) in acols.iter().zip(avals) {
+                        let (bcols, bvals) = other.row(ac as usize);
+                        accumulate_run(bcols, bvals, av, gen, &mut acc, &mut marker, &mut touched);
+                    }
+                    emit_row(&acc, &marker, gen, &mut touched, &mut indices, &mut values);
                 }
             }
             row_lens.push(indices.len() - before);

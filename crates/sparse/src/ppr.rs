@@ -67,9 +67,9 @@ impl PprConfig {
 /// the iteration multiplies by `Mᵀ` via [`CsrMatrix::spmv_t`], i.e. seeds
 /// diffuse forward along edges).
 pub fn ppr_push(m: &CsrMatrix, seed: &[f32], cfg: &PprConfig) -> Vec<f32> {
-    let mut acc = ws::take_f32(seed.len());
+    let mut acc = vec![0f32; seed.len()];
     ppr_push_into(m, seed, cfg, &mut acc);
-    acc.detach()
+    acc
 }
 
 /// [`ppr_push`] writing into a caller-provided accumulator (length
@@ -198,7 +198,7 @@ pub fn bipartite_influence(a: &CsrMatrix, seed_rows: Option<&[u32]>, cfg: &PprCo
     // coeff = α (1−α)^k, the series weight of the state x_k, built one
     // factor at a time exactly as a term-by-term loop would.
     let mut coeff = cfg.alpha * decay;
-    let mut acc = ws::take_f32_zeroed(m);
+    let mut acc = vec![0f32; m];
     let mut k = 1;
     loop {
         if k == last_src_k {
@@ -233,7 +233,7 @@ pub fn bipartite_influence(a: &CsrMatrix, seed_rows: Option<&[u32]>, cfg: &PprCo
         coeff = coeff * decay * decay;
         k += 2;
     }
-    acc.detach()
+    acc
 }
 
 /// `out[c] += w · t` over one row of folded weights `w = v · dc[c]` —

@@ -1,8 +1,8 @@
 //! Rework-equivalence suite: every optimized kernel pinned bitwise to
 //! its retained naive reference.
 //!
-//! PR 8 reworked the hot kernels (marker-accumulator SpGEMM with exact
-//! prepass + column tiling, canonical 8-lane spmv, register-blocked
+//! The hot kernels were reworked (marker-accumulator SpGEMM with an
+//! exact prepass, canonical 8-lane spmv, register-blocked
 //! spmm_dense, unchecked spmv_t scatter, O(n) top-k selection). Each
 //! kernel keeps a naive reference implementation (`spgemm_serial`,
 //! `spmv_ref`, `spmv_t_ref`, `spmm_dense_ref`, `top_k_per_row_ref`);
@@ -10,8 +10,8 @@
 //! adversarial shapes — empty matrices, interleaved empty rows, a
 //! single dense row, 1-column outputs, every lane-remainder row length
 //! (`len % 8` from 0 to 7), single-entry rows (the SpGEMM fast path),
-//! forced column tiles, and dense rows that trip the marker-scan
-//! emission — at thread overrides 1 and 4.
+//! right-hand sides wider than 64 Ki columns, and dense rows that trip
+//! the marker-scan emission — at thread overrides 1 and 4.
 //!
 //! Values are quarter-integer multiples in ±2 so exact duplicates (and
 //! exact cancellations to ±0.0) occur, exercising the zero-filter and
@@ -23,7 +23,7 @@
 
 use freehgc_parallel as par;
 use freehgc_sparse::ppr::bipartite_influence;
-use freehgc_sparse::{CooMatrix, CsrMatrix, PprConfig};
+use freehgc_sparse::{ppr_push, CooMatrix, CsrMatrix, PprConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -220,21 +220,69 @@ fn spgemm_mixed_dense_and_marker_rows_match_naive() {
 }
 
 #[test]
-fn spgemm_forced_tiles_match_untiled_and_naive() {
-    let a = random_sparse(40, 90, 5, 41);
-    let b = random_sparse(90, 100, 6, 42);
-    let reference = a.spgemm_serial(&b);
-    assert_eq!(a.spgemm(&b), reference, "untiled public path");
-    // Tiny forced tile widths put tile boundaries inside rows, between
-    // rows, and beyond the last column; all must be invisible.
-    for tile in [1usize, 3, 7, 33, 50] {
-        for t in THREAD_COUNTS {
-            assert_eq!(
-                with_threads(t, || a.spgemm_with_tile(&b, tile)),
-                reference,
-                "tiled spgemm diverged at tile={tile}, {t} threads"
-            );
+fn spgemm_over_64ki_columns_matches_naive() {
+    // The full-width accumulator at 70 000 columns. B rows 0..16 are
+    // heavy (2 500 entries), the rest light (6 entries). A picks them so
+    // every per-row regime appears: scaled single-entry copies, marker
+    // rows with sorted emission, marker rows whose touched set covers
+    // ≥ 1/8 of the width (scan emission), and dense-row mode.
+    let width = 70_000usize;
+    let (heavy, light) = (16u32, 48u32);
+    let mut rng = StdRng::seed_from_u64(101);
+    let mut quarter = || (rng.gen_range(-8i32..=8) as f32) * 0.25;
+    let mut b = CooMatrix::new((heavy + light) as usize, width);
+    let mut cols = StdRng::seed_from_u64(102);
+    for r in 0..heavy + light {
+        for _ in 0..if r < heavy { 2_500 } else { 6 } {
+            b.push(r, cols.gen_range(0..width as u32), quarter());
         }
+    }
+    let b = b.to_csr();
+    let rows = 512usize;
+    let mut a = CooMatrix::new(rows, b.nrows());
+    for r in 0..rows {
+        let lights = |n: u32| (0..n).map(move |i| heavy + (r as u32 * 7 + i) % light);
+        let heavies = |n: u32| (0..n).map(move |i| (r as u32 + i) % heavy);
+        let picks: Vec<u32> = match (r % 8, r % 32 < 8) {
+            (0, _) => vec![],
+            (1, _) => heavies(1).collect(),
+            (2, _) => lights(1).collect(),
+            (4, true) => heavies(5).chain(lights(1)).collect(),
+            (5, true) => heavies(16).collect(),
+            (6 | 7, _) => lights(40).collect(),
+            _ => lights(5).collect(),
+        };
+        for c in picks {
+            a.push(r as u32, c, quarter());
+        }
+    }
+    let a = a.to_csr();
+    let reference = a.spgemm_serial(&b);
+    // The shape must reach each multi-entry regime it is built for.
+    let bound = |r: usize| -> usize {
+        a.row_indices(r)
+            .iter()
+            .map(|&c| b.row_nnz(c as usize))
+            .sum()
+    };
+    assert!(
+        (0..rows).any(|r| a.row_nnz(r) > 1 && 2 * bound(r) >= width),
+        "dense-row mode"
+    );
+    assert!(
+        (0..rows).any(|r| 2 * bound(r) < width && reference.row_nnz(r) * 8 >= width),
+        "marker rows with scan emission"
+    );
+    assert!(
+        (0..rows).any(|r| a.row_nnz(r) > 1 && bound(r) * 8 < width),
+        "marker rows with sorted emission"
+    );
+    for t in THREAD_COUNTS {
+        assert_eq!(
+            with_threads(t, || a.spgemm(&b)),
+            reference,
+            "wide spgemm diverged from spgemm_serial at {t} threads"
+        );
     }
 }
 
@@ -357,6 +405,41 @@ fn warm_pool_bipartite_influence_allocates_only_its_result() {
         assert!(
             stats.alloc_bytes <= (a.ncols() * std::mem::size_of::<f32>()) as u64,
             "no pooled buffer may grow: {stats:?}"
+        );
+    })
+    .join()
+    .unwrap();
+}
+
+#[test]
+fn allocating_wrappers_leave_the_pools_largest_buffer_in_the_pool() {
+    std::thread::spawn(|| {
+        let big = 1usize << 20;
+        drop(par::workspace::take_f32(big)); // warm a 1 Mi buffer
+        let a = random_sparse(4, 4, 2, 111);
+        let x = dense_vec(4, 3);
+        let cfg = PprConfig::default();
+        let results = [
+            ("spmv", a.spmv(&x)),
+            ("spmv_t", a.spmv_t(&x)),
+            ("spmm_dense", a.spmm_dense(&dense_vec(8, 5), 2)),
+            ("ppr_push", ppr_push(&a, &x, &cfg)),
+            ("bipartite_influence", bipartite_influence(&a, None, &cfg)),
+        ];
+        for (name, v) in &results {
+            assert!(
+                v.capacity() < big,
+                "{name} kept a {} capacity",
+                v.capacity()
+            );
+        }
+        par::workspace::reset_stats();
+        drop(par::workspace::take_f32(big));
+        let stats = par::workspace::stats();
+        assert_eq!(
+            (stats.pool_hits, stats.fresh_allocs),
+            (1, 0),
+            "the 1 Mi buffer must still be pooled: {stats:?}"
         );
     })
     .join()
@@ -509,9 +592,6 @@ proptest! {
         for t in THREAD_COUNTS {
             prop_assert_eq!(&with_threads(t, || a.spgemm(&b)), &reference);
         }
-        // A forced tile narrower than m engages tiling on any shape.
-        let tile = (m / 2).max(1);
-        prop_assert_eq!(&a.spgemm_with_tile(&b, tile), &reference);
     }
 
     #[test]
