@@ -6,6 +6,13 @@
 //! all heavy propagation work happens in `freehgc-sparse`. Parallel
 //! partitions own disjoint output rows and accumulate in the serial
 //! order, so results are bitwise-identical at any thread count.
+//!
+//! `matmul` runs the plain `ikj` loop of [`Matrix::matmul_ref`] over
+//! each partition (an 8-lane register-blocked loop measured no faster
+//! at the trainer's shapes and slower on class heads), and `matmul_tn`
+//! the matching `i`-outer loop. Only `matmul_nt` has a kernel of its
+//! own: the canonical 8-lane dot product, which its reference computes
+//! in the same order.
 
 use freehgc_parallel as par;
 use rand::rngs::StdRng;
@@ -135,58 +142,27 @@ impl Matrix {
         c
     }
 
-    /// The kernel over a contiguous output-row range of `A·B`.
-    ///
-    /// Column-block-outer: an 8-wide block of the output row is held in
-    /// a register accumulator while `k` streams past, replacing the
-    /// naive `ikj` loop's per-`k` load+store of the whole output row
-    /// with one store per element. For each output element the
-    /// contributions still arrive in increasing-`k` order with the same
-    /// `a[i,k] == 0.0` skip, so the result is bitwise-identical to
-    /// [`Matrix::matmul_ref`].
+    /// The `ikj` kernel over a contiguous output-row range of `A·B`:
+    /// for each `k` with `a[i,k] != 0.0`, add `a[i,k]·B[k,:]` into the
+    /// output row. Each output element receives its contributions in
+    /// increasing-`k` order, exactly as in [`Matrix::matmul_ref`].
     fn matmul_rows(&self, b: &Matrix, rows: Range<usize>, out: &mut [f32]) {
         let n = b.cols;
         for (ri, i) in rows.enumerate() {
-            let arow = self.row(i);
             let crow = &mut out[ri * n..(ri + 1) * n];
-            let mut j = 0usize;
-            while j + 8 <= n {
-                let mut lanes = [0f32; 8];
-                for (k, &aik) in arow.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let base = k * n + j;
-                    for (l, lane) in lanes.iter_mut().enumerate() {
-                        // SAFETY: k < b.rows and j+8 <= n, so
-                        // base+l < b.rows*b.cols == b.data.len().
-                        *lane += aik * unsafe { *b.data.get_unchecked(base + l) };
-                    }
+            for (k, &aik) in self.row(i).iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
                 }
-                crow[j..j + 8].copy_from_slice(&lanes);
-                j += 8;
-            }
-            if j < n {
-                let rem = n - j;
-                let mut lanes = [0f32; 8];
-                for (k, &aik) in arow.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let base = k * n + j;
-                    for (l, lane) in lanes.iter_mut().enumerate().take(rem) {
-                        // SAFETY: l < rem keeps base+l in bounds.
-                        *lane += aik * unsafe { *b.data.get_unchecked(base + l) };
-                    }
+                for (cj, &bkj) in crow.iter_mut().zip(b.row(k)) {
+                    *cj += aik * bkj;
                 }
-                crow[j..].copy_from_slice(&lanes[..rem]);
             }
         }
     }
 
-    /// The retained naive `ikj` matmul — the pre-rework kernel, kept as
-    /// the bitwise oracle and throughput baseline for
-    /// [`Matrix::matmul`].
+    /// The serial `ikj` matmul, kept as the bitwise oracle and
+    /// throughput baseline for [`Matrix::matmul`].
     pub fn matmul_ref(&self, b: &Matrix) -> Matrix {
         assert_eq!(self.cols, b.rows, "matmul inner dimension mismatch");
         let mut c = Matrix::zeros(self.rows, b.cols);
@@ -211,11 +187,9 @@ impl Matrix {
     /// accumulate over `A`'s rows in increasing order — the serial
     /// order — so results are bitwise-identical.
     ///
-    /// Deliberately *not* register-blocked like [`Matrix::matmul`]: its
-    /// `i`-outer loop streams both operands contiguously, while a
-    /// block-outer rewrite would walk `A` down a column (stride
-    /// `cols`), trading the output reload for strided loads over the
-    /// much larger activation matrix — a loss at gradient shapes
+    /// The loop is `i`-outer so both operands stream contiguously; a
+    /// `k`-outer loop would walk `A` down a column (stride `cols`) over
+    /// the much larger activation matrix at gradient shapes
     /// (`rows` = batch ≫ `cols`).
     pub fn matmul_tn(&self, b: &Matrix) -> Matrix {
         assert_eq!(self.rows, b.rows, "matmul_tn outer dimension mismatch");

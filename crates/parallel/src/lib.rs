@@ -87,10 +87,8 @@ pub fn max_threads() -> usize {
 
 /// The machine's real core count ([`std::thread::available_parallelism`],
 /// memoized), independent of `FREEHGC_THREADS` and the runtime override.
-/// Kernels whose parallel path has a fixed partitioning overhead consult
-/// this: a thread *budget* above 1 on a single-core host still means
-/// every "worker" timeshares one core, so the overhead can never be
-/// bought back and the serial path is the right choice.
+/// No kernel consults it; benchmarks and tests use it to pick and
+/// report thread counts relative to the host.
 pub fn machine_parallelism() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))

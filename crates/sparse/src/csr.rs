@@ -7,14 +7,20 @@
 //!
 //! # Kernel architecture
 //!
-//! Every hot kernel here exists in two forms: an **optimized** path
-//! (what `spgemm`/`spmv`/`spmv_t`/`spmm_dense` actually run) and a
-//! **retained naive reference** (`spgemm_serial`, `spmv_ref`,
-//! `spmv_t_ref`, `spmm_dense_ref`) whose output the optimized path must
-//! match *bitwise*. The references double as the pre-rework throughput
-//! baselines of the `bench_report` kernel table's reference column.
+//! Every hot kernel here has a **retained naive reference**
+//! (`spgemm_serial`, `spmv_ref`, `spmv_t_ref`, `spmm_dense_ref`) whose
+//! output the public kernel must match *bitwise* at every thread count.
+//! The references double as the throughput baselines of the
+//! `bench_report` kernel table's reference column.
 //!
-//! The optimized paths get their speed from three mechanisms, each of
+//! `spmv_t` and `spmm_dense` run their references' loops: `spmv_t` is
+//! the bounds-checked serial scatter, and `spmm_dense` streams each
+//! sparse row's scaled source rows into its output row, partitioned by
+//! output rows across threads. A register-blocked `spmm_dense` and an
+//! unchecked, binned-parallel `spmv_t` measured no faster than these
+//! loops at the workloads' shapes and were removed.
+//!
+//! `spgemm` and `spmv` get their speed from two mechanisms, each of
 //! which provably preserves bits:
 //!
 //! * **Dense accumulator + visited marker (SpGEMM).** A generation
@@ -35,21 +41,16 @@
 //!   serial, SIMD-shaped, and every parallel partition agree bitwise.
 //!   The lane order is the single canonical semantics; there is no
 //!   "fast but different" mode.
-//! * **Order-preserving restructuring (everything else).** `spmm_dense`
-//!   and `Matrix::matmul` swap loops so a block of output columns lives
-//!   in registers while streaming the sparse row / the `k` dimension;
-//!   per output element the contributions still arrive in exactly the
-//!   naive order, so no reassociation happens at all. `spmv_t` keeps
-//!   its scatter order and only drops bounds checks. Index arithmetic
-//!   inside the kernels uses `get_unchecked` — sound because
-//!   [`CsrMatrix::from_parts`] validates every column index against
-//!   `ncols` up front.
 //!
-//! Scratch buffers (accumulators, markers, touched lists, wrapper
-//! outputs) come from the per-thread pool in
-//! [`freehgc_parallel::workspace`], so iterative callers stop paying an
-//! allocation per call; pooled buffers are either fully overwritten or
-//! marker-guarded, which keeps pooling invisible to the results.
+//! Index arithmetic inside these two kernels uses `get_unchecked` —
+//! sound because [`CsrMatrix::from_parts`] validates every column index
+//! against `ncols` up front.
+//!
+//! SpGEMM scratch buffers (accumulators, markers, touched lists) come
+//! from the per-thread pool in [`freehgc_parallel::workspace`], so
+//! iterative callers stop paying an allocation per call; pooled buffers
+//! are either fully overwritten or marker-guarded, which keeps pooling
+//! invisible to the results.
 
 use crate::coo::CooMatrix;
 use freehgc_parallel as par;
@@ -70,17 +71,6 @@ const SPARSE_NNZ_GRAIN: usize = 16_384;
 /// Minimum scalar multiply-adds a worker must own before the sparse ×
 /// dense product goes parallel.
 const DENSE_FLOP_GRAIN: usize = 65_536;
-/// Minimum output length before SpMVᵀ goes parallel. Its two-phase
-/// binning streams every entry twice, which only beats the serial
-/// scatter when the output vector is too large to sit in cache (small
-/// outputs make serial scattered adds near-optimal on any core count).
-const SPMVT_MIN_COLS: usize = 32_768;
-/// Minimum stored entries a SpMVᵀ worker must own.
-const SPMVT_NNZ_GRAIN: usize = 16_384;
-/// Minimum worker count before SpMVᵀ goes parallel at all: the
-/// order-preserving redistribution costs a few× the serial scatter per
-/// entry, so fewer workers than this cannot amortize it.
-const SPMVT_MIN_CHUNKS: usize = 4;
 /// Dense-scan emission threshold: when a row's touched set covers at
 /// least `1/SPGEMM_DENSE_EMIT_DIV` of the accumulator width, emitting
 /// by scanning the marker array in column order is cheaper than sorting
@@ -202,11 +192,6 @@ fn emit_row(
     }
     touched.clear();
 }
-
-/// One source row chunk's counting-sorted contributions: bin offsets
-/// per destination column chunk (length `chunks + 1`) plus the flat
-/// `(column, value·x)` buffer they index into.
-type SpmvTBin = (Vec<usize>, Vec<(u32, f32)>);
 
 /// An immutable CSR matrix. Rows are contiguous index/value slices with
 /// strictly increasing column indices.
@@ -688,17 +673,16 @@ impl CsrMatrix {
 
     /// Dense `y = Aᵀ·x` without materializing the transpose, into a
     /// fresh `ncols`-long `Vec` (see [`CsrMatrix::spmv_t_into`] to reuse
-    /// a buffer). [`CsrMatrix::spmv_t_ref`] is the retained naive scatter
-    /// with identical semantics (the scatter order is unchanged by the
-    /// rework, so reference and optimized path are bitwise-equal).
+    /// a buffer). Bitwise-equal to [`CsrMatrix::spmv_t_ref`].
     pub fn spmv_t(&self, x: &[f32]) -> Vec<f32> {
         let mut y = vec![0f32; self.ncols];
         self.spmv_t_into(x, &mut y);
         y
     }
 
-    /// Naive reference (and pre-rework baseline) for
-    /// [`CsrMatrix::spmv_t`]: the plain bounds-checked serial scatter.
+    /// Naive reference (and throughput baseline) for
+    /// [`CsrMatrix::spmv_t`]: the same bounds-checked serial scatter,
+    /// into a fresh output.
     pub fn spmv_t_ref(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.nrows, "vector length mismatch");
         let mut y = vec![0f32; self.ncols];
@@ -717,56 +701,15 @@ impl CsrMatrix {
 
     /// In-place `y = Aᵀ·x`, overwriting `y` (length `ncols`).
     ///
-    /// Parallelized in two order-preserving phases: row-chunk workers
-    /// bin each contribution `A[r,c]·x[r]` by destination column chunk
-    /// (visiting rows, and within a row the sorted columns, in order),
-    /// then column-chunk owners apply their bins in source-chunk order.
-    /// Per output element the additions therefore happen in exactly the
-    /// increasing-row order of the serial scatter loop — bitwise
-    /// identical at any thread count. The parallel path streams every
-    /// entry twice, so it only engages when the output is large enough
-    /// that the serial scatter thrashes cache (`SPMVT_MIN_COLS`),
-    /// there is enough work per chunk (`SPMVT_NNZ_GRAIN`), and at
-    /// least `SPMVT_MIN_CHUNKS` real cores back the chunks. The chunk
-    /// count is capped at the core count: a `FREEHGC_THREADS` budget
-    /// above it only timeshares the redistribution, which can then never
-    /// be bought back.
+    /// Serial at every thread budget: rows in increasing order scatter
+    /// `A[r,c]·x[r]` into `y[c]`, skipping rows with `x[r] == 0.0` —
+    /// the accumulation order of [`CsrMatrix::spmv_t_ref`]. An
+    /// order-preserving parallel scatter has to stream every entry
+    /// twice, so it only pays off on large outputs with four or more
+    /// real cores behind it, which no workload here reaches.
     pub fn spmv_t_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.nrows, "vector length mismatch");
         assert_eq!(y.len(), self.ncols, "output length mismatch");
-        let chunks = if self.ncols >= SPMVT_MIN_COLS {
-            let max_chunks = self.nrows.min(self.ncols).min(par::machine_parallelism());
-            par::chunks_for(self.nnz(), SPMVT_NNZ_GRAIN, max_chunks)
-        } else {
-            1
-        };
-        if chunks < SPMVT_MIN_CHUNKS {
-            self.spmv_t_serial(x, y);
-        } else {
-            self.spmv_t_binned(x, y, chunks);
-        }
-    }
-
-    /// [`CsrMatrix::spmv_t_into`] with the chunk count forced: two or
-    /// more chunks take the two-phase binned path regardless of the
-    /// size and core-count gates, one (or zero) the serial scatter.
-    /// Bitwise-identical either way — this exists so tests and benches
-    /// on single-core hosts (where the gate keeps the public entry
-    /// serial) can still exercise and verify the parallel path.
-    pub fn spmv_t_into_chunked(&self, x: &[f32], y: &mut [f32], chunks: usize) {
-        assert_eq!(x.len(), self.nrows, "vector length mismatch");
-        assert_eq!(y.len(), self.ncols, "output length mismatch");
-        if chunks <= 1 {
-            self.spmv_t_serial(x, y);
-        } else {
-            self.spmv_t_binned(x, y, chunks);
-        }
-    }
-
-    /// Serial scatter (the `FREEHGC_THREADS=1` path). Same accumulation
-    /// order as [`CsrMatrix::spmv_t_ref`] — the rework only removes the
-    /// per-add bounds check on the scattered destination.
-    fn spmv_t_serial(&self, x: &[f32], y: &mut [f32]) {
         y.fill(0.0);
         for r in 0..self.nrows {
             let xr = x[r];
@@ -775,76 +718,9 @@ impl CsrMatrix {
             }
             let (cols, vals) = self.row(r);
             for (&c, &v) in cols.iter().zip(vals) {
-                // SAFETY: c < ncols == y.len(), validated at construction.
-                unsafe { *y.get_unchecked_mut(c as usize) += v * xr };
+                y[c as usize] += v * xr;
             }
         }
-    }
-
-    /// The order-preserving two-phase path (see [`CsrMatrix::spmv_t_into`]).
-    fn spmv_t_binned(&self, x: &[f32], y: &mut [f32], chunks: usize) {
-        y.fill(0.0);
-        let row_ranges = par::chunk_ranges(self.nrows, chunks);
-        let col_ranges = par::chunk_ranges(self.ncols, chunks);
-        // Phase 1: each source row chunk partitions its contributions
-        // `A[r,c]·x[r]` by destination column chunk — a counting sort
-        // over destinations. The counting pass sizes every bin exactly,
-        // so the fill pass writes into one flat right-sized allocation
-        // (no per-push growth, no nested-Vec bookkeeping); within each
-        // bin, entries stay in (row, column) order. Columns are sorted,
-        // so the destination chunk only ever advances within a row.
-        let bins: Vec<SpmvTBin> = par::scoped_map(row_ranges, |_, rr| {
-            let mut counts = vec![0usize; col_ranges.len()];
-            for r in rr.clone() {
-                if x[r] == 0.0 {
-                    continue;
-                }
-                let mut dst = 0usize;
-                for &c in self.row(r).0 {
-                    while c as usize >= col_ranges[dst].end {
-                        dst += 1;
-                    }
-                    counts[dst] += 1;
-                }
-            }
-            let mut offsets = Vec::with_capacity(col_ranges.len() + 1);
-            let mut total = 0usize;
-            offsets.push(0);
-            for &n in &counts {
-                total += n;
-                offsets.push(total);
-            }
-            let mut flat = vec![(0u32, 0f32); total];
-            let mut cursor = offsets[..col_ranges.len()].to_vec();
-            for r in rr {
-                let xr = x[r];
-                if xr == 0.0 {
-                    continue;
-                }
-                let (cols, vals) = self.row(r);
-                let mut dst = 0usize;
-                for (&c, &v) in cols.iter().zip(vals) {
-                    while c as usize >= col_ranges[dst].end {
-                        dst += 1;
-                    }
-                    flat[cursor[dst]] = (c, v * xr);
-                    cursor[dst] += 1;
-                }
-            }
-            (offsets, flat)
-        });
-        // Phase 2: each destination owner applies its bins in source
-        // order, preserving the global increasing-row accumulation.
-        let lens: Vec<usize> = col_ranges.iter().map(|r| r.len()).collect();
-        let yslices = par::split_by_lens(y, lens);
-        let work: Vec<_> = col_ranges.iter().zip(yslices).collect();
-        par::scoped_map(work, |dst, (cr, ys)| {
-            for (offsets, flat) in &bins {
-                for &(c, contrib) in &flat[offsets[dst]..offsets[dst + 1]] {
-                    ys[c as usize - cr.start] += contrib;
-                }
-            }
-        });
     }
 
     /// Dense `Y = A·X` where `X` is row-major `ncols × dim`.
@@ -852,10 +728,8 @@ impl CsrMatrix {
     /// Row-partitioned parallel: each worker owns a disjoint block of
     /// output rows. The result is a fresh `Vec`; hot callers use
     /// [`CsrMatrix::spmm_dense_into`] to reuse their own buffer.
-    /// [`CsrMatrix::spmm_dense_ref`] is the retained naive kernel with
-    /// identical per-element accumulation order (the rework keeps an
-    /// output block in registers instead of re-loading it per sparse
-    /// entry — it never reassociates).
+    /// Every partition runs the loop of [`CsrMatrix::spmm_dense_ref`],
+    /// so the result is bitwise-equal to it at any thread count.
     pub fn spmm_dense(&self, x: &[f32], dim: usize) -> Vec<f32> {
         let mut y = vec![0f32; self.nrows * dim];
         self.spmm_dense_into(x, dim, &mut y);
@@ -863,8 +737,8 @@ impl CsrMatrix {
     }
 
     /// In-place `Y = A·X`, overwriting `y` (length `nrows * dim`; prior
-    /// contents are ignored — every output element is stored exactly
-    /// once).
+    /// contents are ignored — each output row is zeroed right before
+    /// it accumulates).
     pub fn spmm_dense_into(&self, x: &[f32], dim: usize, y: &mut [f32]) {
         assert_eq!(x.len(), self.ncols * dim, "dense operand shape mismatch");
         assert_eq!(y.len(), self.nrows * dim, "dense output shape mismatch");
@@ -879,52 +753,26 @@ impl CsrMatrix {
     }
 
     /// The dense rows of `A·X` for the given row range, written into
-    /// `y` (length `rows.len() * dim`).
-    ///
-    /// The loop is column-block-outer: an 8-wide block of the output
-    /// row lives in a register accumulator while the sparse row streams
-    /// past, so output traffic drops from `nnz(row) × dim` loads+stores
-    /// to one store per element. For a fixed output element the
-    /// contributions still arrive in sparse-row order — exactly the
-    /// naive order of [`CsrMatrix::spmm_dense_ref`] — so the results
-    /// are bitwise-identical.
+    /// `y` (length `rows.len() * dim`): each sparse entry `A[r,c]` adds
+    /// `A[r,c]·X[c,:]` into output row `r`, in sparse-row order — the
+    /// per-element order of [`CsrMatrix::spmm_dense_ref`].
     fn spmm_rows(&self, x: &[f32], dim: usize, rows: Range<usize>, y: &mut [f32]) {
         for (i, r) in rows.enumerate() {
             let (cols, vals) = self.row(r);
             let out = &mut y[i * dim..(i + 1) * dim];
-            let mut j = 0usize;
-            while j + 8 <= dim {
-                let mut lanes = [0f32; 8];
-                for (&c, &v) in cols.iter().zip(vals) {
-                    let base = c as usize * dim + j;
-                    for (l, lane) in lanes.iter_mut().enumerate() {
-                        // SAFETY: c < ncols and j+8 <= dim, so
-                        // base+l < ncols*dim == x.len().
-                        *lane += v * unsafe { *x.get_unchecked(base + l) };
-                    }
+            out.fill(0.0);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let src = &x[c as usize * dim..(c as usize + 1) * dim];
+                for (o, s) in out.iter_mut().zip(src) {
+                    *o += v * s;
                 }
-                out[j..j + 8].copy_from_slice(&lanes);
-                j += 8;
-            }
-            if j < dim {
-                let rem = dim - j;
-                let mut lanes = [0f32; 8];
-                for (&c, &v) in cols.iter().zip(vals) {
-                    let base = c as usize * dim + j;
-                    for (l, lane) in lanes.iter_mut().enumerate().take(rem) {
-                        // SAFETY: l < rem, so base+l < ncols*dim.
-                        *lane += v * unsafe { *x.get_unchecked(base + l) };
-                    }
-                }
-                out[j..].copy_from_slice(&lanes[..rem]);
             }
         }
     }
 
-    /// Naive reference (and pre-rework baseline) for
+    /// Naive reference (and throughput baseline) for
     /// [`CsrMatrix::spmm_dense`]: accumulate each sparse entry's scaled
-    /// source row into the output row, bounds-checked. Identical
-    /// per-element accumulation order to the optimized kernel.
+    /// source row into the output row, serially into a fresh output.
     pub fn spmm_dense_ref(&self, x: &[f32], dim: usize) -> Vec<f32> {
         assert_eq!(x.len(), self.ncols * dim, "dense operand shape mismatch");
         let mut y = vec![0f32; self.nrows * dim];

@@ -1,12 +1,13 @@
-//! Rework-equivalence suite: every optimized kernel pinned bitwise to
-//! its retained naive reference.
+//! Kernel-equivalence suite: every public kernel pinned bitwise to its
+//! retained naive reference.
 //!
-//! The hot kernels were reworked (marker-accumulator SpGEMM with an
-//! exact prepass, canonical 8-lane spmv, register-blocked
-//! spmm_dense, unchecked spmv_t scatter, O(n) top-k selection). Each
-//! kernel keeps a naive reference implementation (`spgemm_serial`,
+//! Three kernels have loops of their own (marker-accumulator SpGEMM
+//! with an exact prepass, canonical 8-lane spmv, O(n) top-k
+//! selection); spmm_dense and spmv_t run their references' loops
+//! behind a row partition and a reusable output buffer. Each kernel
+//! keeps a naive reference implementation (`spgemm_serial`,
 //! `spmv_ref`, `spmv_t_ref`, `spmm_dense_ref`, `top_k_per_row_ref`);
-//! these tests compare optimized vs reference with exact `==` across
+//! these tests compare kernel vs reference with exact `==` across
 //! adversarial shapes — empty matrices, interleaved empty rows, a
 //! single dense row, 1-column outputs, every lane-remainder row length
 //! (`len % 8` from 0 to 7), single-entry rows (the SpGEMM fast path),
@@ -130,9 +131,9 @@ fn spmv_t_matches_reference_on_gallery() {
 
 #[test]
 fn spmv_t_into_at_an_oversubscribed_budget_matches_reference() {
-    // Wide and heavy enough that an uncapped budget would pick the
-    // binned parallel path; the public entry caps chunks at the core
-    // count, and either path must keep the reference's bits.
+    // Wide and heavy, at a thread budget above the core count: the
+    // in-place entry must overwrite the stale buffer and keep the
+    // reference's bits at any budget.
     let a = random_sparse(40_000, 40_000, 2, 91);
     let x = dense_vec(a.nrows(), 5);
     let reference = a.spmv_t_ref(&x);

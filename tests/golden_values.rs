@@ -290,3 +290,39 @@ fn leaf_synthesis_matches_eq_14_16() {
         "Eq. 16 means",
     );
 }
+
+/// The three dense products the HGNN trainer runs — forward `X·W`,
+/// weight gradient `Xᵀ·G` and input gradient `G·Wᵀ` — over every block
+/// of `propagate(tiny(43))` with Xavier weights, pinned by an Fx digest
+/// of their output bits. Each product's reference pins only itself, so
+/// this catches an edit that moves a kernel and its reference together.
+/// Plain multiply-adds on fixed inputs: the digest depends on no libm
+/// routine and no thread count.
+#[test]
+fn dense_products_match_the_golden_digest() {
+    use freehgc::autograd::Matrix;
+    use freehgc::datasets::tiny;
+    use freehgc::hgnn::propagate;
+    use freehgc::sparse::fx::FxHasher;
+    use std::hash::Hasher;
+
+    let pf = propagate(&tiny(43), 2, 16);
+    let mut h = FxHasher::default();
+    let mut hash = |m: &Matrix| {
+        h.write_usize(m.rows);
+        h.write_usize(m.cols);
+        m.data.iter().for_each(|v| h.write_u32(v.to_bits()));
+    };
+    for (seed, x) in pf.blocks.iter().enumerate() {
+        let w = Matrix::xavier(x.cols, 64, seed as u64);
+        let fwd = x.matmul(&w);
+        hash(&fwd);
+        hash(&x.matmul_tn(&fwd));
+        hash(&fwd.matmul_nt(&w));
+    }
+    assert_eq!(
+        (pf.blocks.len(), h.finish()),
+        (12, 7_200_867_162_042_934_916),
+        "matmul, matmul_tn or matmul_nt moved a bit"
+    );
+}
