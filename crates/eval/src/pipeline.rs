@@ -91,11 +91,6 @@ pub struct ChaosKnobs {
     /// resolvers demonstrably coalesce instead of racing past a
     /// finished flight.
     pub build_delay: bool,
-    /// Reject roughly one in this many admissions across *all four*
-    /// accountant families (composed, influence, diversity,
-    /// propagated), as a stand-in for a whole-accountant
-    /// memory-pressure spike.
-    pub accountant_pressure_one_in: Option<u64>,
     /// Panic the next N serving-worker request executions (between
     /// dequeue and the condensation). Each fires as a typed
     /// `WorkerPanic` error reply to exactly one client; the pool and
@@ -132,9 +127,6 @@ impl ChaosKnobs {
         }
         if self.build_delay {
             fp::arm_seeded(fp::REGISTRY_BUILD_DELAY, self.seed, 1);
-        }
-        if let Some(one_in) = self.accountant_pressure_one_in {
-            fp::arm_seeded(fp::ACCOUNTANT_PRESSURE, self.seed.wrapping_add(2), one_in);
         }
         if self.serve_worker_panics > 0 {
             fp::arm(fp::SERVE_WORKER_PANIC, self.serve_worker_panics);

@@ -38,15 +38,6 @@ pub struct CondenseSpec {
     /// disables capping). Applied by the [`CondenseContext`] built for
     /// this spec, so every layer of one run shares the same cap.
     pub max_row_nnz: Option<usize>,
-    /// Unified byte budget for the context's cache accountant — one
-    /// ceiling over all four budget-governed families: composed
-    /// adjacencies, influence vectors, diversity bonuses, and
-    /// propagated-feature blocks (`None` = unbounded, the default).
-    /// When set, the [`CondenseContext`] built for this spec evicts the
-    /// entries cheapest to recompute per byte first (propagated blocks
-    /// in practice) to stay within the ceiling; outputs never change —
-    /// eviction only forces pure recomputes.
-    pub context_cache_bytes: Option<usize>,
     /// RNG seed for stochastic components (tie-breaking, sampling).
     pub seed: u64,
 }
@@ -59,7 +50,6 @@ impl CondenseSpec {
             max_hops: 2,
             max_paths: DEFAULT_MAX_PATHS,
             max_row_nnz: Some(DEFAULT_MAX_ROW_NNZ),
-            context_cache_bytes: None,
             seed: 0,
         }
     }
@@ -77,18 +67,6 @@ impl CondenseSpec {
     pub fn with_max_row_nnz(mut self, k: Option<usize>) -> Self {
         self.max_row_nnz = k;
         self
-    }
-
-    /// Sets the unified context-cache byte budget (see
-    /// [`CondenseSpec::context_cache_bytes`]).
-    pub fn with_cache_budget(mut self, bytes: Option<usize>) -> Self {
-        self.context_cache_bytes = bytes;
-        self
-    }
-
-    /// The unified cache budget (`context_cache_bytes`).
-    pub fn cache_budget(&self) -> Option<usize> {
-        self.context_cache_bytes
     }
 
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -234,7 +212,7 @@ pub trait Condenser {
     }
 
     /// Condenses `graph` through `registry`: the context is looked up by
-    /// the graph's fingerprint (and the spec's cache-shaping knobs), so
+    /// the graph's fingerprint (and the spec's fill-in cap), so
     /// concurrent requests on the same dataset — across condensers,
     /// ratios and seeds — share one warm precompute. Same transparency
     /// contract as [`Condenser::condense_in`]: bitwise-identical to a
@@ -448,13 +426,9 @@ mod tests {
         let spec = CondenseSpec::new(0.5);
         assert_eq!(spec.max_paths, DEFAULT_MAX_PATHS);
         assert_eq!(spec.max_row_nnz, Some(DEFAULT_MAX_ROW_NNZ));
-        assert_eq!(spec.context_cache_bytes, None);
-        assert_eq!(spec.cache_budget(), None);
         let spec = spec.with_max_paths(7).with_max_row_nnz(None);
         assert_eq!(spec.max_paths, 7);
         assert_eq!(spec.max_row_nnz, None);
-        let spec = spec.with_cache_budget(Some(1 << 21));
-        assert_eq!(spec.cache_budget(), Some(1 << 21));
     }
 
     #[test]

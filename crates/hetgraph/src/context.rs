@@ -17,7 +17,7 @@
 //! * the enumerated meta-path sets, keyed by `(root, max_hops, max_paths)`;
 //! * the meta-path engine's single-step *factor* and composed *prefix*
 //!   caches (the Eq. 1 products), keyed by the step sequence — the
-//!   composed products live in the byte-budgeted accountant (see below);
+//!   composed products are charged to the byte ledger (see below);
 //! * oriented per-relation adjacencies (`from → to`, transposing stored
 //!   reverse relations), used by the leaf synthesis — including the
 //!   *negative* answer when the schema has no relation between two types;
@@ -39,31 +39,19 @@
 //! counters ([`CondenseContext::stats`]) make reuse observable; the
 //! registry and context equivalence suites assert on them.
 //!
-//! # The cache accountant (one byte ceiling across four families)
+//! # The byte ledger
 //!
-//! Large schemas at high hop counts accumulate many composed
-//! adjacencies, influence vectors, diversity bonuses and — dominating
-//! everything — dense propagated-feature blocks; a serving process
-//! cannot keep them all. All four families live in one cost-aware
-//! `CacheAccountant` under a single byte budget
-//! ([`CondenseContext::with_cache_budget`], surfaced as
-//! `CondenseSpec::context_cache_bytes`). When inserting would exceed the
-//! budget, the accountant evicts the entries that are *cheapest to
-//! recompute per resident byte* first: each entry carries a
-//! deterministic recompute-cost estimate in one shared currency —
-//! scalar flops (the SpGEMM multiply-add count for composed products,
-//! iteration-proportional estimates for the vector families, the
-//! owning layer's reported flops for propagated blocks) — and the
-//! victim is the minimum cost/byte density, ties broken toward the
-//! least recently used, then by key order. Propagated blocks have the
-//! lowest density (dense `f32` payloads, one SpMM to rebuild), so they
-//! evict first in practice; expensive deep compositions stay resident.
-//! Single-step paths never occupy budget at all — they are served by
-//! the unbounded factor cache, whose buffers would stay pinned
-//! regardless. An entry larger than the whole budget is never
-//! admitted, so the accountant's resident bytes *never* exceed the
-//! budget. Eviction only ever forces a recompute of a pure function, so
-//! a budgeted context remains bitwise-identical to an unbounded one.
+//! Composed adjacencies, influence vectors, diversity bonuses and —
+//! dominating everything — dense propagated-feature blocks share one
+//! map that records each entry's resident bytes, in total
+//! ([`CondenseContext::cache_bytes`]) and per family
+//! ([`FamilyCounters::bytes`]). The ledger bounds nothing itself: the
+//! one memory bound is whole-context eviction in the registry
+//! ([`ContextRegistry::evict_idle`](crate::registry::ContextRegistry::evict_idle)),
+//! which reads these totals. Single-step paths are never charged —
+//! they are served by the factor cache, whose buffers the meta-path
+//! engine pins regardless — and neither are the schema-sized path and
+//! oriented-adjacency caches.
 //!
 //! The context borrows its graph by default ([`CondenseContext::new`]);
 //! [`CondenseContext::shared`] instead takes `Arc<HeteroGraph>` ownership
@@ -84,7 +72,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// The seven cache families of a context, in install order. The
 /// discriminant indexes every per-family array — [`CacheCounters`],
-/// [`SeedReport`] and the accountant's ledgers — and the variants of
+/// [`SeedReport`] and the byte ledger — and the variants of
 /// the crate's one cache key follow the same order, so entries sorted
 /// by key are sorted by family first. Adding a family means one variant
 /// here plus its match arms (keep `Propagated` last, or move the
@@ -128,10 +116,10 @@ impl Counter {
     }
 }
 
-/// One cache family's counters. Only the four budget-governed families
-/// (composed, influence, diversity, propagated) ever hold bytes,
-/// evictions or rejections; paths, factors and oriented adjacencies
-/// count hits and misses alone.
+/// One cache family's counters. Only the four byte-counted families
+/// (composed, influence, diversity, propagated) ever hold bytes;
+/// paths, factors and oriented adjacencies count hits and misses
+/// alone.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FamilyCounters {
     pub hits: u64,
@@ -141,34 +129,20 @@ pub struct FamilyCounters {
     /// [`CondenseContext::propagated`] or a snapshot codec's
     /// `resident_bytes`).
     pub bytes: u64,
-    /// High-water mark of resident bytes since the budget was last
-    /// applied (≤ budget when one is set; budgeting a warm context
-    /// restarts the mark at its post-eviction resident size).
-    pub peak_bytes: u64,
-    /// Entries evicted to stay within the byte budget (under pressure
-    /// propagated blocks go first — lowest recompute cost per byte).
-    pub evictions: u64,
-    /// Entries never admitted (larger than the whole budget, or
-    /// rejected by an injected pressure spike).
-    pub rejected: u64,
 }
 
 /// A point-in-time snapshot of every cache family's counters, plus the
-/// accountant's unified byte ledger. Index it by family:
-/// `stats[CacheFamily::Composed].evictions`.
+/// total of the byte ledger. Index it by family:
+/// `stats[CacheFamily::Composed].hits`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Per-family counters, in [`CacheFamily`] order.
     pub families: [FamilyCounters; NUM_FAMILIES],
-    /// Resident bytes across all four accountant families right now —
-    /// the unified ledger the byte budget bounds. Always equals
-    /// [`CacheCounters::resident_bytes_total`] (a debug assertion in
-    /// [`CondenseContext::stats`] cross-checks the two on every call).
+    /// Resident bytes across all four byte-counted families right now.
+    /// Always equals [`CacheCounters::resident_bytes_total`] (a debug
+    /// assertion in [`CondenseContext::stats`] cross-checks the two on
+    /// every call).
     pub cache_bytes: u64,
-    /// High-water mark of the unified resident bytes since the budget
-    /// was last applied (≤ budget when one is set; re-budgeting a warm
-    /// context restarts the mark, for `Some` and `None` alike).
-    pub cache_peak_bytes: u64,
 }
 
 impl Index<CacheFamily> for CacheCounters {
@@ -407,10 +381,8 @@ impl GraphHandle<'_> {
 }
 
 /// One key across every cache family; the variant order matches
-/// [`CacheFamily`]. Derives `Ord` so dumps sort family-first and the
-/// eviction tiebreak has a total order that never depends on hash-map
-/// iteration order (among the accountant's families: composed <
-/// influence < diversity < propagated).
+/// [`CacheFamily`]. Derives `Ord` so dumps sort family-first, in an
+/// order that never depends on hash-map iteration order.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) enum CacheKey {
     Paths(PathKey),
@@ -477,191 +449,62 @@ impl CacheValue {
 pub(crate) struct CacheEntry {
     pub(crate) key: CacheKey,
     pub(crate) value: CacheValue,
-    /// Resident bytes charged to the budget (0 for the three unbudgeted
-    /// families).
+    /// Resident bytes charged to the byte ledger (0 for the three
+    /// memo-map families).
     pub(crate) bytes: usize,
-    /// Recompute-cost estimate in the accountant's flop currency (0 for
-    /// the three unbudgeted families).
-    pub(crate) cost: u64,
 }
 
-/// Resident bytes and deterministic recompute-cost estimate of a
-/// `len`-element vector of `family` (influence or diversity), in the
-/// accountant's shared flop currency. Aggregating Eq. 10–13 influence
-/// scores runs a truncated PPR series over every family path, a few
-/// dozen passes over the output length; the Eq. 5–7 diversity Jaccard
-/// pass over the sibling paths' composed rows is cheaper per element
-/// than influence, dearer than a propagated SpMM.
-pub(crate) fn vector_charge(family: CacheFamily, len: usize) -> (usize, u64) {
-    let per_element = if family == CacheFamily::Influence {
-        64
-    } else {
-        16
-    };
-    (
-        len * std::mem::size_of::<f64>(),
-        (len as u64).saturating_mul(per_element).max(1),
-    )
+/// Resident bytes of a `len`-element influence or diversity vector.
+pub(crate) fn vector_bytes(len: usize) -> usize {
+    len * std::mem::size_of::<f64>()
 }
 
-/// One resident cache entry plus the bookkeeping eviction needs.
-struct AccountedEntry {
+/// One resident cache entry plus its resident bytes.
+struct LedgerEntry {
     value: CacheValue,
     bytes: usize,
-    /// Deterministic recompute-cost estimate in scalar flops (SpGEMM
-    /// multiply-adds for composed products; see [`vector_charge`] for
-    /// the vector families). Entries with the cheapest cost *per byte*
-    /// evict first.
-    cost: u64,
-    /// Logical insert/touch time; breaks density ties toward the least
-    /// recently used entry.
-    touch: u64,
 }
 
-/// The unified memory accountant: one map over all four budget-governed
-/// cache families (composed, influence, diversity, propagated), one
-/// byte ceiling, one eviction policy. Lives behind the context's mutex.
-/// The per-family ledgers (`family_bytes`, `family_peak`, `evictions`,
-/// `rejected`) are indexed by [`CacheFamily`] and always sum to the
-/// unified ones — [`CondenseContext::stats`] debug-asserts it.
+/// The byte ledger: one map over the four byte-counted cache families
+/// (composed, influence, diversity, propagated) with their resident
+/// bytes, in total and per [`CacheFamily`]. Lives behind the context's
+/// mutex; the per-family ledger always sums to the total —
+/// [`CondenseContext::stats`] debug-asserts it.
 #[derive(Default)]
-struct CacheAccountant {
-    map: FxHashMap<CacheKey, AccountedEntry>,
-    budget: Option<usize>,
+struct ByteLedger {
+    map: FxHashMap<CacheKey, LedgerEntry>,
     bytes: usize,
-    peak_bytes: usize,
-    clock: u64,
     family_bytes: [usize; NUM_FAMILIES],
-    family_peak: [usize; NUM_FAMILIES],
-    evictions: [u64; NUM_FAMILIES],
-    rejected: [u64; NUM_FAMILIES],
 }
 
-impl CacheAccountant {
-    fn get(&mut self, key: &CacheKey) -> Option<CacheValue> {
-        self.clock += 1;
-        let now = self.clock;
-        self.map.get_mut(key).map(|e| {
-            e.touch = now;
-            e.value.clone()
-        })
+impl ByteLedger {
+    fn get(&self, key: &CacheKey) -> Option<CacheValue> {
+        self.map.get(key).map(|e| e.value.clone())
     }
 
-    /// Admits `value` under the budget, evicting cheapest-per-byte
-    /// first until it fits. Returns the resident value (the
+    /// Charges `value` to the ledger. Returns the resident value (the
     /// already-cached one if a concurrent compute of the same key
     /// landed first — identical bits either way, so whichever wins is
     /// correct).
-    fn insert(&mut self, key: CacheKey, value: CacheValue, bytes: usize, cost: u64) -> CacheValue {
+    fn insert(&mut self, key: CacheKey, value: CacheValue, bytes: usize) -> CacheValue {
         if let Some(e) = self.map.get(&key) {
             return e.value.clone();
         }
-        let fam = key.family() as usize;
-        // Injected budget-pressure spikes (`accountant.pressure`, every
-        // family): behave exactly like an entry that exceeds the whole
-        // budget — a counted rejection, the caller keeps its freshly
-        // computed (bit-identical) value, and resident bytes never move.
-        if crate::failpoints::should_fire(crate::failpoints::ACCOUNTANT_PRESSURE) {
-            self.rejected[fam] += 1;
-            return value;
-        }
-        if let Some(budget) = self.budget {
-            if bytes > budget {
-                // Never admitted: resident bytes must not exceed the
-                // budget even transiently. The caller still gets its
-                // freshly computed value.
-                self.rejected[fam] += 1;
-                return value;
-            }
-            while self.bytes + bytes > budget && self.evict_one() {}
-        }
-        self.clock += 1;
         self.bytes += bytes;
-        self.peak_bytes = self.peak_bytes.max(self.bytes);
-        self.family_bytes[fam] += bytes;
-        self.family_peak[fam] = self.family_peak[fam].max(self.family_bytes[fam]);
+        self.family_bytes[key.family() as usize] += bytes;
         self.map.insert(
             key,
-            AccountedEntry {
+            LedgerEntry {
                 value: value.clone(),
                 bytes,
-                cost,
-                touch: self.clock,
             },
         );
         value
     }
 
-    /// Evicts the entry that is cheapest to recompute per resident byte
-    /// (ties broken toward the least recently touched, then by key
-    /// order). Returns false when the accountant is empty.
-    ///
-    /// The victim choice must be a pure function of the cache
-    /// *contents*, never of hash-map iteration order: eviction decides
-    /// which entries get recomputed, and while recomputes are
-    /// bitwise-transparent, the equivalence suites pin eviction
-    /// *counters* too — a map-order-dependent victim would make those
-    /// nondeterministic. Density is compared exactly by
-    /// `u128` cross-multiplication (no float rounding); zero-byte
-    /// entries are clamped to one byte so they still order by cost. The
-    /// `(density, touch)` pair is unique under normal operation (the
-    /// logical clock ticks per touch), so the key-order tiebreak only
-    /// matters for states reconstructed wholesale (e.g. a snapshot
-    /// load, where every installed entry shares one batch) — exactly
-    /// where determinism must still hold.
-    fn evict_one(&mut self) -> bool {
-        let victim = self
-            .map
-            .iter()
-            .min_by(|(ka, ea), (kb, eb)| {
-                let da = ea.cost as u128 * eb.bytes.max(1) as u128;
-                let db = eb.cost as u128 * ea.bytes.max(1) as u128;
-                da.cmp(&db)
-                    .then_with(|| ea.touch.cmp(&eb.touch))
-                    .then_with(|| ka.cmp(kb))
-            })
-            .map(|(k, _)| k.clone());
-        match victim {
-            Some(k) => {
-                let e = self.map.remove(&k).expect("victim key just observed");
-                self.bytes -= e.bytes;
-                self.family_bytes[k.family() as usize] -= e.bytes;
-                self.evictions[k.family() as usize] += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Applies a new budget: evicts until resident bytes fit, then
-    /// restarts the unified and per-family high-water marks at the
-    /// resident sizes — for `Some` and `None` alike — so `bytes ≤ peak`
-    /// and `peak ≤ budget` hold from this point on.
-    fn set_budget(&mut self, bytes: Option<usize>) {
-        self.budget = bytes;
-        if let Some(b) = bytes {
-            while self.bytes > b && self.evict_one() {}
-        }
-        self.peak_bytes = self.bytes;
-        self.family_peak = self.family_bytes;
-    }
-
     fn family_len(&self, fam: CacheFamily) -> usize {
         self.map.keys().filter(|k| k.family() == fam).count()
     }
-}
-
-/// Deterministic SpGEMM work estimate for `prefix · last`: the number of
-/// scalar multiply-adds, `Σ_{(i,k) ∈ prefix} nnz(last_k)`. This is the
-/// actual recompute cost of a composed entry (given resident inputs), so
-/// ordering evictions by it keeps the expensive deep products resident.
-fn spgemm_cost(prefix: &CsrMatrix, last: &CsrMatrix) -> u64 {
-    prefix
-        .indices()
-        .iter()
-        .map(|&k| last.row_nnz(k as usize) as u64)
-        .sum::<u64>()
-        .max(1)
 }
 
 /// Whether any row of `m` holds more than `k` entries — the per-row
@@ -679,12 +522,12 @@ pub struct CondenseContext<'g> {
     paths: Mutex<FxHashMap<PathKey, Arc<Vec<MetaPath>>>>,
     factors: Mutex<FxHashMap<MetaPathStep, Arc<CsrMatrix>>>,
     oriented: Mutex<OrientedMap>,
-    /// The four budget-governed families — composed, influence,
-    /// diversity, propagated — live together here under one byte
-    /// ceiling; paths/factors/oriented stay in their own unbounded
-    /// maps (schema-sized, and the factor buffers are pinned by the
-    /// engine regardless).
-    accountant: Mutex<CacheAccountant>,
+    /// The four byte-counted families — composed, influence,
+    /// diversity, propagated — live together here in the byte ledger;
+    /// paths/factors/oriented stay in their own memo maps
+    /// (schema-sized, and the factor buffers are pinned by the engine
+    /// regardless).
+    ledger: Mutex<ByteLedger>,
     /// Hit/miss counters, indexed by [`CacheFamily`].
     counters: [Counter; NUM_FAMILIES],
 }
@@ -697,7 +540,7 @@ impl<'g> CondenseContext<'g> {
             paths: Mutex::default(),
             factors: Mutex::default(),
             oriented: Mutex::default(),
-            accountant: Mutex::default(),
+            ledger: Mutex::default(),
             counters: Default::default(),
         }
     }
@@ -709,13 +552,11 @@ impl<'g> CondenseContext<'g> {
         Self::with_handle(GraphHandle::Borrowed(graph))
     }
 
-    /// A context whose fill-in cap and unified cache budget come from
-    /// the spec — the knobs both condensation and propagation obey
-    /// (there is deliberately no per-call cap anywhere downstream).
+    /// A context whose fill-in cap comes from the spec — the knob both
+    /// condensation and propagation obey (there is deliberately no
+    /// per-call cap anywhere downstream).
     pub fn for_spec(graph: &'g HeteroGraph, spec: &CondenseSpec) -> Self {
-        Self::new(graph)
-            .with_max_row_nnz(spec.max_row_nnz)
-            .with_cache_budget(spec.cache_budget())
+        Self::new(graph).with_max_row_nnz(spec.max_row_nnz)
     }
 
     /// Overrides the per-row fill-in cap of composed adjacencies.
@@ -724,34 +565,15 @@ impl<'g> CondenseContext<'g> {
     /// composed matrices, so flipping it on a warm context would mix
     /// incompatible entries.
     pub fn with_max_row_nnz(mut self, k: Option<usize>) -> Self {
-        let acct = self
-            .accountant
+        let ledger = self
+            .ledger
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
         assert!(
-            acct.family_len(CacheFamily::Composed) == 0,
+            ledger.family_len(CacheFamily::Composed) == 0,
             "cannot change max_row_nnz on a context with cached compositions"
         );
         self.max_row_nnz = k;
-        self
-    }
-
-    /// Sets the unified byte budget over all four accountant families
-    /// (`None` = unbounded, the default). Unlike the fill-in cap this
-    /// never changes any output — eviction only forces pure recomputes —
-    /// so it may be set on a warm context; resident entries are evicted
-    /// immediately to fit, and the `cache_peak_bytes` high-water mark
-    /// (with its per-family breakdown) restarts at the resident size —
-    /// for `Some` and `None` alike — so the pair stays mutually
-    /// consistent (`bytes ≤ peak`, and `peak ≤ budget` when one is set)
-    /// from this point on: pre-budget history would trivially exceed any
-    /// new budget, and a stale mark after *removing* a budget would
-    /// misreport the unbudgeted era.
-    pub fn with_cache_budget(mut self, bytes: Option<usize>) -> Self {
-        self.accountant
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .set_budget(bytes);
         self
     }
 }
@@ -786,20 +608,12 @@ impl CondenseContext<'_> {
         self.max_row_nnz
     }
 
-    /// The unified accountant byte budget (`None` = unbounded).
-    pub fn cache_budget(&self) -> Option<usize> {
-        relock(&self.accountant).budget
-    }
-
-    /// Resident bytes across all four accountant families right now —
-    /// the quantity the budget bounds.
+    /// Resident bytes across all four byte-counted families right now
+    /// — the quantity [`ContextRegistry::resident_bytes`] sums.
+    ///
+    /// [`ContextRegistry::resident_bytes`]: crate::registry::ContextRegistry::resident_bytes
     pub fn cache_bytes(&self) -> usize {
-        relock(&self.accountant).bytes
-    }
-
-    /// Resident bytes of the composed family alone right now.
-    pub fn composed_bytes(&self) -> usize {
-        relock(&self.accountant).family_bytes[CacheFamily::Composed as usize]
+        relock(&self.ledger).bytes
     }
 
     /// Asserts that condensing `spec` through this context cannot
@@ -808,8 +622,6 @@ impl CondenseContext<'_> {
     /// composed matrices and a silent mismatch would break the
     /// bitwise-transparency contract of `Condenser::condense_in`.
     /// Context-aware condensers call this before touching the caches.
-    /// (The cache budget is deliberately *not* checked: it affects
-    /// memory, never outputs.)
     pub fn check_spec(&self, spec: &CondenseSpec) {
         assert_eq!(
             spec.max_row_nnz, self.max_row_nnz,
@@ -820,46 +632,41 @@ impl CondenseContext<'_> {
     }
 
     /// A point-in-time snapshot of all cache counters, read under one
-    /// accountant lock so the per-family byte fields, the unified
-    /// ledger, and the eviction/rejection counters are mutually
-    /// consistent. In debug builds the call cross-checks the three
-    /// views of resident bytes against each other — the map's entry
-    /// sum, the accountant's running total, and the per-family
-    /// breakdown the counters expose — so any bookkeeping drift fails
-    /// loudly in tests rather than silently mis-budgeting.
+    /// ledger lock so the per-family byte fields and the total are
+    /// mutually consistent. In debug builds the call cross-checks the
+    /// three views of resident bytes against each other — the map's
+    /// entry sum, the running total, and the per-family breakdown the
+    /// counters expose — so any bookkeeping drift fails loudly in
+    /// tests rather than silently misreporting.
     pub fn stats(&self) -> CacheCounters {
-        let acct = relock(&self.accountant);
+        let ledger = relock(&self.ledger);
         debug_assert_eq!(
-            acct.map.values().map(|e| e.bytes).sum::<usize>(),
-            acct.bytes,
-            "accountant entry bytes must sum to the running total"
+            ledger.map.values().map(|e| e.bytes).sum::<usize>(),
+            ledger.bytes,
+            "ledger entry bytes must sum to the running total"
         );
         let counters = CacheCounters {
             families: std::array::from_fn(|f| FamilyCounters {
                 hits: self.counters[f].hits.load(Ordering::Relaxed),
                 misses: self.counters[f].misses.load(Ordering::Relaxed),
-                bytes: acct.family_bytes[f] as u64,
-                peak_bytes: acct.family_peak[f] as u64,
-                evictions: acct.evictions[f],
-                rejected: acct.rejected[f],
+                bytes: ledger.family_bytes[f] as u64,
             }),
-            cache_bytes: acct.bytes as u64,
-            cache_peak_bytes: acct.peak_bytes as u64,
+            cache_bytes: ledger.bytes as u64,
         };
         debug_assert_eq!(
             counters.resident_bytes_total(),
             counters.cache_bytes,
-            "per-family bytes must sum to the unified ledger"
+            "per-family bytes must sum to the ledger total"
         );
         counters
     }
 
     /// Number of cached composed adjacencies (for tests/benches).
     pub fn composed_len(&self) -> usize {
-        relock(&self.accountant).family_len(CacheFamily::Composed)
+        relock(&self.ledger).family_len(CacheFamily::Composed)
     }
 
-    /// Lookup-or-compute over one of the three unbudgeted maps, counted
+    /// Lookup-or-compute over one of the three memo maps, counted
     /// against `family`. `compute` runs outside the lock; concurrent
     /// computes of one key produce identical bits, so whichever insert
     /// lands first is kept.
@@ -880,9 +687,9 @@ impl CondenseContext<'_> {
         relock(map).entry(key).or_insert(v).clone()
     }
 
-    /// Lookup-or-compute through the accountant, for the four
-    /// budget-governed families. `compute` returns the value with its
-    /// resident bytes and recompute cost, and runs outside the lock
+    /// Lookup-or-compute through the byte ledger, for the four
+    /// byte-counted families. `compute` returns the value with its
+    /// resident bytes, and runs outside the lock
     /// (compositions recurse into their prefixes and run SpGEMMs that
     /// must not serialize other cache users); concurrent computes of
     /// one key produce identical bits, so the insert is safe whichever
@@ -890,16 +697,16 @@ impl CondenseContext<'_> {
     fn accounted(
         &self,
         key: CacheKey,
-        compute: impl FnOnce() -> (CacheValue, usize, u64),
+        compute: impl FnOnce() -> (CacheValue, usize),
     ) -> CacheValue {
         let counter = &self.counters[key.family() as usize];
-        if let Some(v) = relock(&self.accountant).get(&key) {
+        if let Some(v) = relock(&self.ledger).get(&key) {
             counter.hit();
             return v;
         }
         counter.miss();
-        let (value, bytes, cost) = compute();
-        relock(&self.accountant).insert(key, value, bytes, cost)
+        let (value, bytes) = compute();
+        relock(&self.ledger).insert(key, value, bytes)
     }
 
     /// Cached [`enumerate_metapaths`]: every proper meta-path rooted at
@@ -963,18 +770,15 @@ impl CondenseContext<'_> {
 
     fn compose(&self, steps: &[MetaPathStep]) -> Arc<CsrMatrix> {
         // Single-step "compositions" ARE factors: they are served by
-        // (and counted against) the unbounded factor cache alone.
-        // Inserting them into the byte-budgeted composed cache would
-        // charge budget for buffers the factor cache pins anyway, and
-        // their admission could evict a real SpGEMM product without
-        // freeing a byte of process memory.
+        // (and counted against) the factor cache alone. Inserting them
+        // into the composed cache would charge the byte ledger for
+        // buffers the factor cache pins anyway.
         if steps.len() == 1 {
             return self.factor(steps[0]);
         }
         self.accounted(CacheKey::Composed(steps.to_vec()), || {
             let prefix = self.compose(&steps[..steps.len() - 1]);
             let last = self.factor(steps[steps.len() - 1]);
-            let cost = spgemm_cost(&prefix, &last);
             let mut prod = prefix.spgemm(&last);
             if let Some(k) = self.max_row_nnz {
                 // The cap is a *per-row* contract: apply it whenever any
@@ -986,7 +790,7 @@ impl CondenseContext<'_> {
                 }
             }
             let bytes = prod.storage_bytes();
-            (CacheValue::Matrix(Arc::new(prod)), bytes, cost)
+            (CacheValue::Matrix(Arc::new(prod)), bytes)
         })
         .into_matrix()
     }
@@ -1027,11 +831,10 @@ impl CondenseContext<'_> {
     }
 
     fn vector(&self, key: CacheKey, compute: impl FnOnce() -> Vec<f64>) -> Arc<Vec<f64>> {
-        let family = key.family();
         self.accounted(key, || {
             let v = compute();
-            let (bytes, cost) = vector_charge(family, v.len());
-            (CacheValue::Vector(Arc::new(v)), bytes, cost)
+            let bytes = vector_bytes(v.len());
+            (CacheValue::Vector(Arc::new(v)), bytes)
         })
         .into_vector()
     }
@@ -1041,23 +844,20 @@ impl CondenseContext<'_> {
     /// higher layers can cache their own block types here; `T` must be
     /// the same type for every use of a given context (guaranteed in
     /// practice — one layer owns this cache). The caller also reports
-    /// the value's resident heap bytes (surfaced through the propagated
-    /// family's [`FamilyCounters::bytes`] and charged against the
-    /// budget) and its recompute-cost estimate in the accountant's
-    /// shared flop currency, so cross-family eviction can weigh a
-    /// propagated block against a composed product. All three closures
-    /// run once, only on the miss that actually computes the value.
+    /// the value's resident heap bytes, charged to the byte ledger and
+    /// surfaced through the propagated family's
+    /// [`FamilyCounters::bytes`]. Both closures run once, only on the
+    /// miss that actually computes the value.
     pub fn propagated<T: Any + Send + Sync>(
         &self,
         key: (usize, usize),
         compute: impl FnOnce() -> T,
         bytes_of: impl FnOnce(&T) -> usize,
-        cost_of: impl FnOnce(&T) -> u64,
     ) -> Arc<T> {
         self.accounted(CacheKey::Propagated(key), || {
             let v = compute();
-            let (bytes, cost) = (bytes_of(&v), cost_of(&v));
-            (CacheValue::Propagated(Arc::new(v)), bytes, cost)
+            let bytes = bytes_of(&v);
+            (CacheValue::Propagated(Arc::new(v)), bytes)
         })
         .into_propagated()
         .downcast::<T>()
@@ -1067,16 +867,13 @@ impl CondenseContext<'_> {
     // ---- delta seeding and snapshots ----------------------------------
 
     /// Every cached entry, sorted by family and then key, so snapshot
-    /// bytes are deterministic for identical cache contents and
-    /// [`CondenseContext::install`] replays budget admissions in one
-    /// fixed order.
+    /// bytes are deterministic for identical cache contents.
     pub(crate) fn entries(&self) -> Vec<CacheEntry> {
         fn plain(key: CacheKey, value: CacheValue) -> CacheEntry {
             CacheEntry {
                 key,
                 value,
                 bytes: 0,
-                cost: 0,
             }
         }
         let mut out: Vec<CacheEntry> = relock(&self.paths)
@@ -1093,17 +890,11 @@ impl CondenseContext<'_> {
                 .iter()
                 .map(|(k, a)| plain(CacheKey::Oriented(*k), CacheValue::Oriented(a.clone()))),
         );
-        out.extend(
-            relock(&self.accountant)
-                .map
-                .iter()
-                .map(|(k, e)| CacheEntry {
-                    key: k.clone(),
-                    value: e.value.clone(),
-                    bytes: e.bytes,
-                    cost: e.cost,
-                }),
-        );
+        out.extend(relock(&self.ledger).map.iter().map(|(k, e)| CacheEntry {
+            key: k.clone(),
+            value: e.value.clone(),
+            bytes: e.bytes,
+        }));
         out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
         out
     }
@@ -1111,9 +902,8 @@ impl CondenseContext<'_> {
     /// Pre-warms one cache with `entry` without touching the hit/miss
     /// counters — an inherited or loaded entry was neither requested
     /// nor computed here — and never overwrites an entry a live caller
-    /// already produced. Budgeted families go through the accountant's
-    /// normal admission, so a budget set before a seed or snapshot load
-    /// bounds it exactly as it bounds computed entries.
+    /// already produced. Byte-counted families are charged to the byte
+    /// ledger exactly like computed entries.
     pub(crate) fn install(&self, entry: CacheEntry) {
         match (entry.key, entry.value) {
             (CacheKey::Paths(k), CacheValue::Paths(v)) => {
@@ -1126,7 +916,7 @@ impl CondenseContext<'_> {
                 relock(&self.oriented).entry(k).or_insert(a);
             }
             (key, value) => {
-                relock(&self.accountant).insert(key, value, entry.bytes, entry.cost);
+                relock(&self.ledger).insert(key, value, entry.bytes);
             }
         }
     }
@@ -1185,7 +975,6 @@ impl std::fmt::Debug for CondenseContext<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CondenseContext")
             .field("max_row_nnz", &self.max_row_nnz)
-            .field("cache_budget", &self.cache_budget())
             .field("composed_len", &self.composed_len())
             .field("stats", &self.stats())
             .finish()
@@ -1263,7 +1052,7 @@ mod tests {
         assert_eq!(st[CacheFamily::Composed].misses, 1, "one composed miss");
         assert!(Arc::ptr_eq(&paths, &ctx.metapaths(root, 2, 100)));
         // A single-step path is a factor, not a composed product: it
-        // must never touch the composed cache or its budget.
+        // must never touch the composed cache or its byte ledger.
         let one_hop = paths.iter().find(|p| p.hops() == 1).unwrap();
         let f1 = ctx.adjacency(one_hop);
         let f2 = ctx.adjacency(one_hop);
@@ -1433,12 +1222,11 @@ mod tests {
     fn propagated_cache_round_trips_any_type() {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
-        let a = ctx.propagated((2, 12), || vec![1u32, 2, 3], |v| v.len() * 4, |_| 3);
+        let a = ctx.propagated((2, 12), || vec![1u32, 2, 3], |v| v.len() * 4);
         let b = ctx.propagated(
             (2, 12),
             || unreachable!("must hit"),
             |_: &Vec<u32>| unreachable!("sized once, on the computing miss"),
-            |_| unreachable!("costed once, on the computing miss"),
         );
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(ctx.stats()[CacheFamily::Propagated].bytes, 12);
@@ -1487,207 +1275,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_cache_never_exceeds_budget_and_stays_bitwise_identical() {
-        let g = fixture();
-        let unbounded = CondenseContext::new(&g);
-        let root = g.schema().target();
-        let paths = unbounded.metapaths(root, 3, 100);
-        for p in paths.iter() {
-            unbounded.adjacency(p);
-        }
-        let full_bytes = unbounded.composed_bytes();
-        assert!(full_bytes > 0);
-
-        // A budget of roughly half the unbounded footprint forces
-        // evictions while still admitting every individual entry.
-        let budget = (full_bytes / 2).max(64);
-        let evicting = CondenseContext::new(&g).with_cache_budget(Some(budget));
-        // Two sweeps: the second re-fetches entries the first evicted.
-        for _ in 0..2 {
-            for p in paths.iter() {
-                assert_eq!(
-                    *evicting.adjacency(p),
-                    *unbounded.adjacency(p),
-                    "eviction must never change a composed adjacency"
-                );
-            }
-        }
-        let st = evicting.stats();
-        assert!(
-            st[CacheFamily::Composed].evictions > 0,
-            "budget must force evictions"
-        );
-        assert!(
-            st[CacheFamily::Composed].peak_bytes <= budget as u64,
-            "peak {} exceeded budget {budget}",
-            st[CacheFamily::Composed].peak_bytes
-        );
-        assert!(st[CacheFamily::Composed].bytes <= budget as u64);
-    }
-
-    #[test]
-    fn budgeting_a_warm_context_evicts_and_restarts_the_peak() {
-        let g = fixture();
-        let ctx = CondenseContext::new(&g);
-        let root = g.schema().target();
-        let paths = ctx.metapaths(root, 3, 100);
-        for p in paths.iter() {
-            ctx.adjacency(p);
-        }
-        // Shrink to just below the full footprint: something must go,
-        // and the high-water mark restarts so the peak ≤ budget
-        // invariant holds from this point on.
-        let multi_hop = paths.iter().filter(|p| p.hops() >= 2).count();
-        let budget = ctx.composed_bytes().saturating_sub(1);
-        let ctx = ctx.with_cache_budget(Some(budget));
-        let st = ctx.stats();
-        assert!(st[CacheFamily::Composed].evictions >= 1);
-        assert!(ctx.composed_len() < multi_hop);
-        assert!(
-            st[CacheFamily::Composed].peak_bytes <= budget as u64,
-            "peak {} must restart under the new budget {budget}",
-            st[CacheFamily::Composed].peak_bytes
-        );
-        // Evicted entries recompute to identical bits.
-        let fresh = CondenseContext::new(&g);
-        for p in paths.iter() {
-            assert_eq!(*ctx.adjacency(p), *fresh.adjacency(p));
-        }
-    }
-
-    #[test]
-    fn eviction_removes_cheapest_entries_first() {
-        // Deterministic policy check straight on the accountant: cost
-        // per byte ascending decides the victim (equal sizes here, so
-        // cost order), logical touch time breaks ties.
-        let step = |e: u16| MetaPathStep {
-            edge: crate::schema::EdgeTypeId(e),
-            forward: true,
-        };
-        let key = |e: u16| CacheKey::Composed(vec![step(0), step(e)]);
-        let m = |seed: u32| {
-            CacheValue::Matrix(Arc::new(CsrMatrix::from_edges(
-                2,
-                2,
-                &[(0, seed % 2), (1, 1)],
-            )))
-        };
-        let bytes_each = CsrMatrix::from_edges(2, 2, &[(0, 0), (1, 1)]).storage_bytes();
-        let mut cache = CacheAccountant {
-            budget: Some(bytes_each * 3),
-            ..Default::default()
-        };
-        cache.insert(key(1), m(0), bytes_each, 10); // cheap
-        cache.insert(key(2), m(1), bytes_each, 10); // cheap, same cost
-        cache.insert(key(3), m(0), bytes_each, 50); // expensive
-        assert_eq!(cache.evictions[CacheFamily::Composed as usize], 0);
-        // Touch the first cheap entry so the second becomes the
-        // least-recently-used one of the cheapest tier.
-        assert!(cache.get(&key(1)).is_some());
-        cache.insert(key(4), m(1), bytes_each, 30);
-        assert_eq!(cache.evictions[CacheFamily::Composed as usize], 1);
-        assert!(
-            cache.map.contains_key(&key(1)),
-            "recently touched equal-cost entry must survive"
-        );
-        assert!(
-            !cache.map.contains_key(&key(2)),
-            "the untouched cheapest entry is the victim"
-        );
-        assert!(cache.map.contains_key(&key(3)));
-        // Across cost tiers, cheapest-first beats recency: the freshly
-        // touched cost-10 entry still goes before cost-30/50 ones.
-        cache.insert(key(5), m(0), bytes_each, 40);
-        assert_eq!(cache.evictions[CacheFamily::Composed as usize], 2);
-        assert!(!cache.map.contains_key(&key(1)));
-        assert!(cache.map.contains_key(&key(3)));
-        assert!(cache.bytes <= bytes_each * 3);
-    }
-
-    #[test]
-    fn cross_family_eviction_prefers_the_lowest_cost_density() {
-        // Four families resident, equal byte sizes, costs chosen so the
-        // densities order propagated < diversity < influence < composed.
-        // Pressure must evict in exactly that order, regardless of
-        // insertion or touch order.
-        let step = |e: u16| MetaPathStep {
-            edge: crate::schema::EdgeTypeId(e),
-            forward: true,
-        };
-        let ikey = InfluenceKey {
-            father: crate::schema::NodeTypeId(1),
-            max_hops: 2,
-            max_paths: 8,
-            method: (0, [0, 0, 0, 0]),
-            seed_targets: None,
-            seed: 0,
-        };
-        let bytes = 64usize;
-        let mut cache = CacheAccountant {
-            budget: Some(bytes * 4),
-            ..Default::default()
-        };
-        let vec_val = |fam: CacheFamily| {
-            let v = Arc::new(vec![0.0f64; 8]);
-            match fam {
-                CacheFamily::Influence => CacheValue::Vector(v),
-                CacheFamily::Diversity => CacheValue::Vector(v),
-                _ => unreachable!(),
-            }
-        };
-        let prop: AnyArc = Arc::new(vec![0u8; bytes]);
-        cache.insert(
-            CacheKey::Composed(vec![step(0), step(1)]),
-            CacheValue::Matrix(Arc::new(CsrMatrix::from_edges(2, 2, &[(0, 0)]))),
-            bytes,
-            4096,
-        );
-        cache.insert(
-            CacheKey::Influence(ikey),
-            vec_val(CacheFamily::Influence),
-            bytes,
-            vector_charge(CacheFamily::Influence, 8).1, // 512 → density 8
-        );
-        cache.insert(
-            CacheKey::Diversity((crate::schema::NodeTypeId(0), 2, 8, 0)),
-            vec_val(CacheFamily::Diversity),
-            bytes,
-            vector_charge(CacheFamily::Diversity, 8).1, // 128 → density 2
-        );
-        cache.insert(
-            CacheKey::Propagated((2, 8)),
-            CacheValue::Propagated(prop),
-            bytes,
-            32, // density 0.5 — the cheapest to rebuild per byte
-        );
-        assert_eq!(cache.bytes, bytes * 4);
-        let order: Vec<CacheFamily> = std::iter::from_fn(|| {
-            let before: Vec<CacheKey> = cache.map.keys().cloned().collect();
-            if !cache.evict_one() {
-                return None;
-            }
-            before
-                .into_iter()
-                .find(|k| !cache.map.contains_key(k))
-                .map(|k| k.family())
-        })
-        .collect();
-        assert_eq!(
-            order,
-            vec![
-                CacheFamily::Propagated,
-                CacheFamily::Diversity,
-                CacheFamily::Influence,
-                CacheFamily::Composed
-            ],
-            "eviction must walk the cost-per-byte ladder from the bottom"
-        );
-        assert_eq!(cache.bytes, 0);
-        assert_eq!(cache.family_bytes, [0; NUM_FAMILIES]);
-        assert_eq!(cache.evictions, [0, 0, 1, 0, 1, 1, 1]);
-    }
-
-    #[test]
     fn cache_counter_totals_saturate_instead_of_overflowing() {
         let counts = |hits, misses| FamilyCounters {
             hits,
@@ -1710,106 +1297,7 @@ mod tests {
     }
 
     #[test]
-    fn rebudgeting_a_warm_context_keeps_bytes_and_peak_consistent() {
-        let g = fixture();
-        let ctx = CondenseContext::new(&g);
-        let root = g.schema().target();
-        let paths = ctx.metapaths(root, 3, 100);
-        for p in paths.iter() {
-            ctx.adjacency(p);
-        }
-        let full = ctx.composed_bytes();
-        assert!(full > 0);
-
-        // Budget a warm context: resident shrinks to fit and the mark
-        // restarts at the resident size.
-        let budget = (full / 2).max(1);
-        let ctx = ctx.with_cache_budget(Some(budget));
-        let st = ctx.stats();
-        assert!(st[CacheFamily::Composed].bytes <= budget as u64);
-        assert_eq!(
-            st[CacheFamily::Composed].peak_bytes,
-            st[CacheFamily::Composed].bytes
-        );
-
-        // Remove the budget from the (still warm) context: nothing is
-        // evicted, and the mark restarts at the resident size instead of
-        // carrying the budgeted era's history.
-        let ctx = ctx.with_cache_budget(None);
-        let st = ctx.stats();
-        assert_eq!(
-            st[CacheFamily::Composed].peak_bytes,
-            st[CacheFamily::Composed].bytes
-        );
-
-        // New inserts grow both again, keeping bytes ≤ peak.
-        for p in paths.iter() {
-            ctx.adjacency(p);
-        }
-        let st = ctx.stats();
-        assert_eq!(
-            st[CacheFamily::Composed].bytes,
-            full as u64,
-            "unbudgeted refill"
-        );
-        assert!(st[CacheFamily::Composed].peak_bytes >= st[CacheFamily::Composed].bytes);
-    }
-
-    #[test]
-    fn eviction_tiebreak_falls_back_to_key_order() {
-        // Force the degenerate state the (cost, touch) pair cannot
-        // order: every entry with identical cost AND identical logical
-        // touch time (as a wholesale-reconstructed cache could hold).
-        // The victim must then be decided by key order — never by hash
-        // map iteration order.
-        let step = |e: u16| MetaPathStep {
-            edge: crate::schema::EdgeTypeId(e),
-            forward: true,
-        };
-        let m = || CacheValue::Matrix(Arc::new(CsrMatrix::from_edges(2, 2, &[(0, 0), (1, 1)])));
-        let bytes = CsrMatrix::from_edges(2, 2, &[(0, 0), (1, 1)]).storage_bytes();
-        for order in [[3u16, 1, 2], [1, 2, 3], [2, 3, 1]] {
-            let mut cache = CacheAccountant::default();
-            for e in order {
-                cache.insert(CacheKey::Composed(vec![step(0), step(e)]), m(), bytes, 10);
-            }
-            for entry in cache.map.values_mut() {
-                entry.touch = 7; // erase the per-insert clock
-            }
-            assert!(cache.evict_one());
-            assert!(
-                !cache
-                    .map
-                    .contains_key(&CacheKey::Composed(vec![step(0), step(1)])),
-                "the smallest key must be the victim regardless of \
-                 insertion order {order:?}"
-            );
-            assert_eq!(cache.map.len(), 2);
-        }
-    }
-
-    #[test]
-    fn rejected_oversized_entries_leave_the_cache_empty() {
-        let g = fixture();
-        let ctx = CondenseContext::new(&g).with_cache_budget(Some(1));
-        let root = g.schema().target();
-        let paths = ctx.metapaths(root, 2, 100);
-        let two_hop = paths.iter().find(|p| p.hops() == 2).unwrap();
-        let a = ctx.adjacency(two_hop);
-        let b = ctx.adjacency(two_hop);
-        assert_eq!(*a, *b, "uncached recompute is still correct");
-        let st = ctx.stats();
-        assert_eq!(
-            st[CacheFamily::Composed].bytes,
-            0,
-            "nothing fits a 1-byte budget"
-        );
-        assert!(st[CacheFamily::Composed].rejected >= 2);
-        assert_eq!(st[CacheFamily::Composed].peak_bytes, 0);
-    }
-
-    #[test]
-    fn unified_budget_governs_every_family_and_ledgers_agree() {
+    fn every_family_charges_the_byte_ledger_and_ledgers_agree() {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
         let root = g.schema().target();
@@ -1831,7 +1319,7 @@ mod tests {
             || vec![1.0; 32],
         );
         ctx.diversity((root, 2, 24, 0), || vec![0.5; 32]);
-        ctx.propagated((2, 12), || vec![0u64; 64], |v| v.len() * 8, |_| 8);
+        ctx.propagated((2, 12), || vec![0u64; 64], |v| v.len() * 8);
         let st = ctx.stats();
         assert!(st[CacheFamily::Composed].bytes > 0);
         assert_eq!(st[CacheFamily::Influence].bytes, 32 * 8);
@@ -1839,25 +1327,5 @@ mod tests {
         assert_eq!(st[CacheFamily::Propagated].bytes, 64 * 8);
         assert_eq!(st.cache_bytes, st.resident_bytes_total());
         assert_eq!(st.cache_bytes as usize, ctx.cache_bytes());
-        assert!(st.cache_peak_bytes >= st.cache_bytes);
-
-        // Shrink the unified budget below the current footprint: the
-        // propagated block (lowest cost/byte) must be the first victim,
-        // resident bytes must fit, and the unified peak restarts.
-        let budget = ctx.cache_bytes() - 1;
-        let ctx = ctx.with_cache_budget(Some(budget));
-        let st = ctx.stats();
-        assert!(
-            st[CacheFamily::Propagated].evictions >= 1,
-            "propagated evicts first"
-        );
-        assert!(st.cache_bytes <= budget as u64);
-        assert_eq!(st.cache_peak_bytes, st.cache_bytes, "peak restarts");
-        assert_eq!(st.cache_bytes, st.resident_bytes_total());
-
-        // Removing the budget restarts the unified peak too.
-        let ctx = ctx.with_cache_budget(None);
-        let st = ctx.stats();
-        assert_eq!(st.cache_peak_bytes, st.cache_bytes);
     }
 }

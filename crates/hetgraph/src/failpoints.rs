@@ -1,8 +1,8 @@
 //! Deterministic, named fault-injection sites for robustness drills.
 //!
 //! A *failpoint* is a named hook compiled into a failure-prone code path
-//! (snapshot I/O, the registry's cold build, a condenser's compute, the
-//! cache accountant's admission). Tests *arm* a site — "fail the next N
+//! (snapshot I/O, the registry's cold build, a condenser's compute, a
+//! serving worker and its queue). Tests *arm* a site — "fail the next N
 //! times" ([`arm`]) or "fail a deterministic pseudo-random one-in-K of
 //! hits" ([`arm_seeded`]) — and the hook then
 //! reports [`should_fire`]` == true` at exactly those hits. Everything
@@ -41,12 +41,6 @@ pub const REGISTRY_BUILD_PANIC: &str = "registry.build.panic";
 /// so concurrency tests can guarantee waiters actually coalesce instead
 /// of racing past an already-finished flight.
 pub const REGISTRY_BUILD_DELAY: &str = "registry.build.delay";
-/// Simulated memory-pressure spike across the *whole* accountant: every
-/// cache family's admission path (composed, influence, diversity,
-/// propagated) treats the budget as exhausted and rejects the insert —
-/// a counted rejection per family; the caller keeps its freshly
-/// computed (bit-identical) value.
-pub const ACCOUNTANT_PRESSURE: &str = "accountant.pressure";
 /// Injected panic inside a serving worker's request execution (between
 /// dequeue and the condensation itself). Degrades to a typed error
 /// reply for exactly that request; the worker, pool and registry keep

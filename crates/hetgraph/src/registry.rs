@@ -8,7 +8,7 @@
 //! dataset wants the stronger form: *any* request that names a graph
 //! gets the one warm context for it. [`ContextRegistry`] provides that:
 //! contexts are keyed by a content [`GraphFingerprint`] plus the
-//! cache-shaping knobs (fill-in cap, composed-cache budget), stored as
+//! fill-in cap (the one knob that shapes cached bits), stored as
 //! `Arc<CondenseContext<'static>>` (the context co-owns its graph via
 //! [`CondenseContext::shared`]), and handed out under the context's
 //! existing thread-safety contract — sharing is transparent, so a
@@ -64,14 +64,16 @@
 //! # Memory lifecycle
 //!
 //! A registered context lives (with its graph `Arc`) until
-//! [`ContextRegistry::evict`]/[`ContextRegistry::clear`] drop it. Each
-//! context's four cache families share one byte-budgeted accountant
-//! (`CondenseSpec::context_cache_bytes`), and the registry rolls the
-//! per-context ledgers up: [`ContextRegistry::resident_bytes`] is the
-//! cross-context total, and [`ContextRegistry::evict_idle`] sheds whole
+//! [`ContextRegistry::evict`], [`ContextRegistry::clear`] or
+//! [`ContextRegistry::evict_idle`] drops it. A context never evicts its
+//! own entries; it only records their resident bytes in one byte
+//! ledger ([`CondenseContext::cache_bytes`]). The registry rolls those
+//! ledgers up: [`ContextRegistry::resident_bytes`] is the cross-context
+//! total, and [`ContextRegistry::evict_idle`] sheds whole
 //! least-recently-resolved contexts until that total fits a deployment
-//! ceiling — the coarse knob a multi-dataset serving process turns when
-//! per-context budgets alone still sum past its memory.
+//! ceiling. This is the one memory bound; the serving layer drives it
+//! from `ServeConfig::resident_budget`. Dropping a context only costs a
+//! recompute of pure functions, never an output bit.
 
 use crate::condense::CondenseSpec;
 use crate::context::{CondenseContext, SeedReport};
@@ -200,11 +202,10 @@ fn same_shape(a: &HeteroGraph, b: &HeteroGraph) -> bool {
             .all(|e| a.adjacency(e).nnz() == b.adjacency(e).nnz())
 }
 
-/// The cache-shaping knobs that must match for two callers to share one
-/// context: the fill-in cap changes composed bits ([`CondenseContext`]
-/// asserts it via `check_spec`), and keying the budget keeps one
-/// caller's memory ceiling from silently governing another's.
-type RegistryKey = (GraphFingerprint, Option<usize>, Option<usize>);
+/// What must match for two callers to share one context: the graph and
+/// the fill-in cap, which changes composed bits ([`CondenseContext`]
+/// asserts it via `check_spec`).
+type RegistryKey = (GraphFingerprint, Option<usize>);
 
 /// A registered context with the logical timestamp of its most recent
 /// resolution (a tick of the registry's `touch_clock`), which orders
@@ -301,8 +302,8 @@ impl ContextRegistry {
         GLOBAL.get_or_init(ContextRegistry::new)
     }
 
-    /// Resolves the shared context for `graph` under `spec`'s
-    /// cache-shaping knobs (fill-in cap, cache budget), creating and
+    /// Resolves the shared context for `graph` under `spec`'s fill-in
+    /// cap, creating and
     /// registering it on first sight. The fingerprint is computed here —
     /// hold the returned `Arc` rather than re-resolving per call on a
     /// hot path.
@@ -342,22 +343,19 @@ impl ContextRegistry {
         graph: &Arc<HeteroGraph>,
         spec: &CondenseSpec,
     ) -> Option<Arc<CondenseContext<'static>>> {
-        let key = (graph.fingerprint(), spec.max_row_nnz, spec.cache_budget());
+        let key = (graph.fingerprint(), spec.max_row_nnz);
         let ctx = self.ready(&key)?;
         self.check_collision(graph, &ctx, &key);
         Some(ctx)
     }
 
     /// Resident cache bytes across *every* registered context: the sum
-    /// of each ready context's unified [`CacheAccountant`] ledger
-    /// (`CondenseContext::cache_bytes` — composed + influence +
-    /// diversity + propagated). Per-context budgets bound each ledger
-    /// individually; this rollup is the number a multi-graph deployment
-    /// watches, and the input [`ContextRegistry::evict_idle`] shrinks.
-    /// In-flight builds contribute nothing (their caches are empty until
-    /// published).
-    ///
-    /// [`CacheAccountant`]: crate::context::CacheCounters
+    /// of each ready context's byte ledger
+    /// ([`CondenseContext::cache_bytes`] — composed + influence +
+    /// diversity + propagated). This rollup is the number a multi-graph
+    /// deployment watches, and the input [`ContextRegistry::evict_idle`]
+    /// shrinks. In-flight builds contribute nothing (their caches are
+    /// empty until published).
     pub fn resident_bytes(&self) -> u64 {
         relock(&self.entries)
             .values()
@@ -369,10 +367,9 @@ impl ContextRegistry {
     /// ([`ContextRegistry::resident_bytes`]) is ≤ `keep_bytes`. Returns
     /// how many contexts were dropped.
     ///
-    /// Eviction is per *context*, not per cache entry — the coarse
-    /// registry-level complement to each context's own fine-grained
-    /// accountant: a serving process sheds whole idle datasets, and each
-    /// surviving context keeps governing its own families. Recency is
+    /// Eviction is per *context*, not per cache entry: a serving
+    /// process sheds whole idle datasets, and each surviving context
+    /// keeps all of its entries. Recency is
     /// the registry's logical resolution clock (every
     /// `context_for`/`peek` hit refreshes it), so the order is
     /// deterministic for a deterministic request history. In-flight
@@ -416,7 +413,7 @@ impl ContextRegistry {
     ///   [`HeteroGraph::apply_delta`] ran (capture it with
     ///   [`HeteroGraph::fingerprint`] first), `graph` the mutated graph
     ///   and `delta` the exact delta applied. If the old fingerprint is
-    ///   registered under the same cache knobs, the fresh context is
+    ///   registered under the same fill-in cap, the fresh context is
     ///   seeded via [`CondenseContext::seed_from`]: every entry the
     ///   delta provably does not touch is inherited, the rest recompute
     ///   lazily — bitwise-identical to a cold rebuild.
@@ -445,7 +442,7 @@ impl ContextRegistry {
         if let Some(dir) = dir {
             self.sweep_once(dir);
         }
-        let key = (graph.fingerprint(), spec.max_row_nnz, spec.cache_budget());
+        let key = (graph.fingerprint(), spec.max_row_nnz);
         self.resolve_single_flight(key, graph, |ctx| {
             self.warm_start(ctx, key, dir, codec, delta)
         })
@@ -534,11 +531,8 @@ impl ContextRegistry {
             let built = catch_unwind(AssertUnwindSafe(|| {
                 failpoints::fire_panic(failpoints::REGISTRY_BUILD_PANIC);
                 failpoints::fire_delay(failpoints::REGISTRY_BUILD_DELAY);
-                let ctx = Arc::new(
-                    CondenseContext::shared(Arc::clone(graph))
-                        .with_max_row_nnz(key.1)
-                        .with_cache_budget(key.2),
-                );
+                let ctx =
+                    Arc::new(CondenseContext::shared(Arc::clone(graph)).with_max_row_nnz(key.1));
                 let (load_outcome, report) = build(&ctx);
                 (ctx, load_outcome, report)
             }));
@@ -596,7 +590,7 @@ impl ContextRegistry {
             // on it from inside our own build could deadlock two deltas
             // chasing each other.
             let old_ctx = relock(&self.entries)
-                .get(&(old_fp, key.1, key.2))
+                .get(&(old_fp, key.1))
                 .map(|r| Arc::clone(&r.ctx));
             if let Some(old_ctx) = old_ctx {
                 return (DiskLoad::Absent, ctx.seed_from(&old_ctx, delta));
@@ -711,15 +705,15 @@ impl ContextRegistry {
         }
     }
 
-    /// Drops every context registered for `fingerprint` (any knob
-    /// combination). Outstanding `Arc`s keep their contexts alive;
+    /// Drops every context registered for `fingerprint` (any fill-in
+    /// cap). Outstanding `Arc`s keep their contexts alive;
     /// subsequent resolutions start cold. In-flight builds are left to
     /// finish (their leaders insert on completion). Returns how many
     /// ready entries were dropped.
     pub fn evict(&self, fingerprint: GraphFingerprint) -> usize {
         let mut entries = relock(&self.entries);
         let before = entries.len();
-        entries.retain(|(fp, _, _), _| *fp != fingerprint);
+        entries.retain(|(fp, _), _| *fp != fingerprint);
         before - entries.len()
     }
 
@@ -817,12 +811,9 @@ mod tests {
         let a = reg.context_for(&g1, &spec);
         let b = reg.context_for(&g2, &spec);
         assert!(!Arc::ptr_eq(&a, &b), "different graphs, different contexts");
-        let c = reg.context_for(&g1, &spec.clone().with_max_row_nnz(None));
+        let c = reg.context_for(&g1, &spec.with_max_row_nnz(None));
         assert!(!Arc::ptr_eq(&a, &c), "different fill-in cap");
-        let d = reg.context_for(&g1, &spec.with_cache_budget(Some(1 << 16)));
-        assert!(!Arc::ptr_eq(&a, &d), "different budget");
-        assert_eq!(d.cache_budget(), Some(1 << 16));
-        assert_eq!(reg.len(), 4);
+        assert_eq!(reg.len(), 3);
     }
 
     #[test]

@@ -11,43 +11,30 @@
 //! holds as for every other cache layer: a condensation served from a
 //! loaded snapshot is bitwise-identical to a fresh one.
 //!
-//! # File format (version 1, little-endian, hand-rolled)
+//! # File format (version 2, little-endian, hand-rolled)
 //!
 //! ```text
 //! magic    [u8; 8]   b"FHGCSNAP"
 //! version  u32       SNAPSHOT_VERSION
 //! fp       u64 × 2   GraphFingerprint of the source graph
 //! cap      opt       max_row_nnz knob   (u8 tag, then u64 when Some)
-//! budget   opt       unified cache byte budget knob
 //! nsect    u32       number of sections
 //! section* id u8 | payload_len u64 | checksum u64 | payload bytes
 //! ```
 //!
-//! Sections hold the factor cache, the composed cache (with each entry's
-//! recompute-cost estimate, so a budgeted loader evicts identically to
-//! the process that saved), the influence and diversity caches, and —
-//! when a [`PropagatedCodec`] is supplied — the type-erased propagated
-//! blocks. Map contents are written in key order, so identical cache
-//! contents produce identical bytes.
-//!
-//! # Priority-tiered layout
-//!
-//! Sections are written in descending recompute-cost-per-byte order —
-//! influence, diversity, composed, factors, propagated — i.e. most
-//! valuable per stored byte first, so a byte ceiling (the `cap` of
-//! [`encode_snapshot`] / [`CondenseContext::save_snapshot`]) can drop
-//! whole trailing tiers (the dense propagated blocks first — cheapest to
-//! rebuild, and they dominate the file) while keeping the file a
-//! perfectly valid snapshot. A capped snapshot loads as a *partial*
-//! context: absent sections simply become counted cold misses on first
-//! use, never wrong bytes. Decoding dispatches on each section's id, so
-//! the tier order needed no format-version bump — old readers and old
-//! files both keep working.
+//! Sections hold the influence, diversity, composed and factor caches
+//! and — when a [`PropagatedCodec`] is supplied — the type-erased
+//! propagated blocks, written in that order. Map contents are written
+//! in key order, so identical cache contents produce identical bytes.
+//! Decoding dispatches on each section's id, so a file that lacks a
+//! section (e.g. one saved without a codec) loads as a partial context:
+//! the absent entries become counted cold misses on first use, never
+//! wrong bytes.
 //!
 //! # Trust model
 //!
 //! A snapshot is only ever *advisory*: the loader verifies the magic,
-//! version, fingerprint and cache-shaping knobs, checksums every section,
+//! version, fingerprint and fill-in cap, checksums every section,
 //! bounds-checks every length and re-validates every CSR invariant, and
 //! decodes the entire file into staging before touching a context — any
 //! failure leaves the context exactly as cold as it was and surfaces as a
@@ -57,7 +44,7 @@
 //! never a panic and never wrong bits.
 
 use crate::context::{
-    vector_charge, CacheEntry, CacheFamily, CacheKey, CacheValue, CondenseContext, InfluenceKey,
+    vector_bytes, CacheEntry, CacheFamily, CacheKey, CacheValue, CondenseContext, InfluenceKey,
     InvalidationRules, SeedReport,
 };
 use crate::graph::{GraphDelta, HeteroGraph};
@@ -74,7 +61,7 @@ use std::sync::Arc;
 /// First eight bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"FHGCSNAP";
 /// Current format version; bump on any layout change.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 const SECTION_FACTORS: u8 = 1;
 const SECTION_COMPOSED: u8 = 2;
@@ -100,9 +87,8 @@ pub enum SnapshotError {
         found: GraphFingerprint,
         expected: GraphFingerprint,
     },
-    /// Right graph, wrong cache-shaping knobs (fill-in cap / budget) —
-    /// the knobs change cached bits or admission, so they must match
-    /// exactly.
+    /// Right graph, wrong fill-in cap — the cap changes composed bits,
+    /// so it must match exactly.
     WrongKnobs,
     /// A section's payload does not match its recorded checksum.
     ChecksumMismatch {
@@ -127,7 +113,7 @@ impl std::fmt::Display for SnapshotError {
                 write!(f, "snapshot is for graph {found}, expected {expected}")
             }
             SnapshotError::WrongKnobs => {
-                write!(f, "snapshot cache knobs disagree with the context's")
+                write!(f, "snapshot fill-in cap disagrees with the context's")
             }
             SnapshotError::ChecksumMismatch { section } => {
                 write!(f, "checksum mismatch in snapshot section {section}")
@@ -170,34 +156,19 @@ pub trait PropagatedCodec {
     /// no accept-everything default.
     fn validate(&self, value: &dyn Any, graph: &HeteroGraph) -> bool;
 
-    /// Resident heap bytes of a decoded value, charged to the budget and
-    /// surfaced through the propagated family's
+    /// Resident heap bytes of a decoded value, charged to the byte
+    /// ledger and surfaced through the propagated family's
     /// [`FamilyCounters::bytes`](crate::FamilyCounters).
     fn resident_bytes(&self, value: &dyn Any) -> usize;
-
-    /// Recompute-cost estimate of a decoded value in the accountant's
-    /// shared flop currency, so a loaded entry competes for budget
-    /// exactly like a computed one.
-    fn recompute_cost(&self, value: &dyn Any) -> u64;
 }
 
 /// Canonical file name for a snapshot: the registry key — fingerprint
-/// plus both cache-shaping knobs — spelled into the name, so one
-/// directory holds distinct snapshots for distinct keys and a loader
-/// can address the right file without reading any of them.
-pub fn snapshot_file_name(
-    fp: GraphFingerprint,
-    max_row_nnz: Option<usize>,
-    cache_budget: Option<usize>,
-) -> String {
-    fn knob(o: Option<usize>) -> String {
-        o.map_or_else(|| "none".to_string(), |v| v.to_string())
-    }
-    format!(
-        "ctx-{fp}-k{}-b{}.fhgc",
-        knob(max_row_nnz),
-        knob(cache_budget)
-    )
+/// plus fill-in cap — spelled into the name, so one directory holds
+/// distinct snapshots for distinct keys and a loader can address the
+/// right file without reading any of them.
+pub fn snapshot_file_name(fp: GraphFingerprint, max_row_nnz: Option<usize>) -> String {
+    let cap = max_row_nnz.map_or_else(|| "none".to_string(), |v| v.to_string());
+    format!("ctx-{fp}-k{cap}.fhgc")
 }
 
 // ---------------------------------------------------------------------
@@ -625,15 +596,10 @@ fn section_of(family: CacheFamily) -> Option<u8> {
     }
 }
 
-/// Encodes every section payload in *tier order*: descending
-/// recompute-cost-per-byte, so a byte cap truncates from the cheap end.
-/// Influence and diversity vectors are tiny and dear (dozens of passes
-/// per element to rebuild); composed products cost a full SpGEMM chain;
-/// factors are one normalization each but the engine would pin their
-/// buffers anyway; the dense propagated blocks are one SpMM per block
-/// and dominate the file, so they go last and drop first. Each payload
-/// is an entry count followed by the entries in key order; propagated
-/// entries the codec cannot encode are left out.
+/// Encodes every section payload in file order — influence, diversity,
+/// composed, factors, then propagated when a codec is supplied. Each
+/// payload is an entry count followed by the entries in key order;
+/// propagated entries the codec cannot encode are left out.
 fn encode_sections(
     ctx: &CondenseContext<'_>,
     codec: Option<&dyn PropagatedCodec>,
@@ -645,10 +611,7 @@ fn encode_sections(
         w.put_usize(0);
         (0, w)
     });
-    for CacheEntry {
-        key, value, cost, ..
-    } in ctx.entries()
-    {
+    for CacheEntry { key, value, .. } in ctx.entries() {
         let Some(id) = section_of(key.family()) else {
             continue;
         };
@@ -663,7 +626,6 @@ fn encode_sections(
                 for s in steps {
                     put_step(w, s);
                 }
-                w.put_u64(cost);
                 put_csr(w, &m);
             }
             (CacheKey::Influence(k), CacheValue::Vector(v)) => {
@@ -707,16 +669,16 @@ fn encode_sections(
         }
         sections[id as usize].0 += 1;
     }
-    let mut tiers = vec![
+    let mut order = vec![
         SECTION_INFLUENCE,
         SECTION_DIVERSITY,
         SECTION_COMPOSED,
         SECTION_FACTORS,
     ];
     if codec.is_some() {
-        tiers.push(SECTION_PROPAGATED);
+        order.push(SECTION_PROPAGATED);
     }
-    tiers
+    order
         .into_iter()
         .map(|id| {
             let (count, w) = std::mem::take(&mut sections[id as usize]);
@@ -727,12 +689,12 @@ fn encode_sections(
         .collect()
 }
 
-/// Bytes one section contributes beyond its payload: id (u8) +
-/// payload length (u64) + checksum (u64).
-const SECTION_OVERHEAD: usize = 1 + 8 + 8;
-
-/// Assembles the snapshot header plus `sections` into file bytes.
-fn assemble_snapshot(ctx: &CondenseContext<'_>, sections: &[(u8, Vec<u8>)]) -> Vec<u8> {
+/// Serializes `ctx`'s caches to snapshot bytes: the header, then one
+/// checksummed section per persisted family (see the module docs for
+/// the layout). Pure in-memory encoding; see
+/// [`CondenseContext::save_snapshot`] for the file wrapper.
+pub fn encode_snapshot(ctx: &CondenseContext<'_>, codec: Option<&dyn PropagatedCodec>) -> Vec<u8> {
+    let sections = encode_sections(ctx, codec);
     let fp = ctx.graph().fingerprint();
     let mut w = ByteWriter::new();
     w.put_bytes(&SNAPSHOT_MAGIC);
@@ -740,48 +702,14 @@ fn assemble_snapshot(ctx: &CondenseContext<'_>, sections: &[(u8, Vec<u8>)]) -> V
     w.put_u64(fp.0);
     w.put_u64(fp.1);
     w.put_opt_usize(ctx.max_row_nnz());
-    w.put_opt_usize(ctx.cache_budget());
     w.put_u32(sections.len() as u32);
-    for (id, payload) in sections {
+    for (id, payload) in &sections {
         w.put_u8(*id);
         w.put_usize(payload.len());
         w.put_u64(section_checksum(*id, payload));
         w.put_bytes(payload);
     }
     w.into_bytes()
-}
-
-/// Serializes `ctx`'s caches to snapshot bytes, optionally under a byte
-/// ceiling: whole sections are included in tier order (most recompute
-/// cost per byte first) while the assembled file stays ≤ `cap`, and the
-/// rest are dropped. Returns the file bytes plus how many sections were
-/// dropped (always 0 without a cap). The result is always a valid
-/// snapshot — a cap smaller than even the header yields a zero-section
-/// file, which loads as an entirely cold (but well-formed) context.
-/// Dropped tiers degrade to counted cold misses on first use; they can
-/// never produce wrong bytes. Pure in-memory encoding; see
-/// [`CondenseContext::save_snapshot`] for the file wrapper.
-pub fn encode_snapshot(
-    ctx: &CondenseContext<'_>,
-    codec: Option<&dyn PropagatedCodec>,
-    cap: Option<usize>,
-) -> (Vec<u8>, usize) {
-    let mut total = cap.map_or(0, |_| assemble_snapshot(ctx, &[]).len());
-    let mut dropped = 0usize;
-    let kept: Vec<(u8, Vec<u8>)> = encode_sections(ctx, codec)
-        .into_iter()
-        .filter(|(_, payload)| {
-            let with = total + SECTION_OVERHEAD + payload.len();
-            let fits = cap.is_none_or(|cap| with <= cap);
-            if fits {
-                total = with;
-            } else {
-                dropped += 1;
-            }
-            fits
-        })
-        .collect();
-    (assemble_snapshot(ctx, &kept), dropped)
 }
 
 /// Decoded snapshot contents, staged before installation so a failure
@@ -896,10 +824,9 @@ fn decode_section(
         let mut survives = || rules.as_mut().is_none_or(|ru| ru.survives(&key));
         let staged = match key.family() {
             CacheFamily::Factors | CacheFamily::Composed => {
-                let cost = if id == SECTION_COMPOSED { r.u64()? } else { 0 };
                 if survives() {
                     let m = read_csr(&mut r)?;
-                    Some((m.storage_bytes(), cost, CacheValue::Matrix(Arc::new(m))))
+                    Some((m.storage_bytes(), CacheValue::Matrix(Arc::new(m))))
                 } else {
                     skip_csr(&mut r)?;
                     None
@@ -908,8 +835,8 @@ fn decode_section(
             CacheFamily::Influence | CacheFamily::Diversity => {
                 let n = r.seq_len(8)?;
                 if survives() {
-                    let (bytes, cost) = vector_charge(key.family(), n);
-                    Some((bytes, cost, CacheValue::Vector(Arc::new(r.f64_vec(n)?))))
+                    let v = r.f64_vec(n)?;
+                    Some((vector_bytes(n), CacheValue::Vector(Arc::new(v))))
                 } else {
                     r.take(n * 8)?;
                     None
@@ -926,23 +853,15 @@ fn decode_section(
                     let value = codec
                         .decode(bytes)
                         .ok_or(SnapshotError::Malformed("propagated payload"))?;
-                    let (bytes, cost) = (
-                        codec.resident_bytes(value.as_ref()),
-                        codec.recompute_cost(value.as_ref()),
-                    );
-                    Some((bytes, cost, CacheValue::Propagated(value)))
+                    let bytes = codec.resident_bytes(value.as_ref());
+                    Some((bytes, CacheValue::Propagated(value)))
                 } else {
                     None
                 }
             }
         };
         match staged {
-            Some((bytes, cost, value)) => out.entries.push(CacheEntry {
-                key,
-                value,
-                bytes,
-                cost,
-            }),
+            Some((bytes, value)) => out.entries.push(CacheEntry { key, value, bytes }),
             None => out.report.dropped += 1,
         }
     }
@@ -1022,13 +941,14 @@ fn validate_against_graph(
 /// Decodes `bytes` and installs every entry into `ctx`'s caches.
 ///
 /// The snapshot must be for exactly this context: same graph fingerprint
-/// and identical cache-shaping knobs (fill-in cap, cache budget) —
-/// anything else is rejected before a single entry lands. The entire
-/// file is decoded into staging first, so on *any* error the context is
-/// left untouched (still cold, still correct). Installed entries never
-/// overwrite ones the context already holds, and installing composed
-/// entries goes through the normal budget admission, so a loaded context
-/// keeps every invariant a warm one has.
+/// and identical fill-in cap — anything else is rejected before a
+/// single entry lands. The entire file is decoded into staging first,
+/// so on *any* error the context is left untouched (still cold, still
+/// correct). Installed entries never overwrite ones the context already
+/// holds and are charged to the byte ledger like computed ones, so a
+/// loaded context keeps every invariant a warm one has. A key can only
+/// appear in its family's one section, so when a crafted file repeats
+/// it, file order decides which copy installs.
 ///
 /// With `delta = Some((old_fp, delta))` this loads an *old* graph's
 /// snapshot into a context over the *mutated* graph: the file's
@@ -1063,9 +983,7 @@ pub fn decode_snapshot_into(
     if found != expected {
         return Err(SnapshotError::WrongFingerprint { found, expected });
     }
-    let cap = r.opt_usize()?;
-    let budget = r.opt_usize()?;
-    if cap != ctx.max_row_nnz() || budget != ctx.cache_budget() {
+    if r.opt_usize()? != ctx.max_row_nnz() {
         return Err(SnapshotError::WrongKnobs);
     }
 
@@ -1099,16 +1017,11 @@ pub fn decode_snapshot_into(
         return Err(SnapshotError::Malformed("trailing bytes after sections"));
     }
 
-    // Everything decoded; validate, then install in family order, each
-    // family in key order — the order `CondenseContext::seed_from`
-    // installs in, so a budgeted context replays admissions
-    // deterministically. (Sections arrive in tier order; the sort is
-    // stable, so a crafted file's duplicate keys keep their file order.)
+    // Everything decoded; validate, then install in file order.
     let Staging {
-        mut entries,
+        entries,
         mut report,
     } = staging;
-    entries.sort_by(|a, b| a.key.cmp(&b.key));
     validate_against_graph(&entries, ctx.graph(), codec)?;
     for entry in entries {
         report.installed[entry.key.family() as usize] += 1;
@@ -1119,10 +1032,8 @@ pub fn decode_snapshot_into(
 
 impl CondenseContext<'_> {
     /// Writes this context's caches to `path` as a versioned snapshot,
-    /// including the propagated blocks when a `codec` is supplied and
-    /// keeping the file under `cap` bytes when one is given (see
-    /// [`encode_snapshot`]). Returns how many sections the cap dropped.
-    /// The write goes through a per-call sibling temp file, an fsync and
+    /// including the propagated blocks when a `codec` is supplied (see
+    /// [`encode_snapshot`]). The write goes through a per-call sibling temp file, an fsync and
     /// an atomic rename, retrying transient failures, so a crashed
     /// writer can never leave a half-written file under the canonical
     /// name.
@@ -1130,8 +1041,7 @@ impl CondenseContext<'_> {
         &self,
         path: &Path,
         codec: Option<&dyn PropagatedCodec>,
-        cap: Option<usize>,
-    ) -> Result<usize, SnapshotError> {
+    ) -> Result<(), SnapshotError> {
         // The temp name must be unique per *call*, not just per process:
         // two threads saving the same path concurrently (two benches on
         // one graph) would otherwise interleave writes into one temp
@@ -1139,14 +1049,14 @@ impl CondenseContext<'_> {
         // Each retry attempt also gets a fresh name, so a torn attempt's
         // leftover can never be renamed by a later one.
         static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let (bytes, dropped) = encode_snapshot(self, codec, cap);
+        let bytes = encode_snapshot(self, codec);
         retry_io(|| {
             let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let mut tmp = path.as_os_str().to_owned();
             tmp.push(format!(".tmp-{}-{seq}", std::process::id()));
             write_atomic(&PathBuf::from(tmp), path, &bytes)
         })?;
-        Ok(dropped)
+        Ok(())
     }
 
     /// Loads the snapshot at `path` into this context (see
@@ -1177,19 +1087,15 @@ impl CondenseContext<'_> {
         std::fs::create_dir_all(dir)?;
         let path = canonical_path(self, dir, self.graph().fingerprint());
         let _ = self.load_snapshot(&path, codec);
-        self.save_snapshot(&path, codec, None)?;
+        self.save_snapshot(&path, codec)?;
         Ok(path)
     }
 }
 
 /// The canonical file of graph `fp` under `dir`, spelled with `ctx`'s
-/// cache knobs.
+/// fill-in cap.
 fn canonical_path(ctx: &CondenseContext<'_>, dir: &Path, fp: GraphFingerprint) -> PathBuf {
-    dir.join(snapshot_file_name(
-        fp,
-        ctx.max_row_nnz(),
-        ctx.cache_budget(),
-    ))
+    dir.join(snapshot_file_name(fp, ctx.max_row_nnz()))
 }
 
 /// What one attempt to warm a context from its canonical snapshot file
@@ -1310,7 +1216,7 @@ mod tests {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
         warm(&ctx);
-        let bytes = encode_snapshot(&ctx, None, None).0;
+        let bytes = encode_snapshot(&ctx, None);
 
         let fresh = CondenseContext::new(&g);
         let report = decode_snapshot_into(&fresh, &bytes, None, None).expect("load");
@@ -1361,8 +1267,8 @@ mod tests {
         warm(&a);
         warm(&b);
         assert_eq!(
-            encode_snapshot(&a, None, None).0,
-            encode_snapshot(&b, None, None).0,
+            encode_snapshot(&a, None),
+            encode_snapshot(&b, None),
             "identical cache contents must produce identical bytes"
         );
     }
@@ -1372,7 +1278,7 @@ mod tests {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
         warm(&ctx);
-        let bytes = encode_snapshot(&ctx, None, None).0;
+        let bytes = encode_snapshot(&ctx, None);
 
         let assert_cold_after = |mutated: Vec<u8>, what: &str| {
             let fresh = CondenseContext::new(&g);
@@ -1416,7 +1322,7 @@ mod tests {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
         warm(&ctx);
-        let bytes = encode_snapshot(&ctx, None, None).0;
+        let bytes = encode_snapshot(&ctx, None);
 
         let mut other = fixture();
         other.set_labels(vec![1, 0, 1, 0], 2);
@@ -1431,11 +1337,6 @@ mod tests {
             decode_snapshot_into(&uncapped, &bytes, None, None),
             Err(SnapshotError::WrongKnobs)
         ));
-        let budgeted = CondenseContext::new(&g).with_cache_budget(Some(1 << 20));
-        assert!(matches!(
-            decode_snapshot_into(&budgeted, &bytes, None, None),
-            Err(SnapshotError::WrongKnobs)
-        ));
     }
 
     #[test]
@@ -1445,12 +1346,8 @@ mod tests {
         warm(&ctx);
         let dir = std::env::temp_dir().join(format!("fhgc-snap-unit-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(snapshot_file_name(
-            g.fingerprint(),
-            ctx.max_row_nnz(),
-            ctx.cache_budget(),
-        ));
-        ctx.save_snapshot(&path, None, None).expect("save");
+        let path = dir.join(snapshot_file_name(g.fingerprint(), ctx.max_row_nnz()));
+        ctx.save_snapshot(&path, None).expect("save");
 
         let fresh = CondenseContext::new(&g);
         let report = fresh.load_snapshot(&path, None).expect("load");
@@ -1460,36 +1357,6 @@ mod tests {
             assert_eq!(*fresh.adjacency(p), *ctx.adjacency(p));
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn loading_into_a_budgeted_context_respects_the_budget() {
-        let g = fixture();
-        let unbounded = CondenseContext::new(&g);
-        warm(&unbounded);
-        let full = unbounded.composed_bytes();
-        assert!(full > 0);
-
-        // Save from an unbudgeted context whose knobs match the loader's
-        // (the budget is part of the knob key, so build the source with
-        // the same budget).
-        let budget = (full / 2).max(1);
-        let source = CondenseContext::new(&g).with_cache_budget(Some(budget));
-        warm(&source);
-        let bytes = encode_snapshot(&source, None, None).0;
-        let loaded = CondenseContext::new(&g).with_cache_budget(Some(budget));
-        decode_snapshot_into(&loaded, &bytes, None, None).expect("load");
-        let st = loaded.stats();
-        assert!(
-            st[CacheFamily::Composed].bytes <= budget as u64,
-            "loaded entries must pass through budget admission"
-        );
-        assert!(st[CacheFamily::Composed].peak_bytes <= budget as u64);
-        // And the loaded context still serves identical bits.
-        let root = g.schema().target();
-        for p in loaded.metapaths(root, 3, 100).iter() {
-            assert_eq!(*loaded.adjacency(p), *unbounded.adjacency(p));
-        }
     }
 
     #[test]
@@ -1504,7 +1371,6 @@ mod tests {
                 key,
                 value,
                 bytes: 0,
-                cost: 1,
             };
             validate_against_graph(&[entry], &g, None)
         };
@@ -1611,7 +1477,6 @@ mod tests {
         w.put_u64(fp.0);
         w.put_u64(fp.1);
         w.put_opt_usize(ctx.max_row_nnz());
-        w.put_opt_usize(ctx.cache_budget());
         w.put_u32(1);
         w.put_u8(id);
         w.put_usize(payload.len());
@@ -1683,7 +1548,6 @@ mod tests {
             w.put_usize(2);
             put_step(w, step(0));
             put_step(w, step(u16::MAX));
-            w.put_u64(0);
             put_csr(w, &CsrMatrix::zeros(4, 4));
         };
         let edge = "edge type out of range";
@@ -1750,28 +1614,38 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Capped and uncapped saves draw temp names from one counter, so
-    /// concurrent writers of one path never share a temp file: every
-    /// concurrent load sees a whole snapshot, and no temp file survives.
+    /// Every save draws its temp name from one counter, so concurrent
+    /// writers of one path never share a temp file — even when they
+    /// write different contents: every concurrent load sees a whole
+    /// snapshot, and no temp file survives.
     #[test]
-    fn concurrent_capped_and_uncapped_saves_never_tear() {
+    fn concurrent_saves_of_different_contents_never_tear() {
         let g = fixture();
-        let ctx = CondenseContext::new(&g);
-        warm(&ctx);
+        let full = CondenseContext::new(&g);
+        warm(&full);
+        // Partly warm: two-hop compositions only, no vectors.
+        let partial = CondenseContext::new(&g);
+        for p in partial.metapaths(g.schema().target(), 2, 100).iter() {
+            partial.adjacency(p);
+        }
+        assert_ne!(
+            encode_snapshot(&full, None),
+            encode_snapshot(&partial, None),
+            "the writers must race different bytes"
+        );
         let dir = std::env::temp_dir().join(format!("fhgc-snap-race-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("race.fhgc");
-        ctx.save_snapshot(&path, None, None).unwrap();
-        let cap = encode_snapshot(&ctx, None, None).0.len() / 2;
+        full.save_snapshot(&path, None).unwrap();
         let start = std::sync::Barrier::new(6);
         std::thread::scope(|s| {
             for writer in 0..4 {
-                let (ctx, path, start) = (&ctx, &path, &start);
+                let ctx = if writer % 2 == 0 { &full } else { &partial };
+                let (path, start) = (&path, &start);
                 s.spawn(move || {
-                    let cap = (writer % 2 == 1).then_some(cap);
                     start.wait();
                     for _ in 0..25 {
-                        ctx.save_snapshot(path, None, cap).expect("save");
+                        ctx.save_snapshot(path, None).expect("save");
                     }
                 });
             }
@@ -1802,13 +1676,12 @@ mod tests {
     #[test]
     fn file_name_spells_the_registry_key() {
         let fp = GraphFingerprint(0xABCD, 0x1234);
-        let name = snapshot_file_name(fp, Some(256), None);
+        let name = snapshot_file_name(fp, Some(256));
         assert_eq!(
             name,
-            format!("ctx-{fp}-k256-bnone.fhgc"),
-            "fingerprint and both knobs must be addressable from the name"
+            format!("ctx-{fp}-k256.fhgc"),
+            "fingerprint and fill-in cap must be addressable from the name"
         );
-        assert_ne!(name, snapshot_file_name(fp, None, None));
-        assert_ne!(name, snapshot_file_name(fp, Some(256), Some(64)));
+        assert_ne!(name, snapshot_file_name(fp, None));
     }
 }

@@ -53,22 +53,6 @@ impl PropagatedFeatures {
             .sum::<usize>()
             + self.path_names.iter().map(|n| n.len()).sum::<usize>()
     }
-
-    /// Deterministic recompute-cost estimate in the cache accountant's
-    /// shared flop currency: rebuilding block `i` is one dense-output
-    /// SpMM, ~2 flops per output cell (multiply + add), and block 0 is
-    /// a copy. Dense `f32` payloads at ~0.5 flops per resident byte
-    /// make propagated blocks the accountant's cheapest-per-byte
-    /// family — the first evicted under memory pressure, exactly as
-    /// intended: they dominate resident bytes and cost one SpMM each
-    /// to bring back.
-    pub fn recompute_flops(&self) -> u64 {
-        self.blocks
-            .iter()
-            .map(|b| 2 * (b.rows as u64) * (b.cols as u64))
-            .sum::<u64>()
-            .max(1)
-    }
 }
 
 /// The [`PropagatedCodec`] for this crate's [`PropagatedFeatures`]: the
@@ -143,15 +127,6 @@ impl PropagatedCodec for PropagatedFeaturesCodec {
             .downcast_ref::<PropagatedFeatures>()
             .map_or(0, PropagatedFeatures::resident_bytes)
     }
-
-    /// Costs a snapshot-loaded block set in the accountant's flop
-    /// currency, so a warm-from-disk entry competes for budget exactly
-    /// like a freshly propagated one.
-    fn recompute_cost(&self, value: &dyn Any) -> u64 {
-        value
-            .downcast_ref::<PropagatedFeatures>()
-            .map_or(0, PropagatedFeatures::recompute_flops)
-    }
 }
 
 /// Default cap on the number of enumerated meta-paths (re-exported from
@@ -181,7 +156,6 @@ pub fn propagate_ctx(
         (max_hops, max_paths),
         || propagate_uncached(ctx, max_hops, max_paths),
         PropagatedFeatures::resident_bytes,
-        PropagatedFeatures::recompute_flops,
     )
 }
 

@@ -12,7 +12,7 @@ use freehgc::core::FreeHgc;
 use freehgc::datasets::tiny;
 use freehgc::eval::ChaosKnobs;
 use freehgc::hetgraph::failpoints as fp;
-use freehgc::hetgraph::{CacheFamily, CondenseSpec, CondensedGraph, Condenser, ContextRegistry};
+use freehgc::hetgraph::{CondenseSpec, CondensedGraph, Condenser, ContextRegistry};
 use std::sync::{Arc, Mutex};
 
 static FP_LOCK: Mutex<()> = Mutex::new(());
@@ -232,61 +232,6 @@ fn torn_write_retries_and_the_orphan_is_swept_on_restart() {
     });
 }
 
-#[test]
-fn accountant_pressure_spike_never_changes_output_bits() {
-    drill(|| {
-        let g = Arc::new(tiny(48));
-        let spec = CondenseSpec::new(0.25).with_max_hops(2).with_seed(5);
-        let want = FreeHgc::default().condense_shared(&ContextRegistry::new(), &g, &spec);
-
-        // Reject roughly half of ALL cache admissions — every family of
-        // the unified accountant (composed, influence, diversity,
-        // propagated) sees the spike, not just the composed one.
-        let knobs = ChaosKnobs {
-            seed: 13,
-            accountant_pressure_one_in: Some(2),
-            ..Default::default()
-        };
-        assert!(ChaosKnobs::active(), "suite runs with failpoints on");
-        knobs.arm();
-        let reg = ContextRegistry::new();
-        let got = FreeHgc::default().condense_shared(&reg, &g, &spec);
-        let ctx = reg.context_for(&g, &spec);
-        freehgc::hgnn::propagation::propagate_ctx(&ctx, 2, 8);
-        assert!(
-            ChaosKnobs::faults_fired() > 0,
-            "the pressure site must actually fire"
-        );
-        assert_eq!(got.orig_ids, want.orig_ids, "rejections only cost reuse");
-        let st = ctx.stats();
-        assert!(
-            st[CacheFamily::Composed].rejected
-                + st[CacheFamily::Influence].rejected
-                + st[CacheFamily::Diversity].rejected
-                + st[CacheFamily::Propagated].rejected
-                > 0,
-            "rejections are counted against the accountant's families"
-        );
-        assert!(
-            st[CacheFamily::Composed].rejected > 0,
-            "the spike reaches the composed family too"
-        );
-
-        // The spike must stay invisible in the bits even when it lands
-        // on the propagated family: a second propagation request under
-        // pressure recomputes or serves warm, but never diverges.
-        let calm = ContextRegistry::new().context_for(&g, &spec);
-        fp::reset();
-        let want_pf = freehgc::hgnn::propagation::propagate_ctx(&calm, 2, 8);
-        knobs.arm();
-        let got_pf = freehgc::hgnn::propagation::propagate_ctx(&ctx, 2, 8);
-        assert_eq!(want_pf.path_names, got_pf.path_names, "block names");
-        for (a, b) in want_pf.blocks.iter().zip(&got_pf.blocks) {
-            assert_eq!(a.data, b.data, "propagated bits survive the spike");
-        }
-    });
-}
-
 /// Full structural equality of two condensations, bit for bit.
 fn same_bits(a: &CondensedGraph, b: &CondensedGraph) -> bool {
     let (x, y) = (&a.graph, &b.graph);
@@ -325,7 +270,6 @@ fn every_fault_at_once_under_concurrent_clients_keeps_reference_bits() {
             condense_panics: 2,
             build_panics: 1,
             build_delay: true,
-            accountant_pressure_one_in: Some(5),
             ..Default::default()
         }
         .arm();
