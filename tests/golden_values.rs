@@ -326,3 +326,107 @@ fn dense_products_match_the_golden_digest() {
         "matmul, matmul_tn or matmul_nt moved a bit"
     );
 }
+
+/// Training pinned end to end: each of the five HGNN heads trained with
+/// Adam, dropout and validation early stopping on `propagate(tiny(44))`
+/// blocks, hashed with its restored parameters and its test-split
+/// predictions, followed by the target features of one HGCond
+/// refinement whose SeHGNN relay differentiates through projections of
+/// constant blocks. An edit to the tape, its backward pass or an
+/// activation kernel that moves any trained bit shows here, not only in
+/// the accuracy tables.
+///
+/// Unlike the dense-product digest above, this one also depends on
+/// libm: `tanhf` (attention and HAN's projection), `expf` (softmax,
+/// sigmoid) and `logf` (the loss). It is pinned for x86_64 Linux with
+/// glibc, the platform CI runs on; the thread count does not enter.
+#[cfg(all(target_os = "linux", target_env = "gnu", target_arch = "x86_64"))]
+#[test]
+fn training_matches_the_golden_digest() {
+    use freehgc::autograd::Matrix;
+    use freehgc::baselines::{GradMatchConfig, HGCondBaseline, RelayKind};
+    use freehgc::datasets::tiny;
+    use freehgc::hetgraph::{CondenseSpec, Condenser};
+    use freehgc::hgnn::trainer::predict;
+    use freehgc::hgnn::{build_model, propagate, train, EvalData, ModelKind, TrainConfig};
+    use freehgc::sparse::fx::FxHasher;
+    use std::hash::Hasher;
+
+    let g = tiny(44);
+    let pf = propagate(&g, 2, 16);
+    let split = g.split();
+    let labels =
+        |ids: &[u32]| -> Vec<u32> { ids.iter().map(|&v| g.labels()[v as usize]).collect() };
+    let (train_blocks, train_labels) = (pf.gather(&split.train), labels(&split.train));
+    let (val_blocks, val_labels) = (pf.gather(&split.val), labels(&split.val));
+    let test_blocks = pf.gather(&split.test);
+
+    let mut h = FxHasher::default();
+    let mut hash = |m: &Matrix| {
+        h.write_usize(m.rows);
+        h.write_usize(m.cols);
+        m.data.iter().for_each(|v| h.write_u32(v.to_bits()));
+    };
+    let cfg = TrainConfig {
+        hidden: 16,
+        epochs: 12,
+        patience: 4,
+        seed: 3,
+        ..TrainConfig::default()
+    };
+    let mut epochs = Vec::new();
+    for kind in [
+        ModelKind::HeteroSgc,
+        ModelKind::SeHgnn,
+        ModelKind::Han,
+        ModelKind::Hgb,
+        ModelKind::Hgt,
+    ] {
+        let mut model = build_model(kind, &pf.dims(), g.num_classes(), 16, 0.5, 7);
+        let report = train(
+            &mut *model,
+            &EvalData {
+                blocks: &train_blocks,
+                labels: &train_labels,
+            },
+            Some(&EvalData {
+                blocks: &val_blocks,
+                labels: &val_labels,
+            }),
+            &cfg,
+        );
+        epochs.push(report.epochs_run);
+        model
+            .store()
+            .param_ids()
+            .for_each(|p| hash(model.store().value(p)));
+        let pred = predict(&*model, &test_blocks);
+        hash(&Matrix::from_vec(
+            1,
+            pred.len(),
+            pred.iter().map(|&c| c as f32).collect(),
+        ));
+    }
+
+    let hgcond = HGCondBaseline {
+        cfg: GradMatchConfig {
+            relay: RelayKind::SeHgnn,
+            outer: 3,
+            inner: 2,
+            relay_samples: 2,
+            ops: true,
+            ..GradMatchConfig::default()
+        },
+        kmeans_iters: 3,
+    };
+    let spec = CondenseSpec::new(0.2).with_max_hops(2).with_seed(5);
+    let cond = hgcond.condense(&g, &spec);
+    let x = cond.graph.features(g.schema().target());
+    hash(&Matrix::from_vec(x.num_rows(), x.dim(), x.data().to_vec()));
+
+    assert_eq!(
+        (epochs, h.finish()),
+        (vec![5, 5, 6, 5, 9], 11_186_412_719_449_807_875),
+        "a trained parameter, a prediction or HGCond's refined features moved a bit"
+    );
+}
