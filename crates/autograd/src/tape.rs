@@ -12,8 +12,19 @@
 //! *analytic relay gradient* `Xᵀ(softmax(XW) − Y)/n` be expressed as a
 //! first-order forward computation so the gradient-matching loss is
 //! differentiable without double-backward.
+//!
+//! Gradients flow only where a parameter can be reached. Each node
+//! notes, as it is recorded, whether it *requires a gradient*: a
+//! constant does not, a parameter does, and any other op does exactly
+//! when one of its inputs does. [`Tape::backward`] never computes a
+//! gradient for a node that does not, so a constant input — the `X_i`
+//! of every `X_i·W_i` projection, a frozen relay weight, a label
+//! matrix — costs no backward work, and [`Gradients::get`] returns
+//! `None` for it. The pruned gradients are exactly those no parameter
+//! depends on, so every parameter gradient keeps its bits.
 
 use crate::matrix::Matrix;
+use crate::tanh::tanh_in_place;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -119,6 +130,9 @@ struct Node {
     value: Matrix,
     aux: Option<Matrix>,
     labels: Option<Vec<u32>>,
+    /// Whether a parameter reaches this node, so that its gradient can
+    /// matter (see the module docs).
+    requires_grad: bool,
 }
 
 /// A single forward computation; build ops, call [`Tape::backward`] once.
@@ -133,11 +147,33 @@ impl Tape {
     }
 
     fn push(&mut self, op: Op, value: Matrix) -> NodeId {
+        let req = |id: &NodeId| self.nodes[id.0].requires_grad;
+        let requires_grad = match &op {
+            Op::Constant => false,
+            Op::Param(_) => true,
+            Op::MatMul(a, b)
+            | Op::MatMulTN(a, b)
+            | Op::Add(a, b)
+            | Op::AddBias(a, b)
+            | Op::Sub(a, b)
+            | Op::Hadamard(a, b) => req(a) || req(b),
+            Op::Scale(a, _)
+            | Op::Relu(a)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Dropout(a)
+            | Op::SoftmaxRows(a)
+            | Op::CrossEntropyMean(a)
+            | Op::SumSquares(a) => req(a),
+            Op::AddN(parts) | Op::ConcatCols(parts) => parts.iter().any(req),
+            Op::WeightedSum { mats, weights } => req(weights) || mats.iter().any(req),
+        };
         self.nodes.push(Node {
             op,
             value,
             aux: None,
             labels: None,
+            requires_grad,
         });
         NodeId(self.nodes.len() - 1)
     }
@@ -147,7 +183,8 @@ impl Tape {
         &self.nodes[id.0].value
     }
 
-    /// Inserts a non-trainable input.
+    /// Inserts a non-trainable input. It never receives a gradient, and
+    /// neither does any node computed from constants alone.
     pub fn constant(&mut self, m: Matrix) -> NodeId {
         self.push(Op::Constant, m)
     }
@@ -222,9 +259,7 @@ impl Tape {
 
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
         let mut v = self.nodes[a.0].value.clone();
-        for x in v.data.iter_mut() {
-            *x = x.tanh();
-        }
+        tanh_in_place(&mut v.data);
         self.push(Op::Tanh(a), v)
     }
 
@@ -318,12 +353,15 @@ impl Tape {
 
     /// Reverse-mode sweep from a scalar `loss` node. Returns per-node
     /// gradients; use [`Gradients::get`] / [`Tape::accumulate_param_grads`]
-    /// afterwards.
+    /// afterwards. Only nodes that require a gradient get one (see the
+    /// module docs); a loss computed from constants alone gives none.
     pub fn backward(&mut self, loss: NodeId) -> Gradients {
         let lv = &self.nodes[loss.0].value;
         assert_eq!(lv.shape(), (1, 1), "backward needs a scalar loss");
         let mut grads: Vec<Option<Matrix>> = (0..self.nodes.len()).map(|_| None).collect();
-        grads[loss.0] = Some(Matrix::scalar(1.0));
+        if self.nodes[loss.0].requires_grad {
+            grads[loss.0] = Some(Matrix::scalar(1.0));
+        }
         for i in (0..=loss.0).rev() {
             let Some(g) = grads[i].take() else { continue };
             self.propagate(i, &g, &mut grads);
@@ -332,49 +370,59 @@ impl Tape {
         Gradients { grads }
     }
 
+    /// Adds `delta()` to the gradient of `id`, computing it only if `id`
+    /// requires a gradient.
+    fn add_to(&self, grads: &mut [Option<Matrix>], id: NodeId, delta: impl FnOnce() -> Matrix) {
+        if !self.nodes[id.0].requires_grad {
+            return;
+        }
+        let delta = delta();
+        match &mut grads[id.0] {
+            Some(existing) => existing.add_assign(&delta),
+            slot @ None => *slot = Some(delta),
+        }
+    }
+
     fn propagate(&self, i: usize, g: &Matrix, grads: &mut [Option<Matrix>]) {
-        let add_to =
-            |grads: &mut [Option<Matrix>], id: NodeId, delta: Matrix| match &mut grads[id.0] {
-                Some(existing) => existing.add_assign(&delta),
-                slot @ None => *slot = Some(delta),
-            };
         match &self.nodes[i].op {
             Op::Constant | Op::Param(_) => {}
             Op::MatMul(a, b) => {
                 let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                add_to(grads, *a, g.matmul_nt(bv));
-                add_to(grads, *b, av.matmul_tn(g));
+                self.add_to(grads, *a, || g.matmul_nt(bv));
+                self.add_to(grads, *b, || av.matmul_tn(g));
             }
             Op::MatMulTN(a, b) => {
                 let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                add_to(grads, *a, bv.matmul_nt(g));
-                add_to(grads, *b, av.matmul(g));
+                self.add_to(grads, *a, || bv.matmul_nt(g));
+                self.add_to(grads, *b, || av.matmul(g));
             }
             Op::Add(a, b) => {
-                add_to(grads, *a, g.clone());
-                add_to(grads, *b, g.clone());
+                self.add_to(grads, *a, || g.clone());
+                self.add_to(grads, *b, || g.clone());
             }
             Op::AddBias(a, bias) => {
-                add_to(grads, *a, g.clone());
-                let mut db = Matrix::zeros(1, g.cols);
-                for r in 0..g.rows {
-                    for (d, &x) in db.row_mut(0).iter_mut().zip(g.row(r)) {
-                        *d += x;
+                self.add_to(grads, *a, || g.clone());
+                self.add_to(grads, *bias, || {
+                    let mut db = Matrix::zeros(1, g.cols);
+                    for r in 0..g.rows {
+                        for (d, &x) in db.row_mut(0).iter_mut().zip(g.row(r)) {
+                            *d += x;
+                        }
                     }
-                }
-                add_to(grads, *bias, db);
+                    db
+                });
             }
             Op::Sub(a, b) => {
-                add_to(grads, *a, g.clone());
-                add_to(grads, *b, g.scale(-1.0));
+                self.add_to(grads, *a, || g.clone());
+                self.add_to(grads, *b, || g.scale(-1.0));
             }
             Op::Hadamard(a, b) => {
                 let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                add_to(grads, *a, g.hadamard(bv));
-                add_to(grads, *b, g.hadamard(av));
+                self.add_to(grads, *a, || g.hadamard(bv));
+                self.add_to(grads, *b, || g.hadamard(av));
             }
-            Op::Scale(a, s) => add_to(grads, *a, g.scale(*s)),
-            Op::Relu(a) => {
+            Op::Scale(a, s) => self.add_to(grads, *a, || g.scale(*s)),
+            Op::Relu(a) => self.add_to(grads, *a, || {
                 let av = &self.nodes[a.0].value;
                 let mut d = g.clone();
                 for (x, &orig) in d.data.iter_mut().zip(&av.data) {
@@ -382,29 +430,29 @@ impl Tape {
                         *x = 0.0;
                     }
                 }
-                add_to(grads, *a, d);
-            }
-            Op::Sigmoid(a) => {
+                d
+            }),
+            Op::Sigmoid(a) => self.add_to(grads, *a, || {
                 let s = &self.nodes[i].value;
                 let mut d = g.clone();
                 for (x, &sv) in d.data.iter_mut().zip(&s.data) {
                     *x *= sv * (1.0 - sv);
                 }
-                add_to(grads, *a, d);
-            }
-            Op::Tanh(a) => {
+                d
+            }),
+            Op::Tanh(a) => self.add_to(grads, *a, || {
                 let t = &self.nodes[i].value;
                 let mut d = g.clone();
                 for (x, &tv) in d.data.iter_mut().zip(&t.data) {
                     *x *= 1.0 - tv * tv;
                 }
-                add_to(grads, *a, d);
-            }
-            Op::Dropout(a) => {
+                d
+            }),
+            Op::Dropout(a) => self.add_to(grads, *a, || {
                 let mask = self.nodes[i].aux.as_ref().expect("dropout mask");
-                add_to(grads, *a, g.hadamard(mask));
-            }
-            Op::SoftmaxRows(a) => {
+                g.hadamard(mask)
+            }),
+            Op::SoftmaxRows(a) => self.add_to(grads, *a, || {
                 let s = &self.nodes[i].value;
                 let mut d = Matrix::zeros(g.rows, g.cols);
                 for r in 0..g.rows {
@@ -413,9 +461,9 @@ impl Tape {
                         *dv = sv * (gv - dot);
                     }
                 }
-                add_to(grads, *a, d);
-            }
-            Op::CrossEntropyMean(logits) => {
+                d
+            }),
+            Op::CrossEntropyMean(logits) => self.add_to(grads, *logits, || {
                 let probs = self.nodes[i].aux.as_ref().expect("softmax cache");
                 let labels = self.nodes[i].labels.as_ref().expect("labels cache");
                 let n = labels.len().max(1) as f32;
@@ -425,37 +473,42 @@ impl Tape {
                     let v = d.get(r, y as usize);
                     d.set(r, y as usize, v - 1.0);
                 }
-                add_to(grads, *logits, d.scale(scale));
-            }
+                d.scale(scale)
+            }),
             Op::SumSquares(a) => {
-                let av = &self.nodes[a.0].value;
-                add_to(grads, *a, av.scale(2.0 * g.get(0, 0)));
+                self.add_to(grads, *a, || self.nodes[a.0].value.scale(2.0 * g.get(0, 0)))
             }
             Op::AddN(parts) => {
                 for p in parts {
-                    add_to(grads, *p, g.clone());
+                    self.add_to(grads, *p, || g.clone());
                 }
             }
             Op::WeightedSum { mats, weights } => {
                 let w = &self.nodes[weights.0].value;
-                let mut dw = Matrix::zeros(1, mats.len());
                 for (k, m) in mats.iter().enumerate() {
-                    let mv = &self.nodes[m.0].value;
-                    add_to(grads, *m, g.scale(w.get(0, k)));
-                    let dot: f32 = g.data.iter().zip(&mv.data).map(|(x, y)| x * y).sum();
-                    dw.set(0, k, dot);
+                    self.add_to(grads, *m, || g.scale(w.get(0, k)));
                 }
-                add_to(grads, *weights, dw);
+                self.add_to(grads, *weights, || {
+                    let mut dw = Matrix::zeros(1, mats.len());
+                    for (k, m) in mats.iter().enumerate() {
+                        let mv = &self.nodes[m.0].value;
+                        let dot: f32 = g.data.iter().zip(&mv.data).map(|(x, y)| x * y).sum();
+                        dw.set(0, k, dot);
+                    }
+                    dw
+                });
             }
             Op::ConcatCols(parts) => {
                 let mut off = 0usize;
                 for p in parts {
                     let pc = self.nodes[p.0].value.cols;
-                    let mut d = Matrix::zeros(g.rows, pc);
-                    for r in 0..g.rows {
-                        d.row_mut(r).copy_from_slice(&g.row(r)[off..off + pc]);
-                    }
-                    add_to(grads, *p, d);
+                    self.add_to(grads, *p, || {
+                        let mut d = Matrix::zeros(g.rows, pc);
+                        for r in 0..g.rows {
+                            d.row_mut(r).copy_from_slice(&g.row(r)[off..off + pc]);
+                        }
+                        d
+                    });
                     off += pc;
                 }
             }
@@ -480,7 +533,10 @@ pub struct Gradients {
 }
 
 impl Gradients {
-    /// Gradient of the loss with respect to node `id`, if it received one.
+    /// Gradient of the loss with respect to node `id`, if it received
+    /// one. A node that does not require a gradient — a constant, or any
+    /// node computed from constants alone — never receives one, so this
+    /// returns `None` for it even when the loss depends on its value.
     pub fn get(&self, id: NodeId) -> Option<&Matrix> {
         self.grads[id.0].as_ref()
     }
@@ -679,6 +735,34 @@ mod tests {
         let g = t.backward(loss);
         t.accumulate_param_grads(&g, &mut store);
         assert!((store.grad(p).get(0, 0) - 24.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn constants_and_constant_only_nodes_get_no_gradient() {
+        let mut store = ParamStore::new();
+        let p = store.add(Matrix::xavier(3, 2, 21));
+        let mut t = Tape::new();
+        let x = t.constant(Matrix::xavier(4, 3, 22));
+        let xs = t.scale(x, 2.0);
+        let w = t.param(&store, p);
+        let h = t.matmul(xs, w);
+        let loss = t.sum_squares(h);
+        let g = t.backward(loss);
+        assert!(g.get(x).is_none(), "constant");
+        assert!(g.get(xs).is_none(), "computed from constants alone");
+        for (id, what) in [(w, "param"), (h, "param-dependent"), (loss, "loss")] {
+            assert!(g.get(id).is_some(), "{what}");
+        }
+
+        // A loss of constants alone: no node gets a gradient, the loss
+        // itself included.
+        let c = t.constant(Matrix::xavier(2, 2, 23));
+        let tc = t.tanh(c);
+        let closs = t.sum_squares(tc);
+        let g = t.backward(closs);
+        for id in [c, tc, closs] {
+            assert!(g.get(id).is_none());
+        }
     }
 
     #[test]

@@ -17,7 +17,11 @@
 //! canonical 8-lane order the public kernel keeps; `spgemm` keeps the
 //! reference's contribution order; `spmv_t`, `spmm_dense` and `matmul`
 //! run their references' loops, so their rows time the partitioning
-//! and buffer handling around the same loop and carry no floor.
+//! and buffer handling around the same loop and carry no floor. The
+//! `tanh/<n>` row times the training path's vectorized `tanh` on a
+//! predict-sized input against the per-element `f32::tanh` loop, with
+//! outputs compared as bit patterns; it is serial at every budget and
+//! ungated.
 //!
 //! **Floors.** The timing gates, each fatal:
 //! * `spgemm` ≥ 1.5× over its reference;
@@ -318,6 +322,26 @@ fn kernel_rows(quick: bool, reps: usize, threads: usize) -> Vec<KernelRow> {
         None,
         Some(("matmul_nt_ref", &mut || am.matmul_nt_ref(&bm).data)),
         &mut || am.matmul_nt(&bm).data,
+    );
+
+    // Semantic attention's activation at predict size: an ACM test
+    // split at scale 2 (1680 rows) times hidden 64. The reference is
+    // the per-element libm loop the vectorized kernel replaced; outputs
+    // are compared as bit patterns.
+    let th_n = 1680 * 64;
+    let mut th_rng = StdRng::seed_from_u64(14);
+    let th_x: Vec<f32> = (0..th_n).map(|_| th_rng.gen_range(-4.0f32..4.0)).collect();
+    t.row(
+        format!("tanh/{th_n}"),
+        None,
+        Some(("tanh_libm", &mut || {
+            th_x.iter().map(|x| x.tanh().to_bits()).collect::<Vec<_>>()
+        })),
+        &mut || {
+            let mut v = th_x.clone();
+            freehgc_autograd::tanh::tanh_in_place(&mut v);
+            v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        },
     );
 
     // End to end: feature propagation and Algorithm-1 target selection
