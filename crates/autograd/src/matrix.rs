@@ -1,18 +1,49 @@
 //! Dense row-major `f32` matrices.
 //!
 //! The HGNN heads in this reproduction are small (hidden sizes ≤ a few
-//! hundred), so a cache-friendly `ikj` matmul — row-partitioned across
-//! threads for the larger products the trainer hits — is fast enough;
-//! all heavy propagation work happens in `freehgc-sparse`. Parallel
-//! partitions own disjoint output rows and accumulate in the serial
-//! order, so results are bitwise-identical at any thread count.
+//! hundred); all heavy propagation work happens in `freehgc-sparse`.
+//! Products of at least twice `MATMUL_FLOP_GRAIN` multiply-adds are
+//! row-partitioned across threads. Partitions own disjoint output rows
+//! and accumulate in the serial order, so results are bitwise-identical
+//! at any thread count.
 //!
-//! `matmul` runs the plain `ikj` loop of [`Matrix::matmul_ref`] over
-//! each partition (an 8-lane register-blocked loop measured no faster
-//! at the trainer's shapes and slower on class heads), and `matmul_tn`
-//! the matching `i`-outer loop. Only `matmul_nt` has a kernel of its
-//! own: the canonical 8-lane dot product, which its reference computes
-//! in the same order.
+//! # Panel loops
+//!
+//! `matmul` and `matmul_tn` build each output row as a sum of scaled
+//! rows of `B`: `Σ_k a[i,k]·B[k,:]` for `A·B`, `Σ_i a[i,k]·B[i,:]` for
+//! `Aᵀ·B`. The reference loop ([`Matrix::matmul_ref`]) adds each term
+//! into the output row in memory, so it loads and stores the whole row
+//! once per term. The kernels split the row into column panels instead
+//! and sum each panel in a local array that stays in registers across
+//! every term, then store it once. The widest panel is 64 columns in
+//! the AVX2 build (8 ymm registers) and 32 in the baseline build (8 of
+//! the 16 SSE registers); what is left of the row takes one 32-, 16-
+//! and 8-wide panel at most, then one panel of its exact width, so a
+//! class head of 3 or 4 columns is a single panel too.
+//!
+//! An earlier 8-lane register block measured no faster than the
+//! reference and was deleted. It kept one 8-lane accumulator, so every
+//! multiply-add waited for the previous one, and it ran a 64-column row
+//! as 8 passes over `A`'s row. A 64-wide panel keeps 8 independent
+//! accumulator chains, so each broadcast of `a[i,k]` feeds 8 vector
+//! multiply-adds that do not wait on each other, and the trainer's
+//! 64-wide hidden rows are a single pass. On a 2-core x86_64 host the
+//! AVX2 build runs the trainer's 58–2240 × 64 × 64 products at 12–20
+//! GMAC/s, the reference loop at 4–7.
+//!
+//! Both kernels keep the reference's `a[i,k] == 0.0` skip and add each
+//! element's terms in increasing `k` (or `i`) order, starting from
+//! `+0.0`, so every element gets exactly the operations
+//! [`Matrix::matmul_ref`] performs. `matmul_tn` reads `A` and `B` in
+//! blocks of `TN_ROW_BLOCK` rows and carries each panel over from
+//! one block to the next through the output row; storing and reloading
+//! an `f32` is exact, so the blocks do not change the sum. Rust never
+//! contracts a multiply and an add into a fused multiply-add, so the
+//! two builds, picked at run time with `is_x86_feature_detected!`,
+//! give the same bits as each other and as the reference.
+//!
+//! `matmul_nt` has a kernel of its own: the canonical 8-lane dot
+//! product, which its reference computes in the same order.
 
 use freehgc_parallel as par;
 use rand::rngs::StdRng;
@@ -21,8 +52,12 @@ use rand::SeedableRng;
 use std::ops::Range;
 
 /// Minimum scalar multiply-adds a worker must own before a dense
-/// product goes parallel (several multiples of a scoped-thread spawn).
-const MATMUL_FLOP_GRAIN: usize = 65_536;
+/// product goes parallel. On a 2-core x86_64 host, splitting the
+/// trainer's products (up to 2240 × 64 × 64, 9.2M) over 2 threads made
+/// training no faster, while products from 16.8M up (4096 × 64 × 64)
+/// ran 1.1–1.9× faster; at this grain every trainer product stays
+/// serial and those go parallel.
+const MATMUL_FLOP_GRAIN: usize = 1 << 23;
 
 /// The canonical 8-lane dense dot product: element `k` accumulates into
 /// lane `k % 8`, lanes combine as `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`.
@@ -45,6 +80,140 @@ fn dot_lanes_dense(a: &[f32], b: &[f32]) -> f32 {
     }
     ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
         + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+}
+
+/// Widest column panel of the baseline build: 32 accumulators take 8
+/// of the 16 SSE registers, leaving the rest for the broadcast scalar
+/// and the loads (64 would spill).
+const BASELINE_PANEL: usize = 32;
+
+/// Widest column panel of the AVX2 build: 64 accumulators in 8 of the
+/// 16 ymm registers.
+#[cfg(target_arch = "x86_64")]
+const AVX2_PANEL: usize = 64;
+
+/// Rows of `A` and `B` that one pass of the `Aᵀ·B` loop covers. Every
+/// output row of a pass reads the same block of `B`; at 128 rows of up
+/// to 64 columns that block stays in L1 (32 KiB) instead of streaming
+/// the whole of `B` from memory once per output row.
+const TN_ROW_BLOCK: usize = 128;
+
+/// Adds `Σ_t s_t · row_t` into the output row `crow`, over the
+/// `(s_t, row_t)` pairs `terms` yields. Each column panel (`W` wide,
+/// then one 32-, 16- and 8-wide panel at most, then one of the exact
+/// width left) loads its part of `crow` into an accumulator array that
+/// stays in registers across all the terms, and stores it once. Every
+/// element gets `crow[j] + s_0·x_0 + s_1·x_1 + …` in term order.
+#[inline(always)]
+fn accumulate_row<'r, const W: usize>(
+    terms: impl Iterator<Item = (f32, &'r [f32])> + Clone,
+    crow: &mut [f32],
+) {
+    let n = crow.len();
+    let mut j = 0;
+    while j + W <= n {
+        panel::<W>(terms.clone(), j, &mut crow[j..j + W]);
+        j += W;
+    }
+    if W > 32 && j + 32 <= n {
+        panel::<32>(terms.clone(), j, &mut crow[j..j + 32]);
+        j += 32;
+    }
+    if W > 16 && j + 16 <= n {
+        panel::<16>(terms.clone(), j, &mut crow[j..j + 16]);
+        j += 16;
+    }
+    if W > 8 && j + 8 <= n {
+        panel::<8>(terms.clone(), j, &mut crow[j..j + 8]);
+        j += 8;
+    }
+    let tail = &mut crow[j..];
+    match tail.len() {
+        0 => {}
+        1 => panel::<1>(terms, j, tail),
+        2 => panel::<2>(terms, j, tail),
+        3 => panel::<3>(terms, j, tail),
+        4 => panel::<4>(terms, j, tail),
+        5 => panel::<5>(terms, j, tail),
+        6 => panel::<6>(terms, j, tail),
+        7 => panel::<7>(terms, j, tail),
+        _ => unreachable!("panels leave fewer than 8 columns"),
+    }
+}
+
+/// The `P`-wide panel of [`accumulate_row`] at column `j`; `out` is
+/// that panel of the output row.
+#[inline(always)]
+fn panel<'r, const P: usize>(
+    terms: impl Iterator<Item = (f32, &'r [f32])>,
+    j: usize,
+    out: &mut [f32],
+) {
+    let mut acc: [f32; P] = (&*out).try_into().expect("panel width");
+    for (s, row) in terms {
+        let x: &[f32; P] = row[j..j + P].try_into().expect("panel width");
+        for l in 0..P {
+            acc[l] += s * x[l];
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// `A·B` over output rows `rows`: row `i` sums `a[i,k]·B[k,:]` over the
+/// `k` with `a[i,k] != 0.0`, in increasing `k`. `out` arrives zeroed.
+#[inline(always)]
+fn matmul_rows_loop<const W: usize>(a: &Matrix, b: &Matrix, rows: Range<usize>, out: &mut [f32]) {
+    let n = b.cols;
+    for (ri, i) in rows.enumerate() {
+        let terms = a
+            .row(i)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s != 0.0)
+            .map(|(k, &s)| (s, b.row(k)));
+        accumulate_row::<W>(terms, &mut out[ri * n..(ri + 1) * n]);
+    }
+}
+
+/// `Aᵀ·B` over output rows `ks` (columns of `A`): row `k` sums
+/// `a[i,k]·B[i,:]` over the `i` with `a[i,k] != 0.0`, in increasing
+/// `i`, one block of [`TN_ROW_BLOCK`] rows at a time. `out` arrives
+/// zeroed.
+#[inline(always)]
+fn matmul_tn_cols_loop<const W: usize>(a: &Matrix, b: &Matrix, ks: Range<usize>, out: &mut [f32]) {
+    let n = b.cols;
+    for i0 in (0..a.rows).step_by(TN_ROW_BLOCK) {
+        let block = i0..(i0 + TN_ROW_BLOCK).min(a.rows);
+        for (rk, k) in ks.clone().enumerate() {
+            let terms = block
+                .clone()
+                .map(|i| (a.data[i * a.cols + k], b.row(i)))
+                .filter(|&(s, _)| s != 0.0);
+            accumulate_row::<W>(terms, &mut out[rk * n..(rk + 1) * n]);
+        }
+    }
+}
+
+/// [`matmul_rows_loop`] compiled with AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_rows_avx2(a: &Matrix, b: &Matrix, rows: Range<usize>, out: &mut [f32]) {
+    matmul_rows_loop::<AVX2_PANEL>(a, b, rows, out);
+}
+
+/// [`matmul_tn_cols_loop`] compiled with AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_tn_cols_avx2(a: &Matrix, b: &Matrix, ks: Range<usize>, out: &mut [f32]) {
+    matmul_tn_cols_loop::<AVX2_PANEL>(a, b, ks, out);
 }
 
 /// A dense row-major matrix.
@@ -142,23 +311,15 @@ impl Matrix {
         c
     }
 
-    /// The `ikj` kernel over a contiguous output-row range of `A·B`:
-    /// for each `k` with `a[i,k] != 0.0`, add `a[i,k]·B[k,:]` into the
-    /// output row. Each output element receives its contributions in
-    /// increasing-`k` order, exactly as in [`Matrix::matmul_ref`].
+    /// The `A·B` kernel over a contiguous output-row range; see the
+    /// module docs for the panel loop and its two builds.
     fn matmul_rows(&self, b: &Matrix, rows: Range<usize>, out: &mut [f32]) {
-        let n = b.cols;
-        for (ri, i) in rows.enumerate() {
-            let crow = &mut out[ri * n..(ri + 1) * n];
-            for (k, &aik) in self.row(i).iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                for (cj, &bkj) in crow.iter_mut().zip(b.row(k)) {
-                    *cj += aik * bkj;
-                }
-            }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked just above.
+            return unsafe { matmul_rows_avx2(self, b, rows, out) };
         }
+        matmul_rows_loop::<BASELINE_PANEL>(self, b, rows, out);
     }
 
     /// The serial `ikj` matmul, kept as the bitwise oracle and
@@ -185,12 +346,8 @@ impl Matrix {
     /// `C = Aᵀ · B` without materializing the transpose. Parallel
     /// workers own disjoint blocks of output rows (columns of `A`) and
     /// accumulate over `A`'s rows in increasing order — the serial
-    /// order — so results are bitwise-identical.
-    ///
-    /// The loop is `i`-outer so both operands stream contiguously; a
-    /// `k`-outer loop would walk `A` down a column (stride `cols`) over
-    /// the much larger activation matrix at gradient shapes
-    /// (`rows` = batch ≫ `cols`).
+    /// order — so results are bitwise-identical to
+    /// `self.transpose().matmul_ref(b)`.
     pub fn matmul_tn(&self, b: &Matrix) -> Matrix {
         assert_eq!(self.rows, b.rows, "matmul_tn outer dimension mismatch");
         let mut c = Matrix::zeros(self.cols, b.cols);
@@ -209,23 +366,15 @@ impl Matrix {
     }
 
     /// The `Aᵀ·B` kernel for output rows `ks` (a range of `A`'s
-    /// columns), accumulating over `A`'s rows in increasing order.
+    /// columns); see the module docs for the panel loop and its two
+    /// builds.
     fn matmul_tn_cols(&self, b: &Matrix, ks: Range<usize>, out: &mut [f32]) {
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            let brow = b.row(i);
-            for k in ks.clone() {
-                let aik = arow[k];
-                if aik == 0.0 {
-                    continue;
-                }
-                let rel = k - ks.start;
-                let crow = &mut out[rel * b.cols..(rel + 1) * b.cols];
-                for (cj, &bij) in crow.iter_mut().zip(brow) {
-                    *cj += aik * bij;
-                }
-            }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked just above.
+            return unsafe { matmul_tn_cols_avx2(self, b, ks, out) };
         }
+        matmul_tn_cols_loop::<BASELINE_PANEL>(self, b, ks, out);
     }
 
     /// `C = A · Bᵀ`. Row-partitioned parallel like [`Matrix::matmul`].
@@ -491,16 +640,131 @@ mod tests {
 
     #[test]
     fn parallel_matmuls_are_bitwise_serial() {
-        // Big enough to clear MATMUL_FLOP_GRAIN on several chunks.
-        let a = Matrix::xavier(96, 80, 11);
-        let b = Matrix::xavier(80, 96, 12);
-        let bt = Matrix::xavier(96, 80, 13);
+        // 1040 · 128 · 256 multiply-adds clear MATMUL_FLOP_GRAIN four
+        // times over, so each product splits into 4 partitions.
+        let a = Matrix::xavier(1040, 128, 11);
+        let b = Matrix::xavier(128, 256, 12);
+        let g = Matrix::xavier(1040, 256, 13);
+        let bt = Matrix::xavier(256, 128, 14);
         par::set_thread_override(Some(1));
-        let serial = (a.matmul(&b), a.matmul_tn(&bt), a.matmul_nt(&bt));
+        let serial = (a.matmul(&b), a.matmul_tn(&g), a.matmul_nt(&bt));
         par::set_thread_override(Some(4));
-        let parallel = (a.matmul(&b), a.matmul_tn(&bt), a.matmul_nt(&bt));
+        let chunks = par::chunks_for(a.rows * a.cols * b.cols, MATMUL_FLOP_GRAIN, a.cols);
+        let parallel = (a.matmul(&b), a.matmul_tn(&g), a.matmul_nt(&bt));
         par::set_thread_override(None);
+        assert_eq!(chunks, 4);
         assert_eq!(serial, parallel);
+    }
+
+    /// One build of the panel loops: its name, the `A·B` loop and the
+    /// `Aᵀ·B` loop.
+    type Build = (&'static str, PanelLoop, PanelLoop);
+    type PanelLoop = fn(&Matrix, &Matrix, Range<usize>, &mut [f32]);
+
+    /// Every build this host can run: the baseline build always, the
+    /// AVX2 build where the CPU has AVX2.
+    fn builds() -> Vec<Build> {
+        let mut out: Vec<Build> = vec![(
+            "baseline",
+            matmul_rows_loop::<BASELINE_PANEL>,
+            matmul_tn_cols_loop::<BASELINE_PANEL>,
+        )];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 is present, checked just above.
+            out.push((
+                "avx2",
+                |a, b, r, o| unsafe { matmul_rows_avx2(a, b, r, o) },
+                |a, b, r, o| unsafe { matmul_tn_cols_avx2(a, b, r, o) },
+            ));
+        }
+        out
+    }
+
+    /// Xavier entries with every third one zeroed, so the zero skip runs.
+    fn zero_heavy(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut m = Matrix::xavier(rows, cols, seed);
+        for (i, v) in m.data.iter_mut().enumerate() {
+            if (i * 7 + seed as usize).is_multiple_of(3) {
+                *v = 0.0;
+            }
+        }
+        m
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_build_matches_the_reference_across_panel_edges() {
+        // Widths on both sides of every panel edge of both builds; 300
+        // rows make `Aᵀ·B` cross two TN_ROW_BLOCK boundaries.
+        for n in [
+            1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 72, 128, 129,
+        ] {
+            for (m, k) in [(1usize, 1usize), (5, 37), (3, 257), (300, 5)] {
+                let a = zero_heavy(m, k, (m * 7 + n) as u64);
+                let b = zero_heavy(k, n, (k * 11 + n) as u64);
+                let g = zero_heavy(m, n, (m * 13 + n) as u64);
+                let want = bits(&a.matmul_ref(&b).data);
+                let want_tn = bits(&a.transpose().matmul_ref(&g).data);
+                for (name, rows_loop, tn_loop) in builds() {
+                    let mut out = vec![0f32; m * n];
+                    rows_loop(&a, &b, 0..m, &mut out);
+                    assert_eq!(bits(&out), want, "{name} A·B at ({m},{k},{n})");
+                    // A partition that starts past row 0, as a parallel
+                    // worker's does.
+                    let mut part = vec![0f32; (m - m / 2) * n];
+                    rows_loop(&a, &b, m / 2..m, &mut part);
+                    assert_eq!(bits(&part), want[m / 2 * n..], "{name} A·B rows");
+                    let mut out = vec![0f32; k * n];
+                    tn_loop(&a, &g, 0..k, &mut out);
+                    assert_eq!(bits(&out), want_tn, "{name} Aᵀ·B at ({m},{k},{n})");
+                    let mut part = vec![0f32; (k - k / 2) * n];
+                    tn_loop(&a, &g, k / 2..k, &mut part);
+                    assert_eq!(bits(&part), want_tn[k / 2 * n..], "{name} Aᵀ·B rows");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_build_skips_non_finite_rows_behind_zeros() {
+        // Column 1 of A is zero, so B row 1 never enters A·B; row 1 of A
+        // is zero, so G row 1 never enters Aᵀ·G. Those rows hold ±inf
+        // and NaN, and the outputs must stay the reference's.
+        let (m, k, n) = (6, 4, 72);
+        let mut a = Matrix::xavier(m, k, 21);
+        for i in 0..m {
+            a.set(i, 1, 0.0);
+        }
+        a.row_mut(1).fill(0.0);
+        let mut b = Matrix::xavier(k, n, 22);
+        let mut g = Matrix::xavier(m, n, 23);
+        for (j, v) in b.row_mut(1).iter_mut().enumerate() {
+            *v = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][j % 3];
+        }
+        for (j, v) in g.row_mut(1).iter_mut().enumerate() {
+            *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][j % 3];
+        }
+        let want = bits(&a.matmul_ref(&b).data);
+        let want_tn = bits(&a.transpose().matmul_ref(&g).data);
+        assert!(a.matmul_ref(&b).data.iter().all(|v| v.is_finite()));
+        assert!(a
+            .transpose()
+            .matmul_ref(&g)
+            .data
+            .iter()
+            .all(|v| v.is_finite()));
+        for (name, rows_loop, tn_loop) in builds() {
+            let mut out = vec![0f32; m * n];
+            rows_loop(&a, &b, 0..m, &mut out);
+            assert_eq!(bits(&out), want, "{name} A·B");
+            let mut out = vec![0f32; k * n];
+            tn_loop(&a, &g, 0..k, &mut out);
+            assert_eq!(bits(&out), want_tn, "{name} Aᵀ·B");
+        }
     }
 
     #[test]

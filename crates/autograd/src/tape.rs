@@ -27,6 +27,7 @@ use crate::matrix::Matrix;
 use crate::tanh::tanh_in_place;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::borrow::Cow;
 
 /// Handle to a node on a [`Tape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,9 +126,11 @@ enum Op {
     ConcatCols(Vec<NodeId>),
 }
 
-struct Node {
+struct Node<'a> {
     op: Op,
-    value: Matrix,
+    /// Borrowed only for a constant inserted with
+    /// [`Tape::constant_ref`].
+    value: Cow<'a, Matrix>,
     aux: Option<Matrix>,
     labels: Option<Vec<u32>>,
     /// Whether a parameter reaches this node, so that its gradient can
@@ -136,17 +139,23 @@ struct Node {
 }
 
 /// A single forward computation; build ops, call [`Tape::backward`] once.
+/// Constants inserted with [`Tape::constant_ref`] are borrowed for the
+/// tape's lifetime `'a` instead of copied.
 #[derive(Default)]
-pub struct Tape {
-    nodes: Vec<Node>,
+pub struct Tape<'a> {
+    nodes: Vec<Node<'a>>,
 }
 
-impl Tape {
+impl<'a> Tape<'a> {
     pub fn new() -> Self {
         Self::default()
     }
 
     fn push(&mut self, op: Op, value: Matrix) -> NodeId {
+        self.push_value(op, Cow::Owned(value))
+    }
+
+    fn push_value(&mut self, op: Op, value: Cow<'a, Matrix>) -> NodeId {
         let req = |id: &NodeId| self.nodes[id.0].requires_grad;
         let requires_grad = match &op {
             Op::Constant => false,
@@ -189,6 +198,12 @@ impl Tape {
         self.push(Op::Constant, m)
     }
 
+    /// [`Tape::constant`] without the copy: the tape borrows `m` for its
+    /// lifetime.
+    pub fn constant_ref(&mut self, m: &'a Matrix) -> NodeId {
+        self.push_value(Op::Constant, Cow::Borrowed(m))
+    }
+
     /// Inserts a trainable parameter (its value is copied from the store).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
         self.push(Op::Param(id), store.value(id).clone())
@@ -212,7 +227,7 @@ impl Tape {
 
     /// Adds a `1 × cols` bias row to every row of `a`.
     pub fn add_bias(&mut self, a: NodeId, bias: NodeId) -> NodeId {
-        let (av, bv) = (&self.nodes[a.0].value, &self.nodes[bias.0].value);
+        let (av, bv) = (self.value(a), self.value(bias));
         assert_eq!(bv.rows, 1, "bias must be a single row");
         assert_eq!(bv.cols, av.cols, "bias width mismatch");
         let mut v = av.clone();
@@ -240,7 +255,7 @@ impl Tape {
     }
 
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let mut v = self.nodes[a.0].value.clone();
+        let mut v = self.value(a).clone();
         for x in v.data.iter_mut() {
             if *x < 0.0 {
                 *x = 0.0;
@@ -250,7 +265,7 @@ impl Tape {
     }
 
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let mut v = self.nodes[a.0].value.clone();
+        let mut v = self.value(a).clone();
         for x in v.data.iter_mut() {
             *x = 1.0 / (1.0 + (-*x).exp());
         }
@@ -258,7 +273,7 @@ impl Tape {
     }
 
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let mut v = self.nodes[a.0].value.clone();
+        let mut v = self.value(a).clone();
         tanh_in_place(&mut v.data);
         self.push(Op::Tanh(a), v)
     }
@@ -311,7 +326,7 @@ impl Tape {
     /// Element-wise sum of same-shape nodes.
     pub fn add_n(&mut self, parts: &[NodeId]) -> NodeId {
         assert!(!parts.is_empty());
-        let mut v = self.nodes[parts[0].0].value.clone();
+        let mut v = self.value(parts[0]).clone();
         for p in &parts[1..] {
             v.add_assign(&self.nodes[p.0].value);
         }
@@ -346,7 +361,7 @@ impl Tape {
 
     /// Horizontal concatenation of nodes with equal row counts.
     pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
-        let mats: Vec<&Matrix> = parts.iter().map(|p| &self.nodes[p.0].value).collect();
+        let mats: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
         let v = Matrix::hcat(&mats);
         self.push(Op::ConcatCols(parts.to_vec()), v)
     }

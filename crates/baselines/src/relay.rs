@@ -346,7 +346,7 @@ pub fn gradient_matching_refine(
         // actual bi-level implementations do — this is the size-dependent
         // cost that makes these methods slow on large graphs (Fig. 2b).
         let mut tr = Tape::new();
-        let rb: Vec<NodeId> = real_blocks.iter().map(|b| tr.constant(b.clone())).collect();
+        let rb: Vec<NodeId> = real_blocks.iter().map(|b| tr.constant_ref(b)).collect();
         let psi_real_node = relay.repr(&mut tr, &rb);
         let psi_real = tr.value(psi_real_node).clone();
 
@@ -366,7 +366,7 @@ pub fn gradient_matching_refine(
                 let mut t = Tape::new();
                 let mut ws = ParamStore::new();
                 let wid = ws.add(w.clone());
-                let psi = t.constant(psi_syn_now.clone());
+                let psi = t.constant_ref(&psi_syn_now);
                 let wn = t.param(&ws, wid);
                 let logits = t.matmul(psi, wn);
                 let loss = t.cross_entropy_mean(logits, &y_syn);
@@ -391,12 +391,12 @@ pub fn gradient_matching_refine(
             // G_real for this sample (constant wrt X).
             let g_real = {
                 let mut tg = Tape::new();
-                let p = tg.constant(psi_real.clone());
-                let wn = tg.constant(w.clone());
+                let p = tg.constant_ref(&psi_real);
+                let wn = tg.constant_ref(w);
                 let g = relay_grad_node(&mut tg, p, wn, &y_real_oh);
                 tg.value(g).clone()
             };
-            let wn = t.constant(w.clone());
+            let wn = t.constant_ref(w);
             let g_syn = relay_grad_node(&mut t, psi_syn, wn, &y_syn_oh);
             let gr = t.constant(g_real);
             let diff = t.sub(g_syn, gr);
@@ -421,15 +421,15 @@ pub fn gradient_matching_refine(
     }
 }
 
-fn plan_nodes(tape: &mut Tape, plan: &[SynBlock], x: NodeId) -> Vec<NodeId> {
+fn plan_nodes<'a>(tape: &mut Tape<'a>, plan: &'a [SynBlock], x: NodeId) -> Vec<NodeId> {
     plan.iter()
         .map(|b| match b {
             SynBlock::Raw => x,
             SynBlock::Linear(m) => {
-                let mn = tape.constant(m.clone());
+                let mn = tape.constant_ref(m);
                 tape.matmul(mn, x)
             }
-            SynBlock::Const(c) => tape.constant(c.clone()),
+            SynBlock::Const(c) => tape.constant_ref(c),
         })
         .collect()
 }

@@ -14,10 +14,12 @@
 //! outputs are checked bitwise against the row's oracle: the
 //! reference's output where the row has one, the serial output
 //! otherwise. For `spmv` and `matmul_nt` the reference computes the
-//! canonical 8-lane order the public kernel keeps; `spgemm` keeps the
-//! reference's contribution order; `spmv_t`, `spmm_dense` and `matmul`
-//! run their references' loops, so their rows time the partitioning
-//! and buffer handling around the same loop and carry no floor. The
+//! canonical 8-lane order the public kernel keeps; `spgemm`, `matmul`
+//! and `matmul_tn` keep the reference's contribution order (the
+//! `matmul_tn` reference transposes, then runs `matmul_ref`); `spmv_t`
+//! and `spmm_dense` run their references' loops, so their rows time the
+//! partitioning and buffer handling around the same loop. Only `spgemm`
+//! carries a floor. The
 //! `tanh/<n>` row times the training path's vectorized `tanh` on a
 //! predict-sized input against the per-element `f32::tanh` loop, with
 //! outputs compared as bit patterns; it is serial at every budget and
@@ -322,6 +324,28 @@ fn kernel_rows(quick: bool, reps: usize, threads: usize) -> Vec<KernelRow> {
         None,
         Some(("matmul_nt_ref", &mut || am.matmul_nt_ref(&bm).data)),
         &mut || am.matmul_nt(&bm).data,
+    );
+    // The trainer's own shapes: a projection `X·W` and its weight
+    // gradient `Xᵀ·G` at predict size (an ACM test split at scale 2,
+    // hidden 64). Both stay below the parallel grain, so the parallel
+    // column runs the serial path.
+    let (tr_rows, hid) = (1680, 64);
+    let xm = freehgc_autograd::Matrix::xavier(tr_rows, hid, 15);
+    let wm = freehgc_autograd::Matrix::xavier(hid, hid, 16);
+    let gm = freehgc_autograd::Matrix::xavier(tr_rows, hid, 17);
+    t.row(
+        format!("matmul/{tr_rows}x{hid}x{hid}"),
+        None,
+        Some(("matmul_ref", &mut || xm.matmul_ref(&wm).data)),
+        &mut || xm.matmul(&wm).data,
+    );
+    t.row(
+        format!("matmul_tn/{tr_rows}x{hid}x{hid}"),
+        None,
+        Some(("transpose_matmul_ref", &mut || {
+            xm.transpose().matmul_ref(&gm).data
+        })),
+        &mut || xm.matmul_tn(&gm).data,
     );
 
     // Semantic attention's activation at predict size: an ACM test

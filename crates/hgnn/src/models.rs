@@ -54,11 +54,12 @@ pub trait Model {
     fn store(&self) -> &ParamStore;
     fn store_mut(&mut self) -> &mut ParamStore;
     /// Builds the forward computation and returns the logits node
-    /// (`rows × num_classes`). `training` enables dropout.
-    fn logits(
+    /// (`rows × num_classes`). `training` enables dropout. The tape
+    /// borrows `blocks` instead of copying them.
+    fn logits<'a>(
         &self,
-        tape: &mut Tape,
-        blocks: &[Matrix],
+        tape: &mut Tape<'a>,
+        blocks: &'a [Matrix],
         training: bool,
         rng: &mut StdRng,
     ) -> NodeId;
@@ -98,13 +99,18 @@ impl Projections {
     }
 
     /// `H_i = X_i · W_i` for every block.
-    fn apply(&self, tape: &mut Tape, store: &ParamStore, blocks: &[Matrix]) -> Vec<NodeId> {
+    fn apply<'a>(
+        &self,
+        tape: &mut Tape<'a>,
+        store: &ParamStore,
+        blocks: &'a [Matrix],
+    ) -> Vec<NodeId> {
         assert_eq!(blocks.len(), self.weights.len(), "block count mismatch");
         blocks
             .iter()
             .zip(&self.weights)
             .map(|(x, &w)| {
-                let xn = tape.constant(x.clone());
+                let xn = tape.constant_ref(x);
                 let wn = tape.param(store, w);
                 tape.matmul(xn, wn)
             })
@@ -176,10 +182,10 @@ impl Model for HeteroSgc {
         &mut self.store
     }
 
-    fn logits(
+    fn logits<'a>(
         &self,
-        tape: &mut Tape,
-        blocks: &[Matrix],
+        tape: &mut Tape<'a>,
+        blocks: &'a [Matrix],
         _training: bool,
         _rng: &mut StdRng,
     ) -> NodeId {
@@ -246,10 +252,10 @@ impl Model for SeHgnn {
         &mut self.store
     }
 
-    fn logits(
+    fn logits<'a>(
         &self,
-        tape: &mut Tape,
-        blocks: &[Matrix],
+        tape: &mut Tape<'a>,
+        blocks: &'a [Matrix],
         training: bool,
         rng: &mut StdRng,
     ) -> NodeId {
@@ -322,10 +328,10 @@ impl Model for Han {
         &mut self.store
     }
 
-    fn logits(
+    fn logits<'a>(
         &self,
-        tape: &mut Tape,
-        blocks: &[Matrix],
+        tape: &mut Tape<'a>,
+        blocks: &'a [Matrix],
         _training: bool,
         _rng: &mut StdRng,
     ) -> NodeId {
@@ -402,10 +408,10 @@ impl Model for Hgb {
         &mut self.store
     }
 
-    fn logits(
+    fn logits<'a>(
         &self,
-        tape: &mut Tape,
-        blocks: &[Matrix],
+        tape: &mut Tape<'a>,
+        blocks: &'a [Matrix],
         training: bool,
         rng: &mut StdRng,
     ) -> NodeId {
@@ -494,10 +500,10 @@ impl Model for Hgt {
         &mut self.store
     }
 
-    fn logits(
+    fn logits<'a>(
         &self,
-        tape: &mut Tape,
-        blocks: &[Matrix],
+        tape: &mut Tape<'a>,
+        blocks: &'a [Matrix],
         _training: bool,
         _rng: &mut StdRng,
     ) -> NodeId {
