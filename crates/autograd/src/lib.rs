@@ -5,7 +5,7 @@
 //! baselines (GCond / HGCond) are built on it. The design is a classic
 //! Wengert tape: [`tape::Tape`] records a forward DAG, `backward` sweeps it
 //! in reverse; trainable parameters live in a [`tape::ParamStore`] updated
-//! by [`optim::Adam`] / [`optim::Sgd`].
+//! by [`optim::Adam`].
 //!
 //! Every op's derivative is validated against central finite differences
 //! in the test suite.
@@ -31,5 +31,5 @@ pub mod tanh;
 pub mod tape;
 
 pub use matrix::Matrix;
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use tape::{Gradients, NodeId, ParamId, ParamStore, Tape};

@@ -253,20 +253,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// I.i.d. normal entries scaled by `std`.
-    pub fn randn(rows: usize, cols: usize, std: f32, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let data = (0..rows * cols)
-            .map(|_| {
-                // Box-Muller transform.
-                let u1: f32 = rng.gen_range(1e-7f32..1.0);
-                let u2: f32 = rng.gen_range(0.0f32..1.0);
-                (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos() * std
-            })
-            .collect();
-        Self { rows, cols, data }
-    }
-
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
@@ -514,11 +500,6 @@ impl Matrix {
         self.data.iter().map(|v| v * v).sum()
     }
 
-    /// Frobenius norm.
-    pub fn frob_norm(&self) -> f32 {
-        self.sum_squares().sqrt()
-    }
-
     /// Gathers rows into a new matrix.
     pub fn gather_rows(&self, rows: &[u32]) -> Matrix {
         let mut out = Matrix::zeros(rows.len(), self.cols);
@@ -626,16 +607,6 @@ mod tests {
         assert_eq!(a, b);
         let bound = (6.0 / 20.0f32).sqrt();
         assert!(a.data.iter().all(|v| v.abs() <= bound));
-    }
-
-    #[test]
-    fn randn_has_roughly_right_scale() {
-        let m = Matrix::randn(100, 100, 0.5, 3);
-        let mean: f32 = m.data.iter().sum::<f32>() / m.data.len() as f32;
-        let var: f32 =
-            m.data.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / m.data.len() as f32;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var.sqrt() - 0.5).abs() < 0.05, "std {}", var.sqrt());
     }
 
     #[test]
@@ -771,6 +742,5 @@ mod tests {
     fn norms() {
         let m = Matrix::from_vec(1, 2, vec![3., 4.]);
         assert_eq!(m.sum_squares(), 25.0);
-        assert_eq!(m.frob_norm(), 5.0);
     }
 }

@@ -68,34 +68,12 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    pub lr: f32,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    pub fn step(&self, store: &mut ParamStore) {
-        for id in store.param_ids().collect::<Vec<_>>() {
-            let g = store.grad(id).clone();
-            let value = store.value_mut(id);
-            for (x, gk) in value.data.iter_mut().zip(&g.data) {
-                *x -= self.lr * gk;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tape::Tape;
 
-    /// Minimize ||XW - Y||² over W; both optimizers must reach ~0 loss.
+    /// Minimize ||XW - Y||² over W; the optimizer must reach ~0 loss.
     fn fit(optimizer: &mut dyn FnMut(&mut ParamStore)) -> f32 {
         let x = Matrix::xavier(8, 3, 1);
         let w_true = Matrix::xavier(3, 2, 2);
@@ -125,13 +103,6 @@ mod tests {
         let mut adam = Adam::new(0.05);
         let loss = fit(&mut |s| adam.step(s));
         assert!(loss < 1e-3, "final loss {loss}");
-    }
-
-    #[test]
-    fn sgd_converges_on_least_squares() {
-        let sgd = Sgd::new(0.02);
-        let loss = fit(&mut |s| sgd.step(s));
-        assert!(loss < 1e-2, "final loss {loss}");
     }
 
     #[test]

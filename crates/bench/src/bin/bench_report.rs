@@ -46,11 +46,10 @@
 use freehgc_core::selection::{condense_target, SelectionConfig};
 use freehgc_core::{synthesize_leaf, FreeHgc};
 use freehgc_datasets::{generate, DatasetKind};
-use freehgc_hetgraph::snapshot::PropagatedCodec;
 use freehgc_hetgraph::{
     CondenseContext, CondenseSpec, Condenser, ContextRegistry, GraphDelta, Role,
 };
-use freehgc_hgnn::propagation::{propagate, propagate_ctx, PropagatedFeaturesCodec};
+use freehgc_hgnn::propagation::{propagate, propagate_ctx};
 use freehgc_parallel as par;
 use freehgc_serve::{GraphRef, Request, ServeConfig, ServeHandle};
 use freehgc_sparse::ppr::{bipartite_influence, ppr_push, PprConfig};
@@ -466,7 +465,7 @@ fn delta_floors(quick: bool) -> Vec<Floor> {
         let reg = ContextRegistry::new();
         warm_up(&reg.context_for(&g_old, &spec));
         let t = Instant::now();
-        warm_up(&reg.resolve(&g_new, &spec, None, None, seed).0);
+        warm_up(&reg.resolve(&g_new, &spec, None, seed).0);
         ms_since(t)
     });
     let mut floors = vec![floor(
@@ -478,15 +477,14 @@ fn delta_floors(quick: bool) -> Vec<Floor> {
 
     if !quick {
         let dir = std::env::temp_dir().join(format!("fhgc-bench-delta-{}", std::process::id()));
-        let codec = Some(&PropagatedFeaturesCodec as &dyn PropagatedCodec);
         let reg = ContextRegistry::new();
         warm_up(&reg.context_for(&g_old, &spec));
-        reg.persist(&dir, &g_old, &spec, codec)
+        reg.persist(&dir, &g_old, &spec)
             .expect("persist old snapshot");
         let snapshot_ms = best_of(reps, || {
             let reg = ContextRegistry::new();
             let t = Instant::now();
-            warm_up(&reg.resolve(&g_new, &spec, Some(&dir), codec, seed).0);
+            warm_up(&reg.resolve(&g_new, &spec, Some(&dir), seed).0);
             ms_since(t)
         });
         std::fs::remove_dir_all(&dir).ok();

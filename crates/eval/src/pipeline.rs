@@ -60,95 +60,6 @@ pub struct MethodRun {
     pub stats: RunStats,
 }
 
-/// Declarative chaos configuration for robustness drills: which fault
-/// sites to arm and how hard.
-///
-/// [`ChaosKnobs::arm`] programs the process-global failpoint table
-/// ([`freehgc_hetgraph::failpoints`]). Without the `failpoints` cargo
-/// feature every arming call is a compiled-out no-op — check
-/// [`ChaosKnobs::active`] when a drill *requires* faults to actually
-/// fire (`tests/chaos_failpoints.rs` asserts it before arming). The
-/// seeded plans are deterministic: the same knobs
-/// produce the same firing pattern on every run.
-///
-/// Faults are process-global state; callers must serialize drills and
-/// call [`ChaosKnobs::disarm_all`] when done.
-#[derive(Clone, Debug, Default)]
-pub struct ChaosKnobs {
-    /// Seed for the probabilistic (`one_in`) plans.
-    pub seed: u64,
-    /// Inject an I/O error on roughly one in this many snapshot reads.
-    pub read_io_one_in: Option<u64>,
-    /// Tear the next N snapshot writes mid-persist (half the payload
-    /// lands in an orphaned temp file, the attempt errors).
-    pub torn_writes: u64,
-    /// Panic the next N condensations entering
-    /// `Condenser::condense_shared`.
-    pub condense_panics: u64,
-    /// Panic the next N single-flight leader builds in the registry.
-    pub build_panics: u64,
-    /// Hold every leader build open a few milliseconds so concurrent
-    /// resolvers demonstrably coalesce instead of racing past a
-    /// finished flight.
-    pub build_delay: bool,
-    /// Panic the next N serving-worker request executions (between
-    /// dequeue and the condensation). Each fires as a typed
-    /// `WorkerPanic` error reply to exactly one client; the pool and
-    /// registry keep serving.
-    pub serve_worker_panics: u64,
-    /// Treat the next N serving enqueues as if the bounded queue were
-    /// full: the client gets a typed `Overloaded` backpressure reply
-    /// even though depth remains.
-    pub serve_queue_full: u64,
-}
-
-impl ChaosKnobs {
-    /// True when the `failpoints` feature is compiled in, i.e. when
-    /// arming can have any effect.
-    pub fn active() -> bool {
-        cfg!(feature = "failpoints")
-    }
-
-    /// Arms every configured site. Call [`ChaosKnobs::disarm_all`] when
-    /// the drill is over.
-    pub fn arm(&self) {
-        use freehgc_hetgraph::failpoints as fp;
-        if let Some(one_in) = self.read_io_one_in {
-            fp::arm_seeded(fp::SNAPSHOT_READ_IO, self.seed, one_in);
-        }
-        if self.torn_writes > 0 {
-            fp::arm(fp::SNAPSHOT_TORN_WRITE, self.torn_writes);
-        }
-        if self.condense_panics > 0 {
-            fp::arm(fp::CONDENSE_PANIC, self.condense_panics);
-        }
-        if self.build_panics > 0 {
-            fp::arm(fp::REGISTRY_BUILD_PANIC, self.build_panics);
-        }
-        if self.build_delay {
-            fp::arm_seeded(fp::REGISTRY_BUILD_DELAY, self.seed, 1);
-        }
-        if self.serve_worker_panics > 0 {
-            fp::arm(fp::SERVE_WORKER_PANIC, self.serve_worker_panics);
-        }
-        if self.serve_queue_full > 0 {
-            fp::arm(fp::SERVE_QUEUE_FULL, self.serve_queue_full);
-        }
-    }
-
-    /// Disarms every failpoint in the process and zeroes the fired
-    /// counters.
-    pub fn disarm_all() {
-        freehgc_hetgraph::failpoints::reset();
-    }
-
-    /// Total injected faults fired since the last
-    /// [`ChaosKnobs::disarm_all`].
-    pub fn faults_fired() -> u64 {
-        freehgc_hetgraph::failpoints::total_fired()
-    }
-}
-
 /// Shared evaluation state for one dataset: the full graph, one
 /// [`CondenseContext`] over it, and its propagated feature blocks.
 ///

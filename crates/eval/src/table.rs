@@ -67,26 +67,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders as CSV (comma-separated, quoted only when needed).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |c: &str| {
-            if c.contains(',') || c.contains('"') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        };
-        let line = |cells: &[String]| cells.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",");
-        out.push_str(&line(&self.header));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&line(row));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats `mean ± std` like the paper's table cells.
@@ -126,14 +106,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = TextTable::new(vec!["A", "B"]);
         t.row(vec!["only one"]);
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = TextTable::new(vec!["a", "b"]);
-        t.row(vec!["x,y", "plain"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\",plain"));
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use crate::context::CondenseContext;
 use crate::graph::HeteroGraph;
-use crate::schema::NodeTypeId;
 
 /// Default per-row fill-in cap for composed meta-path adjacencies — the
 /// scalability lever that keeps intermediate SpGEMM products sparse
@@ -395,11 +394,6 @@ pub fn induce_selection(g: &HeteroGraph, keep: Vec<Vec<u32>>) -> CondensedGraph 
         graph,
         orig_ids: keep.into_iter().map(Some).collect(),
     }
-}
-
-/// Per-type id selection helpers used by multiple condensers.
-pub fn all_ids(g: &HeteroGraph, t: NodeTypeId) -> Vec<u32> {
-    (0..g.num_nodes(t) as u32).collect()
 }
 
 #[cfg(test)]

@@ -12,12 +12,12 @@
 //!
 //! [`CondenseContext`] owns that precompute once per full graph, behind
 //! interior mutability so it can be shared immutably (`&CondenseContext`)
-//! across methods, ratios, seeds, and threads:
+//! across methods, ratios, seeds, and threads. It caches seven families
+//! ([`CacheFamily`]):
 //!
 //! * the enumerated meta-path sets, keyed by `(root, max_hops, max_paths)`;
-//! * the meta-path engine's single-step *factor* and composed *prefix*
-//!   caches (the Eq. 1 products), keyed by the step sequence — the
-//!   composed products are charged to the byte ledger (see below);
+//! * the meta-path engine's single-step *factors* and composed *prefix*
+//!   products (the Eq. 1 adjacencies), keyed by the step sequence;
 //! * oriented per-relation adjacencies (`from → to`, transposing stored
 //!   reverse relations), used by the leaf synthesis — including the
 //!   *negative* answer when the schema has no relation between two types;
@@ -28,9 +28,9 @@
 //!   [`DiversityKey`] — they depend only on the composed adjacencies and
 //!   the sibling-path grouping, never on the ratio or seed, so a ratio or
 //!   seed sweep computes each one exactly once;
-//! * propagated-feature blocks, keyed by `(max_hops, max_paths)` and
-//!   stored type-erased so the `hgnn` layer (which this crate cannot
-//!   depend on) can cache its `PropagatedFeatures` here.
+//! * propagated-feature blocks ([`PropagatedFeatures`]), keyed by
+//!   `(max_hops, max_paths)` and filled through
+//!   [`propagate_ctx`](crate::propagation::propagate_ctx).
 //!
 //! Every cached value is the output of a deterministic pure function of
 //! the graph and the key, so caching is *transparent*: a condenser run
@@ -41,17 +41,18 @@
 //!
 //! # The byte ledger
 //!
-//! Composed adjacencies, influence vectors, diversity bonuses and —
-//! dominating everything — dense propagated-feature blocks share one
-//! map that records each entry's resident bytes, in total
-//! ([`CondenseContext::cache_bytes`]) and per family
-//! ([`FamilyCounters::bytes`]). The ledger bounds nothing itself: the
-//! one memory bound is whole-context eviction in the registry
+//! All seven families share one map, keyed by one key type, that records
+//! the resident bytes of composed adjacencies, influence vectors,
+//! diversity bonuses and — dominating everything — dense propagated
+//! blocks, in total ([`CondenseContext::cache_bytes`]) and per family
+//! ([`FamilyCounters::bytes`]). Paths, factors and oriented adjacencies
+//! are charged 0 bytes: paths and oriented adjacencies are schema-sized,
+//! and the factor buffers are pinned by the meta-path engine regardless
+//! (single-step paths are served by the factor family, never charged as
+//! compositions). The ledger bounds nothing itself: the one memory bound
+//! is whole-context eviction in the registry
 //! ([`ContextRegistry::evict_idle`](crate::registry::ContextRegistry::evict_idle)),
-//! which reads these totals. Single-step paths are never charged —
-//! they are served by the factor cache, whose buffers the meta-path
-//! engine pins regardless — and neither are the schema-sized path and
-//! oriented-adjacency caches.
+//! which reads these totals.
 //!
 //! The context borrows its graph by default ([`CondenseContext::new`]);
 //! [`CondenseContext::shared`] instead takes `Arc<HeteroGraph>` ownership
@@ -61,11 +62,10 @@
 use crate::condense::{CondenseSpec, DEFAULT_MAX_ROW_NNZ};
 use crate::graph::{GraphDelta, HeteroGraph};
 use crate::metapath::{enumerate_metapaths, metapaths_to, MetaPath, MetaPathStep};
+use crate::propagation::PropagatedFeatures;
 use crate::schema::{NodeTypeId, Schema};
 use freehgc_parallel::relock;
 use freehgc_sparse::{CsrMatrix, FxHashMap};
-use std::any::Any;
-use std::hash::Hash;
 use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -124,10 +124,7 @@ impl Counter {
 pub struct FamilyCounters {
     pub hits: u64,
     pub misses: u64,
-    /// Resident bytes right now. Propagated blocks are sized by the
-    /// layer that owns their concrete type (the `bytes_of` of
-    /// [`CondenseContext::propagated`] or a snapshot codec's
-    /// `resident_bytes`).
+    /// Resident bytes right now.
     pub bytes: u64,
 }
 
@@ -186,7 +183,7 @@ impl CacheCounters {
 /// What warm-starting a context installed, per cache family — from a
 /// live predecessor ([`CondenseContext::seed_from`]) or from a snapshot
 /// file (`decode_snapshot_into`, which never carries paths or oriented
-/// adjacencies) — plus what it left behind. Index it by family:
+/// adjacencies) — plus what a delta dropped. Index it by family:
 /// `report[CacheFamily::Composed]`. The delta-equivalence suite asserts
 /// on these — nonzero reuse is what makes a delta update cheaper than a
 /// cold rebuild.
@@ -197,9 +194,6 @@ pub struct SeedReport {
     /// Entries a delta invalidated (across all families); always 0
     /// without a delta.
     pub dropped: usize,
-    /// Propagated entries present in a snapshot but skipped because the
-    /// loader supplied no [`PropagatedCodec`](crate::PropagatedCodec).
-    pub skipped: usize,
 }
 
 impl Index<CacheFamily> for SeedReport {
@@ -356,13 +350,6 @@ pub struct InfluenceKey {
 pub type DiversityKey = (NodeTypeId, usize, usize, usize);
 
 type PathKey = (NodeTypeId, usize, usize);
-/// The type-erased value the propagated cache stores (shared with the
-/// snapshot layer, which round-trips these through a caller-supplied
-/// codec).
-pub(crate) type AnyArc = Arc<dyn Any + Send + Sync>;
-/// Oriented-adjacency cache: `None` is the cached *negative* answer for
-/// a type pair the schema has no relation between.
-type OrientedMap = FxHashMap<(NodeTypeId, NodeTypeId), Option<Arc<CsrMatrix>>>;
 
 /// The graph a context precomputes for: borrowed for single-owner use,
 /// `Arc`-shared for registry-resident `'static` contexts.
@@ -409,22 +396,38 @@ impl CacheKey {
 }
 
 /// The value behind a [`CacheKey`]. Factors and composed products share
-/// `Matrix`, influence and diversity share `Vector`; the variant always
-/// matches the key's family (values are only built next to their keys).
+/// `Matrix`, influence and diversity share `Vector`; an oriented value
+/// of `None` is the cached *negative* answer for a type pair the schema
+/// has no relation between. The variant always matches the key's family
+/// (values are only built next to their keys).
 #[derive(Clone)]
 pub(crate) enum CacheValue {
     Paths(Arc<Vec<MetaPath>>),
     Matrix(Arc<CsrMatrix>),
     Oriented(Option<Arc<CsrMatrix>>),
     Vector(Arc<Vec<f64>>),
-    Propagated(AnyArc),
+    Propagated(Arc<PropagatedFeatures>),
 }
 
 impl CacheValue {
+    fn into_paths(self) -> Arc<Vec<MetaPath>> {
+        match self {
+            CacheValue::Paths(p) => p,
+            _ => unreachable!("path key holds a path value"),
+        }
+    }
+
     fn into_matrix(self) -> Arc<CsrMatrix> {
         match self {
             CacheValue::Matrix(m) => m,
             _ => unreachable!("matrix key holds a matrix value"),
+        }
+    }
+
+    fn into_oriented(self) -> Option<Arc<CsrMatrix>> {
+        match self {
+            CacheValue::Oriented(a) => a,
+            _ => unreachable!("oriented key holds an oriented value"),
         }
     }
 
@@ -435,9 +438,9 @@ impl CacheValue {
         }
     }
 
-    fn into_propagated(self) -> AnyArc {
+    fn into_propagated(self) -> Arc<PropagatedFeatures> {
         match self {
-            CacheValue::Propagated(v) => v,
+            CacheValue::Propagated(p) => p,
             _ => unreachable!("propagated key holds a propagated value"),
         }
     }
@@ -449,56 +452,45 @@ impl CacheValue {
 pub(crate) struct CacheEntry {
     pub(crate) key: CacheKey,
     pub(crate) value: CacheValue,
-    /// Resident bytes charged to the byte ledger (0 for the three
-    /// memo-map families).
-    pub(crate) bytes: usize,
 }
 
-/// Resident bytes of a `len`-element influence or diversity vector.
-pub(crate) fn vector_bytes(len: usize) -> usize {
-    len * std::mem::size_of::<f64>()
+/// Resident bytes the byte ledger charges for `value` under `key`:
+/// composed products, influence and diversity vectors and propagated
+/// blocks are charged their buffers; paths, factors and oriented
+/// adjacencies are charged nothing (see the module docs).
+fn charged_bytes(key: &CacheKey, value: &CacheValue) -> usize {
+    match (key, value) {
+        (CacheKey::Composed(_), CacheValue::Matrix(m)) => m.storage_bytes(),
+        (_, CacheValue::Vector(v)) => v.len() * std::mem::size_of::<f64>(),
+        (_, CacheValue::Propagated(p)) => p.resident_bytes(),
+        _ => 0,
+    }
 }
 
-/// One resident cache entry plus its resident bytes.
-struct LedgerEntry {
-    value: CacheValue,
-    bytes: usize,
-}
-
-/// The byte ledger: one map over the four byte-counted cache families
-/// (composed, influence, diversity, propagated) with their resident
-/// bytes, in total and per [`CacheFamily`]. Lives behind the context's
-/// mutex; the per-family ledger always sums to the total —
-/// [`CondenseContext::stats`] debug-asserts it.
+/// The one cache map: every family's entries under one key type, plus
+/// their charged bytes in total and per [`CacheFamily`]. Lives behind
+/// the context's mutex; the per-family ledger always sums to the total
+/// — [`CondenseContext::stats`] debug-asserts it.
 #[derive(Default)]
 struct ByteLedger {
-    map: FxHashMap<CacheKey, LedgerEntry>,
+    map: FxHashMap<CacheKey, CacheValue>,
     bytes: usize,
     family_bytes: [usize; NUM_FAMILIES],
 }
 
 impl ByteLedger {
-    fn get(&self, key: &CacheKey) -> Option<CacheValue> {
-        self.map.get(key).map(|e| e.value.clone())
-    }
-
-    /// Charges `value` to the ledger. Returns the resident value (the
-    /// already-cached one if a concurrent compute of the same key
+    /// Inserts `value` and charges its bytes. Returns the resident value
+    /// (the already-cached one if a concurrent compute of the same key
     /// landed first — identical bits either way, so whichever wins is
     /// correct).
-    fn insert(&mut self, key: CacheKey, value: CacheValue, bytes: usize) -> CacheValue {
-        if let Some(e) = self.map.get(&key) {
-            return e.value.clone();
+    fn insert(&mut self, key: CacheKey, value: CacheValue) -> CacheValue {
+        if let Some(v) = self.map.get(&key) {
+            return v.clone();
         }
+        let bytes = charged_bytes(&key, &value);
         self.bytes += bytes;
         self.family_bytes[key.family() as usize] += bytes;
-        self.map.insert(
-            key,
-            LedgerEntry {
-                value: value.clone(),
-                bytes,
-            },
-        );
+        self.map.insert(key, value.clone());
         value
     }
 
@@ -519,14 +511,7 @@ fn any_row_exceeds(m: &CsrMatrix, k: usize) -> bool {
 pub struct CondenseContext<'g> {
     graph: GraphHandle<'g>,
     max_row_nnz: Option<usize>,
-    paths: Mutex<FxHashMap<PathKey, Arc<Vec<MetaPath>>>>,
-    factors: Mutex<FxHashMap<MetaPathStep, Arc<CsrMatrix>>>,
-    oriented: Mutex<OrientedMap>,
-    /// The four byte-counted families — composed, influence,
-    /// diversity, propagated — live together here in the byte ledger;
-    /// paths/factors/oriented stay in their own memo maps
-    /// (schema-sized, and the factor buffers are pinned by the engine
-    /// regardless).
+    /// Every family's entries, in the one byte-ledger map.
     ledger: Mutex<ByteLedger>,
     /// Hit/miss counters, indexed by [`CacheFamily`].
     counters: [Counter; NUM_FAMILIES],
@@ -537,9 +522,6 @@ impl<'g> CondenseContext<'g> {
         Self {
             graph,
             max_row_nnz: Some(DEFAULT_MAX_ROW_NNZ),
-            paths: Mutex::default(),
-            factors: Mutex::default(),
-            oriented: Mutex::default(),
             ledger: Mutex::default(),
             counters: Default::default(),
         }
@@ -641,7 +623,11 @@ impl CondenseContext<'_> {
     pub fn stats(&self) -> CacheCounters {
         let ledger = relock(&self.ledger);
         debug_assert_eq!(
-            ledger.map.values().map(|e| e.bytes).sum::<usize>(),
+            ledger
+                .map
+                .iter()
+                .map(|(k, v)| charged_bytes(k, v))
+                .sum::<usize>(),
             ledger.bytes,
             "ledger entry bytes must sum to the running total"
         );
@@ -666,47 +652,21 @@ impl CondenseContext<'_> {
         relock(&self.ledger).family_len(CacheFamily::Composed)
     }
 
-    /// Lookup-or-compute over one of the three memo maps, counted
-    /// against `family`. `compute` runs outside the lock; concurrent
-    /// computes of one key produce identical bits, so whichever insert
-    /// lands first is kept.
-    fn memo<K: Eq + Hash, V: Clone>(
-        &self,
-        family: CacheFamily,
-        map: &Mutex<FxHashMap<K, V>>,
-        key: K,
-        compute: impl FnOnce() -> V,
-    ) -> V {
-        let counter = &self.counters[family as usize];
-        if let Some(v) = relock(map).get(&key) {
+    /// Lookup-or-compute through the one cache map, counted against
+    /// the key's family. `compute` runs outside the lock (compositions
+    /// recurse into their prefixes and run SpGEMMs that must not
+    /// serialize other cache users); concurrent computes of one key
+    /// produce identical bits, so the insert is safe whichever thread
+    /// lands first.
+    fn cached(&self, key: CacheKey, compute: impl FnOnce() -> CacheValue) -> CacheValue {
+        let counter = &self.counters[key.family() as usize];
+        if let Some(v) = relock(&self.ledger).map.get(&key) {
             counter.hit();
             return v.clone();
         }
         counter.miss();
-        let v = compute();
-        relock(map).entry(key).or_insert(v).clone()
-    }
-
-    /// Lookup-or-compute through the byte ledger, for the four
-    /// byte-counted families. `compute` returns the value with its
-    /// resident bytes, and runs outside the lock
-    /// (compositions recurse into their prefixes and run SpGEMMs that
-    /// must not serialize other cache users); concurrent computes of
-    /// one key produce identical bits, so the insert is safe whichever
-    /// thread lands first.
-    fn accounted(
-        &self,
-        key: CacheKey,
-        compute: impl FnOnce() -> (CacheValue, usize),
-    ) -> CacheValue {
-        let counter = &self.counters[key.family() as usize];
-        if let Some(v) = relock(&self.ledger).get(&key) {
-            counter.hit();
-            return v;
-        }
-        counter.miss();
-        let (value, bytes) = compute();
-        relock(&self.ledger).insert(key, value, bytes)
+        let value = compute();
+        relock(&self.ledger).insert(key, value)
     }
 
     /// Cached [`enumerate_metapaths`]: every proper meta-path rooted at
@@ -717,19 +677,15 @@ impl CondenseContext<'_> {
         max_hops: usize,
         max_paths: usize,
     ) -> Arc<Vec<MetaPath>> {
-        self.memo(
-            CacheFamily::Paths,
-            &self.paths,
-            (root, max_hops, max_paths),
-            || {
-                Arc::new(enumerate_metapaths(
-                    self.graph().schema(),
-                    root,
-                    max_hops,
-                    max_paths,
-                ))
-            },
-        )
+        self.cached(CacheKey::Paths((root, max_hops, max_paths)), || {
+            CacheValue::Paths(Arc::new(enumerate_metapaths(
+                self.graph().schema(),
+                root,
+                max_hops,
+                max_paths,
+            )))
+        })
+        .into_paths()
     }
 
     /// The paths from `root` that end at `source` (the path family
@@ -758,14 +714,15 @@ impl CondenseContext<'_> {
     }
 
     fn factor(&self, step: MetaPathStep) -> Arc<CsrMatrix> {
-        self.memo(CacheFamily::Factors, &self.factors, step, || {
+        self.cached(CacheKey::Factors(step), || {
             let a = self.graph().adjacency(step.edge);
-            Arc::new(if step.forward {
+            CacheValue::Matrix(Arc::new(if step.forward {
                 a.row_normalized()
             } else {
                 a.transpose().row_normalized()
-            })
+            }))
         })
+        .into_matrix()
     }
 
     fn compose(&self, steps: &[MetaPathStep]) -> Arc<CsrMatrix> {
@@ -776,7 +733,7 @@ impl CondenseContext<'_> {
         if steps.len() == 1 {
             return self.factor(steps[0]);
         }
-        self.accounted(CacheKey::Composed(steps.to_vec()), || {
+        self.cached(CacheKey::Composed(steps.to_vec()), || {
             let prefix = self.compose(&steps[..steps.len() - 1]);
             let last = self.factor(steps[steps.len() - 1]);
             let mut prod = prefix.spgemm(&last);
@@ -789,8 +746,7 @@ impl CondenseContext<'_> {
                     prod = prod.top_k_per_row(k);
                 }
             }
-            let bytes = prod.storage_bytes();
-            (CacheValue::Matrix(Arc::new(prod)), bytes)
+            CacheValue::Matrix(Arc::new(prod))
         })
         .into_matrix()
     }
@@ -802,9 +758,10 @@ impl CondenseContext<'_> {
     /// repeated misses on an absent relation neither recompute nor
     /// under-report.
     pub fn adjacency_between(&self, from: NodeTypeId, to: NodeTypeId) -> Option<Arc<CsrMatrix>> {
-        self.memo(CacheFamily::Oriented, &self.oriented, (from, to), || {
-            self.graph().adjacency_between(from, to).map(Arc::new)
+        self.cached(CacheKey::Oriented((from, to)), || {
+            CacheValue::Oriented(self.graph().adjacency_between(from, to).map(Arc::new))
         })
+        .into_oriented()
     }
 
     /// Returns the cached influence vector for `key`, computing it with
@@ -831,37 +788,24 @@ impl CondenseContext<'_> {
     }
 
     fn vector(&self, key: CacheKey, compute: impl FnOnce() -> Vec<f64>) -> Arc<Vec<f64>> {
-        self.accounted(key, || {
-            let v = compute();
-            let bytes = vector_bytes(v.len());
-            (CacheValue::Vector(Arc::new(v)), bytes)
-        })
-        .into_vector()
+        self.cached(key, || CacheValue::Vector(Arc::new(compute())))
+            .into_vector()
     }
 
-    /// Returns the cached propagated-feature value for `key`, computing
-    /// it with `compute` on a miss. The value is stored type-erased so
-    /// higher layers can cache their own block types here; `T` must be
-    /// the same type for every use of a given context (guaranteed in
-    /// practice — one layer owns this cache). The caller also reports
-    /// the value's resident heap bytes, charged to the byte ledger and
-    /// surfaced through the propagated family's
-    /// [`FamilyCounters::bytes`]. Both closures run once, only on the
-    /// miss that actually computes the value.
-    pub fn propagated<T: Any + Send + Sync>(
+    /// Returns the cached propagated blocks for `key = (max_hops,
+    /// max_paths)`, computing them with `compute` on a miss (outside the
+    /// cache lock). The one caller is
+    /// [`propagate_ctx`](crate::propagation::propagate_ctx), which owns
+    /// the computation.
+    pub(crate) fn propagated(
         &self,
         key: (usize, usize),
-        compute: impl FnOnce() -> T,
-        bytes_of: impl FnOnce(&T) -> usize,
-    ) -> Arc<T> {
-        self.accounted(CacheKey::Propagated(key), || {
-            let v = compute();
-            let bytes = bytes_of(&v);
-            (CacheValue::Propagated(Arc::new(v)), bytes)
+        compute: impl FnOnce() -> PropagatedFeatures,
+    ) -> Arc<PropagatedFeatures> {
+        self.cached(CacheKey::Propagated(key), || {
+            CacheValue::Propagated(Arc::new(compute()))
         })
         .into_propagated()
-        .downcast::<T>()
-        .expect("propagated cache holds one concrete type per context")
     }
 
     // ---- delta seeding and snapshots ----------------------------------
@@ -869,56 +813,25 @@ impl CondenseContext<'_> {
     /// Every cached entry, sorted by family and then key, so snapshot
     /// bytes are deterministic for identical cache contents.
     pub(crate) fn entries(&self) -> Vec<CacheEntry> {
-        fn plain(key: CacheKey, value: CacheValue) -> CacheEntry {
-            CacheEntry {
-                key,
-                value,
-                bytes: 0,
-            }
-        }
-        let mut out: Vec<CacheEntry> = relock(&self.paths)
+        let mut out: Vec<CacheEntry> = relock(&self.ledger)
+            .map
             .iter()
-            .map(|(k, v)| plain(CacheKey::Paths(*k), CacheValue::Paths(Arc::clone(v))))
+            .map(|(key, value)| CacheEntry {
+                key: key.clone(),
+                value: value.clone(),
+            })
             .collect();
-        out.extend(
-            relock(&self.factors)
-                .iter()
-                .map(|(k, m)| plain(CacheKey::Factors(*k), CacheValue::Matrix(Arc::clone(m)))),
-        );
-        out.extend(
-            relock(&self.oriented)
-                .iter()
-                .map(|(k, a)| plain(CacheKey::Oriented(*k), CacheValue::Oriented(a.clone()))),
-        );
-        out.extend(relock(&self.ledger).map.iter().map(|(k, e)| CacheEntry {
-            key: k.clone(),
-            value: e.value.clone(),
-            bytes: e.bytes,
-        }));
         out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
         out
     }
 
-    /// Pre-warms one cache with `entry` without touching the hit/miss
+    /// Pre-warms the cache with `entry` without touching the hit/miss
     /// counters — an inherited or loaded entry was neither requested
     /// nor computed here — and never overwrites an entry a live caller
-    /// already produced. Byte-counted families are charged to the byte
-    /// ledger exactly like computed entries.
+    /// already produced. The entry is charged to the byte ledger exactly
+    /// like a computed one.
     pub(crate) fn install(&self, entry: CacheEntry) {
-        match (entry.key, entry.value) {
-            (CacheKey::Paths(k), CacheValue::Paths(v)) => {
-                relock(&self.paths).entry(k).or_insert(v);
-            }
-            (CacheKey::Factors(k), CacheValue::Matrix(m)) => {
-                relock(&self.factors).entry(k).or_insert(m);
-            }
-            (CacheKey::Oriented(k), CacheValue::Oriented(a)) => {
-                relock(&self.oriented).entry(k).or_insert(a);
-            }
-            (key, value) => {
-                relock(&self.ledger).insert(key, value, entry.bytes);
-            }
-        }
+        relock(&self.ledger).insert(entry.key, entry.value);
     }
 
     /// Seeds this (typically cold) context from `old`'s caches, keeping
@@ -1218,19 +1131,32 @@ mod tests {
         assert_eq!(hits_misses(&ctx, CacheFamily::Diversity), (1, 2));
     }
 
+    /// A 3-element raw block named "raw": 12 block bytes + 3 name bytes.
+    fn small_blocks() -> PropagatedFeatures {
+        PropagatedFeatures {
+            blocks: vec![freehgc_autograd::Matrix::from_vec(
+                3,
+                1,
+                vec![1.0, 2.0, 3.0],
+            )],
+            path_names: vec!["raw".to_string()],
+        }
+    }
+
     #[test]
     fn propagated_cache_round_trips_any_type() {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
-        let a = ctx.propagated((2, 12), || vec![1u32, 2, 3], |v| v.len() * 4);
-        let b = ctx.propagated(
-            (2, 12),
-            || unreachable!("must hit"),
-            |_: &Vec<u32>| unreachable!("sized once, on the computing miss"),
-        );
+        let a = ctx.propagated((2, 12), small_blocks);
+        let b = ctx.propagated((2, 12), || unreachable!("must hit"));
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(ctx.stats()[CacheFamily::Propagated].bytes, 12);
+        assert_eq!(ctx.stats()[CacheFamily::Propagated].bytes, 15);
         assert_eq!(hits_misses(&ctx, CacheFamily::Propagated), (1, 1));
+        let c = ctx.propagated((1, 12), || PropagatedFeatures {
+            blocks: vec![],
+            path_names: vec![],
+        });
+        assert!(c.blocks.is_empty(), "a different key must not collide");
     }
 
     #[test]
@@ -1301,12 +1227,13 @@ mod tests {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
         let root = g.schema().target();
-        // Populate all four families.
+        // Populate all seven families.
         let paths = ctx.metapaths(root, 3, 100);
         for p in paths.iter() {
             ctx.adjacency(p);
         }
         let f = g.schema().node_type_by_name("field").unwrap();
+        ctx.adjacency_between(root, f);
         ctx.influence(
             InfluenceKey {
                 father: f,
@@ -1319,12 +1246,21 @@ mod tests {
             || vec![1.0; 32],
         );
         ctx.diversity((root, 2, 24, 0), || vec![0.5; 32]);
-        ctx.propagated((2, 12), || vec![0u64; 64], |v| v.len() * 8);
+        ctx.propagated((2, 12), small_blocks);
         let st = ctx.stats();
         assert!(st[CacheFamily::Composed].bytes > 0);
         assert_eq!(st[CacheFamily::Influence].bytes, 32 * 8);
         assert_eq!(st[CacheFamily::Diversity].bytes, 32 * 8);
-        assert_eq!(st[CacheFamily::Propagated].bytes, 64 * 8);
+        assert_eq!(st[CacheFamily::Propagated].bytes, 15);
+        // The schema-sized families share the map but are never charged.
+        for fam in [
+            CacheFamily::Paths,
+            CacheFamily::Factors,
+            CacheFamily::Oriented,
+        ] {
+            assert!(st[fam].misses > 0, "{fam:?} populated");
+            assert_eq!(st[fam].bytes, 0, "{fam:?} is charged nothing");
+        }
         assert_eq!(st.cache_bytes, st.resident_bytes_total());
         assert_eq!(st.cache_bytes as usize, ctx.cache_bytes());
     }

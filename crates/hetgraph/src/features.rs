@@ -103,24 +103,6 @@ impl FeatureMatrix {
             .sum()
     }
 
-    /// Column-wise mean of all rows.
-    pub fn column_mean(&self) -> Vec<f32> {
-        let n = self.num_rows();
-        let mut acc = vec![0f32; self.dim];
-        if n == 0 {
-            return acc;
-        }
-        for i in 0..n {
-            for (a, v) in acc.iter_mut().zip(self.row(i)) {
-                *a += v;
-            }
-        }
-        for a in acc.iter_mut() {
-            *a /= n as f32;
-        }
-        acc
-    }
-
     /// Heap bytes of the feature buffer (Table VII storage accounting).
     pub fn storage_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
@@ -171,12 +153,6 @@ mod tests {
     fn dist2_is_squared_euclid() {
         let m = FeatureMatrix::from_rows(2, vec![0.0, 0.0, 3.0, 4.0]);
         assert_eq!(m.dist2(0, 1), 25.0);
-    }
-
-    #[test]
-    fn column_mean_over_rows() {
-        let m = FeatureMatrix::from_rows(2, vec![1.0, 0.0, 3.0, 2.0]);
-        assert_eq!(m.column_mean(), vec![2.0, 1.0]);
     }
 
     #[test]

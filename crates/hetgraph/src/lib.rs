@@ -10,6 +10,11 @@
 //! every proper meta-path up to a hop bound over the schema graph and
 //! composes row-normalized adjacencies per Eq. (1) of the paper.
 //!
+//! [`CondenseContext`] caches every reusable precompute of one graph —
+//! meta-path products, influence scores, diversity bonuses and the
+//! propagated feature blocks of [`propagation`] — in one map, and
+//! [`snapshot`] persists it across restarts.
+//!
 //! The [`condense::Condenser`] trait is the common interface implemented by
 //! FreeHGC and by every baseline; its output is a smaller [`HeteroGraph`]
 //! with provenance back to original node ids where applicable.
@@ -20,13 +25,14 @@ pub mod failpoints;
 pub mod features;
 pub mod graph;
 pub mod metapath;
+pub mod propagation;
 pub mod registry;
 pub mod schema;
 pub mod snapshot;
 pub mod split;
 
 pub use condense::{
-    all_ids, induce_selection, proportional_allocation, CondenseSpec, CondensedGraph, Condenser,
+    induce_selection, proportional_allocation, CondenseSpec, CondensedGraph, Condenser,
     DEFAULT_MAX_PATHS, DEFAULT_MAX_ROW_NNZ,
 };
 pub use context::{
@@ -38,9 +44,8 @@ pub use graph::{GraphDelta, HeteroGraph, HeteroGraphBuilder};
 pub use metapath::{
     enumerate_metapaths, metapaths_to, MetaPath, MetaPathStep, MAX_HOPS, MAX_PATHS,
 };
+pub use propagation::{propagate, propagate_ctx, PropagatedFeatures};
 pub use registry::{ContextRegistry, GraphFingerprint, RegistryStats};
 pub use schema::{EdgeTypeId, NodeTypeId, Role, Schema};
-pub use snapshot::{
-    snapshot_file_name, ByteReader, ByteWriter, PropagatedCodec, SnapshotError, SNAPSHOT_VERSION,
-};
+pub use snapshot::{snapshot_file_name, ByteReader, ByteWriter, SnapshotError, SNAPSHOT_VERSION};
 pub use split::Split;

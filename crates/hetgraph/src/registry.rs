@@ -79,7 +79,7 @@ use crate::condense::CondenseSpec;
 use crate::context::{CondenseContext, SeedReport};
 use crate::failpoints;
 use crate::graph::{GraphDelta, HeteroGraph};
-use crate::snapshot::{load_canonical, DiskLoad, PropagatedCodec, SnapshotError};
+use crate::snapshot::{load_canonical, DiskLoad, SnapshotError};
 use freehgc_parallel::singleflight::Role;
 use freehgc_parallel::{relock, SingleFlight};
 use freehgc_sparse::fx::FxHasher;
@@ -312,7 +312,7 @@ impl ContextRegistry {
         graph: &Arc<HeteroGraph>,
         spec: &CondenseSpec,
     ) -> Arc<CondenseContext<'static>> {
-        self.resolve(graph, spec, None, None, None).0
+        self.resolve(graph, spec, None, None).0
     }
 
     /// Next tick of the resolution clock.
@@ -429,23 +429,18 @@ impl ContextRegistry {
     ///   turn into an error. Transient read errors are retried with
     ///   backoff first. Loads and rejections are counted in
     ///   [`ContextRegistry::stats`].
-    /// * `codec` round-trips the propagated-feature section; without
-    ///   one a load skips it.
     pub fn resolve(
         &self,
         graph: &Arc<HeteroGraph>,
         spec: &CondenseSpec,
         dir: Option<&Path>,
-        codec: Option<&dyn PropagatedCodec>,
         delta: Option<(GraphFingerprint, &GraphDelta)>,
     ) -> (Arc<CondenseContext<'static>>, SeedReport) {
         if let Some(dir) = dir {
             self.sweep_once(dir);
         }
         let key = (graph.fingerprint(), spec.max_row_nnz);
-        self.resolve_single_flight(key, graph, |ctx| {
-            self.warm_start(ctx, key, dir, codec, delta)
-        })
+        self.resolve_single_flight(key, graph, |ctx| self.warm_start(ctx, key, dir, delta))
     }
 
     /// Panic-checks a fingerprint hit: serving another graph's warm
@@ -579,7 +574,6 @@ impl ContextRegistry {
         ctx: &CondenseContext<'static>,
         key: RegistryKey,
         dir: Option<&Path>,
-        codec: Option<&dyn PropagatedCodec>,
         delta: Option<(GraphFingerprint, &GraphDelta)>,
     ) -> (DiskLoad, SeedReport) {
         if let Some((old_fp, delta)) = delta {
@@ -601,9 +595,9 @@ impl ContextRegistry {
         };
         // An exact snapshot of this graph (if a previous process already
         // paid for it) beats a delta-filtered load of the old one.
-        let mut load = load_canonical(ctx, dir, codec, None);
+        let mut load = load_canonical(ctx, dir, None);
         if let (Some(delta), false) = (delta, matches!(load, DiskLoad::Loaded(_))) {
-            match load_canonical(ctx, dir, codec, Some(delta)) {
+            match load_canonical(ctx, dir, Some(delta)) {
                 DiskLoad::Absent => {}
                 filtered => load = filtered,
             }
@@ -655,8 +649,7 @@ impl ContextRegistry {
 
     /// Writes the registered context for `(graph, spec)` to its
     /// canonical snapshot file under `dir` (creating the directory),
-    /// registering the context first if needed; `codec` includes the
-    /// propagated-feature section. Returns the path a later
+    /// registering the context first if needed. Returns the path a later
     /// [`ContextRegistry::resolve`] with this `dir` will find it at.
     ///
     /// The write *merges* (see [`CondenseContext::persist_snapshot`]):
@@ -668,12 +661,11 @@ impl ContextRegistry {
         dir: &Path,
         graph: &Arc<HeteroGraph>,
         spec: &CondenseSpec,
-        codec: Option<&dyn PropagatedCodec>,
     ) -> Result<PathBuf, SnapshotError> {
         let ctx = self.context_for(graph, spec);
         std::fs::create_dir_all(dir)?;
         self.sweep_once(dir);
-        ctx.persist_snapshot(dir, codec)
+        ctx.persist_snapshot(dir)
     }
 
     /// Number of registered contexts (including in-flight builds).
@@ -852,12 +844,12 @@ mod tests {
         for p in ctx.metapaths(root, 2, 100).iter() {
             ctx.adjacency(p);
         }
-        let path = reg.persist(&dir, &g, &spec, None).unwrap();
+        let path = reg.persist(&dir, &g, &spec).unwrap();
         assert!(path.exists());
 
         // "Process two": a fresh registry resolves warm from the file.
         let reg2 = ContextRegistry::new();
-        let ctx2 = reg2.resolve(&g, &spec, Some(&dir), None, None).0;
+        let ctx2 = reg2.resolve(&g, &spec, Some(&dir), None).0;
         assert_eq!(disk_loads(&reg2), (1, 0));
         let before = ctx2.stats();
         for p in ctx2.metapaths(root, 2, 100).iter() {
@@ -870,7 +862,7 @@ mod tests {
         );
 
         // Re-resolving is an in-memory hit: no second disk load.
-        let ctx3 = reg2.resolve(&g, &spec, Some(&dir), None, None).0;
+        let ctx3 = reg2.resolve(&g, &spec, Some(&dir), None).0;
         assert!(Arc::ptr_eq(&ctx2, &ctx3));
         assert_eq!(disk_loads(&reg2), (1, 0));
         assert_eq!(lookups(&reg2), (1, 1));
@@ -882,9 +874,7 @@ mod tests {
         let dir = temp_dir("missing");
         let g = Arc::new(graph(1.0));
         let reg = ContextRegistry::new();
-        let ctx = reg
-            .resolve(&g, &CondenseSpec::new(0.5), Some(&dir), None, None)
-            .0;
+        let ctx = reg.resolve(&g, &CondenseSpec::new(0.5), Some(&dir), None).0;
         assert_eq!(
             disk_loads(&reg),
             (0, 0),
@@ -905,7 +895,7 @@ mod tests {
         for p in ctx.metapaths(root, 2, 100).iter() {
             ctx.adjacency(p);
         }
-        let path = reg.persist(&dir, &g, &spec, None).unwrap();
+        let path = reg.persist(&dir, &g, &spec).unwrap();
 
         // Corrupt the file in place: the loader must reject it, count
         // the rejection, and serve correct bits from cold compute.
@@ -914,7 +904,7 @@ mod tests {
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let reg2 = ContextRegistry::new();
-        let cold = reg2.resolve(&g, &spec, Some(&dir), None, None).0;
+        let cold = reg2.resolve(&g, &spec, Some(&dir), None).0;
         assert_eq!(disk_loads(&reg2), (0, 1));
         assert_eq!(cold.composed_len(), 0, "nothing installed from corruption");
         for p in cold.metapaths(root, 2, 100).iter() {
@@ -929,10 +919,10 @@ mod tests {
         for p in ctx_b.metapaths(root, 2, 100).iter() {
             ctx_b.adjacency(p);
         }
-        let other_path = reg3.persist(&dir, &g2, &spec, None).unwrap();
+        let other_path = reg3.persist(&dir, &g2, &spec).unwrap();
         std::fs::copy(&other_path, &path).unwrap();
         let reg4 = ContextRegistry::new();
-        let ctx4 = reg4.resolve(&g, &spec, Some(&dir), None, None).0;
+        let ctx4 = reg4.resolve(&g, &spec, Some(&dir), None).0;
         assert_eq!(disk_loads(&reg4), (0, 1), "wrong fingerprint rejected");
         assert_eq!(ctx4.composed_len(), 0);
 
@@ -943,10 +933,10 @@ mod tests {
         for p in ctx5.metapaths(root, 2, 100).iter() {
             ctx5.adjacency(p);
         }
-        let capless_path = reg5.persist(&dir, &g, &capless, None).unwrap();
+        let capless_path = reg5.persist(&dir, &g, &capless).unwrap();
         std::fs::copy(&capless_path, &path).unwrap();
         let reg6 = ContextRegistry::new();
-        reg6.resolve(&g, &spec, Some(&dir), None, None);
+        reg6.resolve(&g, &spec, Some(&dir), None);
         assert_eq!(disk_loads(&reg6), (0, 1), "wrong knobs rejected");
         std::fs::remove_dir_all(&dir).ok();
     }

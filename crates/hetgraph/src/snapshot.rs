@@ -22,14 +22,14 @@
 //! section* id u8 | payload_len u64 | checksum u64 | payload bytes
 //! ```
 //!
-//! Sections hold the influence, diversity, composed and factor caches
-//! and — when a [`PropagatedCodec`] is supplied — the type-erased
-//! propagated blocks, written in that order. Map contents are written
-//! in key order, so identical cache contents produce identical bytes.
-//! Decoding dispatches on each section's id, so a file that lacks a
-//! section (e.g. one saved without a codec) loads as a partial context:
-//! the absent entries become counted cold misses on first use, never
-//! wrong bytes.
+//! Sections hold the influence, diversity, composed, factor and
+//! propagated-block caches, written in that order (ids 3, 4, 2, 1, 5).
+//! Map contents are written in key order, so identical cache contents
+//! produce identical bytes. Every family's encoder, decoder and shape
+//! check lives in this module. Decoding dispatches on each section's id,
+//! so a file that lacks a section (e.g. one written before propagated
+//! blocks were always saved) loads as a partial context: the absent
+//! entries become counted cold misses on first use, never wrong bytes.
 //!
 //! # Trust model
 //!
@@ -44,16 +44,17 @@
 //! never a panic and never wrong bits.
 
 use crate::context::{
-    vector_bytes, CacheEntry, CacheFamily, CacheKey, CacheValue, CondenseContext, InfluenceKey,
+    CacheEntry, CacheFamily, CacheKey, CacheValue, CondenseContext, InfluenceKey,
     InvalidationRules, SeedReport,
 };
 use crate::graph::{GraphDelta, HeteroGraph};
 use crate::metapath::{MetaPathStep, MAX_HOPS, MAX_PATHS};
+use crate::propagation::PropagatedFeatures;
 use crate::registry::GraphFingerprint;
 use crate::schema::{EdgeTypeId, NodeTypeId, Schema};
+use freehgc_autograd::Matrix;
 use freehgc_sparse::fx::FxHasher;
 use freehgc_sparse::CsrMatrix;
-use std::any::Any;
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -68,6 +69,14 @@ const SECTION_COMPOSED: u8 = 2;
 const SECTION_INFLUENCE: u8 = 3;
 const SECTION_DIVERSITY: u8 = 4;
 const SECTION_PROPAGATED: u8 = 5;
+/// Section ids in file order.
+const SECTION_ORDER: [u8; 5] = [
+    SECTION_INFLUENCE,
+    SECTION_DIVERSITY,
+    SECTION_COMPOSED,
+    SECTION_FACTORS,
+    SECTION_PROPAGATED,
+];
 
 /// Why a snapshot could not be written or loaded. Loaders treat every
 /// variant the same way — fall back to cold compute — but the variant
@@ -130,36 +139,6 @@ impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
         SnapshotError::Io(e)
     }
-}
-
-/// Round-trips the type-erased propagated-feature blocks a context
-/// caches. The `hetgraph` crate cannot name the concrete block type (it
-/// lives in a higher layer), so the layer that owns the cache supplies
-/// the codec — `freehgc_hgnn::propagation::PropagatedFeaturesCodec` for
-/// the workspace's `PropagatedFeatures`. Saving or loading without a
-/// codec simply skips the propagated section; everything else in the
-/// snapshot still round-trips.
-pub trait PropagatedCodec {
-    /// Encodes one cached value, or `None` when its concrete type is not
-    /// this codec's (the entry is skipped at save time).
-    fn encode(&self, value: &dyn Any) -> Option<Vec<u8>>;
-
-    /// Decodes bytes produced by [`PropagatedCodec::encode`]. `None`
-    /// marks the payload malformed, which rejects the whole load.
-    fn decode(&self, bytes: &[u8]) -> Option<Arc<dyn Any + Send + Sync>>;
-
-    /// Shape-checks a decoded value against the graph it is about to
-    /// serve — the one validation the type-erased layer cannot do
-    /// itself (e.g. propagated block rows must match the target node
-    /// count, or a later gather panics). Returning `false` rejects the
-    /// whole load. Required: snapshot bytes are untrusted, so there is
-    /// no accept-everything default.
-    fn validate(&self, value: &dyn Any, graph: &HeteroGraph) -> bool;
-
-    /// Resident heap bytes of a decoded value, charged to the byte
-    /// ledger and surfaced through the propagated family's
-    /// [`FamilyCounters::bytes`](crate::FamilyCounters).
-    fn resident_bytes(&self, value: &dyn Any) -> usize;
 }
 
 /// Canonical file name for a snapshot: the registry key — fingerprint
@@ -243,7 +222,7 @@ pub fn sweep_tmp_files(dir: &Path) -> std::io::Result<usize> {
 }
 
 // ---------------------------------------------------------------------
-// Byte-level encoding primitives (shared with the propagated codecs).
+// Byte-level encoding primitives (shared with the serving wire codec).
 // ---------------------------------------------------------------------
 
 /// Little-endian append-only byte sink.
@@ -583,6 +562,45 @@ fn read_csr(r: &mut ByteReader<'_>) -> Result<CsrMatrix, SnapshotError> {
     Ok(CsrMatrix::from_parts(nrows, ncols, indptr, indices, values))
 }
 
+/// Encodes a propagated block set as one length-prefixed payload: the
+/// block count, then per block its name, shape and `f32` bits.
+fn put_blocks(w: &mut ByteWriter, pf: &PropagatedFeatures) {
+    let mut b = ByteWriter::new();
+    b.put_usize(pf.blocks.len());
+    for (m, name) in pf.blocks.iter().zip(&pf.path_names) {
+        b.put_str(name);
+        b.put_usize(m.rows);
+        b.put_usize(m.cols);
+        b.put_f32_slice(&m.data);
+    }
+    w.put_usize(b.len());
+    w.put_bytes(&b.into_bytes());
+}
+
+/// Decodes one payload written by [`put_blocks`] (without its length
+/// prefix), consuming all of it.
+fn read_blocks(bytes: &[u8]) -> Result<PropagatedFeatures, SnapshotError> {
+    let mut r = ByteReader::new(bytes);
+    let n = r.seq_len(1)?;
+    let mut blocks = Vec::with_capacity(n);
+    let mut path_names = Vec::with_capacity(n);
+    for _ in 0..n {
+        path_names.push(r.str()?);
+        let (rows, cols) = (r.usize()?, r.usize()?);
+        let len = rows
+            .checked_mul(cols)
+            .ok_or(SnapshotError::Malformed("length overflow"))?;
+        // f32_vec bounds-checks len * 4 against the remaining input, so
+        // a corrupted dimension pair fails here instead of driving a
+        // huge allocation.
+        blocks.push(Matrix::from_vec(rows, cols, r.f32_vec(len)?));
+    }
+    if !r.is_empty() {
+        return Err(SnapshotError::Malformed("trailing bytes in blocks"));
+    }
+    Ok(PropagatedFeatures { blocks, path_names })
+}
+
 /// The section a family's entries are stored in; paths and oriented
 /// adjacencies are cheap to recompute and never persisted.
 fn section_of(family: CacheFamily) -> Option<u8> {
@@ -596,14 +614,9 @@ fn section_of(family: CacheFamily) -> Option<u8> {
     }
 }
 
-/// Encodes every section payload in file order — influence, diversity,
-/// composed, factors, then propagated when a codec is supplied. Each
-/// payload is an entry count followed by the entries in key order;
-/// propagated entries the codec cannot encode are left out.
-fn encode_sections(
-    ctx: &CondenseContext<'_>,
-    codec: Option<&dyn PropagatedCodec>,
-) -> Vec<(u8, Vec<u8>)> {
+/// Encodes every section payload in file order ([`SECTION_ORDER`]).
+/// Each payload is an entry count followed by the entries in key order.
+fn encode_sections(ctx: &CondenseContext<'_>) -> Vec<(u8, Vec<u8>)> {
     // Per section id: entry count, and the payload with a placeholder
     // count that is patched once the entries are written.
     let mut sections: [(usize, ByteWriter); 6] = std::array::from_fn(|_| {
@@ -611,7 +624,7 @@ fn encode_sections(
         w.put_usize(0);
         (0, w)
     });
-    for CacheEntry { key, value, .. } in ctx.entries() {
+    for CacheEntry { key, value } in ctx.entries() {
         let Some(id) = section_of(key.family()) else {
             continue;
         };
@@ -656,29 +669,16 @@ fn encode_sections(
                 w.put_usize(v.len());
                 w.put_f64_slice(&v);
             }
-            (CacheKey::Propagated((a, b)), CacheValue::Propagated(v)) => {
-                let Some(bytes) = codec.and_then(|c| c.encode(v.as_ref())) else {
-                    continue;
-                };
+            (CacheKey::Propagated((a, b)), CacheValue::Propagated(pf)) => {
                 w.put_usize(a);
                 w.put_usize(b);
-                w.put_usize(bytes.len());
-                w.put_bytes(&bytes);
+                put_blocks(w, &pf);
             }
             _ => unreachable!("an entry's value matches its key's family"),
         }
         sections[id as usize].0 += 1;
     }
-    let mut order = vec![
-        SECTION_INFLUENCE,
-        SECTION_DIVERSITY,
-        SECTION_COMPOSED,
-        SECTION_FACTORS,
-    ];
-    if codec.is_some() {
-        order.push(SECTION_PROPAGATED);
-    }
-    order
+    SECTION_ORDER
         .into_iter()
         .map(|id| {
             let (count, w) = std::mem::take(&mut sections[id as usize]);
@@ -693,8 +693,8 @@ fn encode_sections(
 /// checksummed section per persisted family (see the module docs for
 /// the layout). Pure in-memory encoding; see
 /// [`CondenseContext::save_snapshot`] for the file wrapper.
-pub fn encode_snapshot(ctx: &CondenseContext<'_>, codec: Option<&dyn PropagatedCodec>) -> Vec<u8> {
-    let sections = encode_sections(ctx, codec);
+pub fn encode_snapshot(ctx: &CondenseContext<'_>) -> Vec<u8> {
+    let sections = encode_sections(ctx);
     let fp = ctx.graph().fingerprint();
     let mut w = ByteWriter::new();
     w.put_bytes(&SNAPSHOT_MAGIC);
@@ -802,14 +802,13 @@ fn read_key(id: u8, r: &mut ByteReader<'_>, schema: &Schema) -> Result<CacheKey,
 /// Decodes section `id` into `out`: per entry, the key first, then —
 /// when the key survives the delta (always, without one) — the value,
 /// else a bounds-checked skip over the value's bytes: `skip_csr` for
-/// matrices, one `take` for vectors, and no codec call at all for
-/// propagated blocks, which are dense and dominate the file.
+/// matrices, and one `take` for vectors and for propagated blocks,
+/// which are dense and dominate the file.
 fn decode_section(
     id: u8,
     payload: &[u8],
     schema: &Schema,
     rules: &mut Option<InvalidationRules<'_>>,
-    codec: Option<&dyn PropagatedCodec>,
     out: &mut Staging,
 ) -> Result<(), SnapshotError> {
     let mut r = ByteReader::new(payload);
@@ -825,8 +824,7 @@ fn decode_section(
         let staged = match key.family() {
             CacheFamily::Factors | CacheFamily::Composed => {
                 if survives() {
-                    let m = read_csr(&mut r)?;
-                    Some((m.storage_bytes(), CacheValue::Matrix(Arc::new(m))))
+                    Some(CacheValue::Matrix(Arc::new(read_csr(&mut r)?)))
                 } else {
                     skip_csr(&mut r)?;
                     None
@@ -835,8 +833,7 @@ fn decode_section(
             CacheFamily::Influence | CacheFamily::Diversity => {
                 let n = r.seq_len(8)?;
                 if survives() {
-                    let v = r.f64_vec(n)?;
-                    Some((vector_bytes(n), CacheValue::Vector(Arc::new(v))))
+                    Some(CacheValue::Vector(Arc::new(r.f64_vec(n)?)))
                 } else {
                     r.take(n * 8)?;
                     None
@@ -845,23 +842,15 @@ fn decode_section(
             _ => {
                 let len = r.seq_len(1)?;
                 let bytes = r.take(len)?;
-                let Some(codec) = codec else {
-                    out.report.skipped += 1;
-                    continue;
-                };
                 if survives() {
-                    let value = codec
-                        .decode(bytes)
-                        .ok_or(SnapshotError::Malformed("propagated payload"))?;
-                    let bytes = codec.resident_bytes(value.as_ref());
-                    Some((bytes, CacheValue::Propagated(value)))
+                    Some(CacheValue::Propagated(Arc::new(read_blocks(bytes)?)))
                 } else {
                     None
                 }
             }
         };
         match staged {
-            Some((bytes, value)) => out.entries.push(CacheEntry { key, value, bytes }),
+            Some(value) => out.entries.push(CacheEntry { key, value }),
             None => out.report.dropped += 1,
         }
     }
@@ -877,14 +866,10 @@ fn decode_section(
 /// for untrusted files rests on this: an entry whose type ids are out
 /// of range, whose matrix dimensions disagree with the edge type's node
 /// counts, or whose vector length disagrees with the scored type's node
-/// count would otherwise pass decode and then panic deep inside a later
-/// SpGEMM, propagation multiply or selection index. Propagated blocks
-/// are checked by the codec that owns their type.
-fn validate_against_graph(
-    entries: &[CacheEntry],
-    g: &HeteroGraph,
-    codec: Option<&dyn PropagatedCodec>,
-) -> Result<(), SnapshotError> {
+/// count, or whose propagated blocks lack a row per target node, would
+/// otherwise pass decode and then panic deep inside a later SpGEMM,
+/// propagation multiply, selection index or block `gather`.
+fn validate_against_graph(entries: &[CacheEntry], g: &HeteroGraph) -> Result<(), SnapshotError> {
     let schema = g.schema();
     // Oriented factor dimensions implied by a step: the stored edge is
     // |src| × |dst|; a reverse traversal transposes it.
@@ -927,8 +912,9 @@ fn validate_against_graph(
                     return Err(SnapshotError::Malformed("vector length mismatch"));
                 }
             }
-            (CacheKey::Propagated(_), CacheValue::Propagated(v)) => {
-                if !codec.is_some_and(|c| c.validate(v.as_ref(), g)) {
+            (CacheKey::Propagated(_), CacheValue::Propagated(pf)) => {
+                let n = g.num_nodes(schema.target());
+                if pf.blocks.is_empty() || pf.blocks.iter().any(|b| b.rows != n) {
                     return Err(SnapshotError::Malformed("propagated shape mismatch"));
                 }
             }
@@ -964,7 +950,6 @@ fn validate_against_graph(
 pub fn decode_snapshot_into(
     ctx: &CondenseContext<'_>,
     bytes: &[u8],
-    codec: Option<&dyn PropagatedCodec>,
     delta: Option<(GraphFingerprint, &GraphDelta)>,
 ) -> Result<SeedReport, SnapshotError> {
     let expected = delta.map_or_else(|| ctx.graph().fingerprint(), |(old_fp, _)| old_fp);
@@ -1011,7 +996,7 @@ pub fn decode_snapshot_into(
         if std::mem::replace(&mut seen[id as usize], true) {
             return Err(SnapshotError::Malformed("duplicate section"));
         }
-        decode_section(id, payload, schema, &mut rules, codec, &mut staging)?;
+        decode_section(id, payload, schema, &mut rules, &mut staging)?;
     }
     if !r.is_empty() {
         return Err(SnapshotError::Malformed("trailing bytes after sections"));
@@ -1022,7 +1007,7 @@ pub fn decode_snapshot_into(
         entries,
         mut report,
     } = staging;
-    validate_against_graph(&entries, ctx.graph(), codec)?;
+    validate_against_graph(&entries, ctx.graph())?;
     for entry in entries {
         report.installed[entry.key.family() as usize] += 1;
         ctx.install(entry);
@@ -1031,17 +1016,12 @@ pub fn decode_snapshot_into(
 }
 
 impl CondenseContext<'_> {
-    /// Writes this context's caches to `path` as a versioned snapshot,
-    /// including the propagated blocks when a `codec` is supplied (see
-    /// [`encode_snapshot`]). The write goes through a per-call sibling temp file, an fsync and
-    /// an atomic rename, retrying transient failures, so a crashed
-    /// writer can never leave a half-written file under the canonical
-    /// name.
-    pub fn save_snapshot(
-        &self,
-        path: &Path,
-        codec: Option<&dyn PropagatedCodec>,
-    ) -> Result<(), SnapshotError> {
+    /// Writes this context's caches to `path` as a versioned snapshot
+    /// (see [`encode_snapshot`]). The write goes through a per-call
+    /// sibling temp file, an fsync and an atomic rename, retrying
+    /// transient failures, so a crashed writer can never leave a
+    /// half-written file under the canonical name.
+    pub fn save_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
         // The temp name must be unique per *call*, not just per process:
         // two threads saving the same path concurrently (two benches on
         // one graph) would otherwise interleave writes into one temp
@@ -1049,7 +1029,7 @@ impl CondenseContext<'_> {
         // Each retry attempt also gets a fresh name, so a torn attempt's
         // leftover can never be renamed by a later one.
         static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let bytes = encode_snapshot(self, codec);
+        let bytes = encode_snapshot(self);
         retry_io(|| {
             let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let mut tmp = path.as_os_str().to_owned();
@@ -1063,12 +1043,8 @@ impl CondenseContext<'_> {
     /// [`decode_snapshot_into`] for the verification and the
     /// nothing-installed-on-error guarantee). Transient read errors are
     /// retried like the registry's load path.
-    pub fn load_snapshot(
-        &self,
-        path: &Path,
-        codec: Option<&dyn PropagatedCodec>,
-    ) -> Result<SeedReport, SnapshotError> {
-        decode_snapshot_into(self, &read_snapshot_bytes(path)?, codec, None)
+    pub fn load_snapshot(&self, path: &Path) -> Result<SeedReport, SnapshotError> {
+        decode_snapshot_into(self, &read_snapshot_bytes(path)?, None)
     }
 
     /// Writes this context to its canonical snapshot file
@@ -1079,15 +1055,11 @@ impl CondenseContext<'_> {
     /// written — so persisting from a colder process never replaces a
     /// warmer process's snapshot with a less-warm one. An absent,
     /// corrupt or mismatched existing file is simply replaced.
-    pub fn persist_snapshot(
-        &self,
-        dir: &Path,
-        codec: Option<&dyn PropagatedCodec>,
-    ) -> Result<PathBuf, SnapshotError> {
+    pub fn persist_snapshot(&self, dir: &Path) -> Result<PathBuf, SnapshotError> {
         std::fs::create_dir_all(dir)?;
         let path = canonical_path(self, dir, self.graph().fingerprint());
-        let _ = self.load_snapshot(&path, codec);
-        self.save_snapshot(&path, codec)?;
+        let _ = self.load_snapshot(&path);
+        self.save_snapshot(&path)?;
         Ok(path)
     }
 }
@@ -1114,13 +1086,12 @@ pub(crate) enum DiskLoad {
 pub(crate) fn load_canonical(
     ctx: &CondenseContext<'_>,
     dir: &Path,
-    codec: Option<&dyn PropagatedCodec>,
     delta: Option<(GraphFingerprint, &GraphDelta)>,
 ) -> DiskLoad {
     let fp = delta.map_or_else(|| ctx.graph().fingerprint(), |(old_fp, _)| old_fp);
     let loaded = read_snapshot_bytes(&canonical_path(ctx, dir, fp))
         .map_err(SnapshotError::Io)
-        .and_then(|bytes| decode_snapshot_into(ctx, &bytes, codec, delta));
+        .and_then(|bytes| decode_snapshot_into(ctx, &bytes, delta));
     match loaded {
         Ok(report) => DiskLoad::Loaded(report),
         Err(SnapshotError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => DiskLoad::Absent,
@@ -1165,6 +1136,7 @@ mod tests {
     use super::*;
     use crate::features::FeatureMatrix;
     use crate::graph::{HeteroGraph, HeteroGraphBuilder};
+    use crate::propagation::propagate_ctx;
     use crate::schema::Schema;
 
     fn fixture() -> HeteroGraph {
@@ -1216,10 +1188,10 @@ mod tests {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
         warm(&ctx);
-        let bytes = encode_snapshot(&ctx, None);
+        let bytes = encode_snapshot(&ctx);
 
         let fresh = CondenseContext::new(&g);
-        let report = decode_snapshot_into(&fresh, &bytes, None, None).expect("load");
+        let report = decode_snapshot_into(&fresh, &bytes, None).expect("load");
         assert!(report[CacheFamily::Factors] > 0 && report[CacheFamily::Composed] > 0);
         assert_eq!(report[CacheFamily::Influence], 1);
         assert_eq!(report[CacheFamily::Diversity], 1);
@@ -1267,8 +1239,8 @@ mod tests {
         warm(&a);
         warm(&b);
         assert_eq!(
-            encode_snapshot(&a, None),
-            encode_snapshot(&b, None),
+            encode_snapshot(&a),
+            encode_snapshot(&b),
             "identical cache contents must produce identical bytes"
         );
     }
@@ -1278,11 +1250,11 @@ mod tests {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
         warm(&ctx);
-        let bytes = encode_snapshot(&ctx, None);
+        let bytes = encode_snapshot(&ctx);
 
         let assert_cold_after = |mutated: Vec<u8>, what: &str| {
             let fresh = CondenseContext::new(&g);
-            let err = decode_snapshot_into(&fresh, &mutated, None, None);
+            let err = decode_snapshot_into(&fresh, &mutated, None);
             assert!(err.is_err(), "{what} must be rejected");
             assert_eq!(
                 fresh.stats(),
@@ -1322,19 +1294,19 @@ mod tests {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
         warm(&ctx);
-        let bytes = encode_snapshot(&ctx, None);
+        let bytes = encode_snapshot(&ctx);
 
         let mut other = fixture();
         other.set_labels(vec![1, 0, 1, 0], 2);
         let foreign = CondenseContext::new(&other);
         assert!(matches!(
-            decode_snapshot_into(&foreign, &bytes, None, None),
+            decode_snapshot_into(&foreign, &bytes, None),
             Err(SnapshotError::WrongFingerprint { .. })
         ));
 
         let uncapped = CondenseContext::new(&g).with_max_row_nnz(None);
         assert!(matches!(
-            decode_snapshot_into(&uncapped, &bytes, None, None),
+            decode_snapshot_into(&uncapped, &bytes, None),
             Err(SnapshotError::WrongKnobs)
         ));
     }
@@ -1347,10 +1319,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fhgc-snap-unit-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(snapshot_file_name(g.fingerprint(), ctx.max_row_nnz()));
-        ctx.save_snapshot(&path, None).expect("save");
+        ctx.save_snapshot(&path).expect("save");
 
         let fresh = CondenseContext::new(&g);
-        let report = fresh.load_snapshot(&path, None).expect("load");
+        let report = fresh.load_snapshot(&path).expect("load");
         assert!(report.reused() > 0);
         let root = g.schema().target();
         for p in fresh.metapaths(root, 3, 100).iter() {
@@ -1367,12 +1339,7 @@ mod tests {
             forward,
         };
         let check = |key: CacheKey, value: CacheValue| {
-            let entry = CacheEntry {
-                key,
-                value,
-                bytes: 0,
-            };
-            validate_against_graph(&[entry], &g, None)
+            validate_against_graph(&[CacheEntry { key, value }], &g)
         };
         let m = |rows, cols| CacheValue::Matrix(Arc::new(CsrMatrix::zeros(rows, cols)));
         let v = |len| CacheValue::Vector(Arc::new(vec![0.0; len]));
@@ -1425,13 +1392,20 @@ mod tests {
         assert!(check(div.clone(), v(4)).is_ok(), "4 papers");
         assert!(check(div, v(5)).is_err(), "diversity length");
 
-        // Without a codec nothing can vouch for a propagated block.
-        let block: crate::context::AnyArc = Arc::new(0u8);
-        let prop = CacheKey::Propagated((2, 8));
+        // Propagated blocks need one row per target node (4 papers).
+        let blocks = |rows: &[usize]| {
+            CacheValue::Propagated(Arc::new(PropagatedFeatures {
+                blocks: rows.iter().map(|&r| Matrix::zeros(r, 2)).collect(),
+                path_names: rows.iter().map(|r| format!("b{r}")).collect(),
+            }))
+        };
+        let prop = || CacheKey::Propagated((2, 8));
+        assert!(check(prop(), blocks(&[4, 4])).is_ok(), "4 target rows");
         assert!(
-            check(prop, CacheValue::Propagated(block)).is_err(),
-            "codec-less block"
+            check(prop(), blocks(&[4, 3])).is_err(),
+            "row-count mismatch"
         );
+        assert!(check(prop(), blocks(&[])).is_err(), "no blocks at all");
     }
 
     /// The checksum is an unkeyed Fx hash anyone can recompute, so a
@@ -1454,12 +1428,91 @@ mod tests {
         put_csr(&mut payload, &CsrMatrix::zeros(1, 1)); // truth is 4×3
         let file = single_section_file(&g, &ctx, SECTION_FACTORS, &payload.into_bytes());
 
-        let err = decode_snapshot_into(&ctx, &file, None, None);
+        let err = decode_snapshot_into(&ctx, &file, None);
         assert!(
             matches!(err, Err(SnapshotError::Malformed("factor shape mismatch"))),
             "got {err:?}"
         );
         assert_eq!(ctx.stats(), CondenseContext::new(&g).stats(), "untouched");
+    }
+
+    #[test]
+    fn propagated_blocks_round_trip_bitwise() {
+        let g = fixture();
+        let ctx = CondenseContext::new(&g);
+        let pf = propagate_ctx(&ctx, 2, 16);
+        assert!(pf.blocks.len() > 1, "the fixture has meta-paths");
+        let bytes = encode_snapshot(&ctx);
+
+        let fresh = CondenseContext::new(&g);
+        let report = decode_snapshot_into(&fresh, &bytes, None).expect("load");
+        assert_eq!(report[CacheFamily::Propagated], 1);
+        let loaded = propagate_ctx(&fresh, 2, 16);
+        assert_eq!(
+            fresh.stats()[CacheFamily::Propagated].misses,
+            0,
+            "the blocks must be served from the snapshot"
+        );
+        assert_eq!(loaded.path_names, pf.path_names);
+        assert_eq!(loaded.blocks.len(), pf.blocks.len());
+        for (a, b) in loaded.blocks.iter().zip(&pf.blocks) {
+            assert_eq!((a.rows, a.cols), (b.rows, b.cols));
+            let bits = |m: &Matrix| m.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "block bits must survive the snapshot");
+        }
+        assert_eq!(
+            fresh.stats()[CacheFamily::Propagated].bytes,
+            ctx.stats()[CacheFamily::Propagated].bytes,
+            "loaded blocks are charged like computed ones"
+        );
+
+        // A truncated or garbage block payload (with a valid section
+        // checksum) is rejected without installing anything.
+        let mut blocks = ByteWriter::new();
+        put_blocks(&mut blocks, &pf);
+        let blocks = blocks.into_bytes();
+        let whole = &blocks[8..];
+        assert!(read_blocks(whole).is_ok(), "the payload decodes whole");
+        for inner in [&whole[..whole.len() / 2], &[0xFF; 9][..]] {
+            let mut payload = ByteWriter::new();
+            payload.put_usize(1);
+            payload.put_usize(2);
+            payload.put_usize(16);
+            payload.put_usize(inner.len());
+            payload.put_bytes(inner);
+            let file = single_section_file(&g, &ctx, SECTION_PROPAGATED, &payload.into_bytes());
+            let cold = CondenseContext::new(&g);
+            assert!(decode_snapshot_into(&cold, &file, None).is_err());
+            assert_eq!(cold.stats(), CondenseContext::new(&g).stats(), "untouched");
+        }
+    }
+
+    /// Files written before the propagated section was always present
+    /// hold sections 1-4 only; they still load, as a partial context
+    /// whose blocks recompute on first use.
+    #[test]
+    fn file_without_the_propagated_section_still_loads() {
+        let g = fixture();
+        let ctx = CondenseContext::new(&g);
+        let root = g.schema().target();
+        let mut payload = ByteWriter::new();
+        payload.put_usize(1);
+        payload.put_u16(root.0);
+        payload.put_usize(2);
+        payload.put_usize(24);
+        payload.put_usize(1);
+        payload.put_usize(4);
+        payload.put_f64_slice(&[0.5, 0.125, 1.0, 0.75]);
+        let file = single_section_file(&g, &ctx, SECTION_DIVERSITY, &payload.into_bytes());
+
+        let report = decode_snapshot_into(&ctx, &file, None).expect("partial file loads");
+        assert_eq!(report[CacheFamily::Diversity], 1);
+        assert_eq!(report.reused(), 1, "nothing else was in the file");
+        let d = ctx.diversity((root, 2, 24, 1), || unreachable!("loaded"));
+        assert_eq!(*d, vec![0.5, 0.125, 1.0, 0.75]);
+        let pf = propagate_ctx(&ctx, 2, 16);
+        assert_eq!(ctx.stats()[CacheFamily::Propagated].misses, 1, "recomputed");
+        assert_eq!(pf.num_rows(), 4);
     }
 
     /// A snapshot file for `g` under `ctx`'s knobs holding one section
@@ -1578,7 +1631,7 @@ mod tests {
             payload.put_usize(1);
             entry(&mut payload);
             let file = single_section_file(&old, &ctx, id, &payload.into_bytes());
-            let err = decode_snapshot_into(&ctx, &file, None, Some((old.fingerprint(), &delta)));
+            let err = decode_snapshot_into(&ctx, &file, Some((old.fingerprint(), &delta)));
             assert!(
                 matches!(err, Err(SnapshotError::Malformed(m)) if m == want),
                 "section {id}: want {want:?}, got {err:?}"
@@ -1596,17 +1649,17 @@ mod tests {
         // A warm context persists first.
         let warm_ctx = CondenseContext::new(&g);
         warm(&warm_ctx);
-        let path = warm_ctx.persist_snapshot(&dir, None).unwrap();
+        let path = warm_ctx.persist_snapshot(&dir).unwrap();
         let warm_len = std::fs::metadata(&path).unwrap().len();
 
         // A completely cold context persisting the same path must keep
         // (and absorb) the warm entries rather than truncating the file
         // to its own empty state.
         let cold = CondenseContext::new(&g);
-        assert_eq!(cold.persist_snapshot(&dir, None).unwrap(), path);
+        assert_eq!(cold.persist_snapshot(&dir).unwrap(), path);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), warm_len);
         let check = CondenseContext::new(&g);
-        let report = check.load_snapshot(&path, None).unwrap();
+        let report = check.load_snapshot(&path).unwrap();
         assert!(
             report[CacheFamily::Composed] > 0,
             "warm entries must survive a cold save"
@@ -1629,14 +1682,14 @@ mod tests {
             partial.adjacency(p);
         }
         assert_ne!(
-            encode_snapshot(&full, None),
-            encode_snapshot(&partial, None),
+            encode_snapshot(&full),
+            encode_snapshot(&partial),
             "the writers must race different bytes"
         );
         let dir = std::env::temp_dir().join(format!("fhgc-snap-race-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("race.fhgc");
-        full.save_snapshot(&path, None).unwrap();
+        full.save_snapshot(&path).unwrap();
         let start = std::sync::Barrier::new(6);
         std::thread::scope(|s| {
             for writer in 0..4 {
@@ -1645,7 +1698,7 @@ mod tests {
                 s.spawn(move || {
                     start.wait();
                     for _ in 0..25 {
-                        ctx.save_snapshot(path, None).expect("save");
+                        ctx.save_snapshot(path).expect("save");
                     }
                 });
             }
@@ -1655,7 +1708,7 @@ mod tests {
                     for _ in 0..50 {
                         let fresh = CondenseContext::new(&g);
                         fresh
-                            .load_snapshot(&path, None)
+                            .load_snapshot(&path)
                             .expect("every load must see a whole snapshot");
                     }
                 });

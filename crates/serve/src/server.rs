@@ -196,7 +196,7 @@ struct ServerInner {
     catalog: GraphCatalog,
     registry: ContextRegistry,
     pool: WorkerPool,
-    methods: Mutex<BTreeMap<String, Arc<dyn Condenser + Send + Sync>>>,
+    methods: BTreeMap<String, Arc<dyn Condenser + Send + Sync>>,
     flights: SingleFlight<FlightKey, Reply, Box<Reply>>,
     replies: Mutex<ReplyCache>,
     counters: Counters,
@@ -239,7 +239,7 @@ impl ServeHandle {
                 catalog: GraphCatalog::new(),
                 registry: ContextRegistry::new(),
                 pool,
-                methods: Mutex::new(methods),
+                methods,
                 flights: SingleFlight::default(),
                 replies: Mutex::new(ReplyCache::default()),
                 counters: Counters::default(),
@@ -253,12 +253,6 @@ impl ServeHandle {
     /// Registers (or replaces) a graph under `id`.
     pub fn register_graph(&self, id: impl Into<String>, graph: Arc<HeteroGraph>) {
         self.inner.catalog.register(id, graph);
-    }
-
-    /// Registers (or replaces) a condensation method under its `name()`.
-    pub fn register_method(&self, method: Box<dyn Condenser + Send + Sync>) {
-        let name = method.name().to_string();
-        relock(&self.inner.methods).insert(name, Arc::from(method));
     }
 
     /// The registry backing this server — shared so tests and the bench
@@ -297,11 +291,6 @@ impl ServeHandle {
             duplicate_computes: rs.duplicate_computes,
             resident_bytes: self.inner.registry.resident_bytes(),
         }
-    }
-
-    /// True once [`ServeHandle::shutdown`] has begun.
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutting_down.load(Ordering::Relaxed)
     }
 
     /// Graceful drain: new `Condense`/`ApplyDelta` requests get typed
@@ -406,7 +395,7 @@ impl ServeHandle {
                 format!("max_paths {max_paths} outside 1..={MAX_REQUEST_PATHS}"),
             );
         }
-        let condenser = match relock(&inner.methods).get(method) {
+        let condenser = match inner.methods.get(method) {
             Some(c) => Arc::clone(c),
             None => {
                 return err(
@@ -583,10 +572,7 @@ impl ServeHandle {
         let report = catch_unwind(AssertUnwindSafe(|| {
             let dir = inner.snapshot_dir.as_deref();
             let delta = Some((old_fp, delta));
-            inner
-                .registry
-                .resolve(&new_graph, &spec, dir, None, delta)
-                .1
+            inner.registry.resolve(&new_graph, &spec, dir, delta).1
         }));
         let report = match report {
             Ok(r) => r,

@@ -324,10 +324,4 @@ impl ServeClient {
             .map(|reply| (req_id, reply))
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
-
-    /// Half-closes the write side, signalling a disconnect to the
-    /// server while keeping the read side open.
-    pub fn shutdown_write(&mut self) -> io::Result<()> {
-        self.stream.shutdown(std::net::Shutdown::Write)
-    }
 }

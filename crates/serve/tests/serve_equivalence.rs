@@ -4,7 +4,9 @@
 //! agrees byte-for-byte with the in-process path.
 
 use freehgc_datasets::tiny;
-use freehgc_hetgraph::{CondenseSpec, ContextRegistry, DEFAULT_MAX_PATHS};
+use freehgc_hetgraph::{
+    propagate, propagate_ctx, CondenseSpec, ContextRegistry, DEFAULT_MAX_PATHS,
+};
 use freehgc_parallel::WorkerPool;
 use freehgc_serve::wire::{self, CondensedSummary};
 use freehgc_serve::{
@@ -436,15 +438,27 @@ fn apply_delta_seeds_from_the_snapshot_dir_of_an_earlier_server() {
     std::fs::remove_dir_all(&dir).ok();
     let graph = Arc::new(tiny(29));
     let warm = condense_req(GraphRef::Id("acm".into()), "FreeHGC", 0.5, 1);
+    let spec = CondenseSpec::new(0.5);
+    // The delta rewires `pt` (paper → term). One-hop propagation capped
+    // just before the first path over `pt` never reads it, so its
+    // blocks survive the delta.
+    let pt = freehgc_hetgraph::EdgeTypeId(3);
+    let target = graph.schema().target();
+    let clean_paths = freehgc_hetgraph::enumerate_metapaths(graph.schema(), target, 1, 64)
+        .iter()
+        .position(|p| p.steps.iter().any(|s| s.edge == pt))
+        .expect("a one-hop path over pt");
 
-    // An earlier server warms the old graph's context and persists it
-    // under the default knobs `ApplyDelta` resolves with.
+    // An earlier server warms the old graph's context (condensation and
+    // propagation) and persists it under the default knobs
+    // `ApplyDelta` resolves with.
     let first = ServeHandle::new(ServeConfig::default());
     first.register_graph("acm", Arc::clone(&graph));
     assert!(first.call(&warm).error_code().is_none());
+    propagate_ctx(&first.registry().context_for(&graph, &spec), 1, clean_paths);
     first
         .registry()
-        .persist(&dir, &graph, &CondenseSpec::new(0.5), None)
+        .persist(&dir, &graph, &spec)
         .expect("persist");
     first.shutdown();
 
@@ -456,7 +470,7 @@ fn apply_delta_seeds_from_the_snapshot_dir_of_an_earlier_server() {
     });
     handle.register_graph("acm", Arc::clone(&graph));
     let mut delta = freehgc_hetgraph::GraphDelta::new();
-    delta.add_weighted_edge(freehgc_hetgraph::EdgeTypeId(0), 0, 1, 2.0);
+    delta.add_weighted_edge(pt, 0, 1, 2.0);
     let reply = handle.call(&Request::ApplyDelta {
         graph_id: "acm".into(),
         delta: delta.clone(),
@@ -472,9 +486,27 @@ fn apply_delta_seeds_from_the_snapshot_dir_of_an_earlier_server() {
 
     let mut mutated = (*graph).clone();
     mutated.apply_delta(&delta);
+    let mutated = Arc::new(mutated);
     let served = handle.call(&warm);
-    let reference = reference_reply(&Arc::new(mutated), "FreeHGC", 0.5, 1);
+    let reference = reference_reply(&mutated, "FreeHGC", 0.5, 1);
     assert_bitwise_equal(&served, &reference, "post-delta from snapshot");
+
+    // The propagated blocks the delta left clean were installed from
+    // the file too: the first propagation on the seeded context hits,
+    // with the bits of a fresh propagation of the mutated graph.
+    let ctx = handle.registry().context_for(&mutated, &spec);
+    let blocks = propagate_ctx(&ctx, 1, clean_paths);
+    let propagated = ctx.stats()[freehgc_hetgraph::CacheFamily::Propagated];
+    assert_eq!(
+        (propagated.hits, propagated.misses),
+        (1, 0),
+        "the clean blocks must come from the snapshot"
+    );
+    let fresh = propagate(&mutated, 1, clean_paths);
+    assert_eq!(blocks.path_names, fresh.path_names);
+    for (a, b) in blocks.blocks.iter().zip(&fresh.blocks) {
+        assert_eq!(a.data, b.data, "seeded block bits");
+    }
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

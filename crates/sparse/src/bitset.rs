@@ -84,14 +84,6 @@ impl Bitset {
         new
     }
 
-    /// In-place union with another bitset of identical capacity.
-    pub fn union_with(&mut self, other: &Bitset) {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
-        }
-    }
-
     /// `|self ∩ other|` without allocating.
     pub fn intersection_count(&self, other: &Bitset) -> usize {
         assert_eq!(self.len, other.len, "bitset capacity mismatch");
@@ -201,9 +193,7 @@ mod tests {
         b.insert(199);
         assert_eq!(a.union_count(&b), 3);
         assert_eq!(a.intersection_count(&b), 1);
-        a.union_with(&b);
-        assert_eq!(a.count(), 3);
-        assert!(a.contains(199));
+        assert_eq!(a.count(), 2);
     }
 
     #[test]

@@ -335,15 +335,6 @@ impl CsrMatrix {
         (0..self.nrows).map(|r| self.row_nnz(r)).collect()
     }
 
-    /// In-degrees (stored entries per column).
-    pub fn in_degrees(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.ncols];
-        for &c in self.indices.iter() {
-            deg[c as usize] += 1;
-        }
-        deg
-    }
-
     /// Per-row sums of stored values.
     pub fn row_sums(&self) -> Vec<f32> {
         (0..self.nrows)
@@ -1126,7 +1117,6 @@ mod tests {
         assert_eq!(m.get(0, 1), 0.0);
         assert_eq!(m.row_nnz(1), 1);
         assert_eq!(m.out_degrees(), vec![2, 1]);
-        assert_eq!(m.in_degrees(), vec![1, 1, 1]);
     }
 
     #[test]

@@ -133,6 +133,19 @@ pub fn ppr_push_into(m: &CsrMatrix, seed: &[f32], cfg: &PprConfig, acc: &mut [f3
 /// computed once per call: Rust evaluates `v * dc[c] * x` as
 /// `(v * dc[c]) * x`, so `w[i] * x` performs the very same `f32`
 /// operations and the bits are unchanged.
+///
+/// The fused pass scatters every row, including rows whose `t_r` is
+/// `±0`, with no branch: the bits are the same as skipping them. A
+/// folded weight is never `±∞` — `|v·dc[c]| ≤ √|v|` when the column sum
+/// is finite, and `dc[c] = 0` when it is not — and a NaN weight makes its
+/// own row's gather, hence `t_r`, NaN. So a row with `t_r = ±0` adds only
+/// `±0` terms, and `x + ±0 == x` for every `x` but `−0`, which `nxt`
+/// cannot hold: it starts at `+0.0`, and a sum is `−0` only when both
+/// addends are. (Edge weights are finite in practice anyway:
+/// `HeteroGraph::apply_delta` asserts it for every delta edge, and the
+/// serving wire decoder rejects non-finite deltas before that.) The
+/// first pass keeps its skip: a seeded call leaves most of its rows at
+/// exactly zero there, and skipping them saves whole row scans.
 pub fn bipartite_influence(a: &CsrMatrix, seed_rows: Option<&[u32]>, cfg: &PprConfig) -> Vec<f32> {
     let (n, m) = (a.nrows(), a.ncols());
     if n == 0 || m == 0 || seed_rows.is_some_and(<[u32]>::is_empty) {
@@ -223,11 +236,8 @@ pub fn bipartite_influence(a: &CsrMatrix, seed_rows: Option<&[u32]>, cfg: &PprCo
                     accr += wi * *src.get_unchecked(c as usize);
                 }
             }
-            let t = accr * d * d;
-            if t != 0.0 {
-                // SAFETY: as above, nxt.len() == ncols.
-                unsafe { scatter_row(cols, wr, t, nxt) };
-            }
+            // SAFETY: as above, nxt.len() == ncols.
+            unsafe { scatter_row(cols, wr, accr * d * d, nxt) };
         }
         std::mem::swap(&mut src, &mut nxt);
         coeff = coeff * decay * decay;
@@ -388,9 +398,9 @@ mod tests {
     }
 
     /// Straightforward reference that runs every advance including the
-    /// discarded final ones — the restructured loop must match it bit
-    /// for bit.
-    fn bipartite_reference(a: &CsrMatrix, cfg: &PprConfig) -> Vec<f32> {
+    /// discarded final ones, and skips every scatter from a row whose
+    /// state is zero — the restructured loop must match it bit for bit.
+    fn bipartite_reference(a: &CsrMatrix, seed_rows: Option<&[u32]>, cfg: &PprConfig) -> Vec<f32> {
         let (n, m) = (a.nrows(), a.ncols());
         let row_sum = a.row_sums();
         let mut col_sum = vec![0f32; m];
@@ -410,6 +420,12 @@ mod tests {
             .collect();
         let terms = cfg.num_terms();
         let mut tgt = vec![1.0 / n as f32; n];
+        if let Some(rows) = seed_rows {
+            tgt.fill(0.0);
+            for &r in rows {
+                tgt[r as usize] = 1.0 / rows.len() as f32;
+            }
+        }
         let mut src = vec![0f32; m];
         let mut acc_src = vec![0f32; m];
         let mut coeff = cfg.alpha;
@@ -474,7 +490,51 @@ mod tests {
             let a = CsrMatrix::from_edges(4, 4, &seed_edges);
             assert_eq!(
                 bipartite_influence(&a, None, &terms_parity_cfg),
-                bipartite_reference(&a, &terms_parity_cfg)
+                bipartite_reference(&a, None, &terms_parity_cfg)
+            );
+        }
+    }
+
+    /// A sparse random block with a few seeded rows: in the early fused
+    /// passes most rows gather nothing (`t = +0`), and rows whose weights
+    /// sum to ≤ 0 have `d = 0`, so `t = ±0` whatever they gather. Their
+    /// unguarded scatters must leave every bit as the guarded reference.
+    #[test]
+    fn zero_state_rows_scatter_without_changing_bits() {
+        use rand::{Rng, SeedableRng};
+        let (n, m) = (400u32, 300u32);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut coo = crate::coo::CooMatrix::new(n as usize, m as usize);
+        for r in 0..n {
+            for _ in 0..2 {
+                // One row in eight carries negative weights only.
+                let w = if r % 8 == 0 {
+                    -0.5
+                } else {
+                    rng.gen_range(0.25f32..2.0)
+                };
+                coo.push(r, rng.gen_range(0..m), w);
+            }
+        }
+        let a = coo.to_csr();
+        let seeds = [3u32, 150, 299];
+        // Rows sharing no source with a seed row gather exactly zero in
+        // the first fused pass.
+        let seeded_cols: Vec<u32> = seeds
+            .iter()
+            .flat_map(|&r| a.row_indices(r as usize).to_vec())
+            .collect();
+        let idle = (0..n as usize)
+            .filter(|&r| a.row_indices(r).iter().all(|c| !seeded_cols.contains(c)))
+            .count();
+        assert!(idle > n as usize * 9 / 10, "only {idle} idle rows");
+        let cfg = PprConfig::default();
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        for seed_rows in [Some(&seeds[..]), None] {
+            assert_eq!(
+                bits(bipartite_influence(&a, seed_rows, &cfg)),
+                bits(bipartite_reference(&a, seed_rows, &cfg)),
+                "seed rows {seed_rows:?}"
             );
         }
     }

@@ -10,7 +10,6 @@
 
 use freehgc::core::FreeHgc;
 use freehgc::datasets::tiny;
-use freehgc::eval::ChaosKnobs;
 use freehgc::hetgraph::failpoints as fp;
 use freehgc::hetgraph::{CondenseSpec, CondensedGraph, Condenser, ContextRegistry};
 use std::sync::{Arc, Mutex};
@@ -169,13 +168,13 @@ fn transient_read_error_is_retried_into_a_successful_load() {
         for p in ctx.metapaths(root, 2, 50).iter() {
             ctx.adjacency(p);
         }
-        reg.persist(&dir, &g, &spec, None).expect("persist");
+        reg.persist(&dir, &g, &spec).expect("persist");
 
         let retries_before = reg.stats().io_retries;
         // Fail exactly the first read attempt; the retry must land.
         fp::arm(fp::SNAPSHOT_READ_IO, 1);
         let reg2 = ContextRegistry::new();
-        let warm = reg2.resolve(&g, &spec, Some(&dir), None, None).0;
+        let warm = reg2.resolve(&g, &spec, Some(&dir), None).0;
         assert_eq!(
             disk_loads(&reg2),
             (1, 0),
@@ -202,7 +201,7 @@ fn torn_write_retries_and_the_orphan_is_swept_on_restart() {
         // First write attempt tears mid-persist (leaving its temp file
         // behind, as a crash would); the retry must succeed.
         fp::arm(fp::SNAPSHOT_TORN_WRITE, 1);
-        let path = reg.persist(&dir, &g, &spec, None).expect("retry lands");
+        let path = reg.persist(&dir, &g, &spec).expect("retry lands");
         assert!(path.exists(), "canonical file published despite the tear");
         let orphans = || {
             std::fs::read_dir(&dir)
@@ -221,7 +220,7 @@ fn torn_write_retries_and_the_orphan_is_swept_on_restart() {
         // "Restart": a fresh registry's first touch of the directory
         // sweeps the orphan and still loads the snapshot cleanly.
         let reg2 = ContextRegistry::new();
-        let warm = reg2.resolve(&g, &spec, Some(&dir), None, None).0;
+        let warm = reg2.resolve(&g, &spec, Some(&dir), None).0;
         assert_eq!(orphans(), 0, "startup sweep collects the orphan");
         assert_eq!(reg2.stats().tmp_files_swept, 1);
         assert_eq!(disk_loads(&reg2), (1, 0));
@@ -260,19 +259,14 @@ fn every_fault_at_once_under_concurrent_clients_keeps_reference_bits() {
         let dir = temp_dir("combined");
         let reg0 = ContextRegistry::new();
         c.condense_shared(&reg0, &g, &spec);
-        reg0.persist(&dir, &g, &spec, None).expect("persist");
+        reg0.persist(&dir, &g, &spec).expect("persist");
         std::fs::write(dir.join("ctx-dead.fhgc.tmp-99999-0"), b"torn").unwrap();
 
-        ChaosKnobs {
-            seed: 1234,
-            read_io_one_in: Some(3),
-            torn_writes: 1,
-            condense_panics: 2,
-            build_panics: 1,
-            build_delay: true,
-            ..Default::default()
-        }
-        .arm();
+        fp::arm_seeded(fp::SNAPSHOT_READ_IO, 1234, 3);
+        fp::arm(fp::SNAPSHOT_TORN_WRITE, 1);
+        fp::arm(fp::CONDENSE_PANIC, 2);
+        fp::arm(fp::REGISTRY_BUILD_PANIC, 1);
+        fp::arm_seeded(fp::REGISTRY_BUILD_DELAY, 1234, 1);
 
         // Eight clients hammer one key through the snapshot-backed
         // resolve and `condense_shared` while every fault fires.
@@ -286,7 +280,7 @@ fn every_fault_at_once_under_concurrent_clients_keeps_reference_bits() {
                         barrier.wait();
                         (0..2)
                             .map(|_| {
-                                reg.resolve(&g, &spec, Some(&dir), None, None);
+                                reg.resolve(&g, &spec, Some(&dir), None);
                                 c.condense_shared(&reg, &g, &spec)
                             })
                             .collect::<Vec<_>>()
@@ -304,19 +298,19 @@ fn every_fault_at_once_under_concurrent_clients_keeps_reference_bits() {
             "every faulted response carries the fault-free bits"
         );
         // Still armed: persisting tears once and retries into a file.
-        reg.persist(&dir, &g, &spec, None)
+        reg.persist(&dir, &g, &spec)
             .expect("persist survives the torn write");
         let stats = reg.stats();
-        assert!(ChaosKnobs::faults_fired() > 0, "the drill injected faults");
+        assert!(fp::total_fired() > 0, "the drill injected faults");
         assert!(stats.panics_recovered > 0, "injected panics were recovered");
         assert_eq!(stats.duplicate_computes, 0, "single-flight held");
         assert!(stats.tmp_files_swept > 0, "the startup sweep ran");
-        ChaosKnobs::disarm_all();
+        fp::reset();
 
         // "Restart": a fresh registry sweeps the torn write's orphan and
         // serves the reference bits from the published file.
         let reg2 = ContextRegistry::new();
-        reg2.resolve(&g, &spec, Some(&dir), None, None);
+        reg2.resolve(&g, &spec, Some(&dir), None);
         assert!(reg2.stats().tmp_files_swept > 0, "the torn orphan is swept");
         assert!(same_bits(&c.condense_shared(&reg2, &g, &spec), &want));
         std::fs::remove_dir_all(&dir).ok();
@@ -382,17 +376,12 @@ fn serve_reference_payload(g: &Arc<freehgc::hetgraph::HeteroGraph>, seed: u64) -
 #[test]
 fn serve_worker_panic_errors_exactly_one_client_and_the_rest_serve_bitwise() {
     drill(|| {
-        use freehgc::eval::ChaosKnobs;
         use freehgc::serve::{wire, ErrorCode};
         let (handle, gate, g) = blocked_serve(51);
         let req = serve_condense_req(7);
         let reference = serve_reference_payload(&g, 7);
 
-        ChaosKnobs {
-            serve_worker_panics: 1,
-            ..Default::default()
-        }
-        .arm();
+        fp::arm(fp::SERVE_WORKER_PANIC, 1);
 
         // Six identical requests: one leader (whose pooled job will hit
         // the injected panic), five coalesced followers.
@@ -458,7 +447,6 @@ fn serve_worker_panic_errors_exactly_one_client_and_the_rest_serve_bitwise() {
 #[test]
 fn serve_queue_full_injection_is_typed_backpressure_then_full_recovery() {
     drill(|| {
-        use freehgc::eval::ChaosKnobs;
         use freehgc::serve::{wire, ErrorCode, ServeConfig, ServeHandle};
         let handle = ServeHandle::new(ServeConfig::default());
         let g = Arc::new(tiny(52));
@@ -466,11 +454,7 @@ fn serve_queue_full_injection_is_typed_backpressure_then_full_recovery() {
         let req = serve_condense_req(9);
         let reference = serve_reference_payload(&g, 9);
 
-        ChaosKnobs {
-            serve_queue_full: 1,
-            ..Default::default()
-        }
-        .arm();
+        fp::arm(fp::SERVE_QUEUE_FULL, 1);
 
         let bounced = handle.call(&req);
         assert_eq!(

@@ -27,7 +27,7 @@ use freehgc::hetgraph::{
     CacheFamily, CondenseContext, CondenseSpec, CondensedGraph, Condenser, ContextRegistry,
     GraphDelta, HeteroGraph, SeedReport,
 };
-use freehgc::hgnn::propagation::{propagate_ctx, PropagatedFeaturesCodec};
+use freehgc::hgnn::propagation::propagate_ctx;
 use freehgc::parallel as par;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -180,13 +180,8 @@ fn delta_updated_context_matches_cold_rebuild_for_every_condenser() {
             let reg = ContextRegistry::new();
             let ctx_old = reg.context_for(&g_old, &spec);
             with_threads(threads, || warm(&ctx_old, &spec));
-            let (ctx_new, report) = reg.resolve(
-                &g_new,
-                &spec,
-                None,
-                None,
-                Some((g_old.fingerprint(), &delta)),
-            );
+            let (ctx_new, report) =
+                reg.resolve(&g_new, &spec, None, Some((g_old.fingerprint(), &delta)));
             assert!(
                 report.reused() > report[CacheFamily::Paths],
                 "{what}: entries beyond the schema-only path sets must survive \
@@ -236,13 +231,7 @@ fn a_delta_touching_every_edge_type_degenerates_to_a_full_rebuild() {
     let reg = ContextRegistry::new();
     let ctx_old = reg.context_for(&g_old, &spec);
     with_threads(1, || warm(&ctx_old, &spec));
-    let (ctx_new, report) = reg.resolve(
-        &g_new,
-        &spec,
-        None,
-        None,
-        Some((g_old.fingerprint(), &delta)),
-    );
+    let (ctx_new, report) = reg.resolve(&g_new, &spec, None, Some((g_old.fingerprint(), &delta)));
     // Every derived family depends on at least one relation, so nothing
     // derived survives — only the schema-only path sets (and any cached
     // "no relation between these types" negatives) carry over.
@@ -341,8 +330,7 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
     for c in condensers() {
         with_threads(1, || c.condense_in(&ctx1, &spec));
     }
-    reg1.persist(&dir, &g_old, &spec, Some(&PropagatedFeaturesCodec))
-        .expect("persist");
+    reg1.persist(&dir, &g_old, &spec).expect("persist");
     let in_memory = CondenseContext::for_spec(&g_new, &spec).seed_from(&ctx1, &delta);
 
     // Cold reference over the mutated graph, for every condenser.
@@ -361,7 +349,6 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
             &g_new,
             &spec,
             Some(&dir),
-            Some(&PropagatedFeaturesCodec),
             Some((g_old.fingerprint(), &delta)),
         );
         assert_eq!(
@@ -397,7 +384,6 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
             &g_edit,
             &spec,
             Some(&dir),
-            Some(&PropagatedFeaturesCodec),
             Some((g_old.fingerprint(), &edit)),
         );
         let from_memory = CondenseContext::for_spec(&g_edit, &spec).seed_from(&ctx1, &edit);

@@ -25,7 +25,7 @@ use freehgc::hetgraph::{
     snapshot_file_name, CacheFamily, CondenseSpec, CondensedGraph, Condenser, ContextRegistry,
     HeteroGraph,
 };
-use freehgc::hgnn::propagation::{propagate_ctx, PropagatedFeaturesCodec};
+use freehgc::hgnn::propagation::propagate_ctx;
 use freehgc::parallel as par;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -111,17 +111,13 @@ fn snapshot_round_trip_matches_fresh_for_every_condenser() {
         .collect();
     let ctx1 = reg1.context_for(&g, &spec);
     let pf1 = propagate_ctx(&ctx1, 2, 16);
-    let path = reg1
-        .persist(&dir, &g, &spec, Some(&PropagatedFeaturesCodec))
-        .expect("persist");
+    let path = reg1.persist(&dir, &g, &spec).expect("persist");
     assert!(path.ends_with(snapshot_file_name(g.fingerprint(), spec.max_row_nnz)));
 
     for threads in [1usize, 4] {
         // "Process two": a fresh registry resolves warm from disk.
         let reg2 = ContextRegistry::new();
-        let ctx2 = reg2
-            .resolve(&g, &spec, Some(&dir), Some(&PropagatedFeaturesCodec), None)
-            .0;
+        let ctx2 = reg2.resolve(&g, &spec, Some(&dir), None).0;
         assert_eq!(disk_loads(&reg2), (1, 0), "{threads}t: must load");
         let pf2 = propagate_ctx(&ctx2, 2, 16);
         let propagated = ctx2.stats()[CacheFamily::Propagated];
@@ -185,7 +181,7 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
     // Persist a genuinely warm snapshot, then a cold reference run.
     let reg1 = ContextRegistry::new();
     let reference = with_threads(1, || FreeHgc::default().condense_shared(&reg1, &g, &spec));
-    let path = reg1.persist(&dir, &g, &spec, None).expect("persist");
+    let path = reg1.persist(&dir, &g, &spec).expect("persist");
     let good = std::fs::read(&path).unwrap();
     assert!(good.len() > 64, "snapshot must have real content");
 
@@ -206,9 +202,7 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
         std::fs::write(&path, &bytes).unwrap();
         for threads in [1usize, 4] {
             let reg = ContextRegistry::new();
-            let ctx = reg
-                .resolve(&g, &spec, Some(&dir), Some(&PropagatedFeaturesCodec), None)
-                .0;
+            let ctx = reg.resolve(&g, &spec, Some(&dir), None).0;
             assert_eq!(
                 disk_loads(&reg),
                 (0, 1),
@@ -226,11 +220,11 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
     assert_ne!(g.fingerprint(), g2.fingerprint(), "distinct fixtures");
     let regx = ContextRegistry::new();
     with_threads(1, || FreeHgc::default().condense_shared(&regx, &g2, &spec));
-    let other = regx.persist(&dir, &g2, &spec, None).expect("persist other");
+    let other = regx.persist(&dir, &g2, &spec).expect("persist other");
     std::fs::copy(&other, &path).unwrap();
     for threads in [1usize, 4] {
         let reg = ContextRegistry::new();
-        let ctx = reg.resolve(&g, &spec, Some(&dir), None, None).0;
+        let ctx = reg.resolve(&g, &spec, Some(&dir), None).0;
         assert_eq!(
             disk_loads(&reg),
             (0, 1),
@@ -244,7 +238,7 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
 
 /// The snapshot file format is pinned byte for byte: one fixed warm
 /// context (FreeHGC condensation plus feature propagation, with the
-/// propagated section encoded through `PropagatedFeaturesCodec`) must
+/// propagated section) must
 /// always encode to the same bytes. A change to section order, entry
 /// order, or any payload layout moves the digest — which is a format
 /// change and needs a `SNAPSHOT_VERSION` bump, not a new digest.
@@ -261,7 +255,7 @@ fn snapshot_bytes_match_the_golden_digest() {
         FreeHgc::default().condense_in(&ctx, &spec);
         propagate_ctx(&ctx, 2, 16);
     });
-    let bytes = encode_snapshot(&ctx, Some(&PropagatedFeaturesCodec));
+    let bytes = encode_snapshot(&ctx);
     let mut h = FxHasher::default();
     h.write(&bytes);
     assert_eq!(
