@@ -430,3 +430,67 @@ fn training_matches_the_golden_digest() {
         "a trained parameter, a prediction or HGCond's refined features moved a bit"
     );
 }
+
+/// The paper's evaluation step (§V-B) pinned end to end: per-seed
+/// accuracies of `run_method` and `whole_graph`, one `eval_condensed`
+/// call and an `across_models` row over two seeds, all on `tiny(44)`
+/// with the quick config. Whichever entry point reaches the
+/// train-and-test step, the bits it reports must not move. The same
+/// test checks that the generalization matrix and the accuracy tables
+/// share that step: `across_models` with SeHGNN alone reports
+/// `run_method`'s accuracy bit for bit, seed by seed.
+///
+/// Pinned for x86_64 Linux with glibc, like the training digest above.
+#[cfg(all(target_os = "linux", target_env = "gnu", target_arch = "x86_64"))]
+#[test]
+fn evaluation_matches_the_golden_digest() {
+    use freehgc::core::FreeHgc;
+    use freehgc::datasets::tiny;
+    use freehgc::eval::generalization::across_models;
+    use freehgc::eval::pipeline::{Bench, EvalConfig};
+    use freehgc::hetgraph::Condenser;
+    use freehgc::hgnn::ModelKind;
+    use freehgc::sparse::fx::FxHasher;
+    use std::hash::Hasher;
+
+    let g = tiny(44);
+    let bench = Bench::new(&g, EvalConfig::quick());
+    let (ratio, seeds) = (0.2, [0, 1]);
+
+    for s in seeds {
+        let alone = across_models(
+            &bench,
+            &FreeHgc::default(),
+            ratio,
+            &[ModelKind::SeHgnn],
+            &[s],
+        );
+        let run = bench.run_method(&FreeHgc::default(), ratio, &[s]);
+        assert_eq!(
+            alone.per_model[0].1.to_bits(),
+            run.stats.accs[0].to_bits(),
+            "seed {s}: across_models and run_method no longer share one evaluation step"
+        );
+    }
+
+    let mut h = FxHasher::default();
+    let mut hash = |v: f64| h.write_u64(v.to_bits());
+    let run = bench.run_method(&FreeHgc::default(), ratio, &seeds);
+    run.stats.accs.iter().for_each(|&a| hash(a));
+    let whole = bench.whole_graph(ModelKind::Hgb, &seeds);
+    whole.accs.iter().for_each(|&a| hash(a));
+    let cond = FreeHgc::default().condense_in(&bench.ctx, &bench.spec(ratio, 1));
+    hash(bench.eval_condensed(&cond, ModelKind::Han, 1));
+    let models = [ModelKind::HeteroSgc, ModelKind::Hgt];
+    let row = across_models(&bench, &FreeHgc::default(), ratio, &models, &seeds);
+    for &(_, mean, std) in &row.per_model {
+        hash(mean);
+        hash(std);
+    }
+    hash(row.condensed_avg);
+    assert_eq!(
+        h.finish(),
+        17_995_209_147_126_178_974,
+        "an accuracy reported by run_method, whole_graph, eval_condensed or across_models moved a bit"
+    );
+}
