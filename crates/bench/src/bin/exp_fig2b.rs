@@ -10,7 +10,7 @@ use freehgc_bench::{dataset, dataset_ratio, effective_ratio, eval_cfg, fmt_time,
 use freehgc_datasets::DatasetKind;
 use freehgc_eval::pipeline::Bench;
 use freehgc_eval::table::TextTable;
-use freehgc_hetgraph::{CondenseContext, CondenseSpec};
+use freehgc_hetgraph::CondenseContext;
 use std::time::Instant;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
         let mut table = TextTable::new(vec!["Ratio (r)", "GCond", "HGCond"]);
         for &ratio in &ratios {
             let r = effective_ratio(&g, dataset_ratio(kind, ratio));
-            let spec = CondenseSpec::new(r).with_max_hops(bench.cfg.max_hops);
+            let spec = bench.spec(r, 0);
             // GCond may hit its (simulated) memory budget on AMiner.
             let gcond = GCondBaseline::default();
             let t0 = Instant::now();

@@ -12,7 +12,7 @@ use freehgc_core::FreeHgc;
 use freehgc_datasets::DatasetKind;
 use freehgc_eval::pipeline::Bench;
 use freehgc_eval::table::TextTable;
-use freehgc_hetgraph::{CondenseContext, CondenseSpec};
+use freehgc_hetgraph::CondenseContext;
 use std::time::Instant;
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
         ]);
         for &ratio in &ratios {
             let r = effective_ratio(&g, dataset_ratio(kind, ratio));
-            let spec = CondenseSpec::new(r).with_max_hops(bench.cfg.max_hops);
+            let spec = bench.spec(r, 0);
             let t0 = Instant::now();
             let gcond_secs = match GCondBaseline::default()
                 .try_condense(&CondenseContext::for_spec(&g, &spec), &spec)

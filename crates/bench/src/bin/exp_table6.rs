@@ -10,8 +10,7 @@ use freehgc_core::FreeHgc;
 use freehgc_datasets::DatasetKind;
 use freehgc_eval::pipeline::Bench;
 use freehgc_eval::table::{pm, TextTable};
-use freehgc_hetgraph::{CondenseContext, CondenseSpec, Condenser};
-use freehgc_hgnn::propagation::propagate;
+use freehgc_hetgraph::{CondenseContext, Condenser};
 
 fn main() {
     let opts = ExpOpts::parse(1.0, 2);
@@ -41,11 +40,9 @@ fn main() {
         let mut cells = vec!["GCond".to_string()];
         for &ratio in &ratios {
             let r = effective_ratio(&g, dataset_ratio(kind, ratio));
-            let spec = CondenseSpec::new(r).with_max_hops(bench.cfg.max_hops);
+            let spec = bench.spec(r, 0);
             match gcond.try_condense(&CondenseContext::for_spec(&g, &spec), &spec) {
                 Ok((cond, _)) => {
-                    let pf = propagate(&cond.graph, bench.cfg.max_hops, bench.cfg.max_paths);
-                    let _ = pf;
                     let acc = bench.eval_condensed(&cond, bench.cfg.model, 0) * 100.0;
                     cells.push(format!("{acc:.2}"));
                 }

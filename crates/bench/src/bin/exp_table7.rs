@@ -12,7 +12,7 @@ use freehgc_core::FreeHgc;
 use freehgc_datasets::DatasetKind;
 use freehgc_eval::pipeline::Bench;
 use freehgc_eval::table::{secs, TextTable};
-use freehgc_hetgraph::{CondenseSpec, CondensedGraph, Condenser, HeteroGraph};
+use freehgc_hetgraph::{CondensedGraph, Condenser};
 use freehgc_hgnn::models::{build_model, ModelKind};
 use freehgc_hgnn::propagation::propagate;
 use freehgc_hgnn::trainer::{train, EvalData, TrainConfig};
@@ -38,19 +38,13 @@ fn train_time(
     t0.elapsed().as_secs_f64()
 }
 
-fn condensed_row(
-    bench: &Bench<'_>,
-    g: &HeteroGraph,
-    cond: &CondensedGraph,
-) -> (f64, usize, f64, f64) {
-    let acc = bench.eval_condensed(cond, bench.cfg.model, 0) * 100.0;
-    let storage = cond.graph.storage_bytes();
+fn condensed_row(bench: &Bench<'_>, cond: &CondensedGraph) -> (f64, usize, f64, f64) {
     let pf = propagate(&cond.graph, bench.cfg.max_hops, bench.cfg.max_paths);
-    let labels = cond.graph.labels().to_vec();
-    let th = train_time(bench, &pf.blocks, &labels, ModelKind::Hgb);
-    let ts = train_time(bench, &pf.blocks, &labels, ModelKind::SeHgnn);
-    let _ = g;
-    (acc, storage, th, ts)
+    let labels = cond.graph.labels();
+    let acc = bench.evaluate(&pf.blocks, labels, bench.cfg.model, 0).acc * 100.0;
+    let th = train_time(bench, &pf.blocks, labels, ModelKind::Hgb);
+    let ts = train_time(bench, &pf.blocks, labels, ModelKind::SeHgnn);
+    (acc, cond.graph.storage_bytes(), th, ts)
 }
 
 fn main() {
@@ -68,21 +62,19 @@ fn main() {
         let g = dataset(kind, &opts);
         let bench = Bench::new(&g, eval_cfg(kind, &opts));
         let r = effective_ratio(&g, dataset_ratio(kind, ratio));
-        let spec = CondenseSpec::new(r).with_max_hops(bench.cfg.max_hops);
+        let spec = bench.spec(r, 0);
 
         // Whole-graph row.
         let whole_acc = bench.whole_graph(bench.cfg.model, &opts.seeds).acc_mean;
         let whole_storage = g.storage_bytes();
-        let ids = &g.split().train;
-        let whole_blocks = bench.pf.gather(ids);
-        let whole_labels: Vec<u32> = ids.iter().map(|&v| g.labels()[v as usize]).collect();
+        let (whole_blocks, whole_labels) = bench.gather(&g.split().train);
         let whole_th = train_time(&bench, &whole_blocks, &whole_labels, ModelKind::Hgb);
         let whole_ts = train_time(&bench, &whole_blocks, &whole_labels, ModelKind::SeHgnn);
 
-        let hg = HGCondBaseline::default().condense(&g, &spec);
-        let (hg_acc, hg_sto, hg_th, hg_ts) = condensed_row(&bench, &g, &hg);
-        let fh = FreeHgc::default().condense(&g, &spec);
-        let (fh_acc, fh_sto, fh_th, fh_ts) = condensed_row(&bench, &g, &fh);
+        let hg = HGCondBaseline::default().condense_in(&bench.ctx, &spec);
+        let (hg_acc, hg_sto, hg_th, hg_ts) = condensed_row(&bench, &hg);
+        let fh = FreeHgc::default().condense_in(&bench.ctx, &spec);
+        let (fh_acc, fh_sto, fh_th, fh_ts) = condensed_row(&bench, &fh);
 
         let mut table = TextTable::new(vec!["", "Whole", "HGCond", "FreeHGC"]);
         table.row(vec![

@@ -1,10 +1,11 @@
 //! Cross-architecture generalization (paper Tables I and IV).
 //!
-//! A condensed graph is produced once per seed, then every HGNN in the
-//! model zoo is trained on it and tested on the full graph. The paper's
-//! headline finding is that FreeHGC's condensed graphs transfer across
-//! architectures (its selection is model-agnostic), while HGCond's bake in
-//! the relay model's semantic fusion.
+//! A condensed graph is produced and propagated once per seed, then every
+//! HGNN in the model zoo is trained on it and tested on the full graph
+//! through [`Bench::evaluate`], the same step the accuracy tables use.
+//! The paper's headline finding is that FreeHGC's condensed graphs
+//! transfer across architectures (its selection is model-agnostic), while
+//! HGCond's bake in the relay model's semantic fusion.
 
 use crate::pipeline::Bench;
 use freehgc_hetgraph::Condenser;
@@ -31,57 +32,14 @@ pub fn across_models(
 ) -> GeneralizationRow {
     let mut per_model_accs: Vec<Vec<f64>> = vec![Vec::new(); models.len()];
     for &seed in seeds {
-        // One condensation per seed through the bench's shared context —
-        // the generalization matrix reuses the same precompute the
-        // accuracy tables warmed.
-        let spec = bench.spec(ratio, seed);
-        let cond = condenser.condense_in(&bench.ctx, &spec);
+        // One condensation and one propagation per seed, through the
+        // bench's shared context; every model then trains on the same
+        // condensed blocks through the bench's one evaluation step.
+        let cond = condenser.condense_in(&bench.ctx, &bench.spec(ratio, seed));
         let pf_cond = propagate(&cond.graph, bench.cfg.max_hops, bench.cfg.max_paths);
-        let labels = cond.graph.labels().to_vec();
-        for (mi, &mk) in models.iter().enumerate() {
-            // Train on the condensed blocks, test on the full graph.
-            let acc = {
-                let dims: Vec<usize> = pf_cond.blocks.iter().map(|b| b.cols).collect();
-                let mut model = freehgc_hgnn::models::build_model(
-                    mk,
-                    &dims,
-                    bench.graph.num_classes(),
-                    bench.cfg.train.hidden,
-                    bench.cfg.train.dropout,
-                    seed,
-                );
-                let mut cfg = bench.cfg.train.clone();
-                cfg.seed = seed;
-                let val_ids = &bench.graph.split().val;
-                let val_blocks = bench.pf.gather(val_ids);
-                let val_labels: Vec<u32> = val_ids
-                    .iter()
-                    .map(|&v| bench.graph.labels()[v as usize])
-                    .collect();
-                let train_data = freehgc_hgnn::trainer::EvalData {
-                    blocks: &pf_cond.blocks,
-                    labels: &labels,
-                };
-                let val_data = freehgc_hgnn::trainer::EvalData {
-                    blocks: &val_blocks,
-                    labels: &val_labels,
-                };
-                let val_opt = if val_labels.is_empty() {
-                    None
-                } else {
-                    Some(&val_data)
-                };
-                freehgc_hgnn::trainer::train(&mut *model, &train_data, val_opt, &cfg);
-                let test_ids = &bench.graph.split().test;
-                let test_blocks = bench.pf.gather(test_ids);
-                let test_labels: Vec<u32> = test_ids
-                    .iter()
-                    .map(|&v| bench.graph.labels()[v as usize])
-                    .collect();
-                let pred = freehgc_hgnn::trainer::predict(&*model, &test_blocks);
-                freehgc_hgnn::metrics::accuracy(&pred, &test_labels) * 100.0
-            };
-            per_model_accs[mi].push(acc);
+        for (accs, &mk) in per_model_accs.iter_mut().zip(models) {
+            let score = bench.evaluate(&pf_cond.blocks, cond.graph.labels(), mk, seed);
+            accs.push(score.acc * 100.0);
         }
     }
     let per_model: Vec<(ModelKind, f64, f64)> = models

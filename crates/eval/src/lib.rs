@@ -13,6 +13,6 @@ pub mod table;
 pub mod tsne;
 
 pub use generalization::across_models;
-pub use pipeline::{Bench, EvalConfig, MethodRun, RunStats};
+pub use pipeline::{Bench, EvalConfig, MethodRun, RunStats, Score};
 pub use table::TextTable;
 pub use tsne::tsne;

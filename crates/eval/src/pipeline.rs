@@ -7,7 +7,7 @@ use freehgc_hgnn::models::{build_model, ModelKind};
 use freehgc_hgnn::propagation::{propagate, propagate_ctx, PropagatedFeatures};
 use freehgc_hgnn::trainer::{predict, train, EvalData, TrainConfig};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Evaluation configuration.
 #[derive(Clone, Debug)]
@@ -42,14 +42,46 @@ impl EvalConfig {
     }
 }
 
-/// Mean/std accuracy plus timings over seeds.
+/// One train-and-test outcome on the full graph's test split.
+#[derive(Clone, Copy, Debug)]
+pub struct Score {
+    /// Test accuracy, a fraction in [0, 1].
+    pub acc: f64,
+    /// Test macro-F1, a fraction in [0, 1].
+    pub macro_f1: f64,
+    /// Wall-clock training time.
+    pub train_secs: f64,
+}
+
+/// Per-seed accuracy and macro-F1, their summary and timings over seeds.
 #[derive(Clone, Debug)]
 pub struct RunStats {
+    /// Test accuracy per seed, in percent.
     pub accs: Vec<f64>,
+    /// Test macro-F1 per seed, in percent, in the order of `accs`.
+    pub f1s: Vec<f64>,
     pub acc_mean: f64,
     pub acc_std: f64,
     pub condense_secs: f64,
     pub train_secs: f64,
+}
+
+impl RunStats {
+    /// Summarizes one [`Score`] per seed; `condense_secs` is the total
+    /// condensation time over those seeds.
+    fn new(scores: &[Score], condense_secs: f64) -> Self {
+        let accs: Vec<f64> = scores.iter().map(|s| s.acc * 100.0).collect();
+        let (acc_mean, acc_std) = mean_std(&accs);
+        let per_seed = scores.len().max(1) as f64;
+        Self {
+            f1s: scores.iter().map(|s| s.macro_f1 * 100.0).collect(),
+            accs,
+            acc_mean,
+            acc_std,
+            condense_secs: condense_secs / per_seed,
+            train_secs: scores.iter().map(|s| s.train_secs).sum::<f64>() / per_seed,
+        }
+    }
 }
 
 /// A labeled method run (one table cell).
@@ -61,7 +93,8 @@ pub struct MethodRun {
 }
 
 /// Shared evaluation state for one dataset: the full graph, one
-/// [`CondenseContext`] over it, and its propagated feature blocks.
+/// [`CondenseContext`] over it, its propagated feature blocks, and the
+/// validation and test rows of those blocks.
 ///
 /// The context is built once per benchmark graph and reused across
 /// *every* method, ratio and seed the bench runs — meta-path
@@ -75,17 +108,25 @@ pub struct Bench<'g> {
     pub ctx: CondenseContext<'g>,
     pub pf: Arc<PropagatedFeatures>,
     pub cfg: EvalConfig,
+    /// The validation and test rows of `pf` with their labels, gathered
+    /// once for every [`Self::evaluate`] call.
+    val: (Vec<Matrix>, Vec<u32>),
+    test: (Vec<Matrix>, Vec<u32>),
 }
 
 impl<'g> Bench<'g> {
     pub fn new(graph: &'g HeteroGraph, cfg: EvalConfig) -> Self {
         let ctx = CondenseContext::new(graph);
         let pf = propagate_ctx(&ctx, cfg.max_hops, cfg.max_paths);
+        let split = graph.split();
+        let (val, test) = (rows(graph, &pf, &split.val), rows(graph, &pf, &split.test));
         Self {
             graph,
             ctx,
             pf,
             cfg,
+            val,
+            test,
         }
     }
 
@@ -101,119 +142,90 @@ impl<'g> Bench<'g> {
             .with_seed(seed)
     }
 
-    fn split_blocks(&self, ids: &[u32]) -> (Vec<Matrix>, Vec<u32>) {
-        let blocks = self.pf.gather(ids);
-        let labels = ids
-            .iter()
-            .map(|&v| self.graph.labels()[v as usize])
-            .collect();
-        (blocks, labels)
+    /// The full graph's propagated blocks and labels at `ids`.
+    pub fn gather(&self, ids: &[u32]) -> (Vec<Matrix>, Vec<u32>) {
+        rows(self.graph, &self.pf, ids)
     }
 
-    /// Trains `model_kind` on the given training blocks and returns
-    /// (test-accuracy, macro-F1, training-time) on the full graph's test
-    /// split.
-    fn train_and_test(
+    /// The paper's evaluation step (§V-B), and the only one: trains
+    /// `model` on the given blocks, early-stopping on the full graph's
+    /// validation split, then tests it on the full graph's test split.
+    /// `seed` drives both the model's initialization and its training.
+    pub fn evaluate(
         &self,
         train_blocks: &[Matrix],
         train_labels: &[u32],
-        model_kind: ModelKind,
+        model: ModelKind,
         seed: u64,
-    ) -> (f64, f64, Duration) {
+    ) -> Score {
         let dims: Vec<usize> = train_blocks.iter().map(|b| b.cols).collect();
-        let mut model = build_model(
-            model_kind,
-            &dims,
-            self.graph.num_classes(),
-            self.cfg.train.hidden,
-            self.cfg.train.dropout,
+        let classes = self.graph.num_classes();
+        let cfg = TrainConfig {
             seed,
-        );
-        let (val_blocks, val_labels) = self.split_blocks(&self.graph.split().val);
+            ..self.cfg.train.clone()
+        };
+        let mut net = build_model(model, &dims, classes, cfg.hidden, cfg.dropout, seed);
         let train_data = EvalData {
             blocks: train_blocks,
             labels: train_labels,
         };
-        let val_data = EvalData {
-            blocks: &val_blocks,
-            labels: &val_labels,
+        let val = EvalData {
+            blocks: &self.val.0,
+            labels: &self.val.1,
         };
-        let mut cfg = self.cfg.train.clone();
-        cfg.seed = seed;
         let t0 = Instant::now();
-        let val_opt = if val_labels.is_empty() {
-            None
-        } else {
-            Some(&val_data)
-        };
-        train(&mut *model, &train_data, val_opt, &cfg);
-        let train_time = t0.elapsed();
-
-        let (test_blocks, test_labels) = self.split_blocks(&self.graph.split().test);
-        let pred = predict(&*model, &test_blocks);
-        (
-            accuracy(&pred, &test_labels),
-            macro_f1(&pred, &test_labels, self.graph.num_classes()),
-            train_time,
-        )
+        train(
+            &mut *net,
+            &train_data,
+            (!val.labels.is_empty()).then_some(&val),
+            &cfg,
+        );
+        let train_secs = t0.elapsed().as_secs_f64();
+        let pred = predict(&*net, &self.test.0);
+        Score {
+            acc: accuracy(&pred, &self.test.1),
+            macro_f1: macro_f1(&pred, &self.test.1, classes),
+            train_secs,
+        }
     }
 
     /// Whole-graph reference: train on the full training split.
-    pub fn whole_graph(&self, model_kind: ModelKind, seeds: &[u64]) -> RunStats {
-        let (train_blocks, train_labels) = self.split_blocks(&self.graph.split().train);
-        let mut accs = Vec::with_capacity(seeds.len());
-        let mut train_secs = 0.0;
-        for &s in seeds {
-            let (acc, _, tt) = self.train_and_test(&train_blocks, &train_labels, model_kind, s);
-            accs.push(acc * 100.0);
-            train_secs += tt.as_secs_f64();
-        }
-        let (m, sd) = mean_std(&accs);
-        RunStats {
-            accs,
-            acc_mean: m,
-            acc_std: sd,
-            condense_secs: 0.0,
-            train_secs: train_secs / seeds.len().max(1) as f64,
-        }
+    pub fn whole_graph(&self, model: ModelKind, seeds: &[u64]) -> RunStats {
+        let (blocks, labels) = self.gather(&self.graph.split().train);
+        let scores: Vec<Score> = seeds
+            .iter()
+            .map(|&s| self.evaluate(&blocks, &labels, model, s))
+            .collect();
+        RunStats::new(&scores, 0.0)
     }
 
-    /// Evaluates an already-condensed graph with the configured test model.
-    pub fn eval_condensed(&self, cond: &CondensedGraph, model_kind: ModelKind, seed: u64) -> f64 {
-        let pf_cond = propagate(&cond.graph, self.cfg.max_hops, self.cfg.max_paths);
-        let labels = cond.graph.labels().to_vec();
-        let (acc, _, _) = self.train_and_test(&pf_cond.blocks, &labels, model_kind, seed);
-        acc
+    /// Test accuracy (a fraction) of `model` trained on an
+    /// already-condensed graph.
+    pub fn eval_condensed(&self, cond: &CondensedGraph, model: ModelKind, seed: u64) -> f64 {
+        self.score_condensed(cond, model, seed).acc
+    }
+
+    /// Propagates the condensed graph once, then [`Self::evaluate`]s it.
+    fn score_condensed(&self, cond: &CondensedGraph, model: ModelKind, seed: u64) -> Score {
+        let pf = propagate(&cond.graph, self.cfg.max_hops, self.cfg.max_paths);
+        self.evaluate(&pf.blocks, cond.graph.labels(), model, seed)
     }
 
     /// The full protocol for one method at one ratio over several seeds.
     pub fn run_method(&self, condenser: &dyn Condenser, ratio: f64, seeds: &[u64]) -> MethodRun {
-        let mut accs = Vec::with_capacity(seeds.len());
+        let mut scores = Vec::with_capacity(seeds.len());
         let mut condense_secs = 0.0;
-        let mut train_secs = 0.0;
         for &seed in seeds {
             let spec = self.spec(ratio, seed);
             let t0 = Instant::now();
             let cond = condenser.condense_in(&self.ctx, &spec);
             condense_secs += t0.elapsed().as_secs_f64();
-
-            let pf_cond = propagate(&cond.graph, self.cfg.max_hops, self.cfg.max_paths);
-            let labels = cond.graph.labels().to_vec();
-            let (acc, _, tt) = self.train_and_test(&pf_cond.blocks, &labels, self.cfg.model, seed);
-            accs.push(acc * 100.0);
-            train_secs += tt.as_secs_f64();
+            scores.push(self.score_condensed(&cond, self.cfg.model, seed));
         }
-        let (m, sd) = mean_std(&accs);
         MethodRun {
             method: condenser.name().to_string(),
             ratio,
-            stats: RunStats {
-                accs,
-                acc_mean: m,
-                acc_std: sd,
-                condense_secs: condense_secs / seeds.len().max(1) as f64,
-                train_secs: train_secs / seeds.len().max(1) as f64,
-            },
+            stats: RunStats::new(&scores, condense_secs),
         }
     }
 
@@ -226,6 +238,12 @@ impl<'g> Bench<'g> {
         let _ = condenser.condense_in(&self.ctx, &spec);
         t0.elapsed().as_secs_f64()
     }
+}
+
+/// `pf`'s blocks and `graph`'s labels at `ids`.
+fn rows(graph: &HeteroGraph, pf: &PropagatedFeatures, ids: &[u32]) -> (Vec<Matrix>, Vec<u32>) {
+    let labels = ids.iter().map(|&v| graph.labels()[v as usize]).collect();
+    (pf.gather(ids), labels)
 }
 
 #[cfg(test)]

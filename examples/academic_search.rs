@@ -17,70 +17,52 @@ use freehgc::eval::pipeline::{Bench, EvalConfig};
 use freehgc::hetgraph::Condenser;
 use freehgc::hgnn::models::ModelKind;
 use freehgc::hgnn::propagation::propagate;
-use freehgc::hgnn::trainer::{predict, train, EvalData, TrainConfig};
+use freehgc::hgnn::trainer::TrainConfig;
 use std::time::Instant;
 
 use freehgc::util::smoke_mode as smoke;
 
+/// Trains and tests every architecture on the given blocks; returns each
+/// one's test accuracy in percent.
 fn search(
     bench: &Bench<'_>,
     train_blocks: &[freehgc::autograd::Matrix],
     train_labels: &[u32],
-) -> Vec<(ModelKind, f64, f64)> {
-    let mut results = Vec::new();
-    let kinds = [
+) -> Vec<(ModelKind, f64)> {
+    [
         ModelKind::HeteroSgc,
         ModelKind::SeHgnn,
         ModelKind::Han,
         ModelKind::Hgb,
         ModelKind::Hgt,
-    ];
-    for kind in kinds {
-        let t0 = Instant::now();
-        let dims: Vec<usize> = train_blocks.iter().map(|b| b.cols).collect();
-        let mut model =
-            freehgc::hgnn::models::build_model(kind, &dims, bench.graph.num_classes(), 64, 0.5, 1);
-        let cfg = if smoke() {
-            TrainConfig::quick()
-        } else {
-            TrainConfig {
-                epochs: 80,
-                patience: 15,
-                ..TrainConfig::default()
-            }
-        };
-        let data = EvalData {
-            blocks: train_blocks,
-            labels: train_labels,
-        };
-        let val_ids = &bench.graph.split().val;
-        let val_blocks = bench.pf.gather(val_ids);
-        let val_labels: Vec<u32> = val_ids
-            .iter()
-            .map(|&v| bench.graph.labels()[v as usize])
-            .collect();
-        let val = EvalData {
-            blocks: &val_blocks,
-            labels: &val_labels,
-        };
-        train(&mut *model, &data, Some(&val), &cfg);
-        // Final quality on the full test split.
-        let test_ids = &bench.graph.split().test;
-        let test_blocks = bench.pf.gather(test_ids);
-        let test_labels: Vec<u32> = test_ids
-            .iter()
-            .map(|&v| bench.graph.labels()[v as usize])
-            .collect();
-        let acc = freehgc::hgnn::metrics::accuracy(&predict(&*model, &test_blocks), &test_labels);
-        results.push((kind, acc * 100.0, t0.elapsed().as_secs_f64()));
-    }
-    results
+    ]
+    .into_iter()
+    .map(|kind| {
+        let score = bench.evaluate(train_blocks, train_labels, kind, 0);
+        (kind, score.acc * 100.0)
+    })
+    .collect()
 }
 
 fn main() {
     let scale = if smoke() { 0.15 } else { 0.5 };
     let graph = generate(DatasetKind::Dblp, scale, 3);
-    let bench = Bench::new(&graph, EvalConfig::default());
+    let train = if smoke() {
+        TrainConfig::quick()
+    } else {
+        TrainConfig {
+            epochs: 80,
+            patience: 15,
+            ..TrainConfig::default()
+        }
+    };
+    let bench = Bench::new(
+        &graph,
+        EvalConfig {
+            train,
+            ..EvalConfig::default()
+        },
+    );
     println!(
         "DBLP-like network: {} nodes / {} edges\n",
         graph.total_nodes(),
@@ -88,9 +70,7 @@ fn main() {
     );
 
     // Search on the full graph.
-    let ids = &graph.split().train;
-    let full_blocks = bench.pf.gather(ids);
-    let full_labels: Vec<u32> = ids.iter().map(|&v| graph.labels()[v as usize]).collect();
+    let (full_blocks, full_labels) = bench.gather(&graph.split().train);
     let t0 = Instant::now();
     let full = search(&bench, &full_blocks, &full_labels);
     let full_time = t0.elapsed().as_secs_f64();
@@ -100,14 +80,13 @@ fn main() {
     // full-graph propagation above already paid for.
     let cond = FreeHgc::default().condense_in(&bench.ctx, &bench.spec(0.024, 0));
     let pf_cond = propagate(&cond.graph, bench.cfg.max_hops, bench.cfg.max_paths);
-    let cond_labels = cond.graph.labels().to_vec();
     let t0 = Instant::now();
-    let small = search(&bench, &pf_cond.blocks, &cond_labels);
+    let small = search(&bench, &pf_cond.blocks, cond.graph.labels());
     let small_time = t0.elapsed().as_secs_f64();
 
     println!("model            full-graph acc   condensed acc");
     println!("------------------------------------------------");
-    for ((kind, facc, _), (_, cacc, _)) in full.iter().zip(&small) {
+    for ((kind, facc), (_, cacc)) in full.iter().zip(&small) {
         println!("{:<16} {:>10.2}%      {:>10.2}%", kind.name(), facc, cacc);
     }
     let best_full = full

@@ -494,3 +494,38 @@ fn evaluation_matches_the_golden_digest() {
         "an accuracy reported by run_method, whole_graph, eval_condensed or across_models moved a bit"
     );
 }
+
+/// Per-seed macro-F1 pinned beside the accuracies above: `run_method`'s
+/// and `whole_graph`'s `f1s` on `tiny(44)` with the quick config. The
+/// digest was checked against macro-F1 computed step by step from
+/// `build_model`, `train`, `predict` and `metrics::macro_f1`, before
+/// `RunStats` kept it.
+#[cfg(all(target_os = "linux", target_env = "gnu", target_arch = "x86_64"))]
+#[test]
+fn evaluation_macro_f1_matches_the_golden_digest() {
+    use freehgc::core::FreeHgc;
+    use freehgc::datasets::tiny;
+    use freehgc::eval::pipeline::{Bench, EvalConfig};
+    use freehgc::hgnn::ModelKind;
+    use freehgc::sparse::fx::FxHasher;
+    use std::hash::Hasher;
+
+    let g = tiny(44);
+    let bench = Bench::new(&g, EvalConfig::quick());
+    let seeds = [0, 1];
+    let run = bench.run_method(&FreeHgc::default(), 0.2, &seeds);
+    let whole = bench.whole_graph(ModelKind::Hgb, &seeds);
+    let mut h = FxHasher::default();
+    for f1 in run.stats.f1s.iter().chain(&whole.f1s) {
+        assert!(
+            (0.0..=100.0).contains(f1),
+            "macro-F1 {f1} is not a percentage"
+        );
+        h.write_u64(f1.to_bits());
+    }
+    assert_eq!(
+        (run.stats.f1s.len(), whole.f1s.len(), h.finish()),
+        (2, 2, 18_139_753_528_517_017_398),
+        "a per-seed macro-F1 moved a bit"
+    );
+}
