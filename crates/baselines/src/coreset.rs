@@ -131,7 +131,6 @@ impl Condenser for HerdingHg {
     }
 
     fn condense_in(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> CondensedGraph {
-        ctx.check_spec(spec);
         let emb = target_embeddings(ctx, spec.max_hops, spec.max_paths);
         condense_with(
             ctx.graph(),
@@ -214,7 +213,6 @@ impl Condenser for KCenterHg {
     }
 
     fn condense_in(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> CondensedGraph {
-        ctx.check_spec(spec);
         let emb = target_embeddings(ctx, spec.max_hops, spec.max_paths);
         condense_with(
             ctx.graph(),

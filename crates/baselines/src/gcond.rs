@@ -77,7 +77,6 @@ impl GCondBaseline {
         ctx: &CondenseContext<'_>,
         spec: &CondenseSpec,
     ) -> Result<(CondensedGraph, GradMatchStats), OutOfMemory> {
-        ctx.check_spec(spec);
         let g = ctx.graph();
         let total_budget: usize = spec.budgets(g).iter().sum();
         let required = g.total_nodes() * total_budget * std::mem::size_of::<f32>();
@@ -170,9 +169,7 @@ mod tests {
             cfg: quick_cfg(),
             ..Default::default()
         };
-        let (cg, stats) = gc
-            .try_condense(&CondenseContext::for_spec(&g, &spec), &spec)
-            .unwrap();
+        let (cg, stats) = gc.try_condense(&CondenseContext::new(&g), &spec).unwrap();
         cg.validate(&g);
         assert_eq!(stats.outer_steps, 3);
         assert!(stats.inner_steps >= 6);
@@ -187,9 +184,7 @@ mod tests {
             cfg: quick_cfg(),
             ..Default::default()
         };
-        let (cg, _) = gc
-            .try_condense(&CondenseContext::for_spec(&g, &spec), &spec)
-            .unwrap();
+        let (cg, _) = gc.try_condense(&CondenseContext::new(&g), &spec).unwrap();
         // Refined features must differ from the raw gathered originals.
         let t = g.schema().target();
         let ids = cg.target_ids();
@@ -206,7 +201,7 @@ mod tests {
             memory_limit_bytes: 64, // tiny budget forces OOM
         };
         let err = gc
-            .try_condense(&CondenseContext::for_spec(&g, &spec), &spec)
+            .try_condense(&CondenseContext::new(&g), &spec)
             .unwrap_err();
         assert!(err.required_bytes > err.limit_bytes);
         assert!(err.to_string().contains("OOM"));
@@ -225,7 +220,7 @@ mod tests {
         };
         let run = |ratio: f64| {
             let spec = CondenseSpec::new(ratio).with_max_hops(1);
-            gc.try_condense(&CondenseContext::for_spec(&g, &spec), &spec)
+            gc.try_condense(&CondenseContext::new(&g), &spec)
         };
         assert!(run(0.05).is_ok());
         assert!(run(0.5).is_err());

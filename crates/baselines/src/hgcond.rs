@@ -59,7 +59,6 @@ impl HGCondBaseline {
         ctx: &CondenseContext<'_>,
         spec: &CondenseSpec,
     ) -> (CondensedGraph, GradMatchStats) {
-        ctx.check_spec(spec);
         let g = ctx.graph();
         let schema = g.schema();
         let target = schema.target();
@@ -158,7 +157,7 @@ mod tests {
     fn hgcond_builds_valid_condensed_graph() {
         let g = tiny(0);
         let spec = CondenseSpec::new(0.2).with_max_hops(2).with_seed(3);
-        let (cg, stats) = quick().condense_with_stats(&CondenseContext::for_spec(&g, &spec), &spec);
+        let (cg, stats) = quick().condense_with_stats(&CondenseContext::new(&g), &spec);
         cg.validate(&g);
         assert!(stats.final_loss.is_finite());
         // Non-target types become cluster hyper-nodes.
@@ -174,7 +173,7 @@ mod tests {
     fn hgcond_keeps_class_purity_of_target() {
         let g = tiny(1);
         let spec = CondenseSpec::new(0.25).with_max_hops(2).with_seed(4);
-        let (cg, _) = quick().condense_with_stats(&CondenseContext::for_spec(&g, &spec), &spec);
+        let (cg, _) = quick().condense_with_stats(&CondenseContext::new(&g), &spec);
         for (k, &orig) in cg.target_ids().iter().enumerate() {
             assert_eq!(cg.graph.labels()[k], g.labels()[orig as usize]);
         }
@@ -185,11 +184,11 @@ mod tests {
         let g = tiny(2);
         let spec = CondenseSpec::new(0.2).with_max_hops(2).with_seed(5);
         let a = quick()
-            .condense_with_stats(&CondenseContext::for_spec(&g, &spec), &spec)
+            .condense_with_stats(&CondenseContext::new(&g), &spec)
             .0;
         let b = quick()
             .with_relay(RelayKind::Hgt)
-            .condense_with_stats(&CondenseContext::for_spec(&g, &spec), &spec)
+            .condense_with_stats(&CondenseContext::new(&g), &spec)
             .0;
         let t = g.schema().target();
         assert_ne!(a.graph.features(t).data(), b.graph.features(t).data());
@@ -199,7 +198,7 @@ mod tests {
     fn leaf_types_keep_edges_through_hypernodes() {
         let g = tiny(3);
         let spec = CondenseSpec::new(0.2).with_max_hops(2).with_seed(6);
-        let (cg, _) = quick().condense_with_stats(&CondenseContext::for_spec(&g, &spec), &spec);
+        let (cg, _) = quick().condense_with_stats(&CondenseContext::new(&g), &spec);
         let leaf = g.schema().types_with_role(Role::Leaf)[0];
         let parent = g.schema().parent_of(leaf).unwrap();
         let (e, _) = g.schema().edge_between(parent, leaf).unwrap();

@@ -90,13 +90,16 @@ pub enum SynBlock {
     Const(Matrix),
 }
 
-/// Builds the synthetic-side block plan for the condensed graph.
+/// Builds the synthetic-side block plan for the condensed graph. Its
+/// compositions go through a [`CondenseContext`], under the same fill-in
+/// cap as the evaluator's `propagate`, so the relay matches the blocks
+/// the evaluated model reads.
 pub fn syn_block_plan(cond: &HeteroGraph, max_hops: usize, max_paths: usize) -> Vec<SynBlock> {
     let schema = cond.schema();
     let target = schema.target();
     let n = cond.num_nodes(target);
     let paths = enumerate_metapaths(schema, target, max_hops, max_paths);
-    let engine = CondenseContext::new(cond).with_max_row_nnz(None);
+    let engine = CondenseContext::new(cond);
     let mut plan = Vec::with_capacity(paths.len() + 1);
     plan.push(SynBlock::Raw);
     for p in &paths {
@@ -289,7 +292,6 @@ pub fn gradient_matching_refine(
     spec: &CondenseSpec,
     cfg: &GradMatchConfig,
 ) -> GradMatchStats {
-    ctx.check_spec(spec);
     let real = ctx.graph();
     let target = real.schema().target();
     let num_classes = real.num_classes();
@@ -513,7 +515,7 @@ mod tests {
 mod refine_tests {
     use super::*;
     use freehgc_datasets::tiny;
-    use freehgc_hetgraph::induce_selection;
+    use freehgc_hetgraph::{induce_selection, EdgeTypeId, HeteroGraphBuilder, Schema, MAX_ROW_NNZ};
     use freehgc_hgnn::propagate;
 
     fn quick_cfg(outer: usize) -> GradMatchConfig {
@@ -554,6 +556,74 @@ mod refine_tests {
         }
     }
 
+    /// Authors writing two papers each, one in each of two venues: every
+    /// author reaches every paper along A-P-V-P and every author along
+    /// A-P-V-P-A, so both products have rows wider than [`MAX_ROW_NNZ`].
+    fn two_venue_graph() -> HeteroGraph {
+        let (n_authors, n_papers) = (MAX_ROW_NNZ + 44, MAX_ROW_NNZ + 45);
+        let mut s = Schema::new();
+        let a = s.add_node_type("author");
+        let p = s.add_node_type("paper");
+        let v = s.add_node_type("venue");
+        let ap = s.add_edge_type("ap", a, p);
+        let pv = s.add_edge_type("pv", p, v);
+        s.set_target(a);
+        let mut b = HeteroGraphBuilder::new(s, vec![n_authors, n_papers, 2]);
+        for i in 0..n_authors as u32 {
+            b.add_edge(ap, i, i);
+            b.add_edge(ap, i, i + 1);
+        }
+        for j in 0..n_papers as u32 {
+            b.add_edge(pv, j, j % 2);
+        }
+        let ramp = |n: usize, dim: usize| {
+            FeatureMatrix::from_rows(dim, (0..n * dim).map(|i| (i % 97) as f32 * 0.25).collect())
+        };
+        b.set_features(a, ramp(n_authors, 3));
+        b.set_features(p, ramp(n_papers, 2));
+        b.set_features(v, ramp(2, 1));
+        b.set_labels((0..n_authors as u32).map(|i| i % 2).collect(), 2);
+        b.build()
+    }
+
+    /// The synthetic side composes under the same fill-in cap as the
+    /// evaluator's `propagate`: constant blocks equal propagation's bit
+    /// for bit, and no propagation matrix has a row wider than the cap.
+    #[test]
+    fn syn_block_plan_reads_the_capped_blocks_propagation_reads() {
+        let cond = two_venue_graph();
+        let (hops, paths) = (4, 24);
+        let plan = syn_block_plan(&cond, hops, paths);
+        let pf = propagate(&cond, hops, paths);
+        assert_eq!(plan.len(), pf.blocks.len());
+        let (mut consts, mut linears) = (0, 0);
+        for (i, b) in plan.iter().enumerate() {
+            match b {
+                SynBlock::Raw => {}
+                SynBlock::Const(c) => {
+                    consts += 1;
+                    let bits = |m: &Matrix| m.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(c), bits(&pf.blocks[i]), "{}", pf.path_names[i]);
+                }
+                SynBlock::Linear(m) => {
+                    linears += 1;
+                    for r in 0..m.rows {
+                        let nnz = m.row(r).iter().filter(|&&x| x != 0.0).count();
+                        assert!(nnz <= MAX_ROW_NNZ, "{} row {r}: {nnz}", pf.path_names[i]);
+                    }
+                }
+            }
+        }
+        assert!(consts > 0 && linears > 0);
+        // Uncapped, the A-P-V-P product really is wider than the cap.
+        let (ap, pv) = (EdgeTypeId(0), EdgeTypeId(1));
+        let fwd = |e| cond.adjacency(e).row_normalized();
+        let apvp = fwd(ap)
+            .spgemm(&fwd(pv))
+            .spgemm(&cond.adjacency(pv).transpose().row_normalized());
+        assert!((0..apvp.nrows()).any(|r| apvp.row_nnz(r) > MAX_ROW_NNZ));
+    }
+
     /// More outer iterations must not blow up the matching loss; the
     /// refined features stay finite.
     #[test]
@@ -568,12 +638,8 @@ mod refine_tests {
             .map(|t| (0..spec.budget_for(g.num_nodes(t)) as u32).collect())
             .collect();
         let mut cond = induce_selection(&g, keep);
-        let stats = gradient_matching_refine(
-            &CondenseContext::for_spec(&g, &spec),
-            &mut cond,
-            &spec,
-            &quick_cfg(8),
-        );
+        let stats =
+            gradient_matching_refine(&CondenseContext::new(&g), &mut cond, &spec, &quick_cfg(8));
         assert!(stats.final_loss.is_finite());
         let t = g.schema().target();
         assert!(cond.graph.features(t).data().iter().all(|v| v.is_finite()));
@@ -596,12 +662,7 @@ mod refine_tests {
             .collect();
         let mut cond = induce_selection(&g, keep);
         let cfg = quick_cfg(5);
-        let stats = gradient_matching_refine(
-            &CondenseContext::for_spec(&g, &spec),
-            &mut cond,
-            &spec,
-            &cfg,
-        );
+        let stats = gradient_matching_refine(&CondenseContext::new(&g), &mut cond, &spec, &cfg);
         assert_eq!(stats.outer_steps, 5);
         assert_eq!(stats.inner_steps, 5 * cfg.relay_samples * cfg.inner);
     }

@@ -465,7 +465,7 @@ fn delta_floors(quick: bool) -> Vec<Floor> {
         let reg = ContextRegistry::new();
         warm_up(&reg.context_for(&g_old, &spec));
         let t = Instant::now();
-        warm_up(&reg.resolve(&g_new, &spec, None, seed).0);
+        warm_up(&reg.resolve(&g_new, None, seed).0);
         ms_since(t)
     });
     let mut floors = vec![floor(
@@ -479,12 +479,11 @@ fn delta_floors(quick: bool) -> Vec<Floor> {
         let dir = std::env::temp_dir().join(format!("fhgc-bench-delta-{}", std::process::id()));
         let reg = ContextRegistry::new();
         warm_up(&reg.context_for(&g_old, &spec));
-        reg.persist(&dir, &g_old, &spec)
-            .expect("persist old snapshot");
+        reg.persist(&dir, &g_old).expect("persist old snapshot");
         let snapshot_ms = best_of(reps, || {
             let reg = ContextRegistry::new();
             let t = Instant::now();
-            warm_up(&reg.resolve(&g_new, &spec, Some(&dir), seed).0);
+            warm_up(&reg.resolve(&g_new, Some(&dir), seed).0);
             ms_since(t)
         });
         std::fs::remove_dir_all(&dir).ok();

@@ -31,8 +31,7 @@ fn main() {
             // GCond may hit its (simulated) memory budget on AMiner.
             let gcond = GCondBaseline::default();
             let t0 = Instant::now();
-            let gcond_cell = match gcond.try_condense(&CondenseContext::for_spec(&g, &spec), &spec)
-            {
+            let gcond_cell = match gcond.try_condense(&CondenseContext::new(&g), &spec) {
                 Ok(_) => fmt_time(t0.elapsed().as_secs_f64()),
                 Err(_) => "OOM".to_string(),
             };

@@ -39,12 +39,11 @@ fn main() {
             let r = effective_ratio(&g, dataset_ratio(kind, ratio));
             let spec = bench.spec(r, 0);
             let t0 = Instant::now();
-            let gcond_secs = match GCondBaseline::default()
-                .try_condense(&CondenseContext::for_spec(&g, &spec), &spec)
-            {
-                Ok(_) => Some(t0.elapsed().as_secs_f64()),
-                Err(_) => None,
-            };
+            let gcond_secs =
+                match GCondBaseline::default().try_condense(&CondenseContext::new(&g), &spec) {
+                    Ok(_) => Some(t0.elapsed().as_secs_f64()),
+                    Err(_) => None,
+                };
             let hg_secs = bench.time_condense(&HGCondBaseline::default(), r, 0);
             let fh_secs = bench.time_condense(&FreeHgc::default(), r, 0);
             table.row(vec![

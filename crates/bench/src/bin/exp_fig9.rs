@@ -31,7 +31,7 @@ fn captured_nodes(
     let schema = g.schema();
     let target = schema.target();
     let paths = enumerate_metapaths(schema, target, hops, 64);
-    let engine = CondenseContext::new(g).with_max_row_nnz(Some(256));
+    let engine = CondenseContext::new(g);
     let mut captured: FxHashSet<(u16, u32)> = selected.iter().map(|&v| (target.0, v)).collect();
     let mut captured_target: FxHashSet<u32> = selected.iter().copied().collect();
     for p in &paths {

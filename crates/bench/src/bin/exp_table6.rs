@@ -41,7 +41,7 @@ fn main() {
         for &ratio in &ratios {
             let r = effective_ratio(&g, dataset_ratio(kind, ratio));
             let spec = bench.spec(r, 0);
-            match gcond.try_condense(&CondenseContext::for_spec(&g, &spec), &spec) {
+            match gcond.try_condense(&CondenseContext::new(&g), &spec) {
                 Ok((cond, _)) => {
                     let acc = bench.eval_condensed(&cond, bench.cfg.model, 0) * 100.0;
                     cells.push(format!("{acc:.2}"));

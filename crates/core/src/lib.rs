@@ -210,7 +210,6 @@ impl Condenser for FreeHgc {
     }
 
     fn condense_in(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> CondensedGraph {
-        ctx.check_spec(spec);
         let g = ctx.graph();
         let schema = g.schema().clone();
         let target = schema.target();

@@ -428,7 +428,7 @@ mod tests {
     #[test]
     fn celf_gains_are_non_increasing_in_coverage_part() {
         let g = tiny(0);
-        let engine = CondenseContext::new(&g).with_max_row_nnz(None);
+        let engine = CondenseContext::new(&g);
         let paths = hg_enumerate(g.schema(), g.schema().target(), 2, 8);
         let adj = engine.adjacency(&paths[0]);
         let pool: Vec<u32> = g.split().train.clone();
@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn diversity_bonus_single_path_is_one() {
         let g = tiny(1);
-        let engine = CondenseContext::new(&g).with_max_row_nnz(None);
+        let engine = CondenseContext::new(&g);
         let paths = hg_enumerate(g.schema(), g.schema().target(), 1, 8);
         let adjs: Vec<_> = paths.iter().map(|p| engine.adjacency(p)).collect();
         let n = g.num_nodes(g.schema().target());
@@ -464,7 +464,7 @@ mod tests {
     #[test]
     fn diversity_bonus_identical_paths_is_zero() {
         let g = tiny(2);
-        let engine = CondenseContext::new(&g).with_max_row_nnz(None);
+        let engine = CondenseContext::new(&g);
         let paths = hg_enumerate(g.schema(), g.schema().target(), 1, 8);
         let adj = engine.adjacency(&paths[0]);
         // Two copies of the same adjacency: similarity 1, diversity 0.

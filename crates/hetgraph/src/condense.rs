@@ -11,12 +11,13 @@
 use crate::context::CondenseContext;
 use crate::graph::HeteroGraph;
 
-/// Default per-row fill-in cap for composed meta-path adjacencies — the
+/// Per-row fill-in cap for composed meta-path adjacencies — the
 /// scalability lever that keeps intermediate SpGEMM products sparse
-/// (mirroring approximate propagation in NARS/SeHGNN). One shared named
-/// knob: condensation and propagation read the same value and can no
-/// longer silently disagree.
-pub const DEFAULT_MAX_ROW_NNZ: usize = 256;
+/// (mirroring approximate propagation in NARS/SeHGNN). A constant, not a
+/// setting: every [`CondenseContext`] applies it, so selection, father
+/// influence, the baselines' relay and the evaluator's propagation all
+/// read the same composed bits.
+pub const MAX_ROW_NNZ: usize = 256;
 
 /// Default cap on the number of enumerated meta-paths per task.
 pub const DEFAULT_MAX_PATHS: usize = 24;
@@ -33,10 +34,6 @@ pub struct CondenseSpec {
     /// condensation and feature propagation so the two layers work from
     /// the same path family.
     pub max_paths: usize,
-    /// Per-row fill-in cap for composed meta-path adjacencies (`None`
-    /// disables capping). Applied by the [`CondenseContext`] built for
-    /// this spec, so every layer of one run shares the same cap.
-    pub max_row_nnz: Option<usize>,
     /// RNG seed for stochastic components (tie-breaking, sampling).
     pub seed: u64,
 }
@@ -48,7 +45,6 @@ impl CondenseSpec {
             ratio,
             max_hops: 2,
             max_paths: DEFAULT_MAX_PATHS,
-            max_row_nnz: Some(DEFAULT_MAX_ROW_NNZ),
             seed: 0,
         }
     }
@@ -60,11 +56,6 @@ impl CondenseSpec {
 
     pub fn with_max_paths(mut self, n: usize) -> Self {
         self.max_paths = n;
-        self
-    }
-
-    pub fn with_max_row_nnz(mut self, k: Option<usize>) -> Self {
-        self.max_row_nnz = k;
         self
     }
 
@@ -205,15 +196,15 @@ pub trait Condenser {
     fn condense_in(&self, ctx: &CondenseContext<'_>, spec: &CondenseSpec) -> CondensedGraph;
 
     /// Condenses `g` according to `spec` through a fresh single-use
-    /// context built with [`CondenseContext::for_spec`].
+    /// context.
     fn condense(&self, g: &HeteroGraph, spec: &CondenseSpec) -> CondensedGraph {
-        self.condense_in(&CondenseContext::for_spec(g, spec), spec)
+        self.condense_in(&CondenseContext::new(g), spec)
     }
 
     /// Condenses `graph` through `registry`: the context is looked up by
-    /// the graph's fingerprint (and the spec's fill-in cap), so
-    /// concurrent requests on the same dataset — across condensers,
-    /// ratios and seeds — share one warm precompute. Same transparency
+    /// the graph's fingerprint, so concurrent requests on the same
+    /// dataset — across condensers, ratios and seeds — share one warm
+    /// precompute. Same transparency
     /// contract as [`Condenser::condense_in`]: bitwise-identical to a
     /// fresh-context run.
     ///
@@ -419,10 +410,7 @@ mod tests {
     fn spec_defaults_use_the_shared_knobs() {
         let spec = CondenseSpec::new(0.5);
         assert_eq!(spec.max_paths, DEFAULT_MAX_PATHS);
-        assert_eq!(spec.max_row_nnz, Some(DEFAULT_MAX_ROW_NNZ));
-        let spec = spec.with_max_paths(7).with_max_row_nnz(None);
-        assert_eq!(spec.max_paths, 7);
-        assert_eq!(spec.max_row_nnz, None);
+        assert_eq!(spec.with_max_paths(7).max_paths, 7);
     }
 
     #[test]

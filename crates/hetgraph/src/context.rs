@@ -59,7 +59,7 @@
 //! so a `'static` context can live in the cross-request
 //! [`ContextRegistry`](crate::registry::ContextRegistry).
 
-use crate::condense::{CondenseSpec, DEFAULT_MAX_ROW_NNZ};
+use crate::condense::MAX_ROW_NNZ;
 use crate::graph::{GraphDelta, HeteroGraph};
 use crate::metapath::{enumerate_metapaths, metapaths_to, MetaPath, MetaPathStep};
 use crate::propagation::PropagatedFeatures;
@@ -68,7 +68,7 @@ use freehgc_parallel::relock;
 use freehgc_sparse::{CsrMatrix, FxHashMap};
 use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// The seven cache families of a context, in install order. The
 /// discriminant indexes every per-family array — [`CacheCounters`],
@@ -345,7 +345,7 @@ pub struct InfluenceKey {
 /// `(root, max_hops, max_paths, path index)`. The enumerated path family
 /// and its sibling grouping are deterministic functions of the first
 /// three components (and the graph), and the composed adjacencies the
-/// bonus reads are fixed by the context's fill-in cap, so the quadruple
+/// bonus reads are fixed by the constant fill-in cap, so the quadruple
 /// pins the value exactly — the ratio and seed play no part in it.
 pub type DiversityKey = (NodeTypeId, usize, usize, usize);
 
@@ -500,7 +500,7 @@ impl ByteLedger {
 }
 
 /// Whether any row of `m` holds more than `k` entries — the per-row
-/// fill-in contract `max_row_nnz` promises.
+/// fill-in contract [`MAX_ROW_NNZ`] promises.
 fn any_row_exceeds(m: &CsrMatrix, k: usize) -> bool {
     (0..m.nrows()).any(|r| m.row_nnz(r) > k)
 }
@@ -510,7 +510,6 @@ fn any_row_exceeds(m: &CsrMatrix, k: usize) -> bool {
 /// empty), so a context costs nothing until work flows through it.
 pub struct CondenseContext<'g> {
     graph: GraphHandle<'g>,
-    max_row_nnz: Option<usize>,
     /// Every family's entries, in the one byte-ledger map.
     ledger: Mutex<ByteLedger>,
     /// Hit/miss counters, indexed by [`CacheFamily`].
@@ -521,42 +520,16 @@ impl<'g> CondenseContext<'g> {
     fn with_handle(graph: GraphHandle<'g>) -> Self {
         Self {
             graph,
-            max_row_nnz: Some(DEFAULT_MAX_ROW_NNZ),
             ledger: Mutex::default(),
             counters: Default::default(),
         }
     }
 
-    /// A context with the workspace-default per-row fill-in cap
-    /// ([`DEFAULT_MAX_ROW_NNZ`]) — the setting every condensation and
-    /// propagation layer shares.
+    /// A context that borrows its graph. Every context composes under
+    /// the one per-row fill-in cap ([`MAX_ROW_NNZ`]), so condensation and
+    /// propagation layers always share composed bits.
     pub fn new(graph: &'g HeteroGraph) -> Self {
         Self::with_handle(GraphHandle::Borrowed(graph))
-    }
-
-    /// A context whose fill-in cap comes from the spec — the knob both
-    /// condensation and propagation obey (there is deliberately no
-    /// per-call cap anywhere downstream).
-    pub fn for_spec(graph: &'g HeteroGraph, spec: &CondenseSpec) -> Self {
-        Self::new(graph).with_max_row_nnz(spec.max_row_nnz)
-    }
-
-    /// Overrides the per-row fill-in cap of composed adjacencies.
-    ///
-    /// Must be set before any composition is cached: the cap changes the
-    /// composed matrices, so flipping it on a warm context would mix
-    /// incompatible entries.
-    pub fn with_max_row_nnz(mut self, k: Option<usize>) -> Self {
-        let ledger = self
-            .ledger
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        assert!(
-            ledger.family_len(CacheFamily::Composed) == 0,
-            "cannot change max_row_nnz on a context with cached compositions"
-        );
-        self.max_row_nnz = k;
-        self
     }
 }
 
@@ -585,32 +558,12 @@ impl CondenseContext<'_> {
         }
     }
 
-    /// The per-row fill-in cap applied to composed adjacencies.
-    pub fn max_row_nnz(&self) -> Option<usize> {
-        self.max_row_nnz
-    }
-
     /// Resident bytes across all four byte-counted families right now
     /// — the quantity [`ContextRegistry::resident_bytes`] sums.
     ///
     /// [`ContextRegistry::resident_bytes`]: crate::registry::ContextRegistry::resident_bytes
     pub fn cache_bytes(&self) -> usize {
         relock(&self.ledger).bytes
-    }
-
-    /// Asserts that condensing `spec` through this context cannot
-    /// diverge from a fresh `CondenseContext::for_spec` run: the spec's
-    /// fill-in cap must match the context's, since the cap changes the
-    /// composed matrices and a silent mismatch would break the
-    /// bitwise-transparency contract of `Condenser::condense_in`.
-    /// Context-aware condensers call this before touching the caches.
-    pub fn check_spec(&self, spec: &CondenseSpec) {
-        assert_eq!(
-            spec.max_row_nnz, self.max_row_nnz,
-            "CondenseSpec.max_row_nnz disagrees with the context's cap; \
-             build the context with CondenseContext::for_spec (or align \
-             the spec) so cached compositions match the spec"
-        );
     }
 
     /// A point-in-time snapshot of all cache counters, read under one
@@ -737,14 +690,12 @@ impl CondenseContext<'_> {
             let prefix = self.compose(&steps[..steps.len() - 1]);
             let last = self.factor(steps[steps.len() - 1]);
             let mut prod = prefix.spgemm(&last);
-            if let Some(k) = self.max_row_nnz {
-                // The cap is a *per-row* contract: apply it whenever any
-                // row exceeds k, not only when the aggregate density
-                // does (a skewed product can hide an over-full row
-                // behind many empty ones).
-                if any_row_exceeds(&prod, k) {
-                    prod = prod.top_k_per_row(k);
-                }
+            // The cap is a *per-row* contract: apply it whenever any row
+            // exceeds it, not only when the aggregate density does (a
+            // skewed product can hide an over-full row behind many empty
+            // ones).
+            if any_row_exceeds(&prod, MAX_ROW_NNZ) {
+                prod = prod.top_k_per_row(MAX_ROW_NNZ);
             }
             CacheValue::Matrix(Arc::new(prod))
         })
@@ -848,14 +799,8 @@ impl CondenseContext<'_> {
     /// recomputes against the mutated graph on demand.
     ///
     /// # Panics
-    /// Panics when the fill-in caps disagree (cap changes composed
-    /// bits) or the graphs' shapes differ (a delta never resizes).
+    /// Panics when the graphs' shapes differ (a delta never resizes).
     pub fn seed_from(&self, old: &CondenseContext<'_>, delta: &GraphDelta) -> SeedReport {
-        assert_eq!(
-            self.max_row_nnz, old.max_row_nnz,
-            "delta seeding requires equal fill-in caps: the cap changes \
-             composed bits, so inherited entries would be wrong"
-        );
         let schema = self.graph().schema();
         let old_schema = old.graph().schema();
         assert_eq!(
@@ -887,7 +832,6 @@ impl CondenseContext<'_> {
 impl std::fmt::Debug for CondenseContext<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CondenseContext")
-            .field("max_row_nnz", &self.max_row_nnz)
             .field("composed_len", &self.composed_len())
             .field("stats", &self.stats())
             .finish()
@@ -924,24 +868,29 @@ mod tests {
         b.build()
     }
 
-    /// Six papers, one hub author shared by papers 0–2: the P-A-P product
-    /// has three rows with 3 entries each (9 nnz over 6 rows), so the old
-    /// aggregate gate `nnz > k·nrows` stays silent at k = 2 while three
-    /// rows violate the per-row cap.
+    /// Papers sharing a hub author — wider than [`MAX_ROW_NNZ`] — among
+    /// papers with no author at all.
+    const HUB_PAPERS: usize = MAX_ROW_NNZ + 44;
+    const ALL_PAPERS: usize = MAX_ROW_NNZ + 144;
+
+    /// The P-A-P product has `HUB_PAPERS` rows of `HUB_PAPERS` entries
+    /// each, yet `HUB_PAPERS²` nnz stays below `MAX_ROW_NNZ · ALL_PAPERS`:
+    /// an aggregate gate `nnz > k·nrows` would stay silent while every hub
+    /// row violates the per-row cap.
     fn skewed_fixture() -> HeteroGraph {
         let mut s = Schema::new();
         let p = s.add_node_type("paper");
         let a = s.add_node_type("author");
         let pa = s.add_edge_type("pa", p, a);
         s.set_target(p);
-        let mut b = HeteroGraphBuilder::new(s, vec![6, 2]);
-        for pp in 0..3 {
+        let mut b = HeteroGraphBuilder::new(s, vec![ALL_PAPERS, 2]);
+        for pp in 0..HUB_PAPERS as u32 {
             b.add_edge(pa, pp, 0);
         }
-        b.add_edge(pa, 4, 1);
-        b.set_features(p, FeatureMatrix::zeros(6, 1));
+        b.add_edge(pa, HUB_PAPERS as u32, 1);
+        b.set_features(p, FeatureMatrix::zeros(ALL_PAPERS, 1));
         b.set_features(a, FeatureMatrix::zeros(2, 1));
-        b.set_labels(vec![0, 1, 0, 1, 0, 1], 2);
+        b.set_labels((0..ALL_PAPERS as u32).map(|i| i % 2).collect(), 2);
         b.build()
     }
 
@@ -985,7 +934,7 @@ mod tests {
     fn context_matches_fresh_engine_bitwise() {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
-        let fresh = CondenseContext::new(&g).with_max_row_nnz(Some(DEFAULT_MAX_ROW_NNZ));
+        let fresh = CondenseContext::new(&g);
         let root = g.schema().target();
         for p in ctx.metapaths(root, 2, 100).iter() {
             assert_eq!(*ctx.adjacency(p), *fresh.adjacency(p), "{:?}", p.steps);
@@ -995,7 +944,8 @@ mod tests {
     #[test]
     fn per_row_cap_holds_on_skewed_products() {
         let g = skewed_fixture();
-        let ctx = CondenseContext::new(&g).with_max_row_nnz(Some(2));
+        const { assert!(HUB_PAPERS * HUB_PAPERS <= MAX_ROW_NNZ * ALL_PAPERS) };
+        let ctx = CondenseContext::new(&g);
         let root = g.schema().target();
         let pap = ctx
             .metapaths(root, 2, 100)
@@ -1004,15 +954,11 @@ mod tests {
             .cloned()
             .expect("P-A-P exists");
         let m = ctx.adjacency(&pap);
-        // Aggregate density is below the old gate (9 nnz ≤ 2 × 6 rows
-        // before capping), yet every cached row must obey the contract.
+        // No row exceeds the cap, and every hub row is cut to exactly it.
         for r in 0..m.nrows() {
-            assert!(
-                m.row_nnz(r) <= 2,
-                "row {r} has {} entries, cap is 2",
-                m.row_nnz(r)
-            );
+            assert!(m.row_nnz(r) <= MAX_ROW_NNZ, "row {r} exceeds the cap");
         }
+        assert!((0..HUB_PAPERS).all(|r| m.row_nnz(r) == MAX_ROW_NNZ));
     }
 
     #[test]
@@ -1157,36 +1103,6 @@ mod tests {
             path_names: vec![],
         });
         assert!(c.blocks.is_empty(), "a different key must not collide");
-    }
-
-    #[test]
-    #[should_panic(expected = "disagrees with the context's cap")]
-    fn check_spec_rejects_mismatched_fill_in_cap() {
-        let g = fixture();
-        let ctx = CondenseContext::new(&g);
-        ctx.check_spec(&CondenseSpec::new(0.5).with_max_row_nnz(None));
-    }
-
-    #[test]
-    fn check_spec_accepts_matching_cap() {
-        let g = fixture();
-        let ctx = CondenseContext::new(&g);
-        ctx.check_spec(&CondenseSpec::new(0.5));
-        let uncapped = CondenseContext::new(&g).with_max_row_nnz(None);
-        uncapped.check_spec(&CondenseSpec::new(0.5).with_max_row_nnz(None));
-    }
-
-    #[test]
-    #[should_panic(expected = "cached compositions")]
-    fn rejects_cap_change_on_warm_context() {
-        let g = fixture();
-        let ctx = CondenseContext::new(&g);
-        let root = g.schema().target();
-        // A multi-hop composition is what the cap applies to (factors
-        // are cap-independent, so a factors-only context may re-cap).
-        let paths = ctx.metapaths(root, 2, 100);
-        ctx.adjacency(paths.iter().find(|p| p.hops() == 2).unwrap());
-        let _ = ctx.with_max_row_nnz(None);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod split;
 
 pub use condense::{
     induce_selection, proportional_allocation, CondenseSpec, CondensedGraph, Condenser,
-    DEFAULT_MAX_PATHS, DEFAULT_MAX_ROW_NNZ,
+    DEFAULT_MAX_PATHS, MAX_ROW_NNZ,
 };
 pub use context::{
     CacheCounters, CacheFamily, CondenseContext, DiversityKey, FamilyCounters, InfluenceKey,

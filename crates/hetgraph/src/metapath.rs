@@ -12,10 +12,10 @@
 //!
 //! [`CondenseContext::adjacency`](crate::context::CondenseContext::adjacency)
 //! computes these products with prefix caching so that sibling paths
-//! (e.g. `PAP` and `PAPA`) share work, and can cap per-row fill-in for
-//! large graphs; its caches are shared across condensers, ratios and
-//! seeds. A one-shot uncapped composition is
-//! `CondenseContext::new(g).with_max_row_nnz(None)` plus `adjacency`.
+//! (e.g. `PAP` and `PAPA`) share work, and caps per-row fill-in at
+//! [`MAX_ROW_NNZ`](crate::condense::MAX_ROW_NNZ) for large graphs; its
+//! caches are shared across condensers, ratios and seeds. A one-shot
+//! composition is `CondenseContext::new(g)` plus `adjacency`.
 
 use crate::schema::{EdgeTypeId, NodeTypeId, Schema};
 
@@ -185,6 +185,7 @@ pub fn metapaths_to(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condense::MAX_ROW_NNZ;
     use crate::context::CondenseContext;
     use crate::features::FeatureMatrix;
     use crate::graph::{HeteroGraph, HeteroGraphBuilder};
@@ -281,7 +282,7 @@ mod tests {
     fn composed_adjacency_matches_manual_product() {
         let g = fixture();
         let root = g.schema().target();
-        let eng = CondenseContext::new(&g).with_max_row_nnz(None);
+        let eng = CondenseContext::new(&g);
         let pap = enumerate_metapaths(g.schema(), root, 2, 100)
             .into_iter()
             .find(|p| p.name(g.schema()) == "P-A-P")
@@ -302,7 +303,7 @@ mod tests {
     fn prefix_cache_is_shared() {
         let g = fixture();
         let root = g.schema().target();
-        let eng = CondenseContext::new(&g).with_max_row_nnz(None);
+        let eng = CondenseContext::new(&g);
         let paths = enumerate_metapaths(g.schema(), root, 2, 100);
         for p in &paths {
             eng.adjacency(p);
@@ -313,15 +314,35 @@ mod tests {
     }
 
     #[test]
-    fn max_row_nnz_caps_density() {
-        let g = fixture();
-        let root = g.schema().target();
-        let eng = CondenseContext::new(&g).with_max_row_nnz(Some(1));
-        let pap = enumerate_metapaths(g.schema(), root, 2, 100)
+    fn row_fill_in_cap_bounds_density() {
+        // Every paper shares the one author, so the uncapped P-A-P
+        // product is dense: `n` entries in each of `n > MAX_ROW_NNZ` rows.
+        let n = MAX_ROW_NNZ + 44;
+        let mut s = Schema::new();
+        let p = s.add_node_type("paper");
+        let a = s.add_node_type("author");
+        let pa = s.add_edge_type("pa", p, a);
+        s.set_target(p);
+        let mut b = HeteroGraphBuilder::new(s, vec![n, 1]);
+        for pp in 0..n as u32 {
+            b.add_edge(pa, pp, 0);
+        }
+        b.set_features(p, FeatureMatrix::zeros(n, 1));
+        b.set_features(a, FeatureMatrix::zeros(1, 1));
+        b.set_labels(vec![0; n], 1);
+        let g = b.build();
+
+        let pa_norm = g.adjacency(pa).row_normalized();
+        let uncapped = pa_norm.spgemm(&g.adjacency(pa).transpose().row_normalized());
+        assert_eq!(uncapped.nnz(), n * n, "the fixture is wider than the cap");
+
+        let eng = CondenseContext::new(&g);
+        let pap = enumerate_metapaths(g.schema(), p, 2, 100)
             .into_iter()
-            .find(|p| p.name(g.schema()) == "P-A-P")
+            .find(|path| path.name(g.schema()) == "P-A-P")
             .unwrap();
         let m = eng.adjacency(&pap);
-        assert!(m.nnz() <= 3);
+        assert_eq!(m.nnz(), n * MAX_ROW_NNZ);
+        assert!((0..n).all(|r| m.row_nnz(r) == MAX_ROW_NNZ));
     }
 }

@@ -7,8 +7,9 @@
 //! around. A serving process handling concurrent requests on the same
 //! dataset wants the stronger form: *any* request that names a graph
 //! gets the one warm context for it. [`ContextRegistry`] provides that:
-//! contexts are keyed by a content [`GraphFingerprint`] plus the
-//! fill-in cap (the one knob that shapes cached bits), stored as
+//! contexts are keyed by a content [`GraphFingerprint`] alone (every
+//! context composes under the one constant fill-in cap,
+//! [`MAX_ROW_NNZ`](crate::condense::MAX_ROW_NNZ)), stored as
 //! `Arc<CondenseContext<'static>>` (the context co-owns its graph via
 //! [`CondenseContext::shared`]), and handed out under the context's
 //! existing thread-safety contract — sharing is transparent, so a
@@ -202,11 +203,6 @@ fn same_shape(a: &HeteroGraph, b: &HeteroGraph) -> bool {
             .all(|e| a.adjacency(e).nnz() == b.adjacency(e).nnz())
 }
 
-/// What must match for two callers to share one context: the graph and
-/// the fill-in cap, which changes composed bits ([`CondenseContext`]
-/// asserts it via `check_spec`).
-type RegistryKey = (GraphFingerprint, Option<usize>);
-
 /// A registered context with the logical timestamp of its most recent
 /// resolution (a tick of the registry's `touch_clock`), which orders
 /// [`ContextRegistry::evict_idle`]'s least-recently-resolved-first
@@ -239,7 +235,7 @@ pub struct RegistryStats {
     pub misses: u64,
     /// Cold resolutions that started warm from an on-disk snapshot.
     pub snapshot_loads: u64,
-    /// Snapshot files found but rejected (corruption, version or knob
+    /// Snapshot files found but rejected (corruption, version or cap
     /// mismatch, unreadable) — each one fell back to a clean cold miss.
     pub snapshot_rejections: u64,
     /// Panics caught and retried: failed single-flight leader builds
@@ -266,10 +262,10 @@ pub struct RegistryStats {
 #[derive(Default)]
 pub struct ContextRegistry {
     /// Finished contexts only; builds in the air live in `flights`.
-    entries: Mutex<FxHashMap<RegistryKey, Resident>>,
+    entries: Mutex<FxHashMap<GraphFingerprint, Resident>>,
     /// Cold builds in the air. A failed build finishes its call with
     /// `Err(())`; the leader keeps the panic payload.
-    flights: SingleFlight<RegistryKey, Arc<CondenseContext<'static>>, ()>,
+    flights: SingleFlight<GraphFingerprint, Arc<CondenseContext<'static>>, ()>,
     /// Snapshot directories already swept for leftover temp files; the
     /// sweep runs once per directory per registry (the "startup" of
     /// this registry's use of that directory).
@@ -302,17 +298,17 @@ impl ContextRegistry {
         GLOBAL.get_or_init(ContextRegistry::new)
     }
 
-    /// Resolves the shared context for `graph` under `spec`'s fill-in
-    /// cap, creating and
-    /// registering it on first sight. The fingerprint is computed here —
-    /// hold the returned `Arc` rather than re-resolving per call on a
-    /// hot path.
+    /// Resolves the shared context for `graph`, creating and registering
+    /// it on first sight. The fingerprint is computed here — hold the
+    /// returned `Arc` rather than re-resolving per call on a hot path.
+    /// No field of the spec shapes the context; the parameter stays for
+    /// existing callers.
     pub fn context_for(
         &self,
         graph: &Arc<HeteroGraph>,
-        spec: &CondenseSpec,
+        _spec: &CondenseSpec,
     ) -> Arc<CondenseContext<'static>> {
-        self.resolve(graph, spec, None, None).0
+        self.resolve(graph, None, None).0
     }
 
     /// Next tick of the resolution clock.
@@ -322,15 +318,15 @@ impl ContextRegistry {
 
     /// The finished context registered under `key`, with its recency
     /// refreshed. Callers collision-check the hit.
-    fn ready(&self, key: &RegistryKey) -> Option<Arc<CondenseContext<'static>>> {
+    fn ready(&self, key: &GraphFingerprint) -> Option<Arc<CondenseContext<'static>>> {
         let mut entries = relock(&self.entries);
         let resident = entries.get_mut(key)?;
         resident.touch = self.tick();
         Some(Arc::clone(&resident.ctx))
     }
 
-    /// Warm-only lookup: returns the registered context for `(graph,
-    /// spec)` if — and only if — a finished build is already resident.
+    /// Warm-only lookup: returns the registered context for `graph` if —
+    /// and only if — a finished build is already resident.
     /// Never builds, never blocks on an in-flight build (one reports
     /// `None`), and counts in neither lookup bucket of
     /// [`ContextRegistry::stats`]; it does refresh the entry's recency
@@ -338,12 +334,8 @@ impl ContextRegistry {
     /// path: answer a warm request without ever touching a worker pool,
     /// fall through to the queued [`ContextRegistry::context_for`] path
     /// on `None`.
-    pub fn peek(
-        &self,
-        graph: &Arc<HeteroGraph>,
-        spec: &CondenseSpec,
-    ) -> Option<Arc<CondenseContext<'static>>> {
-        let key = (graph.fingerprint(), spec.max_row_nnz);
+    pub fn peek(&self, graph: &Arc<HeteroGraph>) -> Option<Arc<CondenseContext<'static>>> {
+        let key = graph.fingerprint();
         let ctx = self.ready(&key)?;
         self.check_collision(graph, &ctx, &key);
         Some(ctx)
@@ -379,7 +371,7 @@ impl ContextRegistry {
     /// [`ContextRegistry::evict`].
     pub fn evict_idle(&self, keep_bytes: u64) -> usize {
         let mut entries = relock(&self.entries);
-        let mut ready: Vec<(RegistryKey, u64, u64)> = entries
+        let mut ready: Vec<(GraphFingerprint, u64, u64)> = entries
             .iter()
             .map(|(key, r)| (*key, r.touch, r.ctx.cache_bytes() as u64))
             .collect();
@@ -413,10 +405,10 @@ impl ContextRegistry {
     ///   [`HeteroGraph::apply_delta`] ran (capture it with
     ///   [`HeteroGraph::fingerprint`] first), `graph` the mutated graph
     ///   and `delta` the exact delta applied. If the old fingerprint is
-    ///   registered under the same fill-in cap, the fresh context is
-    ///   seeded via [`CondenseContext::seed_from`]: every entry the
-    ///   delta provably does not touch is inherited, the rest recompute
-    ///   lazily — bitwise-identical to a cold rebuild.
+    ///   registered, the fresh context is seeded via
+    ///   [`CondenseContext::seed_from`]: every entry the delta provably
+    ///   does not touch is inherited, the rest recompute lazily —
+    ///   bitwise-identical to a cold rebuild.
     /// * `dir` names a snapshot directory. With no live old context to
     ///   seed from, a cold build first tries the canonical snapshot file
     ///   ([`snapshot_file_name`](crate::snapshot::snapshot_file_name)) of
@@ -424,7 +416,7 @@ impl ContextRegistry {
     ///   file filtered through the same invalidation rules, so a delta
     ///   update beats a cold rebuild even across restarts. *Any* problem
     ///   with a file — absent, truncated, corrupted, wrong version,
-    ///   wrong fingerprint, wrong knobs — falls back to plain cold
+    ///   wrong fingerprint, wrong fill-in cap — falls back to plain cold
     ///   compute; a snapshot can save work, never change bits and never
     ///   turn into an error. Transient read errors are retried with
     ///   backoff first. Loads and rejections are counted in
@@ -432,15 +424,14 @@ impl ContextRegistry {
     pub fn resolve(
         &self,
         graph: &Arc<HeteroGraph>,
-        spec: &CondenseSpec,
         dir: Option<&Path>,
         delta: Option<(GraphFingerprint, &GraphDelta)>,
     ) -> (Arc<CondenseContext<'static>>, SeedReport) {
         if let Some(dir) = dir {
             self.sweep_once(dir);
         }
-        let key = (graph.fingerprint(), spec.max_row_nnz);
-        self.resolve_single_flight(key, graph, |ctx| self.warm_start(ctx, key, dir, delta))
+        let key = graph.fingerprint();
+        self.resolve_single_flight(key, graph, |ctx| self.warm_start(ctx, dir, delta))
     }
 
     /// Panic-checks a fingerprint hit: serving another graph's warm
@@ -450,14 +441,14 @@ impl ContextRegistry {
         &self,
         graph: &Arc<HeteroGraph>,
         ctx: &Arc<CondenseContext<'static>>,
-        key: &RegistryKey,
+        key: &GraphFingerprint,
     ) {
         assert!(
             ctx.shared_graph().is_some_and(|g| Arc::ptr_eq(graph, g))
                 || same_shape(graph, ctx.graph()),
             "GraphFingerprint collision: two structurally different graphs hashed to \
              {} — refusing to share a context",
-            key.0
+            key
         );
     }
 
@@ -482,7 +473,7 @@ impl ContextRegistry {
     /// per caller.
     fn resolve_single_flight(
         &self,
-        key: RegistryKey,
+        key: GraphFingerprint,
         graph: &Arc<HeteroGraph>,
         build: impl Fn(&CondenseContext<'static>) -> (DiskLoad, SeedReport),
     ) -> (Arc<CondenseContext<'static>>, SeedReport) {
@@ -504,8 +495,7 @@ impl ContextRegistry {
                     failures += 1;
                     assert!(
                         failures < MAX_BUILD_ATTEMPTS,
-                        "registry build for {} failed {failures} times; giving up",
-                        key.0
+                        "registry build for {key} failed {failures} times; giving up"
                     );
                     continue;
                 }
@@ -526,8 +516,7 @@ impl ContextRegistry {
             let built = catch_unwind(AssertUnwindSafe(|| {
                 failpoints::fire_panic(failpoints::REGISTRY_BUILD_PANIC);
                 failpoints::fire_delay(failpoints::REGISTRY_BUILD_DELAY);
-                let ctx =
-                    Arc::new(CondenseContext::shared(Arc::clone(graph)).with_max_row_nnz(key.1));
+                let ctx = Arc::new(CondenseContext::shared(Arc::clone(graph)));
                 let (load_outcome, report) = build(&ctx);
                 (ctx, load_outcome, report)
             }));
@@ -566,13 +555,12 @@ impl ContextRegistry {
         }
     }
 
-    /// Pre-warms the fresh context a cold build of `key` publishes: from
+    /// Pre-warms the fresh context a cold build publishes: from
     /// the old fingerprint's live context when a delta names one, else
     /// from disk (see [`ContextRegistry::resolve`]).
     fn warm_start(
         &self,
         ctx: &CondenseContext<'static>,
-        key: RegistryKey,
         dir: Option<&Path>,
         delta: Option<(GraphFingerprint, &GraphDelta)>,
     ) -> (DiskLoad, SeedReport) {
@@ -584,7 +572,7 @@ impl ContextRegistry {
             // on it from inside our own build could deadlock two deltas
             // chasing each other.
             let old_ctx = relock(&self.entries)
-                .get(&(old_fp, key.1))
+                .get(&old_fp)
                 .map(|r| Arc::clone(&r.ctx));
             if let Some(old_ctx) = old_ctx {
                 return (DiskLoad::Absent, ctx.seed_from(&old_ctx, delta));
@@ -647,7 +635,7 @@ impl ContextRegistry {
         }
     }
 
-    /// Writes the registered context for `(graph, spec)` to its
+    /// Writes the registered context for `graph` to its
     /// canonical snapshot file under `dir` (creating the directory),
     /// registering the context first if needed. Returns the path a later
     /// [`ContextRegistry::resolve`] with this `dir` will find it at.
@@ -656,13 +644,8 @@ impl ContextRegistry {
     /// valid entries already in the file that this context lacks are
     /// kept, so persisting from a process that did less work than a
     /// previous one never shrinks the artifact.
-    pub fn persist(
-        &self,
-        dir: &Path,
-        graph: &Arc<HeteroGraph>,
-        spec: &CondenseSpec,
-    ) -> Result<PathBuf, SnapshotError> {
-        let ctx = self.context_for(graph, spec);
+    pub fn persist(&self, dir: &Path, graph: &Arc<HeteroGraph>) -> Result<PathBuf, SnapshotError> {
+        let ctx = self.resolve(graph, None, None).0;
         std::fs::create_dir_all(dir)?;
         self.sweep_once(dir);
         ctx.persist_snapshot(dir)
@@ -697,16 +680,12 @@ impl ContextRegistry {
         }
     }
 
-    /// Drops every context registered for `fingerprint` (any fill-in
-    /// cap). Outstanding `Arc`s keep their contexts alive;
-    /// subsequent resolutions start cold. In-flight builds are left to
-    /// finish (their leaders insert on completion). Returns how many
-    /// ready entries were dropped.
+    /// Drops the context registered for `fingerprint`. Outstanding
+    /// `Arc`s keep it alive; subsequent resolutions start cold. An
+    /// in-flight build is left to finish (its leader inserts on
+    /// completion). Returns how many ready entries were dropped (0 or 1).
     pub fn evict(&self, fingerprint: GraphFingerprint) -> usize {
-        let mut entries = relock(&self.entries);
-        let before = entries.len();
-        entries.retain(|(fp, _), _| *fp != fingerprint);
-        before - entries.len()
+        usize::from(relock(&self.entries).remove(&fingerprint).is_some())
     }
 
     /// Drops every registered (ready) context. In-flight builds are
@@ -730,6 +709,7 @@ impl std::fmt::Debug for ContextRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condense::MAX_ROW_NNZ;
     use crate::context::CacheFamily;
     use crate::features::FeatureMatrix;
     use crate::graph::HeteroGraphBuilder;
@@ -803,9 +783,10 @@ mod tests {
         let a = reg.context_for(&g1, &spec);
         let b = reg.context_for(&g2, &spec);
         assert!(!Arc::ptr_eq(&a, &b), "different graphs, different contexts");
-        let c = reg.context_for(&g1, &spec.with_max_row_nnz(None));
-        assert!(!Arc::ptr_eq(&a, &c), "different fill-in cap");
-        assert_eq!(reg.len(), 3);
+        // No spec field shapes the context: the key is the graph alone.
+        let c = reg.context_for(&g1, &CondenseSpec::new(0.1).with_max_paths(3));
+        assert!(Arc::ptr_eq(&a, &c), "same graph, any spec, one context");
+        assert_eq!(reg.len(), 2);
     }
 
     #[test]
@@ -844,12 +825,12 @@ mod tests {
         for p in ctx.metapaths(root, 2, 100).iter() {
             ctx.adjacency(p);
         }
-        let path = reg.persist(&dir, &g, &spec).unwrap();
+        let path = reg.persist(&dir, &g).unwrap();
         assert!(path.exists());
 
         // "Process two": a fresh registry resolves warm from the file.
         let reg2 = ContextRegistry::new();
-        let ctx2 = reg2.resolve(&g, &spec, Some(&dir), None).0;
+        let ctx2 = reg2.resolve(&g, Some(&dir), None).0;
         assert_eq!(disk_loads(&reg2), (1, 0));
         let before = ctx2.stats();
         for p in ctx2.metapaths(root, 2, 100).iter() {
@@ -862,7 +843,7 @@ mod tests {
         );
 
         // Re-resolving is an in-memory hit: no second disk load.
-        let ctx3 = reg2.resolve(&g, &spec, Some(&dir), None).0;
+        let ctx3 = reg2.resolve(&g, Some(&dir), None).0;
         assert!(Arc::ptr_eq(&ctx2, &ctx3));
         assert_eq!(disk_loads(&reg2), (1, 0));
         assert_eq!(lookups(&reg2), (1, 1));
@@ -874,7 +855,7 @@ mod tests {
         let dir = temp_dir("missing");
         let g = Arc::new(graph(1.0));
         let reg = ContextRegistry::new();
-        let ctx = reg.resolve(&g, &CondenseSpec::new(0.5), Some(&dir), None).0;
+        let ctx = reg.resolve(&g, Some(&dir), None).0;
         assert_eq!(
             disk_loads(&reg),
             (0, 0),
@@ -895,7 +876,7 @@ mod tests {
         for p in ctx.metapaths(root, 2, 100).iter() {
             ctx.adjacency(p);
         }
-        let path = reg.persist(&dir, &g, &spec).unwrap();
+        let path = reg.persist(&dir, &g).unwrap();
 
         // Corrupt the file in place: the loader must reject it, count
         // the rejection, and serve correct bits from cold compute.
@@ -904,7 +885,7 @@ mod tests {
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let reg2 = ContextRegistry::new();
-        let cold = reg2.resolve(&g, &spec, Some(&dir), None).0;
+        let cold = reg2.resolve(&g, Some(&dir), None).0;
         assert_eq!(disk_loads(&reg2), (0, 1));
         assert_eq!(cold.composed_len(), 0, "nothing installed from corruption");
         for p in cold.metapaths(root, 2, 100).iter() {
@@ -919,25 +900,27 @@ mod tests {
         for p in ctx_b.metapaths(root, 2, 100).iter() {
             ctx_b.adjacency(p);
         }
-        let other_path = reg3.persist(&dir, &g2, &spec).unwrap();
+        let other_path = reg3.persist(&dir, &g2).unwrap();
         std::fs::copy(&other_path, &path).unwrap();
         let reg4 = ContextRegistry::new();
-        let ctx4 = reg4.resolve(&g, &spec, Some(&dir), None).0;
+        let ctx4 = reg4.resolve(&g, Some(&dir), None).0;
         assert_eq!(disk_loads(&reg4), (0, 1), "wrong fingerprint rejected");
         assert_eq!(ctx4.composed_len(), 0);
 
-        // Wrong knobs under the right name: same rejection path.
-        let capless = spec.clone().with_max_row_nnz(None);
+        // A valid file whose header records another fill-in cap: same
+        // rejection path. Magic (8), version (4) and fingerprint (16)
+        // put the cap's `Some` tag at byte 28 and its u64 at 29..37;
+        // the header is outside every section checksum.
+        reg.persist(&dir, &g).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[28], 1);
+        assert_eq!(bytes[29..37], (MAX_ROW_NNZ as u64).to_le_bytes());
+        bytes[29..37].copy_from_slice(&(MAX_ROW_NNZ as u64 / 2).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
         let reg5 = ContextRegistry::new();
-        let ctx5 = reg5.context_for(&g, &capless);
-        for p in ctx5.metapaths(root, 2, 100).iter() {
-            ctx5.adjacency(p);
-        }
-        let capless_path = reg5.persist(&dir, &g, &capless).unwrap();
-        std::fs::copy(&capless_path, &path).unwrap();
-        let reg6 = ContextRegistry::new();
-        reg6.resolve(&g, &spec, Some(&dir), None);
-        assert_eq!(disk_loads(&reg6), (0, 1), "wrong knobs rejected");
+        let ctx5 = reg5.resolve(&g, Some(&dir), None).0;
+        assert_eq!(disk_loads(&reg5), (0, 1), "wrong fill-in cap rejected");
+        assert_eq!(ctx5.composed_len(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1012,11 +995,11 @@ mod tests {
         let reg = ContextRegistry::new();
         let g = Arc::new(graph(1.0));
         let spec = CondenseSpec::new(0.5);
-        assert!(reg.peek(&g, &spec).is_none(), "cold peek must not build");
+        assert!(reg.peek(&g).is_none(), "cold peek must not build");
         assert!(reg.is_empty(), "peek must not register anything");
         assert_eq!(lookups(&reg), (0, 0), "peek is not a lookup");
         let ctx = reg.context_for(&g, &spec);
-        let peeked = reg.peek(&g, &spec).expect("warm peek");
+        let peeked = reg.peek(&g).expect("warm peek");
         assert!(Arc::ptr_eq(&ctx, &peeked));
         assert_eq!(lookups(&reg), (0, 1), "peek hits stay uncounted");
     }
@@ -1063,13 +1046,10 @@ mod tests {
         // Touch A after B so B is the least recently resolved.
         reg.context_for(&ga, &spec);
         assert_eq!(reg.evict_idle(reg.resident_bytes()), 0, "already fits");
-        let a_bytes = reg.peek(&ga, &spec).unwrap().cache_bytes() as u64;
+        let a_bytes = reg.peek(&ga).unwrap().cache_bytes() as u64;
         assert_eq!(reg.evict_idle(a_bytes), 1, "dropping B alone suffices");
-        assert!(
-            reg.peek(&ga, &spec).is_some(),
-            "recently-touched A survives"
-        );
-        assert!(reg.peek(&gb, &spec).is_none(), "idle B was dropped");
+        assert!(reg.peek(&ga).is_some(), "recently-touched A survives");
+        assert!(reg.peek(&gb).is_none(), "idle B was dropped");
         assert_eq!(reg.evict_idle(0), 1, "zero ceiling clears the rest");
         assert!(reg.is_empty());
     }

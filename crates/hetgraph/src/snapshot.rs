@@ -17,7 +17,7 @@
 //! magic    [u8; 8]   b"FHGCSNAP"
 //! version  u32       SNAPSHOT_VERSION
 //! fp       u64 × 2   GraphFingerprint of the source graph
-//! cap      opt       max_row_nnz knob   (u8 tag, then u64 when Some)
+//! cap      opt       fill-in cap, always Some(MAX_ROW_NNZ) (u8 tag, then u64)
 //! nsect    u32       number of sections
 //! section* id u8 | payload_len u64 | checksum u64 | payload bytes
 //! ```
@@ -34,7 +34,8 @@
 //! # Trust model
 //!
 //! A snapshot is only ever *advisory*: the loader verifies the magic,
-//! version, fingerprint and fill-in cap, checksums every section,
+//! version, fingerprint and fill-in cap (a file recording any cap but
+//! [`MAX_ROW_NNZ`] holds other composed bits), checksums every section,
 //! bounds-checks every length and re-validates every CSR invariant, and
 //! decodes the entire file into staging before touching a context — any
 //! failure leaves the context exactly as cold as it was and surfaces as a
@@ -43,6 +44,7 @@
 //! converts into a clean cold miss. Corruption can cost a recompute,
 //! never a panic and never wrong bits.
 
+use crate::condense::MAX_ROW_NNZ;
 use crate::context::{
     CacheEntry, CacheFamily, CacheKey, CacheValue, CondenseContext, InfluenceKey,
     InvalidationRules, SeedReport,
@@ -96,8 +98,9 @@ pub enum SnapshotError {
         found: GraphFingerprint,
         expected: GraphFingerprint,
     },
-    /// Right graph, wrong fill-in cap — the cap changes composed bits,
-    /// so it must match exactly.
+    /// Right graph, but the header records a fill-in cap other than
+    /// [`MAX_ROW_NNZ`] — the cap changes composed bits, so it must match
+    /// exactly.
     WrongKnobs,
     /// A section's payload does not match its recorded checksum.
     ChecksumMismatch {
@@ -122,7 +125,7 @@ impl std::fmt::Display for SnapshotError {
                 write!(f, "snapshot is for graph {found}, expected {expected}")
             }
             SnapshotError::WrongKnobs => {
-                write!(f, "snapshot fill-in cap disagrees with the context's")
+                write!(f, "snapshot fill-in cap is not {MAX_ROW_NNZ}")
             }
             SnapshotError::ChecksumMismatch { section } => {
                 write!(f, "checksum mismatch in snapshot section {section}")
@@ -141,13 +144,12 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// Canonical file name for a snapshot: the registry key — fingerprint
-/// plus fill-in cap — spelled into the name, so one directory holds
-/// distinct snapshots for distinct keys and a loader can address the
-/// right file without reading any of them.
-pub fn snapshot_file_name(fp: GraphFingerprint, max_row_nnz: Option<usize>) -> String {
-    let cap = max_row_nnz.map_or_else(|| "none".to_string(), |v| v.to_string());
-    format!("ctx-{fp}-k{cap}.fhgc")
+/// Canonical file name for a snapshot: the registry key — the graph
+/// fingerprint — spelled into the name beside the fill-in cap, so one
+/// directory holds distinct snapshots for distinct graphs and a loader
+/// can address the right file without reading any of them.
+pub fn snapshot_file_name(fp: GraphFingerprint) -> String {
+    format!("ctx-{fp}-k{MAX_ROW_NNZ}.fhgc")
 }
 
 // ---------------------------------------------------------------------
@@ -470,7 +472,9 @@ impl<'a> ByteReader<'a> {
 /// length and payload bytes. Fast and non-cryptographic — it guards
 /// against torn writes and bit rot, not adversaries; the full structural
 /// validation on decode is what keeps a colliding corruption harmless.
-fn section_checksum(id: u8, payload: &[u8]) -> u64 {
+/// Public so a fuzzer can seal mutated payloads and reach the section
+/// decoders behind the checksum.
+pub fn section_checksum(id: u8, payload: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write(&[id]);
     h.write_usize(payload.len());
@@ -537,6 +541,9 @@ fn skip_csr(r: &mut ByteReader<'_>) -> Result<(), SnapshotError> {
 fn read_csr(r: &mut ByteReader<'_>) -> Result<CsrMatrix, SnapshotError> {
     let nrows = r.usize()?;
     let ncols = r.usize()?;
+    if ncols > u32::MAX as usize {
+        return Err(SnapshotError::Malformed("ncols exceeds u32 index range"));
+    }
     let nnz = r.usize()?;
     let ptr_len = nrows
         .checked_add(1)
@@ -701,7 +708,7 @@ pub fn encode_snapshot(ctx: &CondenseContext<'_>) -> Vec<u8> {
     w.put_u32(SNAPSHOT_VERSION);
     w.put_u64(fp.0);
     w.put_u64(fp.1);
-    w.put_opt_usize(ctx.max_row_nnz());
+    w.put_opt_usize(Some(MAX_ROW_NNZ));
     w.put_u32(sections.len() as u32);
     for (id, payload) in &sections {
         w.put_u8(*id);
@@ -927,7 +934,7 @@ fn validate_against_graph(entries: &[CacheEntry], g: &HeteroGraph) -> Result<(),
 /// Decodes `bytes` and installs every entry into `ctx`'s caches.
 ///
 /// The snapshot must be for exactly this context: same graph fingerprint
-/// and identical fill-in cap — anything else is rejected before a
+/// and the fill-in cap [`MAX_ROW_NNZ`] — anything else is rejected before a
 /// single entry lands. The entire file is decoded into staging first,
 /// so on *any* error the context is left untouched (still cold, still
 /// correct). Installed entries never overwrite ones the context already
@@ -968,7 +975,7 @@ pub fn decode_snapshot_into(
     if found != expected {
         return Err(SnapshotError::WrongFingerprint { found, expected });
     }
-    if r.opt_usize()? != ctx.max_row_nnz() {
+    if r.opt_usize()? != Some(MAX_ROW_NNZ) {
         return Err(SnapshotError::WrongKnobs);
     }
 
@@ -1057,17 +1064,11 @@ impl CondenseContext<'_> {
     /// corrupt or mismatched existing file is simply replaced.
     pub fn persist_snapshot(&self, dir: &Path) -> Result<PathBuf, SnapshotError> {
         std::fs::create_dir_all(dir)?;
-        let path = canonical_path(self, dir, self.graph().fingerprint());
+        let path = dir.join(snapshot_file_name(self.graph().fingerprint()));
         let _ = self.load_snapshot(&path);
         self.save_snapshot(&path)?;
         Ok(path)
     }
-}
-
-/// The canonical file of graph `fp` under `dir`, spelled with `ctx`'s
-/// fill-in cap.
-fn canonical_path(ctx: &CondenseContext<'_>, dir: &Path, fp: GraphFingerprint) -> PathBuf {
-    dir.join(snapshot_file_name(fp, ctx.max_row_nnz()))
 }
 
 /// What one attempt to warm a context from its canonical snapshot file
@@ -1089,7 +1090,7 @@ pub(crate) fn load_canonical(
     delta: Option<(GraphFingerprint, &GraphDelta)>,
 ) -> DiskLoad {
     let fp = delta.map_or_else(|| ctx.graph().fingerprint(), |(old_fp, _)| old_fp);
-    let loaded = read_snapshot_bytes(&canonical_path(ctx, dir, fp))
+    let loaded = read_snapshot_bytes(&dir.join(snapshot_file_name(fp)))
         .map_err(SnapshotError::Io)
         .and_then(|bytes| decode_snapshot_into(ctx, &bytes, delta));
     match loaded {
@@ -1304,9 +1305,33 @@ mod tests {
             Err(SnapshotError::WrongFingerprint { .. })
         ));
 
-        let uncapped = CondenseContext::new(&g).with_max_row_nnz(None);
+        // The header cap sits outside every section checksum: magic (8),
+        // version (4) and fingerprint (16) put its `Some` tag at byte 28
+        // and its u64 at 29..37. Any value but MAX_ROW_NNZ is rejected.
+        assert_eq!(bytes[28], 1);
+        assert_eq!(bytes[29..37], (MAX_ROW_NNZ as u64).to_le_bytes());
+        for cap in [
+            0,
+            1,
+            MAX_ROW_NNZ as u64 - 1,
+            MAX_ROW_NNZ as u64 + 1,
+            u64::MAX,
+        ] {
+            let mut m = bytes.clone();
+            m[29..37].copy_from_slice(&cap.to_le_bytes());
+            let fresh = CondenseContext::new(&g);
+            assert!(matches!(
+                decode_snapshot_into(&fresh, &m, None),
+                Err(SnapshotError::WrongKnobs)
+            ));
+            assert_eq!(fresh.composed_len(), 0, "cap {cap}: nothing installed");
+        }
+        // An uncapped (`None`) header: tag 0 and no u64 follows.
+        let mut m = bytes[..28].to_vec();
+        m.push(0);
+        m.extend_from_slice(&bytes[37..]);
         assert!(matches!(
-            decode_snapshot_into(&uncapped, &bytes, None),
+            decode_snapshot_into(&CondenseContext::new(&g), &m, None),
             Err(SnapshotError::WrongKnobs)
         ));
     }
@@ -1318,7 +1343,7 @@ mod tests {
         warm(&ctx);
         let dir = std::env::temp_dir().join(format!("fhgc-snap-unit-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(snapshot_file_name(g.fingerprint(), ctx.max_row_nnz()));
+        let path = dir.join(snapshot_file_name(g.fingerprint()));
         ctx.save_snapshot(&path).expect("save");
 
         let fresh = CondenseContext::new(&g);
@@ -1408,6 +1433,38 @@ mod tests {
         assert!(check(prop(), blocks(&[])).is_err(), "no blocks at all");
     }
 
+    /// A sealed CSR wider than the `u32` column index range must come
+    /// back as `Malformed` before `CsrMatrix::from_parts` asserts on it
+    /// (found by `tests/mutation_fuzz.rs`).
+    #[test]
+    fn crafted_csr_wider_than_u32_is_malformed_not_a_panic() {
+        let g = fixture();
+        let ctx = CondenseContext::new(&g);
+        let mut payload = ByteWriter::new();
+        payload.put_usize(1);
+        put_step(
+            &mut payload,
+            MetaPathStep {
+                edge: crate::schema::EdgeTypeId(0),
+                forward: true,
+            },
+        );
+        // nrows 0, ncols 2^32, nnz 0, indptr [0].
+        for v in [0, u32::MAX as usize + 1, 0, 0] {
+            payload.put_usize(v);
+        }
+        let file = single_section_file(&g, SECTION_FACTORS, &payload.into_bytes());
+        let err = decode_snapshot_into(&ctx, &file, None);
+        assert!(
+            matches!(
+                err,
+                Err(SnapshotError::Malformed("ncols exceeds u32 index range"))
+            ),
+            "got {err:?}"
+        );
+        assert_eq!(ctx.stats(), CondenseContext::new(&g).stats(), "untouched");
+    }
+
     /// The checksum is an unkeyed Fx hash anyone can recompute, so a
     /// crafted file with a correct header and self-consistent checksums
     /// must still be rejected — by the shape validation — before it can
@@ -1426,7 +1483,7 @@ mod tests {
             },
         );
         put_csr(&mut payload, &CsrMatrix::zeros(1, 1)); // truth is 4×3
-        let file = single_section_file(&g, &ctx, SECTION_FACTORS, &payload.into_bytes());
+        let file = single_section_file(&g, SECTION_FACTORS, &payload.into_bytes());
 
         let err = decode_snapshot_into(&ctx, &file, None);
         assert!(
@@ -1480,7 +1537,7 @@ mod tests {
             payload.put_usize(16);
             payload.put_usize(inner.len());
             payload.put_bytes(inner);
-            let file = single_section_file(&g, &ctx, SECTION_PROPAGATED, &payload.into_bytes());
+            let file = single_section_file(&g, SECTION_PROPAGATED, &payload.into_bytes());
             let cold = CondenseContext::new(&g);
             assert!(decode_snapshot_into(&cold, &file, None).is_err());
             assert_eq!(cold.stats(), CondenseContext::new(&g).stats(), "untouched");
@@ -1503,7 +1560,7 @@ mod tests {
         payload.put_usize(1);
         payload.put_usize(4);
         payload.put_f64_slice(&[0.5, 0.125, 1.0, 0.75]);
-        let file = single_section_file(&g, &ctx, SECTION_DIVERSITY, &payload.into_bytes());
+        let file = single_section_file(&g, SECTION_DIVERSITY, &payload.into_bytes());
 
         let report = decode_snapshot_into(&ctx, &file, None).expect("partial file loads");
         assert_eq!(report[CacheFamily::Diversity], 1);
@@ -1515,21 +1572,16 @@ mod tests {
         assert_eq!(pf.num_rows(), 4);
     }
 
-    /// A snapshot file for `g` under `ctx`'s knobs holding one section
-    /// with a valid checksum over `payload`.
-    fn single_section_file(
-        g: &HeteroGraph,
-        ctx: &CondenseContext<'_>,
-        id: u8,
-        payload: &[u8],
-    ) -> Vec<u8> {
+    /// A snapshot file for `g` holding one section with a valid checksum
+    /// over `payload`.
+    fn single_section_file(g: &HeteroGraph, id: u8, payload: &[u8]) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_bytes(&SNAPSHOT_MAGIC);
         w.put_u32(SNAPSHOT_VERSION);
         let fp = g.fingerprint();
         w.put_u64(fp.0);
         w.put_u64(fp.1);
-        w.put_opt_usize(ctx.max_row_nnz());
+        w.put_opt_usize(Some(MAX_ROW_NNZ));
         w.put_u32(1);
         w.put_u8(id);
         w.put_usize(payload.len());
@@ -1630,7 +1682,7 @@ mod tests {
             let mut payload = ByteWriter::new();
             payload.put_usize(1);
             entry(&mut payload);
-            let file = single_section_file(&old, &ctx, id, &payload.into_bytes());
+            let file = single_section_file(&old, id, &payload.into_bytes());
             let err = decode_snapshot_into(&ctx, &file, Some((old.fingerprint(), &delta)));
             assert!(
                 matches!(err, Err(SnapshotError::Malformed(m)) if m == want),
@@ -1729,12 +1781,14 @@ mod tests {
     #[test]
     fn file_name_spells_the_registry_key() {
         let fp = GraphFingerprint(0xABCD, 0x1234);
-        let name = snapshot_file_name(fp, Some(256));
         assert_eq!(
-            name,
+            snapshot_file_name(fp),
             format!("ctx-{fp}-k256.fhgc"),
-            "fingerprint and fill-in cap must be addressable from the name"
+            "the fingerprint must be addressable from the name"
         );
-        assert_ne!(name, snapshot_file_name(fp, None));
+        assert_ne!(
+            snapshot_file_name(fp),
+            snapshot_file_name(GraphFingerprint(0xABCD, 0x1235))
+        );
     }
 }

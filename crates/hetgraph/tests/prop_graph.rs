@@ -81,7 +81,7 @@ proptest! {
     fn metapath_composition_shapes(g in arb_graph()) {
         let root = g.schema().target();
         let paths = enumerate_metapaths(g.schema(), root, 3, 32);
-        let engine = CondenseContext::new(&g).with_max_row_nnz(None);
+        let engine = CondenseContext::new(&g);
         for p in &paths {
             let m = engine.adjacency(p);
             prop_assert_eq!(m.nrows(), g.num_nodes(root));

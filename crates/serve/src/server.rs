@@ -481,7 +481,7 @@ impl ServeHandle {
         let inner = &self.inner;
         // Fast path: a warm context answers on this thread — the pool is
         // for cold precompute, not for lookups.
-        if inner.registry.peek(graph, &spec).is_some() {
+        if inner.registry.peek(graph).is_some() {
             inner
                 .counters
                 .fast_path_hits
@@ -568,11 +568,10 @@ impl ServeHandle {
         };
         // Seed the mutated graph's context from the old one: survivors
         // carry over, only what the delta invalidated recomputes.
-        let spec = CondenseSpec::new(0.5);
         let report = catch_unwind(AssertUnwindSafe(|| {
             let dir = inner.snapshot_dir.as_deref();
             let delta = Some((old_fp, delta));
-            inner.registry.resolve(&new_graph, &spec, dir, delta).1
+            inner.registry.resolve(&new_graph, dir, delta).1
         }));
         let report = match report {
             Ok(r) => r,

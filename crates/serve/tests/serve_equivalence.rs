@@ -450,16 +450,12 @@ fn apply_delta_seeds_from_the_snapshot_dir_of_an_earlier_server() {
         .expect("a one-hop path over pt");
 
     // An earlier server warms the old graph's context (condensation and
-    // propagation) and persists it under the default knobs
-    // `ApplyDelta` resolves with.
+    // propagation) and persists it.
     let first = ServeHandle::new(ServeConfig::default());
     first.register_graph("acm", Arc::clone(&graph));
     assert!(first.call(&warm).error_code().is_none());
     propagate_ctx(&first.registry().context_for(&graph, &spec), 1, clean_paths);
-    first
-        .registry()
-        .persist(&dir, &graph, &spec)
-        .expect("persist");
+    first.registry().persist(&dir, &graph).expect("persist");
     first.shutdown();
 
     // A fresh server on the same directory has no live old context, so

@@ -528,7 +528,7 @@ impl CsrMatrix {
     }
 
     /// Keeps at most the `k` largest-magnitude entries per row (the
-    /// `with_max_row_nnz` fill-in cap behind meta-path composition).
+    /// `MAX_ROW_NNZ` fill-in cap behind meta-path composition).
     ///
     /// Rows at or under the cap are copied straight through — they are
     /// already column-sorted, so no scratch, selection, or re-sort is

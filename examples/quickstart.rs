@@ -8,7 +8,7 @@
 use freehgc::core::FreeHgc;
 use freehgc::datasets::{generate, DatasetKind};
 use freehgc::eval::pipeline::{Bench, EvalConfig};
-use freehgc::hetgraph::{CondenseSpec, Condenser};
+use freehgc::hetgraph::Condenser;
 
 use freehgc::util::smoke_mode as smoke;
 
@@ -24,12 +24,22 @@ fn main() {
         graph.schema().num_node_types()
     );
 
-    // 2. Condense to 5% of every node type — training-free, pre-processing
-    //    only. `max_hops` bounds the meta-paths used by the selection
-    //    criterion.
-    let spec = CondenseSpec::new(0.05).with_max_hops(2).with_seed(0);
+    // 2. Set up the paper's protocol (§V-B): the bench propagates the
+    //    full graph's meta-path features once, and its context shares
+    //    those compositions with the condenser.
+    let cfg = if smoke() {
+        EvalConfig::quick()
+    } else {
+        EvalConfig::default()
+    };
+    let bench = Bench::new(&graph, cfg);
+
+    // 3. Condense to 5% of every node type — training-free, pre-processing
+    //    only. The spec carries the bench's meta-path bounds, so selection
+    //    and evaluation read the same path family.
+    let spec = bench.spec(0.05, 0);
     let t0 = std::time::Instant::now();
-    let condensed = FreeHgc::default().condense(&graph, &spec);
+    let condensed = FreeHgc::default().condense_in(&bench.ctx, &spec);
     println!(
         "condensed in {:?}: {} nodes ({:.1}% of original), {} edges",
         t0.elapsed(),
@@ -43,14 +53,8 @@ fn main() {
         condensed.graph.storage_bytes() / 1024
     );
 
-    // 3. Train SeHGNN on the condensed graph and evaluate on the *full*
-    //    graph's held-out test split (the paper's protocol).
-    let cfg = if smoke() {
-        EvalConfig::quick()
-    } else {
-        EvalConfig::default()
-    };
-    let bench = Bench::new(&graph, cfg);
+    // 4. Train SeHGNN on the condensed graph and evaluate on the *full*
+    //    graph's held-out test split.
     let whole = bench.whole_graph(bench.cfg.model, &[0]);
     let condensed_acc = bench.eval_condensed(&condensed, bench.cfg.model, 0) * 100.0;
     println!(

@@ -168,13 +168,13 @@ fn transient_read_error_is_retried_into_a_successful_load() {
         for p in ctx.metapaths(root, 2, 50).iter() {
             ctx.adjacency(p);
         }
-        reg.persist(&dir, &g, &spec).expect("persist");
+        reg.persist(&dir, &g).expect("persist");
 
         let retries_before = reg.stats().io_retries;
         // Fail exactly the first read attempt; the retry must land.
         fp::arm(fp::SNAPSHOT_READ_IO, 1);
         let reg2 = ContextRegistry::new();
-        let warm = reg2.resolve(&g, &spec, Some(&dir), None).0;
+        let warm = reg2.resolve(&g, Some(&dir), None).0;
         assert_eq!(
             disk_loads(&reg2),
             (1, 0),
@@ -201,7 +201,7 @@ fn torn_write_retries_and_the_orphan_is_swept_on_restart() {
         // First write attempt tears mid-persist (leaving its temp file
         // behind, as a crash would); the retry must succeed.
         fp::arm(fp::SNAPSHOT_TORN_WRITE, 1);
-        let path = reg.persist(&dir, &g, &spec).expect("retry lands");
+        let path = reg.persist(&dir, &g).expect("retry lands");
         assert!(path.exists(), "canonical file published despite the tear");
         let orphans = || {
             std::fs::read_dir(&dir)
@@ -220,7 +220,7 @@ fn torn_write_retries_and_the_orphan_is_swept_on_restart() {
         // "Restart": a fresh registry's first touch of the directory
         // sweeps the orphan and still loads the snapshot cleanly.
         let reg2 = ContextRegistry::new();
-        let warm = reg2.resolve(&g, &spec, Some(&dir), None).0;
+        let warm = reg2.resolve(&g, Some(&dir), None).0;
         assert_eq!(orphans(), 0, "startup sweep collects the orphan");
         assert_eq!(reg2.stats().tmp_files_swept, 1);
         assert_eq!(disk_loads(&reg2), (1, 0));
@@ -259,7 +259,7 @@ fn every_fault_at_once_under_concurrent_clients_keeps_reference_bits() {
         let dir = temp_dir("combined");
         let reg0 = ContextRegistry::new();
         c.condense_shared(&reg0, &g, &spec);
-        reg0.persist(&dir, &g, &spec).expect("persist");
+        reg0.persist(&dir, &g).expect("persist");
         std::fs::write(dir.join("ctx-dead.fhgc.tmp-99999-0"), b"torn").unwrap();
 
         fp::arm_seeded(fp::SNAPSHOT_READ_IO, 1234, 3);
@@ -280,7 +280,7 @@ fn every_fault_at_once_under_concurrent_clients_keeps_reference_bits() {
                         barrier.wait();
                         (0..2)
                             .map(|_| {
-                                reg.resolve(&g, &spec, Some(&dir), None);
+                                reg.resolve(&g, Some(&dir), None);
                                 c.condense_shared(&reg, &g, &spec)
                             })
                             .collect::<Vec<_>>()
@@ -298,7 +298,7 @@ fn every_fault_at_once_under_concurrent_clients_keeps_reference_bits() {
             "every faulted response carries the fault-free bits"
         );
         // Still armed: persisting tears once and retries into a file.
-        reg.persist(&dir, &g, &spec)
+        reg.persist(&dir, &g)
             .expect("persist survives the torn write");
         let stats = reg.stats();
         assert!(fp::total_fired() > 0, "the drill injected faults");
@@ -310,7 +310,7 @@ fn every_fault_at_once_under_concurrent_clients_keeps_reference_bits() {
         // "Restart": a fresh registry sweeps the torn write's orphan and
         // serves the reference bits from the published file.
         let reg2 = ContextRegistry::new();
-        reg2.resolve(&g, &spec, Some(&dir), None);
+        reg2.resolve(&g, Some(&dir), None);
         assert!(reg2.stats().tmp_files_swept > 0, "the torn orphan is swept");
         assert!(same_bits(&c.condense_shared(&reg2, &g, &spec), &want));
         std::fs::remove_dir_all(&dir).ok();

@@ -180,8 +180,7 @@ fn delta_updated_context_matches_cold_rebuild_for_every_condenser() {
             let reg = ContextRegistry::new();
             let ctx_old = reg.context_for(&g_old, &spec);
             with_threads(threads, || warm(&ctx_old, &spec));
-            let (ctx_new, report) =
-                reg.resolve(&g_new, &spec, None, Some((g_old.fingerprint(), &delta)));
+            let (ctx_new, report) = reg.resolve(&g_new, None, Some((g_old.fingerprint(), &delta)));
             assert!(
                 report.reused() > report[CacheFamily::Paths],
                 "{what}: entries beyond the schema-only path sets must survive \
@@ -231,7 +230,7 @@ fn a_delta_touching_every_edge_type_degenerates_to_a_full_rebuild() {
     let reg = ContextRegistry::new();
     let ctx_old = reg.context_for(&g_old, &spec);
     with_threads(1, || warm(&ctx_old, &spec));
-    let (ctx_new, report) = reg.resolve(&g_new, &spec, None, Some((g_old.fingerprint(), &delta)));
+    let (ctx_new, report) = reg.resolve(&g_new, None, Some((g_old.fingerprint(), &delta)));
     // Every derived family depends on at least one relation, so nothing
     // derived survives — only the schema-only path sets (and any cached
     // "no relation between these types" negatives) carry over.
@@ -330,8 +329,8 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
     for c in condensers() {
         with_threads(1, || c.condense_in(&ctx1, &spec));
     }
-    reg1.persist(&dir, &g_old, &spec).expect("persist");
-    let in_memory = CondenseContext::for_spec(&g_new, &spec).seed_from(&ctx1, &delta);
+    reg1.persist(&dir, &g_old).expect("persist");
+    let in_memory = CondenseContext::new(&g_new).seed_from(&ctx1, &delta);
 
     // Cold reference over the mutated graph, for every condenser.
     let reg_cold = ContextRegistry::new();
@@ -345,12 +344,7 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
         // "Process two": no live old context — the old fingerprint's
         // snapshot, filtered through the delta rules, seeds the resolve.
         let reg2 = ContextRegistry::new();
-        let (ctx2, report) = reg2.resolve(
-            &g_new,
-            &spec,
-            Some(&dir),
-            Some((g_old.fingerprint(), &delta)),
-        );
+        let (ctx2, report) = reg2.resolve(&g_new, Some(&dir), Some((g_old.fingerprint(), &delta)));
         assert_eq!(
             disk_loads(&reg2),
             (1, 0),
@@ -380,13 +374,9 @@ fn delta_resolution_seeds_from_the_old_snapshot_across_restarts() {
         let mut mutated = (*g_old).clone();
         mutated.apply_delta(&edit);
         let g_edit = Arc::new(mutated);
-        let (_, from_disk) = ContextRegistry::new().resolve(
-            &g_edit,
-            &spec,
-            Some(&dir),
-            Some((g_old.fingerprint(), &edit)),
-        );
-        let from_memory = CondenseContext::for_spec(&g_edit, &spec).seed_from(&ctx1, &edit);
+        let (_, from_disk) =
+            ContextRegistry::new().resolve(&g_edit, Some(&dir), Some((g_old.fingerprint(), &edit)));
+        let from_memory = CondenseContext::new(&g_edit).seed_from(&ctx1, &edit);
         assert_same_persisted_reuse(&from_disk, &from_memory, &format!("edit of {e:?}"));
         vectors_kept += from_disk[CacheFamily::Influence] + from_disk[CacheFamily::Diversity];
     }

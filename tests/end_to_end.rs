@@ -24,8 +24,7 @@ fn quick_cfg() -> EvalConfig {
 fn run_dataset(kind: DatasetKind, scale: f64, ratio: f64) {
     let g = generate(kind, scale, 0);
     let bench = Bench::new(&g, quick_cfg());
-    let spec = CondenseSpec::new(ratio).with_max_hops(2);
-    let cond = FreeHgc::default().condense(&g, &spec);
+    let cond = FreeHgc::default().condense_in(&bench.ctx, &bench.spec(ratio, 0));
     cond.validate(&g);
 
     // Mean over a few training seeds: a single 30-epoch run on these
@@ -141,8 +140,7 @@ fn whole_graph_dominates_condensed_on_average() {
     let g = generate(DatasetKind::Acm, 0.25, 1);
     let bench = Bench::new(&g, quick_cfg());
     let whole = bench.whole_graph(bench.cfg.model, &[0, 1]);
-    let spec = CondenseSpec::new(0.05).with_max_hops(2);
-    let cond = FreeHgc::default().condense(&g, &spec);
+    let cond = FreeHgc::default().condense_in(&bench.ctx, &bench.spec(0.05, 0));
     let cond_acc = bench.eval_condensed(&cond, bench.cfg.model, 0) * 100.0;
     assert!(
         whole.acc_mean + 5.0 > cond_acc,

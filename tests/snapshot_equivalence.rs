@@ -111,13 +111,13 @@ fn snapshot_round_trip_matches_fresh_for_every_condenser() {
         .collect();
     let ctx1 = reg1.context_for(&g, &spec);
     let pf1 = propagate_ctx(&ctx1, 2, 16);
-    let path = reg1.persist(&dir, &g, &spec).expect("persist");
-    assert!(path.ends_with(snapshot_file_name(g.fingerprint(), spec.max_row_nnz)));
+    let path = reg1.persist(&dir, &g).expect("persist");
+    assert!(path.ends_with(snapshot_file_name(g.fingerprint())));
 
     for threads in [1usize, 4] {
         // "Process two": a fresh registry resolves warm from disk.
         let reg2 = ContextRegistry::new();
-        let ctx2 = reg2.resolve(&g, &spec, Some(&dir), None).0;
+        let ctx2 = reg2.resolve(&g, Some(&dir), None).0;
         assert_eq!(disk_loads(&reg2), (1, 0), "{threads}t: must load");
         let pf2 = propagate_ctx(&ctx2, 2, 16);
         let propagated = ctx2.stats()[CacheFamily::Propagated];
@@ -181,7 +181,7 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
     // Persist a genuinely warm snapshot, then a cold reference run.
     let reg1 = ContextRegistry::new();
     let reference = with_threads(1, || FreeHgc::default().condense_shared(&reg1, &g, &spec));
-    let path = reg1.persist(&dir, &g, &spec).expect("persist");
+    let path = reg1.persist(&dir, &g).expect("persist");
     let good = std::fs::read(&path).unwrap();
     assert!(good.len() > 64, "snapshot must have real content");
 
@@ -202,7 +202,7 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
         std::fs::write(&path, &bytes).unwrap();
         for threads in [1usize, 4] {
             let reg = ContextRegistry::new();
-            let ctx = reg.resolve(&g, &spec, Some(&dir), None).0;
+            let ctx = reg.resolve(&g, Some(&dir), None).0;
             assert_eq!(
                 disk_loads(&reg),
                 (0, 1),
@@ -220,11 +220,11 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
     assert_ne!(g.fingerprint(), g2.fingerprint(), "distinct fixtures");
     let regx = ContextRegistry::new();
     with_threads(1, || FreeHgc::default().condense_shared(&regx, &g2, &spec));
-    let other = regx.persist(&dir, &g2, &spec).expect("persist other");
+    let other = regx.persist(&dir, &g2).expect("persist other");
     std::fs::copy(&other, &path).unwrap();
     for threads in [1usize, 4] {
         let reg = ContextRegistry::new();
-        let ctx = reg.resolve(&g, &spec, Some(&dir), None).0;
+        let ctx = reg.resolve(&g, Some(&dir), None).0;
         assert_eq!(
             disk_loads(&reg),
             (0, 1),
@@ -250,7 +250,7 @@ fn snapshot_bytes_match_the_golden_digest() {
 
     let g = tiny(43);
     let spec = CondenseSpec::new(0.25).with_max_hops(2).with_seed(5);
-    let ctx = freehgc::hetgraph::CondenseContext::for_spec(&g, &spec);
+    let ctx = freehgc::hetgraph::CondenseContext::new(&g);
     with_threads(1, || {
         FreeHgc::default().condense_in(&ctx, &spec);
         propagate_ctx(&ctx, 2, 16);
