@@ -281,20 +281,25 @@ impl Matrix {
     /// Row-partitioned parallel: each worker owns a disjoint block of
     /// output rows.
     pub fn matmul(&self, b: &Matrix) -> Matrix {
-        assert_eq!(self.cols, b.rows, "matmul inner dimension mismatch");
         let mut c = Matrix::zeros(self.rows, b.cols);
+        self.matmul_into(b, &mut c.data);
+        c
+    }
+
+    /// [`Matrix::matmul`] into `out`, which must hold `rows × b.cols`
+    /// zeros.
+    pub(crate) fn matmul_into(&self, b: &Matrix, out: &mut [f32]) {
+        assert_eq!(self.cols, b.rows, "matmul inner dimension mismatch");
+        assert_eq!(out.len(), self.rows * b.cols, "matmul output size");
         let flops = self.rows * self.cols * b.cols;
         let chunks = par::chunks_for(flops, MATMUL_FLOP_GRAIN, self.rows);
         if chunks <= 1 {
-            self.matmul_rows(b, 0..self.rows, &mut c.data);
+            self.matmul_rows(b, 0..self.rows, out);
         } else {
             let ranges = par::chunk_ranges(self.rows, chunks);
             let lens: Vec<usize> = ranges.iter().map(|r| r.len() * b.cols).collect();
-            par::par_write_chunks(ranges, lens, &mut c.data, |_, r, out| {
-                self.matmul_rows(b, r, out)
-            });
+            par::par_write_chunks(ranges, lens, out, |_, r, out| self.matmul_rows(b, r, out));
         }
-        c
     }
 
     /// The `A·B` kernel over a contiguous output-row range; see the
@@ -335,20 +340,27 @@ impl Matrix {
     /// order — so results are bitwise-identical to
     /// `self.transpose().matmul_ref(b)`.
     pub fn matmul_tn(&self, b: &Matrix) -> Matrix {
-        assert_eq!(self.rows, b.rows, "matmul_tn outer dimension mismatch");
         let mut c = Matrix::zeros(self.cols, b.cols);
+        self.matmul_tn_into(b, &mut c.data);
+        c
+    }
+
+    /// [`Matrix::matmul_tn`] into `out`, which must hold
+    /// `cols × b.cols` zeros.
+    pub(crate) fn matmul_tn_into(&self, b: &Matrix, out: &mut [f32]) {
+        assert_eq!(self.rows, b.rows, "matmul_tn outer dimension mismatch");
+        assert_eq!(out.len(), self.cols * b.cols, "matmul_tn output size");
         let flops = self.rows * self.cols * b.cols;
         let chunks = par::chunks_for(flops, MATMUL_FLOP_GRAIN, self.cols);
         if chunks <= 1 {
-            self.matmul_tn_cols(b, 0..self.cols, &mut c.data);
+            self.matmul_tn_cols(b, 0..self.cols, out);
         } else {
             let ranges = par::chunk_ranges(self.cols, chunks);
             let lens: Vec<usize> = ranges.iter().map(|r| r.len() * b.cols).collect();
-            par::par_write_chunks(ranges, lens, &mut c.data, |_, r, out| {
+            par::par_write_chunks(ranges, lens, out, |_, r, out| {
                 self.matmul_tn_cols(b, r, out)
             });
         }
-        c
     }
 
     /// The `Aᵀ·B` kernel for output rows `ks` (a range of `A`'s
@@ -462,8 +474,14 @@ impl Matrix {
     /// Row-wise numerically stable softmax.
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();
-        for r in 0..out.rows {
-            let row = out.row_mut(r);
+        out.softmax_rows_in_place();
+        out
+    }
+
+    /// [`Matrix::softmax_rows`] in place.
+    pub(crate) fn softmax_rows_in_place(&mut self) {
+        for r in 0..self.rows {
+            let row = self.row_mut(r);
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0f32;
             for v in row.iter_mut() {
@@ -476,7 +494,6 @@ impl Matrix {
                 }
             }
         }
-        out
     }
 
     /// Index of the largest entry in each row.
@@ -512,11 +529,25 @@ impl Matrix {
     /// Horizontally concatenates matrices with equal row counts.
     pub fn hcat(parts: &[&Matrix]) -> Matrix {
         assert!(!parts.is_empty());
-        let rows = parts[0].rows;
-        assert!(parts.iter().all(|m| m.rows == rows), "hcat row mismatch");
         let cols: usize = parts.iter().map(|m| m.cols).sum();
-        let mut out = Matrix::zeros(rows, cols);
-        for r in 0..rows {
+        let mut out = Matrix::zeros(parts[0].rows, cols);
+        Matrix::hcat_into(parts, &mut out);
+        out
+    }
+
+    /// [`Matrix::hcat`] into `out`, which must have the parts' row count
+    /// and their summed widths; every element is overwritten.
+    pub(crate) fn hcat_into(parts: &[&Matrix], out: &mut Matrix) {
+        assert!(
+            parts.iter().all(|m| m.rows == out.rows),
+            "hcat row mismatch"
+        );
+        assert_eq!(
+            parts.iter().map(|m| m.cols).sum::<usize>(),
+            out.cols,
+            "hcat width"
+        );
+        for r in 0..out.rows {
             let orow = out.row_mut(r);
             let mut off = 0usize;
             for m in parts {
@@ -524,7 +555,6 @@ impl Matrix {
                 off += m.cols;
             }
         }
-        out
     }
 }
 

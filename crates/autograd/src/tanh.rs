@@ -3,11 +3,13 @@
 //! [`tanh_in_place`] gives every element the bits glibc's `tanhf`
 //! gives it, which is what `f32::tanh` returns on x86_64 Linux, but it
 //! works on a whole slice so LLVM vectorizes the loop. On a 2-core
-//! x86_64 host, over 107,520 elements, calling libm once per element
-//! costs ~33 ns an element; this loop costs ~13 ns at the baseline
-//! target and ~7 ns with AVX2. Semantic
-//! attention runs `tanh` over every projected block on every forward
-//! pass, so that difference is a large share of HGNN training time.
+//! x86_64 host with AVX-512, over 107,520 elements, calling libm once
+//! per element costs ~33 ns an element; this loop costs ~13 ns at the
+//! baseline target. Timed later on the same host, best of 200 passes
+//! each, the AVX2 build took ~4.2 ns and the AVX-512 build ~2.8 ns.
+//! Semantic attention runs `tanh` over every projected block on every
+//! forward pass, so that difference is a large share of HGNN training
+//! time.
 //!
 //! # Why it copies libm's operation sequence
 //!
@@ -25,20 +27,25 @@
 //!   loop has no control flow left to stop vectorization;
 //! * Rust never contracts a multiply and an add into a fused
 //!   multiply-add (it has no fast-math mode), so every rounding libm
-//!   performs happens here too. The AVX2 build enables no FMA either.
+//!   performs happens here too. The AVX2 build enables no FMA; the
+//!   AVX-512 build implies it, but only an explicit `mul_add` would
+//!   emit one.
 //!
 //! Branches `tanhf` never reaches through `expm1f` are left out:
 //! `expm1f` sees only finite arguments `2|x|` with `|x| ∈ [1, 22)` and
 //! `−2|x|` with `|x| < 1`, so its overflow, `−1` saturation and `k = 1`
 //! cases cannot occur (a positive argument is at least 2, so `k ≥ 3`).
 //!
-//! # Two builds
+//! # Three builds
 //!
-//! The loop is compiled for the baseline target and again under
-//! `#[target_feature(enable = "avx2")]`; [`tanh_in_place`] picks one at
-//! run time with `is_x86_feature_detected!`. AVX2 is needed for 8-lane
-//! integer adds on the exponent bits. Both builds run the same
-//! operations, so they agree with each other bit for bit on any host.
+//! The loop is compiled for the baseline target, again under
+//! `#[target_feature(enable = "avx2")]` and again under
+//! `#[target_feature(enable = "avx512f")]`; [`tanh_in_place`] picks
+//! the widest the CPU has at run time with `is_x86_feature_detected!`.
+//! AVX2 is needed for 8-lane integer adds on the exponent bits, and
+//! AVX-512F gives 16 lanes with mask registers for the selects. All
+//! builds run the same lane code, so they agree with each other bit for
+//! bit on any host.
 //! On other architectures the baseline build runs; it still follows
 //! fdlibm's sequence, so its bits do not depend on the platform's libm.
 
@@ -57,11 +64,40 @@ const TINY: f32 = 1.0e-30;
 /// Replaces every element of `xs` with its hyperbolic tangent, bit for
 /// bit equal to glibc's `tanhf` (see the module docs).
 pub fn tanh_in_place(xs: &mut [f32]) {
+    match tanh_build() {
+        // SAFETY: `tanh_build` names a build only when the CPU has its
+        // target feature.
+        #[cfg(target_arch = "x86_64")]
+        "avx512" => unsafe { tanh_avx512(xs) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        "avx2" => unsafe { tanh_avx2(xs) },
+        _ => tanh_loop(xs),
+    }
+}
+
+/// The build [`tanh_in_place`] runs on this CPU: `"avx512"`, `"avx2"`
+/// or `"baseline"`.
+pub fn tanh_build() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        return "avx512";
+    }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2, checked just above.
-        return unsafe { tanh_avx2(xs) };
+        return "avx2";
     }
+    "baseline"
+}
+
+/// The loop compiled with AVX-512F (16 lanes).
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tanh_avx512(xs: &mut [f32]) {
     tanh_loop(xs);
 }
 
@@ -212,17 +248,27 @@ mod tests {
     /// One build of the loop and the name mismatches report.
     type Build = (&'static str, fn(&mut [f32]));
 
-    /// Both builds of the loop.
+    /// Every build of the loop this CPU runs. Prints their names, so a
+    /// test log shows whether the AVX-512 build was checked.
     fn builds() -> Vec<Build> {
         let mut out: Vec<Build> = vec![("baseline", |xs| tanh_loop(xs))];
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 is present, checked just above.
             out.push(("avx2", |xs| unsafe { tanh_avx2(xs) }));
         }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: AVX-512F is present, checked just above.
+            out.push(("avx512", |xs| unsafe { tanh_avx512(xs) }));
+        }
+        let names: Vec<&str> = out.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "tanh builds checked: {names:?}; dispatch runs {}",
+            tanh_build()
+        );
         out
     }
 
-    /// Asserts both builds and the dispatching entry point map `bits`
+    /// Asserts every build and the dispatching entry point map `bits`
     /// to `f32::tanh`'s bits.
     fn check(bits: &[u32]) {
         let want: Vec<u32> = bits
@@ -314,7 +360,7 @@ mod tests {
         check(&bits);
     }
 
-    /// All 2^32 inputs through both builds against `f32::tanh`, split
+    /// All 2^32 inputs through every build against `f32::tanh`, split
     /// over the `freehgc_parallel` thread budget. Takes minutes in
     /// release; run it with
     /// `cargo test --release -p freehgc_autograd --lib -- --ignored tanh::tests::exhaustive`.

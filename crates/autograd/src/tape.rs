@@ -3,9 +3,11 @@
 //! A [`Tape`] records a forward computation over [`Matrix`] values as a DAG
 //! of nodes; [`Tape::backward`] walks the tape in reverse, accumulating
 //! gradients. Trainable parameters live in a [`ParamStore`] outside the
-//! tape (the tape is rebuilt every step), and
-//! [`Tape::accumulate_param_grads`] exports gradients back to the store for
-//! the optimizer.
+//! tape (the tape is rebuilt every step). The tape borrows parameter
+//! values from the store instead of copying them, so the gradients go
+//! back in two steps: [`Tape::param_grads`] moves them out of the sweep,
+//! and once the tape is done with the store,
+//! [`ParamStore::accumulate_grads`] adds them in for the optimizer.
 //!
 //! The op set is exactly what the HGNN heads and the gradient-matching
 //! baselines (GCond / HGCond) need — including `matmul_tn`, which lets the
@@ -22,12 +24,26 @@
 //! matrix — costs no backward work, and [`Gradients::get`] returns
 //! `None` for it. The pruned gradients are exactly those no parameter
 //! depends on, so every parameter gradient keeps its bits.
+//!
+//! # Inference tapes
+//!
+//! A tape made with [`Tape::inference`] only runs forward: no node
+//! requires a gradient, parameters included, so no op keeps backward
+//! state (a dropout mask, the softmax of a cross-entropy). Its op
+//! outputs are buffers taken from the thread's
+//! [`freehgc_parallel::workspace`] pool and handed back when the tape
+//! drops, so repeated forward passes over the same shapes (validation
+//! every epoch, `predict`) reuse one set of buffers instead of getting
+//! fresh zeroed pages for every op. Every op writes each element of its
+//! output with the operations a training tape performs, so both kinds
+//! of tape compute the same bits.
 
 use crate::matrix::Matrix;
 use crate::tanh::tanh_in_place;
+use freehgc_parallel::workspace;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::borrow::Cow;
+use std::ops::Deref;
 
 /// Handle to a node on a [`Tape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,6 +102,42 @@ impl ParamStore {
         }
     }
 
+    /// Adds each `(id, gradient)` pair into that parameter's gradient,
+    /// in order; the pairs come from [`Tape::param_grads`].
+    pub fn accumulate_grads(&mut self, grads: impl IntoIterator<Item = (ParamId, Matrix)>) {
+        for (id, g) in grads {
+            self.grads[id.0].add_assign(&g);
+        }
+    }
+
+    /// Every parameter value, mutably, beside its gradient, in id order.
+    pub fn values_and_grads_mut(&mut self) -> impl Iterator<Item = (&mut Matrix, &Matrix)> {
+        self.values.iter_mut().zip(&self.grads)
+    }
+
+    /// Every parameter value, in id order.
+    pub fn values(&self) -> &[Matrix] {
+        &self.values
+    }
+
+    /// Copies every parameter value into `dst`, which holds one matrix
+    /// of the same shape per parameter (a clone of [`ParamStore::values`]).
+    pub fn save_values(&self, dst: &mut [Matrix]) {
+        assert_eq!(dst.len(), self.values.len(), "one matrix per parameter");
+        for (d, v) in dst.iter_mut().zip(&self.values) {
+            d.data.copy_from_slice(&v.data);
+        }
+    }
+
+    /// Overwrites every parameter value with `src`'s, as saved by
+    /// [`ParamStore::save_values`]; gradients are left alone.
+    pub fn load_values(&mut self, src: &[Matrix]) {
+        assert_eq!(src.len(), self.values.len(), "one matrix per parameter");
+        for (v, s) in self.values.iter_mut().zip(src) {
+            v.data.copy_from_slice(&s.data);
+        }
+    }
+
     pub fn param_ids(&self) -> impl Iterator<Item = ParamId> {
         (0..self.values.len()).map(ParamId)
     }
@@ -126,11 +178,38 @@ enum Op {
     ConcatCols(Vec<NodeId>),
 }
 
+/// A node's value.
+enum Value<'a> {
+    /// A parameter, or a constant inserted with [`Tape::constant_ref`].
+    Borrowed(&'a Matrix),
+    Owned(Matrix),
+    /// An inference tape's op output; back to the pool on drop.
+    Pooled(Pooled),
+}
+
+/// A matrix whose buffer came from [`workspace::take_f32_owned`] and
+/// goes back with [`workspace::give_f32`] when it drops.
+struct Pooled(Matrix);
+
+impl Drop for Pooled {
+    fn drop(&mut self) {
+        workspace::give_f32(std::mem::take(&mut self.0.data));
+    }
+}
+
+impl Deref for Value<'_> {
+    type Target = Matrix;
+    fn deref(&self) -> &Matrix {
+        match self {
+            Value::Borrowed(m) => m,
+            Value::Owned(m) | Value::Pooled(Pooled(m)) => m,
+        }
+    }
+}
+
 struct Node<'a> {
     op: Op,
-    /// Borrowed only for a constant inserted with
-    /// [`Tape::constant_ref`].
-    value: Cow<'a, Matrix>,
+    value: Value<'a>,
     aux: Option<Matrix>,
     labels: Option<Vec<u32>>,
     /// Whether a parameter reaches this node, so that its gradient can
@@ -139,11 +218,13 @@ struct Node<'a> {
 }
 
 /// A single forward computation; build ops, call [`Tape::backward`] once.
-/// Constants inserted with [`Tape::constant_ref`] are borrowed for the
-/// tape's lifetime `'a` instead of copied.
+/// Parameters and constants inserted with [`Tape::constant_ref`] are
+/// borrowed for the tape's lifetime `'a` instead of copied.
 #[derive(Default)]
 pub struct Tape<'a> {
     nodes: Vec<Node<'a>>,
+    /// Made by [`Tape::inference`] (see the module docs).
+    inference: bool,
 }
 
 impl<'a> Tape<'a> {
@@ -151,15 +232,73 @@ impl<'a> Tape<'a> {
         Self::default()
     }
 
-    fn push(&mut self, op: Op, value: Matrix) -> NodeId {
-        self.push_value(op, Cow::Owned(value))
+    /// A forward-only tape: nothing gets a gradient, and op outputs
+    /// reuse pooled buffers (see the module docs).
+    pub fn inference() -> Self {
+        Self {
+            nodes: Vec::new(),
+            inference: true,
+        }
     }
 
-    fn push_value(&mut self, op: Op, value: Cow<'a, Matrix>) -> NodeId {
+    /// A `rows × cols` buffer for an op's output, with unspecified
+    /// contents: the op writes every element. An inference tape takes
+    /// it from the workspace pool.
+    fn output(&self, rows: usize, cols: usize) -> Matrix {
+        if self.inference {
+            let data = workspace::take_f32_owned(rows * cols);
+            Matrix { rows, cols, data }
+        } else {
+            Matrix::zeros(rows, cols)
+        }
+    }
+
+    /// [`Tape::output`] filled with zeros, for ops that accumulate.
+    fn output_zeroed(&self, rows: usize, cols: usize) -> Matrix {
+        let mut m = self.output(rows, cols);
+        if self.inference {
+            m.data.fill(0.0);
+        }
+        m
+    }
+
+    /// `f` applied to every element of `a`.
+    fn map(&self, a: NodeId, f: impl Fn(f32) -> f32) -> Matrix {
+        let av = self.value(a);
+        let mut v = self.output(av.rows, av.cols);
+        for (o, &x) in v.data.iter_mut().zip(&av.data) {
+            *o = f(x);
+        }
+        v
+    }
+
+    /// `f` applied to every pair of elements of the same-shape `a` and
+    /// `b`.
+    fn zip_map(&self, a: NodeId, b: NodeId, what: &str, f: impl Fn(f32, f32) -> f32) -> Matrix {
+        let (av, bv) = (self.value(a), self.value(b));
+        assert_eq!(av.shape(), bv.shape(), "{what} shape mismatch");
+        let mut v = self.output(av.rows, av.cols);
+        for ((o, &x), &y) in v.data.iter_mut().zip(&av.data).zip(&bv.data) {
+            *o = f(x, y);
+        }
+        v
+    }
+
+    /// Records an op whose output [`Tape::output`] made.
+    fn push(&mut self, op: Op, value: Matrix) -> NodeId {
+        let value = if self.inference {
+            Value::Pooled(Pooled(value))
+        } else {
+            Value::Owned(value)
+        };
+        self.push_value(op, value)
+    }
+
+    fn push_value(&mut self, op: Op, value: Value<'a>) -> NodeId {
         let req = |id: &NodeId| self.nodes[id.0].requires_grad;
         let requires_grad = match &op {
             Op::Constant => false,
-            Op::Param(_) => true,
+            Op::Param(_) => !self.inference,
             Op::MatMul(a, b)
             | Op::MatMulTN(a, b)
             | Op::Add(a, b)
@@ -195,33 +334,39 @@ impl<'a> Tape<'a> {
     /// Inserts a non-trainable input. It never receives a gradient, and
     /// neither does any node computed from constants alone.
     pub fn constant(&mut self, m: Matrix) -> NodeId {
-        self.push(Op::Constant, m)
+        self.push_value(Op::Constant, Value::Owned(m))
     }
 
     /// [`Tape::constant`] without the copy: the tape borrows `m` for its
     /// lifetime.
     pub fn constant_ref(&mut self, m: &'a Matrix) -> NodeId {
-        self.push_value(Op::Constant, Cow::Borrowed(m))
+        self.push_value(Op::Constant, Value::Borrowed(m))
     }
 
-    /// Inserts a trainable parameter (its value is copied from the store).
-    pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
-        self.push(Op::Param(id), store.value(id).clone())
+    /// Inserts a trainable parameter. The tape borrows its value from
+    /// `store`, so the store can take the gradients only once the tape
+    /// is done (see [`Tape::param_grads`]).
+    pub fn param(&mut self, store: &'a ParamStore, id: ParamId) -> NodeId {
+        self.push_value(Op::Param(id), Value::Borrowed(store.value(id)))
     }
 
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
+        let (av, bv) = (self.value(a), self.value(b));
+        let mut v = self.output_zeroed(av.rows, bv.cols);
+        av.matmul_into(bv, &mut v.data);
         self.push(Op::MatMul(a, b), v)
     }
 
     /// `AᵀB`.
     pub fn matmul_tn(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a.0].value.matmul_tn(&self.nodes[b.0].value);
+        let (av, bv) = (self.value(a), self.value(b));
+        let mut v = self.output_zeroed(av.cols, bv.cols);
+        av.matmul_tn_into(bv, &mut v.data);
         self.push(Op::MatMulTN(a, b), v)
     }
 
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a.0].value.add(&self.nodes[b.0].value);
+        let v = self.zip_map(a, b, "add", |x, y| x + y);
         self.push(Op::Add(a, b), v)
     }
 
@@ -230,105 +375,132 @@ impl<'a> Tape<'a> {
         let (av, bv) = (self.value(a), self.value(bias));
         assert_eq!(bv.rows, 1, "bias must be a single row");
         assert_eq!(bv.cols, av.cols, "bias width mismatch");
-        let mut v = av.clone();
+        let mut v = self.output(av.rows, av.cols);
         for r in 0..v.rows {
-            for (x, y) in v.row_mut(r).iter_mut().zip(bv.row(0)) {
-                *x += y;
+            for ((o, &x), &y) in v.row_mut(r).iter_mut().zip(av.row(r)).zip(bv.row(0)) {
+                *o = x + y;
             }
         }
         self.push(Op::AddBias(a, bias), v)
     }
 
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a.0].value.sub(&self.nodes[b.0].value);
+        let v = self.zip_map(a, b, "sub", |x, y| x - y);
         self.push(Op::Sub(a, b), v)
     }
 
     pub fn hadamard(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.nodes[a.0].value.hadamard(&self.nodes[b.0].value);
+        let v = self.zip_map(a, b, "hadamard", |x, y| x * y);
         self.push(Op::Hadamard(a, b), v)
     }
 
     pub fn scale(&mut self, a: NodeId, s: f32) -> NodeId {
-        let v = self.nodes[a.0].value.scale(s);
+        let v = self.map(a, |x| x * s);
         self.push(Op::Scale(a, s), v)
     }
 
+    /// `max(x, 0)` as a select, which vectorizes; a conditional store
+    /// does not. `-0.0` and NaN pass through, as `x < 0.0` is false for
+    /// both.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let mut v = self.value(a).clone();
-        for x in v.data.iter_mut() {
-            if *x < 0.0 {
-                *x = 0.0;
-            }
-        }
+        let v = self.map(a, |x| if x < 0.0 { 0.0 } else { x });
         self.push(Op::Relu(a), v)
     }
 
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let mut v = self.value(a).clone();
-        for x in v.data.iter_mut() {
-            *x = 1.0 / (1.0 + (-*x).exp());
-        }
+        let v = self.map(a, |x| 1.0 / (1.0 + (-x).exp()));
         self.push(Op::Sigmoid(a), v)
     }
 
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let mut v = self.value(a).clone();
+        let av = self.value(a);
+        let mut v = self.output(av.rows, av.cols);
+        v.data.copy_from_slice(&av.data);
         tanh_in_place(&mut v.data);
         self.push(Op::Tanh(a), v)
     }
 
     /// Inverted dropout: at train time each entry is zeroed with
-    /// probability `p` and survivors are scaled by `1/(1−p)`.
+    /// probability `p` and survivors are scaled by `1/(1−p)`. One pass
+    /// draws each entry's mask value, in order, and writes `x · mask`;
+    /// the mask is kept for the backward pass when `a` requires a
+    /// gradient.
     pub fn dropout(&mut self, a: NodeId, p: f32, rng: &mut StdRng) -> NodeId {
         assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1)");
-        let src = &self.nodes[a.0].value;
+        let src = self.value(a);
         let keep = 1.0 - p;
-        let mut mask = Matrix::zeros(src.rows, src.cols);
-        for m in mask.data.iter_mut() {
-            if rng.gen::<f32>() < keep {
-                *m = 1.0 / keep;
-            }
+        let mut v = self.output(src.rows, src.cols);
+        let mut mask = Vec::with_capacity(src.data.len());
+        for (o, &x) in v.data.iter_mut().zip(&src.data) {
+            let m = if rng.gen::<f32>() < keep {
+                1.0 / keep
+            } else {
+                0.0
+            };
+            mask.push(m);
+            *o = x * m;
         }
-        let v = src.hadamard(&mask);
+        let mask = Matrix::from_vec(src.rows, src.cols, mask);
         let id = self.push(Op::Dropout(a), v);
-        self.nodes[id.0].aux = Some(mask);
+        self.keep_for_backward(id, mask, None);
         id
     }
 
     pub fn softmax_rows(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a.0].value.softmax_rows();
+        let av = self.value(a);
+        let mut v = self.output(av.rows, av.cols);
+        v.data.copy_from_slice(&av.data);
+        v.softmax_rows_in_place();
         self.push(Op::SoftmaxRows(a), v)
     }
 
     /// Mean cross-entropy of row-wise softmax against integer labels;
     /// returns a scalar node.
     pub fn cross_entropy_mean(&mut self, logits: NodeId, labels: &[u32]) -> NodeId {
-        let probs = self.nodes[logits.0].value.softmax_rows();
+        let probs = self.value(logits).softmax_rows();
         assert_eq!(probs.rows, labels.len(), "one label per row");
         let n = labels.len().max(1) as f32;
         let mut loss = 0f32;
         for (r, &y) in labels.iter().enumerate() {
             loss -= (probs.get(r, y as usize) + 1e-12).ln();
         }
-        let id = self.push(Op::CrossEntropyMean(logits), Matrix::scalar(loss / n));
-        self.nodes[id.0].aux = Some(probs);
-        self.nodes[id.0].labels = Some(labels.to_vec());
+        let v = self.scalar_output(loss / n);
+        let id = self.push(Op::CrossEntropyMean(logits), v);
+        self.keep_for_backward(id, probs, Some(labels));
         id
     }
 
     /// Sum of squared entries; returns a scalar node.
     pub fn sum_squares(&mut self, a: NodeId) -> NodeId {
-        let v = Matrix::scalar(self.nodes[a.0].value.sum_squares());
+        let v = self.scalar_output(self.value(a).sum_squares());
         self.push(Op::SumSquares(a), v)
+    }
+
+    /// A `1 × 1` op output holding `x`.
+    fn scalar_output(&self, x: f32) -> Matrix {
+        let mut v = self.output(1, 1);
+        v.data[0] = x;
+        v
+    }
+
+    /// Stores what node `id`'s backward step reads, if it will run:
+    /// only a node that requires a gradient is ever propagated.
+    fn keep_for_backward(&mut self, id: NodeId, aux: Matrix, labels: Option<&[u32]>) {
+        let node = &mut self.nodes[id.0];
+        if node.requires_grad {
+            node.aux = Some(aux);
+            node.labels = labels.map(<[u32]>::to_vec);
+        }
     }
 
     /// Element-wise sum of same-shape nodes.
     pub fn add_n(&mut self, parts: &[NodeId]) -> NodeId {
         assert!(!parts.is_empty());
-        let mut v = self.value(parts[0]).clone();
+        let first = self.value(parts[0]);
+        let mut v = self.output(first.rows, first.cols);
+        v.data.copy_from_slice(&first.data);
         for p in &parts[1..] {
-            v.add_assign(&self.nodes[p.0].value);
+            v.add_assign(self.value(*p));
         }
         self.push(Op::AddN(parts.to_vec()), v)
     }
@@ -341,7 +513,7 @@ impl<'a> Tape<'a> {
         assert_eq!(w.rows, 1, "weights must be 1 × L");
         assert_eq!(w.cols, mats.len(), "one weight per matrix");
         let (r, c) = self.nodes[mats[0].0].value.shape();
-        let mut v = Matrix::zeros(r, c);
+        let mut v = self.output_zeroed(r, c);
         for (i, &m) in mats.iter().enumerate() {
             let mv = &self.nodes[m.0].value;
             assert_eq!(mv.shape(), (r, c), "weighted_sum shape mismatch");
@@ -362,12 +534,15 @@ impl<'a> Tape<'a> {
     /// Horizontal concatenation of nodes with equal row counts.
     pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
         let mats: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
-        let v = Matrix::hcat(&mats);
+        assert!(!mats.is_empty());
+        let cols = mats.iter().map(|m| m.cols).sum();
+        let mut v = self.output(mats[0].rows, cols);
+        Matrix::hcat_into(&mats, &mut v);
         self.push(Op::ConcatCols(parts.to_vec()), v)
     }
 
     /// Reverse-mode sweep from a scalar `loss` node. Returns per-node
-    /// gradients; use [`Gradients::get`] / [`Tape::accumulate_param_grads`]
+    /// gradients; use [`Gradients::get`] / [`Tape::param_grads`]
     /// afterwards. Only nodes that require a gradient get one (see the
     /// module docs); a loss computed from constants alone gives none.
     pub fn backward(&mut self, loss: NodeId) -> Gradients {
@@ -441,9 +616,7 @@ impl<'a> Tape<'a> {
                 let av = &self.nodes[a.0].value;
                 let mut d = g.clone();
                 for (x, &orig) in d.data.iter_mut().zip(&av.data) {
-                    if orig <= 0.0 {
-                        *x = 0.0;
-                    }
+                    *x = if orig <= 0.0 { 0.0 } else { *x };
                 }
                 d
             }),
@@ -530,15 +703,18 @@ impl<'a> Tape<'a> {
         }
     }
 
-    /// Adds the gradients of every `param` node into the store.
-    pub fn accumulate_param_grads(&self, grads: &Gradients, store: &mut ParamStore) {
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let Op::Param(pid) = node.op {
-                if let Some(g) = &grads.grads[i] {
-                    store.grad_mut(pid).add_assign(g);
-                }
-            }
-        }
+    /// Moves the gradient of every `param` node out of `grads`, with its
+    /// parameter, in tape order; [`ParamStore::accumulate_grads`] adds
+    /// them into the store once the tape no longer borrows it.
+    pub fn param_grads(&self, mut grads: Gradients) -> Vec<(ParamId, Matrix)> {
+        self.nodes
+            .iter()
+            .zip(&mut grads.grads)
+            .filter_map(|(node, g)| match node.op {
+                Op::Param(pid) => g.take().map(|g| (pid, g)),
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -575,8 +751,9 @@ mod tests {
         let x = tape.param(&store, p);
         let loss = f(&mut tape, x);
         let grads = tape.backward(loss);
+        let grads = tape.param_grads(grads);
         store.zero_grads();
-        tape.accumulate_param_grads(&grads, &mut store);
+        store.accumulate_grads(grads);
         let analytic = store.grad(p).clone();
 
         let eps = 1e-2f32;
@@ -718,7 +895,8 @@ mod tests {
         assert_eq!(t.value(d), store.value(p));
         let loss = t.sum_squares(d);
         let g = t.backward(loss);
-        t.accumulate_param_grads(&g, &mut store);
+        let g = t.param_grads(g);
+        store.accumulate_grads(g);
         let expect = store.value(p).scale(2.0);
         for (a, b) in store.grad(p).data.iter().zip(&expect.data) {
             assert!((a - b).abs() < 1e-5);
@@ -739,6 +917,86 @@ mod tests {
     }
 
     #[test]
+    fn relu_select_matches_the_conditional_store_on_special_values() {
+        let xs = [
+            -0.0f32,
+            0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x0000_0001), // smallest subnormal
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff), // largest subnormal
+            f32::from_bits(0x807f_ffff),
+            1.0,
+            -1.0,
+        ];
+        let upstream = [1.5f32, f32::NAN, f32::NEG_INFINITY, 3e-45, -2.0];
+        // Every input beside every upstream gradient: the loss y·c
+        // hands relu the gradient c.
+        let x: Vec<f32> = xs.iter().flat_map(|&x| upstream.map(|_| x)).collect();
+        let c: Vec<f32> = xs.iter().flat_map(|_| upstream).collect();
+        let n = x.len();
+        let mut store = ParamStore::new();
+        let p = store.add(Matrix::from_vec(1, n, x.clone()));
+        let mut t = Tape::new();
+        let xn = t.param(&store, p);
+        let y = t.relu(xn);
+        let cn = t.constant(Matrix::from_vec(n, 1, c));
+        let loss = t.matmul(y, cn);
+        let g = t.backward(loss);
+
+        let bits = |m: &Matrix| -> Vec<u32> { m.data.iter().map(|v| v.to_bits()).collect() };
+        let mut want = x.clone();
+        for v in want.iter_mut() {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+        assert_eq!(bits(t.value(y)), bits(&Matrix::from_vec(1, n, want)));
+        let mut want = g.get(y).expect("relu output gradient").clone();
+        for (d, &orig) in want.data.iter_mut().zip(&x) {
+            if orig <= 0.0 {
+                *d = 0.0;
+            }
+        }
+        assert_eq!(bits(g.get(xn).expect("relu input gradient")), bits(&want));
+    }
+
+    #[test]
+    fn dropout_keeps_its_draw_order_and_products() {
+        // The two-pass form the fused loop replaced: a zeroed mask
+        // filled in draw order, then `x · mask`.
+        let x = Matrix::xavier(9, 7, 24);
+        let p = 0.3f32;
+        let mut rng = StdRng::seed_from_u64(25);
+        let keep = 1.0 - p;
+        let mut mask = Matrix::zeros(9, 7);
+        for m in mask.data.iter_mut() {
+            if rng.gen::<f32>() < keep {
+                *m = 1.0 / keep;
+            }
+        }
+        let want = x.hadamard(&mask);
+        let next_draw = rng.gen::<u64>();
+
+        let mut store = ParamStore::new();
+        let id = store.add(x);
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut t = Tape::new();
+        let xn = t.param(&store, id);
+        let d = t.dropout(xn, p, &mut rng);
+        assert_eq!(t.value(d), &want);
+        assert_eq!(rng.gen::<u64>(), next_draw, "same number of draws");
+        let loss = t.sum_squares(d);
+        let g = t.backward(loss);
+        // d(Σ y²)/dx = 2y · mask.
+        let want_grad = want.scale(2.0).hadamard(&mask);
+        assert_eq!(g.get(xn), Some(&want_grad));
+    }
+
+    #[test]
     fn param_grads_accumulate_across_uses() {
         let mut store = ParamStore::new();
         let p = store.add(Matrix::from_vec(1, 1, vec![3.0]));
@@ -748,7 +1006,8 @@ mod tests {
         let s = t.add(x, x);
         let loss = t.sum_squares(s);
         let g = t.backward(loss);
-        t.accumulate_param_grads(&g, &mut store);
+        let g = t.param_grads(g);
+        store.accumulate_grads(g);
         assert!((store.grad(p).get(0, 0) - 24.0).abs() < 1e-4);
     }
 

@@ -16,8 +16,9 @@ where
     let x = tape.param(&store, p);
     let loss = f(&mut tape, x);
     let grads = tape.backward(loss);
+    let grads = tape.param_grads(grads);
     store.zero_grads();
-    tape.accumulate_param_grads(&grads, &mut store);
+    store.accumulate_grads(grads);
     let analytic = store.grad(p).clone();
 
     let eps = 5e-2f32;

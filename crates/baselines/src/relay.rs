@@ -365,16 +365,17 @@ pub fn gradient_matching_refine(
             // Inner loop: train the relay classifier on synthetic data.
             for _ in 0..cfg.inner {
                 inner_steps += 1;
-                let mut t = Tape::new();
                 let mut ws = ParamStore::new();
                 let wid = ws.add(w.clone());
+                let mut t = Tape::new();
                 let psi = t.constant_ref(&psi_syn_now);
                 let wn = t.param(&ws, wid);
                 let logits = t.matmul(psi, wn);
                 let loss = t.cross_entropy_mean(logits, &y_syn);
                 let grads = t.backward(loss);
+                let grads = t.param_grads(grads);
                 ws.zero_grads();
-                t.accumulate_param_grads(&grads, &mut ws);
+                ws.accumulate_grads(grads);
                 adam_w[s].step(&mut ws);
                 *w = ws.value(wid).clone();
             }
@@ -407,8 +408,9 @@ pub fn gradient_matching_refine(
         let total = t.add_n(&losses);
         final_loss = t.value(total).get(0, 0);
         let grads = t.backward(total);
+        let grads = t.param_grads(grads);
         xstore.zero_grads();
-        t.accumulate_param_grads(&grads, &mut xstore);
+        xstore.accumulate_grads(grads);
         adam_x.step(&mut xstore);
     }
 

@@ -23,7 +23,8 @@
 //! `tanh/<n>` row times the training path's vectorized `tanh` on a
 //! predict-sized input against the per-element `f32::tanh` loop, with
 //! outputs compared as bit patterns; it is serial at every budget and
-//! ungated.
+//! ungated, and its `build` field names the build (`avx512`, `avx2` or
+//! `baseline`) `tanh_in_place` dispatched to.
 //!
 //! **Floors.** The timing gates, each fatal:
 //! * `spgemm` ≥ 1.5× over its reference;
@@ -70,6 +71,9 @@ struct KernelRow {
     /// The floor the serial public kernel must clear over the retained
     /// reference, if the row is gated.
     min_vs_reference: Option<f64>,
+    /// The build the kernel dispatched to, for a kernel compiled more
+    /// than once.
+    build: Option<&'static str>,
 }
 
 impl KernelRow {
@@ -91,7 +95,7 @@ impl KernelRow {
         format!(
             "{{ \"name\": {}, \"reference\": {}, \"reference_ms\": {}, \"serial_ms\": {}, \
              \"parallel_ms\": {}, \"vs_reference\": {}, \"parallel_speedup\": {}, \
-             \"bitwise_equal\": {} }}",
+             \"bitwise_equal\": {}, \"build\": {} }}",
             text(&self.name),
             self.reference.map_or("null".into(), |(r, _)| text(r)),
             num(self.reference.map_or(f64::NAN, |(_, ms)| ms)),
@@ -99,7 +103,8 @@ impl KernelRow {
             num(self.parallel_ms),
             num(self.vs_reference().unwrap_or(f64::NAN)),
             num(self.parallel_speedup()),
-            self.bitwise_equal
+            self.bitwise_equal,
+            self.build.map_or("null".into(), text)
         )
     }
 }
@@ -187,6 +192,8 @@ struct Table {
     reps: usize,
     threads: usize,
     rows: Vec<KernelRow>,
+    /// The build the next rows' kernel dispatches to, if it has several.
+    build: Option<&'static str>,
 }
 
 impl Table {
@@ -200,7 +207,7 @@ impl Table {
         mut reference: Option<(&'static str, &mut dyn FnMut() -> T)>,
         kernel: &mut dyn FnMut() -> T,
     ) {
-        let threads = self.threads;
+        let (threads, build) = (self.threads, self.build);
         let mut time_row = |reps: usize| {
             par::set_thread_override(Some(1));
             let oracle = reference.as_mut().map(|(r, f)| {
@@ -219,6 +226,7 @@ impl Table {
                 parallel_ms,
                 bitwise_equal: serial_out == *want && parallel_out == *want,
                 min_vs_reference,
+                build,
             }
         };
         let mut row = time_row(self.reps);
@@ -256,6 +264,7 @@ fn kernel_rows(quick: bool, reps: usize, threads: usize) -> Vec<KernelRow> {
         reps,
         threads,
         rows: Vec::new(),
+        build: None,
     };
 
     let a = random_sparse(sp_n, sp_n, sp_nnz, 11);
@@ -354,6 +363,7 @@ fn kernel_rows(quick: bool, reps: usize, threads: usize) -> Vec<KernelRow> {
     let th_n = 1680 * 64;
     let mut th_rng = StdRng::seed_from_u64(14);
     let th_x: Vec<f32> = (0..th_n).map(|_| th_rng.gen_range(-4.0f32..4.0)).collect();
+    t.build = Some(freehgc_autograd::tanh::tanh_build());
     t.row(
         format!("tanh/{th_n}"),
         None,
@@ -366,6 +376,7 @@ fn kernel_rows(quick: bool, reps: usize, threads: usize) -> Vec<KernelRow> {
             v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         },
     );
+    t.build = None;
 
     // End to end: feature propagation and Algorithm-1 target selection
     // on the ACM family at bench scale, at most 3 reps each.

@@ -55,9 +55,11 @@ pub trait Model {
     fn store_mut(&mut self) -> &mut ParamStore;
     /// Builds the forward computation and returns the logits node
     /// (`rows × num_classes`). `training` enables dropout. The tape
-    /// borrows `blocks` instead of copying them.
+    /// borrows `blocks` and the parameter values instead of copying
+    /// them. The same description serves training and inference: on a
+    /// [`Tape::inference`] tape it records no backward state.
     fn logits<'a>(
-        &self,
+        &'a self,
         tape: &mut Tape<'a>,
         blocks: &'a [Matrix],
         training: bool,
@@ -102,7 +104,7 @@ impl Projections {
     fn apply<'a>(
         &self,
         tape: &mut Tape<'a>,
-        store: &ParamStore,
+        store: &'a ParamStore,
         blocks: &'a [Matrix],
     ) -> Vec<NodeId> {
         assert_eq!(blocks.len(), self.weights.len(), "block count mismatch");
@@ -127,7 +129,12 @@ fn mean_rows(tape: &mut Tape, h: NodeId) -> NodeId {
 
 /// Semantic-attention weights `softmax_i(mean(tanh(H_i)) · q)` as a
 /// `1 × L` node.
-fn semantic_attention(tape: &mut Tape, store: &ParamStore, hs: &[NodeId], q: ParamId) -> NodeId {
+fn semantic_attention<'a>(
+    tape: &mut Tape<'a>,
+    store: &'a ParamStore,
+    hs: &[NodeId],
+    q: ParamId,
+) -> NodeId {
     let qn = tape.param(store, q);
     let scores: Vec<NodeId> = hs
         .iter()
@@ -183,7 +190,7 @@ impl Model for HeteroSgc {
     }
 
     fn logits<'a>(
-        &self,
+        &'a self,
         tape: &mut Tape<'a>,
         blocks: &'a [Matrix],
         _training: bool,
@@ -253,7 +260,7 @@ impl Model for SeHgnn {
     }
 
     fn logits<'a>(
-        &self,
+        &'a self,
         tape: &mut Tape<'a>,
         blocks: &'a [Matrix],
         training: bool,
@@ -329,7 +336,7 @@ impl Model for Han {
     }
 
     fn logits<'a>(
-        &self,
+        &'a self,
         tape: &mut Tape<'a>,
         blocks: &'a [Matrix],
         _training: bool,
@@ -409,7 +416,7 @@ impl Model for Hgb {
     }
 
     fn logits<'a>(
-        &self,
+        &'a self,
         tape: &mut Tape<'a>,
         blocks: &'a [Matrix],
         training: bool,
@@ -470,7 +477,7 @@ impl Hgt {
         }
     }
 
-    fn head(&self, tape: &mut Tape, hs: &[NodeId], q: ParamId) -> NodeId {
+    fn head<'a>(&'a self, tape: &mut Tape<'a>, hs: &[NodeId], q: ParamId) -> NodeId {
         let qn = tape.param(&self.store, q);
         let inv_sqrt = 1.0 / (self.hidden as f32).sqrt();
         let scores: Vec<NodeId> = hs
@@ -501,7 +508,7 @@ impl Model for Hgt {
     }
 
     fn logits<'a>(
-        &self,
+        &'a self,
         tape: &mut Tape<'a>,
         blocks: &'a [Matrix],
         _training: bool,
@@ -571,6 +578,34 @@ mod tests {
     }
 
     #[test]
+    fn inference_tape_matches_a_training_tape_bitwise() {
+        // Blocks with exact zeros, so the matmul zero skip and relu's
+        // select both run.
+        let mut blocks = toy_blocks();
+        for (i, x) in blocks[0].data.iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *x = 0.0;
+            }
+        }
+        for kind in all_kinds() {
+            let m = build_model(kind, &[4, 3], 3, 8, 0.5, 7);
+            let bits =
+                |t: &Tape, z| -> Vec<u32> { t.value(z).data.iter().map(|x| x.to_bits()).collect() };
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut fresh = Tape::new();
+            let want = m.logits(&mut fresh, &blocks, false, &mut rng);
+            let want = bits(&fresh, want);
+            // Twice: the second pass runs on the buffers the first
+            // handed back, whose contents are stale.
+            for pass in 0..2 {
+                let mut tape = Tape::inference();
+                let z = m.logits(&mut tape, &blocks, false, &mut rng);
+                assert_eq!(bits(&tape, z), want, "{kind:?} pass {pass}");
+            }
+        }
+    }
+
+    #[test]
     fn models_have_trainable_parameters() {
         for kind in all_kinds() {
             let m = build_model(kind, &[4, 3], 3, 8, 0.5, 7);
@@ -607,8 +642,9 @@ mod tests {
             let z = m.logits(&mut tape, &blocks, true, &mut rng);
             let loss = tape.cross_entropy_mean(z, &labels);
             let grads = tape.backward(loss);
+            let grads = tape.param_grads(grads);
             m.store_mut().zero_grads();
-            tape.accumulate_param_grads(&grads, m.store_mut());
+            m.store_mut().accumulate_grads(grads);
             let touched = m
                 .store()
                 .param_ids()

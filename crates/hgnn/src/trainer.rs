@@ -64,10 +64,11 @@ pub struct TrainReport {
     pub best_val_acc: f64,
 }
 
-/// Predicted classes for a block set.
+/// Predicted classes for a block set, from a forward pass on an
+/// inference tape: repeated calls on the same shapes reuse its buffers.
 pub fn predict(model: &dyn Model, blocks: &[Matrix]) -> Vec<u32> {
     let mut rng = StdRng::seed_from_u64(0);
-    let mut tape = Tape::new();
+    let mut tape = Tape::inference();
     let z = model.logits(&mut tape, blocks, false, &mut rng);
     tape.value(z).argmax_rows()
 }
@@ -78,7 +79,9 @@ pub fn evaluate(model: &dyn Model, data: &EvalData) -> f64 {
 }
 
 /// Trains `model` on `train_data`, early-stopping on `val` accuracy when
-/// provided; the best-validation parameters are restored before returning.
+/// provided; the best-validation parameter values are restored before
+/// returning. They are kept in one snapshot allocated up front, which
+/// each validation improvement overwrites.
 pub fn train(
     model: &mut dyn Model,
     train_data: &EvalData,
@@ -93,7 +96,11 @@ pub fn train(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut adam = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
     let mut best_val = f64::NEG_INFINITY;
-    let mut best_snapshot = None;
+    let mut snapshot = match val {
+        Some(_) => model.store().values().to_vec(),
+        None => Vec::new(),
+    };
+    let mut saved = false;
     let mut since_best = 0usize;
     let mut final_loss = f32::NAN;
     let mut epochs_run = 0usize;
@@ -105,15 +112,20 @@ pub fn train(
         let loss = tape.cross_entropy_mean(z, train_data.labels);
         final_loss = tape.value(loss).get(0, 0);
         let grads = tape.backward(loss);
-        model.store_mut().zero_grads();
-        tape.accumulate_param_grads(&grads, model.store_mut());
-        adam.step(model.store_mut());
+        // The tape borrows the parameter values; take the gradients out
+        // before the store is updated.
+        let grads = tape.param_grads(grads);
+        let store = model.store_mut();
+        store.zero_grads();
+        store.accumulate_grads(grads);
+        adam.step(store);
 
         if let Some(v) = val {
             let acc = evaluate(model, v);
             if acc > best_val {
                 best_val = acc;
-                best_snapshot = Some(model.store().clone());
+                model.store().save_values(&mut snapshot);
+                saved = true;
                 since_best = 0;
             } else {
                 since_best += 1;
@@ -123,8 +135,8 @@ pub fn train(
             }
         }
     }
-    if let Some(snap) = best_snapshot {
-        *model.store_mut() = snap;
+    if saved {
+        model.store_mut().load_values(&snapshot);
     }
     TrainReport {
         epochs_run,
@@ -244,6 +256,29 @@ mod tests {
         cfg.epochs = 150;
         let last = train(&mut *model, &data, None, &cfg).final_train_loss;
         assert!(last < first, "loss did not decrease: {first} -> {last}");
+    }
+
+    #[test]
+    fn warm_predict_takes_every_buffer_from_the_pool() {
+        // Pools and counters are thread-local: a dedicated thread
+        // isolates this from every other test.
+        std::thread::spawn(|| {
+            let (blocks, _) = toy(30, 11);
+            for kind in [ModelKind::SeHgnn, ModelKind::Hgt] {
+                let model = build_model(kind, &[2, 1], 3, 8, 0.0, 5);
+                let first = predict(&*model, &blocks);
+                freehgc_parallel::workspace::reset_stats();
+                let second = predict(&*model, &blocks);
+                let stats = freehgc_parallel::workspace::stats();
+                assert_eq!(first, second);
+                assert!(stats.takes > 0, "{kind:?}: op outputs must be pooled");
+                assert_eq!(stats.fresh_allocs, 0, "{kind:?}: {stats:?}");
+                assert_eq!(stats.alloc_bytes, 0, "{kind:?}: {stats:?}");
+                assert_eq!(stats.gives, stats.takes, "{kind:?}: {stats:?}");
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
