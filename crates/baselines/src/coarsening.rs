@@ -12,8 +12,8 @@
 
 use freehgc_hetgraph::condense::{assemble, SynthesizedNodes, TypePlan};
 use freehgc_hetgraph::{
-    proportional_allocation, CondenseContext, CondenseSpec, CondensedGraph, Condenser,
-    FeatureMatrix, HeteroGraph, NodeTypeId,
+    proportional_allocation, CondenseContext, CondenseSpec, CondensedGraph, Condenser, HeteroGraph,
+    NodeTypeId,
 };
 
 /// Neighborhood signature used to order nodes before contraction:
@@ -94,14 +94,10 @@ impl Condenser for CoarseningHg {
             } else {
                 let all: Vec<u32> = (0..g.num_nodes(t) as u32).collect();
                 let groups = contract(g, t, &all, budget);
-                let feat = g.features(t);
-                let mut fm = FeatureMatrix::zeros(0, feat.dim());
-                for grp in &groups {
-                    fm.push_row(&feat.mean_of(grp));
-                }
+                let features = g.features(t).means_of(&groups);
                 plans.push(TypePlan::Synthesized(SynthesizedNodes {
                     members: groups,
-                    features: fm,
+                    features,
                 }));
             }
         }

@@ -16,7 +16,6 @@ use crate::relay::{gradient_matching_refine, GradMatchConfig, GradMatchStats, Re
 use freehgc_hetgraph::condense::{assemble, SynthesizedNodes, TypePlan};
 use freehgc_hetgraph::{
     proportional_allocation, CondenseContext, CondenseSpec, CondensedGraph, Condenser,
-    FeatureMatrix,
 };
 
 /// The HGCond baseline.
@@ -103,14 +102,10 @@ impl HGCondBaseline {
                     self.kmeans_iters,
                     spec.seed ^ (t.0 as u64) << 8,
                 );
-                let feat = g.features(t);
-                let mut fm = FeatureMatrix::zeros(0, feat.dim());
-                for grp in &groups {
-                    fm.push_row(&feat.mean_of(grp));
-                }
+                let features = g.features(t).means_of(&groups);
                 plans.push(TypePlan::Synthesized(SynthesizedNodes {
                     members: groups,
-                    features: fm,
+                    features,
                 }));
             }
         }

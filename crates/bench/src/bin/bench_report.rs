@@ -45,7 +45,7 @@
 //! not here.
 
 use freehgc_core::selection::{condense_target, SelectionConfig};
-use freehgc_core::{synthesize_leaf, FreeHgc};
+use freehgc_core::{influence_scores, synthesize_leaf, top_k_by_score, FreeHgc, ImportanceMethod};
 use freehgc_datasets::{generate, DatasetKind};
 use freehgc_hetgraph::{
     CondenseContext, CondenseSpec, Condenser, ContextRegistry, GraphDelta, Role,
@@ -411,6 +411,31 @@ fn kernel_rows(quick: bool, reps: usize, threads: usize) -> Vec<KernelRow> {
         father_adjs
             .iter()
             .map(|a| bipartite_influence(a, Some(&seeds), &ppr_cfg))
+            .collect::<Vec<_>>()
+    });
+    // Eq. 13's top-k over each father type's aggregate influence (from
+    // the context's cache after the first call), kept at a 5% budget:
+    // the row times the selection alone.
+    let father_scores: Vec<Arc<Vec<f64>>> = g
+        .schema()
+        .types_with_role(Role::Father)
+        .into_iter()
+        .map(|f| {
+            influence_scores(
+                &ctx,
+                f,
+                Some(&seeds),
+                sel_cfg.max_hops,
+                sel_cfg.max_paths,
+                ImportanceMethod::default(),
+                0,
+            )
+        })
+        .collect();
+    t.row("father_top_k_acm".into(), None, None, &mut || {
+        father_scores
+            .iter()
+            .map(|s| top_k_by_score(s, s.len() / 20))
             .collect::<Vec<_>>()
     });
     // Leaf synthesis (Eq. 14–16) of the largest leaf type around the

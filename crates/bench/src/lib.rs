@@ -108,8 +108,7 @@ pub fn effective_ratio(g: &HeteroGraph, ratio: f64) -> f64 {
 /// graphs. AMiner is ~135× smaller than the paper's 4.9M-node original,
 /// so its nominal ratios are scaled ×10 to preserve the paper's *absolute*
 /// condensed-graph size regime (hundreds of target nodes, not single
-/// digits); all printed labels keep the nominal r. Documented in
-/// EXPERIMENTS.md.
+/// digits); all printed labels keep the nominal r.
 pub fn dataset_ratio(kind: DatasetKind, nominal: f64) -> f64 {
     match kind {
         DatasetKind::Aminer => (nominal * 10.0).min(1.0),

@@ -16,7 +16,11 @@
 //! Each (meta-path, class) greedy run emits marginal-gain scores; scores
 //! are aggregated across meta-paths (Eq. 9) and the per-class top-k nodes
 //! are kept, with class budgets proportional to the original distribution.
+//! That per-class cut (Line 10), like Variant #1's ranking by bonus, is a
+//! selection over the class pool: it partitions around the k-th score and
+//! never orders the nodes it drops.
 
+use crate::father::top_k_among;
 use freehgc_hetgraph::{proportional_allocation, CondenseContext};
 use freehgc_parallel::workspace as ws;
 use freehgc_sparse::{Bitset, CsrMatrix};
@@ -320,8 +324,8 @@ pub fn condense_target(
             // |os|) that choice makes R(S)/|R̂| comparable to the
             // 1−J(S) term; on our scaled graphs it would degenerate
             // to ~1e-3 and let diversity dominate, so we normalize
-            // by the largest receptive field in the pool instead
-            // (documented deviation, DESIGN.md §4).
+            // by the largest receptive field in the pool instead, a
+            // deliberate deviation that keeps both terms on one scale.
             let max_rf = class_pools
                 .iter()
                 .flatten()
@@ -337,17 +341,12 @@ pub fn condense_target(
                 let (sel, gains) = if cfg.use_rf {
                     celf_greedy(adj, cpool, class_budgets[c], norm, bonus)
                 } else {
-                    // Variant#1: rank purely by the diversity bonus.
-                    let mut order: Vec<u32> = cpool.clone();
-                    order.sort_by(|&a, &b| {
-                        bonus[b as usize]
-                            .partial_cmp(&bonus[a as usize])
-                            .unwrap_or(Ordering::Equal)
-                            .then(a.cmp(&b))
-                    });
-                    order.truncate(class_budgets[c]);
-                    let gains = order.iter().map(|&v| bonus[v as usize]).collect();
-                    (order, gains)
+                    // Variant#1: rank purely by the diversity bonus. Each
+                    // kept node adds its own bonus once, so the kept set
+                    // alone fixes the scores, whatever its order.
+                    let kept = top_k_among(cpool.clone(), bonus, class_budgets[c]);
+                    let gains = kept.iter().map(|&v| bonus[v as usize]).collect();
+                    (kept, gains)
                 };
                 for (v, gain) in sel.iter().zip(gains) {
                     scores[*v as usize] += gain;
@@ -362,17 +361,11 @@ pub fn condense_target(
         }
     }
 
-    // Line 10: per-class top-k by aggregated score.
+    // Line 10: per-class top-k by aggregated score, a selection over
+    // each class pool.
     let mut selected = Vec::with_capacity(budget);
     for (c, cpool) in class_pools.iter().enumerate() {
-        let mut order: Vec<u32> = cpool.clone();
-        order.sort_by(|&a, &b| {
-            scores[b as usize]
-                .partial_cmp(&scores[a as usize])
-                .unwrap_or(Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        selected.extend(order.into_iter().take(class_budgets[c]));
+        selected.extend(top_k_among(cpool.clone(), &scores, class_budgets[c]));
     }
     selected.sort_unstable();
     TargetSelection { selected, scores }

@@ -69,8 +69,24 @@ impl FeatureMatrix {
     /// Returns a zero vector when `rows` is empty.
     pub fn mean_of(&self, rows: &[u32]) -> Vec<f32> {
         let mut acc = vec![0f32; self.dim];
+        self.mean_into(rows, &mut acc);
+        acc
+    }
+
+    /// One row per group: row `k` is [`FeatureMatrix::mean_of`] group
+    /// `k`, bit for bit, written in place instead of row by row.
+    pub fn means_of(&self, groups: &[Vec<u32>]) -> FeatureMatrix {
+        let mut out = FeatureMatrix::zeros(groups.len(), self.dim);
+        for (k, rows) in groups.iter().enumerate() {
+            self.mean_into(rows, out.row_mut(k));
+        }
+        out
+    }
+
+    /// Adds the mean of `rows` into the zeroed `acc`.
+    fn mean_into(&self, rows: &[u32], acc: &mut [f32]) {
         if rows.is_empty() {
-            return acc;
+            return;
         }
         for &r in rows {
             for (a, v) in acc.iter_mut().zip(self.row(r as usize)) {
@@ -81,7 +97,6 @@ impl FeatureMatrix {
         for a in acc.iter_mut() {
             *a *= inv;
         }
-        acc
     }
 
     /// Appends one row.
@@ -139,6 +154,8 @@ mod tests {
         let m = FeatureMatrix::from_rows(2, vec![0.0, 2.0, 4.0, 6.0]);
         assert_eq!(m.mean_of(&[0, 1]), vec![2.0, 4.0]);
         assert_eq!(m.mean_of(&[]), vec![0.0, 0.0]);
+        let means = m.means_of(&[vec![0, 1], vec![], vec![1]]);
+        assert_eq!(means.data(), &[2.0, 4.0, 0.0, 0.0, 4.0, 6.0]);
     }
 
     #[test]

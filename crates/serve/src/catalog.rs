@@ -6,13 +6,21 @@
 //! seed)` key, so repeated inline requests for the same spec share one
 //! graph value — and therefore one fingerprint, one registry context,
 //! and one warm fast path.
+//!
+//! The inline memo holds its graphs weakly: an inline graph lives exactly
+//! as long as something else holds it — its registry context or an
+//! in-flight request. So the registry's resident budget bounds inline
+//! graphs the way it bounds contexts, and a client naming ever-new specs
+//! cannot grow the catalog. A spec seen again after its context was
+//! evicted regenerates the same graph (generation is a pure function of
+//! the spec), hence the same fingerprint and the same reply bytes.
 
 use crate::wire::GraphRef;
 use freehgc_datasets::DatasetKind;
 use freehgc_hetgraph::HeteroGraph;
 use freehgc_parallel::relock;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Parses a wire dataset-kind name (the strings `DatasetKind::name`
 /// produces, case-insensitively) back into a [`DatasetKind`].
@@ -35,7 +43,7 @@ type InlineKey = (String, u64, u64);
 #[derive(Default)]
 struct CatalogState {
     registered: BTreeMap<String, Arc<HeteroGraph>>,
-    inline: BTreeMap<InlineKey, Arc<HeteroGraph>>,
+    inline: BTreeMap<InlineKey, Weak<HeteroGraph>>,
 }
 
 /// Why a [`GraphRef`] failed to resolve.
@@ -104,11 +112,12 @@ impl GraphCatalog {
     }
 
     /// Resolves a wire [`GraphRef`] to a graph, generating-and-memoizing
-    /// inline specs. Generation happens outside the catalog lock on a
-    /// miss, so a slow synthetic build never stalls id lookups; two
-    /// racing first-sights may both generate, and the loser's identical
-    /// graph is dropped (same spec + seed ⇒ same content fingerprint,
-    /// so the registry would unify them anyway).
+    /// inline specs while something holds them. Generation happens
+    /// outside the catalog lock on a miss, so a slow synthetic build
+    /// never stalls id lookups; two racing first-sights may both
+    /// generate, and the loser's identical graph is dropped (same spec +
+    /// seed ⇒ same content fingerprint, so the registry would unify them
+    /// anyway). Inserting prunes the entries whose graphs are gone.
     pub fn resolve(&self, graph: &GraphRef) -> Result<Arc<HeteroGraph>, CatalogError> {
         match graph {
             GraphRef::Id(id) => self
@@ -123,13 +132,17 @@ impl GraphCatalog {
                     )));
                 }
                 let key: InlineKey = (dk.name().to_string(), scale.to_bits(), *seed);
-                if let Some(g) = relock(&self.state).inline.get(&key) {
-                    return Ok(Arc::clone(g));
+                if let Some(g) = relock(&self.state).inline.get(&key).and_then(Weak::upgrade) {
+                    return Ok(g);
                 }
                 let built = Arc::new(freehgc_datasets::generate(dk, *scale, *seed));
                 let mut state = relock(&self.state);
-                let entry = state.inline.entry(key).or_insert(built);
-                Ok(Arc::clone(entry))
+                if let Some(g) = state.inline.get(&key).and_then(Weak::upgrade) {
+                    return Ok(g);
+                }
+                state.inline.retain(|_, g| g.strong_count() > 0);
+                state.inline.insert(key, Arc::downgrade(&built));
+                Ok(built)
             }
         }
     }
@@ -174,6 +187,33 @@ mod tests {
             })
             .unwrap();
         assert!(!Arc::ptr_eq(&first, &other));
+    }
+
+    #[test]
+    fn inline_graphs_live_only_while_held() {
+        let catalog = GraphCatalog::new();
+        let spec = |seed| GraphRef::Inline {
+            kind: "ACM".into(),
+            scale: 0.08,
+            seed,
+        };
+        for seed in 0..8 {
+            drop(catalog.resolve(&spec(seed)).unwrap());
+        }
+        let state = relock(&catalog.state);
+        assert!(
+            state.inline.values().all(|g| g.strong_count() == 0),
+            "the catalog must hold no inline graph itself"
+        );
+        // Each insert pruned the entries dropped before it.
+        assert_eq!(state.inline.len(), 1);
+        drop(state);
+
+        // A dropped spec regenerates the same content.
+        let held = catalog.resolve(&spec(3)).unwrap();
+        let again = catalog.resolve(&spec(3)).unwrap();
+        assert!(Arc::ptr_eq(&held, &again));
+        assert_eq!(held.fingerprint(), freehgc_datasets::tiny(3).fingerprint());
     }
 
     #[test]

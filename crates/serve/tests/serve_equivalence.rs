@@ -171,6 +171,57 @@ fn inline_specs_condense_and_memoize() {
 }
 
 #[test]
+fn evicted_inline_graphs_regenerate_to_the_same_fingerprint_and_bytes() {
+    // A zero resident budget evicts every context that caches anything
+    // (FreeHGC does) after its cold condensation, and with it the only
+    // strong hold on the inline graph.
+    let handle = ServeHandle::new(ServeConfig {
+        resident_budget: Some(0),
+        ..ServeConfig::default()
+    });
+    let spec = GraphRef::Inline {
+        kind: "ACM".into(),
+        scale: 0.08,
+        seed: 5,
+    };
+    let req = condense_req(spec.clone(), "FreeHGC", 0.5, 1);
+    let first = handle.call(&req);
+    assert!(first.error_code().is_none(), "got {first:?}");
+    let graph = handle.catalog().resolve(&spec).unwrap();
+    let fingerprint = graph.fingerprint();
+    let gone = Arc::downgrade(&graph);
+    drop(graph);
+    wait_until(|| gone.strong_count() == 0);
+
+    let regenerated = handle.catalog().resolve(&spec).unwrap();
+    assert_eq!(regenerated.fingerprint(), fingerprint);
+    drop(regenerated);
+    // A fresh seed misses the reply memo, so it condenses the
+    // regenerated graph; the repeat matches the first reply.
+    let direct = Arc::new(freehgc_datasets::generate(
+        freehgc_datasets::DatasetKind::Acm,
+        0.08,
+        5,
+    ));
+    let other = handle.call(&condense_req(spec, "FreeHGC", 0.5, 2));
+    assert_bitwise_equal(
+        &other,
+        &reference_reply(&direct, "FreeHGC", 0.5, 2),
+        "regenerated",
+    );
+    assert_eq!(
+        wire::encode_reply_payload(&handle.call(&req)),
+        wire::encode_reply_payload(&first)
+    );
+    assert_bitwise_equal(
+        &first,
+        &reference_reply(&direct, "FreeHGC", 0.5, 1),
+        "first",
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn identical_inflight_requests_coalesce_without_duplicate_computes() {
     // One worker, blocked: the leader's job sits queued while followers
     // arrive, so coalescing is guaranteed, not raced.

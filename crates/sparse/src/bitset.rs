@@ -84,36 +84,6 @@ impl Bitset {
         new
     }
 
-    /// `|self ∩ other|` without allocating.
-    pub fn intersection_count(&self, other: &Bitset) -> usize {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
-    /// `|self ∪ other|` without allocating.
-    pub fn union_count(&self, other: &Bitset) -> usize {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(a, b)| (a | b).count_ones() as usize)
-            .sum()
-    }
-
-    /// Jaccard index `|A∩B| / |A∪B|`; defined as 1.0 when both are empty,
-    /// matching the paper's convention after Eq. (5).
-    pub fn jaccard(&self, other: &Bitset) -> f64 {
-        let union = self.union_count(other);
-        if union == 0 {
-            return 1.0;
-        }
-        self.intersection_count(other) as f64 / union as f64
-    }
-
     /// Iterates over set indices in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -160,40 +130,6 @@ mod tests {
         assert_eq!(b.insert_all(&items), 2);
         assert_eq!(b.count(), 4);
         assert_eq!(b.count_missing(&items), 0);
-    }
-
-    #[test]
-    fn jaccard_matches_manual() {
-        let mut a = Bitset::new(64);
-        let mut b = Bitset::new(64);
-        for i in [1usize, 2, 3] {
-            a.insert(i);
-        }
-        for i in [2usize, 3, 4, 5] {
-            b.insert(i);
-        }
-        // |∩|=2, |∪|=5
-        assert!((a.jaccard(&b) - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jaccard_of_empty_sets_is_one() {
-        let a = Bitset::new(10);
-        let b = Bitset::new(10);
-        assert_eq!(a.jaccard(&b), 1.0);
-    }
-
-    #[test]
-    fn union_with_and_counts() {
-        let mut a = Bitset::new(200);
-        let mut b = Bitset::new(200);
-        a.insert(1);
-        a.insert(150);
-        b.insert(150);
-        b.insert(199);
-        assert_eq!(a.union_count(&b), 3);
-        assert_eq!(a.intersection_count(&b), 1);
-        assert_eq!(a.count(), 2);
     }
 
     #[test]
