@@ -6,7 +6,8 @@
 //!
 //! * `--scale=<f64>`   — dataset scale factor (default per experiment);
 //! * `--seeds=<n>`     — number of seeds (the paper averages 5);
-//! * `--quick`         — fewer epochs / seeds for smoke runs.
+//! * `--quick`         — fewer epochs, scale at most 0.3, and one seed
+//!   unless `--seeds` is given, for smoke runs.
 //!
 //! Run any experiment with
 //! `cargo run --release -p freehgc-bench --bin exp_table3 [-- --quick]`.
@@ -27,14 +28,24 @@ pub struct ExpOpts {
 impl ExpOpts {
     /// Parses `std::env::args`, with experiment-specific defaults.
     pub fn parse(default_scale: f64, default_seeds: usize) -> Self {
+        Self::parse_from(std::env::args().skip(1), default_scale, default_seeds)
+    }
+
+    /// Parses `args` (without the program name). `--quick` caps the
+    /// scale at 0.3 and, unless `--seeds` is given, runs one seed.
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        default_scale: f64,
+        default_seeds: usize,
+    ) -> Self {
         let mut scale = default_scale;
-        let mut nseeds = default_seeds;
+        let mut nseeds = None;
         let mut quick = false;
-        for arg in std::env::args().skip(1) {
+        for arg in args {
             if let Some(v) = arg.strip_prefix("--scale=") {
                 scale = v.parse().expect("--scale takes a float");
             } else if let Some(v) = arg.strip_prefix("--seeds=") {
-                nseeds = v.parse().expect("--seeds takes an integer");
+                nseeds = Some(v.parse().expect("--seeds takes an integer"));
             } else if arg == "--quick" {
                 quick = true;
             } else if arg == "--help" {
@@ -42,8 +53,12 @@ impl ExpOpts {
                 std::process::exit(0);
             }
         }
+        let nseeds = match nseeds {
+            Some(n) => n,
+            None if quick => default_seeds.min(1),
+            None => default_seeds,
+        };
         if quick {
-            nseeds = nseeds.min(1);
             scale = scale.min(0.3);
         }
         Self {
@@ -145,6 +160,20 @@ mod tests {
         let r = effective_ratio(&g, 0.001);
         let budget = (g.num_nodes(g.schema().target()) as f64 * r).round() as usize;
         assert!(budget >= g.num_classes());
+    }
+
+    #[test]
+    fn quick_runs_one_seed_unless_seeds_is_given() {
+        let parse = |args: &[&str]| {
+            let opts = ExpOpts::parse_from(args.iter().map(|a| a.to_string()), 1.0, 5);
+            (opts.seeds.len(), opts.scale, opts.quick)
+        };
+        assert_eq!(parse(&[]), (5, 1.0, false));
+        assert_eq!(parse(&["--quick", "--scale=0.1"]), (1, 0.1, true));
+        assert_eq!(parse(&["--quick"]), (1, 0.3, true));
+        assert_eq!(parse(&["--quick", "--seeds=3"]), (3, 0.3, true));
+        assert_eq!(parse(&["--seeds=2", "--quick"]), (2, 0.3, true));
+        assert_eq!(parse(&["--seeds=4"]), (4, 1.0, false));
     }
 
     #[test]

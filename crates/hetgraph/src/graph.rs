@@ -157,17 +157,6 @@ impl HeteroGraph {
         &self.adjacency[e.0 as usize]
     }
 
-    /// Replaces the adjacency of edge type `e` (same shape required) —
-    /// the mutation hook for edge rewiring / incremental-update
-    /// workloads. Invalidates the memoized fingerprint.
-    pub fn set_adjacency(&mut self, e: EdgeTypeId, a: CsrMatrix) {
-        let old = &self.adjacency[e.0 as usize];
-        assert_eq!(a.nrows(), old.nrows(), "adjacency row count must match");
-        assert_eq!(a.ncols(), old.ncols(), "adjacency column count must match");
-        self.adjacency[e.0 as usize] = a;
-        self.invalidate_fingerprint();
-    }
-
     /// Adjacency between two node types oriented `from → to`, transposing a
     /// stored reverse edge type when needed. Returns the first schema match.
     pub fn adjacency_between(&self, from: NodeTypeId, to: NodeTypeId) -> Option<CsrMatrix> {
@@ -190,15 +179,6 @@ impl HeteroGraph {
         assert_eq!(f.dim(), old.dim(), "feature dimension must match");
         self.features[t.0 as usize] = f;
         self.invalidate_fingerprint();
-    }
-
-    /// Mutable access to the features of node type `t`, for in-place
-    /// refinement. Handing out the borrow already counts as a content
-    /// mutation: the fingerprint is invalidated eagerly, so the memo can
-    /// never outlive writes made through the returned reference.
-    pub fn features_mut(&mut self, t: NodeTypeId) -> &mut FeatureMatrix {
-        self.invalidate_fingerprint();
-        &mut self.features[t.0 as usize]
     }
 
     /// Class labels of the target type, one per target node.
@@ -613,8 +593,6 @@ mod tests {
         let mut g = tiny_acm();
         let s = g.schema().clone();
         let paper = s.node_type_by_name("paper").unwrap();
-        let author = s.node_type_by_name("author").unwrap();
-        let pa = s.edge_type_by_name("pa").unwrap();
 
         let mut last = g.fingerprint();
         let mut step = |g: &HeteroGraph, what: &str| {
@@ -626,14 +604,8 @@ mod tests {
         g.set_features(paper, FeatureMatrix::from_rows(2, vec![9.0; 8]));
         step(&g, "set_features");
 
-        g.features_mut(author).row_mut(0)[0] = 123.0;
-        step(&g, "features_mut");
-
         g.set_labels(vec![1, 1, 0, 0], 2);
         step(&g, "set_labels");
-
-        g.set_adjacency(pa, CsrMatrix::from_edges(4, 3, &[(0, 0), (2, 1)]));
-        step(&g, "set_adjacency");
 
         g.set_split(Split {
             train: vec![0, 1],

@@ -31,7 +31,7 @@ pub const MAX_PATHS: usize = 4096;
 /// One hop of a meta-path: an edge type and the direction it is traversed
 /// (`forward == true` means from the stored source type to the stored
 /// destination type). `Ord` gives step sequences a total order, used as
-/// the final eviction tiebreak and to serialize snapshot sections in a
+/// the final eviction tiebreak and to serialize snapshot entries in a
 /// deterministic order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MetaPathStep {

@@ -12,7 +12,7 @@
 //!
 //! The blocks are the seventh cache family of [`CondenseContext`]: they
 //! live in its byte ledger beside the composed adjacencies they are built
-//! from, travel in section 5 of every snapshot, and are reachable from
+//! from, travel in every snapshot, and are reachable from
 //! any layer that holds a context — the HGNN trainers and target
 //! selection alike.
 

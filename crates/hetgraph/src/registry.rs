@@ -235,8 +235,9 @@ pub struct RegistryStats {
     pub misses: u64,
     /// Cold resolutions that started warm from an on-disk snapshot.
     pub snapshot_loads: u64,
-    /// Snapshot files found but rejected (corruption, version or cap
-    /// mismatch, unreadable) — each one fell back to a clean cold miss.
+    /// Snapshot files found but rejected (corruption, version or
+    /// fingerprint mismatch, unreadable) — each one fell back to a clean
+    /// cold miss.
     pub snapshot_rejections: u64,
     /// Panics caught and retried: failed single-flight leader builds
     /// plus computations isolated by [`ContextRegistry::run_isolated`].
@@ -416,7 +417,7 @@ impl ContextRegistry {
     ///   file filtered through the same invalidation rules, so a delta
     ///   update beats a cold rebuild even across restarts. *Any* problem
     ///   with a file — absent, truncated, corrupted, wrong version,
-    ///   wrong fingerprint, wrong fill-in cap — falls back to plain cold
+    ///   wrong checksum, wrong fingerprint — falls back to plain cold
     ///   compute; a snapshot can save work, never change bits and never
     ///   turn into an error. Transient read errors are retried with
     ///   backoff first. Loads and rejections are counted in
@@ -709,7 +710,6 @@ impl std::fmt::Debug for ContextRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::condense::MAX_ROW_NNZ;
     use crate::context::CacheFamily;
     use crate::features::FeatureMatrix;
     use crate::graph::HeteroGraphBuilder;
@@ -907,19 +907,17 @@ mod tests {
         assert_eq!(disk_loads(&reg4), (0, 1), "wrong fingerprint rejected");
         assert_eq!(ctx4.composed_len(), 0);
 
-        // A valid file whose header records another fill-in cap: same
-        // rejection path. Magic (8), version (4) and fingerprint (16)
-        // put the cap's `Some` tag at byte 28 and its u64 at 29..37;
-        // the header is outside every section checksum.
-        reg.persist(&dir, &g).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes[28], 1);
-        assert_eq!(bytes[29..37], (MAX_ROW_NNZ as u64).to_le_bytes());
-        bytes[29..37].copy_from_slice(&(MAX_ROW_NNZ as u64 / 2).to_le_bytes());
+        // g2's valid file with g's fingerprint written over its own: the
+        // checksum covers the fingerprint (bytes 20..36), so the splice
+        // is rejected too rather than serving g2's bits as g's.
+        let fp = g.fingerprint();
+        let mut bytes = std::fs::read(&other_path).unwrap();
+        bytes[20..28].copy_from_slice(&fp.0.to_le_bytes());
+        bytes[28..36].copy_from_slice(&fp.1.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let reg5 = ContextRegistry::new();
         let ctx5 = reg5.resolve(&g, Some(&dir), None).0;
-        assert_eq!(disk_loads(&reg5), (0, 1), "wrong fill-in cap rejected");
+        assert_eq!(disk_loads(&reg5), (0, 1), "spliced fingerprint rejected");
         assert_eq!(ctx5.composed_len(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }

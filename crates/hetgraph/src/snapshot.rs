@@ -11,40 +11,44 @@
 //! holds as for every other cache layer: a condensation served from a
 //! loaded snapshot is bitwise-identical to a fresh one.
 //!
-//! # File format (version 2, little-endian, hand-rolled)
+//! # File format (version 3, little-endian, hand-rolled)
 //!
 //! ```text
-//! magic    [u8; 8]   b"FHGCSNAP"
-//! version  u32       SNAPSHOT_VERSION
-//! fp       u64 × 2   GraphFingerprint of the source graph
-//! cap      opt       fill-in cap, always Some(MAX_ROW_NNZ) (u8 tag, then u64)
-//! nsect    u32       number of sections
-//! section* id u8 | payload_len u64 | checksum u64 | payload bytes
+//! magic     [u8; 8]   b"FHGCSNAP"
+//! version   u32       SNAPSHOT_VERSION
+//! checksum  u64       snapshot_checksum of every byte after this field
+//! fp        u64 × 2   GraphFingerprint of the source graph
+//! n_entries u64
+//! entry*    family u8 (CacheFamily as u8) | key | value
 //! ```
 //!
-//! Sections hold the influence, diversity, composed, factor and
-//! propagated-block caches, written in that order (ids 3, 4, 2, 1, 5).
-//! Map contents are written in key order, so identical cache contents
-//! produce identical bytes. Every family's encoder, decoder and shape
-//! check lives in this module. Decoding dispatches on each section's id,
-//! so a file that lacks a section (e.g. one written before propagated
-//! blocks were always saved) loads as a partial context: the absent
+//! Entries come in `CondenseContext::entries` order — family first,
+//! then key — so identical cache contents produce identical bytes. Five
+//! families persist: factors, composed adjacencies, influence vectors,
+//! diversity bonuses and propagated blocks; paths and oriented
+//! adjacencies are cheap to recompute and never written. Every family's
+//! encoder, decoder and shape check lives in this module. A file that
+//! lacks some family's entries loads as a partial context: the absent
 //! entries become counted cold misses on first use, never wrong bytes.
+//! The fill-in cap [`MAX_ROW_NNZ`](crate::condense::MAX_ROW_NNZ) is a
+//! compile-time constant, so it is not recorded: changing it changes
+//! composed bits and needs a [`SNAPSHOT_VERSION`] bump.
 //!
 //! # Trust model
 //!
-//! A snapshot is only ever *advisory*: the loader verifies the magic,
-//! version, fingerprint and fill-in cap (a file recording any cap but
-//! [`MAX_ROW_NNZ`] holds other composed bits), checksums every section,
-//! bounds-checks every length and re-validates every CSR invariant, and
-//! decodes the entire file into staging before touching a context — any
-//! failure leaves the context exactly as cold as it was and surfaces as a
-//! [`SnapshotError`] the caller (see
+//! A snapshot is only ever *advisory*. The loader checks the magic, then
+//! the version, then the one checksum — which covers the fingerprint
+//! and every entry — then the fingerprint. It bounds-checks every
+//! length, re-validates every CSR invariant and shape-checks each entry
+//! against the graph as it decodes it, and installs only after the whole
+//! file has decoded — any failure leaves the context exactly as cold as
+//! it was and surfaces as a [`SnapshotError`] the caller (see
 //! [`ContextRegistry::resolve`](crate::registry::ContextRegistry::resolve))
-//! converts into a clean cold miss. Corruption can cost a recompute,
-//! never a panic and never wrong bits.
+//! converts into a clean cold miss. The checksum is an unkeyed hash: it
+//! catches torn writes, bit rot and spliced headers, not crafted files,
+//! which the structural checks reduce to a recompute. Corruption can
+//! cost a recompute, never a panic and never wrong bits.
 
-use crate::condense::MAX_ROW_NNZ;
 use crate::context::{
     CacheEntry, CacheFamily, CacheKey, CacheValue, CondenseContext, InfluenceKey,
     InvalidationRules, SeedReport,
@@ -64,20 +68,18 @@ use std::sync::Arc;
 /// First eight bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"FHGCSNAP";
 /// Current format version; bump on any layout change.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-const SECTION_FACTORS: u8 = 1;
-const SECTION_COMPOSED: u8 = 2;
-const SECTION_INFLUENCE: u8 = 3;
-const SECTION_DIVERSITY: u8 = 4;
-const SECTION_PROPAGATED: u8 = 5;
-/// Section ids in file order.
-const SECTION_ORDER: [u8; 5] = [
-    SECTION_INFLUENCE,
-    SECTION_DIVERSITY,
-    SECTION_COMPOSED,
-    SECTION_FACTORS,
-    SECTION_PROPAGATED,
+/// Bytes before the checksummed body: magic, version and checksum.
+const BODY_START: usize = 8 + 4 + 8;
+
+/// The families a snapshot persists, in file order.
+const PERSISTED: [CacheFamily; 5] = [
+    CacheFamily::Factors,
+    CacheFamily::Composed,
+    CacheFamily::Influence,
+    CacheFamily::Diversity,
+    CacheFamily::Propagated,
 ];
 
 /// Why a snapshot could not be written or loaded. Loaders treat every
@@ -98,18 +100,12 @@ pub enum SnapshotError {
         found: GraphFingerprint,
         expected: GraphFingerprint,
     },
-    /// Right graph, but the header records a fill-in cap other than
-    /// [`MAX_ROW_NNZ`] — the cap changes composed bits, so it must match
-    /// exactly.
-    WrongKnobs,
-    /// A section's payload does not match its recorded checksum.
-    ChecksumMismatch {
-        section: u8,
-    },
+    /// The bytes after the checksum field do not match it.
+    ChecksumMismatch,
     /// The file ends before a declared length.
     Truncated,
     /// Structurally invalid contents (bad lengths, broken CSR
-    /// invariants, unknown section ids, trailing bytes, …).
+    /// invariants, unknown family tags, trailing bytes, …).
     Malformed(&'static str),
 }
 
@@ -124,12 +120,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::WrongFingerprint { found, expected } => {
                 write!(f, "snapshot is for graph {found}, expected {expected}")
             }
-            SnapshotError::WrongKnobs => {
-                write!(f, "snapshot fill-in cap is not {MAX_ROW_NNZ}")
-            }
-            SnapshotError::ChecksumMismatch { section } => {
-                write!(f, "checksum mismatch in snapshot section {section}")
-            }
+            SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
             SnapshotError::Truncated => write!(f, "snapshot file is truncated"),
             SnapshotError::Malformed(what) => write!(f, "malformed snapshot: {what}"),
         }
@@ -145,11 +136,11 @@ impl From<std::io::Error> for SnapshotError {
 }
 
 /// Canonical file name for a snapshot: the registry key — the graph
-/// fingerprint — spelled into the name beside the fill-in cap, so one
-/// directory holds distinct snapshots for distinct graphs and a loader
-/// can address the right file without reading any of them.
+/// fingerprint — spelled into the name, so one directory holds distinct
+/// snapshots for distinct graphs and a loader can address the right file
+/// without reading any of them.
 pub fn snapshot_file_name(fp: GraphFingerprint) -> String {
-    format!("ctx-{fp}-k{MAX_ROW_NNZ}.fhgc")
+    format!("ctx-{fp}.fhgc")
 }
 
 // ---------------------------------------------------------------------
@@ -316,16 +307,6 @@ impl ByteWriter {
         }
     }
 
-    pub fn put_opt_usize(&mut self, v: Option<usize>) {
-        match v {
-            None => self.put_u8(0),
-            Some(x) => {
-                self.put_u8(1);
-                self.put_usize(x);
-            }
-        }
-    }
-
     pub fn put_str(&mut self, s: &str) {
         self.put_usize(s.len());
         self.put_bytes(s.as_bytes());
@@ -388,14 +369,6 @@ impl<'a> ByteReader<'a> {
 
     pub fn f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub fn opt_usize(&mut self) -> Result<Option<usize>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.usize()?)),
-            _ => Err(SnapshotError::Malformed("option tag")),
-        }
     }
 
     pub fn str(&mut self) -> Result<String, SnapshotError> {
@@ -468,17 +441,17 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Section checksum: the workspace Fx hash over the section id, payload
-/// length and payload bytes. Fast and non-cryptographic — it guards
-/// against torn writes and bit rot, not adversaries; the full structural
-/// validation on decode is what keeps a colliding corruption harmless.
-/// Public so a fuzzer can seal mutated payloads and reach the section
-/// decoders behind the checksum.
-pub fn section_checksum(id: u8, payload: &[u8]) -> u64 {
+/// Snapshot checksum: the workspace Fx hash over the body length and
+/// bytes — everything after the checksum field, fingerprint included.
+/// Fast and non-cryptographic — it guards against torn writes, bit rot
+/// and spliced headers, not adversaries; the full structural validation
+/// on decode is what keeps a colliding corruption harmless. Public so a
+/// fuzzer can reseal mutated bodies and reach the entry decoders behind
+/// the checksum.
+pub fn snapshot_checksum(body: &[u8]) -> u64 {
     let mut h = FxHasher::default();
-    h.write(&[id]);
-    h.write_usize(payload.len());
-    h.write(payload);
+    h.write_usize(body.len());
+    h.write(body);
     h.finish()
 }
 
@@ -608,45 +581,37 @@ fn read_blocks(bytes: &[u8]) -> Result<PropagatedFeatures, SnapshotError> {
     Ok(PropagatedFeatures { blocks, path_names })
 }
 
-/// The section a family's entries are stored in; paths and oriented
-/// adjacencies are cheap to recompute and never persisted.
-fn section_of(family: CacheFamily) -> Option<u8> {
-    match family {
-        CacheFamily::Factors => Some(SECTION_FACTORS),
-        CacheFamily::Composed => Some(SECTION_COMPOSED),
-        CacheFamily::Influence => Some(SECTION_INFLUENCE),
-        CacheFamily::Diversity => Some(SECTION_DIVERSITY),
-        CacheFamily::Propagated => Some(SECTION_PROPAGATED),
-        CacheFamily::Paths | CacheFamily::Oriented => None,
-    }
-}
-
-/// Encodes every section payload in file order ([`SECTION_ORDER`]).
-/// Each payload is an entry count followed by the entries in key order.
-fn encode_sections(ctx: &CondenseContext<'_>) -> Vec<(u8, Vec<u8>)> {
-    // Per section id: entry count, and the payload with a placeholder
-    // count that is patched once the entries are written.
-    let mut sections: [(usize, ByteWriter); 6] = std::array::from_fn(|_| {
-        let mut w = ByteWriter::new();
-        w.put_usize(0);
-        (0, w)
-    });
-    for CacheEntry { key, value } in ctx.entries() {
-        let Some(id) = section_of(key.family()) else {
-            continue;
-        };
-        let w = &mut sections[id as usize].1;
+/// Serializes `ctx`'s caches to snapshot bytes: the header, the
+/// fingerprint, then every persisted entry in key order (see the module
+/// docs for the layout). Pure in-memory encoding; see
+/// [`CondenseContext::save_snapshot`] for the file wrapper.
+pub fn encode_snapshot(ctx: &CondenseContext<'_>) -> Vec<u8> {
+    let entries: Vec<CacheEntry> = ctx
+        .entries()
+        .into_iter()
+        .filter(|e| PERSISTED.contains(&e.key.family()))
+        .collect();
+    let fp = ctx.graph().fingerprint();
+    let mut w = ByteWriter::new();
+    w.put_bytes(&SNAPSHOT_MAGIC);
+    w.put_u32(SNAPSHOT_VERSION);
+    w.put_u64(0); // the checksum, sealed once the body is written
+    w.put_u64(fp.0);
+    w.put_u64(fp.1);
+    w.put_usize(entries.len());
+    for CacheEntry { key, value } in entries {
+        w.put_u8(key.family() as u8);
         match (key, value) {
             (CacheKey::Factors(step), CacheValue::Matrix(m)) => {
-                put_step(w, step);
-                put_csr(w, &m);
+                put_step(&mut w, step);
+                put_csr(&mut w, &m);
             }
             (CacheKey::Composed(steps), CacheValue::Matrix(m)) => {
                 w.put_usize(steps.len());
                 for s in steps {
-                    put_step(w, s);
+                    put_step(&mut w, s);
                 }
-                put_csr(w, &m);
+                put_csr(&mut w, &m);
             }
             (CacheKey::Influence(k), CacheValue::Vector(v)) => {
                 w.put_u16(k.father.0);
@@ -679,56 +644,15 @@ fn encode_sections(ctx: &CondenseContext<'_>) -> Vec<(u8, Vec<u8>)> {
             (CacheKey::Propagated((a, b)), CacheValue::Propagated(pf)) => {
                 w.put_usize(a);
                 w.put_usize(b);
-                put_blocks(w, &pf);
+                put_blocks(&mut w, &pf);
             }
             _ => unreachable!("an entry's value matches its key's family"),
         }
-        sections[id as usize].0 += 1;
     }
-    SECTION_ORDER
-        .into_iter()
-        .map(|id| {
-            let (count, w) = std::mem::take(&mut sections[id as usize]);
-            let mut payload = w.into_bytes();
-            payload[..8].copy_from_slice(&(count as u64).to_le_bytes());
-            (id, payload)
-        })
-        .collect()
-}
-
-/// Serializes `ctx`'s caches to snapshot bytes: the header, then one
-/// checksummed section per persisted family (see the module docs for
-/// the layout). Pure in-memory encoding; see
-/// [`CondenseContext::save_snapshot`] for the file wrapper.
-pub fn encode_snapshot(ctx: &CondenseContext<'_>) -> Vec<u8> {
-    let sections = encode_sections(ctx);
-    let fp = ctx.graph().fingerprint();
-    let mut w = ByteWriter::new();
-    w.put_bytes(&SNAPSHOT_MAGIC);
-    w.put_u32(SNAPSHOT_VERSION);
-    w.put_u64(fp.0);
-    w.put_u64(fp.1);
-    w.put_opt_usize(Some(MAX_ROW_NNZ));
-    w.put_u32(sections.len() as u32);
-    for (id, payload) in &sections {
-        w.put_u8(*id);
-        w.put_usize(payload.len());
-        w.put_u64(section_checksum(*id, payload));
-        w.put_bytes(payload);
-    }
-    w.into_bytes()
-}
-
-/// Decoded snapshot contents, staged before installation so a failure
-/// anywhere leaves the target context untouched. On delta loads,
-/// entries the delta invalidates never enter staging — the decoder
-/// skips their bytes (bounds-checked) instead of decoding and
-/// re-validating values that would only be thrown away, and counts
-/// them in `report.dropped`.
-#[derive(Default)]
-struct Staging {
-    entries: Vec<CacheEntry>,
-    report: SeedReport,
+    let mut bytes = w.into_bytes();
+    let checksum = snapshot_checksum(&bytes[BODY_START..]);
+    bytes[BODY_START - 8..BODY_START].copy_from_slice(&checksum.to_le_bytes());
+    bytes
 }
 
 /// Reads a node type id, rejecting one outside `schema`.
@@ -750,14 +674,19 @@ fn read_bounds(r: &mut ByteReader<'_>) -> Result<(usize, usize), SnapshotError> 
     Ok((hops, paths))
 }
 
-/// Reads one entry's key from a section of kind `id`. Every type id is
-/// range-checked against `schema` and every hop/path bound against the
-/// untrusted-input caps here, before `InvalidationRules::survives` (which
-/// indexes by type id and enumerates meta-paths) ever sees the key.
-fn read_key(id: u8, r: &mut ByteReader<'_>, schema: &Schema) -> Result<CacheKey, SnapshotError> {
-    Ok(match id {
-        SECTION_FACTORS => CacheKey::Factors(read_step(r, schema)?),
-        SECTION_COMPOSED => {
+/// Reads one entry's family tag and key. Every type id is range-checked
+/// against `schema` and every hop/path bound against the untrusted-input
+/// caps here, before `InvalidationRules::survives` (which indexes by
+/// type id and enumerates meta-paths) ever sees the key.
+fn read_key(r: &mut ByteReader<'_>, schema: &Schema) -> Result<CacheKey, SnapshotError> {
+    let tag = r.u8()?;
+    let family = PERSISTED
+        .into_iter()
+        .find(|&f| f as u8 == tag)
+        .ok_or(SnapshotError::Malformed("unknown family tag"))?;
+    Ok(match family {
+        CacheFamily::Factors => CacheKey::Factors(read_step(r, schema)?),
+        CacheFamily::Composed => {
             let nsteps = r.seq_len(3)?;
             if nsteps < 2 {
                 // Single-step paths live in the factor cache by design; a
@@ -770,7 +699,7 @@ fn read_key(id: u8, r: &mut ByteReader<'_>, schema: &Schema) -> Result<CacheKey,
                     .collect::<Result<_, _>>()?,
             )
         }
-        SECTION_INFLUENCE => {
+        CacheFamily::Influence => {
             let father = read_node_type(r, schema)?;
             let (max_hops, max_paths) = read_bounds(r)?;
             let disc = r.u8()?;
@@ -797,86 +726,67 @@ fn read_key(id: u8, r: &mut ByteReader<'_>, schema: &Schema) -> Result<CacheKey,
                 seed: r.u64()?,
             })
         }
-        SECTION_DIVERSITY => {
+        CacheFamily::Diversity => {
             let root = read_node_type(r, schema)?;
             let (max_hops, max_paths) = read_bounds(r)?;
             CacheKey::Diversity((root, max_hops, max_paths, r.usize()?))
         }
-        _ => CacheKey::Propagated(read_bounds(r)?),
+        CacheFamily::Propagated => CacheKey::Propagated(read_bounds(r)?),
+        CacheFamily::Paths | CacheFamily::Oriented => unreachable!("never persisted"),
     })
 }
 
-/// Decodes section `id` into `out`: per entry, the key first, then —
-/// when the key survives the delta (always, without one) — the value,
-/// else a bounds-checked skip over the value's bytes: `skip_csr` for
-/// matrices, and one `take` for vectors and for propagated blocks,
-/// which are dense and dominate the file.
-fn decode_section(
-    id: u8,
-    payload: &[u8],
-    schema: &Schema,
-    rules: &mut Option<InvalidationRules<'_>>,
-    out: &mut Staging,
-) -> Result<(), SnapshotError> {
-    let mut r = ByteReader::new(payload);
-    // The smallest encoded entry bounds the count.
-    let min_entry = match id {
-        SECTION_FACTORS => 3,
-        SECTION_PROPAGATED => 24,
-        _ => 8,
-    };
-    for _ in 0..r.seq_len(min_entry)? {
-        let key = read_key(id, &mut r, schema)?;
-        let mut survives = || rules.as_mut().is_none_or(|ru| ru.survives(&key));
-        let staged = match key.family() {
-            CacheFamily::Factors | CacheFamily::Composed => {
-                if survives() {
-                    Some(CacheValue::Matrix(Arc::new(read_csr(&mut r)?)))
-                } else {
-                    skip_csr(&mut r)?;
-                    None
-                }
+/// Reads the value of an entry of `family` — or, when the entry does not
+/// survive the delta, steps over its bytes (bounds-checked) and returns
+/// `None`: `skip_csr` for matrices, and one `take` for vectors and for
+/// propagated blocks, which are dense and dominate the file.
+fn read_value(
+    r: &mut ByteReader<'_>,
+    family: CacheFamily,
+    survives: bool,
+) -> Result<Option<CacheValue>, SnapshotError> {
+    let value = match family {
+        CacheFamily::Factors | CacheFamily::Composed => {
+            if !survives {
+                skip_csr(r)?;
+                return Ok(None);
             }
-            CacheFamily::Influence | CacheFamily::Diversity => {
-                let n = r.seq_len(8)?;
-                if survives() {
-                    Some(CacheValue::Vector(Arc::new(r.f64_vec(n)?)))
-                } else {
-                    r.take(n * 8)?;
-                    None
-                }
-            }
-            _ => {
-                let len = r.seq_len(1)?;
-                let bytes = r.take(len)?;
-                if survives() {
-                    Some(CacheValue::Propagated(Arc::new(read_blocks(bytes)?)))
-                } else {
-                    None
-                }
-            }
-        };
-        match staged {
-            Some(value) => out.entries.push(CacheEntry { key, value }),
-            None => out.report.dropped += 1,
+            CacheValue::Matrix(Arc::new(read_csr(r)?))
         }
-    }
-    if !r.is_empty() {
-        return Err(SnapshotError::Malformed("trailing bytes in section"));
-    }
-    Ok(())
+        CacheFamily::Influence | CacheFamily::Diversity => {
+            let n = r.seq_len(8)?;
+            if !survives {
+                r.take(n * 8)?;
+                return Ok(None);
+            }
+            CacheValue::Vector(Arc::new(r.f64_vec(n)?))
+        }
+        _ => {
+            let len = r.seq_len(1)?;
+            let bytes = r.take(len)?;
+            if !survives {
+                return Ok(None);
+            }
+            CacheValue::Propagated(Arc::new(read_blocks(bytes)?))
+        }
+    };
+    Ok(Some(value))
 }
 
-/// Shape-checks every staged entry against the graph it is about to
-/// serve. Checksums only catch *accidental* corruption — they are
-/// unkeyed Fx hashes anyone can recompute — so the no-panic contract
-/// for untrusted files rests on this: an entry whose type ids are out
-/// of range, whose matrix dimensions disagree with the edge type's node
+/// Shape-checks one decoded entry against the graph it is about to
+/// serve. The checksum only catches *accidental* corruption — it is an
+/// unkeyed Fx hash anyone can recompute — so the no-panic contract for
+/// untrusted files rests on this: an entry whose type ids are out of
+/// range, whose matrix dimensions disagree with the edge type's node
 /// counts, or whose vector length disagrees with the scored type's node
 /// count, or whose propagated blocks lack a row per target node, would
 /// otherwise pass decode and then panic deep inside a later SpGEMM,
 /// propagation multiply, selection index or block `gather`.
-fn validate_against_graph(entries: &[CacheEntry], g: &HeteroGraph) -> Result<(), SnapshotError> {
+fn validate_against_graph(
+    key: &CacheKey,
+    value: &CacheValue,
+    g: &HeteroGraph,
+) -> Result<(), SnapshotError> {
     let schema = g.schema();
     // Oriented factor dimensions implied by a step: the stored edge is
     // |src| × |dst|; a reverse traversal transposes it.
@@ -888,78 +798,75 @@ fn validate_against_graph(entries: &[CacheEntry], g: &HeteroGraph) -> Result<(),
         let (a, b) = (g.num_nodes(src), g.num_nodes(dst));
         Ok(if s.forward { (a, b) } else { (b, a) })
     };
-    for e in entries {
-        match (&e.key, &e.value) {
-            (CacheKey::Factors(step), CacheValue::Matrix(m)) => {
-                if (m.nrows(), m.ncols()) != step_dims(step)? {
-                    return Err(SnapshotError::Malformed("factor shape mismatch"));
-                }
+    match (key, value) {
+        (CacheKey::Factors(step), CacheValue::Matrix(m)) => {
+            if (m.nrows(), m.ncols()) != step_dims(step)? {
+                return Err(SnapshotError::Malformed("factor shape mismatch"));
             }
-            (CacheKey::Composed(steps), CacheValue::Matrix(m)) => {
-                let (rows, mut cols) = step_dims(&steps[0])?;
-                for s in &steps[1..] {
-                    let (r, c) = step_dims(s)?;
-                    if r != cols {
-                        return Err(SnapshotError::Malformed("composed steps do not chain"));
-                    }
-                    cols = c;
-                }
-                if m.nrows() != rows || m.ncols() != cols {
-                    return Err(SnapshotError::Malformed("composed shape mismatch"));
-                }
-            }
-            (
-                CacheKey::Influence(InfluenceKey { father: t, .. }) | CacheKey::Diversity((t, ..)),
-                CacheValue::Vector(v),
-            ) => {
-                if (t.0 as usize) >= schema.num_node_types() {
-                    return Err(SnapshotError::Malformed("vector node type out of range"));
-                }
-                if v.len() != g.num_nodes(*t) {
-                    return Err(SnapshotError::Malformed("vector length mismatch"));
-                }
-            }
-            (CacheKey::Propagated(_), CacheValue::Propagated(pf)) => {
-                let n = g.num_nodes(schema.target());
-                if pf.blocks.is_empty() || pf.blocks.iter().any(|b| b.rows != n) {
-                    return Err(SnapshotError::Malformed("propagated shape mismatch"));
-                }
-            }
-            _ => unreachable!("snapshots stage only the five persisted families"),
         }
+        (CacheKey::Composed(steps), CacheValue::Matrix(m)) => {
+            let (rows, mut cols) = step_dims(&steps[0])?;
+            for s in &steps[1..] {
+                let (r, c) = step_dims(s)?;
+                if r != cols {
+                    return Err(SnapshotError::Malformed("composed steps do not chain"));
+                }
+                cols = c;
+            }
+            if m.nrows() != rows || m.ncols() != cols {
+                return Err(SnapshotError::Malformed("composed shape mismatch"));
+            }
+        }
+        (
+            CacheKey::Influence(InfluenceKey { father: t, .. }) | CacheKey::Diversity((t, ..)),
+            CacheValue::Vector(v),
+        ) => {
+            if (t.0 as usize) >= schema.num_node_types() {
+                return Err(SnapshotError::Malformed("vector node type out of range"));
+            }
+            if v.len() != g.num_nodes(*t) {
+                return Err(SnapshotError::Malformed("vector length mismatch"));
+            }
+        }
+        (CacheKey::Propagated(_), CacheValue::Propagated(pf)) => {
+            let n = g.num_nodes(schema.target());
+            if pf.blocks.is_empty() || pf.blocks.iter().any(|b| b.rows != n) {
+                return Err(SnapshotError::Malformed("propagated shape mismatch"));
+            }
+        }
+        _ => unreachable!("snapshots decode only the five persisted families"),
     }
     Ok(())
 }
 
 /// Decodes `bytes` and installs every entry into `ctx`'s caches.
 ///
-/// The snapshot must be for exactly this context: same graph fingerprint
-/// and the fill-in cap [`MAX_ROW_NNZ`] — anything else is rejected before a
-/// single entry lands. The entire file is decoded into staging first,
-/// so on *any* error the context is left untouched (still cold, still
+/// The snapshot must be for exactly this context's graph: a file whose
+/// checksum or fingerprint does not match is rejected before a single
+/// entry lands. The entire file is decoded and shape-checked first, so
+/// on *any* error the context is left untouched (still cold, still
 /// correct). Installed entries never overwrite ones the context already
 /// holds and are charged to the byte ledger like computed ones, so a
-/// loaded context keeps every invariant a warm one has. A key can only
-/// appear in its family's one section, so when a crafted file repeats
-/// it, file order decides which copy installs.
+/// loaded context keeps every invariant a warm one has. When a crafted
+/// file repeats a key, the first copy in file order installs.
 ///
 /// With `delta = Some((old_fp, delta))` this loads an *old* graph's
 /// snapshot into a context over the *mutated* graph: the file's
 /// fingerprint is checked against `old_fp` (the pre-delta graph's), and
 /// every entry the delta invalidates — per the same
-/// `InvalidationRules` in-memory seeding uses — is dropped before
-/// validation and install. Node counts are invariant under deltas, so
-/// surviving entries shape-check against the mutated graph exactly as
-/// they would against the old one; what installs is therefore bitwise
-/// what a cold rebuild of the mutated graph would compute. This is how a
-/// delta-load beats a cold rebuild across restarts, before any snapshot
-/// of the new fingerprint exists.
+/// `InvalidationRules` in-memory seeding uses — is skipped (and counted
+/// in `report.dropped`) instead of decoded, validated and installed.
+/// Node counts are invariant under deltas, so surviving entries
+/// shape-check against the mutated graph exactly as they would against
+/// the old one; what installs is therefore bitwise what a cold rebuild
+/// of the mutated graph would compute. This is how a delta-load beats a
+/// cold rebuild across restarts, before any snapshot of the new
+/// fingerprint exists.
 pub fn decode_snapshot_into(
     ctx: &CondenseContext<'_>,
     bytes: &[u8],
     delta: Option<(GraphFingerprint, &GraphDelta)>,
 ) -> Result<SeedReport, SnapshotError> {
-    let expected = delta.map_or_else(|| ctx.graph().fingerprint(), |(old_fp, _)| old_fp);
     let mut r = ByteReader::new(bytes);
     if r.take(8)? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
@@ -971,51 +878,43 @@ pub fn decode_snapshot_into(
             expected: SNAPSHOT_VERSION,
         });
     }
+    let checksum = r.u64()?;
+    let body = r.take(r.remaining())?;
+    if snapshot_checksum(body) != checksum {
+        return Err(SnapshotError::ChecksumMismatch);
+    }
+    let mut r = ByteReader::new(body);
+    let expected = delta.map_or_else(|| ctx.graph().fingerprint(), |(old_fp, _)| old_fp);
     let found = GraphFingerprint(r.u64()?, r.u64()?);
     if found != expected {
         return Err(SnapshotError::WrongFingerprint { found, expected });
     }
-    if r.opt_usize()? != Some(MAX_ROW_NNZ) {
-        return Err(SnapshotError::WrongKnobs);
-    }
 
-    // Delta loads never stage an entry the delta invalidates: the
-    // decoders consult the identical survival rules in-memory seeding
-    // applies (`CondenseContext::seed_from`) and step over doomed bytes
-    // instead of decoding values that would only be thrown away.
-    let schema = ctx.graph().schema();
-    let mut rules = delta.map(|(_, d)| InvalidationRules::new(schema, d));
-
-    let nsect = r.u32()?;
-    let mut staging = Staging::default();
-    let mut seen = [false; 6];
-    for _ in 0..nsect {
-        let id = r.u8()?;
-        let len = r.seq_len(1)?;
-        let checksum = r.u64()?;
-        let payload = r.take(len)?;
-        if section_checksum(id, payload) != checksum {
-            return Err(SnapshotError::ChecksumMismatch { section: id });
+    // Delta loads never decode an entry the delta invalidates: the
+    // survival rules are the ones in-memory seeding applies
+    // (`CondenseContext::seed_from`).
+    let g = ctx.graph();
+    let mut rules = delta.map(|(_, d)| InvalidationRules::new(g.schema(), d));
+    let mut staged = Vec::new();
+    let mut report = SeedReport::default();
+    // Every entry holds at least a family tag and a 3-byte step.
+    for _ in 0..r.seq_len(4)? {
+        let key = read_key(&mut r, g.schema())?;
+        let survives = rules.as_mut().is_none_or(|ru| ru.survives(&key));
+        match read_value(&mut r, key.family(), survives)? {
+            Some(value) => {
+                validate_against_graph(&key, &value, g)?;
+                staged.push(CacheEntry { key, value });
+            }
+            None => report.dropped += 1,
         }
-        if !(1..=5).contains(&id) {
-            return Err(SnapshotError::Malformed("unknown section id"));
-        }
-        if std::mem::replace(&mut seen[id as usize], true) {
-            return Err(SnapshotError::Malformed("duplicate section"));
-        }
-        decode_section(id, payload, schema, &mut rules, &mut staging)?;
     }
     if !r.is_empty() {
-        return Err(SnapshotError::Malformed("trailing bytes after sections"));
+        return Err(SnapshotError::Malformed("trailing bytes after entries"));
     }
 
-    // Everything decoded; validate, then install in file order.
-    let Staging {
-        entries,
-        mut report,
-    } = staging;
-    validate_against_graph(&entries, ctx.graph())?;
-    for entry in entries {
+    // Everything decoded and validated; install in file order.
+    for entry in staged {
         report.installed[entry.key.family() as usize] += 1;
         ctx.install(entry);
     }
@@ -1269,9 +1168,10 @@ mod tests {
         for cut in [0, 4, 11, 40, bytes.len() / 2, bytes.len() - 1] {
             assert_cold_after(bytes[..cut].to_vec(), "truncation");
         }
-        // A flipped byte anywhere in a section payload fails its
-        // checksum; in the header it fails the header checks.
-        for pos in [9, 30, 60, bytes.len() / 2, bytes.len() - 3] {
+        // A flipped byte in the magic or version fails the header
+        // checks; in the checksum field or anywhere after it (the
+        // fingerprint included), the checksum.
+        for pos in [9, 15, 30, 60, bytes.len() / 2, bytes.len() - 3] {
             let mut m = bytes.clone();
             m[pos] ^= 0x40;
             assert_cold_after(m, "bit flip");
@@ -1280,10 +1180,16 @@ mod tests {
         let mut m = bytes.clone();
         m[0] = b'X';
         assert_cold_after(m, "bad magic");
-        // Wrong version.
+        // Wrong version, and a file of the previous format.
         let mut m = bytes.clone();
         m[8] = 0xEE;
         assert_cold_after(m, "bad version");
+        let mut m = bytes.clone();
+        m[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            decode_snapshot_into(&CondenseContext::new(&g), &m, None),
+            Err(SnapshotError::BadVersion { found: 2, .. })
+        ));
         // Trailing garbage.
         let mut m = bytes.clone();
         m.push(0);
@@ -1291,7 +1197,7 @@ mod tests {
     }
 
     #[test]
-    fn wrong_fingerprint_and_wrong_knobs_are_rejected() {
+    fn wrong_fingerprint_is_rejected() {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
         warm(&ctx);
@@ -1305,35 +1211,39 @@ mod tests {
             Err(SnapshotError::WrongFingerprint { .. })
         ));
 
-        // The header cap sits outside every section checksum: magic (8),
-        // version (4) and fingerprint (16) put its `Some` tag at byte 28
-        // and its u64 at 29..37. Any value but MAX_ROW_NNZ is rejected.
-        assert_eq!(bytes[28], 1);
-        assert_eq!(bytes[29..37], (MAX_ROW_NNZ as u64).to_le_bytes());
-        for cap in [
-            0,
-            1,
-            MAX_ROW_NNZ as u64 - 1,
-            MAX_ROW_NNZ as u64 + 1,
-            u64::MAX,
-        ] {
-            let mut m = bytes.clone();
-            m[29..37].copy_from_slice(&cap.to_le_bytes());
-            let fresh = CondenseContext::new(&g);
-            assert!(matches!(
-                decode_snapshot_into(&fresh, &m, None),
-                Err(SnapshotError::WrongKnobs)
-            ));
-            assert_eq!(fresh.composed_len(), 0, "cap {cap}: nothing installed");
-        }
-        // An uncapped (`None`) header: tag 0 and no u64 follows.
-        let mut m = bytes[..28].to_vec();
-        m.push(0);
-        m.extend_from_slice(&bytes[37..]);
+        // The fingerprint sits under the checksum, at bytes 20..36:
+        // writing the other graph's over it breaks the checksum, so the
+        // file cannot pass as the other graph's.
+        let fp = other.fingerprint();
+        let mut m = bytes.clone();
+        m[20..28].copy_from_slice(&fp.0.to_le_bytes());
+        m[28..36].copy_from_slice(&fp.1.to_le_bytes());
         assert!(matches!(
-            decode_snapshot_into(&CondenseContext::new(&g), &m, None),
-            Err(SnapshotError::WrongKnobs)
+            decode_snapshot_into(&foreign, &m, None),
+            Err(SnapshotError::ChecksumMismatch)
         ));
+        assert_eq!(foreign.composed_len(), 0, "nothing installed");
+    }
+
+    /// Only the five persisted families have a tag; any other byte in
+    /// the tag position — paths and oriented adjacencies included — is
+    /// malformed.
+    #[test]
+    fn unknown_family_tags_are_malformed() {
+        let g = fixture();
+        for tag in [
+            CacheFamily::Paths as u8,
+            CacheFamily::Oriented as u8,
+            7,
+            0xFF,
+        ] {
+            let file = sealed_file(&g, 1, &[tag, 0, 0, 0]);
+            let err = decode_snapshot_into(&CondenseContext::new(&g), &file, None);
+            assert!(
+                matches!(err, Err(SnapshotError::Malformed("unknown family tag"))),
+                "tag {tag}: got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1363,9 +1273,7 @@ mod tests {
             edge: crate::schema::EdgeTypeId(0),
             forward,
         };
-        let check = |key: CacheKey, value: CacheValue| {
-            validate_against_graph(&[CacheEntry { key, value }], &g)
-        };
+        let check = |key: CacheKey, value: CacheValue| validate_against_graph(&key, &value, &g);
         let m = |rows, cols| CacheValue::Matrix(Arc::new(CsrMatrix::zeros(rows, cols)));
         let v = |len| CacheValue::Vector(Arc::new(vec![0.0; len]));
 
@@ -1440,10 +1348,9 @@ mod tests {
     fn crafted_csr_wider_than_u32_is_malformed_not_a_panic() {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
-        let mut payload = ByteWriter::new();
-        payload.put_usize(1);
+        let mut entry = ByteWriter::new();
         put_step(
-            &mut payload,
+            &mut entry,
             MetaPathStep {
                 edge: crate::schema::EdgeTypeId(0),
                 forward: true,
@@ -1451,9 +1358,9 @@ mod tests {
         );
         // nrows 0, ncols 2^32, nnz 0, indptr [0].
         for v in [0, u32::MAX as usize + 1, 0, 0] {
-            payload.put_usize(v);
+            entry.put_usize(v);
         }
-        let file = single_section_file(&g, SECTION_FACTORS, &payload.into_bytes());
+        let file = single_entry_file(&g, CacheFamily::Factors, &entry.into_bytes());
         let err = decode_snapshot_into(&ctx, &file, None);
         assert!(
             matches!(
@@ -1466,24 +1373,23 @@ mod tests {
     }
 
     /// The checksum is an unkeyed Fx hash anyone can recompute, so a
-    /// crafted file with a correct header and self-consistent checksums
+    /// crafted file with a correct header and a self-consistent checksum
     /// must still be rejected — by the shape validation — before it can
     /// plant a panic in a later SpGEMM.
     #[test]
     fn crafted_file_with_valid_checksums_is_rejected_on_shape() {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
-        let mut payload = ByteWriter::new();
-        payload.put_usize(1);
+        let mut entry = ByteWriter::new();
         put_step(
-            &mut payload,
+            &mut entry,
             MetaPathStep {
                 edge: crate::schema::EdgeTypeId(0),
                 forward: true,
             },
         );
-        put_csr(&mut payload, &CsrMatrix::zeros(1, 1)); // truth is 4×3
-        let file = single_section_file(&g, SECTION_FACTORS, &payload.into_bytes());
+        put_csr(&mut entry, &CsrMatrix::zeros(1, 1)); // truth is 4×3
+        let file = single_entry_file(&g, CacheFamily::Factors, &entry.into_bytes());
 
         let err = decode_snapshot_into(&ctx, &file, None);
         assert!(
@@ -1523,7 +1429,7 @@ mod tests {
             "loaded blocks are charged like computed ones"
         );
 
-        // A truncated or garbage block payload (with a valid section
+        // A truncated or garbage block payload (in a file with a valid
         // checksum) is rejected without installing anything.
         let mut blocks = ByteWriter::new();
         put_blocks(&mut blocks, &pf);
@@ -1531,36 +1437,34 @@ mod tests {
         let whole = &blocks[8..];
         assert!(read_blocks(whole).is_ok(), "the payload decodes whole");
         for inner in [&whole[..whole.len() / 2], &[0xFF; 9][..]] {
-            let mut payload = ByteWriter::new();
-            payload.put_usize(1);
-            payload.put_usize(2);
-            payload.put_usize(16);
-            payload.put_usize(inner.len());
-            payload.put_bytes(inner);
-            let file = single_section_file(&g, SECTION_PROPAGATED, &payload.into_bytes());
+            let mut entry = ByteWriter::new();
+            entry.put_usize(2);
+            entry.put_usize(16);
+            entry.put_usize(inner.len());
+            entry.put_bytes(inner);
+            let file = single_entry_file(&g, CacheFamily::Propagated, &entry.into_bytes());
             let cold = CondenseContext::new(&g);
             assert!(decode_snapshot_into(&cold, &file, None).is_err());
             assert_eq!(cold.stats(), CondenseContext::new(&g).stats(), "untouched");
         }
     }
 
-    /// Files written before the propagated section was always present
-    /// hold sections 1-4 only; they still load, as a partial context
-    /// whose blocks recompute on first use.
+    /// A file that holds some families' entries and not others (here
+    /// one diversity bonus and no propagated blocks) loads as a partial
+    /// context whose missing entries recompute on first use.
     #[test]
-    fn file_without_the_propagated_section_still_loads() {
+    fn file_without_propagated_entries_still_loads() {
         let g = fixture();
         let ctx = CondenseContext::new(&g);
         let root = g.schema().target();
-        let mut payload = ByteWriter::new();
-        payload.put_usize(1);
-        payload.put_u16(root.0);
-        payload.put_usize(2);
-        payload.put_usize(24);
-        payload.put_usize(1);
-        payload.put_usize(4);
-        payload.put_f64_slice(&[0.5, 0.125, 1.0, 0.75]);
-        let file = single_section_file(&g, SECTION_DIVERSITY, &payload.into_bytes());
+        let mut entry = ByteWriter::new();
+        entry.put_u16(root.0);
+        entry.put_usize(2);
+        entry.put_usize(24);
+        entry.put_usize(1);
+        entry.put_usize(4);
+        entry.put_f64_slice(&[0.5, 0.125, 1.0, 0.75]);
+        let file = single_entry_file(&g, CacheFamily::Diversity, &entry.into_bytes());
 
         let report = decode_snapshot_into(&ctx, &file, None).expect("partial file loads");
         assert_eq!(report[CacheFamily::Diversity], 1);
@@ -1572,28 +1476,34 @@ mod tests {
         assert_eq!(pf.num_rows(), 4);
     }
 
-    /// A snapshot file for `g` holding one section with a valid checksum
-    /// over `payload`.
-    fn single_section_file(g: &HeteroGraph, id: u8, payload: &[u8]) -> Vec<u8> {
+    /// A snapshot file for `g` with a valid checksum, whose body after
+    /// the fingerprint is the entry count `n`, then `entries` verbatim.
+    fn sealed_file(g: &HeteroGraph, n: usize, entries: &[u8]) -> Vec<u8> {
+        let fp = g.fingerprint();
+        let mut body = ByteWriter::new();
+        body.put_u64(fp.0);
+        body.put_u64(fp.1);
+        body.put_usize(n);
+        body.put_bytes(entries);
+        let body = body.into_bytes();
         let mut w = ByteWriter::new();
         w.put_bytes(&SNAPSHOT_MAGIC);
         w.put_u32(SNAPSHOT_VERSION);
-        let fp = g.fingerprint();
-        w.put_u64(fp.0);
-        w.put_u64(fp.1);
-        w.put_opt_usize(Some(MAX_ROW_NNZ));
-        w.put_u32(1);
-        w.put_u8(id);
-        w.put_usize(payload.len());
-        w.put_u64(section_checksum(id, payload));
-        w.put_bytes(payload);
+        w.put_u64(snapshot_checksum(&body));
+        w.put_bytes(&body);
         w.into_bytes()
+    }
+
+    /// A sealed snapshot file for `g` holding one entry of `family`,
+    /// whose key and value bytes are `entry`.
+    fn single_entry_file(g: &HeteroGraph, family: CacheFamily, entry: &[u8]) -> Vec<u8> {
+        sealed_file(g, 1, &[&[family as u8], entry].concat())
     }
 
     /// A delta load runs `InvalidationRules::survives` on every key
     /// before `validate_against_graph`, and `survives` indexes by type id
-    /// and enumerates meta-paths. A crafted old-graph file with valid
-    /// checksums and an out-of-range id, or a hop/path bound above the
+    /// and enumerates meta-paths. A crafted old-graph file with a valid
+    /// checksum and an out-of-range id, or a hop/path bound above the
     /// untrusted-input caps, must come back as a typed error — never an
     /// index panic or a runaway enumeration — and leave the context
     /// untouched.
@@ -1659,34 +1569,26 @@ mod tests {
         let node = "node type out of range";
         let bounds = "meta-path bounds out of range";
         type Entry = Box<dyn Fn(&mut ByteWriter)>;
-        let cases: Vec<(u8, Entry, &str)> = vec![
-            (SECTION_FACTORS, Box::new(factor), edge),
-            (SECTION_COMPOSED, Box::new(composed), edge),
-            (SECTION_INFLUENCE, Box::new(influence(3, 2, 8)), node),
-            (SECTION_INFLUENCE, Box::new(influence(1, huge, 8)), bounds),
-            (SECTION_INFLUENCE, Box::new(influence(1, 2, huge)), bounds),
-            (SECTION_DIVERSITY, Box::new(diversity(u16::MAX, 2, 8)), node),
-            (
-                SECTION_DIVERSITY,
-                Box::new(diversity(0, MAX_HOPS + 1, 8)),
-                bounds,
-            ),
-            (
-                SECTION_DIVERSITY,
-                Box::new(diversity(0, 2, MAX_PATHS + 1)),
-                bounds,
-            ),
-            (SECTION_PROPAGATED, Box::new(propagated(huge, huge)), bounds),
+        use CacheFamily::{Composed, Diversity, Factors, Influence, Propagated};
+        let cases: Vec<(CacheFamily, Entry, &str)> = vec![
+            (Factors, Box::new(factor), edge),
+            (Composed, Box::new(composed), edge),
+            (Influence, Box::new(influence(3, 2, 8)), node),
+            (Influence, Box::new(influence(1, huge, 8)), bounds),
+            (Influence, Box::new(influence(1, 2, huge)), bounds),
+            (Diversity, Box::new(diversity(u16::MAX, 2, 8)), node),
+            (Diversity, Box::new(diversity(0, MAX_HOPS + 1, 8)), bounds),
+            (Diversity, Box::new(diversity(0, 2, MAX_PATHS + 1)), bounds),
+            (Propagated, Box::new(propagated(huge, huge)), bounds),
         ];
-        for (id, entry, want) in cases {
-            let mut payload = ByteWriter::new();
-            payload.put_usize(1);
-            entry(&mut payload);
-            let file = single_section_file(&old, id, &payload.into_bytes());
+        for (family, write, want) in cases {
+            let mut entry = ByteWriter::new();
+            write(&mut entry);
+            let file = single_entry_file(&old, family, &entry.into_bytes());
             let err = decode_snapshot_into(&ctx, &file, Some((old.fingerprint(), &delta)));
             assert!(
                 matches!(err, Err(SnapshotError::Malformed(m)) if m == want),
-                "section {id}: want {want:?}, got {err:?}"
+                "{family:?}: want {want:?}, got {err:?}"
             );
         }
         assert_eq!(ctx.stats(), CondenseContext::new(&new).stats(), "untouched");
@@ -1783,7 +1685,7 @@ mod tests {
         let fp = GraphFingerprint(0xABCD, 0x1234);
         assert_eq!(
             snapshot_file_name(fp),
-            format!("ctx-{fp}-k256.fhgc"),
+            format!("ctx-{fp}.fhgc"),
             "the fingerprint must be addressable from the name"
         );
         assert_ne!(

@@ -4,11 +4,14 @@
 //!
 //! Every case takes a real encoded input from a small corpus and applies
 //! a few byte-level mutations — flips, truncations and splices (a byte
-//! range of any corpus entry written over a range of the input). Raw
+//! range of any corpus entry written over a range of the input). The
+//! snapshot corpus also holds a valid snapshot of another graph, so
+//! splices can carry a foreign fingerprint or foreign entries. Raw
 //! mutations mostly die at a checksum, so each decoder is also fuzzed
-//! with *sealed* mutations: only one section or frame payload is
-//! mutated, and its checksum is recomputed, so the payload decoders
-//! behind the checksum see the bytes. The contracts:
+//! with *sealed* mutations: only a snapshot body (every byte after its
+//! checksum) or a frame payload is mutated, and its checksum is
+//! recomputed, so the decoders behind the checksum see the bytes. The
+//! contracts:
 //!
 //! * no decoder panics, whatever the bytes;
 //! * a rejected snapshot leaves its context exactly as fresh as it was:
@@ -30,11 +33,11 @@
 use freehgc::core::FreeHgc;
 use freehgc::datasets::tiny;
 use freehgc::hetgraph::snapshot::{
-    decode_snapshot_into, encode_snapshot, section_checksum, ByteReader, ByteWriter,
+    decode_snapshot_into, encode_snapshot, snapshot_checksum, ByteWriter, SNAPSHOT_MAGIC,
 };
 use freehgc::hetgraph::{
-    CondenseContext, CondenseSpec, CondensedGraph, Condenser, EdgeTypeId, GraphDelta, HeteroGraph,
-    NodeTypeId,
+    CondenseContext, CondenseSpec, CondensedGraph, Condenser, EdgeTypeId, GraphDelta,
+    GraphFingerprint, HeteroGraph, NodeTypeId, SNAPSHOT_VERSION,
 };
 use freehgc::hgnn::propagation::propagate_ctx;
 use freehgc::serve::wire::{
@@ -122,47 +125,47 @@ fn mutate(corpus: &[Vec<u8>], pick: usize, muts: &[Mutation]) -> Vec<u8> {
 struct SnapshotFixture {
     graph: HeteroGraph,
     condensed: CondensedGraph,
+    /// Two snapshots of `graph`, then one of [`foreign_graph`]: a splice
+    /// donor only, never mutated itself.
     corpus: Vec<Vec<u8>>,
-    /// Every corpus entry split into its header and sections.
-    split: Vec<SplitSnapshot>,
-    /// Every section payload of every corpus entry, with its
-    /// `(entry, section)` slot: the donors of sealed mutations.
-    payloads: Vec<Vec<u8>>,
-    slots: Vec<(usize, usize)>,
+    /// Every corpus entry's body ([`split_snapshot`]): the inputs and
+    /// donors of sealed mutations.
+    bodies: Vec<Vec<u8>>,
 }
 
-/// A snapshot's bytes up to the section count, and its `(section id,
-/// payload)` list.
-type SplitSnapshot = (Vec<u8>, Vec<(u8, Vec<u8>)>);
+/// How many corpus entries are snapshots of the fixture graph.
+const OWN_SNAPSHOTS: usize = 2;
 
-/// Magic, version, fingerprint and the `Some(cap)` header field.
-const SNAPSHOT_HEAD_LEN: usize = 8 + 4 + 16 + 1 + 8;
+/// Magic, version and checksum: the bytes before a snapshot's body.
+const SNAPSHOT_HEAD_LEN: usize = 8 + 4 + 8;
 
-fn split_snapshot(bytes: &[u8]) -> SplitSnapshot {
-    let mut r = ByteReader::new(&bytes[SNAPSHOT_HEAD_LEN..]);
-    let sections = (0..r.u32().unwrap())
-        .map(|_| {
-            let id = r.u8().unwrap();
-            let len = r.usize().unwrap();
-            r.u64().unwrap();
-            (id, r.take(len).unwrap().to_vec())
-        })
-        .collect();
-    (bytes[..SNAPSHOT_HEAD_LEN].to_vec(), sections)
+/// A snapshot's body: every byte after its checksum, which the checksum
+/// covers.
+fn split_snapshot(bytes: &[u8]) -> &[u8] {
+    &bytes[SNAPSHOT_HEAD_LEN..]
 }
 
-/// Reassembles a snapshot with freshly computed section checksums.
-fn seal_snapshot((head, sections): &SplitSnapshot) -> Vec<u8> {
+/// Reassembles a snapshot around `body` with a freshly computed checksum.
+fn seal_snapshot(body: &[u8]) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_bytes(head);
-    w.put_u32(sections.len() as u32);
-    for (id, payload) in sections {
-        w.put_u8(*id);
-        w.put_usize(payload.len());
-        w.put_u64(section_checksum(*id, payload));
-        w.put_bytes(payload);
-    }
+    w.put_bytes(&SNAPSHOT_MAGIC);
+    w.put_u32(SNAPSHOT_VERSION);
+    w.put_u64(snapshot_checksum(body));
+    w.put_bytes(body);
     w.into_bytes()
+}
+
+/// `graph` with two more edges of edge type 0: the same node counts, so
+/// its entries shape-check against `graph`, but other composed bits and
+/// another fingerprint.
+fn foreign_graph(graph: &HeteroGraph) -> HeteroGraph {
+    let mut delta = GraphDelta::new();
+    delta
+        .add_edge(EdgeTypeId(0), 0, 0)
+        .add_edge(EdgeTypeId(0), 1, 1);
+    let mut foreign = graph.clone();
+    foreign.apply_delta(&delta);
+    foreign
 }
 
 fn workload(ctx: &CondenseContext<'_>) -> CondensedGraph {
@@ -178,30 +181,27 @@ fn snapshot_fixture() -> &'static SnapshotFixture {
         let condensed = workload(&ctx);
         let full = encode_snapshot(&ctx);
         // A compositions-only snapshot of the same graph: a second seed
-        // with the same header and different sections.
+        // with the same fingerprint and other entries.
         let partial = CondenseContext::new(&graph);
         let root = graph.schema().target();
         for p in partial.metapaths(root, 2, 12).iter() {
             partial.adjacency(p);
         }
-        let corpus = vec![full, encode_snapshot(&partial)];
-        drop(ctx);
-        let split: Vec<SplitSnapshot> = corpus.iter().map(|b| split_snapshot(b)).collect();
-        let mut payloads = Vec::new();
-        let mut slots = Vec::new();
-        for (e, (_, sections)) in split.iter().enumerate() {
-            for (i, (_, payload)) in sections.iter().enumerate() {
-                payloads.push(payload.clone());
-                slots.push((e, i));
-            }
-        }
+        let foreign = foreign_graph(&graph);
+        let foreign_ctx = CondenseContext::new(&foreign);
+        workload(&foreign_ctx);
+        let corpus = vec![
+            full,
+            encode_snapshot(&partial),
+            encode_snapshot(&foreign_ctx),
+        ];
+        drop((ctx, foreign_ctx));
+        let bodies = corpus.iter().map(|b| split_snapshot(b).to_vec()).collect();
         SnapshotFixture {
             graph,
             condensed,
             corpus,
-            split,
-            payloads,
-            slots,
+            bodies,
         }
     })
 }
@@ -227,7 +227,7 @@ proptest! {
 
     #[test]
     fn mutation_fuzz_snapshot_decoder(
-        pick in 0usize..2,
+        pick in 0..OWN_SNAPSHOTS,
         muts in prop::collection::vec(mutation(), 1..4),
     ) {
         let fx = snapshot_fixture();
@@ -242,29 +242,52 @@ proptest! {
     }
 
     #[test]
-    fn mutation_fuzz_sealed_snapshot_sections(
-        slot in 0usize..64,
+    fn mutation_fuzz_sealed_snapshot_body(
+        pick in 0..OWN_SNAPSHOTS,
         muts in prop::collection::vec(mutation(), 1..4),
     ) {
         let fx = snapshot_fixture();
-        let slot = slot % fx.payloads.len();
-        let (entry, section) = fx.slots[slot];
-        let mut split = fx.split[entry].clone();
-        split.1[section].1 = mutate(&fx.payloads, slot, &muts);
-        decode_fresh(&fx.graph, &seal_snapshot(&split));
+        decode_fresh(&fx.graph, &seal_snapshot(&mutate(&fx.bodies, pick, &muts)));
     }
 }
 
 #[test]
 fn snapshot_corpus_decodes_and_replays_unmutated() {
     let fx = snapshot_fixture();
-    for (bytes, split) in fx.corpus.iter().zip(&fx.split) {
-        assert!(seal_snapshot(split) == *bytes, "split and seal invert");
+    for bytes in &fx.corpus {
+        assert!(
+            seal_snapshot(split_snapshot(bytes)) == *bytes,
+            "split and seal invert"
+        );
+    }
+    for bytes in &fx.corpus[..OWN_SNAPSHOTS] {
         let ctx = CondenseContext::new(&fx.graph);
         decode_snapshot_into(&ctx, bytes, None).expect("a corpus entry loads");
         assert!(same_condensation(&workload(&ctx), &fx.condensed));
         assert!(encode_snapshot(&ctx) == fx.corpus[0]);
     }
+    let (_, loaded) = decode_fresh(&fx.graph, &fx.corpus[OWN_SNAPSHOTS]);
+    assert!(!loaded, "the foreign donor is another graph's snapshot");
+}
+
+/// The fingerprint sits under the checksum: a valid snapshot of another
+/// graph with this graph's fingerprint written over its own must not
+/// load — it would serve the other graph's composed bits as this one's.
+#[test]
+fn foreign_snapshot_under_this_graphs_fingerprint_is_rejected() {
+    let graph = tiny(44);
+    let foreign = foreign_graph(&graph);
+    let ctx = CondenseContext::new(&foreign);
+    workload(&ctx);
+    let mut bytes = encode_snapshot(&ctx);
+    let le = |fp: GraphFingerprint| [fp.0.to_le_bytes(), fp.1.to_le_bytes()].concat();
+    let at = bytes
+        .windows(16)
+        .position(|w| w == le(foreign.fingerprint()))
+        .expect("a snapshot records its graph's fingerprint");
+    bytes[at..at + 16].copy_from_slice(&le(graph.fingerprint()));
+    let (_, loaded) = decode_fresh(&graph, &bytes);
+    assert!(!loaded, "a spliced fingerprint must be rejected");
 }
 
 // ---- wire frames ---------------------------------------------------------

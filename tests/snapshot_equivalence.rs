@@ -237,11 +237,11 @@ fn corrupted_snapshots_load_as_clean_cold_misses() {
 }
 
 /// The snapshot file format is pinned byte for byte: one fixed warm
-/// context (FreeHGC condensation plus feature propagation, with the
-/// propagated section) must
-/// always encode to the same bytes. A change to section order, entry
-/// order, or any payload layout moves the digest — which is a format
-/// change and needs a `SNAPSHOT_VERSION` bump, not a new digest.
+/// context (FreeHGC condensation plus feature propagation, so propagated
+/// blocks are included) must always encode to the same bytes. A change
+/// to the header, entry order, or any entry layout moves the digest —
+/// which is a format change and needs a `SNAPSHOT_VERSION` bump, not a
+/// new digest.
 #[test]
 fn snapshot_bytes_match_the_golden_digest() {
     use freehgc::hetgraph::snapshot::encode_snapshot;
@@ -260,7 +260,7 @@ fn snapshot_bytes_match_the_golden_digest() {
     h.write(&bytes);
     assert_eq!(
         (bytes.len(), h.finish()),
-        (268_213, 16_288_130_665_176_947_750),
+        (268_118, 4_651_957_946_707_149_754),
         "snapshot bytes moved: the file format changed"
     );
 }
