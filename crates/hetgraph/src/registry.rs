@@ -370,8 +370,17 @@ impl ContextRegistry {
     /// anyway), and outstanding `Arc`s keep their contexts alive —
     /// eviction here only forgets them, exactly like
     /// [`ContextRegistry::evict`].
+    ///
+    /// Before that, every call forgets each context that caches nothing
+    /// and that only the registry holds, whatever `keep_bytes` is: such
+    /// a context (one whose requests all ran a method that fills no
+    /// cache, such as Random-HG) counts 0 bytes against any budget, yet
+    /// keeps its graph alive.
     pub fn evict_idle(&self, keep_bytes: u64) -> usize {
         let mut entries = relock(&self.entries);
+        let registered = entries.len();
+        entries.retain(|_, r| r.ctx.cache_bytes() > 0 || Arc::strong_count(&r.ctx) > 1);
+        let mut dropped = registered - entries.len();
         let mut ready: Vec<(GraphFingerprint, u64, u64)> = entries
             .iter()
             .map(|(key, r)| (*key, r.touch, r.ctx.cache_bytes() as u64))
@@ -381,10 +390,9 @@ impl ContextRegistry {
             .map(|&(_, _, bytes)| bytes)
             .fold(0u64, u64::saturating_add);
         if resident <= keep_bytes {
-            return 0;
+            return dropped;
         }
         ready.sort_by_key(|&(_, touch, _)| touch);
-        let mut dropped = 0usize;
         for (key, _, bytes) in ready {
             if resident <= keep_bytes {
                 break;
@@ -1049,6 +1057,22 @@ mod tests {
         assert!(reg.peek(&ga).is_some(), "recently-touched A survives");
         assert!(reg.peek(&gb).is_none(), "idle B was dropped");
         assert_eq!(reg.evict_idle(0), 1, "zero ceiling clears the rest");
+        assert!(reg.is_empty());
+    }
+
+    #[test]
+    fn evict_idle_forgets_unheld_contexts_that_cache_nothing() {
+        let reg = ContextRegistry::new();
+        let (ga, gb) = (Arc::new(graph(1.0)), Arc::new(graph(2.0)));
+        let spec = CondenseSpec::new(0.5);
+        assert_eq!(reg.context_for(&ga, &spec).cache_bytes(), 0);
+        let held = reg.context_for(&gb, &spec);
+        assert_eq!(held.cache_bytes(), 0);
+        assert_eq!(reg.evict_idle(u64::MAX), 1, "under any budget");
+        assert!(reg.peek(&ga).is_none(), "the unheld empty context is gone");
+        assert!(reg.peek(&gb).is_some(), "an outstanding Arc keeps B");
+        drop(held);
+        assert_eq!(reg.evict_idle(u64::MAX), 1);
         assert!(reg.is_empty());
     }
 

@@ -21,6 +21,7 @@ pub mod coo;
 pub mod csr;
 pub mod fx;
 pub mod ppr;
+mod sell;
 
 pub use bitset::Bitset;
 pub use coo::CooMatrix;

@@ -10,19 +10,38 @@
 //! `n`) as a test oracle.
 //!
 //! FreeHGC's influence path is [`bipartite_influence`]. On the
-//! bipartite block operator a series term alternates between a
-//! target → source scatter and a source → target gather, and the kernel
-//! fuses each gather with the following scatter row by row, so `T` terms
-//! cost `⌈T/2⌉` passes over the nonzeros instead of `T` — with the same
-//! per-element addition order, hence the same bits, as one pass per
-//! term. The loop-invariant edge weight `a[r,c]·dc[c]` is folded once
-//! per stored entry before the first pass, so the passes read it
-//! sequentially instead of recomputing it (and fetching `dc[c]` from a
-//! random column) twice per entry per pass. [`ppr_push`] /
-//! [`ppr_push_into`] are the square-operator variant, used by the bench
-//! and tests.
+//! bipartite block operator a series term alternates between the
+//! target and the source block, so after a first scatter from the
+//! seeded rows, every two terms are two pure gathers over the path
+//! adjacency `A`: a row side, which sums each row's weighted source
+//! states into its target state, and a column side, which sums each
+//! column's weighted target states into its next source state, in
+//! ascending row order — the order a row-by-row scatter adds them in,
+//! so the bits are those of one pass per term. A gather chain has no
+//! read-modify-write of another row's output to wait on, where a
+//! scatter does, and it runs many chains in one vector register.
+//!
+//! Both sides are SELL-16 operands (SELL-C-σ, Kreutzer et al. 2014),
+//! built per call: rows, and columns, are sorted by length with a
+//! counting sort, longest first, and cut into groups of 16; each group
+//! stores its entries column-major, lane `l` of slot `j` holding entry
+//! `j` of the group's `l`-th row (or column), with the folded weight
+//! `w = a[r,c]·dc[c]` and the *position* of the other side's node. So
+//! the row side gathers source states and the column side target
+//! states where the plan keeps them, both sides iterate in plan order,
+//! and the accumulator is put back in column-id order once at the end.
+//! One pass over the nonzeros fills both sides. Every lane multiplies,
+//! then adds on its own chain, masked where its row ends, so each
+//! output keeps its bits in every build of the lane loop — AVX-512F,
+//! AVX2 or the baseline target, picked at run time ([`ppr_build`]).
+//! Plan positions are `i32` gather indices, which the plan asserts.
+//! The plan lives in two pooled scratch buffers (~16 B per stored entry
+//! plus group padding) for one call, so only one path's plan exists at
+//! a time. [`ppr_push`] / [`ppr_push_into`] are the square-operator
+//! variant, used by the bench and tests.
 
 use crate::csr::CsrMatrix;
+use crate::sell::{self, Build, Sell16, LANES};
 use freehgc_parallel::workspace as ws;
 
 /// Configuration for the truncated-series PPR computation.
@@ -118,69 +137,230 @@ pub fn ppr_push_into(m: &CsrMatrix, seed: &[f32], cfg: &PprConfig, acc: &mut [f3
 ///
 /// The state `x_k = seedᵀ Mᵏ` alternates between the target block (even
 /// `k`) and the source block (odd `k`), and only source states feed
-/// Eq. (13). Every pass over `A` after the first therefore advances the
-/// series by two terms: row `r` gathers its target state
-/// `t_r = (Σ_c (a[r,c]·dc[c])·src_k[c]) · dr[r]` from `src_k` and at once
-/// scatters `(a[r,c]·dc[c]) · (t_r·dr[r])` into `src_{k+2}`. Rows are
-/// visited in ascending order, so the additions into each
-/// `src_{k+2}[c]` arrive in the same ascending-`r` order, and with the
-/// same product associations, as a separate gather pass followed by a
-/// separate scatter pass — the result is bitwise-identical to that
-/// two-pass form. A series of `T` terms costs `⌈T/2⌉` passes over the
-/// nonzeros instead of `T`.
+/// Eq. (13). With `w_rc = a[r,c]·dc[c]` the folded weight of a stored
+/// entry, the first term scatters the seed: every row `r` whose
+/// `t_r = seed_r·dr[r]` is not zero adds `w_rc·t_r` into `src_1[c]`,
+/// rows in ascending order. Every later pair of terms is two pure
+/// gathers over a per-call SELL-16 plan of `A` (see the module docs):
 ///
-/// The folded weight `w[i] = a[r,c]·dc[c]` of every stored entry is
-/// computed once per call: Rust evaluates `v * dc[c] * x` as
-/// `(v * dc[c]) * x`, so `w[i] * x` performs the very same `f32`
-/// operations and the bits are unchanged.
+/// * **row side:** `t_r = ((Σ_j w_rj·src_k[c_j])·dr[r])·dr[r]`, the
+///   products summed in row order;
+/// * **column side:** `src_{k+2}[c] = Σ_r w_rc·t_r`, summed over `r`
+///   ascending.
 ///
-/// The fused pass scatters every row, including rows whose `t_r` is
-/// `±0`, with no branch: the bits are the same as skipping them. A
+/// One pass per term computes the same sums in the same order: its
+/// gather is the row side's loop, and its scatter adds `w_rc·t_r` into a
+/// zeroed `src_{k+2}` row by row, so `src_{k+2}[c]` receives its
+/// products in ascending `r`, starting from `+0.0` — the column side's
+/// order. The result is bitwise that of one pass per term, whichever
+/// lane-loop build ([`ppr_build`]) runs.
+///
+/// The column side sums every row of a column, including rows whose
+/// `t_r` is `±0`, which a scatter would skip; the bits are the same. A
 /// folded weight is never `±∞` — `|v·dc[c]| ≤ √|v|` when the column sum
 /// is finite, and `dc[c] = 0` when it is not — and a NaN weight makes its
 /// own row's gather, hence `t_r`, NaN. So a row with `t_r = ±0` adds only
-/// `±0` terms, and `x + ±0 == x` for every `x` but `−0`, which `nxt`
+/// `±0` terms, and `x + ±0 == x` for every `x` but `−0`, which the sum
 /// cannot hold: it starts at `+0.0`, and a sum is `−0` only when both
 /// addends are. (Edge weights are finite in practice anyway:
 /// `HeteroGraph::apply_delta` asserts it for every delta edge, and the
 /// serving wire decoder rejects non-finite deltas before that.) The
-/// first pass keeps its skip: a seeded call leaves most of its rows at
-/// exactly zero there, and skipping them saves whole row scans.
+/// first term keeps the skip, for two reasons: a seeded call leaves most
+/// rows at exactly zero there, so the scatter reads only the seeded rows;
+/// and `t_r` there comes from the seed, not from a gather, so a row with a
+/// NaN weight (whose `dr[r]` is `0`) has `t_r = +0` and only the skip
+/// keeps its `NaN·0` out of `src_1`.
 pub fn bipartite_influence(a: &CsrMatrix, seed_rows: Option<&[u32]>, cfg: &PprConfig) -> Vec<f32> {
+    influence(Build::detect(), a, seed_rows, cfg)
+}
+
+/// The build of the SELL-16 lane loop [`bipartite_influence`] runs on
+/// this CPU: `"avx512"`, `"avx2"` or `"baseline"`.
+pub fn ppr_build() -> &'static str {
+    Build::detect().name()
+}
+
+/// Every build of the lane loop this CPU runs, narrowest first.
+#[doc(hidden)]
+pub fn ppr_builds() -> Vec<&'static str> {
+    Build::available().into_iter().map(Build::name).collect()
+}
+
+/// [`bipartite_influence`] through the named build of the lane loop,
+/// for tests that pin every build. Panics when this CPU does not run
+/// `build` (see [`ppr_builds`]).
+#[doc(hidden)]
+pub fn bipartite_influence_build(
+    build: &str,
+    a: &CsrMatrix,
+    seed_rows: Option<&[u32]>,
+    cfg: &PprConfig,
+) -> Vec<f32> {
+    let build = Build::available()
+        .into_iter()
+        .find(|b| b.name() == build)
+        .unwrap_or_else(|| panic!("this CPU does not run the {build:?} PPR build"));
+    influence(build, a, seed_rows, cfg)
+}
+
+/// Counting-sorts `k` lanes by length, longest first (ties by id), into
+/// SELL-16 positions: `pos[id]` is each lane's position, `lens` (padded
+/// to a multiple of 16) each position's length and `base[g]` the first
+/// slot of group `g`. Returns the slots all groups occupy. `hist` must
+/// have room for the longest length plus one.
+fn layout(
+    k: usize,
+    len_of: impl Fn(usize) -> usize,
+    hist: &mut [u32],
+    pos: &mut [u32],
+    lens: &mut [u32],
+    base: &mut [u32],
+) -> usize {
+    let longest = (0..k).map(&len_of).max().unwrap_or(0);
+    let hist = &mut hist[..=longest];
+    hist.fill(0);
+    for id in 0..k {
+        hist[len_of(id)] += 1;
+    }
+    let mut next = 0;
+    for h in hist.iter_mut().rev() {
+        (*h, next) = (next, next + *h);
+    }
+    lens.fill(0);
+    for (id, p) in pos.iter_mut().enumerate() {
+        let len = len_of(id);
+        *p = hist[len];
+        hist[len] += 1;
+        lens[*p as usize] = len as u32;
+    }
+    let mut slots = 0usize;
+    for (b, g) in base.iter_mut().zip(lens.chunks_exact(LANES)) {
+        *b = u32::try_from(slots).expect("PPR plan slots exceed u32");
+        slots += LANES * g[0] as usize;
+    }
+    assert!(slots <= u32::MAX as usize, "PPR plan slots exceed u32");
+    slots
+}
+
+/// [`bipartite_influence`] through one build of the lane loop.
+fn influence(build: Build, a: &CsrMatrix, seed_rows: Option<&[u32]>, cfg: &PprConfig) -> Vec<f32> {
     let (n, m) = (a.nrows(), a.ncols());
     if n == 0 || m == 0 || seed_rows.is_some_and(<[u32]>::is_empty) {
         return vec![0.0; m];
     }
-    // All per-call scratch lives in one pooled buffer: `dr` and the seed
-    // state `tgt` (target block), then `dc` and the two source states,
-    // then the folded per-entry weights `w`. One take keeps a warm call
-    // at zero growth whatever the shape.
-    let mut scratch = ws::take_f32(2 * n + 3 * m + a.nnz());
-    let (dr, rest) = scratch.split_at_mut(n);
-    let (tgt, rest) = rest.split_at_mut(n);
-    let (dc, rest) = rest.split_at_mut(m);
-    let (mut src, rest) = rest.split_at_mut(m);
-    let (mut nxt, w) = rest.split_at_mut(m);
-    // Symmetric normalization of the bipartite block matrix: degrees of a
-    // target node are its row sums; of a source node, its absolute column
-    // sums (accumulated in `dc`, then mapped in place).
+    let (n_pad, m_pad) = (n.next_multiple_of(LANES), m.next_multiple_of(LANES));
+    assert!(
+        n_pad <= i32::MAX as usize && m_pad <= i32::MAX as usize,
+        "every plan position must fit an i32 gather index"
+    );
+    let (indptr, indices, values) = (a.indptr(), a.indices(), a.values());
     let inv_sqrt = |s: f32| if s > 0.0 { s.sqrt().recip() } else { 0.0 };
-    dc.fill(0.0);
-    for (r, d) in dr.iter_mut().enumerate() {
-        let (cols, vals) = a.row(r);
-        *d = inv_sqrt(vals.iter().sum());
-        for (&c, &v) in cols.iter().zip(vals) {
-            dc[c as usize] += v.abs();
+
+    // Float scratch, one pooled buffer: the row degrees in id order and
+    // by position, the target state, and the two source states and the
+    // accumulator by position.
+    let mut floats = ws::take_f32(n + 2 * n_pad + 3 * m_pad);
+    let (dr, rest) = floats.split_at_mut(n);
+    let (drp, rest) = rest.split_at_mut(n_pad);
+    let (t, rest) = rest.split_at_mut(n_pad);
+    let (mut src, rest) = rest.split_at_mut(m_pad);
+    let (mut nxt, acc) = rest.split_at_mut(m_pad);
+
+    // Integer scratch, one pooled buffer: the positions of rows and
+    // columns; a 4-word record per column — its position, its next free
+    // column-side slot (its entry count until the layout) and its degree
+    // `dc` as `f32` bits — so a pass over the nonzeros reads one cache
+    // line per entry; the lengths by position, the group bases and the
+    // sort histogram (a row holds at most m entries and a column at most
+    // n: CSR columns are unique per row); then both sides' input
+    // positions and weights (as `f32` bits), sized once the layout is
+    // known.
+    let meta = n + 5 * m + n_pad + m_pad + (n_pad + m_pad) / LANES + n.max(m) + 1;
+    let mut ints = ws::take_u32(meta);
+    let (rslots, cslots) = {
+        let (row_pos, rest) = ints.split_at_mut(n);
+        let (col_pos, rest) = rest.split_at_mut(m);
+        let (col, rest) = rest.split_at_mut(4 * m);
+        let (rlens, rest) = rest.split_at_mut(n_pad);
+        let (clens, rest) = rest.split_at_mut(m_pad);
+        let (rbase, rest) = rest.split_at_mut(n_pad / LANES);
+        let (cbase, hist) = rest.split_at_mut(m_pad / LANES);
+        let rslots = layout(
+            n,
+            |r| indptr[r + 1] - indptr[r],
+            hist,
+            row_pos,
+            rlens,
+            rbase,
+        );
+        // Symmetric normalization of the bipartite block matrix: degrees
+        // of a target node are its row sums; of a source node, its
+        // absolute column sums (accumulated in its record, then mapped
+        // in place).
+        col.fill(0);
+        drp.fill(0.0);
+        for (r, d) in dr.iter_mut().enumerate() {
+            let (cols, vals) = a.row(r);
+            *d = inv_sqrt(vals.iter().sum());
+            drp[row_pos[r] as usize] = *d;
+            for (&c, &v) in cols.iter().zip(vals) {
+                let rec = &mut col[4 * c as usize..][..4];
+                rec[1] += 1;
+                rec[2] = (f32::from_bits(rec[2]) + v.abs()).to_bits();
+            }
+        }
+        let cslots = layout(m, |c| col[4 * c + 1] as usize, hist, col_pos, clens, cbase);
+        for (rec, &q) in col.chunks_exact_mut(4).zip(col_pos.iter()) {
+            rec[0] = q;
+            rec[1] = cbase[q as usize / LANES] + q % LANES as u32;
+            rec[2] = inv_sqrt(f32::from_bits(rec[2])).to_bits();
+        }
+        (rslots, cslots)
+    };
+    ints.resize(meta + 2 * (rslots + cslots), 0);
+    let (meta, slots) = ints.split_at_mut(meta);
+    let (row_pos, rest) = meta.split_at_mut(n);
+    let (col_pos, rest) = rest.split_at_mut(m);
+    let (col, rest) = rest.split_at_mut(4 * m);
+    let (rlens, rest) = rest.split_at_mut(n_pad);
+    let (clens, rest) = rest.split_at_mut(m_pad);
+    let rbase = &rest[..n_pad / LANES];
+    let (ridx, rest) = slots.split_at_mut(rslots);
+    let (rw, rest) = rest.split_at_mut(rslots);
+    let (cidx, cw) = rest.split_at_mut(cslots);
+
+    // The plan, in one pass over the nonzeros: entry j of row r goes to
+    // slot j of the row's lane, and to the next free slot of its
+    // column's lane, so a column's entries land in ascending r. Both
+    // sides get the folded weight `w = a[r,c]·dc[c]`.
+    for r in 0..n {
+        let p = row_pos[r];
+        let mut rs = rbase[p as usize / LANES] as usize + p as usize % LANES;
+        for i in indptr[r]..indptr[r + 1] {
+            let rec = &mut col[4 * indices[i] as usize..][..4];
+            let w = (values[i] * f32::from_bits(rec[2])).to_bits();
+            let cs = rec[1] as usize;
+            rec[1] += LANES as u32;
+            ridx[rs] = rec[0];
+            rw[rs] = w;
+            rs += LANES;
+            cidx[cs] = p;
+            cw[cs] = w;
         }
     }
-    dc.iter_mut().for_each(|d| *d = inv_sqrt(*d));
-    for ((wi, &c), &v) in w.iter_mut().zip(a.indices()).zip(a.values()) {
-        *wi = v * dc[c as usize];
-    }
-    let (indptr, w) = (a.indptr(), &*w);
-    let row = |r: usize| (a.row_indices(r), &w[indptr[r]..indptr[r + 1]]);
+    let rows = Sell16 {
+        lens: rlens,
+        idx: ridx,
+        w: rw,
+    };
+    let cols = Sell16 {
+        lens: clens,
+        idx: cidx,
+        w: cw,
+    };
 
-    // Seed: uniform mass over the seeded targets.
+    // Seed: uniform mass over the seeded targets, in id order.
+    let tgt = &mut t[..n];
     match seed_rows {
         None => tgt.fill(1.0 / n as f32),
         Some(rows) => {
@@ -191,15 +371,23 @@ pub fn bipartite_influence(a: &CsrMatrix, seed_rows: Option<&[u32]>, cfg: &PprCo
             }
         }
     }
-    // First pass: x_0 (target) → x_1 (source), scatter only.
-    src.fill(0.0);
+    // First term: x_0 (target) → x_1 (source), a scatter from the rows
+    // with mass, in id order, then moved to plan positions.
+    let first = &mut nxt[..m];
+    first.fill(0.0);
     for r in 0..n {
         let t = tgt[r] * dr[r];
         if t != 0.0 {
-            let (cols, wr) = row(r);
-            // SAFETY: c < ncols == src.len(), validated at construction.
-            unsafe { scatter_row(cols, wr, t, src) };
+            let (cols, vals) = a.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let dc = f32::from_bits(col[4 * c as usize + 2]);
+                first[c as usize] += v * dc * t;
+            }
         }
+    }
+    src.fill(0.0);
+    for (&s, &q) in first.iter().zip(col_pos.iter()) {
+        src[q as usize] = s;
     }
 
     let terms = cfg.num_terms();
@@ -211,55 +399,28 @@ pub fn bipartite_influence(a: &CsrMatrix, seed_rows: Option<&[u32]>, cfg: &PprCo
     // coeff = α (1−α)^k, the series weight of the state x_k, built one
     // factor at a time exactly as a term-by-term loop would.
     let mut coeff = cfg.alpha * decay;
-    let mut acc = vec![0f32; m];
+    acc.fill(0.0);
     let mut k = 1;
     loop {
+        for (aa, &s) in acc.iter_mut().zip(src.iter()) {
+            *aa += coeff * s;
+        }
         if k == last_src_k {
-            for (aa, &s) in acc.iter_mut().zip(src.iter()) {
-                *aa += coeff * s;
-            }
             break;
         }
-        for ((aa, &s), z) in acc.iter_mut().zip(src.iter()).zip(nxt.iter_mut()) {
-            *aa += coeff * s;
-            *z = 0.0;
-        }
-        // One pass, two terms: x_k (source) → x_{k+1} (target, row-local)
-        // → x_{k+2} (source).
-        for (r, &d) in dr.iter().enumerate() {
-            let (cols, wr) = row(r);
-            let mut accr = 0f32;
-            for (&c, &wi) in cols.iter().zip(wr) {
-                // SAFETY: c < ncols == src.len(), validated at
-                // construction.
-                unsafe {
-                    accr += wi * *src.get_unchecked(c as usize);
-                }
-            }
-            // SAFETY: as above, nxt.len() == ncols.
-            unsafe { scatter_row(cols, wr, accr * d * d, nxt) };
+        // Two terms: x_k (source) → x_{k+1} (target) → x_{k+2} (source).
+        // SAFETY: the CPU runs `build` (it came from `Build`), a live
+        // row slot holds a column position (< m_pad == src.len()) and a
+        // live column slot a row position (< n_pad == t.len()).
+        unsafe {
+            sell::pull(build, &rows, src, Some(drp), t);
+            sell::pull(build, &cols, t, None, nxt);
         }
         std::mem::swap(&mut src, &mut nxt);
         coeff = coeff * decay * decay;
         k += 2;
     }
-    acc
-}
-
-/// `out[c] += w · t` over one row of folded weights `w = v · dc[c]` —
-/// the target → source half of a bipartite advance.
-///
-/// # Safety
-///
-/// Every index in `cols` must be below `out.len()`.
-#[inline(always)]
-unsafe fn scatter_row(cols: &[u32], w: &[f32], t: f32, out: &mut [f32]) {
-    for (&c, &wi) in cols.iter().zip(w) {
-        // SAFETY: the caller guarantees c < out.len().
-        unsafe {
-            *out.get_unchecked_mut(c as usize) += wi * t;
-        }
-    }
+    col_pos.iter().map(|&q| acc[q as usize]).collect()
 }
 
 /// Dense PPR resolvent `α (I − (1−α) M)⁻¹` by Gauss–Jordan elimination.
@@ -495,10 +656,11 @@ mod tests {
         }
     }
 
-    /// A sparse random block with a few seeded rows: in the early fused
+    /// A sparse random block with a few seeded rows: in the early
     /// passes most rows gather nothing (`t = +0`), and rows whose weights
-    /// sum to ≤ 0 have `d = 0`, so `t = ±0` whatever they gather. Their
-    /// unguarded scatters must leave every bit as the guarded reference.
+    /// sum to ≤ 0 have `d = 0`, so `t = ±0` whatever they gather. The
+    /// column side sums their products too; every bit must stay that of
+    /// the reference's guarded scatter.
     #[test]
     fn zero_state_rows_scatter_without_changing_bits() {
         use rand::{Rng, SeedableRng};
@@ -519,7 +681,7 @@ mod tests {
         let a = coo.to_csr();
         let seeds = [3u32, 150, 299];
         // Rows sharing no source with a seed row gather exactly zero in
-        // the first fused pass.
+        // the first double pass.
         let seeded_cols: Vec<u32> = seeds
             .iter()
             .flat_map(|&r| a.row_indices(r as usize).to_vec())
@@ -537,6 +699,32 @@ mod tests {
                 "seed rows {seed_rows:?}"
             );
         }
+    }
+
+    /// A row with a NaN weight has `dr = 0`, so its first-term state is
+    /// `+0` while its folded weight is NaN: only the first term's skip of
+    /// rows without mass keeps `NaN·0` out of the result.
+    #[test]
+    fn first_term_skips_an_unseeded_row_with_a_nan_weight() {
+        let mut coo = crate::coo::CooMatrix::new(3, 3);
+        for (r, c, v) in [
+            (0, 0, 1.0),
+            (0, 1, 0.5),
+            (1, 1, f32::NAN),
+            (1, 2, 1.0),
+            (2, 2, 2.0),
+        ] {
+            coo.push(r, c, v);
+        }
+        let a = coo.to_csr();
+        assert!(a.values().iter().any(|v| v.is_nan()));
+        let one_term = PprConfig {
+            alpha: 1.0,
+            ..Default::default()
+        };
+        let got = bipartite_influence(&a, Some(&[0, 2]), &one_term);
+        assert!(got.iter().all(|v| v.is_finite()), "{got:?}");
+        assert_eq!(got, bipartite_reference(&a, Some(&[0, 2]), &one_term));
     }
 
     #[test]

@@ -18,12 +18,14 @@
 //! exact cancellations to ±0.0) occur, exercising the zero-filter and
 //! the sign-of-zero argument in the SpGEMM bitwise proof.
 //!
-//! The fused bipartite PPR influence kernel is pinned the same way,
-//! against a test-only copy of the one-pass-per-term loop it replaced
-//! (`bipartite_influence_two_pass`), compared by `f32::to_bits`.
+//! The bipartite PPR influence kernel is pinned the same way, in every
+//! build of its SELL-16 lane loop the CPU runs (baseline, AVX2,
+//! AVX-512F), against a test-only one-pass-per-term loop
+//! (`bipartite_influence_two_pass`), compared by `f32::to_bits`, on
+//! row and column lengths that straddle the 8- and 16-lane chunk edges.
 
 use freehgc_parallel as par;
-use freehgc_sparse::ppr::bipartite_influence;
+use freehgc_sparse::ppr::{bipartite_influence, bipartite_influence_build, ppr_build, ppr_builds};
 use freehgc_sparse::{ppr_push, CooMatrix, CsrMatrix, PprConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -447,9 +449,9 @@ fn allocating_wrappers_leave_the_pools_largest_buffer_in_the_pool() {
     .unwrap();
 }
 
-/// Test-only oracle for `bipartite_influence`: the two-pass loop
-/// the fused kernel replaced, kept verbatim apart from plain `Vec`
-/// scratch instead of the workspace pool. Each series term is its own
+/// Test-only oracle for `bipartite_influence`: the loop with one pass
+/// per series term that the kernel's earlier forms replaced, kept
+/// verbatim apart from plain `Vec` scratch instead of the workspace pool. Each series term is its own
 /// pass over the nonzeros — a target → source scatter or a source →
 /// target gather.
 fn bipartite_influence_two_pass(
@@ -554,9 +556,53 @@ fn bipartite_matrix(rows: usize, cols: usize, max_per_row: usize, seed: u64) -> 
     coo.to_csr()
 }
 
+/// Row and column lengths at and around the lane loop's chunk edges
+/// (8 lanes in the AVX2 build, 16 in a SELL-16 group), with empty lines.
+const LANE_EDGE_LENS: [usize; 10] = [0, 1, 7, 8, 9, 15, 16, 17, 31, 33];
+
+/// A path adjacency whose row lengths are drawn from
+/// [`LANE_EDGE_LENS`], with empty columns (`c % 4 == 1`) and one hub
+/// column (column 0, in 7 of 8 non-empty rows), so column lengths
+/// spread across the same edges and one column outgrows every other.
+/// Values are quarter-integers in ±2, as in [`bipartite_matrix`].
+fn lane_edge_matrix(rows: usize, cols: usize, seed: u64) -> CsrMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let open: Vec<u32> = (0..cols as u32).filter(|c| c % 4 != 1).collect();
+    let mut coo = CooMatrix::new(rows, cols);
+    for r in 0..rows {
+        let len = LANE_EDGE_LENS[rng.gen_range(0..LANE_EDGE_LENS.len())].min(open.len());
+        let mut picked = std::collections::BTreeSet::new();
+        if len > 0 && rng.gen_range(0..8u32) != 0 {
+            picked.insert(0);
+        }
+        while picked.len() < len {
+            picked.insert(open[rng.gen_range(0..open.len())]);
+        }
+        for c in picked {
+            let v = (rng.gen_range(-8i32..=8) as f32) * 0.25;
+            coo.push(r as u32, c, v);
+        }
+    }
+    coo.to_csr()
+}
+
+/// Every build of the PPR lane loop this CPU runs. Prints their names
+/// once, so a test log shows whether the AVX-512 build was checked.
+fn checked_ppr_builds() -> Vec<&'static str> {
+    static NAMED: std::sync::Once = std::sync::Once::new();
+    let builds = ppr_builds();
+    NAMED.call_once(|| {
+        eprintln!(
+            "bipartite_influence builds checked: {builds:?}; dispatch runs {}",
+            ppr_build()
+        );
+    });
+    builds
+}
+
 /// Series configurations with `num_terms()` of 1, 2, 3, 4 and the
-/// default (57), so the fused loop's first-pass-only, odd and even
-/// stopping points are all exercised.
+/// default (57), so the first-term-only, odd and even stopping points
+/// are all exercised.
 fn influence_configs() -> Vec<(PprConfig, usize)> {
     let cfg = |alpha, epsilon| PprConfig {
         alpha,
@@ -625,16 +671,29 @@ proptest! {
         let a = random_sparse(rows, cols, per_row, seed);
         prop_assert_eq!(a.top_k_per_row(k), a.top_k_per_row_ref(k));
     }
+}
+
+/// Case count of the PPR build property before the `PROPTEST_CASES`
+/// cap; CI runs it once more at this count.
+const PPR_CASES: u32 = 4096;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(PPR_CASES))]
 
     #[test]
-    fn fused_bipartite_influence_matches_two_pass_oracle_bitwise(
+    fn every_ppr_build_matches_two_pass_oracle_bitwise(
         rows in 1usize..70,
         cols in 1usize..50,
         max_per_row in 0usize..9,
+        shape in 0u8..2,
         seed_mode in 0u8..4,
         seed in 0u64..1000,
     ) {
-        let a = bipartite_matrix(rows, cols, max_per_row, seed);
+        let a = if shape == 0 {
+            lane_edge_matrix(rows, cols, seed)
+        } else {
+            bipartite_matrix(rows, cols, max_per_row, seed)
+        };
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(17));
         let subset: Vec<u32> = (0..rows as u32).filter(|_| rng.gen_range(0..3u32) == 0).collect();
         let seed_rows: Option<Vec<u32>> = match seed_mode {
@@ -646,9 +705,11 @@ proptest! {
         };
         for (cfg, terms) in influence_configs() {
             prop_assert_eq!(cfg.num_terms(), terms);
-            let fused = bipartite_influence(&a, seed_rows.as_deref(), &cfg);
-            let oracle = bipartite_influence_two_pass(&a, seed_rows.as_deref(), &cfg);
-            prop_assert_eq!(bits(&fused), bits(&oracle), "terms = {}", terms);
+            let oracle = bits(&bipartite_influence_two_pass(&a, seed_rows.as_deref(), &cfg));
+            for build in checked_ppr_builds() {
+                let got = bipartite_influence_build(build, &a, seed_rows.as_deref(), &cfg);
+                prop_assert_eq!(bits(&got), oracle.clone(), "build {}, terms = {}", build, terms);
+            }
         }
     }
 }
